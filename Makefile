@@ -49,7 +49,7 @@ bench:
 	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_system.json
 	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart' -benchtime 3x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric' -benchtime 3x -benchmem . \
+	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric' -benchtime 3x -benchmem -cpu 1,2 . \
 		| $(GO) run ./cmd/benchjson -o BENCH_pdes.json
 	$(GO) test -run ^$$ -bench 'BenchmarkWANFabric' -benchtime 3x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_wan.json
@@ -71,7 +71,7 @@ bench-smoke:
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/system.json
 	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/sweep.json
-	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric' -benchtime 1x -benchmem . \
+	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric' -benchtime 1x -benchmem -cpu 1,2 . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/pdes.json
 	$(GO) test -run ^$$ -bench 'BenchmarkWANFabric' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/wan.json
@@ -102,6 +102,7 @@ profile:
 verify: build fmt-check vet test
 	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/netsim/... \
 		./internal/obs/... ./internal/chaos/... ./internal/ptp4l/... ./internal/core/...
+	$(GO) test -race -cpu 1,2 -run 'TestFabric|TestShardEquivalenceForceParallel' ./internal/sim/ ./internal/core/
 
 # Chaos smoke: a 10-minute-sim-time fault-injection campaign driven by the
 # committed example scenario plan, with the holdover watchdog armed. Fails

@@ -45,6 +45,17 @@ type Result struct {
 	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	GoMaxProcs  int                `json:"gomaxprocs,omitempty"`
+}
+
+// series keys a result for comparison. A mixed -cpu run records
+// gomaxprocs per result, and one benchmark at two GOMAXPROCS values is two
+// series, keyed with a "-N" suffix.
+func (r Result) series() string {
+	if r.GoMaxProcs == 0 {
+		return r.Name
+	}
+	return fmt.Sprintf("%s-%d", r.Name, r.GoMaxProcs)
 }
 
 // Document mirrors cmd/benchjson's file shape.
@@ -175,7 +186,7 @@ func seriesNames(path string, metrics bool) ([]string, error) {
 	}
 	names := make([]string, 0, len(doc.Results))
 	for _, r := range doc.Results {
-		names = append(names, r.Name)
+		names = append(names, r.series())
 	}
 	sort.Strings(names)
 	return names, nil
@@ -241,7 +252,7 @@ func readDoc(path string) (*Document, error) {
 	return &doc, nil
 }
 
-// diffDocs compares two benchjson documents per benchmark name.
+// diffDocs compares two benchjson documents per series.
 func diffDocs(oldPath, newPath string, opt options, w io.Writer) (int, error) {
 	oldDoc, err := readDoc(oldPath)
 	if err != nil {
@@ -253,25 +264,26 @@ func diffDocs(oldPath, newPath string, opt options, w io.Writer) (int, error) {
 	}
 	baseline := make(map[string]Result, len(oldDoc.Results))
 	for _, r := range oldDoc.Results {
-		baseline[r.Name] = r
+		baseline[r.series()] = r
 	}
 	regressions := 0
 	for _, nr := range newDoc.Results {
-		or, ok := baseline[nr.Name]
+		key := nr.series()
+		or, ok := baseline[key]
 		if !ok {
-			fmt.Fprintf(w, "  new    %s: no baseline\n", nr.Name)
+			fmt.Fprintf(w, "  new    %s: no baseline\n", key)
 			continue
 		}
-		delete(baseline, nr.Name)
-		if check(w, nr.Name, "ns/op", or.NsPerOp, nr.NsPerOp, opt.thresholdFor(nr.Name, "ns_per_op"), false) {
+		delete(baseline, key)
+		if check(w, key, "ns/op", or.NsPerOp, nr.NsPerOp, opt.thresholdFor(nr.Name, "ns_per_op"), false) {
 			regressions++
 		}
 		if or.BytesPerOp != nil && nr.BytesPerOp != nil &&
-			check(w, nr.Name, "B/op", *or.BytesPerOp, *nr.BytesPerOp, opt.thresholdFor(nr.Name, "bytes_per_op"), false) {
+			check(w, key, "B/op", *or.BytesPerOp, *nr.BytesPerOp, opt.thresholdFor(nr.Name, "bytes_per_op"), false) {
 			regressions++
 		}
 		if or.AllocsPerOp != nil && nr.AllocsPerOp != nil &&
-			check(w, nr.Name, "allocs/op", *or.AllocsPerOp, *nr.AllocsPerOp, opt.thresholdFor(nr.Name, "allocs_per_op"), false) {
+			check(w, key, "allocs/op", *or.AllocsPerOp, *nr.AllocsPerOp, opt.thresholdFor(nr.Name, "allocs_per_op"), false) {
 			regressions++
 		}
 	}

@@ -86,6 +86,30 @@ func TestWarnOnlyAlwaysExitsClean(t *testing.T) {
 	}
 }
 
+// TestMixedCPUSeries pins the -cpu 1,2 shape: the same benchmark name at
+// two GOMAXPROCS values is two series, each compared with its own
+// baseline.
+func TestMixedCPUSeries(t *testing.T) {
+	const mixed = `{"results": [
+    {"name": "BenchmarkPDES", "iterations": 3, "ns_per_op": 100, "gomaxprocs": 1},
+    {"name": "BenchmarkPDES", "iterations": 3, "ns_per_op": 60, "gomaxprocs": 2}
+  ]}`
+	oldPath := writeFile(t, "old.json", mixed)
+	var out bytes.Buffer
+	if err := run([]string{oldPath, writeFile(t, "same.json", mixed)}, &out); err != nil {
+		t.Fatalf("identical mixed inputs must pass, got: %v\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "no baseline") || strings.Contains(out.String(), "missing") {
+		t.Fatalf("mixed series were not paired by GOMAXPROCS:\n%s", out.String())
+	}
+	regressed := strings.Replace(mixed, `"ns_per_op": 60`, `"ns_per_op": 200`, 1)
+	out.Reset()
+	err := run([]string{oldPath, writeFile(t, "new.json", regressed)}, &out)
+	if !errors.Is(err, errRegression) || !strings.Contains(out.String(), "REGRESSION BenchmarkPDES-2 ns/op") {
+		t.Fatalf("GOMAXPROCS=2 regression not attributed to its series, got: %v\n%s", err, out.String())
+	}
+}
+
 func TestMissingBenchmarkIsInformational(t *testing.T) {
 	oldPath := writeFile(t, "old.json", baselineDoc)
 	trimmed := `{"results": [{"name": "BenchmarkScheduler", "iterations": 1000, "ns_per_op": 100}]}`

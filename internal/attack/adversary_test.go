@@ -10,9 +10,9 @@ import (
 )
 
 func TestCVEAliasMatchesRenamedConstant(t *testing.T) {
-	// The deprecated alias must keep compiling and naming the same CVE.
-	if CVE20181895 != CVE201818955 || CVE201818955 != "CVE-2018-18955" {
-		t.Fatalf("CVE constants diverged: %q vs %q", CVE20181895, CVE201818955)
+	// The constant must name the paper's CVE with all of its digits.
+	if CVE201818955 != "CVE-2018-18955" {
+		t.Fatalf("CVE201818955 = %q, want CVE-2018-18955", CVE201818955)
 	}
 }
 

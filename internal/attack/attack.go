@@ -18,11 +18,6 @@ const (
 	// CVE201818955 is the paper's exploit: a map_write() bug in Linux
 	// user-namespace handling enabling local privilege escalation.
 	CVE201818955 = "CVE-2018-18955"
-	// CVE20181895 is the old name of CVE201818955, kept for
-	// compatibility; it dropped the final digit of the CVE number.
-	//
-	// Deprecated: use CVE201818955.
-	CVE20181895 = CVE201818955
 	// VulnerableKernel is the kernel version the paper installs on the
 	// attackable grandmasters.
 	VulnerableKernel = "v4.19.1"

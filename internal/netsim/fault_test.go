@@ -261,7 +261,7 @@ func TestLegacySharedStreamOrderPreserved(t *testing.T) {
 	}
 }
 
-// TestLinkBindFabric pins the sim.BoundaryBinder contract on boundary
+// TestLinkBindFabric pins the sim.Boundary hook contract on boundary
 // links: the first deferred send per direction (and only the first, until
 // the outbox drains) registers the link dirty, and every MinDelay-axis
 // mutator — SetDelayOverride, SetWanDelay, SetDelayAttack, Restore —
@@ -279,8 +279,8 @@ func TestLinkBindFabric(t *testing.T) {
 		t.Fatal("cross-scheduler link not marked as boundary")
 	}
 	var dirty, invalidated int
-	var binder sim.BoundaryBinder = l
-	binder.BindFabric(func() { dirty++ }, func() { invalidated++ })
+	var bound sim.Boundary = l
+	bound.BindFabric(func() { dirty++ }, func() { invalidated++ })
 
 	send := func() {
 		if _, err := a.Send(&Frame{Src: "nic/a", Dst: "nic/b"}); err != nil {

@@ -79,8 +79,8 @@ type Link struct {
 	// run.
 	deferred bool
 	outbox   [2][]sim.Deferred
-	// Fabric hooks (sim.BoundaryBinder), set only on boundary links inside
-	// a sharded system. markDirty registers the link for the next barrier
+	// Fabric hooks (sim.Boundary.BindFabric), set only on boundary links
+	// inside a sharded system. markDirty registers the link for the next barrier
 	// flush on the first deferred send per direction; invalidateLA marks
 	// the fabric's lookahead cache stale after any MinDelay-affecting
 	// mutation. Both are nil on ordinary links and unsharded runs.
@@ -125,7 +125,7 @@ type Link struct {
 // Lost reports how many frames the link dropped by stochastic loss.
 func (l *Link) Lost() uint64 { return l.lost }
 
-// BindFabric implements sim.BoundaryBinder: the fabric installs its
+// BindFabric implements sim.Boundary: the fabric installs its
 // dirty-list and lookahead-invalidation hooks when the link is registered
 // as a cross-shard boundary.
 func (l *Link) BindFabric(markDirty, invalidateLookahead func()) {

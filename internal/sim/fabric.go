@@ -44,16 +44,16 @@ package sim
 // (fabric_worker.go holds the first):
 //
 //   - Shard execution is dispatched to long-lived per-shard worker
-//     goroutines over a spin-then-park epoch barrier instead of spawning a
-//     goroutine per window; a deterministic serial fast path runs busy
-//     shards inline on the coordinator when parallelism cannot pay
-//     (GOMAXPROCS 1, a single busy shard, nearly-empty queues, or a closed
-//     fabric). Both paths execute the same events against the same state,
-//     so the choice is invisible to every determinism surface.
+//     goroutines over a channel barrier instead of spawning a goroutine per
+//     window; a deterministic serial fast path runs busy shards inline on
+//     the coordinator when parallelism cannot pay (GOMAXPROCS 1, a single
+//     busy shard, nearly-empty queues, or a closed fabric). Both paths
+//     execute the same events against the same state, so the choice is
+//     invisible to every determinism surface.
 //   - The lookahead is cached: the O(boundaries) MinDelay rescan happens
-//     only after InvalidateLookahead, which bound boundaries call whenever
-//     a delay mutation (chaos override, WAN drift step, attack install,
-//     snapshot restore) could change their MinDelay.
+//     only after a boundary reports, through the hook NewFabric binds, a
+//     delay mutation (chaos override, WAN drift step, attack install,
+//     snapshot restore) that could change its MinDelay.
 //   - flush visits only boundaries that registered into the dirty list on
 //     their first deferred append since the previous barrier; a barrier
 //     with no captured sends skips the sort-and-commit path entirely.
@@ -109,15 +109,8 @@ type Boundary interface {
 	// AppendDeferred appends the boundary's pending sends to buf (leaving
 	// Rank zero; the fabric stamps it) and clears the outboxes.
 	AppendDeferred(buf []Deferred) []Deferred
-}
-
-// BoundaryBinder is optionally implemented by boundaries that integrate
-// with the fabric's dirty-list flush and cached lookahead. NewFabric calls
-// BindFabric once per registered boundary; a boundary that does not
-// implement it is scanned at every barrier and its MinDelay mutations must
-// be reported through Fabric.InvalidateLookahead by whoever mutates it.
-type BoundaryBinder interface {
-	// BindFabric installs the fabric-side hooks.
+	// BindFabric installs the fabric-side hooks; NewFabric calls it once
+	// per registered boundary.
 	//
 	// markDirty must be called (at least) on the first send deferred after
 	// a barrier — before or after appending it — so the fabric knows to
@@ -161,27 +154,13 @@ type Fabric struct {
 	busy  []int // indices into shards, reused across windows
 	stats FabricStats
 
-	// Cached lookahead: lookCached is valid while lookStale is false.
-	// InvalidateLookahead (driver/control context only) marks it stale.
-	lookStale  bool
+	// hooks is what the bound boundaries write; lookCached is valid while
+	// hooks.lookStale is false.
+	hooks      *fabricHooks
 	lookCached Time
 
-	// Dirty-boundary flush. dirtyFlags[rank] is CAS-claimed by the first
-	// markDirty within a window; the claimer publishes rank into
-	// dirtyList[dirtyN++]. Shard goroutines only ever touch the atomics;
-	// the coordinator drains and resets both at the barrier, so the plain
-	// slice writes are ordered by the barrier synchronization itself.
-	dirtyFlags []atomic.Uint32
-	dirtyList  []int32
-	dirtyN     atomic.Int32
-	// scanRanks lists boundaries that did not implement BoundaryBinder;
-	// they are visited at every flush, preserving the legacy contract.
-	scanRanks []int
-
-	// Persistent shard workers (fabric_worker.go). The group is allocated
-	// lazily on the first parallel window and released at Close; it holds
-	// no back-reference to the fabric, so a fabric abandoned without Close
-	// stays collectable and its finalizer reaps the workers.
+	// Persistent shard workers (fabric_worker.go), started lazily by the
+	// first parallel window and released at Close.
 	group    *workerGroup
 	closed   bool
 	maxprocs int
@@ -201,27 +180,38 @@ type Fabric struct {
 
 // NewFabric assembles a fabric over per-shard schedulers, a control
 // scheduler (which must not be one of the shards) and the registered
-// cross-shard boundaries. Boundaries implementing BoundaryBinder are bound
-// to the fabric's dirty list and lookahead cache.
+// cross-shard boundaries, binding every boundary to the fabric's dirty list
+// and lookahead cache.
 func NewFabric(shards []*Scheduler, control *Scheduler, bounds []Boundary) *Fabric {
-	f := &Fabric{
-		shards:    shards,
-		control:   control,
-		bounds:    bounds,
-		lookStale: true,
-		maxprocs:  runtime.GOMAXPROCS(0),
+	h := &fabricHooks{
+		dirtyFlags: make([]atomic.Uint32, len(bounds)),
+		dirtyList:  make([]int32, len(bounds)),
+		lookStale:  true,
 	}
-	f.dirtyFlags = make([]atomic.Uint32, len(bounds))
-	f.dirtyList = make([]int32, len(bounds))
 	for rank, b := range bounds {
-		if binder, ok := b.(BoundaryBinder); ok {
-			rank := rank
-			binder.BindFabric(func() { f.markDirty(rank) }, f.InvalidateLookahead)
-		} else {
-			f.scanRanks = append(f.scanRanks, rank)
-		}
+		rank := rank
+		b.BindFabric(func() { h.markDirty(rank) }, h.invalidateLookahead)
 	}
-	return f
+	return &Fabric{
+		shards:   shards,
+		control:  control,
+		bounds:   bounds,
+		hooks:    h,
+		maxprocs: runtime.GOMAXPROCS(0),
+	}
+}
+
+// fabricHooks is the state behind the BindFabric hooks, kept apart from the
+// Fabric so that boundaries (reachable from the workers) never reach it.
+// dirtyFlags[rank] is CAS-claimed by the first markDirty within a window,
+// and the claimer publishes rank into dirtyList[dirtyN++]. The coordinator
+// drains and resets both at the barrier, which orders the plain slice
+// writes of the shard goroutines.
+type fabricHooks struct {
+	dirtyFlags []atomic.Uint32
+	dirtyList  []int32
+	dirtyN     atomic.Int32
+	lookStale  bool
 }
 
 // Now reports the fabric's committed instant: every shard has processed all
@@ -238,23 +228,21 @@ func (f *Fabric) Stats() FabricStats { return f.stats }
 // state without going through the bound mutators.
 func (f *Fabric) Resync() {
 	f.now = f.shards[0].Now()
-	f.InvalidateLookahead()
+	f.hooks.invalidateLookahead()
 }
 
-// InvalidateLookahead marks the cached lookahead stale, forcing an
-// O(boundaries) MinDelay rescan before the next window. Bound boundaries
-// call it through their BindFabric hook on any delay mutation; external
-// callers mutating an unbound boundary's delay must call it themselves.
-// Like the hook, it may only be called while shards are paused.
-func (f *Fabric) InvalidateLookahead() { f.lookStale = true }
+// invalidateLookahead is the BindFabric lookahead hook: it marks the cached
+// lookahead stale, forcing an O(boundaries) MinDelay rescan before the next
+// window. It may only be called while shards are paused.
+func (h *fabricHooks) invalidateLookahead() { h.lookStale = true }
 
 // markDirty is the BindFabric dirty hook for boundary rank: the first call
 // within a window claims the flag and publishes the rank to the dirty
 // list; subsequent calls (same or other direction, any shard) are no-ops
 // until flush resets the flag.
-func (f *Fabric) markDirty(rank int) {
-	if f.dirtyFlags[rank].CompareAndSwap(0, 1) {
-		f.dirtyList[f.dirtyN.Add(1)-1] = int32(rank)
+func (h *fabricHooks) markDirty(rank int) {
+	if h.dirtyFlags[rank].CompareAndSwap(0, 1) {
+		h.dirtyList[h.dirtyN.Add(1)-1] = int32(rank)
 	}
 }
 
@@ -265,10 +253,10 @@ func (f *Fabric) markDirty(rank int) {
 // and snapshot restores all invalidate through the BindFabric hook, so
 // they still narrow or widen the window from the next barrier on).
 func (f *Fabric) lookahead() Time {
-	if !f.lookStale {
+	if !f.hooks.lookStale {
 		return f.lookCached
 	}
-	f.lookStale = false
+	f.hooks.lookStale = false
 	f.stats.LookaheadRescans++
 	if len(f.bounds) == 0 {
 		f.lookCached = Time(1<<62 - 1)
@@ -290,34 +278,27 @@ func (f *Fabric) lookahead() Time {
 }
 
 // flush drains the boundary outboxes that captured sends since the last
-// barrier — the self-registered dirty list plus every unbound boundary —
-// and commits the deferred sends in the fixed global order (Key1, Key2,
-// Key3, Ord, Rank, Dir). A barrier where no boundary captured anything
-// returns without visiting a single boundary. Runs single-threaded at
-// barriers, while all shards are paused.
+// barrier — the self-registered dirty list — and commits the deferred sends
+// in the fixed global order (Key1, Key2, Key3, Ord, Rank, Dir). A barrier
+// where no boundary captured anything returns without visiting a single
+// boundary. Runs single-threaded at barriers, while all shards are paused.
 func (f *Fabric) flush() {
-	n := int(f.dirtyN.Load())
-	if n == 0 && len(f.scanRanks) == 0 {
+	h := f.hooks
+	n := int(h.dirtyN.Load())
+	if n == 0 {
 		f.stats.FlushesSkipped++
 		return
 	}
 	buf := f.buf[:0]
-	for _, r := range f.dirtyList[:n] {
-		f.dirtyFlags[r].Store(0)
+	for _, r := range h.dirtyList[:n] {
+		h.dirtyFlags[r].Store(0)
 		start := len(buf)
 		buf = f.bounds[r].AppendDeferred(buf)
 		for i := start; i < len(buf); i++ {
 			buf[i].Rank = int(r)
 		}
 	}
-	f.dirtyN.Store(0)
-	for _, r := range f.scanRanks {
-		start := len(buf)
-		buf = f.bounds[r].AppendDeferred(buf)
-		for i := start; i < len(buf); i++ {
-			buf[i].Rank = r
-		}
-	}
+	h.dirtyN.Store(0)
 	if len(buf) > 1 {
 		sortDeferred(buf)
 	}

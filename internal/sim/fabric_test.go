@@ -13,9 +13,15 @@ type pipe struct {
 	dst   *Scheduler
 	out   []Deferred
 	recv  *[]Time // delivery instants, in callback order
+
+	markDirty, invalidate func() // installed by NewFabric
 }
 
 func (p *pipe) MinDelay() time.Duration { return p.delay }
+
+func (p *pipe) BindFabric(markDirty, invalidate func()) {
+	p.markDirty, p.invalidate = markDirty, invalidate
+}
 
 func (p *pipe) AppendDeferred(buf []Deferred) []Deferred {
 	buf = append(buf, p.out...)
@@ -29,9 +35,13 @@ func (p *pipe) CommitDeferred(dir int, payload any, key1, key2 Time) {
 	}, payload)
 }
 
-// send captures the sender's causal key at the current instant, like a
-// boundary netsim link does.
+// send captures the sender's causal key at the current instant and marks
+// the pipe dirty on the first send since the last flush, like a boundary
+// netsim link does.
 func (p *pipe) send(src *Scheduler, payload any) {
+	if len(p.out) == 0 {
+		p.markDirty()
+	}
 	_, cause, prev := src.SchedKeys()
 	p.out = append(p.out, Deferred{
 		Key1: src.Now(), Key2: cause, Key3: prev, Ord: src.NextDeferOrd(),

@@ -1,88 +1,56 @@
 package sim
 
-// Persistent shard workers and the epoch barrier that drives them.
+// Persistent shard workers and the channel barrier that drives them.
 //
 // One goroutine per shard is started lazily on the first parallel window
-// and lives until Fabric.Close. A window dispatch is a single epoch-counter
-// store per worker (plus a channel send only if that worker had parked);
-// completion is a single atomic decrement per worker (plus a channel send
-// only if the coordinator had parked). Workers spin briefly before parking
-// so that back-to-back windows — the common case in a converged fabric —
-// never touch the channels at all.
+// and lives until Fabric.Close. Each worker blocks on its own start
+// channel, which carries the window end; closing that channel tells the
+// worker to quit. A worker publishes its error in its own field and then
+// sends one token on the group's shared done channel, buffered to hold one
+// token per worker.
 //
-//	coordinator                         worker w (one per shard)
-//	-----------                         ------------------------
-//	barrier.Store(remaining<<1)         await(last):
-//	epoch++                               spin: epoch.Load() != last? go
-//	for each busy worker w:               park: parked.Store(1)
-//	  w.end, w.quit = end, false                recheck epoch; CAS parked
-//	  w.epoch.Store(epoch)                      1→0 or drain wake; <-wake
-//	  if w.parked.CAS(1,0): w.wake <-           woke with epoch == last?
-//	run busy[0] inline                          stale wake — absorb, re-park
-//	awaitWorkers():                     run: err = sc.RunUntil(end)
-//	  spin: barrier.Load() == 0? go     done: if barrier.Add(-2) == 1:
-//	  park: CAS barrier s→s|1; <-done           g.done <- struct{}{}
-//	                                    loop to await
+//	coordinator                      worker w (one per shard)
+//	-----------                      ------------------------
+//	for each w in busy[1:]:          for end := range w.start:
+//	  w.start <- end                   w.err = sc.RunUntil(end)
+//	err0 = busy[0].RunUntil(end)       g.done <- struct{}{}
+//	receive len(busy)-1 tokens       (start closed: exit)
+//	  from g.done
 //
-// The barrier word packs the remaining-worker count in the high bits and a
-// coordinator-parked bit in bit 0. A finishing worker decrements by 2 and
-// reads the parked bit out of the same atomic op, so "last worker done"
-// and "coordinator is parked" are decided together — a worker from window
-// N can never leave a stale token in g.done for window N+1's coordinator
-// to consume. Worker epochs are uint64 so a spinning worker can never
-// observe a wrapped-around epoch equal to its last one.
+// The coordinator receives every token of a window before it returns, even
+// when busy[0] failed: a token left in done would complete the next
+// window's barrier while its worker was still running. The channel
+// operations are also the happens-before edges that hand shard state (and
+// w.err) between the coordinator and the workers.
 //
-// The barrier state lives in a workerGroup allocated separately from the
-// Fabric, and worker goroutines reference only the group and their own
-// scheduler — never the Fabric. Goroutine stacks are GC roots, so workers
-// holding the Fabric would pin an abandoned fabric (and the whole System
-// hanging off it) forever; with the group decoupled, a fabric dropped
-// without Close becomes unreachable, its finalizer fires and reaps the
-// workers. Explicit Close remains the deterministic path (System.Stop,
-// benchmarks); the finalizer is the safety net for drivers that just let
-// a sharded system go out of scope.
+// Worker goroutines reference only the workerGroup and their own scheduler,
+// never the Fabric, and the BindFabric hooks reach only fabricHooks.
+// Goroutine stacks are GC roots, so a worker that could reach the Fabric
+// would pin an abandoned fabric forever; as it is, a fabric dropped without
+// Close becomes unreachable and its finalizer reaps the workers. Explicit
+// Close remains the deterministic path (System.Close, benchmarks).
 
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-const (
-	// workerSpin bounds the epoch-polling iterations (each yielding the
-	// processor) a worker burns before parking on its wake channel.
-	workerSpin = 128
-	// coordSpin bounds the barrier-polling iterations before the
-	// coordinator parks on done.
-	coordSpin = 128
-)
-
-// workerGroup owns the persistent workers and the barrier state they
-// share with the coordinator. It deliberately holds no Fabric reference;
-// see the package comment above.
+// workerGroup owns the persistent workers and the completion channel they
+// share with the coordinator. It deliberately holds no Fabric reference.
 type workerGroup struct {
 	workers []*fabricWorker
-	epoch   atomic.Uint64
-	barrier atomic.Int32 // remaining<<1 | coordinator-parked bit
 	done    chan struct{}
 	exited  sync.WaitGroup
-	closed  atomic.Bool
 }
 
-// fabricWorker is the persistent goroutine owning one shard's window
-// execution. end/quit/err are plain fields: end and quit are written by
-// the dispatcher strictly before the epoch store that hands the window
-// over, and err strictly before the barrier decrement that hands it back.
+// fabricWorker is the goroutine owning one shard's window execution. err is
+// written by the worker before its done token and read by the coordinator
+// after receiving it.
 type fabricWorker struct {
-	g      *workerGroup
-	sc     *Scheduler
-	epoch  atomic.Uint64
-	parked atomic.Uint32
-	wake   chan struct{}
-	end    Time
-	quit   bool
-	err    error
+	sc    *Scheduler
+	start chan Time
+	err   error
 }
 
 // startWorkers spawns the per-shard workers. Called lazily from the first
@@ -90,114 +58,36 @@ type fabricWorker struct {
 // one shard, or closed before converging) never carry idle goroutines.
 // The finalizer covers fabrics abandoned without Close.
 func (f *Fabric) startWorkers() {
-	g := &workerGroup{done: make(chan struct{}, 1)}
-	g.workers = make([]*fabricWorker, len(f.shards))
-	for i, sc := range f.shards {
-		w := &fabricWorker{g: g, sc: sc, wake: make(chan struct{}, 1)}
-		g.workers[i] = w
+	g := &workerGroup{done: make(chan struct{}, len(f.shards))}
+	for _, sc := range f.shards {
+		w := &fabricWorker{sc: sc, start: make(chan Time, 1)}
+		g.workers = append(g.workers, w)
 		g.exited.Add(1)
-		go w.run()
+		go w.run(g)
 	}
 	f.group = g
-	runtime.SetFinalizer(f, (*Fabric).reapWorkers)
+	runtime.SetFinalizer(f, func(*Fabric) { g.close() })
 }
 
-// reapWorkers is the GC finalizer installed by startWorkers: a fabric
-// dropped without Close still terminates its workers (which would
-// otherwise park forever, pinning every shard scheduler).
-func (f *Fabric) reapWorkers() {
-	if f.group != nil {
-		f.group.close()
+func (w *fabricWorker) run(g *workerGroup) {
+	defer g.exited.Done()
+	for end := range w.start {
+		w.err = w.sc.RunUntil(end)
+		g.done <- struct{}{}
 	}
 }
 
-func (w *fabricWorker) run() {
-	defer w.g.exited.Done()
-	last := uint64(0)
-	for {
-		last = w.await(last)
-		if w.quit {
-			return
-		}
-		w.err = w.sc.RunUntil(w.end)
-		if w.g.barrier.Add(-2) == 1 {
-			w.g.done <- struct{}{}
-		}
-	}
-}
-
-// await blocks until the dispatcher publishes an epoch newer than last and
-// returns it. The parked flag hands the worker between the spin and
-// channel regimes without losing a wake-up: after setting it the worker
-// rechecks the epoch, and if a dispatch already happened it un-parks
-// itself — or, if the dispatcher won the CAS race and committed to a
-// channel send, drains that send so it cannot satisfy a later await.
-//
-// A wake can arrive for an epoch this worker already consumed: if the
-// dispatcher is preempted between its epoch store and its parked CAS, the
-// spinning worker can pick up the epoch, run the whole window, re-enter
-// await and park — and only then does the delayed CAS succeed and send.
-// Such a stale wake leaves epoch == last; await must absorb it and keep
-// waiting, never return it, or run() would re-execute a completed window
-// and decrement the barrier twice.
-func (w *fabricWorker) await(last uint64) uint64 {
-	for {
-		for i := 0; i < workerSpin; i++ {
-			if e := w.epoch.Load(); e != last {
-				return e
-			}
-			runtime.Gosched()
-		}
-		w.parked.Store(1)
-		if e := w.epoch.Load(); e != last {
-			if !w.parked.CompareAndSwap(1, 0) {
-				<-w.wake
-			}
-			return e
-		}
-		<-w.wake
-		if e := w.epoch.Load(); e != last {
-			return e
-		}
-		// Stale wake for an already-consumed epoch; go around and re-park.
-	}
-}
-
-// testDispatchGap, when set, runs between dispatch's epoch publish and
-// its parked CAS. Test-only: it widens the preemption window in which a
-// spinning worker consumes the epoch, finishes the window and re-parks
-// before the CAS lands, so the stale-wake path in await is actually hit.
-// Atomic because dispatch is also reached from finalizer goroutines
-// (reapWorkers → close), which can race a test installing the hook.
-var testDispatchGap atomic.Pointer[func(*fabricWorker)]
-
-// dispatch hands the (end, quit) command to w under the already-advanced
-// group epoch, waking it only if it had parked.
-func (g *workerGroup) dispatch(w *fabricWorker, end Time, quit bool) {
-	w.end, w.quit = end, quit
-	w.epoch.Store(g.epoch.Load())
-	if gap := testDispatchGap.Load(); gap != nil {
-		(*gap)(w)
-	}
-	if w.parked.CompareAndSwap(1, 0) {
-		w.wake <- struct{}{}
-	}
-}
-
-// close terminates every worker and waits for them to exit. Idempotent;
-// callable from Fabric.Close and from the finalizer.
+// close terminates every worker and waits for them to exit. It runs once
+// per group: from Fabric.Close, which removes the finalizer, or from the
+// finalizer of a fabric that was never closed.
 func (g *workerGroup) close() {
-	if !g.closed.CompareAndSwap(false, true) {
-		return
-	}
-	g.epoch.Add(1)
 	for _, w := range g.workers {
-		g.dispatch(w, 0, true)
+		close(w.start)
 	}
 	g.exited.Wait()
 }
 
-// runWindowParallel executes one window over ≥2 busy shards on the
+// runWindowParallel executes one window over the busy shards on the
 // persistent workers: busy[1:] are dispatched, busy[0] runs inline on the
 // coordinator, and the coordinator then waits at the barrier. Errors are
 // reported with the same semantics as the serial path: every busy shard
@@ -208,14 +98,14 @@ func (f *Fabric) runWindowParallel(busy []int, end Time) error {
 		f.startWorkers()
 	}
 	g := f.group
-	g.barrier.Store(int32(len(busy)-1) << 1)
-	g.epoch.Add(1)
 	for _, i := range busy[1:] {
-		g.dispatch(g.workers[i], end, false)
+		g.workers[i].start <- end
 	}
 	err0 := f.shards[busy[0]].RunUntil(end)
 	start := time.Now()
-	g.awaitWorkers()
+	for range busy[1:] {
+		<-g.done
+	}
 	wait := time.Since(start)
 	f.stats.BarrierWaitNS += uint64(wait)
 	if f.BarrierObserver != nil {
@@ -232,36 +122,11 @@ func (f *Fabric) runWindowParallel(busy []int, end Time) error {
 	return nil
 }
 
-// awaitWorkers blocks until every dispatched worker has decremented the
-// barrier word. Parking is a CAS setting the word's low bit, re-read in
-// the same loop: either the count is already zero (no token was or will
-// be sent for this window) or the CAS publishes the bit and exactly one
-// worker — the last one, which observes it atomically in its decrement —
-// sends the token.
-func (g *workerGroup) awaitWorkers() {
-	for i := 0; i < coordSpin; i++ {
-		if g.barrier.Load() == 0 {
-			return
-		}
-		runtime.Gosched()
-	}
-	for {
-		s := g.barrier.Load()
-		if s>>1 == 0 {
-			return
-		}
-		if g.barrier.CompareAndSwap(s, s|1) {
-			break
-		}
-	}
-	<-g.done
-}
-
 // Close terminates the persistent workers and pins the fabric to its
 // serial path. The fabric remains fully usable afterwards — RunUntil keeps
 // working, with every window executed inline on the calling goroutine — so
 // drivers may Close as soon as they stop caring about parallelism (end of
-// a benchmark iteration, System.Stop) without ending the simulation.
+// a benchmark iteration, System.Close) without ending the simulation.
 // Close is idempotent and must be called from the driving goroutine, never
 // concurrently with RunUntil.
 func (f *Fabric) Close() {

@@ -1,9 +1,9 @@
 package sim
 
-// Lifecycle and stress tests for the persistent-worker barrier. The stress
-// test is in the -race set (Makefile verify): the epoch hand-off, the
-// park/wake CAS protocol and the dirty-list publication are exactly the
-// kind of lockless code the race detector exists for.
+// Lifecycle and stress tests for the persistent-worker barrier. They run
+// under -race at one and two Ps (Makefile verify): the channel hand-offs
+// must order every shard-state access, and the dirty-list publication is
+// the one lockless structure the workers share.
 
 import (
 	"errors"
@@ -182,141 +182,73 @@ func TestFabricForceParallelAfterClose(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestWorkerAwaitAbsorbsStaleWake hand-drives the dispatcher-preemption
-// interleaving on a bare worker: the worker has already consumed epoch 1
-// via the spin path and re-parked when the dispatcher's delayed parked CAS
-// lands and sends a wake for that same epoch. await must absorb the stale
-// wake and keep waiting — returning it would make run() re-execute the
-// window and decrement the barrier a second time.
-func TestWorkerAwaitAbsorbsStaleWake(t *testing.T) {
-	w := &fabricWorker{g: &workerGroup{}, wake: make(chan struct{}, 1)}
-	w.epoch.Store(1) // epoch 1 already consumed by the spin path
-	res := make(chan uint64, 1)
-	go func() { res <- w.await(1) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for w.parked.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never parked")
-		}
-		runtime.Gosched()
-	}
-	// The dispatcher's delayed CAS for epoch 1 succeeds against the re-park
-	// and commits to a wake — the stale token.
-	if !w.parked.CompareAndSwap(1, 0) {
-		t.Fatal("parked CAS lost despite observed park")
-	}
-	w.wake <- struct{}{}
-	select {
-	case e := <-res:
-		t.Fatalf("await returned %d on a stale wake for an already-consumed epoch", e)
-	case <-time.After(20 * time.Millisecond):
-	}
-	// A real dispatch for epoch 2 (dispatch's own publish-then-CAS order).
-	w.epoch.Store(2)
-	if w.parked.CompareAndSwap(1, 0) {
-		w.wake <- struct{}{}
-	}
-	select {
-	case e := <-res:
-		if e != 2 {
-			t.Fatalf("await = %d, want 2", e)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("await never observed epoch 2 after absorbing the stale wake")
-	}
-}
-
-// TestFabricDispatchGapStaleWake forces the dispatcher preemption window
-// between dispatch's epoch publish and its parked CAS. The gap hook waits
-// until the dispatched worker has already consumed the epoch by spinning,
-// run the entire window (barrier count back to zero), and parked again —
-// only then does the dispatcher's CAS land and send a wake for an epoch
-// the worker already consumed. await must absorb that stale wake and
-// re-park; before the absorb loop this interleaving re-ran the window,
-// decremented the barrier twice, and either deadlocked the coordinator or
-// raced a still-executing shard. Run under -race via make verify.
-func TestFabricDispatchGapStaleWake(t *testing.T) {
-	const (
-		rounds  = 800
-		spacing = 10_000 // ns between rounds; lookahead is 5µs
-	)
-	runTrace := func(parallel bool) ([]Time, []Time) {
+// TestFabricShardErrorTerminatesWorkers pins error semantics under the
+// worker barrier: a shard stopping mid-window surfaces ErrStopped from
+// RunUntil, every worker still completes its window (no wedged barrier),
+// and Close afterwards reaps all workers promptly. The stopping shard is
+// either the dispatched worker (shard 1) or the inline shard (shard 0, run
+// on the coordinator). In the inline case the coordinator already holds
+// its error when it reaches the barrier and must still drain the worker's
+// done token: resuming the run afterwards would otherwise let that
+// leftover token complete the next window's barrier while shard 1 is still
+// executing, which -race reports and the serial-twin comparison catches.
+func TestFabricShardErrorTerminatesWorkers(t *testing.T) {
+	run := func(t *testing.T, stopper int, parallel bool) ([]Time, []Time) {
 		s0, s1, control := NewScheduler(), NewScheduler(), NewScheduler()
+		scheds := []*Scheduler{s0, s1}
 		var recv01, recv10 []Time
-		p01 := &pipe{delay: 5 * time.Microsecond, dst: s1, recv: &recv01}
-		p10 := &pipe{delay: 5 * time.Microsecond, dst: s0, recv: &recv10}
-		// Both shards busy every window, so busy[1:] is exactly one worker
-		// and the gap hook's barrier==0 check is unambiguous.
-		for r := 0; r < rounds; r++ {
-			at := Time(r * spacing)
-			r := r
-			s0.At(at, func() { p01.send(s0, r) })
-			s1.At(at, func() { p10.send(s1, r) })
+		p01 := &pipe{delay: 30 * time.Microsecond, dst: s1, recv: &recv01}
+		p10 := &pipe{delay: 30 * time.Microsecond, dst: s0, recv: &recv10}
+		for i := 0; i < 20; i++ {
+			at := Time(i * 100_000)
+			i := i
+			s0.At(at, func() { p01.send(s0, i) })
+			s1.At(at, func() { p10.send(s1, i) })
+			s0.At(at.Add(5*time.Microsecond), func() {})
+			s1.At(at.Add(5*time.Microsecond), func() {})
 		}
-		f := NewFabric([]*Scheduler{s0, s1}, control, []Boundary{p01, p10})
+		// The stop lands in the window [500µs, 530µs), where both shards
+		// have events, so busy = [0 1] and shard 0 runs inline.
+		sc := scheds[stopper]
+		sc.At(Time(5*100_000+5_000), func() { sc.Stop() })
+		f := NewFabric(scheds, control, []Boundary{p01, p10})
+		barriers := 0
+		f.BarrierObserver = func(float64) { barriers++ }
 		if parallel {
 			f.ForceParallel = true
 		} else {
 			f.Close() // pin to the serial path
 		}
-		if err := f.RunFor(time.Duration(rounds*spacing) + time.Millisecond); err != nil {
-			t.Fatal(err)
+		if err := f.RunFor(10 * time.Millisecond); !errors.Is(err, ErrStopped) {
+			t.Fatalf("RunFor error = %v, want ErrStopped", err)
+		}
+		if parallel && barriers == 0 {
+			t.Fatal("no window reached the worker barrier")
+		}
+		if err := f.RunFor(10 * time.Millisecond); err != nil {
+			t.Fatalf("resumed RunFor: %v", err)
 		}
 		f.Close()
 		return recv01, recv10
 	}
-
-	serial01, serial10 := runTrace(false)
-	gap := func(w *fabricWorker) {
-		deadline := time.Now().Add(500 * time.Microsecond)
-		for time.Now().Before(deadline) {
-			// Worker done with the window (its decrement brought the count
-			// to zero) and parked again: the CAS after this hook returns
-			// will now send a wake for the consumed epoch.
-			if w.g.barrier.Load()>>1 == 0 && w.parked.Load() == 1 {
-				return
+	for _, tc := range []struct {
+		name    string
+		stopper int
+	}{{"worker", 1}, {"inline", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			par01, par10 := run(t, tc.stopper, true)
+			waitGoroutines(t, base)
+			ser01, ser10 := run(t, tc.stopper, false)
+			if !reflect.DeepEqual(ser01, par01) || !reflect.DeepEqual(ser10, par10) {
+				t.Fatalf("resumed parallel run diverged from serial twin: %d/%d vs %d/%d deliveries",
+					len(par01), len(par10), len(ser01), len(ser10))
 			}
-			runtime.Gosched()
-		}
+			if len(ser01) != 20 || len(ser10) != 20 {
+				t.Fatalf("serial twin delivered %d/%d, want 20 each", len(ser01), len(ser10))
+			}
+		})
 	}
-	testDispatchGap.Store(&gap)
-	defer testDispatchGap.Store(nil)
-	par01, par10 := runTrace(true)
-	if !reflect.DeepEqual(serial01, par01) || !reflect.DeepEqual(serial10, par10) {
-		t.Fatalf("stale-wake interleaving diverged from serial twin: %d/%d vs %d/%d deliveries",
-			len(par01), len(par10), len(serial01), len(serial10))
-	}
-	if len(serial01) != rounds || len(serial10) != rounds {
-		t.Fatalf("serial twin delivered %d/%d, want %d each", len(serial01), len(serial10), rounds)
-	}
-}
-
-// TestFabricShardErrorTerminatesWorkers pins error semantics under the
-// worker barrier: a shard stopping mid-window surfaces ErrStopped from
-// RunUntil, every worker still completes its window (no wedged barrier),
-// and Close afterwards reaps all workers promptly.
-func TestFabricShardErrorTerminatesWorkers(t *testing.T) {
-	base := runtime.NumGoroutine()
-	s0, s1, control := NewScheduler(), NewScheduler(), NewScheduler()
-	var recv01, recv10 []Time
-	p01 := &pipe{delay: 30 * time.Microsecond, dst: s1, recv: &recv01}
-	p10 := &pipe{delay: 30 * time.Microsecond, dst: s0, recv: &recv10}
-	for i := 0; i < 20; i++ {
-		at := Time(i * 100_000)
-		i := i
-		s0.At(at, func() { p01.send(s0, i) })
-		s1.At(at.Add(50*time.Microsecond), func() { p10.send(s1, i) })
-	}
-	// Shard 1 stops itself mid-run, inside a window both shards are busy in.
-	s1.At(Time(5*100_000+50_000), func() { s1.Stop() })
-	f := NewFabric([]*Scheduler{s0, s1}, control, []Boundary{p01, p10})
-	f.ForceParallel = true
-	err := f.RunFor(10 * time.Millisecond)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("RunFor error = %v, want ErrStopped", err)
-	}
-	f.Close()
-	waitGoroutines(t, base)
 }
 
 // TestFabricRunUntilBackwards pins the target validation: a target behind
@@ -354,36 +286,16 @@ func TestFabricZeroBoundaryLookahead(t *testing.T) {
 	}
 }
 
-// binderPipe is a pipe that implements BoundaryBinder, so it exercises the
-// dirty-list path rather than the legacy always-scan path.
-type binderPipe struct {
-	pipe
-	markDirty  func()
-	invalidate func()
-}
-
-func (p *binderPipe) BindFabric(markDirty, invalidate func()) {
-	p.markDirty = markDirty
-	p.invalidate = invalidate
-}
-
-func (p *binderPipe) send(src *Scheduler, payload any) {
-	if len(p.out) == 0 && p.markDirty != nil {
-		p.markDirty()
-	}
-	p.pipe.send(src, payload)
-}
-
 // TestFabricLookaheadCacheAndDirtyFlush pins the caching machinery end to
 // end: the MinDelay rescan runs once up front and once per invalidation
-// (not per window), flush skips barriers with no captured sends when every
-// boundary is bound, and a delay mutation reported through the hook
+// (not per window), flush skips barriers with no captured sends, and a
+// delay mutation reported through the hook
 // changes the effective lookahead.
 func TestFabricLookaheadCacheAndDirtyFlush(t *testing.T) {
 	s0, s1, control := NewScheduler(), NewScheduler(), NewScheduler()
 	var recv01, recv10 []Time
-	p01 := &binderPipe{pipe: pipe{delay: 30 * time.Microsecond, dst: s1, recv: &recv01}}
-	p10 := &binderPipe{pipe: pipe{delay: 30 * time.Microsecond, dst: s0, recv: &recv10}}
+	p01 := &pipe{delay: 30 * time.Microsecond, dst: s1, recv: &recv01}
+	p10 := &pipe{delay: 30 * time.Microsecond, dst: s0, recv: &recv10}
 	for i := 0; i < 40; i++ {
 		at := Time(i * 100_000)
 		i := i
@@ -407,9 +319,6 @@ func TestFabricLookaheadCacheAndDirtyFlush(t *testing.T) {
 	}
 	defer f.Close()
 	st := f.Stats()
-	if p01.markDirty == nil || p10.markDirty == nil {
-		t.Fatal("NewFabric did not bind the BoundaryBinder pipes")
-	}
 	if st.LookaheadRescans != 2 {
 		t.Fatalf("LookaheadRescans = %d, want 2 (initial + one invalidation) over %d windows",
 			st.LookaheadRescans, st.Windows)
@@ -429,8 +338,8 @@ func TestFabricLookaheadCacheAndDirtyFlush(t *testing.T) {
 // windows with a randomized busy-shard set per window — every subset size
 // from one lone shard to all eight — and checks the delivery traces are
 // bit-identical to a serial twin of the same workload. Run under -race
-// (make verify) this doubles as the memory-model check on the epoch
-// hand-off, the park/wake CAS and the dirty-list publication.
+// at one and two Ps (make verify) this doubles as the memory-model check
+// on the channel hand-offs and the dirty-list publication.
 func TestFabricBarrierStress(t *testing.T) {
 	const (
 		shards  = 8
@@ -443,13 +352,13 @@ func TestFabricBarrierStress(t *testing.T) {
 			scheds = append(scheds, NewScheduler())
 		}
 		rng := rand.New(rand.NewSource(7))
-		// Ring of binder pipes i -> (i+1)%shards.
+		// Ring of pipes i -> (i+1)%shards.
 		for i := 0; i < shards; i++ {
 			tr := &[]Time{}
 			traces = append(traces, tr)
-			bounds = append(bounds, &binderPipe{pipe: pipe{
+			bounds = append(bounds, &pipe{
 				delay: 5 * time.Microsecond, dst: scheds[(i+1)%shards], recv: tr,
-			}})
+			})
 		}
 		for r := 0; r < rounds; r++ {
 			at := Time(r * spacing)
@@ -461,7 +370,7 @@ func TestFabricBarrierStress(t *testing.T) {
 				}
 				i := i
 				if rng.Intn(2) == 0 {
-					sc, p := scheds[i], bounds[i].(*binderPipe)
+					sc, p := scheds[i], bounds[i].(*pipe)
 					scheds[i].At(at, func() { p.send(sc, r) })
 				} else {
 					scheds[i].At(at, func() {})
