@@ -115,25 +115,26 @@ chaos-smoke:
 	@echo "chaos-smoke: ok ($$(wc -l < .chaos-smoke/metrics.jsonl) metric lines)"
 
 # Attack smoke: the adversarial campaign matrix (Byzantine grandmaster
-# count × on-path Sync delay) against the analytic 2f+1 resilience bound.
+# count × on-path Sync delay, examples/attacks-smoke.json) against the
+# analytic 2f+1 resilience bound, run through the registry by cmd/sweep.
 # -fail-on-anomaly makes any point that was predicted to survive but
 # measured to fail a non-zero exit; an empty metrics snapshot also fails.
 attack-smoke:
 	@mkdir -p .attack-smoke
-	$(GO) run ./cmd/resilience -attacks -duration 6m -attack-start 2m \
-		-attack-byz 0,1,2 -attack-delays 0,24us -attack-diversity identical \
+	$(GO) run ./cmd/sweep -which attacks -config examples/attacks-smoke.json \
 		-fail-on-anomaly -metrics .attack-smoke/metrics.jsonl > .attack-smoke/log.txt
 	@test -s .attack-smoke/metrics.jsonl || { echo "attack-smoke: empty metrics snapshot"; exit 1; }
 	@echo "attack-smoke: ok ($$(wc -l < .attack-smoke/metrics.jsonl) metric lines)"
 
-# Wide-area smoke: the wansites campaign (site failures × WAN asymmetry)
-# against the site-level min(f, ⌊(N−1)/2⌋) quorum with cross-site holdover.
+# Wide-area smoke: the wansites campaign (site failures × WAN asymmetry,
+# examples/wansites-smoke.json) against the site-level min(f, ⌊(N−1)/2⌋)
+# quorum with cross-site holdover, run through the registry by cmd/sweep.
 # -fail-on-anomaly makes any verdict of measured degradation outside the
 # quorum bound a non-zero exit; an empty metrics snapshot also fails.
 wan-smoke:
 	@mkdir -p .wan-smoke
-	$(GO) run ./cmd/resilience -wansites -wan-sites 4,5 -wan-failed 0,1,2,3 \
-		-wan-asyms 0,10us -fail-on-anomaly -metrics .wan-smoke/metrics.jsonl > .wan-smoke/log.txt
+	$(GO) run ./cmd/sweep -which wansites -config examples/wansites-smoke.json \
+		-fail-on-anomaly -metrics .wan-smoke/metrics.jsonl > .wan-smoke/log.txt
 	@test -s .wan-smoke/metrics.jsonl || { echo "wan-smoke: empty metrics snapshot"; exit 1; }
 	@echo "wan-smoke: ok ($$(wc -l < .wan-smoke/metrics.jsonl) metric lines)"
 
@@ -146,6 +147,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim/ -run ^$$ -fuzz FuzzSchedulerVsReferenceModel -fuzztime 10s
 	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzWireDecode -fuzztime 10s
 	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzWireSyncRoundTrip -fuzztime 10s
+	$(GO) test ./internal/experiments/ -run ^$$ -fuzz FuzzDecodeConfig -fuzztime 10s
 	$(GO) test ./internal/faultinject/ -run TestFaultHypothesisAcrossDerivedSeeds -count=1
 
 # Serve smoke: boot cmd/served on an ephemeral port, drive a small

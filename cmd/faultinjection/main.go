@@ -41,10 +41,7 @@ func run(args []string) error {
 	holdover := fs.Duration("holdover-window", 0, "arm the ptp4l holdover watchdog with this quorum-starvation window (0 = off)")
 	csvDir := fs.String("csv", "", "directory to write samples.csv, windows.csv and histogram.csv into")
 	metricsPath := fs.String("metrics", "", "write a JSONL metrics snapshot (one line per metric) to this file")
-	profCfg := &prof.Config{}
-	fs.StringVar(&profCfg.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&profCfg.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
-	fs.StringVar(&profCfg.Trace, "trace", "", "write a runtime execution trace to this file")
+	profCfg := prof.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -103,15 +100,7 @@ func run(args []string) error {
 		fmt.Printf("\nCSV series written to %s\n", *csvDir)
 	}
 	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteJSONL(f, "faultinjection", res.ObsMetrics()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := obs.WriteJSONLFile(*metricsPath, obs.Tagged{Run: "faultinjection", Metrics: res.ObsMetrics()}); err != nil {
 			return err
 		}
 		fmt.Printf("\nmetrics snapshot written to %s\n", *metricsPath)

@@ -39,15 +39,6 @@ import (
 	"gptpfta/internal/runner"
 )
 
-// profFlags registers the shared profiling flags on a command's flag set.
-func profFlags(fs *flag.FlagSet) *prof.Config {
-	cfg := &prof.Config{}
-	fs.StringVar(&cfg.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&cfg.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
-	fs.StringVar(&cfg.Trace, "trace", "", "write a runtime execution trace to this file")
-	return cfg
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "report:", err)
@@ -86,7 +77,7 @@ func run(args []string) error {
 		overlays[name] = raw
 		return nil
 	})
-	profCfg := profFlags(fs)
+	profCfg := prof.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -206,37 +197,19 @@ func run(args []string) error {
 		fmt.Printf("\nCSV tables written to %s\n", *csvDir)
 	}
 	if *metricsPath != "" {
-		if err := writeMetrics(*metricsPath, sections, campaign); err != nil {
+		snaps := make([]obs.Tagged, 0, len(sections)+1)
+		for _, s := range sections {
+			if c, ok := s.res.(experiments.ObsCarrier); ok {
+				snaps = append(snaps, obs.Tagged{Run: s.name, Metrics: c.ObsMetrics()})
+			}
+		}
+		snaps = append(snaps, obs.Tagged{Run: "runner", Metrics: campaign.Snapshot()})
+		if err := obs.WriteJSONLFile(*metricsPath, snaps...); err != nil {
 			return err
 		}
 		fmt.Printf("\nmetrics snapshot written to %s\n", *metricsPath)
 	}
 	return nil
-}
-
-// writeMetrics emits one JSONL metrics file: each study's registry snapshot
-// tagged with the study name, plus the campaign-level runner metrics tagged
-// "runner".
-func writeMetrics(path string, sections []section, campaign *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, s := range sections {
-		c, ok := s.res.(experiments.ObsCarrier)
-		if !ok {
-			continue
-		}
-		if err := obs.WriteJSONL(f, s.name, c.ObsMetrics()); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := obs.WriteJSONL(f, "runner", campaign.Snapshot()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeCSVs emits every section's Rows() — the same generic shape for

@@ -16,25 +16,9 @@
 // -shards runs each seed's simulation on the sharded PDES kernel; the
 // output is bit-identical at every shard count.
 //
-// With -attacks the command instead runs the adversarial campaign sweep
-// (Byzantine grandmaster count × on-path Sync delay × kernel diversity)
-// and prints each point's verdict against the analytic 2f+1 resilience
-// bound; -fail-on-anomaly makes an anomaly verdict (predicted to survive
-// but measured to fail) a non-zero exit, which is what the CI
-// attack-matrix job gates on:
-//
-//	resilience -attacks [-attack-byz 0,1,2] [-attack-delays 0,24us] \
-//	    [-attack-diversity identical,diverse] [-attack-start 3m] \
-//	    [-attack-behavior constant] [-fail-on-anomaly]
-//
-// With -wansites the command runs the wide-area campaign instead: a sweep
-// over (site count × simultaneously failed sites × WAN asymmetry) judging
-// the site-level FTA tier's graceful degradation against the quorum bound
-// min(f, ⌊(N−1)/2⌋). -fail-on-anomaly gates the same way, which is what the
-// CI wan-smoke job runs:
-//
-//	resilience -wansites [-wan-sites 4,5] [-wan-failed 0,1,2,3] \
-//	    [-wan-asyms 0,10us] [-wan-f 2] [-fail-on-anomaly]
+// The adversarial (attacks) and wide-area (wansites) campaigns run through
+// the registry with cmd/sweep, e.g.
+// `sweep -which attacks -config examples/attacks-smoke.json -fail-on-anomaly`.
 package main
 
 import (
@@ -72,22 +56,7 @@ func run(args []string) error {
 	chaosPath := fs.String("chaos", "", "network chaos scenario plan (JSON) to run alongside the exploits")
 	holdover := fs.Duration("holdover-window", 0, "arm the ptp4l holdover watchdog with this quorum-starvation window (0 = off)")
 	metricsPath := fs.String("metrics", "", "write a JSONL metrics snapshot (one line per metric, tagged per seed) to this file")
-	attacks := fs.Bool("attacks", false, "run the adversarial campaign sweep instead of the Fig. 3 experiment")
-	attackByz := fs.String("attack-byz", "", "comma-separated Byzantine grandmaster counts for -attacks (default 0,1,2)")
-	attackDelays := fs.String("attack-delays", "", "comma-separated Sync delay magnitudes for -attacks, e.g. 0,24us (default 0,24us)")
-	attackDiversity := fs.String("attack-diversity", "", "comma-separated kernel axes for -attacks: identical,diverse (default both)")
-	attackStart := fs.Duration("attack-start", 0, "attack onset for -attacks (0 = experiment default)")
-	attackBehavior := fs.String("attack-behavior", "", "falsification behavior for -attacks: constant, ramp or wander (default constant)")
-	failOnAnomaly := fs.Bool("fail-on-anomaly", false, "exit non-zero when -attacks or -wansites yields an anomaly verdict")
-	wansites := fs.Bool("wansites", false, "run the wide-area multi-site campaign instead of the Fig. 3 experiment")
-	wanSiteCounts := fs.String("wan-sites", "", "comma-separated fabric sizes for -wansites (default 4,5)")
-	wanFailed := fs.String("wan-failed", "", "comma-separated simultaneous site-failure counts for -wansites (default 0,1,2,3)")
-	wanAsyms := fs.String("wan-asyms", "", "comma-separated WAN asymmetry magnitudes for -wansites, e.g. 0,10us (default 0,10us)")
-	wanF := fs.Int("wan-f", 0, "site-level Byzantine budget f for -wansites (0 = campaign default 2)")
-	profCfg := &prof.Config{}
-	fs.StringVar(&profCfg.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&profCfg.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
-	fs.StringVar(&profCfg.Trace, "trace", "", "write a runtime execution trace to this file")
+	profCfg := prof.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -100,56 +69,6 @@ func run(args []string) error {
 			fmt.Fprintln(os.Stderr, "resilience:", perr)
 		}
 	}()
-
-	if *wansites {
-		dur := *duration
-		if !flagWasSet(fs, "duration") {
-			dur = 0 // campaign default (60 s per point), not the Fig. 3 hour
-		}
-		cfg := experiments.WanSitesConfig{
-			Seed:     *seed,
-			Duration: dur,
-			F:        *wanF,
-			Parallel: *parallel,
-			Shards:   *shards,
-		}
-		var perr error
-		if cfg.SiteCounts, perr = parseIntList(*wanSiteCounts); perr != nil {
-			return fmt.Errorf("bad -wan-sites: %w", perr)
-		}
-		if cfg.FailedSites, perr = parseIntList(*wanFailed); perr != nil {
-			return fmt.Errorf("bad -wan-failed: %w", perr)
-		}
-		if cfg.Asyms, perr = parseDurationList(*wanAsyms); perr != nil {
-			return fmt.Errorf("bad -wan-asyms: %w", perr)
-		}
-		return runWanSites(cfg, *metricsPath, *failOnAnomaly)
-	}
-
-	if *attacks {
-		dur := *duration
-		if !flagWasSet(fs, "duration") {
-			dur = 0 // campaign default (8 min), not the Fig. 3 hour
-		}
-		cfg := experiments.AttacksConfig{
-			Seed:           *seed,
-			Duration:       dur,
-			AttackStart:    *attackStart,
-			Behavior:       *attackBehavior,
-			HoldoverWindow: *holdover,
-			Parallel:       *parallel,
-			Shards:         *shards,
-		}
-		var perr error
-		if cfg.ByzantineCounts, perr = parseIntList(*attackByz); perr != nil {
-			return fmt.Errorf("bad -attack-byz: %w", perr)
-		}
-		if cfg.Delays, perr = parseDurationList(*attackDelays); perr != nil {
-			return fmt.Errorf("bad -attack-delays: %w", perr)
-		}
-		cfg.Diversity = parseStringList(*attackDiversity)
-		return runAttacks(cfg, *metricsPath, *failOnAnomaly)
-	}
 
 	var plan *chaos.Plan
 	if *chaosPath != "" {
@@ -211,133 +130,17 @@ func run(args []string) error {
 		fmt.Print(b.text)
 	}
 	if *metricsPath != "" {
-		if err := writeMetrics(*metricsPath, blocks, campaign); err != nil {
+		snaps := make([]obs.Tagged, 0, len(blocks)+1)
+		for _, b := range blocks {
+			snaps = append(snaps, obs.Tagged{Run: b.run, Metrics: b.res.ObsMetrics()})
+		}
+		snaps = append(snaps, obs.Tagged{Run: "runner", Metrics: campaign.Snapshot()})
+		if err := obs.WriteJSONLFile(*metricsPath, snaps...); err != nil {
 			return err
 		}
 		fmt.Printf("metrics snapshot written to %s\n", *metricsPath)
 	}
 	return nil
-}
-
-// runAttacks runs the adversarial campaign sweep through the experiment
-// registry, prints the verdict table, and optionally gates on anomalies —
-// the command-line face of the CI attack-matrix job.
-func runAttacks(cfg experiments.AttacksConfig, metricsPath string, failOnAnomaly bool) error {
-	campaign := obs.NewRegistry()
-	cfg.Metrics = campaign
-	exp, err := experiments.Lookup("attacks")
-	if err != nil {
-		return err
-	}
-	res, err := exp.Run(context.Background(), cfg)
-	if err != nil {
-		return err
-	}
-	typed := res.(*experiments.AttacksResult)
-	fmt.Printf("=== adversarial campaign — seed %d, duration %v, attack at %v ===\n",
-		typed.Config.Seed, typed.Config.Duration, typed.Config.AttackStart)
-	fmt.Print(experiments.RenderAttackTable(typed.Rows()))
-	fmt.Println(typed.Summary())
-	if metricsPath != "" {
-		blocks := []block{{run: "attacks", res: typed}}
-		if err := writeMetrics(metricsPath, blocks, campaign); err != nil {
-			return err
-		}
-		fmt.Printf("metrics snapshot written to %s\n", metricsPath)
-	}
-	if n := typed.Anomalies(); failOnAnomaly && n > 0 {
-		return fmt.Errorf("%d anomaly verdict(s): measured failure inside the analytic bound", n)
-	}
-	return nil
-}
-
-// runWanSites runs the wide-area campaign through the experiment registry,
-// prints the verdict table, and optionally gates on anomalies — the
-// command-line face of the CI wan-smoke job.
-func runWanSites(cfg experiments.WanSitesConfig, metricsPath string, failOnAnomaly bool) error {
-	campaign := obs.NewRegistry()
-	cfg.Metrics = campaign
-	exp, err := experiments.Lookup("wansites")
-	if err != nil {
-		return err
-	}
-	res, err := exp.Run(context.Background(), cfg)
-	if err != nil {
-		return err
-	}
-	typed := res.(*experiments.WanSitesResult)
-	fmt.Printf("=== wide-area campaign — seed %d, duration %v, fault at %v for %v ===\n",
-		typed.Config.Seed, typed.Config.Duration, typed.Config.FaultStart, typed.Config.FaultDuration)
-	fmt.Print(experiments.RenderAttackTable(typed.Rows()))
-	fmt.Println(typed.Summary())
-	if metricsPath != "" {
-		blocks := []block{{run: "wansites", res: typed}}
-		if err := writeMetrics(metricsPath, blocks, campaign); err != nil {
-			return err
-		}
-		fmt.Printf("metrics snapshot written to %s\n", metricsPath)
-	}
-	if n := typed.Anomalies(); failOnAnomaly && n > 0 {
-		return fmt.Errorf("%d anomaly verdict(s): measured degradation outside the site quorum bound", n)
-	}
-	return nil
-}
-
-// flagWasSet reports whether the user passed the named flag explicitly.
-func flagWasSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-func parseIntList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseDurationList(s string) ([]time.Duration, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []time.Duration
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "0" {
-			out = append(out, 0)
-			continue
-		}
-		v, err := time.ParseDuration(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseStringList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		out = append(out, strings.TrimSpace(part))
-	}
-	return out
 }
 
 // block is one seed's rendered output plus its result, kept so -metrics can
@@ -346,26 +149,6 @@ type block struct {
 	run  string
 	text string
 	res  experiments.ObsCarrier
-}
-
-// writeMetrics emits one JSONL metrics file: per-seed snapshots tagged
-// "seed/N" plus the campaign runner metrics tagged "runner".
-func writeMetrics(path string, blocks []block, campaign *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, b := range blocks {
-		if err := obs.WriteJSONL(f, b.run, b.res.ObsMetrics()); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := obs.WriteJSONL(f, "runner", campaign.Snapshot()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func render(seed int64, duration time.Duration, series bool, res *experiments.CyberResilienceResult) string {

@@ -1,28 +1,41 @@
-// Command sweep runs the design-space studies beyond the paper's headline
-// figures — synchronization-interval and domain-count sweeps, the dynamic
-// 802.1AS and BMCA ablations, the 2f+1 fail-consistent voting variant, the
-// TSN egress study and the §IV recovery comparison — dispatching each study
-// through the experiments registry and fanning independent studies across
-// the runner's worker pool. Output order is deterministic regardless of
+// Command sweep runs any registered study by name, dispatching it through
+// the experiments registry and fanning independent studies across the
+// runner's worker pool. Output order is deterministic regardless of
 // completion order.
+//
+// A curated list covers the design-space studies beyond the paper's
+// headline figures — synchronization-interval and domain-count sweeps, the
+// dynamic 802.1AS and BMCA ablations, the 2f+1 fail-consistent voting
+// variant, the TSN egress study and the §IV recovery comparison — with its
+// own headers and footnotes; -which all runs exactly that list, and a
+// curated key such as "bmca" also selects its "bmca-*" variants. Any other
+// registry name (attacks, wansites, netchaos, ...) runs on its seeded
+// default config, headed by the registry's description.
 //
 // Usage:
 //
 //	sweep [-seed N] [-parallel N] [-shards N] [-warm-start] [-config file.json]
-//	      [-which all|interval|domains|dynamic|bmca|voting|tas|recovery]
+//	      [-fail-on-anomaly] [-metrics file.jsonl] [-which all|<curated key>|<registry name>]
 //
-// -shards runs shard-aware studies on the sharded PDES kernel (the tables
-// are bit-identical at every shard count); studies without a shards knob
-// ignore it.
+// -seed, -parallel and -shards apply to every study whose config has the
+// field; studies without it ignore it. -shards runs shard-aware studies on
+// the sharded PDES kernel (the tables are bit-identical at every shard
+// count).
 //
 // -config overlays a JSON config file onto the selected study's config
 // through the registry's strict decode path (the same path the job server
 // uses); it requires a single-study -which selection.
+//
+// -fail-on-anomaly exits non-zero when a study reports anomaly verdicts (a
+// measured outcome the analytic bound does not predict). The attack and
+// wide-area smoke targets gate on it:
+//
+//	sweep -which attacks -config examples/attacks-smoke.json -fail-on-anomaly
+//	sweep -which wansites -config examples/wansites-smoke.json -fail-on-anomaly
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -46,102 +59,62 @@ func main() {
 type study struct {
 	key        string
 	header     string
-	experiment string
-	cfg        func(seed, parallel, shards int64) any
+	experiment string         // registry name; empty means key
+	fields     map[string]any // config fields set on the seeded defaults
 	footnotes  []string
 }
 
-func studies() []study {
+// curated is the study list -which all runs.
+func curated() []study {
+	announce := func(d time.Duration) map[string]any { return map[string]any{"AnnounceInterval": d} }
 	return []study{
-		{
-			key:        "interval",
-			header:     "synchronization-interval sweep (Γ = 2·r_max·S)",
-			experiment: "interval",
-			cfg: func(seed, parallel, shards int64) any {
-				return experiments.IntervalSweepConfig{Seed: seed, Parallel: int(parallel), Shards: int(shards)}
-			},
-		},
-		{
-			key:        "domains",
-			header:     "domain-count sweep under one Byzantine grandmaster",
-			experiment: "domains",
-			cfg: func(seed, parallel, shards int64) any {
-				return experiments.DomainSweepConfig{Seed: seed, Parallel: int(parallel), Shards: int(shards)}
-			},
-			footnotes: []string{"(M = 2 cannot mask any Byzantine fault: N < 2f+1)"},
-		},
-		{
-			key:        "dynamic",
-			header:     "fully dynamic 802.1AS over the redundant mesh",
-			experiment: "dynamic",
-			cfg: func(seed, _, _ int64) any {
-				return experiments.DynamicMeshConfig{Seed: seed}
-			},
-		},
-		{
-			key:        "bmca",
-			header:     "BMCA re-election vs static external port configuration (announce 1s)",
-			experiment: "bmca",
-			cfg: func(seed, _, _ int64) any {
-				return experiments.BMCAReconvergenceConfig{Seed: seed, AnnounceInterval: time.Second}
-			},
-		},
-		{
-			key:        "bmca-500ms",
-			header:     "BMCA re-election, announce 500ms",
-			experiment: "bmca",
-			cfg: func(seed, _, _ int64) any {
-				return experiments.BMCAReconvergenceConfig{Seed: seed, AnnounceInterval: 500 * time.Millisecond}
-			},
-		},
-		{
-			key:        "bmca-250ms",
-			header:     "BMCA re-election, announce 250ms",
-			experiment: "bmca",
-			cfg: func(seed, _, _ int64) any {
-				return experiments.BMCAReconvergenceConfig{Seed: seed, AnnounceInterval: 250 * time.Millisecond}
-			},
-		},
-		{
-			key:        "voting",
-			header:     "2f+1 fail-consistent monitor voting (§II-A)",
-			experiment: "voting",
-			cfg: func(seed, _, shards int64) any {
-				return experiments.VotingConfig{Seed: seed, Shards: int(shards)}
-			},
-		},
-		{
-			key:        "tas",
-			header:     "TSN egress (802.1Qbv + preemption) vs commodity FIFO",
-			experiment: "tas",
-			cfg: func(seed, _, _ int64) any {
-				return experiments.TASStudyConfig{Seed: seed}
-			},
-		},
-		{
-			key:        "recovery",
-			header:     "§IV future work: GNU/Linux vs unikernel recovery",
-			experiment: "recovery",
-			cfg: func(seed, parallel, shards int64) any {
-				return experiments.RecoveryConfig{Seed: seed, Parallel: int(parallel), Shards: int(shards)}
-			},
-		},
+		{key: "interval", header: "synchronization-interval sweep (Γ = 2·r_max·S)"},
+		{key: "domains", header: "domain-count sweep under one Byzantine grandmaster",
+			footnotes: []string{"(M = 2 cannot mask any Byzantine fault: N < 2f+1)"}},
+		{key: "dynamic", header: "fully dynamic 802.1AS over the redundant mesh"},
+		{key: "bmca", header: "BMCA re-election vs static external port configuration (announce 1s)",
+			fields: announce(time.Second)},
+		{key: "bmca-500ms", header: "BMCA re-election, announce 500ms", experiment: "bmca",
+			fields: announce(500 * time.Millisecond)},
+		{key: "bmca-250ms", header: "BMCA re-election, announce 250ms", experiment: "bmca",
+			fields: announce(250 * time.Millisecond)},
+		{key: "voting", header: "2f+1 fail-consistent monitor voting (§II-A)"},
+		{key: "tas", header: "TSN egress (802.1Qbv + preemption) vs commodity FIFO"},
+		{key: "recovery", header: "§IV future work: GNU/Linux vs unikernel recovery"},
 	}
+}
+
+// selectStudies resolves -which: "all" is the curated list, a curated key
+// selects itself and its "key-*" variants, and any other name must be a
+// registry name.
+func selectStudies(which string) ([]study, error) {
+	var selected []study
+	for _, s := range curated() {
+		if which == "all" || which == s.key || strings.HasPrefix(s.key, which+"-") {
+			selected = append(selected, s)
+		}
+	}
+	if len(selected) > 0 {
+		return selected, nil
+	}
+	exp, err := experiments.Lookup(which)
+	if err != nil {
+		return nil, err
+	}
+	return []study{{key: which, header: exp.Description()}}, nil
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "master random seed")
-	which := fs.String("which", "all", "study selection: all|interval|domains|dynamic|bmca|voting|tas|recovery")
-	parallel := fs.Int("parallel", 0, "worker count for independent studies (0 = GOMAXPROCS, 1 = sequential)")
+	which := fs.String("which", "all", "study selection: all (the curated list), a curated key (interval|domains|dynamic|bmca|voting|tas|recovery) or any registry name")
+	parallel := fs.Int("parallel", 0, "worker count for independent studies and for studies with a parallel knob (0 = GOMAXPROCS, 1 = sequential)")
 	shards := fs.Int("shards", 1, "PDES shard count for shard-aware studies (1 = legacy single scheduler; results are bit-identical)")
 	warmStart := fs.Bool("warm-start", false, "fork sweep points from a shared warm-state snapshot where eligible (identical tables; prefix-hash mismatches fall back to cold runs)")
 	configPath := fs.String("config", "", "JSON config file overlaid onto the selected study's config (requires a single-study -which)")
 	metricsPath := fs.String("metrics", "", "write a JSONL metrics snapshot (one line per metric, tagged per study) to this file")
-	profCfg := &prof.Config{}
-	fs.StringVar(&profCfg.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&profCfg.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
-	fs.StringVar(&profCfg.Trace, "trace", "", "write a runtime execution trace to this file")
+	failOnAnomaly := fs.Bool("fail-on-anomaly", false, "exit non-zero when a study reports an anomaly verdict (a measured outcome the analytic bound does not predict)")
+	profCfg := prof.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -155,46 +128,42 @@ func run(args []string) error {
 		}
 	}()
 
-	selected := make([]study, 0)
-	for _, s := range studies() {
-		// "bmca" selects every announce-interval variant.
-		if *which == "all" || *which == s.key || strings.HasPrefix(s.key, *which+"-") {
-			selected = append(selected, s)
-		}
+	selected, err := selectStudies(*which)
+	if err != nil {
+		return err
 	}
-	if len(selected) == 0 {
-		return fmt.Errorf("unknown study %q (registry knows: %s)", *which,
-			strings.Join(experiments.Names(), ", "))
-	}
-	var overlay json.RawMessage
+	var overlay []byte
 	if *configPath != "" {
 		if len(selected) != 1 {
 			return fmt.Errorf("-config requires a single-study -which selection, got %d studies", len(selected))
 		}
-		raw, err := os.ReadFile(*configPath)
-		if err != nil {
+		if overlay, err = os.ReadFile(*configPath); err != nil {
 			return err
 		}
-		overlay = raw
 	}
 
 	ctx := context.Background()
 	campaign := obs.NewRegistry()
 	runs := make([]runner.Run, len(selected))
 	for i, s := range selected {
-		s := s
-		exp, err := experiments.Lookup(s.experiment)
+		name := s.experiment
+		if name == "" {
+			name = s.key
+		}
+		exp, err := experiments.Lookup(name)
 		if err != nil {
 			return err
 		}
-		// The study's flag-built config round-trips through the registry's
-		// strict decode path (shared with the job server), with the
-		// -config overlay merged on top; warm-start runtime handles are
-		// re-attached after decoding.
-		cfg, err := experiments.MergeConfig(exp, s.cfg(*seed, int64(*parallel), int64(*shards)), overlay)
+		// The flag-built config round-trips through the registry's strict
+		// decode path (shared with the job server), with the -config
+		// overlay merged on top; runtime handles (campaign metrics,
+		// warm-start) are re-attached after decoding.
+		base := experiments.SetFields(exp.DefaultConfig(*seed), map[string]any{"Parallel": *parallel, "Shards": *shards})
+		cfg, err := experiments.MergeConfig(exp, experiments.SetFields(base, s.fields), overlay)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.key, err)
 		}
+		cfg = experiments.SetFields(cfg, map[string]any{"Metrics": campaign})
 		if *warmStart {
 			cfg, _ = experiments.EnableWarmStart(cfg, campaign, nil)
 		}
@@ -212,17 +181,29 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	anomalies := 0
+	snaps := make([]obs.Tagged, 0, len(blocks)+1)
 	for _, b := range blocks {
 		fmt.Print(b.text)
+		if c, ok := b.res.(experiments.ObsCarrier); ok {
+			snaps = append(snaps, obs.Tagged{Run: b.key, Metrics: c.ObsMetrics()})
+		}
+		if a, ok := b.res.(interface{ Anomalies() int }); ok {
+			anomalies += a.Anomalies()
+		}
 	}
 	if *warmStart {
 		fmt.Println(runner.WarmSummary(campaign))
 	}
 	if *metricsPath != "" {
-		if err := writeMetrics(*metricsPath, blocks, campaign); err != nil {
+		snaps = append(snaps, obs.Tagged{Run: "runner", Metrics: campaign.Snapshot()})
+		if err := obs.WriteJSONLFile(*metricsPath, snaps...); err != nil {
 			return err
 		}
 		fmt.Printf("metrics snapshot written to %s\n", *metricsPath)
+	}
+	if *failOnAnomaly && anomalies > 0 {
+		return fmt.Errorf("%d anomaly verdict(s): measured outcome contradicts the analytic bound", anomalies)
 	}
 	return nil
 }
@@ -235,73 +216,16 @@ type block struct {
 	res  experiments.Result
 }
 
-// writeMetrics emits one JSONL metrics file: each study's snapshot (when
-// its result carries one) tagged with the study key, plus the campaign
-// runner metrics tagged "runner".
-func writeMetrics(path string, blocks []block, campaign *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, b := range blocks {
-		c, ok := b.res.(experiments.ObsCarrier)
-		if !ok {
-			continue
-		}
-		if err := obs.WriteJSONL(f, b.key, c.ObsMetrics()); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := obs.WriteJSONL(f, "runner", campaign.Snapshot()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // render produces one study's output block: header, summary, table,
 // footnotes.
 func render(s study, res experiments.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== %s ===\n", s.header)
 	fmt.Fprintf(&b, "  %s\n", res.Summary())
-	for _, line := range renderRows(res.Rows()) {
-		fmt.Fprintf(&b, "  %s\n", line)
-	}
+	b.WriteString(experiments.RenderTable(res.Rows(), "  "))
 	for _, note := range s.footnotes {
 		fmt.Fprintf(&b, "  %s\n", note)
 	}
 	b.WriteString("\n")
 	return b.String()
-}
-
-// renderRows aligns a Rows() table into fixed-width columns.
-func renderRows(rows [][]string) []string {
-	if len(rows) == 0 {
-		return nil
-	}
-	widths := make([]int, 0)
-	for _, row := range rows {
-		for i, cell := range row {
-			if i == len(widths) {
-				widths = append(widths, 0)
-			}
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	out := make([]string, 0, len(rows))
-	for _, row := range rows {
-		var b strings.Builder
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		out = append(out, strings.TrimRight(b.String(), " "))
-	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"gptpfta/internal/attack"
@@ -444,31 +443,4 @@ func attackPoint(cfg AttacksConfig, sc attackScenario) (AttackPoint, []obs.Metri
 		HoldoverEntered:    sumMetric(snap, "ptp4l_holdover_entered"),
 		HoldoverExited:     sumMetric(snap, "ptp4l_holdover_exited"),
 	}, snap, nil
-}
-
-// RenderAttackTable renders the campaign table with aligned columns for the
-// command-line tools.
-func RenderAttackTable(rows [][]string) string {
-	if len(rows) == 0 {
-		return ""
-	}
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var b strings.Builder
-	for _, row := range rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }

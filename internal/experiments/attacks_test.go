@@ -40,11 +40,11 @@ func TestGoldenDigestAttacks(t *testing.T) {
 	hashRows(h, res.Rows())
 	if got := digest(h); got != goldenAttacksDigest {
 		t.Fatalf("attacks digest changed: got %s want %s\nsummary: %s\n%s",
-			got, goldenAttacksDigest, res.Summary(), RenderAttackTable(res.Rows()))
+			got, goldenAttacksDigest, res.Summary(), RenderTable(res.Rows(), ""))
 	}
 	if n := res.Anomalies(); n != 0 {
 		t.Fatalf("attacks campaign produced %d anomaly verdicts:\n%s",
-			n, RenderAttackTable(res.Rows()))
+			n, RenderTable(res.Rows(), ""))
 	}
 }
 

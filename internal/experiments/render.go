@@ -114,6 +114,32 @@ func maxInt(a, b int) int {
 	return b
 }
 
+// RenderTable aligns a Rows() table into fixed-width columns, one line per
+// row, each prefixed with indent.
+func RenderTable(rows [][]string, indent string) string {
+	var widths []int
+	for _, row := range rows {
+		for i, cell := range row {
+			if i == len(widths) {
+				widths = append(widths, 0)
+			}
+			widths[i] = max(widths[i], len(cell))
+		}
+	}
+	var b, line strings.Builder
+	for _, row := range rows {
+		line.Reset()
+		for i, cell := range row {
+			if i > 0 {
+				line.WriteString("  ")
+			}
+			fmt.Fprintf(&line, "%-*s", widths[i], cell)
+		}
+		b.WriteString(indent + strings.TrimRight(line.String(), " ") + "\n")
+	}
+	return b.String()
+}
+
 // RenderHistogram draws the Fig. 4b distribution as horizontal bars.
 func RenderHistogram(h measure.Histogram, maxBar int) string {
 	if len(h.Counts) == 0 {

@@ -37,11 +37,11 @@ func TestGoldenDigestWanSites(t *testing.T) {
 	hashRows(h, res.Rows())
 	if got := digest(h); got != goldenWanSitesDigest {
 		t.Fatalf("wansites digest changed: got %s want %s\nsummary: %s\n%s",
-			got, goldenWanSitesDigest, res.Summary(), RenderAttackTable(res.Rows()))
+			got, goldenWanSitesDigest, res.Summary(), RenderTable(res.Rows(), ""))
 	}
 	if n := res.Anomalies(); n != 0 {
 		t.Fatalf("wansites campaign produced %d anomaly verdicts:\n%s",
-			n, RenderAttackTable(res.Rows()))
+			n, RenderTable(res.Rows(), ""))
 	}
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+
 	"gptpfta/internal/obs"
 	"gptpfta/internal/runner"
 )
@@ -49,28 +51,43 @@ func Wire(experiment string, r Result) WireResult {
 
 // EnableWarmStart switches a warm-capable config into warm-start mode,
 // attaching the campaign metrics registry and the shared snapshot cache the
-// study's runner pool should fork through. Configs without a warm mode pass
-// through unchanged; the boolean reports whether the config was
-// warm-capable. Because `json:"-"` fields do not survive the wire, callers
-// that decode a config from JSON re-attach the runtime handles here, after
-// decoding.
+// study's runner pool should fork through. A config is warm-capable when it
+// declares a WarmStart field (every such config also declares Metrics and
+// Snapshots); other configs pass through unchanged, and the boolean reports
+// which case applied. Because `json:"-"` fields do not survive the wire,
+// callers that decode a config from JSON re-attach the runtime handles here,
+// after decoding.
 func EnableWarmStart(cfg any, reg *obs.Registry, snaps runner.SnapshotCache) (any, bool) {
-	switch c := cfg.(type) {
-	case BoundsConfig:
-		c.WarmStart, c.Metrics, c.Snapshots = true, reg, snaps
-		return c, true
-	case FaultInjectionConfig:
-		c.WarmStart, c.Metrics, c.Snapshots = true, reg, snaps
-		return c, true
-	case IntervalSweepConfig:
-		c.WarmStart, c.Metrics, c.Snapshots = true, reg, snaps
-		return c, true
-	case DomainSweepConfig:
-		c.WarmStart, c.Metrics, c.Snapshots = true, reg, snaps
-		return c, true
-	case NetworkChaosConfig:
-		c.WarmStart, c.Metrics, c.Snapshots = true, reg, snaps
-		return c, true
+	v := reflect.ValueOf(cfg)
+	if v.Kind() != reflect.Struct || !v.FieldByName("WarmStart").IsValid() {
+		return cfg, false
 	}
-	return cfg, false
+	return SetFields(cfg, map[string]any{"WarmStart": true, "Metrics": reg, "Snapshots": snaps}), true
+}
+
+// SetFields returns a copy of the config struct cfg with each named field it
+// declares set to the given value. Names the config does not declare, and
+// values not assignable to the field, are skipped; a nil value zeroes the
+// field. It is how the command-line tools apply a run knob (-parallel,
+// -shards, a campaign metrics registry) to whichever registered configs
+// have it, without a per-type list.
+func SetFields(cfg any, fields map[string]any) any {
+	v := reflect.ValueOf(cfg)
+	if v.Kind() != reflect.Struct {
+		return cfg
+	}
+	c := reflect.New(v.Type()).Elem()
+	c.Set(v)
+	for name, val := range fields {
+		f := c.FieldByName(name)
+		if !f.IsValid() || !f.CanSet() {
+			continue
+		}
+		if val == nil {
+			f.Set(reflect.Zero(f.Type()))
+		} else if rv := reflect.ValueOf(val); rv.Type().AssignableTo(f.Type()) {
+			f.Set(rv)
+		}
+	}
+	return c.Interface()
 }

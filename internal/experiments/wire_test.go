@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gptpfta/internal/obs"
+	"gptpfta/internal/runner"
 )
 
 // TestConfigRoundTrip is the wire contract of every registered experiment:
@@ -151,7 +154,7 @@ func TestShardsKnobWire(t *testing.T) {
 	shardAware := []string{
 		"bounds", "resilience", "faultinjection", "baseline", "single-domain",
 		"flag-policy", "voting", "recovery", "interval", "domains",
-		"netchaos", "multiseed", "attacks",
+		"netchaos", "multiseed", "attacks", "wansites",
 	}
 	for _, name := range shardAware {
 		e, err := Lookup(name)
@@ -173,6 +176,47 @@ func TestShardsKnobWire(t *testing.T) {
 		}
 		if _, err := e.DecodeConfig(json.RawMessage(`{"shards": -1}`)); err == nil {
 			t.Errorf("%s: negative shards accepted", name)
+		}
+	}
+}
+
+// fakeCache is a runner.SnapshotCache that is never used, only compared by
+// identity.
+type fakeCache struct{}
+
+func (*fakeCache) Acquire(context.Context, string, func(context.Context) (any, error)) (any, bool, func(), error) {
+	return nil, false, func() {}, nil
+}
+
+// TestEnableWarmStartEveryWarmConfig checks EnableWarmStart against the
+// registry itself rather than a hand-kept list: every registered config that
+// declares a WarmStart field is warm-capable and gets WarmStart, Metrics and
+// Snapshots set; every other config passes through unchanged.
+func TestEnableWarmStartEveryWarmConfig(t *testing.T) {
+	reg, snaps := obs.NewRegistry(), &fakeCache{}
+	for _, e := range All() {
+		def := e.DefaultConfig(1)
+		hasWarm := reflect.ValueOf(def).FieldByName("WarmStart").IsValid()
+		cfg, warm := EnableWarmStart(def, reg, snaps)
+		if warm != hasWarm {
+			t.Errorf("%s: EnableWarmStart = %v, config declares WarmStart: %v", e.Name(), warm, hasWarm)
+			continue
+		}
+		if !warm {
+			if !reflect.DeepEqual(cfg, def) {
+				t.Errorf("%s: config without a warm mode was modified", e.Name())
+			}
+			continue
+		}
+		v := reflect.ValueOf(cfg)
+		if !v.FieldByName("WarmStart").Bool() {
+			t.Errorf("%s: WarmStart not set", e.Name())
+		}
+		if m, ok := v.FieldByName("Metrics").Interface().(*obs.Registry); !ok || m != reg {
+			t.Errorf("%s: Metrics not attached", e.Name())
+		}
+		if c, ok := v.FieldByName("Snapshots").Interface().(runner.SnapshotCache); !ok || c != runner.SnapshotCache(snaps) {
+			t.Errorf("%s: Snapshots not attached", e.Name())
 		}
 	}
 }

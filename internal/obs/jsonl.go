@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -27,6 +28,30 @@ func WriteJSONL(w io.Writer, run string, metrics []Metric) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// Tagged is one run's metrics snapshot together with the run tag its JSONL
+// lines carry.
+type Tagged struct {
+	Run     string
+	Metrics []Metric
+}
+
+// WriteJSONLFile creates path and writes every snapshot to it, in order,
+// through WriteJSONL: the one file format behind every command's -metrics
+// flag.
+func WriteJSONLFile(path string, snaps ...Tagged) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	for _, s := range snaps {
+		if err := WriteJSONL(f, s.Run, s.Metrics); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	return f.Close()
 }
 
 // ReadJSONL parses a metrics snapshot file written by WriteJSONL. Blank

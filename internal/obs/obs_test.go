@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -220,5 +222,26 @@ func TestAddLabel(t *testing.T) {
 	}
 	if _, leaked := ms[0].Labels["variant"]; leaked {
 		t.Fatal("AddLabel mutated its input")
+	}
+}
+
+func TestWriteJSONLFileKeepsTagOrder(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("frames").Add(3)
+	path := filepath.Join(t.TempDir(), "metrics.jsonl")
+	if err := WriteJSONLFile(path, Tagged{"b", reg.Snapshot()}, Tagged{"a", reg.Snapshot()}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Run != "b" || recs[1].Run != "a" || recs[1].Value != 3 {
+		t.Fatalf("file records: %+v", recs)
 	}
 }

@@ -6,6 +6,7 @@
 package prof
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -21,9 +22,14 @@ type Config struct {
 	Trace      string
 }
 
-// Enabled reports whether any profiler is requested.
-func (c Config) Enabled() bool {
-	return c.CPUProfile != "" || c.MemProfile != "" || c.Trace != ""
+// Flags registers -cpuprofile, -memprofile and -trace on fs and returns the
+// Config they fill in when fs is parsed.
+func Flags(fs *flag.FlagSet) *Config {
+	cfg := &Config{}
+	fs.StringVar(&cfg.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&cfg.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
+	fs.StringVar(&cfg.Trace, "trace", "", "write a runtime execution trace to this file")
+	return cfg
 }
 
 // Start begins the requested profilers and returns a stop function that

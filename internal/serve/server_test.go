@@ -431,8 +431,8 @@ func TestServerExperimentListing(t *testing.T) {
 			warmCount++
 		}
 	}
-	if warmCount != 5 {
-		t.Fatalf("%d warm-capable experiments, want 5 (bounds, faultinjection, interval, domains, netchaos)", warmCount)
+	if warmCount != 6 {
+		t.Fatalf("%d warm-capable experiments, want 6 (bounds, faultinjection, interval, domains, netchaos, wansites)", warmCount)
 	}
 }
 
