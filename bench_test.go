@@ -616,7 +616,6 @@ func BenchmarkPDESFabric(b *testing.B) {
 			if err := sys.Start(); err != nil {
 				b.Fatal(err)
 			}
-			defer sys.Close()                                   // reap the persistent shard workers
 			if err := sys.RunFor(2 * time.Second); err != nil { // converge first
 				b.Fatal(err)
 			}
@@ -658,7 +657,6 @@ func BenchmarkWANFabric(b *testing.B) {
 			if err := sys.Start(); err != nil {
 				b.Fatal(err)
 			}
-			defer sys.Close()                                   // reap the persistent shard workers
 			if err := sys.RunFor(2 * time.Second); err != nil { // converge first
 				b.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -232,7 +233,7 @@ func fingerprintTweak(t *testing.T, cfg Config, d time.Duration, tweak func(*Sys
 
 // TestShardEquivalenceForceParallel re-proves the determinism contract with
 // the serial fast path disabled: every window with ≥1 busy shard goes
-// through the persistent-worker barrier, on any core count. This is the
+// through the worker barrier, on any core count. This is the
 // test that keeps the worker path honest on single-core runners, where the
 // GOMAXPROCS heuristic would otherwise hide it entirely.
 func TestShardEquivalenceForceParallel(t *testing.T) {
@@ -310,9 +311,9 @@ func TestFabricLookaheadInvalidation(t *testing.T) {
 	}
 }
 
-// TestSystemCloseIdempotent pins the system-level lifecycle: Close is
-// idempotent, Stop implies Close, the system keeps simulating (serially)
-// after Close, and an unsharded system tolerates Close as a no-op.
+// TestSystemCloseIdempotent pins the system-level lifecycle: Close is a
+// repeatable no-op, the system keeps simulating after it, Stop after Close
+// is safe, and an unsharded system tolerates Close too.
 func TestSystemCloseIdempotent(t *testing.T) {
 	sys, err := NewSystem(ScaleConfig(7, 2, 3, 2, 2))
 	if err != nil {
@@ -329,9 +330,8 @@ func TestSystemCloseIdempotent(t *testing.T) {
 	if err := sys.RunFor(500 * time.Millisecond); err != nil {
 		t.Fatalf("RunFor after Close: %v", err)
 	}
-	st := sys.Fabric().Stats()
-	if st.SerialWindows == 0 {
-		t.Fatal("closed fabric reported zero serial windows")
+	if st := sys.Fabric().Stats(); st.Windows == 0 {
+		t.Fatal("fabric ran no windows")
 	}
 	sys.Stop() // Stop after Close must also be safe
 
@@ -339,7 +339,41 @@ func TestSystemCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	unsharded.Close() // no fabric: must be a no-op
+	unsharded.Close()
+}
+
+// TestFabricSystemLeavesNoWorkers: a sharded System forced onto the worker
+// barrier, run and then dropped without Stop or Close, leaves no goroutine
+// behind — no GC round or finalizer needed, because the shard workers end
+// with the RunFor call that started them.
+func TestFabricSystemLeavesNoWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	func() {
+		sys, err := NewSystem(ScaleConfig(7, 4, 3, 2, 2))
+		if err != nil {
+			t.Fatalf("NewSystem: %v", err)
+		}
+		if err := sys.Start(); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		barriers := 0
+		sys.Fabric().ForceParallel = true
+		sys.Fabric().BarrierObserver = func(float64) { barriers++ }
+		if err := sys.RunFor(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if barriers == 0 {
+			t.Fatal("ForceParallel run never reached the worker barrier")
+		}
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d still running, want ≤ %d (dropped system kept its shard workers)",
+				runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestPDESMetricsPresence pins the observability satellite: the window-

@@ -739,19 +739,12 @@ func (s *System) Stop() {
 			Detail: fmt.Sprintf("%d events clamped to now", clamps)})
 	}
 	s.started = false
-	s.Close()
 }
 
-// Close terminates the fabric's persistent shard workers. The system stays
-// usable — RunFor/RunUntil keep working, with sharded windows executed
-// serially on the calling goroutine — so callers that only want to release
-// the goroutines (benchmark iterations, job teardown) need not Stop.
-// Idempotent; a no-op on unsharded systems. Stop calls it automatically.
-func (s *System) Close() {
-	if s.fabric != nil {
-		s.fabric.Close()
-	}
-}
+// Close is a no-op, kept for callers that release systems explicitly: a
+// sharded system's shard workers live for one RunFor/RunUntil call, so a
+// system holds no goroutine between calls and dropping it leaks nothing.
+func (s *System) Close() {}
 
 // RunFor advances the simulation by d.
 func (s *System) RunFor(d time.Duration) error {

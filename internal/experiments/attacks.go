@@ -9,9 +9,7 @@ import (
 	"gptpfta/internal/attack"
 	"gptpfta/internal/attack/bounds"
 	"gptpfta/internal/core"
-	"gptpfta/internal/measure"
 	"gptpfta/internal/obs"
-	"gptpfta/internal/runner"
 	"gptpfta/internal/sim"
 )
 
@@ -275,51 +273,9 @@ func Attacks(ctx context.Context, cfg AttacksConfig) (*AttacksResult, error) {
 		}
 	}
 
-	res := &AttacksResult{Config: cfg}
-	snapshots := make([][]obs.Metric, len(scenarios))
-	pool := runner.New(cfg.Parallel).WithMetrics(cfg.Metrics)
-
-	runs := make([]runner.Run, len(scenarios))
-	for i := range scenarios {
-		i := i
-		runs[i] = runner.Run{Name: scenarios[i].label(), Do: func(context.Context) (any, error) {
-			point, snap, err := attackPoint(cfg, scenarios[i])
-			snapshots[i] = snap
-			return point, err
-		}}
-	}
-	outcomes := pool.Execute(ctx, runs)
-	points, err := runner.Values[AttackPoint](outcomes)
-	if err != nil {
-		return nil, err
-	}
-	res.Points = points
-	if n := len(snapshots); n > 0 {
-		res.Obs = snapshots[n-1]
-	}
-	return res, nil
-}
-
-// attackPoint runs one scenario against a fresh system and classifies the
-// outcome against the analytic bound.
-func attackPoint(cfg AttacksConfig, sc attackScenario) (AttackPoint, []obs.Metric, error) {
-	sysCfg := core.NewConfig(cfg.Seed)
-	sysCfg.HoldoverWindow = cfg.HoldoverWindow
-	sysCfg.Shards = cfg.Shards
-	if sc.diversity == DiversityDiverse {
-		sysCfg.DiversifyKernels("c41")
-	}
-	sys, err := core.NewSystem(sysCfg)
-	if err != nil {
-		return AttackPoint{}, nil, err
-	}
-	if err := sys.Start(); err != nil {
-		return AttackPoint{}, nil, err
-	}
-
 	kind, err := attack.ParseBehaviorKind(cfg.Behavior)
 	if err != nil {
-		return AttackPoint{}, nil, err
+		return nil, err
 	}
 	behavior := attack.Behavior{
 		Kind:            kind,
@@ -327,6 +283,41 @@ func attackPoint(cfg AttacksConfig, sc attackScenario) (AttackPoint, []obs.Metri
 		SlewNSPerSec:    cfg.SlewNSPerSec,
 		WanderNSPerStep: cfg.WanderNSPerStep,
 	}
+	points := make([]point[AttackPoint], len(scenarios))
+	for i, sc := range scenarios {
+		sysCfg := core.NewConfig(cfg.Seed)
+		sysCfg.HoldoverWindow = cfg.HoldoverWindow
+		sysCfg.Shards = cfg.Shards
+		if sc.diversity == DiversityDiverse {
+			sysCfg.DiversifyKernels("c41")
+		}
+		points[i] = point[AttackPoint]{
+			name: sc.label(),
+			cfg:  sysCfg,
+			run: func(sys *core.System, remaining time.Duration) (AttackPoint, []obs.Metric, error) {
+				return attackRun(cfg, sc, behavior, sys, remaining)
+			},
+		}
+	}
+	// Cold only: the attack events are scheduled at t = 0 (no diverge
+	// instant, so no prefix boundary).
+	res := &AttacksResult{Config: cfg}
+	res.Points, res.Obs, err = runPoints(ctx, campaign{
+		duration: cfg.Duration,
+		parallel: cfg.Parallel,
+		metrics:  cfg.Metrics,
+	}, points)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// attackRun schedules one scenario's attacks on a freshly started system,
+// runs it and classifies the outcome against the analytic bound.
+func attackRun(cfg AttacksConfig, sc attackScenario, behavior attack.Behavior,
+	sys *core.System, remaining time.Duration) (AttackPoint, []obs.Metric, error) {
+	sysCfg := sys.Config()
 	targets := attack.CampaignTargets(attack.DefaultTargetOrder(), sc.byz)
 	atk := attack.NewAttacker(attack.DefaultVulnDB(), attack.CVE201818955, targets...)
 
@@ -382,7 +373,7 @@ func attackPoint(cfg AttacksConfig, sc attackScenario) (AttackPoint, []obs.Metri
 		})
 	}
 
-	if err := sys.RunFor(cfg.Duration); err != nil {
+	if err := sys.RunFor(remaining); err != nil {
 		return AttackPoint{}, nil, err
 	}
 
@@ -412,15 +403,8 @@ func attackPoint(cfg AttacksConfig, sc attackScenario) (AttackPoint, []obs.Metri
 	bound, _ := sys.PrecisionBound()
 	limit := float64(bound + sys.Collector().Gamma())
 	verdictFrom := (cfg.AttackStart + 30*time.Second).Seconds()
-	var steady []measure.Sample
-	for _, s := range sys.Collector().Samples() {
-		if s.AtSec >= verdictFrom {
-			steady = append(steady, s)
-		}
-	}
-	stats := measure.ComputeStats(steady)
-	violations := measure.ViolationCount(steady, limit)
-	measured := violations <= len(steady)/4
+	stats, violations, samples := steadyStats(sys.Collector().Samples(), verdictFrom, limit)
+	measured := violations <= samples/4
 
 	snap := sys.Metrics().Snapshot()
 	return AttackPoint{
@@ -438,7 +422,7 @@ func attackPoint(cfg AttacksConfig, sc attackScenario) (AttackPoint, []obs.Metri
 		MaxPrecisionNS:     stats.MaxNS,
 		BoundNS:            float64(bound),
 		Violations:         violations,
-		Samples:            len(steady),
+		Samples:            samples,
 		MaliciousDiscarded: sumMetric(snap, "ptp4l_fta_discarded_malicious"),
 		HoldoverEntered:    sumMetric(snap, "ptp4l_holdover_entered"),
 		HoldoverExited:     sumMetric(snap, "ptp4l_holdover_exited"),

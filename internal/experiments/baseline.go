@@ -77,6 +77,8 @@ func (r ComparisonResult) Rows() [][]string {
 	}
 }
 
+// steadyStats summarises the samples taken at or after settleSec: their
+// precision statistics, how many exceed boundNS, and how many there are.
 func steadyStats(samples []measure.Sample, settleSec, boundNS float64) (measure.Stats, int, int) {
 	var steady []measure.Sample
 	for _, s := range samples {
@@ -92,6 +94,18 @@ func steadyStats(samples []measure.Sample, settleSec, boundNS float64) (measure.
 func comparisonObs(ours, variant *core.System) []obs.Metric {
 	ms := obs.AddLabel(ours.Metrics().Snapshot(), "variant", "ours")
 	return append(ms, obs.AddLabel(variant.Metrics().Snapshot(), "variant", "variant")...)
+}
+
+// compromiseAt returns a setup that turns target's grandmaster Byzantine
+// (the paper's −24 µs origin falsification) at instant at.
+func compromiseAt(at time.Duration, target string) func(*core.System) {
+	return func(sys *core.System) {
+		sys.Scheduler().At(sim.Time(at), func() {
+			if vm, ok := sys.VM(target); ok {
+				vm.Stack.Compromise(attack.MaliciousOriginOffsetNS)
+			}
+		})
+	}
 }
 
 func runSystem(cfg core.Config, d time.Duration, drive func(*core.System)) (*core.System, error) {
@@ -149,24 +163,14 @@ func AblationSingleDomainVsFTA(cfg BaselineConfig) (*ComparisonResult, error) {
 	cfg = cfg.withDefaults()
 	attackAt := cfg.Duration / 3
 
-	compromise := func(target string) func(*core.System) {
-		return func(sys *core.System) {
-			sys.Scheduler().At(sim.Time(attackAt), func() {
-				if vm, ok := sys.VM(target); ok {
-					vm.Stack.Compromise(attack.MaliciousOriginOffsetNS)
-				}
-			})
-		}
-	}
-
-	ours, err := runSystem(cfg.sysConfig(), cfg.Duration, compromise("c41"))
+	ours, err := runSystem(cfg.sysConfig(), cfg.Duration, compromiseAt(attackAt, "c41"))
 	if err != nil {
 		return nil, err
 	}
 	singleCfg := cfg.sysConfig()
 	singleCfg.DomainCount = 1
 	singleCfg.F = 0
-	single, err := runSystem(singleCfg, cfg.Duration, compromise("c11"))
+	single, err := runSystem(singleCfg, cfg.Duration, compromiseAt(attackAt, "c11"))
 	if err != nil {
 		return nil, err
 	}
@@ -191,13 +195,7 @@ func AblationFlagPolicy(cfg BaselineConfig) (*ComparisonResult, error) {
 	cfg = cfg.withDefaults()
 	attackAt := cfg.Duration / 3
 
-	drive := func(sys *core.System) {
-		sys.Scheduler().At(sim.Time(attackAt), func() {
-			if vm, ok := sys.VM("c41"); ok {
-				vm.Stack.Compromise(attack.MaliciousOriginOffsetNS)
-			}
-		})
-	}
+	drive := compromiseAt(attackAt, "c41")
 	monitorCfg := cfg.sysConfig()
 	monitorCfg.FlagPolicy = fta.FlagMonitor
 	monitor, err := runSystem(monitorCfg, cfg.Duration, drive)

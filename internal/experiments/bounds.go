@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -16,10 +15,10 @@ import (
 type BoundsConfig struct {
 	Seed     int64         `json:"seed"`
 	Duration time.Duration `json:"duration,omitempty"` // fault-free observation window
-	// WarmStart runs the first half of the window as a snapshot prefix and
-	// forks the second half from it. The run is fault-free throughout, so
-	// the split run is bit-identical to the unsplit one — this mode exists
-	// to exercise (and regression-test) the fork path on a full system.
+	// WarmStart runs the window up to near its middle as a snapshot prefix
+	// and forks the rest from it. The run is fault-free throughout, so the
+	// forked run is bit-identical to the cold one — this mode exists to
+	// exercise (and regression-test) the fork path on a full system.
 	WarmStart bool `json:"warm_start,omitempty"`
 	// Shards runs the simulation on a sharded PDES kernel (1 = the legacy
 	// single scheduler). Results are bit-identical at every shard count.
@@ -101,60 +100,35 @@ func (r BoundsResult) Table() []string {
 }
 
 // Bounds runs the fault-free methodology experiment and instantiates the
-// convergence-function bound from measured latencies.
+// convergence-function bound from measured latencies. Warm mode forks the
+// rest of the window from a snapshot taken near its middle: the run has no
+// divergent machinery, so the result is bit-identical either way.
 func Bounds(cfg BoundsConfig) (*BoundsResult, error) {
 	cfg = cfg.withDefaults()
 	sysCfg := core.NewConfig(cfg.Seed)
 	sysCfg.Shards = cfg.Shards
-	if cfg.WarmStart {
-		return boundsWarm(cfg, sysCfg)
-	}
-	sys, err := core.NewSystem(sysCfg)
+	res, ms, err := runOne(campaign{
+		duration:  cfg.Duration,
+		diverge:   cfg.Duration / 2,
+		warm:      cfg.WarmStart,
+		parallel:  1,
+		metrics:   cfg.Metrics,
+		snapshots: cfg.Snapshots,
+	}, point[*BoundsResult]{
+		name: "bounds",
+		cfg:  sysCfg,
+		run: func(sys *core.System, remaining time.Duration) (*BoundsResult, []obs.Metric, error) {
+			if err := sys.RunFor(remaining); err != nil {
+				return nil, nil, err
+			}
+			return boundsCollect(cfg, sysCfg, sys), sys.Metrics().Snapshot(), nil
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Start(); err != nil {
-		return nil, err
-	}
-	if err := sys.RunFor(cfg.Duration); err != nil {
-		return nil, err
-	}
-	return boundsCollect(cfg, sysCfg, sys), nil
-}
-
-// boundsWarm is the warm-start form of Bounds: prefix to Duration/2,
-// snapshot, fork, run the remainder. There is no divergent machinery in this
-// study, so the forked run's result is bit-identical to the cold run's; a
-// prefix failure degrades to the cold path via the runner's fallback.
-func boundsWarm(cfg BoundsConfig, sysCfg core.Config) (*BoundsResult, error) {
-	boundary := cfg.Duration / 2
-	hash := core.PrefixHash(sysCfg, boundary)
-	wc := runner.WarmConfig{Hash: hash, Prefix: systemPrefix(sysCfg, boundary)}
-	run := runner.WarmRun{
-		Name: "bounds",
-		Hash: hash,
-		Fork: func(_ context.Context, snap any) (any, error) {
-			sys, err := core.ForkSystem(snap)
-			if err != nil {
-				return nil, err
-			}
-			if err := sys.RunFor(cfg.Duration - boundary); err != nil {
-				return nil, err
-			}
-			return boundsCollect(cfg, sysCfg, sys), nil
-		},
-		Cold: func(context.Context) (any, error) {
-			cold := cfg
-			cold.WarmStart = false
-			return Bounds(cold)
-		},
-	}
-	pool := runner.New(1).WithMetrics(cfg.Metrics).WithSnapshots(cfg.Snapshots)
-	vals, err := runner.Values[*BoundsResult](pool.ExecuteWarm(context.Background(), wc, []runner.WarmRun{run}))
-	if err != nil {
-		return nil, err
-	}
-	return vals[0], nil
+	res.Obs = ms
+	return res, nil
 }
 
 // boundsCollect instantiates the bound from a finished run.
@@ -167,6 +141,5 @@ func boundsCollect(cfg BoundsConfig, sysCfg core.Config, sys *core.System) *Boun
 	res.Bound = fta.Bound(sysCfg.Nodes, sysCfg.F, res.ReadingError, res.DriftOffset)
 	res.Gamma = sys.Collector().Gamma()
 	res.SyncPaths = sys.SyncLatencies().Paths()
-	res.Obs = sys.Metrics().Snapshot()
 	return res
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -29,10 +30,19 @@ func TestForkEquivalenceMidFaultChaos(t *testing.T) {
 	plan := partitionPlan(30*time.Second, cfg.ChaosStart)
 	midpoint := cfg.ChaosStart + 10*time.Second // inside the fault window
 
-	// The uninterrupted reference run.
-	ref, _, err := chaosPoint(cfg, plan)
+	// The uninterrupted reference run, from the public entrypoint.
+	cold, err := NetworkChaos(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var ref ChaosPoint
+	for _, p := range cold.Points {
+		if p.Label == plan.Name {
+			ref = p
+		}
+	}
+	if ref.Label == "" {
+		t.Fatalf("no %q point in the cold sweep", plan.Name)
 	}
 
 	// Run a second system into the middle of the partition and snapshot

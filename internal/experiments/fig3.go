@@ -141,16 +141,9 @@ func CyberResilience(cfg CyberResilienceConfig) (*CyberResilienceResult, error) 
 	if err := sys.Start(); err != nil {
 		return nil, err
 	}
-	var eng *chaos.Engine
-	if cfg.ChaosPlan != nil {
-		eng, err = chaos.New(sys.Scheduler(), sys, cfg.ChaosPlan)
-		if err != nil {
-			return nil, err
-		}
-		eng.Instrument(sys.Metrics())
-		if err := eng.Start(); err != nil {
-			return nil, err
-		}
+	stopChaos, err := startChaos(sys, cfg.ChaosPlan, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	// Scale the paper's attack instants (21:42 and 31:52 into 1 h).
@@ -178,9 +171,7 @@ func CyberResilience(cfg CyberResilienceConfig) (*CyberResilienceResult, error) 
 	if err := sys.RunFor(cfg.Duration); err != nil {
 		return nil, err
 	}
-	if eng != nil {
-		eng.Stop()
-	}
+	stopChaos()
 
 	res.Samples = sys.Collector().Samples()
 	res.Windows = measure.Aggregate(res.Samples, 2*time.Minute)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"time"
@@ -39,9 +38,9 @@ type FaultInjectionConfig struct {
 	HoldoverWindow time.Duration `json:"holdover_window,omitempty"`
 	// WarmStart snapshots the fault-free convergence prefix (up to the
 	// injector's start minus a guard) and forks the campaign from it. The
-	// result is bit-identical to the attach-at-boundary cold run the
-	// fallback executes. A chaos plan acting before the boundary (or
-	// anchored relative to engine start) demotes the run to cold.
+	// result is bit-identical to the cold run. A chaos plan acting before
+	// the boundary (or anchored relative to engine start) demotes the run
+	// to cold.
 	WarmStart bool `json:"warm_start,omitempty"`
 	// Shards runs the simulation on a sharded PDES kernel (1 = the legacy
 	// single scheduler). Results are bit-identical at every shard count.
@@ -159,82 +158,43 @@ const faultInjectStart = 2 * time.Minute
 
 // FaultInjection runs the paper's §III-C campaign: rotating grandmaster
 // shutdowns plus random redundant-VM shutdowns, with the dependent clock
-// failing over and VMs rebooting, for the configured duration.
+// failing over and VMs rebooting, for the configured duration. The
+// injector (and optional chaos engine) attach at the warm boundary; both
+// anchor their firings to absolute instants, so where they attach does not
+// change when they fire.
 func FaultInjection(cfg FaultInjectionConfig) (*FaultInjectionResult, error) {
 	cfg = cfg.withDefaults()
 	sysCfg := core.NewConfig(cfg.Seed)
 	sysCfg.HoldoverWindow = cfg.HoldoverWindow
 	sysCfg.Shards = cfg.Shards
-	if cfg.WarmStart {
-		return faultInjectionWarm(cfg, sysCfg)
-	}
-	sys, err := core.NewSystem(sysCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Start(); err != nil {
-		return nil, err
-	}
-	return faultInjectionDiverge(cfg, sys, cfg.Duration)
-}
-
-// faultInjectionWarm is the warm-start form of FaultInjection: prefix to the
-// boundary, snapshot, fork, attach the injector (and optional chaos engine)
-// there. Both campaigns anchor their first firings to absolute instants, so
-// the fork injects at exactly the instants a cold run would.
-func faultInjectionWarm(cfg FaultInjectionConfig, sysCfg core.Config) (*FaultInjectionResult, error) {
-	boundary := faultInjectStart - warmGuard
-	if boundary >= cfg.Duration {
-		boundary = 0
+	c := campaign{
+		duration:  cfg.Duration,
+		diverge:   faultInjectStart,
+		warm:      cfg.WarmStart,
+		parallel:  1,
+		metrics:   cfg.Metrics,
+		snapshots: cfg.Snapshots,
 	}
 	if cfg.ChaosPlan != nil {
-		if earliest, ok := planEarliest(cfg.ChaosPlan); !ok || earliest <= boundary {
-			boundary = 0 // the plan acts inside the would-be prefix: run cold
-		}
+		c.plans = []*chaos.Plan{cfg.ChaosPlan}
 	}
-	wc := runner.WarmConfig{}
-	if boundary > 0 {
-		wc.Hash = core.PrefixHash(sysCfg, boundary)
-		wc.Prefix = systemPrefix(sysCfg, boundary)
-	}
-	run := runner.WarmRun{
-		Name: "faultinjection",
-		Hash: core.PrefixHash(sysCfg, boundary),
-		Fork: func(_ context.Context, snap any) (any, error) {
-			sys, err := core.ForkSystem(snap)
-			if err != nil {
-				return nil, err
-			}
-			return faultInjectionDiverge(cfg, sys, cfg.Duration-boundary)
+	res, ms, err := runOne(c, point[*FaultInjectionResult]{
+		name: "faultinjection",
+		cfg:  sysCfg,
+		run: func(sys *core.System, remaining time.Duration) (*FaultInjectionResult, []obs.Metric, error) {
+			return faultInjectionRun(cfg, sys, remaining)
 		},
-		Cold: func(context.Context) (any, error) {
-			sys, err := core.NewSystem(sysCfg)
-			if err != nil {
-				return nil, err
-			}
-			if err := sys.Start(); err != nil {
-				return nil, err
-			}
-			if boundary > 0 {
-				if err := sys.RunFor(boundary); err != nil {
-					return nil, err
-				}
-			}
-			return faultInjectionDiverge(cfg, sys, cfg.Duration-boundary)
-		},
-	}
-	pool := runner.New(1).WithMetrics(cfg.Metrics).WithSnapshots(cfg.Snapshots)
-	vals, err := runner.Values[*FaultInjectionResult](pool.ExecuteWarm(context.Background(), wc, []runner.WarmRun{run}))
+	})
 	if err != nil {
 		return nil, err
 	}
-	return vals[0], nil
+	res.Obs = ms
+	return res, nil
 }
 
-// faultInjectionDiverge attaches the injection campaign to a running system
-// (fresh at t=0, or forked at the warm boundary), runs the remainder, and
-// assembles the result.
-func faultInjectionDiverge(cfg FaultInjectionConfig, sys *core.System, remaining time.Duration) (*FaultInjectionResult, error) {
+// faultInjectionRun attaches the injection campaign to a system standing at
+// the boundary, runs the remainder, and assembles the result.
+func faultInjectionRun(cfg FaultInjectionConfig, sys *core.System, remaining time.Duration) (*FaultInjectionResult, []obs.Metric, error) {
 	controls := sys.NodeControls()
 	nodes := make([]faultinject.NodeControl, len(controls))
 	for i := range controls {
@@ -249,30 +209,20 @@ func faultInjectionDiverge(cfg FaultInjectionConfig, sys *core.System, remaining
 			Start:               faultInjectStart,
 		})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := inj.Start(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var eng *chaos.Engine
-	if cfg.ChaosPlan != nil {
-		eng, err = chaos.New(sys.Scheduler(), sys, cfg.ChaosPlan)
-		if err != nil {
-			return nil, err
-		}
-		eng.Instrument(sys.Metrics())
-		eng.SetActionObserver(func(chaos.Action) { inj.NoteNetworkFault() })
-		if err := eng.Start(); err != nil {
-			return nil, err
-		}
+	stopChaos, err := startChaos(sys, cfg.ChaosPlan, func(chaos.Action) { inj.NoteNetworkFault() })
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := sys.RunFor(remaining); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	inj.Stop()
-	if eng != nil {
-		eng.Stop()
-	}
+	stopChaos()
 
 	res := &FaultInjectionResult{Config: cfg, Events: sys.EventLog()}
 	res.Samples = sys.Collector().Samples()
@@ -288,18 +238,8 @@ func faultInjectionDiverge(cfg FaultInjectionConfig, sys *core.System, remaining
 	res.DeadlineMisses = counts[ptp4l.EventFault+"/"+gptp.FaultDeadlineMiss]
 	res.Takeovers = sys.EventLog().CountsByKind()["takeover"]
 
-	settle := (30 * time.Second).Seconds()
-	limit := float64(res.Bound + res.Gamma)
-	var steady []measure.Sample
-	for _, s := range res.Samples {
-		if s.AtSec >= settle {
-			steady = append(steady, s)
-		}
-	}
-	res.Stats = measure.ComputeStats(steady)
-	res.Violations = measure.ViolationCount(steady, limit)
-	res.Obs = sys.Metrics().Snapshot()
-	return res, nil
+	res.Stats, res.Violations, _ = steadyStats(res.Samples, (30 * time.Second).Seconds(), float64(res.Bound+res.Gamma))
+	return res, sys.Metrics().Snapshot(), nil
 }
 
 // EventWindow extracts the Fig. 5 view: all samples and events in the hour

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -23,6 +24,10 @@ const (
 	goldenFig3aDigest  = "e6b68963ecb8dab5c2cbcd9a9caafd0442b9d4d746b9313ee3d74c8425a6934d"
 	goldenFig3bDigest  = "dab11f7e547e6f93b44c7f80a56b94efc48e253f2225095b020357e546764f68"
 	goldenFig4Digest   = "f57d2efc2cfd7c615e1a65352f0027bcfe0cdccc58c62e922c2c0d5a5397ca4b"
+
+	goldenNetChaosDigest      = "48e082ed0d2f46237b20f0ea03fa7c510901fb20a488552ec6e9d9eb1e132453"
+	goldenIntervalSweepDigest = "350c56fd7339a21e876a596ea60af942652411769e9d7d6d1b2a3a9b14f7051d"
+	goldenDomainSweepDigest   = "b8c6c7baeba00404fd2d8d71f760e81b77b24d58e02fe3cbafbc295e9c3df1ec"
 )
 
 // hashSamples folds the full-precision bit pattern of every sample into h;
@@ -110,6 +115,62 @@ func TestGoldenDigestFig4(t *testing.T) {
 	if got := digest(h); got != goldenFig4Digest {
 		t.Fatalf("fig4 digest changed: got %s want %s\nsummary: %s",
 			got, goldenFig4Digest, res.Summary())
+	}
+}
+
+// The sweep goldens pin the cold tables of the studies that run their
+// points through the shared warm executor (warm.go), so a change to how a
+// point is run cannot silently change what it measures.
+
+func TestGoldenDigestNetChaos(t *testing.T) {
+	res, err := NetworkChaos(context.Background(), NetworkChaosConfig{
+		Seed:               1,
+		Duration:           4 * time.Minute,
+		ChaosStart:         2 * time.Minute,
+		BurstBadLoss:       []float64{0.5},
+		PartitionDurations: []time.Duration{20 * time.Second},
+		Parallel:           1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRowsDigest(t, "netchaos", res, goldenNetChaosDigest)
+}
+
+func TestGoldenDigestIntervalSweep(t *testing.T) {
+	res, err := IntervalSweep(context.Background(), IntervalSweepConfig{
+		Seed:      1,
+		Intervals: []time.Duration{125 * time.Millisecond, 250 * time.Millisecond},
+		Duration:  3 * time.Minute,
+		Parallel:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRowsDigest(t, "interval sweep", res, goldenIntervalSweepDigest)
+}
+
+func TestGoldenDigestDomainSweep(t *testing.T) {
+	res, err := DomainSweep(context.Background(), DomainSweepConfig{
+		Seed:     1,
+		Counts:   []int{3, 4},
+		Duration: 3 * time.Minute,
+		Parallel: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRowsDigest(t, "domain sweep", res, goldenDomainSweepDigest)
+}
+
+// checkRowsDigest compares the digest of a result's table against its
+// pinned golden.
+func checkRowsDigest(t *testing.T, name string, res Result, want string) {
+	t.Helper()
+	h := sha256.New()
+	hashRows(h, res.Rows())
+	if got := digest(h); got != want {
+		t.Fatalf("%s digest changed: got %s want %s\nsummary: %s", name, got, want, res.Summary())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"gptpfta/internal/chaos"
 	"gptpfta/internal/core"
-	"gptpfta/internal/measure"
 	"gptpfta/internal/obs"
 	"gptpfta/internal/runner"
 )
@@ -40,8 +39,9 @@ type NetworkChaosConfig struct {
 	Parallel int `json:"parallel,omitempty"`
 	// WarmStart runs the shared convergence prefix (everything before
 	// ChaosStart) once and forks every sweep point from its snapshot. The
-	// table is bit-identical to the cold attach-at-boundary runs the
-	// fallback executes (see DESIGN.md "Warm-state snapshots").
+	// table is bit-identical to the cold runs; a plan acting before the
+	// boundary (or anchored relative to engine start) demotes the sweep to
+	// cold (see DESIGN.md "Warm-state snapshots").
 	WarmStart bool `json:"warm_start,omitempty"`
 	// Metrics optionally instruments the campaign's runner pool (fork and
 	// fallback accounting). The registry must be campaign-level, never a
@@ -219,7 +219,9 @@ func sumMetric(ms []obs.Metric, name string) int {
 // its scenario plan against the full system with holdover armed. Two runs
 // of the same config are byte-identical (the engine consumes no
 // randomness; all stochastic loss draws come from the per-link seeded loss
-// streams).
+// streams). Every point shares one system config — the plans differ, not
+// the warm-up — so in warm mode every point forks from one prefix, unless
+// some plan acts before the boundary and the whole sweep runs cold.
 func NetworkChaos(ctx context.Context, cfg NetworkChaosConfig) (*NetworkChaosResult, error) {
 	cfg = cfg.withDefaults()
 
@@ -239,77 +241,40 @@ func NetworkChaos(ctx context.Context, cfg NetworkChaosConfig) (*NetworkChaosRes
 		}
 	}
 
-	res := &NetworkChaosResult{Config: cfg}
-	snapshots := make([][]obs.Metric, len(plans))
-	pool := runner.New(cfg.Parallel).WithMetrics(cfg.Metrics).WithSnapshots(cfg.Snapshots)
-
-	var outcomes []runner.Outcome
-	if cfg.WarmStart {
-		outcomes = networkChaosWarm(ctx, cfg, pool, plans, snapshots)
-	} else {
-		runs := make([]runner.Run, len(plans))
-		for i := range plans {
-			i := i
-			runs[i] = runner.Run{Name: plans[i].Name, Do: func(context.Context) (any, error) {
-				point, snap, err := chaosPoint(cfg, plans[i])
-				snapshots[i] = snap
-				return point, err
-			}}
+	sysCfg := chaosSystemConfig(cfg)
+	points := make([]point[ChaosPoint], len(plans))
+	for i, plan := range plans {
+		points[i] = point[ChaosPoint]{
+			name: plan.Name,
+			cfg:  sysCfg,
+			run: func(sys *core.System, remaining time.Duration) (ChaosPoint, []obs.Metric, error) {
+				stop, err := startChaos(sys, plan, nil)
+				if err != nil {
+					return ChaosPoint{}, nil, err
+				}
+				if err := sys.RunFor(remaining); err != nil {
+					return ChaosPoint{}, nil, err
+				}
+				stop()
+				return chaosCollect(sys, plan)
+			},
 		}
-		outcomes = pool.Execute(ctx, runs)
 	}
-	points, err := runner.Values[ChaosPoint](outcomes)
+	res := &NetworkChaosResult{Config: cfg}
+	var err error
+	res.Points, res.Obs, err = runPoints(ctx, campaign{
+		duration:  cfg.Duration,
+		diverge:   cfg.ChaosStart,
+		plans:     plans,
+		warm:      cfg.WarmStart,
+		parallel:  cfg.Parallel,
+		metrics:   cfg.Metrics,
+		snapshots: cfg.Snapshots,
+	}, points)
 	if err != nil {
 		return nil, err
 	}
-	res.Points = points
-	if n := len(snapshots); n > 0 {
-		res.Obs = snapshots[n-1]
-	}
 	return res, nil
-}
-
-// networkChaosWarm executes the sweep in warm-start mode: one prefix run to
-// the boundary (ChaosStart − warmGuard), one snapshot, one fork per plan.
-// Every point shares the campaign's core.Config — the plans differ, not the
-// warm-up — so each point's own prefix hash equals the campaign's and the
-// point forks; the cold fallback executes the identical attach-at-boundary
-// structure, keeping the table bit-for-bit independent of the mode.
-func networkChaosWarm(ctx context.Context, cfg NetworkChaosConfig, pool *runner.Pool,
-	plans []*chaos.Plan, snapshots [][]obs.Metric) []runner.Outcome {
-	boundary := cfg.ChaosStart - warmGuard
-	if boundary <= 0 || boundary >= cfg.Duration {
-		boundary = 0 // no usable prefix: every point runs cold
-	}
-	sysCfg := chaosSystemConfig(cfg)
-	wc := runner.WarmConfig{}
-	if boundary > 0 {
-		wc.Hash = core.PrefixHash(sysCfg, boundary)
-		wc.Prefix = systemPrefix(sysCfg, boundary)
-	}
-	wruns := make([]runner.WarmRun, len(plans))
-	for i := range plans {
-		i := i
-		wruns[i] = runner.WarmRun{
-			Name: plans[i].Name,
-			Hash: core.PrefixHash(sysCfg, boundary),
-			Fork: func(_ context.Context, snap any) (any, error) {
-				sys, err := core.ForkSystem(snap)
-				if err != nil {
-					return nil, err
-				}
-				point, ms, err := chaosDiverge(cfg, sys, plans[i], cfg.Duration-boundary)
-				snapshots[i] = ms
-				return point, err
-			},
-			Cold: func(context.Context) (any, error) {
-				point, ms, err := chaosPointFrom(cfg, plans[i], boundary)
-				snapshots[i] = ms
-				return point, err
-			},
-		}
-	}
-	return pool.ExecuteWarm(ctx, wc, wruns)
 }
 
 // chaosSystemConfig is the sweep's shared system configuration: every plan
@@ -321,90 +286,20 @@ func chaosSystemConfig(cfg NetworkChaosConfig) core.Config {
 	return sysCfg
 }
 
-// chaosPoint runs one plan against a fresh system and reads the campaign
-// accounting back out of the metrics registry.
-func chaosPoint(cfg NetworkChaosConfig, plan *chaos.Plan) (ChaosPoint, []obs.Metric, error) {
-	sys, err := core.NewSystem(chaosSystemConfig(cfg))
-	if err != nil {
-		return ChaosPoint{}, nil, err
-	}
-	eng, err := chaos.New(sys.Scheduler(), sys, plan)
-	if err != nil {
-		return ChaosPoint{}, nil, err
-	}
-	eng.Instrument(sys.Metrics())
-	if err := sys.Start(); err != nil {
-		return ChaosPoint{}, nil, err
-	}
-	if err := eng.Start(); err != nil {
-		return ChaosPoint{}, nil, err
-	}
-	if err := sys.RunFor(cfg.Duration); err != nil {
-		return ChaosPoint{}, nil, err
-	}
-	eng.Stop()
-	return chaosCollect(sys, plan)
-}
-
-// chaosPointFrom is the attach-at-boundary cold run: the reference execution
-// a warm fork of the same plan is bit-identical to.
-func chaosPointFrom(cfg NetworkChaosConfig, plan *chaos.Plan, boundary time.Duration) (ChaosPoint, []obs.Metric, error) {
-	sys, err := core.NewSystem(chaosSystemConfig(cfg))
-	if err != nil {
-		return ChaosPoint{}, nil, err
-	}
-	if err := sys.Start(); err != nil {
-		return ChaosPoint{}, nil, err
-	}
-	if boundary > 0 {
-		if err := sys.RunFor(boundary); err != nil {
-			return ChaosPoint{}, nil, err
-		}
-	}
-	return chaosDiverge(cfg, sys, plan, cfg.Duration-boundary)
-}
-
-// chaosDiverge attaches the plan's engine to a system already run to the
-// warm boundary and executes the divergent remainder. The plan's actions are
-// anchored to absolute instants, so the engine fires exactly as a cold t=0
-// engine would.
-func chaosDiverge(cfg NetworkChaosConfig, sys *core.System, plan *chaos.Plan, remaining time.Duration) (ChaosPoint, []obs.Metric, error) {
-	eng, err := chaos.New(sys.Scheduler(), sys, plan)
-	if err != nil {
-		return ChaosPoint{}, nil, err
-	}
-	eng.Instrument(sys.Metrics())
-	if err := eng.Start(); err != nil {
-		return ChaosPoint{}, nil, err
-	}
-	if err := sys.RunFor(remaining); err != nil {
-		return ChaosPoint{}, nil, err
-	}
-	eng.Stop()
-	return chaosCollect(sys, plan)
-}
-
 // chaosCollect reads one finished run's precision statistics and chaos
 // accounting back out of the system.
 func chaosCollect(sys *core.System, plan *chaos.Plan) (ChaosPoint, []obs.Metric, error) {
-	settle := (90 * time.Second).Seconds()
-	var steady []measure.Sample
-	for _, s := range sys.Collector().Samples() {
-		if s.AtSec >= settle {
-			steady = append(steady, s)
-		}
-	}
-	stats := measure.ComputeStats(steady)
 	bound, _ := sys.PrecisionBound()
 	limit := float64(bound + sys.Collector().Gamma())
+	stats, violations, samples := steadyStats(sys.Collector().Samples(), (90 * time.Second).Seconds(), limit)
 	snap := sys.Metrics().Snapshot()
 	return ChaosPoint{
 		Label:           plan.Name,
 		MeanPrecisionNS: stats.MeanNS,
 		MaxPrecisionNS:  stats.MaxNS,
 		BoundNS:         float64(bound),
-		Violations:      measure.ViolationCount(steady, limit),
-		Samples:         len(steady),
+		Violations:      violations,
+		Samples:         samples,
 		ChaosActions:    sumMetric(snap, "chaos_actions"),
 		FaultDropped:    sumMetric(snap, "netsim_frames_fault_dropped"),
 		FramesLost:      sumMetric(snap, "netsim_frames_lost"),

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"gptpfta/internal/obs"
 )
 
 // TestNetworkChaosHoldoverDuringPartition is the campaign's acceptance
@@ -121,5 +125,37 @@ func TestFaultInjectionComposesChaos(t *testing.T) {
 	}
 	if res.Injection.TotalFailures == 0 {
 		t.Errorf("VM campaign suppressed: %+v", res.Injection)
+	}
+}
+
+// TestNetworkChaosWarmHonoursCustomPlan: a custom plan whose first action
+// precedes the default warm boundary (ChaosStart − guard) must demote the
+// warm sweep to cold runs, so the warm table equals the cold one and no
+// point is served from a fork that already ran past the plan's first fault.
+func TestNetworkChaosWarmHonoursCustomPlan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "early-partition.json")
+	plan := `{"name": "early partition", "actions": [
+		{"op": "partition", "groups": [["sw1", "sw2"], ["sw3", "sw4"]], "at": "60s", "duration": "20s"}]}`
+	if err := os.WriteFile(path, []byte(plan), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := NetworkChaosConfig{Seed: 1, Duration: 4 * time.Minute, PlanPath: path, Parallel: 1}
+	cold, err := NetworkChaos(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	reg := obs.NewRegistry()
+	warmCfg := cfg
+	warmCfg.WarmStart = true
+	warmCfg.Metrics = reg
+	warm, err := NetworkChaos(context.Background(), warmCfg)
+	if err != nil {
+		t.Fatalf("warm: %v", err)
+	}
+	if forks := metricValue(reg, "runner_forks_served"); forks != 0 {
+		t.Fatalf("forks served = %v, want 0 (the plan acts before the boundary)", forks)
+	}
+	if !reflect.DeepEqual(cold.Rows(), warm.Rows()) {
+		t.Fatalf("warm table diverged from cold:\ncold: %v\nwarm: %v", cold.Rows(), warm.Rows())
 	}
 }

@@ -6,12 +6,9 @@ import (
 	"strconv"
 	"time"
 
-	"gptpfta/internal/attack"
 	"gptpfta/internal/core"
-	"gptpfta/internal/measure"
 	"gptpfta/internal/obs"
 	"gptpfta/internal/runner"
-	"gptpfta/internal/sim"
 )
 
 // SweepPoint is one row of a parameter-sweep table.
@@ -67,18 +64,25 @@ func (r *SweepResult) Rows() [][]string {
 	return rows
 }
 
-// sweepPoints fans the per-point measurements across the runner's pool and
-// returns them in submission order.
-func sweepPoints(ctx context.Context, parallel int, labels []string,
-	point func(i int) (SweepPoint, error)) ([]SweepPoint, error) {
-	runs := make([]runner.Run, len(labels))
-	for i := range labels {
-		i := i
-		runs[i] = runner.Run{Name: labels[i], Do: func(context.Context) (any, error) {
-			return point(i)
-		}}
+// sweepRun is a sweep point's run: the remaining time, then the
+// steady-state row from settleSec on, judged against Π. SweepResult carries
+// no metrics, so no snapshot is taken.
+func sweepRun(label string, settleSec float64) func(*core.System, time.Duration) (SweepPoint, []obs.Metric, error) {
+	return func(sys *core.System, remaining time.Duration) (SweepPoint, []obs.Metric, error) {
+		if err := sys.RunFor(remaining); err != nil {
+			return SweepPoint{}, nil, err
+		}
+		bound, _ := sys.PrecisionBound()
+		stats, violations, samples := steadyStats(sys.Collector().Samples(), settleSec, float64(bound))
+		return SweepPoint{
+			Label:           label,
+			MeanPrecisionNS: stats.MeanNS,
+			MaxPrecisionNS:  stats.MaxNS,
+			BoundNS:         float64(bound),
+			Violations:      violations,
+			Samples:         samples,
+		}, nil, nil
 	}
-	return runner.Values[SweepPoint](runner.New(parallel).Execute(ctx, runs))
 }
 
 // IntervalSweepConfig parameterises IntervalSweep. Durations are
@@ -138,108 +142,30 @@ func (c IntervalSweepConfig) withDefaults() IntervalSweepConfig {
 // across synchronization intervals S. The drift-offset term Γ = 2·r_max·S
 // grows linearly with S, so the bound widens while the achieved precision
 // degrades more slowly — the engineering trade-off behind the paper's
-// choice of S = 125 ms.
+// choice of S = 125 ms. The run is fault-free; in warm mode only the first
+// point forks (halfway), since S shapes the warm-up of every other point.
 func IntervalSweep(ctx context.Context, cfg IntervalSweepConfig) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
-	labels := make([]string, len(cfg.Intervals))
+	points := make([]point[SweepPoint], len(cfg.Intervals))
 	for i, s := range cfg.Intervals {
-		labels[i] = fmt.Sprintf("S = %v", s)
+		sysCfg := core.NewConfig(cfg.Seed)
+		sysCfg.SyncInterval = s
+		sysCfg.Shards = cfg.Shards
+		label := fmt.Sprintf("S = %v", s)
+		points[i] = point[SweepPoint]{name: label, cfg: sysCfg, run: sweepRun(label, (90 * time.Second).Seconds())}
 	}
-	if cfg.WarmStart {
-		points, err := intervalSweepWarm(ctx, cfg, labels)
-		if err != nil {
-			return nil, err
-		}
-		return &SweepResult{Name: "synchronization-interval sweep", Points: points}, nil
-	}
-	points, err := sweepPoints(ctx, cfg.Parallel, labels, func(i int) (SweepPoint, error) {
-		return intervalPoint(cfg.Seed, cfg.Intervals[i], cfg.Duration, cfg.Shards)
-	})
+	res, _, err := runPoints(ctx, campaign{
+		duration:  cfg.Duration,
+		diverge:   cfg.Duration / 2,
+		warm:      cfg.WarmStart,
+		parallel:  cfg.Parallel,
+		metrics:   cfg.Metrics,
+		snapshots: cfg.Snapshots,
+	}, points)
 	if err != nil {
 		return nil, err
 	}
-	return &SweepResult{Name: "synchronization-interval sweep", Points: points}, nil
-}
-
-// intervalSweepWarm runs the sweep through the warm-start engine. The prefix
-// is built from the first point's config; every other point's SyncInterval
-// changes its prefix hash, so those points run cold and the campaign counts
-// them as fallbacks. The run is fault-free, so the one forked point is
-// bit-identical to its cold (unsplit) run.
-func intervalSweepWarm(ctx context.Context, cfg IntervalSweepConfig, labels []string) ([]SweepPoint, error) {
-	boundary := cfg.Duration / 2
-	prefixCfg := intervalSysCfg(cfg.Seed, cfg.Intervals[0], cfg.Shards)
-	wc := runner.WarmConfig{
-		Hash:   core.PrefixHash(prefixCfg, boundary),
-		Prefix: systemPrefix(prefixCfg, boundary),
-	}
-	wruns := make([]runner.WarmRun, len(cfg.Intervals))
-	for i := range cfg.Intervals {
-		i := i
-		s := cfg.Intervals[i]
-		wruns[i] = runner.WarmRun{
-			Name: labels[i],
-			Hash: core.PrefixHash(intervalSysCfg(cfg.Seed, s, cfg.Shards), boundary),
-			Fork: func(_ context.Context, snap any) (any, error) {
-				sys, err := core.ForkSystem(snap)
-				if err != nil {
-					return SweepPoint{}, err
-				}
-				if err := sys.RunFor(cfg.Duration - boundary); err != nil {
-					return SweepPoint{}, err
-				}
-				return intervalCollect(sys, s), nil
-			},
-			Cold: func(context.Context) (any, error) {
-				return intervalPoint(cfg.Seed, s, cfg.Duration, cfg.Shards)
-			},
-		}
-	}
-	pool := runner.New(cfg.Parallel).WithMetrics(cfg.Metrics).WithSnapshots(cfg.Snapshots)
-	return runner.Values[SweepPoint](pool.ExecuteWarm(ctx, wc, wruns))
-}
-
-// intervalSysCfg is one interval point's system configuration.
-func intervalSysCfg(seed int64, s time.Duration, shards int) core.Config {
-	cfg := core.NewConfig(seed)
-	cfg.SyncInterval = s
-	cfg.Shards = shards
-	return cfg
-}
-
-func intervalPoint(seed int64, s, duration time.Duration, shards int) (SweepPoint, error) {
-	sys, err := core.NewSystem(intervalSysCfg(seed, s, shards))
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	if err := sys.Start(); err != nil {
-		return SweepPoint{}, err
-	}
-	if err := sys.RunFor(duration); err != nil {
-		return SweepPoint{}, err
-	}
-	return intervalCollect(sys, s), nil
-}
-
-// intervalCollect reads one finished interval point out of the system.
-func intervalCollect(sys *core.System, s time.Duration) SweepPoint {
-	settle := (90 * time.Second).Seconds()
-	var steady []measure.Sample
-	for _, smp := range sys.Collector().Samples() {
-		if smp.AtSec >= settle {
-			steady = append(steady, smp)
-		}
-	}
-	stats := measure.ComputeStats(steady)
-	bound, _ := sys.PrecisionBound()
-	return SweepPoint{
-		Label:           fmt.Sprintf("S = %v", s),
-		MeanPrecisionNS: stats.MeanNS,
-		MaxPrecisionNS:  stats.MaxNS,
-		BoundNS:         float64(bound),
-		Violations:      measure.ViolationCount(steady, float64(bound)),
-		Samples:         len(steady),
-	}
+	return &SweepResult{Name: "synchronization-interval sweep", Points: res}, nil
 }
 
 // DomainSweepConfig parameterises DomainSweep. Durations are nanoseconds on
@@ -292,134 +218,36 @@ func (c DomainSweepConfig) withDefaults() DomainSweepConfig {
 // DomainSweep measures Byzantine masking across domain counts M with one
 // compromised grandmaster: M = 2 cannot mask any fault (N < 2f+1 for
 // f = 1), M = 3 masks via the median, M = 4 is the paper's configuration.
+// The compromise is scheduled in each point's setup, so in warm mode the
+// first point's prefix carries it pending; the other counts change the
+// prefix hash and run cold.
 func DomainSweep(ctx context.Context, cfg DomainSweepConfig) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
-	labels := make([]string, len(cfg.Counts))
+	attackAt := cfg.Duration / 3
+	points := make([]point[SweepPoint], len(cfg.Counts))
 	for i, m := range cfg.Counts {
-		labels[i] = fmt.Sprintf("M = %d domains", m)
-	}
-	if cfg.WarmStart {
-		points, err := domainSweepWarm(ctx, cfg, labels)
-		if err != nil {
-			return nil, err
+		sysCfg := core.NewConfig(cfg.Seed)
+		sysCfg.DomainCount = m
+		sysCfg.Shards = cfg.Shards
+		label := fmt.Sprintf("M = %d domains", m)
+		points[i] = point[SweepPoint]{
+			name: label,
+			cfg:  sysCfg,
+			// Compromise the highest-numbered domain's grandmaster.
+			setup: compromiseAt(attackAt, core.VMName(m-1, 0)),
+			run:   sweepRun(label, attackAt.Seconds()+30),
 		}
-		return &SweepResult{Name: "domain-count sweep", Points: points}, nil
 	}
-	points, err := sweepPoints(ctx, cfg.Parallel, labels, func(i int) (SweepPoint, error) {
-		return domainPoint(cfg.Seed, cfg.Counts[i], cfg.Duration, cfg.Shards)
-	})
+	res, _, err := runPoints(ctx, campaign{
+		duration:  cfg.Duration,
+		diverge:   attackAt,
+		warm:      cfg.WarmStart,
+		parallel:  cfg.Parallel,
+		metrics:   cfg.Metrics,
+		snapshots: cfg.Snapshots,
+	}, points)
 	if err != nil {
 		return nil, err
 	}
-	return &SweepResult{Name: "domain-count sweep", Points: points}, nil
-}
-
-// domainSweepWarm runs the sweep through the warm-start engine. The prefix
-// replicates the first point's setup — including its pending compromise
-// event — and snapshots warmGuard before the attack fires, so the forked
-// first point is bit-identical to its cold run; the other counts change the
-// prefix hash and fall back cold.
-func domainSweepWarm(ctx context.Context, cfg DomainSweepConfig, labels []string) ([]SweepPoint, error) {
-	boundary := cfg.Duration/3 - warmGuard
-	if half := cfg.Duration / 2; boundary > half {
-		boundary = half
-	}
-	wc := runner.WarmConfig{}
-	if boundary > 0 {
-		wc.Hash = core.PrefixHash(domainSysCfg(cfg.Seed, cfg.Counts[0], cfg.Shards), boundary)
-		wc.Prefix = func(context.Context) (any, error) {
-			sys, err := domainSetup(cfg.Seed, cfg.Counts[0], cfg.Duration, cfg.Shards)
-			if err != nil {
-				return nil, err
-			}
-			if err := sys.RunFor(boundary); err != nil {
-				return nil, err
-			}
-			return sys.Snapshot(), nil
-		}
-	}
-	wruns := make([]runner.WarmRun, len(cfg.Counts))
-	for i := range cfg.Counts {
-		i := i
-		m := cfg.Counts[i]
-		wruns[i] = runner.WarmRun{
-			Name: labels[i],
-			Hash: core.PrefixHash(domainSysCfg(cfg.Seed, m, cfg.Shards), boundary),
-			Fork: func(_ context.Context, snap any) (any, error) {
-				sys, err := core.ForkSystem(snap)
-				if err != nil {
-					return SweepPoint{}, err
-				}
-				if err := sys.RunFor(cfg.Duration - boundary); err != nil {
-					return SweepPoint{}, err
-				}
-				return domainCollect(sys, m, cfg.Duration), nil
-			},
-			Cold: func(context.Context) (any, error) {
-				return domainPoint(cfg.Seed, m, cfg.Duration, cfg.Shards)
-			},
-		}
-	}
-	pool := runner.New(cfg.Parallel).WithMetrics(cfg.Metrics).WithSnapshots(cfg.Snapshots)
-	return runner.Values[SweepPoint](pool.ExecuteWarm(ctx, wc, wruns))
-}
-
-// domainSysCfg is one domain point's system configuration.
-func domainSysCfg(seed int64, m, shards int) core.Config {
-	cfg := core.NewConfig(seed)
-	cfg.DomainCount = m
-	cfg.Shards = shards
-	return cfg
-}
-
-// domainSetup builds and starts one domain point's system with its
-// compromise event pending.
-func domainSetup(seed int64, m int, duration time.Duration, shards int) (*core.System, error) {
-	sys, err := core.NewSystem(domainSysCfg(seed, m, shards))
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Start(); err != nil {
-		return nil, err
-	}
-	// Compromise the highest-numbered domain's grandmaster a third in.
-	target := core.VMName(m-1, 0)
-	sys.Scheduler().At(sim.Time(duration/3), func() {
-		if vm, ok := sys.VM(target); ok {
-			vm.Stack.Compromise(attack.MaliciousOriginOffsetNS)
-		}
-	})
-	return sys, nil
-}
-
-func domainPoint(seed int64, m int, duration time.Duration, shards int) (SweepPoint, error) {
-	sys, err := domainSetup(seed, m, duration, shards)
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	if err := sys.RunFor(duration); err != nil {
-		return SweepPoint{}, err
-	}
-	return domainCollect(sys, m, duration), nil
-}
-
-// domainCollect reads one finished domain point out of the system.
-func domainCollect(sys *core.System, m int, duration time.Duration) SweepPoint {
-	attackSec := (duration / 3).Seconds()
-	var after []measure.Sample
-	for _, smp := range sys.Collector().Samples() {
-		if smp.AtSec >= attackSec+30 {
-			after = append(after, smp)
-		}
-	}
-	stats := measure.ComputeStats(after)
-	bound, _ := sys.PrecisionBound()
-	return SweepPoint{
-		Label:           fmt.Sprintf("M = %d domains", m),
-		MeanPrecisionNS: stats.MeanNS,
-		MaxPrecisionNS:  stats.MaxNS,
-		BoundNS:         float64(bound),
-		Violations:      measure.ViolationCount(after, float64(bound)),
-		Samples:         len(after),
-	}
+	return &SweepResult{Name: "domain-count sweep", Points: res}, nil
 }

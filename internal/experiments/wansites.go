@@ -77,7 +77,7 @@ type WanSitesConfig struct {
 	Parallel int `json:"parallel,omitempty"`
 	// WarmStart runs each site count's convergence prefix once and forks
 	// every point of that fabric size from the snapshot; the table is
-	// bit-identical to the cold attach-at-boundary runs.
+	// bit-identical to the cold runs.
 	WarmStart bool `json:"warm_start,omitempty"`
 	// Metrics optionally instruments the campaign's runner pool. The
 	// registry must be campaign-level, never a simulation's.
@@ -332,150 +332,51 @@ func wanSitesPlan(cfg WanSitesConfig, sc wanScenario, sys *core.System) *chaos.P
 // measured degradation ladder (quorum retention, holdover entry,
 // re-stabilization after heal) is judged against the analytic site budget
 // min(f, ⌊(N−1)/2⌋); two runs of the same config are byte-identical, at
-// every shard count and worker count.
+// every shard count and worker count. The fabric size is the only axis that
+// shapes the convergence prefix — failures and asymmetry start at
+// FaultStart — so each site count runs as one campaign, warm mode forking
+// all of its points from one prefix.
 func WanSites(ctx context.Context, cfg WanSitesConfig) (*WanSitesResult, error) {
 	cfg = cfg.withDefaults()
-
-	var scenarios []wanScenario
+	res := &WanSitesResult{Config: cfg}
 	for _, sites := range cfg.SiteCounts {
+		sysCfg := wanSitesSystemConfig(cfg, sites)
+		var points []point[WanSitePoint]
 		for _, failed := range cfg.FailedSites {
 			for _, asym := range cfg.Asyms {
-				scenarios = append(scenarios, wanScenario{sites: sites, failed: failed, asym: asym})
+				sc := wanScenario{sites: sites, failed: failed, asym: asym}
+				points = append(points, point[WanSitePoint]{
+					name: sc.label(),
+					cfg:  sysCfg,
+					run: func(sys *core.System, remaining time.Duration) (WanSitePoint, []obs.Metric, error) {
+						stop, err := startChaos(sys, wanSitesPlan(cfg, sc, sys), nil)
+						if err != nil {
+							return WanSitePoint{}, nil, err
+						}
+						if err := sys.RunFor(remaining); err != nil {
+							return WanSitePoint{}, nil, err
+						}
+						stop()
+						return wanSitesCollect(cfg, sc, sys)
+					},
+				})
 			}
 		}
-	}
-
-	res := &WanSitesResult{Config: cfg}
-	snapshots := make([][]obs.Metric, len(scenarios))
-	pool := runner.New(cfg.Parallel).WithMetrics(cfg.Metrics).WithSnapshots(cfg.Snapshots)
-
-	var outcomes []runner.Outcome
-	if cfg.WarmStart {
-		outcomes = wanSitesWarm(ctx, cfg, pool, scenarios, snapshots)
-	} else {
-		runs := make([]runner.Run, len(scenarios))
-		for i := range scenarios {
-			i := i
-			runs[i] = runner.Run{Name: scenarios[i].label(), Do: func(context.Context) (any, error) {
-				point, snap, err := wanSitesPointFrom(cfg, scenarios[i], 0)
-				snapshots[i] = snap
-				return point, err
-			}}
+		group, ms, err := runPoints(ctx, campaign{
+			duration:  cfg.Duration,
+			diverge:   cfg.FaultStart,
+			warm:      cfg.WarmStart,
+			parallel:  cfg.Parallel,
+			metrics:   cfg.Metrics,
+			snapshots: cfg.Snapshots,
+		}, points)
+		if err != nil {
+			return nil, err
 		}
-		outcomes = pool.Execute(ctx, runs)
-	}
-	points, err := runner.Values[WanSitePoint](outcomes)
-	if err != nil {
-		return nil, err
-	}
-	res.Points = points
-	if n := len(snapshots); n > 0 {
-		res.Obs = snapshots[n-1]
+		res.Points = append(res.Points, group...)
+		res.Obs = ms
 	}
 	return res, nil
-}
-
-// wanSitesWarm executes the sweep warm: the points are grouped by fabric
-// size (the only axis that shapes the convergence prefix — failures and
-// asymmetry start at FaultStart), each group runs its prefix once, and
-// every point forks from its group's snapshot. Groups whose boundary is
-// unusable run cold; the table is bit-identical either way.
-func wanSitesWarm(ctx context.Context, cfg WanSitesConfig, pool *runner.Pool,
-	scenarios []wanScenario, snapshots [][]obs.Metric) []runner.Outcome {
-	boundary := cfg.FaultStart - warmGuard
-	if boundary <= 0 || boundary >= cfg.Duration {
-		boundary = 0 // no usable prefix: every point runs cold
-	}
-
-	groups := make(map[int][]int) // site count → scenario indices
-	var order []int
-	for i, sc := range scenarios {
-		if _, seen := groups[sc.sites]; !seen {
-			order = append(order, sc.sites)
-		}
-		groups[sc.sites] = append(groups[sc.sites], i)
-	}
-
-	outcomes := make([]runner.Outcome, len(scenarios))
-	for _, sites := range order {
-		idx := groups[sites]
-		sysCfg := wanSitesSystemConfig(cfg, sites)
-		wc := runner.WarmConfig{}
-		if boundary > 0 {
-			wc.Hash = core.PrefixHash(sysCfg, boundary)
-			wc.Prefix = systemPrefix(sysCfg, boundary)
-		}
-		wruns := make([]runner.WarmRun, len(idx))
-		for n, i := range idx {
-			i := i
-			wruns[n] = runner.WarmRun{
-				Name: scenarios[i].label(),
-				Hash: wc.Hash,
-				Fork: func(_ context.Context, snap any) (any, error) {
-					sys, err := core.ForkSystem(snap)
-					if err != nil {
-						return nil, err
-					}
-					point, ms, err := wanSitesDiverge(cfg, scenarios[i], sys, cfg.Duration-boundary)
-					snapshots[i] = ms
-					return point, err
-				},
-				Cold: func(context.Context) (any, error) {
-					point, ms, err := wanSitesPointFrom(cfg, scenarios[i], boundary)
-					snapshots[i] = ms
-					return point, err
-				},
-			}
-		}
-		for n, o := range pool.ExecuteWarm(ctx, wc, wruns) {
-			outcomes[idx[n]] = o
-		}
-	}
-	return outcomes
-}
-
-// wanSitesPointFrom runs one point cold from t = 0, attaching the fault
-// plan at the boundary (0 for a plain cold run — the plan's actions are
-// absolute-anchored, so the attach instant is immaterial as long as it
-// precedes FaultStart).
-func wanSitesPointFrom(cfg WanSitesConfig, sc wanScenario, boundary time.Duration) (WanSitePoint, []obs.Metric, error) {
-	sys, err := core.NewSystem(wanSitesSystemConfig(cfg, sc.sites))
-	if err != nil {
-		return WanSitePoint{}, nil, err
-	}
-	if err := sys.Start(); err != nil {
-		return WanSitePoint{}, nil, err
-	}
-	if boundary > 0 {
-		if err := sys.RunFor(boundary); err != nil {
-			return WanSitePoint{}, nil, err
-		}
-	}
-	return wanSitesDiverge(cfg, sc, sys, cfg.Duration-boundary)
-}
-
-// wanSitesDiverge attaches the point's plan to a system already run to the
-// warm boundary and executes the divergent remainder.
-func wanSitesDiverge(cfg WanSitesConfig, sc wanScenario, sys *core.System, remaining time.Duration) (WanSitePoint, []obs.Metric, error) {
-	var eng *chaos.Engine
-	if plan := wanSitesPlan(cfg, sc, sys); plan != nil {
-		var err error
-		eng, err = chaos.New(sys.Scheduler(), sys, plan)
-		if err != nil {
-			return WanSitePoint{}, nil, err
-		}
-		eng.Instrument(sys.Metrics())
-		if err := eng.Start(); err != nil {
-			return WanSitePoint{}, nil, err
-		}
-	}
-	if err := sys.RunFor(remaining); err != nil {
-		return WanSitePoint{}, nil, err
-	}
-	if eng != nil {
-		eng.Stop()
-	}
-	return wanSitesCollect(cfg, sc, sys)
 }
 
 // wanSitesCollect classifies one finished run. The verdict is computed

@@ -6,38 +6,192 @@ import (
 
 	"gptpfta/internal/chaos"
 	"gptpfta/internal/core"
+	"gptpfta/internal/obs"
+	"gptpfta/internal/runner"
 )
 
-// Warm-start support shared by the studies (see DESIGN.md "Warm-state
-// snapshots"). A warm-eligible study runs its convergence prefix once per
-// campaign, snapshots the System at a boundary strictly before the first
-// divergent event (fault injection, chaos action, attack), and forks every
-// sweep point from the snapshot. Each point's own config-prefix hash
-// (core.PrefixHash) is compared against the campaign's; a mismatch — the
-// point's parameters shape the warm-up itself — falls back to a cold run,
-// counted by the runner's runner_cold_fallbacks.
+// The point executor shared by the studies (see DESIGN.md "Warm-state
+// snapshots"). Every sweep point runs one form, cold or warm:
+//
+//	NewSystem → Start → setup → RunFor(boundary) → run(sys, Duration − boundary)
+//
+// where the boundary sits warmGuard before the study's first divergent event
+// (fault injection, chaos action, attack). A warm campaign executes the
+// prefix up to the boundary once, from the first point's config, snapshots
+// it, and forks every point whose own config-prefix hash (core.PrefixHash)
+// matches; a mismatching point — its parameters shape the warm-up — runs the
+// cold form instead, counted by the runner's runner_cold_fallbacks. Because
+// the cold form splits the timeline at the same boundary, a warm table is
+// bit-identical to the cold one by construction.
 
 // warmGuard is the safety margin between the snapshot boundary and the first
 // divergent event: the boundary is placed this far before the event so the
 // prefix can never execute state the sweep points disagree on.
 const warmGuard = 5 * time.Second
 
-// systemPrefix returns a campaign's shared-prefix executor: build the
-// system, start it, run it fault-free to the boundary, snapshot it.
-func systemPrefix(sysCfg core.Config, boundary time.Duration) func(context.Context) (any, error) {
-	return func(context.Context) (any, error) {
-		sys, err := core.NewSystem(sysCfg)
-		if err != nil {
-			return nil, err
+// point is one sweep point of a study.
+type point[P any] struct {
+	name string
+	cfg  core.Config
+	// setup optionally runs right after Start, before the boundary. It is
+	// part of the shared prefix, so it must depend only on cfg, which the
+	// prefix hash covers.
+	setup func(*core.System)
+	// run attaches the point's divergent machinery to a system standing at
+	// the boundary, runs the remaining time and collects the result and
+	// the system's metrics snapshot.
+	run func(sys *core.System, remaining time.Duration) (P, []obs.Metric, error)
+}
+
+// campaign is how a study executes its points.
+type campaign struct {
+	duration time.Duration
+	// diverge is the instant of the first divergent event; fault-free
+	// studies pass any instant they want the prefix to end near.
+	diverge time.Duration
+	// plans must all act strictly after the boundary, or there is none.
+	plans []*chaos.Plan
+
+	warm      bool
+	parallel  int
+	metrics   *obs.Registry
+	snapshots runner.SnapshotCache
+}
+
+// boundary is the one rule every study splits its timeline by: warmGuard
+// before the first divergent event, or 0 (no prefix) when that is not
+// inside the run or some chaos plan acts at or before it.
+func (c campaign) boundary() time.Duration {
+	b := c.diverge - warmGuard
+	if b <= 0 || b >= c.duration {
+		return 0
+	}
+	for _, p := range c.plans {
+		if earliest, ok := planEarliest(p); !ok || earliest <= b {
+			return 0
 		}
-		if err := sys.Start(); err != nil {
-			return nil, err
+	}
+	return b
+}
+
+// runPoints executes the points, cold or forked from a shared prefix, and
+// returns their results in order plus the last point's metrics snapshot.
+func runPoints[P any](ctx context.Context, c campaign, points []point[P]) ([]P, []obs.Metric, error) {
+	if len(points) == 0 {
+		return nil, nil, nil
+	}
+	boundary := c.boundary()
+	snaps := make([][]obs.Metric, len(points))
+	finish := func(i int, sys *core.System) (any, error) {
+		v, ms, err := points[i].run(sys, c.duration-boundary)
+		snaps[i] = ms
+		return v, err
+	}
+	cold := func(i int) func(context.Context) (any, error) {
+		return func(context.Context) (any, error) {
+			sys, err := prefix(points[i], boundary)
+			if err != nil {
+				return nil, err
+			}
+			return finish(i, sys)
 		}
+	}
+
+	pool := runner.New(c.parallel).WithMetrics(c.metrics).WithSnapshots(c.snapshots)
+	var outcomes []runner.Outcome
+	if c.warm {
+		wc := runner.WarmConfig{}
+		if boundary > 0 {
+			wc.Hash = core.PrefixHash(points[0].cfg, boundary)
+			wc.Prefix = func(context.Context) (any, error) {
+				sys, err := prefix(points[0], boundary)
+				if err != nil {
+					return nil, err
+				}
+				return sys.Snapshot(), nil
+			}
+		}
+		runs := make([]runner.WarmRun, len(points))
+		for i := range points {
+			runs[i] = runner.WarmRun{
+				Name: points[i].name,
+				Hash: core.PrefixHash(points[i].cfg, boundary),
+				Fork: func(_ context.Context, snap any) (any, error) {
+					sys, err := core.ForkSystem(snap)
+					if err != nil {
+						return nil, err
+					}
+					return finish(i, sys)
+				},
+				Cold: cold(i),
+			}
+		}
+		outcomes = pool.ExecuteWarm(ctx, wc, runs)
+	} else {
+		runs := make([]runner.Run, len(points))
+		for i := range points {
+			runs[i] = runner.Run{Name: points[i].name, Do: cold(i)}
+		}
+		outcomes = pool.Execute(ctx, runs)
+	}
+	vals, err := runner.Values[P](outcomes)
+	if err != nil {
+		return nil, nil, err
+	}
+	return vals, snaps[len(snaps)-1], nil
+}
+
+// prefix builds a point's system and runs it, set up, to the boundary.
+func prefix[P any](p point[P], boundary time.Duration) (*core.System, error) {
+	sys, err := core.NewSystem(p.cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.Start(); err != nil {
+		return nil, err
+	}
+	if p.setup != nil {
+		p.setup(sys)
+	}
+	if boundary > 0 {
+		// Guarded: even a zero-length run would fire the t=0 events
+		// before the point's machinery attaches.
 		if err := sys.RunFor(boundary); err != nil {
 			return nil, err
 		}
-		return sys.Snapshot(), nil
 	}
+	return sys, nil
+}
+
+// runOne executes a single-point study through runPoints.
+func runOne[P any](c campaign, p point[P]) (P, []obs.Metric, error) {
+	vals, ms, err := runPoints(context.Background(), c, []point[P]{p})
+	if err != nil {
+		var zero P
+		return zero, nil, err
+	}
+	return vals[0], ms, nil
+}
+
+// startChaos attaches plan's engine to sys, instrumented with the system's
+// metrics, and starts it; observe, when non-nil, sees every fired action.
+// A nil plan attaches nothing. The returned stop detaches the engine.
+func startChaos(sys *core.System, plan *chaos.Plan, observe func(chaos.Action)) (stop func(), err error) {
+	if plan == nil {
+		return func() {}, nil
+	}
+	eng, err := chaos.New(sys.Scheduler(), sys, plan)
+	if err != nil {
+		return nil, err
+	}
+	eng.Instrument(sys.Metrics())
+	if observe != nil {
+		eng.SetActionObserver(observe)
+	}
+	if err := eng.Start(); err != nil {
+		return nil, err
+	}
+	return eng.Stop, nil
 }
 
 // planEarliest reports the earliest absolute instant at which a chaos plan

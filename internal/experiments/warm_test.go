@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"gptpfta/internal/chaos"
-	"gptpfta/internal/core"
 	"gptpfta/internal/obs"
 )
 
@@ -60,9 +58,8 @@ func TestForkEquivalenceBounds(t *testing.T) {
 
 // TestForkEquivalenceFaultInjection: a warm-started fig4 campaign (fork at
 // the injector's start minus the guard) must be bit-identical to the cold
-// attach-at-boundary run its fallback executes. Both injection campaigns
-// anchor their first firings to absolute instants, so the fork injects at
-// exactly the cold run's instants.
+// run. Both injection campaigns anchor their first firings to absolute
+// instants, so the fork injects at exactly the cold run's instants.
 func TestForkEquivalenceFaultInjection(t *testing.T) {
 	for _, seed := range warmSeeds() {
 		cfg := FaultInjectionConfig{
@@ -73,7 +70,7 @@ func TestForkEquivalenceFaultInjection(t *testing.T) {
 			RedundantMaxPerHour: 12,
 			Downtime:            30 * time.Second,
 		}
-		cold, err := faultInjectionBoundaryCold(cfg)
+		cold, err := FaultInjection(cfg)
 		if err != nil {
 			t.Fatalf("seed %d cold: %v", seed, err)
 		}
@@ -95,25 +92,6 @@ func TestForkEquivalenceFaultInjection(t *testing.T) {
 	}
 }
 
-// faultInjectionBoundaryCold replicates the warm mode's cold fallback: a
-// fresh system run to the boundary, then the injection campaign attached.
-func faultInjectionBoundaryCold(cfg FaultInjectionConfig) (*FaultInjectionResult, error) {
-	cfg = cfg.withDefaults()
-	sysCfg := core.NewConfig(cfg.Seed)
-	sysCfg.HoldoverWindow = cfg.HoldoverWindow
-	sys, err := core.NewSystem(sysCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Start(); err != nil {
-		return nil, err
-	}
-	if err := sys.RunFor(faultInjectStart - warmGuard); err != nil {
-		return nil, err
-	}
-	return faultInjectionDiverge(cfg, sys, cfg.Duration-(faultInjectStart-warmGuard))
-}
-
 func fig4Digest(res *FaultInjectionResult) string {
 	h := sha256.New()
 	hashSamples(h, res.Samples)
@@ -121,20 +99,8 @@ func fig4Digest(res *FaultInjectionResult) string {
 	return digest(h)
 }
 
-// chaosTestPlans rebuilds the sweep's plan list exactly as NetworkChaos does.
-func chaosTestPlans(cfg NetworkChaosConfig) []*chaos.Plan {
-	var plans []*chaos.Plan
-	for _, bad := range cfg.BurstBadLoss {
-		plans = append(plans, burstPlan(bad, cfg.ChaosStart))
-	}
-	for _, d := range cfg.PartitionDurations {
-		plans = append(plans, partitionPlan(d, cfg.ChaosStart))
-	}
-	return plans
-}
-
 // TestForkEquivalenceNetworkChaos: every warm-forked chaos sweep point must
-// be bit-identical to the cold attach-at-boundary run of the same plan.
+// be bit-identical to the cold run of the same plan.
 func TestForkEquivalenceNetworkChaos(t *testing.T) {
 	for _, seed := range warmSeeds() {
 		cfg := NetworkChaosConfig{
@@ -155,19 +121,11 @@ func TestForkEquivalenceNetworkChaos(t *testing.T) {
 		if forks := metricValue(reg, "runner_forks_served"); forks != 2 {
 			t.Fatalf("seed %d: forks served = %v, want 2 (points fell back cold)", seed, forks)
 		}
-		// The cold reference: the exact structure the warm mode's fallback
-		// executes, one fresh system per plan.
-		full := cfg.withDefaults()
-		boundary := full.ChaosStart - warmGuard
-		var coldPoints []ChaosPoint
-		for i, plan := range chaosTestPlans(full) {
-			point, _, err := chaosPointFrom(full, plan, boundary)
-			if err != nil {
-				t.Fatalf("seed %d cold plan %d: %v", seed, i, err)
-			}
-			coldPoints = append(coldPoints, point)
+		// The cold reference: one fresh system per plan.
+		coldRes, err := NetworkChaos(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("seed %d cold: %v", seed, err)
 		}
-		coldRes := &NetworkChaosResult{Config: full, Points: coldPoints}
 		hc, hw := sha256.New(), sha256.New()
 		hashRows(hc, coldRes.Rows())
 		hashRows(hw, warm.Rows())

@@ -43,13 +43,13 @@ package sim
 // The per-window machinery itself is kept off the hot path three ways
 // (fabric_worker.go holds the first):
 //
-//   - Shard execution is dispatched to long-lived per-shard worker
-//     goroutines over a channel barrier instead of spawning a goroutine per
-//     window; a deterministic serial fast path runs busy shards inline on
-//     the coordinator when parallelism cannot pay (GOMAXPROCS 1, a single
-//     busy shard, nearly-empty queues, or a closed fabric). Both paths
-//     execute the same events against the same state, so the choice is
-//     invisible to every determinism surface.
+//   - Shard execution is dispatched to per-shard worker goroutines that
+//     live for one RunUntil call, over a channel barrier, instead of
+//     spawning a goroutine per window; a deterministic serial fast path
+//     runs busy shards inline on the coordinator when parallelism cannot
+//     pay (GOMAXPROCS 1, a single busy shard, or nearly-empty queues).
+//     Both paths execute the same events against the same state, so the
+//     choice is invisible to every determinism surface.
 //   - The lookahead is cached: the O(boundaries) MinDelay rescan happens
 //     only after a boundary reports, through the hook NewFabric binds, a
 //     delay mutation (chaos override, WAN drift step, attack install,
@@ -159,10 +159,9 @@ type Fabric struct {
 	hooks      *fabricHooks
 	lookCached Time
 
-	// Persistent shard workers (fabric_worker.go), started lazily by the
-	// first parallel window and released at Close.
+	// Shard workers of the running RunUntil call (fabric_worker.go),
+	// started lazily by its first parallel window; nil between calls.
 	group    *workerGroup
-	closed   bool
 	maxprocs int
 
 	// ForceParallel bypasses every serial fast-path heuristic and routes
@@ -357,14 +356,13 @@ func deferredLess(a, b *Deferred) bool {
 const serialPendingMax = 16
 
 // runWindow advances every shard to end: shards with pending work in the
-// window run concurrently on the persistent workers, idle shards
-// fast-forward inline. A deterministic serial fast path executes the busy
-// shards in shard order on the coordinator when parallelism cannot pay:
-// a single core, a lone busy shard, nearly-empty queues, or a closed
-// fabric. Both paths fire the same events against the same state, so the
-// choice never reaches a determinism surface. Returns the first busy
-// shard's error in shard order (ErrStopped propagates); every busy shard
-// finishes its window either way.
+// window run concurrently on the workers, idle shards fast-forward inline.
+// A deterministic serial fast path executes the busy shards in shard order
+// on the coordinator when parallelism cannot pay: a single core, a lone
+// busy shard, or nearly-empty queues. Both paths fire the same events
+// against the same state, so the choice never reaches a determinism
+// surface. Returns the first busy shard's error in shard order (ErrStopped
+// propagates); every busy shard finishes its window either way.
 func (f *Fabric) runWindow(end Time) error {
 	busy := f.busy[:0]
 	pending := 0
@@ -381,10 +379,7 @@ func (f *Fabric) runWindow(end Time) error {
 	if len(busy) == 0 {
 		return nil
 	}
-	// closed wins over ForceParallel: Close's contract is that the fabric
-	// simulates serially afterwards, never respawning workers.
-	if f.closed || (!f.ForceParallel &&
-		(f.maxprocs == 1 || len(busy) == 1 || pending <= serialPendingMax)) {
+	if !f.ForceParallel && (f.maxprocs == 1 || len(busy) == 1 || pending <= serialPendingMax) {
 		f.stats.SerialWindows++
 		var firstErr error
 		for _, i := range busy {
@@ -425,11 +420,13 @@ func (f *Fabric) advanceAll(t Time) error {
 // RunUntil advances the whole fabric to absolute instant target, windowing
 // shard execution and firing control events at the barriers. A target
 // behind the committed instant is rejected: the fabric cannot rewind, and
-// silently treating it as a no-op would hide driver arithmetic bugs.
+// silently treating it as a no-op would hide driver arithmetic bugs. Any
+// shard workers the call started have exited by the time it returns.
 func (f *Fabric) RunUntil(target Time) error {
 	if target < f.now {
 		return fmt.Errorf("sim: fabric RunUntil(%v) behind committed instant %v", target, f.now)
 	}
+	defer f.stopWorkers()
 	for {
 		e, haveShard := f.minShardNext()
 		tc, haveCtl := f.control.NextEventAt()

@@ -1,13 +1,17 @@
 package sim
 
-// Persistent shard workers and the channel barrier that drives them.
+// Per-call shard workers and the channel barrier that drives them.
 //
 // One goroutine per shard is started lazily on the first parallel window
-// and lives until Fabric.Close. Each worker blocks on its own start
-// channel, which carries the window end; closing that channel tells the
-// worker to quit. A worker publishes its error in its own field and then
-// sends one token on the group's shared done channel, buffered to hold one
-// token per worker.
+// of a RunUntil call and ends with that call: RunUntil stops the group and
+// waits for it on every return path, errors included. A fabric holds no
+// goroutine between calls, so a fabric dropped mid-simulation (or the
+// System owning it) leaves nothing running and needs no Close.
+//
+// Each worker blocks on its own start channel, which carries the window
+// end; closing that channel tells the worker to quit. A worker publishes
+// its error in its own field and then sends one token on the group's
+// shared done channel, buffered to hold one token per worker.
 //
 //	coordinator                      worker w (one per shard)
 //	-----------                      ------------------------
@@ -17,27 +21,19 @@ package sim
 //	receive len(busy)-1 tokens       (start closed: exit)
 //	  from g.done
 //
-// The coordinator receives every token of a window before it returns, even
-// when busy[0] failed: a token left in done would complete the next
-// window's barrier while its worker was still running. The channel
-// operations are also the happens-before edges that hand shard state (and
-// w.err) between the coordinator and the workers.
-//
-// Worker goroutines reference only the workerGroup and their own scheduler,
-// never the Fabric, and the BindFabric hooks reach only fabricHooks.
-// Goroutine stacks are GC roots, so a worker that could reach the Fabric
-// would pin an abandoned fabric forever; as it is, a fabric dropped without
-// Close becomes unreachable and its finalizer reaps the workers. Explicit
-// Close remains the deterministic path (System.Close, benchmarks).
+// The coordinator receives every token of a window before it goes on, even
+// when busy[0] failed, so every busy shard finishes its window and no token
+// is left to complete a later barrier early. The channel operations are
+// also the happens-before edges that hand shard state (and w.err) between
+// the coordinator and the workers.
 
 import (
-	"runtime"
 	"sync"
 	"time"
 )
 
-// workerGroup owns the persistent workers and the completion channel they
-// share with the coordinator. It deliberately holds no Fabric reference.
+// workerGroup owns the workers of one RunUntil call and the completion
+// channel they share with the coordinator.
 type workerGroup struct {
 	workers []*fabricWorker
 	done    chan struct{}
@@ -54,9 +50,8 @@ type fabricWorker struct {
 }
 
 // startWorkers spawns the per-shard workers. Called lazily from the first
-// window that takes the parallel path, so serial-only fabrics (one core,
-// one shard, or closed before converging) never carry idle goroutines.
-// The finalizer covers fabrics abandoned without Close.
+// window of a RunUntil call that takes the parallel path, so serial-only
+// calls (one core, one shard, nearly-empty queues) never spawn any.
 func (f *Fabric) startWorkers() {
 	g := &workerGroup{done: make(chan struct{}, len(f.shards))}
 	for _, sc := range f.shards {
@@ -66,7 +61,6 @@ func (f *Fabric) startWorkers() {
 		go w.run(g)
 	}
 	f.group = g
-	runtime.SetFinalizer(f, func(*Fabric) { g.close() })
 }
 
 func (w *fabricWorker) run(g *workerGroup) {
@@ -77,22 +71,24 @@ func (w *fabricWorker) run(g *workerGroup) {
 	}
 }
 
-// close terminates every worker and waits for them to exit. It runs once
-// per group: from Fabric.Close, which removes the finalizer, or from the
-// finalizer of a fabric that was never closed.
-func (g *workerGroup) close() {
-	for _, w := range g.workers {
+// stopWorkers terminates the current call's workers, if any started, and
+// waits for them to exit. RunUntil defers it.
+func (f *Fabric) stopWorkers() {
+	if f.group == nil {
+		return
+	}
+	for _, w := range f.group.workers {
 		close(w.start)
 	}
-	g.exited.Wait()
+	f.group.exited.Wait()
+	f.group = nil
 }
 
 // runWindowParallel executes one window over the busy shards on the
-// persistent workers: busy[1:] are dispatched, busy[0] runs inline on the
-// coordinator, and the coordinator then waits at the barrier. Errors are
-// reported with the same semantics as the serial path: every busy shard
-// finishes its window, and the first error in busy (shard-index) order is
-// returned.
+// workers: busy[1:] are dispatched, busy[0] runs inline on the coordinator,
+// and the coordinator then waits at the barrier. Errors are reported with
+// the same semantics as the serial path: every busy shard finishes its
+// window, and the first error in busy (shard-index) order is returned.
 func (f *Fabric) runWindowParallel(busy []int, end Time) error {
 	if f.group == nil {
 		f.startWorkers()
@@ -120,24 +116,4 @@ func (f *Fabric) runWindowParallel(busy []int, end Time) error {
 		}
 	}
 	return nil
-}
-
-// Close terminates the persistent workers and pins the fabric to its
-// serial path. The fabric remains fully usable afterwards — RunUntil keeps
-// working, with every window executed inline on the calling goroutine — so
-// drivers may Close as soon as they stop caring about parallelism (end of
-// a benchmark iteration, System.Close) without ending the simulation.
-// Close is idempotent and must be called from the driving goroutine, never
-// concurrently with RunUntil.
-func (f *Fabric) Close() {
-	if f.closed {
-		return
-	}
-	f.closed = true
-	if f.group == nil {
-		return
-	}
-	f.group.close()
-	f.group = nil
-	runtime.SetFinalizer(f, nil)
 }

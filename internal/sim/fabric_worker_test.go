@@ -1,6 +1,6 @@
 package sim
 
-// Lifecycle and stress tests for the persistent-worker barrier. They run
+// Lifecycle and stress tests for the per-call worker barrier. They run
 // under -race at one and two Ps (Makefile verify): the channel hand-offs
 // must order every shard-state access, and the dirty-list publication is
 // the one lockless structure the workers share.
@@ -14,9 +14,9 @@ import (
 	"time"
 )
 
-// waitGoroutines polls until the goroutine count drops back to want (the
-// runtime reaps exited goroutines asynchronously, so a single sample after
-// Close can race the reaper).
+// waitGoroutines polls until the goroutine count drops back to want (an
+// exited worker's goroutine is reaped asynchronously, so a single sample
+// right after RunUntil can race the runtime).
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -25,17 +25,18 @@ func waitGoroutines(t *testing.T, want int) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d still running, want ≤ %d (worker leak after Close)",
+			t.Fatalf("goroutines: %d still running, want ≤ %d (worker leak after RunUntil)",
 				runtime.NumGoroutine(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestFabricCloseStopsWorkers pins the worker lifecycle: a parallel run
-// spawns one goroutine per shard, Close reaps every one of them, and a
-// second Close is a no-op.
-func TestFabricCloseStopsWorkers(t *testing.T) {
+// TestFabricWorkersEndWithRunUntil pins the worker lifetime: the workers a
+// parallel RunUntil spawns have exited by the time it returns — after a
+// clean run and after a shard error alike — so a fabric holds no goroutine
+// between calls and dropping it leaks nothing.
+func TestFabricWorkersEndWithRunUntil(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s0, s1, control := NewScheduler(), NewScheduler(), NewScheduler()
 	var recv01, recv10 []Time
@@ -47,151 +48,48 @@ func TestFabricCloseStopsWorkers(t *testing.T) {
 		s0.At(at, func() { p01.send(s0, i) })
 		s1.At(at.Add(50*time.Microsecond), func() { p10.send(s1, i) })
 	}
+	s1.At(Time(2_500_000), func() { s1.Stop() })
 	f := NewFabric([]*Scheduler{s0, s1}, control, []Boundary{p01, p10})
 	f.ForceParallel = true
-	if err := f.RunFor(10 * time.Millisecond); err != nil {
+	barriers := 0
+	f.BarrierObserver = func(float64) { barriers++ }
+
+	if err := f.RunFor(2 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if f.group == nil {
-		t.Fatal("ForceParallel run never started the persistent workers")
+	if barriers == 0 {
+		t.Fatal("ForceParallel run never reached the worker barrier")
 	}
-	f.Close()
 	if f.group != nil {
-		t.Fatal("Close left worker state behind")
+		t.Fatal("RunUntil returned with its workers still attached")
 	}
-	f.Close() // double-Close must be a no-op
+	waitGoroutines(t, base)
+
+	if err := f.RunFor(2 * time.Millisecond); !errors.Is(err, ErrStopped) {
+		t.Fatalf("RunFor error = %v, want ErrStopped", err)
+	}
+	if f.group != nil {
+		t.Fatal("RunUntil returned from a shard error with its workers still attached")
+	}
+	waitGoroutines(t, base)
+
+	if err := f.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatalf("resumed RunFor: %v", err)
+	}
 	waitGoroutines(t, base)
 	if len(recv01) != 50 || len(recv10) != 50 {
 		t.Fatalf("deliveries %d/%d, want 50 each", len(recv01), len(recv10))
 	}
 }
 
-// spawnAbandonedFabric runs a sharded workload on the parallel path and
-// drops the fabric without Close, in its own frame so no test local keeps
-// it reachable.
-func spawnAbandonedFabric(t *testing.T) {
-	t.Helper()
-	s0, s1, control := NewScheduler(), NewScheduler(), NewScheduler()
-	var recv01, recv10 []Time
-	p01 := &pipe{delay: 30 * time.Microsecond, dst: s1, recv: &recv01}
-	p10 := &pipe{delay: 30 * time.Microsecond, dst: s0, recv: &recv10}
-	for i := 0; i < 20; i++ {
-		at := Time(i * 100_000)
-		i := i
-		s0.At(at, func() { p01.send(s0, i) })
-		s1.At(at.Add(50*time.Microsecond), func() { p10.send(s1, i) })
-	}
-	f := NewFabric([]*Scheduler{s0, s1}, control, []Boundary{p01, p10})
-	f.ForceParallel = true
-	if err := f.RunFor(5 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if f.group == nil {
-		t.Fatal("ForceParallel run never started the persistent workers")
-	}
-}
-
-// TestFabricAbandonedFabricIsReaped pins the finalizer safety net: a fabric
-// dropped without Close must not pin its workers forever. Workers reference
-// only the decoupled workerGroup, so the fabric becomes unreachable, its
-// finalizer fires, and the workers exit. (Registry experiments drop whole
-// Systems without Stop; without this, every sharded sweep point would leak
-// its shard goroutines on a multi-core host.)
-func TestFabricAbandonedFabricIsReaped(t *testing.T) {
-	base := runtime.NumGoroutine()
-	spawnAbandonedFabric(t)
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d still running, want ≤ %d (abandoned fabric pinned its workers)",
-				runtime.NumGoroutine(), base)
-		}
-		// One GC to find the fabric unreachable and queue the finalizer,
-		// further rounds to let the finalizer goroutine run and the workers
-		// exit.
-		runtime.GC()
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestFabricSerialAfterClose pins post-Close usability: a fabric closed
-// before (or mid-) run keeps simulating on the serial path and produces
-// the same trace as an open one.
-func TestFabricSerialAfterClose(t *testing.T) {
-	run := func(closeFirst bool) ([]Time, []Time, FabricStats) {
-		s0, s1, control := NewScheduler(), NewScheduler(), NewScheduler()
-		var recv01, recv10 []Time
-		p01 := &pipe{delay: 20 * time.Microsecond, dst: s1, recv: &recv01}
-		p10 := &pipe{delay: 20 * time.Microsecond, dst: s0, recv: &recv10}
-		for i := 0; i < 30; i++ {
-			at := Time(i * 70_000)
-			i := i
-			s0.At(at, func() { p01.send(s0, i) })
-			s1.At(at.Add(10*time.Microsecond), func() { p10.send(s1, i) })
-		}
-		f := NewFabric([]*Scheduler{s0, s1}, control, []Boundary{p01, p10})
-		if closeFirst {
-			f.Close()
-		}
-		if err := f.RunFor(5 * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		return recv01, recv10, f.Stats()
-	}
-	a01, a10, astats := run(true)
-	b01, b10, _ := run(false)
-	if !reflect.DeepEqual(a01, b01) || !reflect.DeepEqual(a10, b10) {
-		t.Fatal("closed (serial) fabric diverged from open fabric")
-	}
-	if astats.SerialWindows == 0 {
-		t.Fatal("closed fabric reported zero serial windows")
-	}
-}
-
-// TestFabricForceParallelAfterClose pins Close's precedence over
-// ForceParallel: a closed fabric must never take the parallel path, so it
-// cannot respawn workers (or re-register the finalizer) after Close.
-func TestFabricForceParallelAfterClose(t *testing.T) {
-	base := runtime.NumGoroutine()
-	s0, s1, control := NewScheduler(), NewScheduler(), NewScheduler()
-	var recv01, recv10 []Time
-	p01 := &pipe{delay: 30 * time.Microsecond, dst: s1, recv: &recv01}
-	p10 := &pipe{delay: 30 * time.Microsecond, dst: s0, recv: &recv10}
-	for i := 0; i < 30; i++ {
-		at := Time(i * 100_000)
-		i := i
-		s0.At(at, func() { p01.send(s0, i) })
-		s1.At(at.Add(50*time.Microsecond), func() { p10.send(s1, i) })
-	}
-	f := NewFabric([]*Scheduler{s0, s1}, control, []Boundary{p01, p10})
-	f.ForceParallel = true
-	f.Close()
-	if err := f.RunFor(5 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if f.group != nil {
-		t.Fatal("closed fabric with ForceParallel respawned its workers")
-	}
-	if st := f.Stats(); st.SerialWindows == 0 {
-		t.Fatal("closed fabric reported zero serial windows")
-	}
-	if len(recv01) != 30 || len(recv10) != 30 {
-		t.Fatalf("deliveries %d/%d, want 30 each", len(recv01), len(recv10))
-	}
-	waitGoroutines(t, base)
-}
-
 // TestFabricShardErrorTerminatesWorkers pins error semantics under the
 // worker barrier: a shard stopping mid-window surfaces ErrStopped from
 // RunUntil, every worker still completes its window (no wedged barrier),
-// and Close afterwards reaps all workers promptly. The stopping shard is
+// and every worker has exited once RunUntil returns. The stopping shard is
 // either the dispatched worker (shard 1) or the inline shard (shard 0, run
 // on the coordinator). In the inline case the coordinator already holds
-// its error when it reaches the barrier and must still drain the worker's
-// done token: resuming the run afterwards would otherwise let that
-// leftover token complete the next window's barrier while shard 1 is still
-// executing, which -race reports and the serial-twin comparison catches.
+// its error when it reaches the barrier and must still wait for shard 1 to
+// finish its window; the resumed run is compared against a serial twin.
 func TestFabricShardErrorTerminatesWorkers(t *testing.T) {
 	run := func(t *testing.T, stopper int, parallel bool) ([]Time, []Time) {
 		s0, s1, control := NewScheduler(), NewScheduler(), NewScheduler()
@@ -217,7 +115,7 @@ func TestFabricShardErrorTerminatesWorkers(t *testing.T) {
 		if parallel {
 			f.ForceParallel = true
 		} else {
-			f.Close() // pin to the serial path
+			f.maxprocs = 1 // pin to the serial path
 		}
 		if err := f.RunFor(10 * time.Millisecond); !errors.Is(err, ErrStopped) {
 			t.Fatalf("RunFor error = %v, want ErrStopped", err)
@@ -228,7 +126,6 @@ func TestFabricShardErrorTerminatesWorkers(t *testing.T) {
 		if err := f.RunFor(10 * time.Millisecond); err != nil {
 			t.Fatalf("resumed RunFor: %v", err)
 		}
-		f.Close()
 		return recv01, recv10
 	}
 	for _, tc := range []struct {
@@ -317,7 +214,6 @@ func TestFabricLookaheadCacheAndDirtyFlush(t *testing.T) {
 	if err := f.RunFor(6 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	st := f.Stats()
 	if st.LookaheadRescans != 2 {
 		t.Fatalf("LookaheadRescans = %d, want 2 (initial + one invalidation) over %d windows",
@@ -386,12 +282,11 @@ func TestFabricBarrierStress(t *testing.T) {
 		if parallel {
 			f.ForceParallel = true
 		} else {
-			f.Close() // pin to the serial path
+			f.maxprocs = 1 // pin to the serial path
 		}
 		if err := f.RunFor(time.Duration(rounds*spacing) + time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		f.Close()
 		var all []Time
 		for _, tr := range traces {
 			all = append(all, *tr...)
