@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race bench bench-all bench-smoke shard-scaling chaos-smoke serve-smoke attack-smoke wan-smoke fuzz-smoke determinism profile verify ci
+.PHONY: build test vet fmt-check race bench bench-all bench-smoke bench-golden shard-scaling chaos-smoke serve-smoke attack-smoke wan-smoke fuzz-smoke determinism profile verify ci
 
 build:
 	$(GO) build ./...
@@ -47,7 +47,7 @@ bench:
 	$(GO) test -run ^$$ -bench 'BenchmarkSchedulerThroughput|BenchmarkSchedulerCancelHeavy|BenchmarkNetsimFrameBurst' \
 		-benchmem . | $(GO) run ./cmd/benchjson -o BENCH_scheduler.json
 	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_system.json
-	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart' -benchtime 3x -benchmem . \
+	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart|BenchmarkForkSystem' -benchtime 3x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
 	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric' -benchtime 3x -benchmem -cpu 1,2 . \
 		| $(GO) run ./cmd/benchjson -o BENCH_pdes.json
@@ -69,7 +69,7 @@ bench-smoke:
 		-benchtime 1x -benchmem . | $(GO) run ./cmd/benchjson -o .bench-smoke/scheduler.json
 	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/system.json
-	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart' -benchtime 1x -benchmem . \
+	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart|BenchmarkForkSystem' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/sweep.json
 	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric' -benchtime 1x -benchmem -cpu 1,2 . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/pdes.json
@@ -80,6 +80,14 @@ bench-smoke:
 	$(GO) run ./cmd/benchdiff -warn-only -threshold 25 BENCH_sweep.json .bench-smoke/sweep.json
 	$(GO) run ./cmd/benchdiff -warn-only -threshold 25 BENCH_pdes.json .bench-smoke/pdes.json
 	$(GO) run ./cmd/benchdiff -warn-only -threshold 25 BENCH_wan.json .bench-smoke/wan.json
+
+# Outside-in benchmark gate (blocking): a short pass of bench/ over all four
+# workloads (mesh, fabric, campaign, served), which fails on any failed
+# operation or check — the golden digests, the repeatability checks and the
+# campaign's fork replays — plus the benchmark package's own tests.
+bench-golden:
+	bash bench/run.sh --seconds 3 --trace 0
+	cd bench && $(GO) test ./...
 
 # Shard-scaling gate (blocking, unlike bench-smoke): run BenchmarkPDESFabric
 # at shards=1 and shards=4 in one process on one machine and compare the two
@@ -145,6 +153,7 @@ fuzz-smoke:
 	$(GO) test ./internal/netsim/ -run ^$$ -fuzz FuzzLinkMinDelay -fuzztime 10s
 	$(GO) test ./internal/sim/ -run ^$$ -fuzz FuzzSchedulerSnapshotRoundTrip -fuzztime 10s
 	$(GO) test ./internal/sim/ -run ^$$ -fuzz FuzzSchedulerVsReferenceModel -fuzztime 10s
+	$(GO) test ./internal/sim/ -run ^$$ -fuzz FuzzStreamSeek -fuzztime 10s
 	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzWireDecode -fuzztime 10s
 	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzWireSyncRoundTrip -fuzztime 10s
 	$(GO) test ./internal/experiments/ -run ^$$ -fuzz FuzzDecodeConfig -fuzztime 10s
@@ -157,4 +166,4 @@ serve-smoke:
 	sh scripts/serve_smoke.sh .serve-smoke
 
 # Everything the CI workflow runs, in one local command.
-ci: verify determinism bench-smoke shard-scaling chaos-smoke attack-smoke wan-smoke serve-smoke
+ci: verify determinism bench-smoke bench-golden shard-scaling chaos-smoke attack-smoke wan-smoke serve-smoke

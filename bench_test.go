@@ -564,6 +564,50 @@ func BenchmarkSweepCold(b *testing.B) { benchChaosSweep(b, false) }
 // the committed BENCH_sweep.json records the pair.
 func BenchmarkSweepWarmStart(b *testing.B) { benchChaosSweep(b, true) }
 
+// BenchmarkForkSystem times core.ForkSystem on the paper mesh after a 1-min
+// and a 60-min prefix. Each iteration first runs a tail past the snapshot
+// with the timer stopped, then forks, so ns/op is the rewind alone: a 1-s
+// tail, and a 95-s tail, the post-boundary run of the campaign sweep. A
+// fork rewinds the RNG streams by the draws made in the tail, so its cost
+// should not grow with the prefix.
+func BenchmarkForkSystem(b *testing.B) {
+	for _, prefix := range []struct {
+		name string
+		d    time.Duration
+	}{{"1m", time.Minute}, {"60m", time.Hour}} {
+		b.Run("prefix="+prefix.name, func(b *testing.B) {
+			sys, err := core.NewSystem(core.NewConfig(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sys.Start(); err != nil {
+				b.Fatal(err)
+			}
+			if err := sys.RunFor(prefix.d); err != nil {
+				b.Fatal(err)
+			}
+			snap := sys.Snapshot()
+			for _, tail := range []struct {
+				name string
+				d    time.Duration
+			}{{"1s", time.Second}, {"95s", 95 * time.Second}} {
+				b.Run("tail="+tail.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						if err := sys.RunFor(tail.d); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+						if _, err := core.ForkSystem(snap); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
 // BenchmarkAblationDynamicMesh — A10: fully dynamic 802.1AS (BMCA +
 // path-trace + relay tree rebuild) over the redundant mesh: the measured
 // synchronization outage after a grandmaster failure.

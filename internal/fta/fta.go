@@ -10,9 +10,28 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
+
+// inlineReadings is the reading count up to which the FTA's scratch space
+// lives in fixed arrays on the stack, so an aggregation allocates nothing.
+// Every configuration here has M ≤ 8 domains; larger inputs still work,
+// through heap-backed scratch.
+const inlineReadings = 8
+
+// lessFloat orders float64s the way sort.Float64s does: NaNs first.
+func lessFloat(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// sortFloats sorts v in place by insertion, which is what sort.Float64s
+// runs for the few (≤ 12) readings an aggregation sees, so the order — and
+// with it every sum over it — is bit-identical to sort.Float64s there.
+func sortFloats(v []float64) {
+	for i := 1; i < len(v); i++ {
+		for j := i; j > 0 && lessFloat(v[j], v[j-1]); j-- {
+			v[j], v[j-1] = v[j-1], v[j]
+		}
+	}
+}
 
 // ErrInsufficientClocks is returned when fewer than 2f+1 readings are
 // available: the FTA cannot mask f Byzantine faults below that count.
@@ -32,9 +51,9 @@ func Average(readings []float64, f int) (float64, error) {
 	if n < 2*f+1 {
 		return 0, fmt.Errorf("%w: n=%d f=%d", ErrInsufficientClocks, n, f)
 	}
-	sorted := make([]float64, n)
-	copy(sorted, readings)
-	sort.Float64s(sorted)
+	var buf [inlineReadings]float64
+	sorted := append(buf[:0], readings...)
+	sortFloats(sorted)
 	kept := sorted[f : n-f]
 	var sum float64
 	for _, v := range kept {
@@ -84,12 +103,19 @@ type Reading struct {
 // M booleans the paper keeps in FTSHMEM to expose which grandmaster clocks
 // disagree with the rest. Stale readings are flagged false.
 func ValidityFlags(readings []Reading, threshold float64) []bool {
-	flags := make([]bool, len(readings))
+	return appendValidityFlags(make([]bool, 0, len(readings)), readings, threshold)
+}
+
+// appendValidityFlags is ValidityFlags appending to dst[:0].
+func appendValidityFlags(dst []bool, readings []Reading, threshold float64) []bool {
+	flags := dst[:0]
+	var buf [inlineReadings]float64
 	for i, r := range readings {
+		flags = append(flags, false)
 		if !r.Fresh {
 			continue
 		}
-		others := make([]float64, 0, len(readings)-1)
+		others := buf[:0]
 		for j, o := range readings {
 			if j == i || !o.Fresh {
 				continue
@@ -105,15 +131,14 @@ func ValidityFlags(readings []Reading, threshold float64) []bool {
 	return flags
 }
 
+// median sorts v in place and returns its median.
 func median(v []float64) float64 {
-	s := make([]float64, len(v))
-	copy(s, v)
-	sort.Float64s(s)
-	n := len(s)
+	sortFloats(v)
+	n := len(v)
 	if n%2 == 1 {
-		return s[n/2]
+		return v[n/2]
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return (v[n/2-1] + v[n/2]) / 2
 }
 
 // FlagPolicy selects how validity flags influence aggregation.
@@ -157,9 +182,18 @@ func Aggregate(readings []Reading, f int, threshold float64, policy FlagPolicy) 
 
 // AggregateWithInfo is Aggregate plus an AggregateInfo describing the step.
 func AggregateWithInfo(readings []Reading, f int, threshold float64, policy FlagPolicy) (float64, []bool, AggregateInfo, error) {
-	flags := ValidityFlags(readings, threshold)
-	usable := make([]float64, 0, len(readings))
-	invalid := make([]bool, 0, len(readings)) // parallel to usable
+	return AggregateInto(make([]bool, 0, len(readings)), readings, f, threshold, policy)
+}
+
+// AggregateInto is AggregateWithInfo writing the flags into flags[:0]
+// (grown if short) and returning them: a caller that reuses one flags
+// buffer aggregates without allocating.
+func AggregateInto(flags []bool, readings []Reading, f int, threshold float64, policy FlagPolicy) (float64, []bool, AggregateInfo, error) {
+	flags = appendValidityFlags(flags, readings, threshold)
+	var ubuf [inlineReadings]float64
+	var ibuf [inlineReadings]bool
+	usable := ubuf[:0]
+	invalid := ibuf[:0] // parallel to usable
 	for i, r := range readings {
 		if !r.Fresh {
 			continue
@@ -205,17 +239,23 @@ func AggregateWithInfo(readings []Reading, f int, threshold float64, policy Flag
 
 // maliciousDiscarded counts the eff smallest and eff largest of the usable
 // readings that were also flagged invalid. Ties at the trim boundary are
-// broken by input order, matching the stable sort; any tie-break is sound
-// for counting since tied readings are interchangeable in the trim.
+// broken by input order: the stable insertion sort below is what
+// sort.SliceStable runs on up to 20 elements. Any tie-break is sound for
+// counting since tied readings are interchangeable in the trim.
 func maliciousDiscarded(usable []float64, invalid []bool, eff int) int {
 	if eff <= 0 || len(usable) < 2*eff {
 		return 0
 	}
-	idx := make([]int, len(usable))
-	for i := range idx {
-		idx[i] = i
+	var buf [inlineReadings]int
+	idx := buf[:0]
+	for i := range usable {
+		idx = append(idx, i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return usable[idx[a]] < usable[idx[b]] })
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && usable[idx[j]] < usable[idx[j-1]]; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
 	n := 0
 	for k := 0; k < eff; k++ {
 		if invalid[idx[k]] {

@@ -37,6 +37,7 @@ func (c LinkDelayConfig) withDefaults() LinkDelayConfig {
 // Time-aware bridges run one per port; end stations run one on their NIC.
 type LinkDelay struct {
 	name  string
+	addr  netsim.Address // source address of this endpoint's frames
 	sched *sim.Scheduler
 	cfg   LinkDelayConfig
 	tx    TxFunc
@@ -66,6 +67,7 @@ type LinkDelay struct {
 func NewLinkDelay(name string, sched *sim.Scheduler, rng sim.RNG, tx TxFunc, cfg LinkDelayConfig) *LinkDelay {
 	return &LinkDelay{
 		name:      name,
+		addr:      netsim.Address("nic/" + name),
 		sched:     sched,
 		cfg:       cfg.withDefaults(),
 		tx:        tx,
@@ -99,7 +101,7 @@ func (ld *LinkDelay) Stop() {
 
 func (ld *LinkDelay) sendReq() {
 	ld.seq++
-	f := newFrame(netsim.Address("nic/"+ld.name), &PdelayReq{Seq: ld.seq, Requester: ld.name})
+	f := newFrame(ld.addr, &PdelayReq{Seq: ld.seq, Requester: ld.name})
 	ts, ok := ld.tx(f)
 	if !ok {
 		return
@@ -137,12 +139,12 @@ func (ld *LinkDelay) HandleFrame(payload any, rxTS float64) bool {
 // respond implements the responder side: send PdelayResp carrying t2, then
 // PdelayRespFollowUp carrying t3 (the response transmit timestamp).
 func (ld *LinkDelay) respond(req *PdelayReq, t2 float64) {
-	resp := newFrame(netsim.Address("nic/"+ld.name), &PdelayResp{Seq: req.Seq, Requester: req.Requester, T2: t2})
+	resp := newFrame(ld.addr, &PdelayResp{Seq: req.Seq, Requester: req.Requester, T2: t2})
 	t3, ok := ld.tx(resp)
 	if !ok {
 		return
 	}
-	fu := newFrame(netsim.Address("nic/"+ld.name), &PdelayRespFollowUp{Seq: req.Seq, Requester: req.Requester, T3: t3})
+	fu := newFrame(ld.addr, &PdelayRespFollowUp{Seq: req.Seq, Requester: req.Requester, T3: t3})
 	ld.tx(fu)
 }
 

@@ -84,6 +84,9 @@ type Master struct {
 	// txFn is the prebound ETF completion callback (snapshot-safe: it
 	// reaches all per-Sync state through the payload argument).
 	txFn func(payload any, txTS float64)
+	// fuFn is the prebound FollowUp sender; the queued FollowUp is its arg.
+	fuFn func(any)
+	addr netsim.Address // source address of this master's frames
 
 	syncsSent, followUpsSent uint64
 }
@@ -93,6 +96,8 @@ type Master struct {
 func NewMaster(nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG, cfg MasterConfig, onFault func(kind string)) *Master {
 	m := &Master{nic: nic, sched: sched, rng: rng, cfg: cfg.withDefaults(), onFault: onFault, lastSlot: -1}
 	m.txFn = m.onSyncTx
+	m.fuFn = func(x any) { m.sendFollowUp(x.(*FollowUp)) }
+	m.addr = netsim.Address("nic/" + nic.DeviceName())
 	return m
 }
 
@@ -152,7 +157,7 @@ func (m *Master) tick() {
 		sync.RateRatio = 1
 		sync.GMIdentity = m.cfg.GMIdentity
 	}
-	syncFrame := newFrame(netsim.Address("nic/"+m.nic.DeviceName()), sync)
+	syncFrame := newFrame(m.addr, sync)
 
 	if m.rng != nil && m.cfg.DeadlineMissProb > 0 && m.rng.Float64() < m.cfg.DeadlineMissProb {
 		// Model a late hand-off: the launch time passed to the qdisc is
@@ -194,22 +199,30 @@ func (m *Master) completeFollowUp(seq uint16, txTS float64) {
 	if m.rng != nil {
 		delay += time.Duration(m.rng.Int63n(int64(m.cfg.FollowUpDelay)))
 	}
-	m.sched.After(delay, func() {
-		if m.nic.Down() {
-			return
-		}
-		fu := &FollowUp{
-			Domain:        m.cfg.Domain,
-			Seq:           seq,
-			PreciseOrigin: txTS + m.cfg.MaliciousOriginOffsetNS,
-			Correction:    0,
-			RateRatio:     1,
-			GMIdentity:    m.cfg.GMIdentity,
-		}
-		if _, err := m.nic.Send(newFrame(netsim.Address("nic/"+m.nic.DeviceName()), fu)); err == nil {
-			m.followUpsSent++
-		}
-	})
+	// Until it is sent, the queued FollowUp holds the raw transmit
+	// timestamp in PreciseOrigin. As a scheduler arg it is a sim.Cloner, so
+	// a snapshot keeps its own copy.
+	fu := newFollowUp()
+	fu.Seq = seq
+	fu.PreciseOrigin = txTS
+	m.sched.AfterArg(delay, m.fuFn, fu)
+}
+
+// sendFollowUp completes and transmits a FollowUp queued by
+// completeFollowUp. The falsification offset is read at send time, as an
+// attacker replacing ptp4l in between would apply it.
+func (m *Master) sendFollowUp(fu *FollowUp) {
+	if m.nic.Down() {
+		fu.release()
+		return
+	}
+	fu.Domain = m.cfg.Domain
+	fu.PreciseOrigin += m.cfg.MaliciousOriginOffsetNS
+	fu.RateRatio = 1
+	fu.GMIdentity = m.cfg.GMIdentity
+	if _, err := m.nic.Send(newFrame(m.addr, fu)); err == nil {
+		m.followUpsSent++
+	}
 }
 
 func (m *Master) fault(kind string) {

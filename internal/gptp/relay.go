@@ -34,6 +34,7 @@ type Relay struct {
 	bridge *netsim.Bridge
 	sched  *sim.Scheduler
 	cfg    RelayConfig
+	addr   netsim.Address // source address of relayed FollowUps
 
 	linkDelays []*LinkDelay
 	domains    map[int]*relayDomain
@@ -50,6 +51,17 @@ type relayDomain struct {
 	// free recycles completed relaySync records; one Sync per interval per
 	// domain makes this a single-element list in steady state.
 	free []*relaySync
+	// onTx is the prebound egress-timestamp callback of relayed Syncs, so
+	// relaying a Sync allocates no closure. It captures only the relay and
+	// this record, both restored in place, which keeps it snapshot-safe.
+	onTx func(egress int, payload any, txTS float64)
+}
+
+// newRelayDomain returns the relaying state of one domain.
+func (r *Relay) newRelayDomain(ports DomainPorts) *relayDomain {
+	d := &relayDomain{cfg: ports, pending: make(map[uint16]*relaySync)}
+	d.onTx = func(egress int, payload any, txTS float64) { r.syncSent(d, egress, payload.(*Sync).Seq, txTS) }
+	return d
 }
 
 type relaySync struct {
@@ -57,8 +69,10 @@ type relaySync struct {
 	// txTS/haveTx hold the measured egress timestamp per bridge port.
 	txTS   []float64
 	haveTx []bool
-	// fu holds the upstream FollowUp until all egress timestamps exist.
-	fu *FollowUp
+	// fu holds a copy of the upstream FollowUp (valid when haveFU) until
+	// all egress timestamps exist.
+	fu     FollowUp
+	haveFU bool
 	// done marks master ports whose FollowUp has been forwarded.
 	done      []bool
 	doneCount int
@@ -88,7 +102,7 @@ func (d *relayDomain) newSync(rxTS float64, nports int) *relaySync {
 		}
 	}
 	st.rxTS = rxTS
-	st.fu = nil
+	st.haveFU = false
 	st.doneCount = 0
 	return st
 }
@@ -98,7 +112,6 @@ func (d *relayDomain) newSync(rxTS float64, nports int) *relaySync {
 // collector: an in-flight egress-timestamp callback may still reference
 // them.
 func (d *relayDomain) recycle(st *relaySync) {
-	st.fu = nil
 	d.free = append(d.free, st)
 }
 
@@ -109,13 +122,14 @@ func NewRelay(bridge *netsim.Bridge, sched *sim.Scheduler, rng sim.RNG, cfg Rela
 		bridge:  bridge,
 		sched:   sched,
 		cfg:     cfg,
+		addr:    netsim.Address("nic/" + bridge.DeviceName()),
 		domains: make(map[int]*relayDomain, len(cfg.Domains)),
 	}
 	for d, ports := range cfg.Domains {
 		if ports.SlavePort < 0 || ports.SlavePort >= bridge.NumPorts() {
 			return nil, fmt.Errorf("gptp: relay %s domain %d: bad slave port %d", bridge.DeviceName(), d, ports.SlavePort)
 		}
-		r.domains[d] = &relayDomain{cfg: ports, pending: make(map[uint16]*relaySync)}
+		r.domains[d] = r.newRelayDomain(ports)
 	}
 	r.linkDelays = make([]*LinkDelay, bridge.NumPorts())
 	for i := range r.linkDelays {
@@ -167,7 +181,7 @@ func (r *Relay) SetDomainPorts(domain int, ports DomainPorts) error {
 				r.bridge.DeviceName(), domain, m)
 		}
 	}
-	r.domains[domain] = &relayDomain{cfg: ports, pending: make(map[uint16]*relaySync)}
+	r.domains[domain] = r.newRelayDomain(ports)
 	return nil
 }
 
@@ -201,6 +215,7 @@ func (r *Relay) Handle(_ *netsim.Bridge, ingress int, f *netsim.Frame, rxTS floa
 		return true
 	case *FollowUp:
 		r.handleFollowUp(ingress, m)
+		m.release()
 		return true
 	case *Announce:
 		if r.onAnnounce != nil {
@@ -236,27 +251,26 @@ func (r *Relay) handleSync(ingress int, f *netsim.Frame, m *Sync, rxTS float64) 
 		}
 	}
 	for _, egress := range d.cfg.MasterPorts {
-		egress := egress
 		out := f.Clone()
 		residence := r.bridge.ResidenceFor(f)
-		seq := m.Seq
-		// The callback looks the record up by sequence number at fire time
-		// instead of capturing *relaySync: records are freelist-recycled,
-		// and the lookup keeps the closure snapshot-safe (it captures only
-		// the relay, the domain — both restored in place — and scalars).
-		// Residence times are microseconds while ageing takes seqDelta > 4
-		// intervals, so a pending egress callback never misses its record.
-		r.bridge.TransmitAt(egress, residence, out, func(_ any, txTS float64) {
-			st, ok := d.pending[seq]
-			if !ok {
-				return
-			}
-			st.txTS[egress] = txTS
-			st.haveTx[egress] = true
-			if st.fu != nil {
-				r.forwardFollowUp(d, seq, st, egress)
-			}
-		})
+		r.bridge.TransmitAt(egress, residence, out, d.onTx)
+	}
+}
+
+// syncSent records the egress timestamp of a relayed two-step Sync. It
+// looks the record up by sequence number (carried by the Sync payload)
+// instead of holding *relaySync: records are freelist-recycled. Residence
+// times are microseconds while ageing takes seqDelta > 4 intervals, so a
+// pending egress callback never misses its record.
+func (r *Relay) syncSent(d *relayDomain, egress int, seq uint16, txTS float64) {
+	st, ok := d.pending[seq]
+	if !ok {
+		return
+	}
+	st.txTS[egress] = txTS
+	st.haveTx[egress] = true
+	if st.haveFU {
+		r.forwardFollowUp(d, seq, st, egress)
 	}
 }
 
@@ -280,7 +294,7 @@ func (r *Relay) relayOneStep(d *relayDomain, f *netsim.Frame, m *Sync, rxTS floa
 		// The callback writes into the payload the scheduler hands it (a
 		// fork receives its own deep copy) and captures only scalars, which
 		// keeps the one-step rewrite snapshot-safe.
-		r.bridge.TransmitAt(egress, residence, out, func(payload any, txTS float64) {
+		r.bridge.TransmitAt(egress, residence, out, func(_ int, payload any, txTS float64) {
 			payload.(*Sync).Correction = corr + (txTS-rxTS+linkDelay)*cumRatio
 		})
 	}
@@ -295,7 +309,8 @@ func (r *Relay) handleFollowUp(ingress int, m *FollowUp) {
 	if !ok {
 		return // Sync was lost or aged out
 	}
-	st.fu = m
+	st.fu = *m
+	st.haveFU = true
 	for _, egress := range d.cfg.MasterPorts {
 		if st.haveTx[egress] {
 			r.forwardFollowUp(d, m.Seq, st, egress)
@@ -320,16 +335,14 @@ func (r *Relay) forwardFollowUp(d *relayDomain, seq uint16, st *relaySync, egres
 	residence := st.txTS[egress] - st.rxTS
 	linkDelay := slaveLD.DelayOrDefault(r.cfg.DefaultLinkDelayNS)
 
-	out := &FollowUp{
-		Domain:        st.fu.Domain,
-		Seq:           seq,
-		PreciseOrigin: st.fu.PreciseOrigin,
-		Correction:    st.fu.Correction + (residence+linkDelay)*cumRatio,
-		RateRatio:     cumRatio,
-		GMIdentity:    st.fu.GMIdentity,
-	}
-	frame := newFrame(netsim.Address("nic/"+r.bridge.DeviceName()), out)
-	r.bridge.TransmitAfterResidence(egress, frame)
+	out := newFollowUp()
+	out.Domain = st.fu.Domain
+	out.Seq = seq
+	out.PreciseOrigin = st.fu.PreciseOrigin
+	out.Correction = st.fu.Correction + (residence+linkDelay)*cumRatio
+	out.RateRatio = cumRatio
+	out.GMIdentity = st.fu.GMIdentity
+	r.bridge.TransmitAfterResidence(egress, newFrame(r.addr, out))
 
 	if st.doneCount == len(d.cfg.MasterPorts) {
 		delete(d.pending, seq)

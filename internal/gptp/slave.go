@@ -83,8 +83,11 @@ func (s *Slave) HandleSync(m *Sync, rxTS float64) {
 	}
 }
 
-// HandleFollowUp completes a measurement if the matching Sync was seen.
+// HandleFollowUp completes a measurement if the matching Sync was seen. It
+// consumes m: a FollowUp taken off the wire is recycled on return, so the
+// caller must not use it afterwards.
 func (s *Slave) HandleFollowUp(m *FollowUp) {
+	defer m.release()
 	if m.Domain != s.domain {
 		return
 	}

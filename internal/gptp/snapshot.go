@@ -91,14 +91,14 @@ func (s *Slave) Restore(snap any) {
 	s.matched = sn.matched
 }
 
-// clone deep-copies a relaySync for the snapshot engine. The FollowUp is
-// shared: it is immutable once received.
+// clone deep-copies a relaySync for the snapshot engine.
 func (st *relaySync) clone() *relaySync {
 	return &relaySync{
 		rxTS:      st.rxTS,
 		txTS:      append([]float64(nil), st.txTS...),
 		haveTx:    append([]bool(nil), st.haveTx...),
 		fu:        st.fu,
+		haveFU:    st.haveFU,
 		done:      append([]bool(nil), st.done...),
 		doneCount: st.doneCount,
 	}

@@ -78,6 +78,10 @@ type Bridge struct {
 	// jobs (egress-timestamped transmissions carrying an onTx callback).
 	txFns  []func(any)
 	txAtFn func(any)
+	// txAtFree recycles fired TransmitAt jobs. Jobs still queued when a
+	// snapshot is taken are deep-copied by the scheduler (txAtJob is a
+	// sim.Cloner), so a recycled job is never shared with a fork.
+	txAtFree []*txAtJob
 
 	forwarded uint64
 	dropped   uint64
@@ -268,7 +272,7 @@ func (b *Bridge) Transmit(egress int, f *Frame) (txTS float64) {
 type txAtJob struct {
 	egress int
 	f      *Frame
-	onTx   func(payload any, txTS float64)
+	onTx   func(egress int, payload any, txTS float64)
 }
 
 // CloneForSnapshot implements sim.Cloner.
@@ -278,24 +282,43 @@ func (j *txAtJob) CloneForSnapshot() any {
 	return &c
 }
 
-// fireTxAt transmits a queued TransmitAt job. The payload is captured
-// before Transmit because a drop recycles (zeroes) the frame; payloads are
-// never pooled, so the reference stays valid for onTx.
+// fireTxAt transmits a queued TransmitAt job and recycles it. The payload
+// is captured before Transmit because a drop recycles (zeroes) the frame;
+// payloads are never pooled by netsim, so the reference stays valid for
+// onTx.
 func (b *Bridge) fireTxAt(j *txAtJob) {
-	payload := j.f.Payload
-	ts := b.Transmit(j.egress, j.f)
-	if j.onTx != nil {
-		j.onTx(payload, ts)
+	egress, f, onTx := j.egress, j.f, j.onTx
+	*j = txAtJob{}
+	b.txAtFree = append(b.txAtFree, j)
+	payload := f.Payload
+	ts := b.Transmit(egress, f)
+	if onTx != nil {
+		onTx(egress, payload, ts)
 	}
 }
 
+// newTxAt returns a TransmitAt job, reusing a fired one when available.
+func (b *Bridge) newTxAt(egress int, f *Frame, onTx func(egress int, payload any, txTS float64)) *txAtJob {
+	var j *txAtJob
+	if n := len(b.txAtFree); n > 0 {
+		j = b.txAtFree[n-1]
+		b.txAtFree = b.txAtFree[:n-1]
+	} else {
+		j = new(txAtJob)
+	}
+	*j = txAtJob{egress: egress, f: f, onTx: onTx}
+	return j
+}
+
 // TransmitAt schedules the frame on egress at true-time delay d and invokes
-// onTx with the frame's payload and the egress timestamp when it leaves —
-// used by the gPTP relay to measure residence time on the egress side. On a
-// shaped port the shaper's schedule replaces d (the relay's residence
-// draw): the measured egress timestamp still captures the true departure,
-// so the correction field remains exact either way.
-func (b *Bridge) TransmitAt(egress int, d time.Duration, f *Frame, onTx func(payload any, txTS float64)) {
+// onTx with the port, the frame's payload and the egress timestamp when it
+// leaves — used by the gPTP relay to measure residence time on the egress
+// side. On a shaped port the shaper's schedule replaces d (the relay's
+// residence draw): the measured egress timestamp still captures the true
+// departure, so the correction field remains exact either way. The call
+// allocates nothing once the bridge has recycled a job; callers on a hot
+// path pass a prebound onTx.
+func (b *Bridge) TransmitAt(egress int, d time.Duration, f *Frame, onTx func(egress int, payload any, txTS float64)) {
 	if es, ok := b.egress[egress]; ok {
 		const processing = 600 * time.Nanosecond
 		departAt, err := es.Enqueue(b.sched.Now().Add(processing), f.Priority, f.Bytes)
@@ -304,10 +327,10 @@ func (b *Bridge) TransmitAt(egress int, d time.Duration, f *Frame, onTx func(pay
 			f.release()
 			return
 		}
-		b.sched.AtArg(departAt, b.txAtFn, &txAtJob{egress: egress, f: f, onTx: onTx})
+		b.sched.AtArg(departAt, b.txAtFn, b.newTxAt(egress, f, onTx))
 		return
 	}
-	b.sched.AfterArg(d, b.txAtFn, &txAtJob{egress: egress, f: f, onTx: onTx})
+	b.sched.AfterArg(d, b.txAtFn, b.newTxAt(egress, f, onTx))
 }
 
 // bridgeSnapshot captures a bridge's mutable state for warm-start forks.

@@ -37,6 +37,10 @@ type NIC struct {
 	// etfFn is the prebound ETF launch runner; SendAtPHC schedules it with
 	// an *etfJob arg so queued launches survive a warm-start snapshot.
 	etfFn func(any)
+	// etfFree recycles fired ETF jobs. Jobs still queued when a snapshot is
+	// taken are deep-copied by the scheduler (etfJob is a sim.Cloner), so a
+	// recycled job is never shared with a fork.
+	etfFree []*etfJob
 
 	txCount, rxCount uint64
 }
@@ -122,16 +126,19 @@ func (j *etfJob) CloneForSnapshot() any {
 // because the link may drop the frame and recycle it (zeroing the struct);
 // payloads are never pooled, so the reference stays valid for onTx.
 func (n *NIC) fireETF(j *etfJob) {
+	f, onTx := j.f, j.onTx
+	*j = etfJob{}
+	n.etfFree = append(n.etfFree, j)
 	if n.down {
 		return
 	}
-	payload := j.f.Payload
-	ts, err := n.Send(j.f)
+	payload := f.Payload
+	ts, err := n.Send(f)
 	if err != nil {
 		return
 	}
-	if j.onTx != nil {
-		j.onTx(payload, ts)
+	if onTx != nil {
+		onTx(payload, ts)
 	}
 }
 
@@ -152,7 +159,15 @@ func (n *NIC) SendAtPHC(launchPHC float64, f *Frame, onTx func(payload any, txTS
 		return ErrLaunchDeadlineMissed
 	}
 	wait := n.trueDelayUntilPHC(launchPHC)
-	n.sched.AfterArg(wait, n.etfFn, &etfJob{f: f, onTx: onTx})
+	var j *etfJob
+	if k := len(n.etfFree); k > 0 {
+		j = n.etfFree[k-1]
+		n.etfFree = n.etfFree[:k-1]
+	} else {
+		j = new(etfJob)
+	}
+	*j = etfJob{f: f, onTx: onTx}
+	n.sched.AfterArg(wait, n.etfFn, j)
 	return nil
 }
 

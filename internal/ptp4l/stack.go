@@ -188,6 +188,11 @@ type Stack struct {
 	syncObserver func(domain int, latency time.Duration)
 	aggregations uint64
 
+	// readings and flags are the aggregation's scratch buffers, reused
+	// every interval; nothing retains them past one step.
+	readings []fta.Reading
+	flags    []bool
+
 	// Holdover state machine (active only when cfg.HoldoverWindow > 0).
 	holdover     bool
 	lastGoodAgg  sim.Time
@@ -594,9 +599,10 @@ func (s *Stack) aggregate(nowPHC float64) {
 	if s.master != nil && s.master.Running() {
 		s.shm.StoreOwnDomain(s.cfg.GMDomain, nowPHC)
 	}
-	readings := s.shm.Readings(nowPHC)
-	cs, flags, info, err := fta.AggregateWithInfo(readings, s.cfg.F, s.cfg.ValidityThresholdNS, s.cfg.FlagPolicy)
-	s.updateFlags(readings, flags)
+	s.readings = s.shm.AppendReadings(s.readings[:0], nowPHC)
+	cs, flags, info, err := fta.AggregateInto(s.flags, s.readings, s.cfg.F, s.cfg.ValidityThresholdNS, s.cfg.FlagPolicy)
+	s.flags = flags
+	s.updateFlags(s.readings, flags)
 	if info.Starved {
 		s.obsStarved.Inc()
 	}

@@ -87,16 +87,22 @@ func (s *FTSHMEM) StoreOwnDomain(domain int, nowPHC float64) {
 
 // Readings snapshots the M readings with freshness evaluated at nowPHC.
 func (s *FTSHMEM) Readings(nowPHC float64) []fta.Reading {
+	return s.AppendReadings(make([]fta.Reading, 0, len(s.offsets)), nowPHC)
+}
+
+// AppendReadings is Readings appending to dst, so a caller that reuses one
+// buffer reads the region without allocating.
+func (s *FTSHMEM) AppendReadings(dst []fta.Reading, nowPHC float64) []fta.Reading {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]fta.Reading, len(s.offsets))
-	copy(out, s.offsets)
-	for i := range out {
-		if out[i].Fresh && nowPHC-out[i].At > s.staleNS {
-			out[i].Fresh = false
+	n := len(dst)
+	dst = append(dst, s.offsets...)
+	for i := n; i < len(dst); i++ {
+		if dst[i].Fresh && nowPHC-dst[i].At > s.staleNS {
+			dst[i].Fresh = false
 		}
 	}
-	return out
+	return dst
 }
 
 // TryAcquireAdjust implements the paper's aggregation gate: the first ptp4l

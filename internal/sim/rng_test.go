@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
 
 func TestStreamsDeterministic(t *testing.T) {
 	a := NewStreams(42).Stream("clock/dev1")
@@ -83,4 +87,91 @@ func TestDeriveMatchesFreshStreams(t *testing.T) {
 	if same > 2 {
 		t.Fatalf("derived run streams correlate with the campaign's own: %d/100", same)
 	}
+}
+
+// TestStreamRestoreAfterUint64 pins the position accounting of Uint64: it
+// takes one step of the generator, like Int63, so a snapshot taken right
+// after a Uint64 draw must restore to exactly that point.
+func TestStreamRestoreAfterUint64(t *testing.T) {
+	s := NewStreams(3)
+	r := s.Stream("x")
+	r.Uint64()
+	snap := s.Snapshot()
+	want := [3]int64{r.Int63(), r.Int63(), r.Int63()}
+	s.Restore(snap)
+	got := [3]int64{r.Int63(), r.Int63(), r.Int63()}
+	if got != want {
+		t.Fatalf("after Restore got %v, want %v", got, want)
+	}
+}
+
+// refAt returns math/rand's stock generator for seed advanced by pos steps.
+func refAt(seed int64, pos uint64) *rand.Rand {
+	src := rand.NewSource(seed).(rand.Source64)
+	for i := uint64(0); i < pos; i++ {
+		src.Uint64()
+	}
+	return rand.New(src)
+}
+
+// FuzzStreamSeek mixes draws of every kind the simulator makes with
+// snapshots and restores in both directions, and checks every draw against
+// math/rand's own generator at the same position.
+func FuzzStreamSeek(f *testing.F) {
+	f.Add(int64(0), []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(int64(-7), []byte{5, 5, 1, 6, 2, 2, 7, 0, 3})
+	f.Add(int64(math.MaxInt32), []byte{1, 1, 1, 5, 0, 0, 6, 7, 7})
+	f.Add(int64(math.MaxInt32+12345), []byte{3, 4, 5, 2, 6, 1, 7, 5, 6})
+	f.Add(int64(math.MinInt64), []byte{4, 4, 4, 4, 5, 7, 6, 6})
+	f.Add(int64(math.MaxInt64), []byte{1, 0, 5, 2, 3, 6, 0, 1})
+	f.Add(int64(89482311), []byte{0, 0, 5, 0, 6})          // math/rand seeds 0 as this
+	f.Add(int64(-math.MaxInt32), []byte{2, 5, 3, 3, 6, 2}) // reduces to 0 mod 2³¹−1
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) > 256 {
+			ops = ops[:256]
+		}
+		s := NewStreams(0)
+		src := new(source)
+		src.Seed(seed)
+		s.sources = append(s.sources, src)
+		r := rand.New(src)
+		var snaps []any
+		var at []uint64 // position at each snapshot
+		for i, op := range ops {
+			switch op % 8 {
+			case 5:
+				snaps = append(snaps, s.Snapshot())
+				at = append(at, src.pos)
+				continue
+			case 6, 7:
+				if len(snaps) == 0 {
+					continue
+				}
+				k := int(op/8) % len(snaps)
+				s.Restore(snaps[k])
+				if src.pos != at[k] {
+					t.Fatalf("op %d: Restore left position %d, snapshot was at %d", i, src.pos, at[k])
+				}
+				continue
+			}
+			ref := refAt(seed, src.pos)
+			var got, want uint64
+			switch op % 8 {
+			case 0:
+				got, want = uint64(r.Int63()), uint64(ref.Int63())
+			case 1:
+				got, want = r.Uint64(), ref.Uint64()
+			case 2:
+				got, want = math.Float64bits(r.Float64()), math.Float64bits(ref.Float64())
+			case 3:
+				got, want = math.Float64bits(r.NormFloat64()), math.Float64bits(ref.NormFloat64())
+			case 4:
+				n := 1 + int(op/8)*1000003
+				got, want = uint64(r.Intn(n)), uint64(ref.Intn(n))
+			}
+			if got != want {
+				t.Fatalf("op %d (%d) at seed %d: got %#x, want %#x", i, op%8, seed, got, want)
+			}
+		}
+	})
 }
