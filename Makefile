@@ -37,7 +37,7 @@ race: vet
 # bit-for-bit, at both the core and the experiments layer).
 determinism:
 	$(GO) test ./internal/experiments/ -run 'TestGoldenDigest|TestForkEquivalence|TestWarmFallback|TestShardEquivalence' -count=1 -v
-	$(GO) test ./internal/core/ -run 'TestShardEquivalence' -count=1 -v
+	$(GO) test ./internal/core/ -run 'TestShardEquivalence|TestSnapshotRestoreIsolation' -count=1 -v
 
 # Committed performance evidence: the event-kernel microbenchmarks and the
 # full-system simulation rate, as diffable JSON (ns/op, allocs/op, custom
@@ -157,6 +157,7 @@ fuzz-smoke:
 	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzWireDecode -fuzztime 10s
 	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzWireSyncRoundTrip -fuzztime 10s
 	$(GO) test ./internal/experiments/ -run ^$$ -fuzz FuzzDecodeConfig -fuzztime 10s
+	$(GO) test ./internal/chaos/ -run ^$$ -fuzz FuzzParsePlan -fuzztime 10s
 	$(GO) test ./internal/faultinject/ -run TestFaultHypothesisAcrossDerivedSeeds -count=1
 
 # Serve smoke: boot cmd/served on an ephemeral port, drive a small

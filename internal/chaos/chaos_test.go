@@ -82,8 +82,9 @@ func mustEngine(t *testing.T, tt *testTopo, p *Plan) *Engine {
 	return e
 }
 
-func TestParseRoundTrip(t *testing.T) {
-	const js = `{
+// roundTripPlan exercises string durations, periodic triggers and a
+// partition; FuzzParsePlan seeds from it too.
+const roundTripPlan = `{
 		"name": "smoke",
 		"actions": [
 			{"op": "link-down", "links": ["sw1-sw2"], "at": "1s", "duration": "500ms"},
@@ -92,7 +93,9 @@ func TestParseRoundTrip(t *testing.T) {
 			{"op": "partition", "groups": [["sw1", "n1"], ["sw2", "n2"]], "at": "30s", "duration": "5s"}
 		]
 	}`
-	p, err := Parse([]byte(js))
+
+func TestParseRoundTrip(t *testing.T) {
+	p, err := Parse([]byte(roundTripPlan))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -108,6 +111,22 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	_, err := Parse([]byte(`{"actions": [{"op": "link-down", "links": ["x"], "at": "1s", "typo": 1}]}`))
 	if err == nil || !strings.Contains(err.Error(), "typo") {
 		t.Fatalf("unknown field accepted: %v", err)
+	}
+}
+
+func TestParseRejectsTrailingData(t *testing.T) {
+	_, err := Parse([]byte(`{"actions":[{"op":"link-down","links":["sw1-sw2"],"at":"1s"}]} {"bogus":1}`))
+	if err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Fatalf("trailing JSON value accepted: %v", err)
+	}
+}
+
+func TestParseRejectsOutOfRangeDuration(t *testing.T) {
+	for _, at := range []string{"1e300", "-1e300", "9.3e18"} {
+		_, err := Parse([]byte(`{"actions":[{"op":"link-down","links":["x"],"at":` + at + `}]}`))
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("at=%s: err = %v, want out of range", at, err)
+		}
 	}
 }
 

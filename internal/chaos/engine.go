@@ -192,7 +192,7 @@ func (e *Engine) apply(a *Action) {
 	case OpBridgeFail:
 		e.eachBridge(a, func(b *netsim.Bridge) { b.Fail() })
 	case OpBridgeRestore:
-		e.eachBridge(a, func(b *netsim.Bridge) { b.Restore() })
+		e.eachBridge(a, func(b *netsim.Bridge) { b.Recover() })
 	case OpPartition:
 		for name, l := range e.cutSet(a) {
 			l.SetDown(true)
@@ -203,7 +203,7 @@ func (e *Engine) apply(a *Action) {
 	case OpSiteFail:
 		e.eachSiteBridge(a, func(b *netsim.Bridge) { b.Fail() })
 	case OpSiteRestore:
-		e.eachSiteBridge(a, func(b *netsim.Bridge) { b.Restore() })
+		e.eachSiteBridge(a, func(b *netsim.Bridge) { b.Recover() })
 	case OpWanAsymDrift:
 		e.rampWanDelay(a)
 	case OpWanPartition:
@@ -233,11 +233,11 @@ func (e *Engine) revert(a *Action) {
 	case OpDelaySpike, OpAsymShift:
 		e.eachLink(a, func(l *netsim.Link) { l.SetDelayOverride(0, 0) })
 	case OpBridgeFail:
-		e.eachBridge(a, func(b *netsim.Bridge) { b.Restore() })
+		e.eachBridge(a, func(b *netsim.Bridge) { b.Recover() })
 	case OpPartition:
 		e.heal()
 	case OpSiteFail:
-		e.eachSiteBridge(a, func(b *netsim.Bridge) { b.Restore() })
+		e.eachSiteBridge(a, func(b *netsim.Bridge) { b.Recover() })
 	case OpWanPartition:
 		e.wanHeal()
 	}

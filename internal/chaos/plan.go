@@ -40,6 +40,10 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 		}
 		*d = Duration(p)
 	case float64:
+		// float64(math.MaxInt64) rounds up to 2^63, itself out of range.
+		if x >= math.MaxInt64 || x < math.MinInt64 {
+			return fmt.Errorf("chaos: duration %g ns out of range", x)
+		}
 		*d = Duration(x)
 	default:
 		return fmt.Errorf("chaos: duration must be a string or nanoseconds, got %T", v)
@@ -147,6 +151,9 @@ func Parse(data []byte) (*Plan, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("chaos: trailing data after JSON object")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -43,14 +43,18 @@ type OscillatorConfig struct {
 // Oscillator is a free-running local timescale. Its rate relative to true
 // time is (1 + (static + wander)·1e-9), where wander follows a random walk.
 type Oscillator struct {
-	cfg OscillatorConfig
-	rng sim.RNG
+	cfg     OscillatorConfig
+	rng     sim.RNG
+	stepPPB float64 // per-segment random-walk standard deviation
+	oscillatorState
+}
 
+// oscillatorState is the lazily-materialised local timescale.
+type oscillatorState struct {
 	lastTrue  sim.Time // true instant of the last materialisation
 	localNS   float64  // local nanoseconds elapsed since creation, at lastTrue
 	wanderPPB float64  // current random-walk component
 	segEnd    sim.Time // true instant at which the wander steps next
-	stepPPB   float64  // per-segment random-walk standard deviation
 }
 
 // NewOscillator creates an oscillator whose wander stream is drawn from rng.
@@ -62,11 +66,10 @@ func NewOscillator(cfg OscillatorConfig, rng sim.RNG, start sim.Time) *Oscillato
 	}
 	cfg.Segment = seg
 	return &Oscillator{
-		cfg:      cfg,
-		rng:      rng,
-		lastTrue: start,
-		segEnd:   start.Add(seg),
-		stepPPB:  cfg.WanderPPBPerSqrtSec * sqrtSeconds(seg),
+		cfg:             cfg,
+		rng:             rng,
+		stepPPB:         cfg.WanderPPBPerSqrtSec * sqrtSeconds(seg),
+		oscillatorState: oscillatorState{lastTrue: start, segEnd: start.Add(seg)},
 	}
 }
 

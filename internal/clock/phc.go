@@ -14,17 +14,20 @@ import (
 // Timestamping reads add hardware timestamp jitter, modelling the i210's
 // timestamp unit.
 type PHC struct {
-	sched *sim.Scheduler
-	osc   *Oscillator
-	rng   sim.RNG
-
-	// Discipline state: value = baseNS + oscElapsedSinceRef·(1+adjPPB·1e-9).
-	adjPPB  float64
-	baseNS  float64
-	oscRef  float64 // oscillator elapsed at the last discipline change
-	jitterS float64 // hardware timestamp jitter sigma, ns
-
+	sched     *sim.Scheduler
+	osc       *Oscillator
+	rng       sim.RNG
+	jitterS   float64 // hardware timestamp jitter sigma, ns
 	maxAdjPPB float64
+	phcState
+}
+
+// phcState is the discipline state:
+// value = baseNS + oscElapsedSinceRef·(1+adjPPB·1e-9).
+type phcState struct {
+	adjPPB float64
+	baseNS float64
+	oscRef float64 // oscillator elapsed at the last discipline change
 }
 
 // PHCConfig configures a PHC.
@@ -50,10 +53,9 @@ func NewPHC(sched *sim.Scheduler, osc *Oscillator, rng sim.RNG, cfg PHCConfig) *
 		sched:     sched,
 		osc:       osc,
 		rng:       rng,
-		baseNS:    cfg.InitialOffsetNS,
-		oscRef:    osc.ElapsedAt(sched.Now()),
 		jitterS:   cfg.TimestampJitterNS,
 		maxAdjPPB: maxAdj,
+		phcState:  phcState{baseNS: cfg.InitialOffsetNS, oscRef: osc.ElapsedAt(sched.Now())},
 	}
 }
 

@@ -1,62 +1,36 @@
 package clock
 
-import "gptpfta/internal/sim"
-
 // Warm-start snapshot support (sim.Snapshotter). Clocks are advanced lazily
-// on read, so their whole mutable state is a handful of scalars; rewinding
-// them in place keeps every pointer held by servos, NICs and shared-memory
-// segments valid across a fork. The wander stream position itself is
-// restored by sim.Streams.Restore, so advance() re-draws the identical
-// random-walk steps after a fork.
-
-// oscillatorSnapshot captures the lazily-materialised local timescale.
-type oscillatorSnapshot struct {
-	lastTrue  sim.Time
-	localNS   float64
-	wanderPPB float64
-	segEnd    sim.Time
-}
+// on read, so their whole mutable state is one small state struct, copied
+// by value; rewinding it in place keeps every pointer held by servos, NICs
+// and shared-memory segments valid across a fork. The wander stream
+// position itself is restored by sim.Streams.Restore, so advance() re-draws
+// the identical random-walk steps after a fork.
 
 // Snapshot implements sim.Snapshotter.
 func (o *Oscillator) Snapshot() any {
-	return &oscillatorSnapshot{
-		lastTrue:  o.lastTrue,
-		localNS:   o.localNS,
-		wanderPPB: o.wanderPPB,
-		segEnd:    o.segEnd,
-	}
+	st := o.oscillatorState
+	return &st
 }
 
 // Restore implements sim.Snapshotter.
-func (o *Oscillator) Restore(snap any) {
-	sn := snap.(*oscillatorSnapshot)
-	o.lastTrue = sn.lastTrue
-	o.localNS = sn.localNS
-	o.wanderPPB = sn.wanderPPB
-	o.segEnd = sn.segEnd
-}
+func (o *Oscillator) Restore(snap any) { o.oscillatorState = *snap.(*oscillatorState) }
 
-// phcSnapshot captures the discipline state of a PHC plus its oscillator's
-// local timescale, so owners snapshot the whole clock with one call.
+// phcSnapshot is a PHC's discipline state plus its oscillator's, so owners
+// snapshot the whole clock with one call.
 type phcSnapshot struct {
-	adjPPB float64
-	baseNS float64
-	oscRef float64
-	osc    any
+	phcState
+	osc oscillatorState
 }
 
 // Snapshot implements sim.Snapshotter.
-func (p *PHC) Snapshot() any {
-	return &phcSnapshot{adjPPB: p.adjPPB, baseNS: p.baseNS, oscRef: p.oscRef, osc: p.osc.Snapshot()}
-}
+func (p *PHC) Snapshot() any { return &phcSnapshot{p.phcState, p.osc.oscillatorState} }
 
 // Restore implements sim.Snapshotter.
 func (p *PHC) Restore(snap any) {
 	sn := snap.(*phcSnapshot)
-	p.adjPPB = sn.adjPPB
-	p.baseNS = sn.baseNS
-	p.oscRef = sn.oscRef
-	p.osc.Restore(sn.osc)
+	p.phcState = sn.phcState
+	p.osc.oscillatorState = sn.osc
 }
 
 // Snapshot implements sim.Snapshotter. The TSC itself is stateless — reads

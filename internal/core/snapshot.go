@@ -8,15 +8,18 @@ import (
 	"time"
 
 	"gptpfta/internal/obs"
+	"gptpfta/internal/sim"
 )
 
 // Warm-start snapshot engine. System.Snapshot captures every stateful
-// component — scheduler (with queued events as re-arm descriptors), RNG
-// stream positions, clocks, bridges, links, relays, nodes (stacks, phc2sys,
-// shared memory), measurement collector and agents, the event log, the Sync
-// latency tracker and the metrics registry — into one opaque value.
-// ForkSystem rewinds the captured system back to that instant, so a sweep
-// campaign pays for the convergence prefix once and forks per sweep point.
+// component — the schedulers (with queued events as re-arm descriptors),
+// the RNG stream positions and the metrics registry, then everything on
+// the System.stateful list: bridges (with their clocks), links, relays,
+// nodes (stacks, phc2sys, shared memory), the measurement collector and
+// agents, the event logs, the Sync latency tracker and the wide-area tier
+// — into one opaque value. ForkSystem rewinds the captured system back to
+// that instant, so a sweep campaign pays for the convergence prefix once
+// and forks per sweep point.
 //
 // Forks are in-place: all component pointers (and the closures queued in the
 // scheduler) refer to the original objects, so a snapshot can only be
@@ -43,52 +46,30 @@ func (l *EventLog) Restore(snap any) {
 	l.events = append([]Event(nil), sn.events...)
 }
 
-// systemSnapshot captures a System; components are stored positionally in
-// build order, which is fixed by the deterministic constructor.
+// systemSnapshot captures a System. scheds mirrors System.scheds and
+// states System.stateful positionally; control is captured separately only
+// when sharded (unsharded it aliases scheds[0]). Snapshots are taken at
+// driver time, when every shard is parked at the same instant and all
+// boundary outboxes are empty.
 type systemSnapshot struct {
-	sys *System
-
-	// scheds and logs mirror System.scheds/System.logs positionally; control
-	// is captured separately only when sharded (unsharded it aliases
-	// scheds[0]). Snapshots are taken at driver time, when every shard is
-	// parked at the same instant and all boundary outboxes are empty.
+	sys     *System
 	scheds  []any
 	control any
 	streams any
 	metrics *obs.RegistryState
-
-	bridges []any
-	links   []any
-	relays  []any
-	nodes   []any
-
-	collector any
-	agents    map[string]any
-	logs      []any
-	syncLat   any
-	// wanCoord/wanDrift are nil unless the wide-area tier is enabled.
-	wanCoord any
-	wanDrift any
-
+	states  []any
 	started bool
 }
 
 // Snapshot captures the complete system state at the current instant.
 func (s *System) Snapshot() any {
 	sn := &systemSnapshot{
-		sys:       s,
-		scheds:    make([]any, len(s.scheds)),
-		streams:   s.streams.Snapshot(),
-		metrics:   s.obs.StateSnapshot(),
-		bridges:   make([]any, len(s.bridges)),
-		links:     make([]any, len(s.links)),
-		relays:    make([]any, len(s.relays)),
-		nodes:     make([]any, len(s.nodes)),
-		collector: s.collector.Snapshot(),
-		agents:    make(map[string]any, len(s.agents)),
-		logs:      make([]any, len(s.logs)),
-		syncLat:   s.syncLat.Snapshot(),
-		started:   s.started,
+		sys:     s,
+		scheds:  make([]any, len(s.scheds)),
+		streams: s.streams.Snapshot(),
+		metrics: s.obs.StateSnapshot(),
+		states:  sim.SnapshotAll(s.stateful),
+		started: s.started,
 	}
 	for i, sc := range s.scheds {
 		sn.scheds[i] = sc.Snapshot()
@@ -96,34 +77,12 @@ func (s *System) Snapshot() any {
 	if s.fabric != nil {
 		sn.control = s.control.Snapshot()
 	}
-	for i, l := range s.logs {
-		sn.logs[i] = l.Snapshot()
-	}
-	for i, b := range s.bridges {
-		sn.bridges[i] = b.Snapshot()
-	}
-	for i, l := range s.links {
-		sn.links[i] = l.Snapshot()
-	}
-	for i, r := range s.relays {
-		sn.relays[i] = r.Snapshot()
-	}
-	for i, n := range s.nodes {
-		sn.nodes[i] = n.Snapshot()
-	}
-	for name, a := range s.agents {
-		sn.agents[name] = a.Snapshot()
-	}
-	if s.wanCoord != nil {
-		sn.wanCoord = s.wanCoord.Snapshot()
-	}
-	if s.wanDrift != nil {
-		sn.wanDrift = s.wanDrift.Snapshot()
-	}
 	return sn
 }
 
-// Restore rewinds the system to a Snapshot taken from it.
+// Restore rewinds the system to a Snapshot taken from it. The schedulers
+// (and the fabric's view of them), streams and metrics come back first,
+// then every stateful component in build order.
 func (s *System) Restore(snap any) {
 	sn := snap.(*systemSnapshot)
 	if sn.sys != s {
@@ -138,32 +97,7 @@ func (s *System) Restore(snap any) {
 	}
 	s.streams.Restore(sn.streams)
 	s.obs.RestoreState(sn.metrics)
-	for i, b := range s.bridges {
-		b.RestoreSnapshot(sn.bridges[i])
-	}
-	for i, l := range s.links {
-		l.Restore(sn.links[i])
-	}
-	for i, r := range s.relays {
-		r.Restore(sn.relays[i])
-	}
-	for i, n := range s.nodes {
-		n.Restore(sn.nodes[i])
-	}
-	s.collector.Restore(sn.collector)
-	for name, a := range s.agents {
-		a.Restore(sn.agents[name])
-	}
-	for i, l := range s.logs {
-		l.Restore(sn.logs[i])
-	}
-	s.syncLat.Restore(sn.syncLat)
-	if s.wanCoord != nil {
-		s.wanCoord.Restore(sn.wanCoord)
-	}
-	if s.wanDrift != nil {
-		s.wanDrift.Restore(sn.wanDrift)
-	}
+	sim.RestoreAll(s.stateful, sn.states)
 	s.started = sn.started
 }
 

@@ -59,6 +59,10 @@ type System struct {
 	syncLat *measure.LatencyTracker
 	obs     *obs.Registry
 
+	// stateful lists every component a snapshot captures besides the
+	// schedulers, streams and metrics, in build order.
+	stateful []sim.Snapshotter
+
 	started bool
 }
 
@@ -102,6 +106,10 @@ func NewSystem(cfg Config) (*System, error) {
 			s.logs[i] = NewEventLog()
 		}
 	}
+	for _, l := range s.logs {
+		s.stateful = append(s.stateful, l)
+	}
+	s.stateful = append(s.stateful, s.syncLat)
 	if err := s.buildBridges(); err != nil {
 		return nil, err
 	}
@@ -366,6 +374,7 @@ func (s *System) buildBridges() error {
 			s.newPHC(sc, name, static, 0), netsim.BridgeConfig{Ports: s.numPorts(g), Residence: residence})
 		s.bridges = append(s.bridges, br)
 		s.bridgeByName[name] = br
+		s.stateful = append(s.stateful, br)
 	}
 	// Full mesh between each site's integrated switches. ConnectBoundary
 	// degrades to a plain local link when both ends share a scheduler, so a
@@ -386,6 +395,7 @@ func (s *System) buildBridges() error {
 				}
 				s.links = append(s.links, link)
 				s.linkByName[linkName] = link
+				s.stateful = append(s.stateful, link)
 			}
 		}
 	}
@@ -403,6 +413,7 @@ func (s *System) buildBridges() error {
 		}
 		s.links = append(s.links, link)
 		s.linkByName[linkName] = link
+		s.stateful = append(s.stateful, link)
 	}
 	return nil
 }
@@ -442,6 +453,7 @@ func (s *System) buildNodes() error {
 			})
 		node.Instrument(s.obs)
 		s.nodes = append(s.nodes, node)
+		s.stateful = append(s.stateful, node)
 
 		// gPTP domains are site-local: every site is a full copy of the
 		// paper's multi-domain aggregation fabric with its own grandmasters,
@@ -463,6 +475,7 @@ func (s *System) buildNodes() error {
 			}
 			s.links = append(s.links, link)
 			s.linkByName[vmName] = link
+			s.stateful = append(s.stateful, link)
 			gmDomain := -1
 			if v == 0 && s.localOf(g) < s.cfg.NumDomains() {
 				gmDomain = s.localOf(g)
@@ -555,11 +568,13 @@ func (s *System) installMeasurement(node *hypervisor.Node, vm *hypervisor.CSVM, 
 			Exclude: []string{excluded},
 		})
 		vm.Stack.SetAuxHandler(s.collector.Handle)
+		s.stateful = append(s.stateful, s.collector)
 		return
 	}
 	agent := measure.NewAgent(vm.Name, sc, vm.Stack.NIC(), node.SyncTimeNow)
 	vm.Stack.SetAuxHandler(agent.Handle)
 	s.agents[vm.Name] = agent
+	s.stateful = append(s.stateful, agent)
 }
 
 func (s *System) buildRelays() error {
@@ -594,6 +609,7 @@ func (s *System) buildRelays() error {
 			return err
 		}
 		s.relays = append(s.relays, relay)
+		s.stateful = append(s.stateful, relay)
 	}
 	return nil
 }

@@ -108,6 +108,7 @@ func (s *System) buildWan() {
 		return
 	}
 	s.wanCoord = wan.NewCoordinator(s.cfg.WanSync, s, s.streams, s.obs)
+	s.stateful = append(s.stateful, s.wanCoord)
 	if s.cfg.WanSync.Drift.Enabled {
 		var links []wan.NamedLink
 		for i := 0; i < s.cfg.NumSites()-1; i++ {
@@ -115,5 +116,6 @@ func (s *System) buildWan() {
 			links = append(links, wan.NamedLink{Name: name, Link: s.linkByName[name]})
 		}
 		s.wanDrift = wan.NewDrift(s.cfg.WanSync.Drift, links, s.streams)
+		s.stateful = append(s.stateful, s.wanDrift)
 	}
 }

@@ -42,8 +42,12 @@ type LinkDelay struct {
 	cfg   LinkDelayConfig
 	tx    TxFunc
 	rng   sim.RNG
+	linkDelayState
+}
 
-	ticker *sim.Ticker
+// linkDelayState is the endpoint's mutable state, copied whole by Snapshot.
+type linkDelayState struct {
+	ticker *sim.Ticker // revalidated by the scheduler's restore
 
 	// Initiator state.
 	seq      uint16
@@ -66,13 +70,13 @@ type LinkDelay struct {
 // in Requester fields so responses can be matched on multi-endpoint tests.
 func NewLinkDelay(name string, sched *sim.Scheduler, rng sim.RNG, tx TxFunc, cfg LinkDelayConfig) *LinkDelay {
 	return &LinkDelay{
-		name:      name,
-		addr:      netsim.Address("nic/" + name),
-		sched:     sched,
-		cfg:       cfg.withDefaults(),
-		tx:        tx,
-		rng:       rng,
-		rateRatio: 1,
+		name:           name,
+		addr:           netsim.Address("nic/" + name),
+		sched:          sched,
+		cfg:            cfg.withDefaults(),
+		tx:             tx,
+		rng:            rng,
+		linkDelayState: linkDelayState{rateRatio: 1},
 	}
 }
 

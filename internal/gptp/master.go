@@ -72,21 +72,26 @@ func (c MasterConfig) withDefaults() MasterConfig {
 // launch-time): once the grandmasters are synchronized, all domains launch
 // at the same global boundaries within the synchronization precision.
 type Master struct {
-	nic   *netsim.NIC
-	sched *sim.Scheduler
-	rng   sim.RNG
-	cfg   MasterConfig
-
-	seq      uint16
-	lastSlot int64
-	ticker   *sim.Ticker
-	onFault  func(kind string)
+	nic     *netsim.NIC
+	sched   *sim.Scheduler
+	rng     sim.RNG
+	onFault func(kind string)
 	// txFn is the prebound ETF completion callback (snapshot-safe: it
 	// reaches all per-Sync state through the payload argument).
 	txFn func(payload any, txTS float64)
 	// fuFn is the prebound FollowUp sender; the queued FollowUp is its arg.
 	fuFn func(any)
 	addr netsim.Address // source address of this master's frames
+	masterState
+}
+
+// masterState is the master's mutable state, copied whole by Snapshot. cfg
+// is part of it because SetMaliciousOffset rewrites it at run time.
+type masterState struct {
+	cfg      MasterConfig
+	seq      uint16
+	lastSlot int64
+	ticker   *sim.Ticker // revalidated by the scheduler's restore
 
 	syncsSent, followUpsSent uint64
 }
@@ -94,7 +99,8 @@ type Master struct {
 // NewMaster creates a grandmaster port on nic. onFault, if non-nil,
 // receives transient-fault notifications.
 func NewMaster(nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG, cfg MasterConfig, onFault func(kind string)) *Master {
-	m := &Master{nic: nic, sched: sched, rng: rng, cfg: cfg.withDefaults(), onFault: onFault, lastSlot: -1}
+	m := &Master{nic: nic, sched: sched, rng: rng, onFault: onFault,
+		masterState: masterState{cfg: cfg.withDefaults(), lastSlot: -1}}
 	m.txFn = m.onSyncTx
 	m.fuFn = func(x any) { m.sendFollowUp(x.(*FollowUp)) }
 	m.addr = netsim.Address("nic/" + nic.DeviceName())
@@ -231,36 +237,11 @@ func (m *Master) fault(kind string) {
 	}
 }
 
-// masterSnapshot captures the master's mutable state for warm-start forks.
-type masterSnapshot struct {
-	seq                      uint16
-	lastSlot                 int64
-	ticker                   *sim.Ticker
-	maliciousNS              float64
-	syncsSent, followUpsSent uint64
-}
-
-// Snapshot implements sim.Snapshotter. The ticker handle is captured by
-// pointer: its scheduler slot and generation are restored verbatim by the
-// scheduler's own snapshot, so the handle revalidates on restore.
+// Snapshot implements sim.Snapshotter.
 func (m *Master) Snapshot() any {
-	return &masterSnapshot{
-		seq:           m.seq,
-		lastSlot:      m.lastSlot,
-		ticker:        m.ticker,
-		maliciousNS:   m.cfg.MaliciousOriginOffsetNS,
-		syncsSent:     m.syncsSent,
-		followUpsSent: m.followUpsSent,
-	}
+	st := m.masterState
+	return &st
 }
 
 // Restore implements sim.Snapshotter.
-func (m *Master) Restore(snap any) {
-	sn := snap.(*masterSnapshot)
-	m.seq = sn.seq
-	m.lastSlot = sn.lastSlot
-	m.ticker = sn.ticker
-	m.cfg.MaliciousOriginOffsetNS = sn.maliciousNS
-	m.syncsSent = sn.syncsSent
-	m.followUpsSent = sn.followUpsSent
-}
+func (m *Master) Restore(snap any) { m.masterState = *snap.(*masterState) }

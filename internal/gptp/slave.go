@@ -30,6 +30,11 @@ type Slave struct {
 	onOffset  func(OffsetSample)
 
 	pending map[uint16]float64 // seq → rxTS
+	slaveState
+}
+
+// slaveState is the slave's scalar state, copied whole by Snapshot.
+type slaveState struct {
 	lastSeq uint16
 	matched uint64
 }

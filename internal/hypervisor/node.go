@@ -9,6 +9,7 @@ package hypervisor
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"time"
@@ -97,9 +98,11 @@ type Node struct {
 	vms   []*CSVM
 	mcfg  MonitorConfig
 
-	monitor   *sim.Ticker
-	onEvent   func(Event)
-	takeovers uint64
+	onEvent func(Event)
+	// parts lists the owned components a snapshot captures: the STSHMEM
+	// region, the TSC, and each VM's stack and phc2sys service.
+	parts []sim.Snapshotter
+	nodeState
 
 	// failedAt records when each VM went fail-silent, so a subsequent
 	// takeover can report the detection-to-failover latency.
@@ -109,6 +112,12 @@ type Node struct {
 	obsDetections *obs.Counter
 	obsVoteFlags  *obs.Counter
 	obsFailover   *obs.Histogram
+}
+
+// nodeState is the monitor's scalar state, copied whole by Snapshot.
+type nodeState struct {
+	monitor   *sim.Ticker
+	takeovers uint64
 }
 
 // failoverBuckets spans the monitor's 125 ms period: from sub-period
@@ -129,7 +138,7 @@ func (n *Node) Instrument(reg *obs.Registry) {
 
 // NewNode creates a node. The STSHMEM gets one slot per VM added later.
 func NewNode(name string, sched *sim.Scheduler, tsc *clock.TSC, slots int, mcfg MonitorConfig, onEvent func(Event)) *Node {
-	return &Node{
+	n := &Node{
 		name:    name,
 		sched:   sched,
 		tsc:     tsc,
@@ -137,6 +146,8 @@ func NewNode(name string, sched *sim.Scheduler, tsc *clock.TSC, slots int, mcfg 
 		mcfg:    mcfg.withDefaults(),
 		onEvent: onEvent,
 	}
+	n.parts = []sim.Snapshotter{n.st, tsc}
+	return n
 }
 
 // Name reports the node name (e.g. "dev1").
@@ -166,6 +177,7 @@ func (n *Node) AddVM(vm *CSVM) error {
 		return fmt.Errorf("hypervisor: VM %s slot %d exceeds STSHMEM slots", vm.Name, vm.Slot)
 	}
 	n.vms = append(n.vms, vm)
+	n.parts = append(n.parts, vm.Stack, vm.Phc2sys)
 	return nil
 }
 
@@ -343,41 +355,26 @@ func (n *Node) HealthyVMs() int {
 	return count
 }
 
-// nodeSnapshot captures a node for warm-start forks: the STSHMEM region,
-// the monitor state, and every clock-synchronization VM (stack + phc2sys +
-// failure flag).
+// nodeSnapshot captures a node for warm-start forks: the monitor state,
+// the VMs' failure flags and every owned part (STSHMEM region, TSC, and
+// each VM's stack and phc2sys).
 type nodeSnapshot struct {
-	st        any
-	tsc       any
-	monitor   *sim.Ticker
-	takeovers uint64
-	failedAt  map[int]sim.Time
-	vmFailed  []bool
-	stacks    []any
-	phc2sys   []any
+	nodeState
+	failedAt map[int]sim.Time
+	vmFailed []bool
+	parts    []any
 }
 
 // Snapshot implements sim.Snapshotter.
 func (n *Node) Snapshot() any {
 	sn := &nodeSnapshot{
-		st:        n.st.Snapshot(),
-		tsc:       n.tsc.Snapshot(),
-		monitor:   n.monitor,
-		takeovers: n.takeovers,
+		nodeState: n.nodeState,
+		failedAt:  maps.Clone(n.failedAt),
 		vmFailed:  make([]bool, len(n.vms)),
-		stacks:    make([]any, len(n.vms)),
-		phc2sys:   make([]any, len(n.vms)),
-	}
-	if n.failedAt != nil {
-		sn.failedAt = make(map[int]sim.Time, len(n.failedAt))
-		for k, v := range n.failedAt {
-			sn.failedAt[k] = v
-		}
+		parts:     sim.SnapshotAll(n.parts),
 	}
 	for i, vm := range n.vms {
 		sn.vmFailed[i] = vm.failed
-		sn.stacks[i] = vm.Stack.Snapshot()
-		sn.phc2sys[i] = vm.Phc2sys.Snapshot()
 	}
 	return sn
 }
@@ -385,20 +382,10 @@ func (n *Node) Snapshot() any {
 // Restore implements sim.Snapshotter.
 func (n *Node) Restore(snap any) {
 	sn := snap.(*nodeSnapshot)
-	n.st.Restore(sn.st)
-	n.tsc.Restore(sn.tsc)
-	n.monitor = sn.monitor
-	n.takeovers = sn.takeovers
-	n.failedAt = nil
-	if sn.failedAt != nil {
-		n.failedAt = make(map[int]sim.Time, len(sn.failedAt))
-		for k, v := range sn.failedAt {
-			n.failedAt[k] = v
-		}
-	}
+	n.nodeState = sn.nodeState
+	n.failedAt = maps.Clone(sn.failedAt)
 	for i, vm := range n.vms {
 		vm.failed = sn.vmFailed[i]
-		vm.Stack.Restore(sn.stacks[i])
-		vm.Phc2sys.Restore(sn.phc2sys[i])
 	}
+	sim.RestoreAll(n.parts, sn.parts)
 }

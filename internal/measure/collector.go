@@ -64,8 +64,7 @@ type Collector struct {
 	name  string
 
 	exclude map[string]bool
-	ticker  *sim.Ticker
-	seq     uint64
+	collectorState
 	// windows holds the open collect windows plus recycled closed ones.
 	// At most ceil(CollectWindow/Interval)+1 windows are ever open, so a
 	// linear scan beats a map and drops the per-probe map churn.
@@ -78,6 +77,12 @@ type Collector struct {
 	// per-path latency extrema for γ (eq. 3.2), keyed by replying VM.
 	pathMin map[string]time.Duration
 	pathMax map[string]time.Duration
+}
+
+// collectorState is the collector's scalar state, copied whole by Snapshot.
+type collectorState struct {
+	ticker *sim.Ticker // revalidated by the scheduler's restore
+	seq    uint64
 }
 
 // NewCollector creates the collector on the measurement VM's NIC.

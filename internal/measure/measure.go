@@ -46,7 +46,12 @@ type Agent struct {
 	sched    *sim.Scheduler
 	nic      *netsim.NIC
 	syncTime func() (float64, bool)
-	replies  uint64
+	agentState
+}
+
+// agentState is the agent's scalar state, copied whole by Snapshot.
+type agentState struct {
+	replies uint64
 }
 
 // NewAgent creates an agent; syncTime reads the node's CLOCK_SYNCTIME.

@@ -1,9 +1,8 @@
 package measure
 
 import (
+	"maps"
 	"time"
-
-	"gptpfta/internal/sim"
 )
 
 // Warm-start snapshot support (sim.Snapshotter). The collector restores
@@ -14,8 +13,7 @@ import (
 // *Reply pointers and only copy the slices holding them.
 
 type collectorSnapshot struct {
-	ticker  *sim.Ticker
-	seq     uint64
+	collectorState
 	windows []pendingWindow
 	samples []Sample
 	pathMin map[string]time.Duration
@@ -33,23 +31,14 @@ func copyWindows(src []pendingWindow) []pendingWindow {
 	return out
 }
 
-func copyExtrema(src map[string]time.Duration) map[string]time.Duration {
-	out := make(map[string]time.Duration, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
-}
-
 // Snapshot implements sim.Snapshotter.
 func (c *Collector) Snapshot() any {
 	return &collectorSnapshot{
-		ticker:  c.ticker,
-		seq:     c.seq,
-		windows: copyWindows(c.windows),
-		samples: append([]Sample(nil), c.samples...),
-		pathMin: copyExtrema(c.pathMin),
-		pathMax: copyExtrema(c.pathMax),
+		collectorState: c.collectorState,
+		windows:        copyWindows(c.windows),
+		samples:        append([]Sample(nil), c.samples...),
+		pathMin:        maps.Clone(c.pathMin),
+		pathMax:        maps.Clone(c.pathMax),
 	}
 }
 
@@ -59,13 +48,12 @@ func (c *Collector) Snapshot() any {
 // by this one.
 func (c *Collector) Restore(snap any) {
 	sn := snap.(*collectorSnapshot)
-	c.ticker = sn.ticker
-	c.seq = sn.seq
+	c.collectorState = sn.collectorState
 	c.windows = copyWindows(sn.windows)
 	c.times = c.times[:0]
 	c.samples = append([]Sample(nil), sn.samples...)
-	c.pathMin = copyExtrema(sn.pathMin)
-	c.pathMax = copyExtrema(sn.pathMax)
+	c.pathMin = maps.Clone(sn.pathMin)
+	c.pathMax = maps.Clone(sn.pathMax)
 }
 
 type latencyTrackerSnapshot struct {
@@ -104,16 +92,11 @@ func (lt *LatencyTracker) Restore(snap any) {
 	}
 }
 
-type agentSnapshot struct {
-	replies uint64
-}
-
 // Snapshot implements sim.Snapshotter.
 func (a *Agent) Snapshot() any {
-	return &agentSnapshot{replies: a.replies}
+	st := a.agentState
+	return &st
 }
 
 // Restore implements sim.Snapshotter.
-func (a *Agent) Restore(snap any) {
-	a.replies = snap.(*agentSnapshot).replies
-}
+func (a *Agent) Restore(snap any) { a.agentState = *snap.(*agentState) }

@@ -100,7 +100,7 @@ func (tn *snapNet) snapshot() *snapNetState {
 func (tn *snapNet) restore(st *snapNetState) {
 	tn.sched.Restore(st.sched)
 	tn.streams.Restore(st.streams)
-	tn.bridge.RestoreSnapshot(st.bridge)
+	tn.bridge.Restore(st.bridge)
 	for i, l := range tn.links {
 		l.Restore(st.links[i])
 	}

@@ -82,12 +82,16 @@ type Bridge struct {
 	// snapshot is taken are deep-copied by the scheduler (txAtJob is a
 	// sim.Cloner), so a recycled job is never shared with a fork.
 	txAtFree []*txAtJob
+	bridgeState
+}
 
+// bridgeState is the bridge's scalar state, copied whole by Snapshot.
+type bridgeState struct {
 	forwarded uint64
 	dropped   uint64
 
 	// failed marks the bridge dead (chaos engine): it drops everything at
-	// ingress and egress until restored.
+	// ingress and egress until recovered.
 	failed      bool
 	faultedDrop uint64
 }
@@ -157,13 +161,13 @@ func (b *Bridge) FaultDropped() uint64 { return b.faultedDrop }
 // egress while failed is dropped (and recycled to the frame pool).
 func (b *Bridge) Fail() { b.failed = true }
 
-// Restore brings a failed bridge back. Frames that entered the residence
+// Recover brings a failed bridge back. Frames that entered the residence
 // pipeline before the failure and whose departure lands after the
 // restoration are transmitted normally — an approximation that is
 // harmless because residence times are microseconds while injected
 // outages are seconds; everything that arrived or departed during the
 // outage itself was dropped.
-func (b *Bridge) Restore() { b.failed = false }
+func (b *Bridge) Recover() { b.failed = false }
 
 // Failed reports whether the bridge is currently failed.
 func (b *Bridge) Failed() bool { return b.failed }
@@ -337,31 +341,16 @@ func (b *Bridge) TransmitAt(egress int, d time.Duration, f *Frame, onTx func(egr
 // Routing tables, group membership, the relay hook and egress shapers are
 // build-time configuration and are not captured.
 type bridgeSnapshot struct {
-	forwarded   uint64
-	dropped     uint64
-	failed      bool
-	faultedDrop uint64
-	phc         any
+	bridgeState
+	phc any
 }
 
-// Snapshot captures the bridge's state for RestoreSnapshot.
-func (b *Bridge) Snapshot() any {
-	return &bridgeSnapshot{
-		forwarded:   b.forwarded,
-		dropped:     b.dropped,
-		failed:      b.failed,
-		faultedDrop: b.faultedDrop,
-		phc:         b.clk.Snapshot(),
-	}
-}
+// Snapshot implements sim.Snapshotter.
+func (b *Bridge) Snapshot() any { return &bridgeSnapshot{b.bridgeState, b.clk.Snapshot()} }
 
-// RestoreSnapshot rewinds the bridge to a Snapshot. (The name avoids the
-// chaos engine's Restore(), which un-fails a failed bridge.)
-func (b *Bridge) RestoreSnapshot(snap any) {
+// Restore implements sim.Snapshotter.
+func (b *Bridge) Restore(snap any) {
 	sn := snap.(*bridgeSnapshot)
-	b.forwarded = sn.forwarded
-	b.dropped = sn.dropped
-	b.failed = sn.failed
-	b.faultedDrop = sn.faultedDrop
+	b.bridgeState = sn.bridgeState
 	b.clk.Restore(sn.phc)
 }

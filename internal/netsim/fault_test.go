@@ -193,7 +193,7 @@ func TestBridgeFailRestore(t *testing.T) {
 		t.Fatalf("fault-dropped = %d, want 1", br.FaultDropped())
 	}
 
-	br.Restore()
+	br.Recover()
 	_, _ = a.Send(&Frame{Dst: "nic/b"})
 	if err := fx.sched.Run(); err != nil {
 		t.Fatal(err)

@@ -89,16 +89,27 @@ type Link struct {
 	// deliver holds one prebound delivery callback per direction so Send
 	// can schedule through AtArg without allocating a closure per frame.
 	deliver [2]func(any)
+
+	// Dynamic fault state (chaos engine), nil when no plan is active.
+	// lossModel replaces the configured loss probability; delayAttack, when
+	// set, is an on-path adversary adding per-frame delay (SetDelayAttack);
+	// it only ever adds latency, so MinDelay ignores it.
+	lossModel   LossModel
+	delayAttack DelayAttack
+	linkState
+}
+
+// linkState is the link's scalar state, copied whole by Snapshot. The
+// fault fields are all zero when no plan is active, in which case none of
+// them draws randomness or alters scheduling.
+type linkState struct {
 	// lastDelivery enforces per-direction FIFO ordering: a wire cannot
 	// reorder frames, whatever the jitter draw says.
 	lastDelivery [2]sim.Time
 	sent         uint64
 	lost         uint64
 
-	// Dynamic fault state (chaos engine). All zero when no plan is active,
-	// in which case none of it draws randomness or alters scheduling.
-	down      bool
-	lossModel LossModel
+	down bool
 	// extraDelay adds latency to both directions; asymDelay additionally
 	// to the a->b direction only, breaking the symmetric-medium assumption
 	// gPTP's pdelay mechanism relies on.
@@ -111,10 +122,6 @@ type Link struct {
 	// a->b direction only and may have either sign.
 	wanExtra time.Duration
 	wanAsym  time.Duration
-	// delayAttack, when set, is an on-path adversary adding per-frame
-	// delay (SetDelayAttack); it only ever adds latency, so MinDelay
-	// ignores it.
-	delayAttack DelayAttack
 	// dropBefore marks, per direction, the last delivery instant that was
 	// scheduled before the link last came back up: those frames were on
 	// the wire during the outage and die at their delivery instant.
@@ -416,40 +423,18 @@ func (l *Link) finishDelivery(dir int, f *Frame) {
 // including the installed loss model and its internal state (a chaos plan
 // may have installed one before the fork boundary).
 type linkSnapshot struct {
-	lastDelivery [2]sim.Time
-	sent         uint64
-	lost         uint64
-	down         bool
-	lossModel    LossModel
-	lossState    any // nested snapshot when the model is stateful
-	delayAttack  DelayAttack
-	attackState  any // nested snapshot when the attack is stateful
-	extraDelay   time.Duration
-	asymDelay    time.Duration
-	wanExtra     time.Duration
-	wanAsym      time.Duration
-	dropBefore   [2]sim.Time
-	faultedDrop  uint64
+	linkState
+	lossModel   LossModel
+	lossState   any // nested snapshot when the model is stateful
+	delayAttack DelayAttack
+	attackState any // nested snapshot when the attack is stateful
 }
 
 // Snapshot implements sim.Snapshotter. The RNG stream positions are
 // restored separately by sim.Streams; in-flight frames live in the
 // scheduler's snapshot as AtArg descriptors.
 func (l *Link) Snapshot() any {
-	sn := &linkSnapshot{
-		lastDelivery: l.lastDelivery,
-		sent:         l.sent,
-		lost:         l.lost,
-		down:         l.down,
-		lossModel:    l.lossModel,
-		delayAttack:  l.delayAttack,
-		extraDelay:   l.extraDelay,
-		asymDelay:    l.asymDelay,
-		wanExtra:     l.wanExtra,
-		wanAsym:      l.wanAsym,
-		dropBefore:   l.dropBefore,
-		faultedDrop:  l.faultedDrop,
-	}
+	sn := &linkSnapshot{linkState: l.linkState, lossModel: l.lossModel, delayAttack: l.delayAttack}
 	if s, ok := l.lossModel.(sim.Snapshotter); ok {
 		sn.lossState = s.Snapshot()
 	}
@@ -462,10 +447,7 @@ func (l *Link) Snapshot() any {
 // Restore implements sim.Snapshotter.
 func (l *Link) Restore(snap any) {
 	sn := snap.(*linkSnapshot)
-	l.lastDelivery = sn.lastDelivery
-	l.sent = sn.sent
-	l.lost = sn.lost
-	l.down = sn.down
+	l.linkState = sn.linkState
 	l.lossModel = sn.lossModel
 	if s, ok := l.lossModel.(sim.Snapshotter); ok && sn.lossState != nil {
 		s.Restore(sn.lossState)
@@ -474,12 +456,6 @@ func (l *Link) Restore(snap any) {
 	if s, ok := l.delayAttack.(sim.Snapshotter); ok && sn.attackState != nil {
 		s.Restore(sn.attackState)
 	}
-	l.extraDelay = sn.extraDelay
-	l.asymDelay = sn.asymDelay
-	l.wanExtra = sn.wanExtra
-	l.wanAsym = sn.wanAsym
-	l.dropBefore = sn.dropBefore
-	l.faultedDrop = sn.faultedDrop
 	l.minDelayChanged()
 }
 

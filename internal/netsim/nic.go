@@ -33,7 +33,6 @@ type NIC struct {
 	phc     *clock.PHC
 	port    Port
 	handler RxHandler
-	down    bool
 	// etfFn is the prebound ETF launch runner; SendAtPHC schedules it with
 	// an *etfJob arg so queued launches survive a warm-start snapshot.
 	etfFn func(any)
@@ -41,7 +40,12 @@ type NIC struct {
 	// taken are deep-copied by the scheduler (etfJob is a sim.Cloner), so a
 	// recycled job is never shared with a fork.
 	etfFree []*etfJob
+	nicState
+}
 
+// nicState is the NIC's scalar state, copied whole by Snapshot.
+type nicState struct {
+	down             bool
 	txCount, rxCount uint64
 }
 
@@ -173,22 +177,17 @@ func (n *NIC) SendAtPHC(launchPHC float64, f *Frame, onTx func(payload any, txTS
 
 // nicSnapshot captures a NIC's mutable state for warm-start forks.
 type nicSnapshot struct {
-	down             bool
-	txCount, rxCount uint64
-	phc              any
+	nicState
+	phc any
 }
 
 // Snapshot implements sim.Snapshotter.
-func (n *NIC) Snapshot() any {
-	return &nicSnapshot{down: n.down, txCount: n.txCount, rxCount: n.rxCount, phc: n.phc.Snapshot()}
-}
+func (n *NIC) Snapshot() any { return &nicSnapshot{n.nicState, n.phc.Snapshot()} }
 
 // Restore implements sim.Snapshotter.
 func (n *NIC) Restore(snap any) {
 	sn := snap.(*nicSnapshot)
-	n.down = sn.down
-	n.txCount = sn.txCount
-	n.rxCount = sn.rxCount
+	n.nicState = sn.nicState
 	n.phc.Restore(sn.phc)
 }
 

@@ -64,10 +64,14 @@ type Service struct {
 	st    *shmem.STSHMEM
 	pi    *servo.PI
 	rng   sim.RNG
+	serviceState
+}
 
+// serviceState is the service's mutable state, copied whole by Snapshot.
+type serviceState struct {
 	params      shmem.ClockParams
 	initialized bool
-	ticker      *sim.Ticker
+	ticker      *sim.Ticker // revalidated by the scheduler's restore
 
 	updates uint64
 }
@@ -194,30 +198,16 @@ func (s *Service) publish(tscNow float64) {
 // forks, including its internal TSC-discipline servo. The STSHMEM region is
 // snapshotted by its owning node.
 type serviceSnapshot struct {
-	params      shmem.ClockParams
-	initialized bool
-	ticker      *sim.Ticker
-	updates     uint64
-	pi          any
+	serviceState
+	pi any
 }
 
 // Snapshot implements sim.Snapshotter.
-func (s *Service) Snapshot() any {
-	return &serviceSnapshot{
-		params:      s.params,
-		initialized: s.initialized,
-		ticker:      s.ticker,
-		updates:     s.updates,
-		pi:          s.pi.Snapshot(),
-	}
-}
+func (s *Service) Snapshot() any { return &serviceSnapshot{s.serviceState, s.pi.Snapshot()} }
 
 // Restore implements sim.Snapshotter.
 func (s *Service) Restore(snap any) {
 	sn := snap.(*serviceSnapshot)
-	s.params = sn.params
-	s.initialized = sn.initialized
-	s.ticker = sn.ticker
-	s.updates = sn.updates
+	s.serviceState = sn.serviceState
 	s.pi.Restore(sn.pi)
 }

@@ -40,78 +40,27 @@ func (st *Statistics) restore(sn *statisticsSnapshot) {
 
 // stackSnapshot captures one extended-ptp4l stack.
 type stackSnapshot struct {
-	mode         Mode
-	stable       int
-	running      bool
-	lastFlags    []bool
-	aggregations uint64
-
-	holdover     bool
-	lastGoodAgg  sim.Time
-	reacquire    int
-	reacquireAny int
-	watchdog     *sim.Ticker
-
-	nic    any
-	ld     any
-	slaves map[int]any
-	master any
-	shm    any
-	pi     any
-	stats  *statisticsSnapshot
+	stackState
+	lastFlags []bool
+	stats     *statisticsSnapshot
+	parts     []any
 }
 
 // Snapshot implements sim.Snapshotter.
 func (s *Stack) Snapshot() any {
-	sn := &stackSnapshot{
-		mode:         s.mode,
-		stable:       s.stable,
-		running:      s.running,
-		lastFlags:    append([]bool(nil), s.lastFlags...),
-		aggregations: s.aggregations,
-		holdover:     s.holdover,
-		lastGoodAgg:  s.lastGoodAgg,
-		reacquire:    s.reacquire,
-		reacquireAny: s.reacquireAny,
-		watchdog:     s.watchdog,
-		nic:          s.nic.Snapshot(),
-		ld:           s.ld.Snapshot(),
-		slaves:       make(map[int]any, len(s.slaves)),
-		shm:          s.shm.Snapshot(),
-		pi:           s.shm.Servo().Snapshot(),
-		stats:        s.stats.snapshot(),
+	return &stackSnapshot{
+		stackState: s.stackState,
+		lastFlags:  append([]bool(nil), s.lastFlags...),
+		stats:      s.stats.snapshot(),
+		parts:      sim.SnapshotAll(s.parts),
 	}
-	for d, sl := range s.slaves {
-		sn.slaves[d] = sl.Snapshot()
-	}
-	if s.master != nil {
-		sn.master = s.master.Snapshot()
-	}
-	return sn
 }
 
 // Restore implements sim.Snapshotter.
 func (s *Stack) Restore(snap any) {
 	sn := snap.(*stackSnapshot)
-	s.mode = sn.mode
-	s.stable = sn.stable
-	s.running = sn.running
+	s.stackState = sn.stackState
 	s.lastFlags = append(s.lastFlags[:0], sn.lastFlags...)
-	s.aggregations = sn.aggregations
-	s.holdover = sn.holdover
-	s.lastGoodAgg = sn.lastGoodAgg
-	s.reacquire = sn.reacquire
-	s.reacquireAny = sn.reacquireAny
-	s.watchdog = sn.watchdog
-	s.nic.Restore(sn.nic)
-	s.ld.Restore(sn.ld)
-	for d, sl := range s.slaves {
-		sl.Restore(sn.slaves[d])
-	}
-	if s.master != nil {
-		s.master.Restore(sn.master)
-	}
-	s.shm.Restore(sn.shm)
-	s.shm.Servo().Restore(sn.pi)
 	s.stats.restore(sn.stats)
+	sim.RestoreAll(s.parts, sn.parts)
 }

@@ -177,28 +177,23 @@ type Stack struct {
 	master *gptp.Master
 	shm    *shmem.FTSHMEM
 
-	mode         Mode
-	stable       int
-	running      bool
+	// parts lists the owned components a snapshot captures: the NIC, the
+	// pdelay endpoint, the FTSHMEM region and its servo, the grandmaster
+	// role and the per-domain slaves.
+	parts []sim.Snapshotter
+
 	stats        *Statistics
 	lastFlags    []bool
 	aux          netsim.RxHandler
 	tap          netsim.RxHandler
 	onEvent      func(Event)
 	syncObserver func(domain int, latency time.Duration)
-	aggregations uint64
 
 	// readings and flags are the aggregation's scratch buffers, reused
 	// every interval; nothing retains them past one step.
 	readings []fta.Reading
 	flags    []bool
-
-	// Holdover state machine (active only when cfg.HoldoverWindow > 0).
-	holdover     bool
-	lastGoodAgg  sim.Time
-	reacquire    int // consecutive below-threshold aggregates
-	reacquireAny int // successful aggregates since holdover entry
-	watchdog     *sim.Ticker
+	stackState
 
 	// Observability handles, resolved once by Instrument. All remain nil
 	// (inert no-ops) when the stack is not instrumented.
@@ -211,6 +206,21 @@ type Stack struct {
 	obsServoSteps *obs.Counter
 	obsHoldEnter  *obs.Counter
 	obsHoldExit   *obs.Counter
+}
+
+// stackState is the stack's scalar state, copied whole by Snapshot.
+type stackState struct {
+	mode         Mode
+	stable       int
+	running      bool
+	aggregations uint64
+
+	// Holdover state machine (active only when cfg.HoldoverWindow > 0).
+	holdover     bool
+	lastGoodAgg  sim.Time
+	reacquire    int // consecutive below-threshold aggregates
+	reacquireAny int // successful aggregates since holdover entry
+	watchdog     *sim.Ticker
 }
 
 // offsetBuckets covers the offsets seen across the experiments: sub-100 ns
@@ -257,15 +267,15 @@ func New(nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG, cfg Config, onEvent
 	staleNS := float64(cfg.StaleIntervals) * float64(cfg.SyncInterval)
 	pi := servo.NewPI(servo.Config{SyncInterval: cfg.SyncInterval})
 	s := &Stack{
-		cfg:     cfg,
-		sched:   sched,
-		rng:     rng,
-		nic:     nic,
-		slaves:  make(map[int]*gptp.Slave, len(cfg.Domains)),
-		shm:     shmem.NewFTSHMEM(cfg.Domains, staleNS, pi),
-		mode:    ModeStartup,
-		stats:   newStatistics(),
-		onEvent: onEvent,
+		cfg:        cfg,
+		sched:      sched,
+		rng:        rng,
+		nic:        nic,
+		slaves:     make(map[int]*gptp.Slave, len(cfg.Domains)),
+		shm:        shmem.NewFTSHMEM(cfg.Domains, staleNS, pi),
+		stats:      newStatistics(),
+		onEvent:    onEvent,
+		stackState: stackState{mode: ModeStartup},
 	}
 	if cfg.SkipStartup {
 		s.mode = ModeFTOperation
@@ -289,6 +299,15 @@ func New(nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG, cfg Config, onEvent
 			TxTimestampTimeoutProb: cfg.TxTimestampTimeoutProb,
 			DeadlineMissProb:       cfg.DeadlineMissProb,
 		}, func(kind string) { s.emit(EventFault, kind) })
+	}
+	s.parts = []sim.Snapshotter{nic, s.ld, s.shm, pi}
+	if s.master != nil {
+		s.parts = append(s.parts, s.master)
+	}
+	for _, d := range cfg.Domains {
+		if sl, ok := s.slaves[d]; ok {
+			s.parts = append(s.parts, sl)
+		}
 	}
 	nic.SetHandler(s.receive)
 	return s, nil

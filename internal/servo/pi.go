@@ -88,7 +88,12 @@ func (c Config) withDefaults() Config {
 // ahead. Sample returns the frequency adjustment to apply to the local
 // clock (already negated, ready for PHC.AdjFreq).
 type PI struct {
-	cfg   Config
+	cfg Config
+	piState
+}
+
+// piState is the servo's mutable state, copied whole by Snapshot.
+type piState struct {
 	state State
 	count int
 
@@ -107,7 +112,7 @@ type PI struct {
 
 // NewPI creates a PI servo.
 func NewPI(cfg Config) *PI {
-	return &PI{cfg: cfg.withDefaults(), state: StateUnlocked}
+	return &PI{cfg: cfg.withDefaults(), piState: piState{state: StateUnlocked}}
 }
 
 // Config returns the effective configuration after defaulting.
@@ -122,14 +127,7 @@ func (p *PI) DriftPPB() float64 { return p.driftPPB }
 // Reset returns the servo to the unlocked state, keeping configuration.
 // Used when a clock-synchronization VM reboots after fault injection.
 func (p *PI) Reset() {
-	p.state = StateUnlocked
-	p.count = 0
-	p.driftPPB = 0
-	p.firstOffset = 0
-	p.firstLocal = 0
-	p.frozen = false
-	p.slewing = false
-	p.lastOut = 0
+	p.piState = piState{state: StateUnlocked, maxSlewPPB: p.maxSlewPPB}
 }
 
 // Freeze puts the servo into holdover: the integral term stops updating

@@ -1,45 +1,11 @@
 package servo
 
-// piSnapshot captures a PI servo's mutable state for warm-start forks
-// (sim.Snapshotter; the servo package does not import sim, the interface is
-// structural).
-type piSnapshot struct {
-	state       State
-	count       int
-	firstOffset float64
-	firstLocal  float64
-	driftPPB    float64
-	frozen      bool
-	slewing     bool
-	maxSlewPPB  float64
-	lastOut     float64
-}
-
-// Snapshot captures the servo state.
+// Snapshot captures the servo state for warm-start forks (sim.Snapshotter;
+// the servo package does not import sim, the interface is structural).
 func (p *PI) Snapshot() any {
-	return &piSnapshot{
-		state:       p.state,
-		count:       p.count,
-		firstOffset: p.firstOffset,
-		firstLocal:  p.firstLocal,
-		driftPPB:    p.driftPPB,
-		frozen:      p.frozen,
-		slewing:     p.slewing,
-		maxSlewPPB:  p.maxSlewPPB,
-		lastOut:     p.lastOut,
-	}
+	st := p.piState
+	return &st
 }
 
 // Restore rewinds the servo to a Snapshot.
-func (p *PI) Restore(snap any) {
-	sn := snap.(*piSnapshot)
-	p.state = sn.state
-	p.count = sn.count
-	p.firstOffset = sn.firstOffset
-	p.firstLocal = sn.firstLocal
-	p.driftPPB = sn.driftPPB
-	p.frozen = sn.frozen
-	p.slewing = sn.slewing
-	p.maxSlewPPB = sn.maxSlewPPB
-	p.lastOut = sn.lastOut
-}
+func (p *PI) Restore(snap any) { p.piState = *snap.(*piState) }

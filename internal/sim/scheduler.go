@@ -88,13 +88,10 @@ var ErrStopped = errors.New("sim: scheduler stopped")
 // Scheduler is a deterministic discrete-event executor. The zero value is
 // not usable; create one with NewScheduler.
 type Scheduler struct {
-	now      Time
-	seq      uint64
-	slab     []eventSlot
-	heap     []int32 // slot indices; 4-ary min-heap on (at, seq)
-	freeHead int32   // head of the free-slot list; -1 when empty
-	live     int     // queued events that are not cancelled
-	stopped  bool
+	schedulerState
+	slab    []eventSlot
+	heap    []int32 // slot indices; 4-ary min-heap on (at, seq)
+	stopped bool
 
 	// firing/firingSchedAt track the schedule-time key of the event whose
 	// callback is currently executing, so schedule() can stamp the causal
@@ -104,6 +101,15 @@ type Scheduler struct {
 	firing        bool
 	firingSchedAt Time
 	firingCause   Time
+}
+
+// schedulerState is the scheduler's scalar queue state; Snapshot copies it
+// whole and copies the slab and heap explicitly.
+type schedulerState struct {
+	now      Time
+	seq      uint64
+	freeHead int32 // head of the free-slot list; -1 when empty
+	live     int   // queued events that are not cancelled
 
 	// deferOrd numbers this shard's deferred cross-shard sends in issuance
 	// order (see NextDeferOrd); single-scheduler runs never touch it.
@@ -120,7 +126,7 @@ type Scheduler struct {
 
 // NewScheduler returns a scheduler positioned at the simulation epoch.
 func NewScheduler() *Scheduler {
-	return &Scheduler{freeHead: -1}
+	return &Scheduler{schedulerState: schedulerState{freeHead: -1}}
 }
 
 // Now reports the current simulation instant.

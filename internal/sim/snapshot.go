@@ -8,11 +8,35 @@ package sim
 // scheduler valid across a fork: they capture component pointers, and those
 // pointers keep pointing at correctly-rewound state. A snapshot may be
 // restored any number of times; each Restore must leave the component
-// bit-identical to the moment the snapshot was taken. See DESIGN.md,
-// "Warm-state snapshots".
+// bit-identical to the moment the snapshot was taken.
+//
+// Components keep their mutable scalars in one embedded, unexported
+// xxxState struct and snapshot it by copying the value whole; references
+// (maps, slices, nested components) stay outside it and are deep-copied
+// explicitly. *Ticker is the only pointer a state struct may hold: the
+// scheduler's own Restore revalidates it. See DESIGN.md, "Warm-state
+// snapshots".
 type Snapshotter interface {
 	Snapshot() any
 	Restore(snap any)
+}
+
+// SnapshotAll snapshots each component in order, for owners that keep an
+// ordered list of their stateful parts.
+func SnapshotAll(cs []Snapshotter) []any {
+	out := make([]any, len(cs))
+	for i, c := range cs {
+		out[i] = c.Snapshot()
+	}
+	return out
+}
+
+// RestoreAll restores each component from the SnapshotAll result taken
+// over the same list.
+func RestoreAll(cs []Snapshotter, snaps []any) {
+	for i, c := range cs {
+		c.Restore(snaps[i])
+	}
 }
 
 // Cloner is implemented by scheduled-event args that are mutated or
@@ -24,19 +48,14 @@ type Cloner interface {
 	CloneForSnapshot() any
 }
 
-// SchedulerSnapshot is the scheduler's full queue state: the event slab
-// (including re-arm descriptors for tickers: at/seq/period per slot, not
-// closures re-captured per fork), the heap order, the free list and the
-// counters. Slots referencing Cloner args hold pristine deep copies.
-type SchedulerSnapshot struct {
-	now                            Time
-	seq                            uint64
-	deferOrd                       uint64
-	slab                           []eventSlot
-	heap                           []int32
-	freeHead                       int32
-	live                           int
-	processed, pastClamps, cancels uint64
+// schedulerSnapshot is the scheduler's full queue state: the scalars, the
+// event slab (including re-arm descriptors for tickers: at/seq/period per
+// slot, not closures re-captured per fork) and the heap order. Slots
+// referencing Cloner args hold pristine deep copies.
+type schedulerSnapshot struct {
+	schedulerState
+	slab []eventSlot
+	heap []int32
 }
 
 // Snapshot implements Snapshotter. Event callbacks are captured by
@@ -45,23 +64,12 @@ type SchedulerSnapshot struct {
 // anything else must go through an AtArg descriptor implementing Cloner
 // (see netsim's frame and egress-job descriptors).
 func (s *Scheduler) Snapshot() any {
-	sn := &SchedulerSnapshot{
-		now:        s.now,
-		seq:        s.seq,
-		deferOrd:   s.deferOrd,
-		slab:       append([]eventSlot(nil), s.slab...),
-		heap:       append([]int32(nil), s.heap...),
-		freeHead:   s.freeHead,
-		live:       s.live,
-		processed:  s.processed,
-		pastClamps: s.pastClamps,
-		cancels:    s.cancels,
+	sn := &schedulerSnapshot{
+		schedulerState: s.schedulerState,
+		slab:           append([]eventSlot(nil), s.slab...),
+		heap:           append([]int32(nil), s.heap...),
 	}
-	for i := range sn.slab {
-		if c, ok := sn.slab[i].arg.(Cloner); ok {
-			sn.slab[i].arg = c.CloneForSnapshot()
-		}
-	}
+	cloneArgs(sn.slab)
 	return sn
 }
 
@@ -71,21 +79,19 @@ func (s *Scheduler) Snapshot() any {
 // the event fired or was cancelled in the meantime; handles issued after
 // the snapshot go stale (their generations are rolled back or reassigned).
 func (s *Scheduler) Restore(snap any) {
-	sn := snap.(*SchedulerSnapshot)
-	s.now = sn.now
-	s.seq = sn.seq
-	s.deferOrd = sn.deferOrd
+	sn := snap.(*schedulerSnapshot)
+	s.schedulerState = sn.schedulerState
 	s.slab = append(s.slab[:0], sn.slab...)
-	for i := range s.slab {
-		if c, ok := s.slab[i].arg.(Cloner); ok {
-			s.slab[i].arg = c.CloneForSnapshot()
+	cloneArgs(s.slab)
+	s.heap = append(s.heap[:0], sn.heap...)
+	s.stopped = false
+}
+
+// cloneArgs replaces every Cloner arg in slab with a private deep copy.
+func cloneArgs(slab []eventSlot) {
+	for i := range slab {
+		if c, ok := slab[i].arg.(Cloner); ok {
+			slab[i].arg = c.CloneForSnapshot()
 		}
 	}
-	s.heap = append(s.heap[:0], sn.heap...)
-	s.freeHead = sn.freeHead
-	s.live = sn.live
-	s.processed = sn.processed
-	s.pastClamps = sn.pastClamps
-	s.cancels = sn.cancels
-	s.stopped = false
 }
