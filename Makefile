@@ -32,7 +32,9 @@ race: vet
 # bit-identical results run-to-run and across instrumentation changes),
 # the fork-equivalence suite (a warm-started run forked from a
 # convergence-prefix snapshot must be bit-identical to the cold run its
-# fallback executes, across several seeds), and the PDES shard-equivalence
+# fallback executes, across several seeds, and on 1, 2 and 4 concurrent
+# fork lanes: the TestForkEquivalence pattern selects
+# TestForkEquivalenceLanes), and the PDES shard-equivalence
 # suites (every shard count must reproduce the single-scheduler run
 # bit-for-bit, at both the core and the experiments layer).
 determinism:
@@ -47,7 +49,7 @@ bench:
 	$(GO) test -run ^$$ -bench 'BenchmarkSchedulerThroughput|BenchmarkSchedulerCancelHeavy|BenchmarkNetsimFrameBurst' \
 		-benchmem . | $(GO) run ./cmd/benchjson -o BENCH_scheduler.json
 	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_system.json
-	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart|BenchmarkForkSystem' -benchtime 3x -benchmem . \
+	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart|BenchmarkSweepWarmLanes|BenchmarkForkSystem' -benchtime 3x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
 	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric' -benchtime 3x -benchmem -cpu 1,2 . \
 		| $(GO) run ./cmd/benchjson -o BENCH_pdes.json
@@ -69,7 +71,7 @@ bench-smoke:
 		-benchtime 1x -benchmem . | $(GO) run ./cmd/benchjson -o .bench-smoke/scheduler.json
 	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/system.json
-	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart|BenchmarkForkSystem' -benchtime 1x -benchmem . \
+	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart|BenchmarkSweepWarmLanes|BenchmarkForkSystem' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/sweep.json
 	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric' -benchtime 1x -benchmem -cpu 1,2 . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/pdes.json
@@ -111,6 +113,7 @@ verify: build fmt-check vet test
 	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/netsim/... \
 		./internal/obs/... ./internal/chaos/... ./internal/ptp4l/... ./internal/core/...
 	$(GO) test -race -cpu 1,2 -run 'TestFabric|TestShardEquivalenceForceParallel' ./internal/sim/ ./internal/core/
+	$(GO) test -race -run 'TestForkEquivalenceLanes' ./internal/experiments/
 
 # Chaos smoke: a 10-minute-sim-time fault-injection campaign driven by the
 # committed example scenario plan, with the holdover watchdog armed. Fails
@@ -158,6 +161,7 @@ fuzz-smoke:
 	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzWireSyncRoundTrip -fuzztime 10s
 	$(GO) test ./internal/experiments/ -run ^$$ -fuzz FuzzDecodeConfig -fuzztime 10s
 	$(GO) test ./internal/chaos/ -run ^$$ -fuzz FuzzParsePlan -fuzztime 10s
+	$(GO) test ./internal/serve/ -run ^$$ -fuzz FuzzLoadState -fuzztime 10s
 	$(GO) test ./internal/faultinject/ -run TestFaultHypothesisAcrossDerivedSeeds -count=1
 
 # Serve smoke: boot cmd/served on an ephemeral port, drive a small

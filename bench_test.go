@@ -513,13 +513,14 @@ func BenchmarkCampaign4SeedsSequential(b *testing.B) { benchCampaign(b, 1) }
 func BenchmarkCampaign4SeedsParallel4(b *testing.B) { benchCampaign(b, 4) }
 
 // benchChaosSweep runs the network-chaos sweep that the warm-start
-// benchmark pair compares: six plans (three burst intensities, three
-// partition durations) whose divergent tails (95 s each) are short against
-// the shared 265 s convergence prefix — the regime the copy-on-fork
-// snapshot engine is built for. Cold mode pays the prefix six times; warm
-// mode pays it once and forks. The tables are bit-identical either way
-// (see TestForkEquivalenceNetworkChaos), so ns/op is the only difference.
-func benchChaosSweep(b *testing.B, warm bool) {
+// benchmarks compare: six plans (three burst intensities, three partition
+// durations) whose divergent tails (95 s each) are short against the shared
+// 265 s convergence prefix — the regime the copy-on-fork snapshot engine is
+// built for. Cold mode pays the prefix six times; warm mode pays it once per
+// fork lane and forks, on parallel runner workers. The tables are
+// bit-identical either way (see TestForkEquivalenceNetworkChaos and
+// TestForkEquivalenceLanes), so ns/op is the only difference.
+func benchChaosSweep(b *testing.B, warm bool, parallel int) {
 	reg := obs.NewRegistry()
 	var last *experiments.NetworkChaosResult
 	for i := 0; i < b.N; i++ {
@@ -529,7 +530,7 @@ func benchChaosSweep(b *testing.B, warm bool) {
 			ChaosStart:         4*time.Minute + 30*time.Second,
 			BurstBadLoss:       []float64{0.25, 0.5, 0.9},
 			PartitionDurations: []time.Duration{time.Second, 10 * time.Second, 30 * time.Second},
-			Parallel:           1, // serial in both modes: compare prefix reuse, not worker count
+			Parallel:           parallel,
 			WarmStart:          warm,
 			Metrics:            reg,
 		})
@@ -557,12 +558,19 @@ func benchChaosSweep(b *testing.B, warm bool) {
 
 // BenchmarkSweepCold — the chaos sweep with every point run cold from t=0:
 // the wall-clock baseline the warm-start claim is measured against.
-func BenchmarkSweepCold(b *testing.B) { benchChaosSweep(b, false) }
+func BenchmarkSweepCold(b *testing.B) { benchChaosSweep(b, false, 1) }
 
 // BenchmarkSweepWarmStart — the same sweep forked from one shared
-// convergence-prefix snapshot. Compare ns/op against BenchmarkSweepCold;
-// the committed BENCH_sweep.json records the pair.
-func BenchmarkSweepWarmStart(b *testing.B) { benchChaosSweep(b, true) }
+// convergence-prefix snapshot, serially. Compare ns/op against
+// BenchmarkSweepCold (both serial: prefix reuse, not worker count); the
+// committed BENCH_sweep.json records the pair.
+func BenchmarkSweepWarmStart(b *testing.B) { benchChaosSweep(b, true, 1) }
+
+// BenchmarkSweepWarmLanes — the warm sweep on two runner workers: two fork
+// lanes, each with its own replica of the prefix, draining the six forks
+// together. Compare ns/op against BenchmarkSweepWarmStart at -cpu 2; at
+// GOMAXPROCS 1 the lanes only interleave and pay the extra prefix.
+func BenchmarkSweepWarmLanes(b *testing.B) { benchChaosSweep(b, true, 2) }
 
 // BenchmarkForkSystem times core.ForkSystem on the paper mesh after a 1-min
 // and a 60-min prefix. Each iteration first runs a tail past the snapshot

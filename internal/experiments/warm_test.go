@@ -136,6 +136,47 @@ func TestForkEquivalenceNetworkChaos(t *testing.T) {
 	}
 }
 
+// TestForkEquivalenceLanes: a warm chaos sweep forked on several lanes at
+// once — each lane from its own replica of the prefix — must still be
+// bit-identical to the cold sweep, with every point served by a fork.
+func TestForkEquivalenceLanes(t *testing.T) {
+	cfg := NetworkChaosConfig{
+		Seed:               7,
+		Duration:           2*time.Minute + 30*time.Second,
+		ChaosStart:         90 * time.Second,
+		BurstBadLoss:       []float64{0.25, 0.9},
+		PartitionDurations: []time.Duration{time.Second, 10 * time.Second},
+		Parallel:           1,
+	}
+	coldRes, err := NetworkChaos(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	hc := sha256.New()
+	hashRows(hc, coldRes.Rows())
+	want := digest(hc)
+	for _, parallel := range []int{1, 2, 4} {
+		reg := obs.NewRegistry()
+		warmCfg := cfg
+		warmCfg.Parallel = parallel
+		warmCfg.WarmStart = true
+		warmCfg.Metrics = reg
+		warm, err := NetworkChaos(context.Background(), warmCfg)
+		if err != nil {
+			t.Fatalf("parallel %d warm: %v", parallel, err)
+		}
+		if forks, points := metricValue(reg, "runner_forks_served"), len(warm.Points); forks != float64(points) {
+			t.Fatalf("parallel %d: forks served = %v, want %d (points fell back cold)", parallel, forks, points)
+		}
+		hw := sha256.New()
+		hashRows(hw, warm.Rows())
+		if got := digest(hw); got != want {
+			t.Fatalf("parallel %d: warm lanes diverged from cold\ncold: %s\nwarm: %s",
+				parallel, coldRes.Summary(), warm.Summary())
+		}
+	}
+}
+
 // TestWarmFallbackOnPrefixMismatch: a sweep whose swept parameter shapes the
 // warm-up must detect the prefix-hash mismatch and demote those points to
 // cold runs, with the fallback counted.
