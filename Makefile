@@ -112,7 +112,7 @@ profile:
 verify: build fmt-check vet test
 	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/netsim/... \
 		./internal/obs/... ./internal/chaos/... ./internal/ptp4l/... ./internal/core/...
-	$(GO) test -race -cpu 1,2 -run 'TestFabric|TestShardEquivalenceForceParallel' ./internal/sim/ ./internal/core/
+	$(GO) test -race -cpu 1,2,4 -run 'TestFabric|TestSignal|TestShardEquivalenceForceParallel' ./internal/sim/ ./internal/core/
 	$(GO) test -race -run 'TestForkEquivalenceLanes' ./internal/experiments/
 
 # Chaos smoke: a 10-minute-sim-time fault-injection campaign driven by the

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"gptpfta/internal/sim"
 )
 
 // runFingerprint runs a system for d and reduces everything downstream
@@ -378,7 +380,9 @@ func TestFabricSystemLeavesNoWorkers(t *testing.T) {
 
 // TestPDESMetricsPresence pins the observability satellite: the window-
 // machinery counters are registered and plumbed through the registry that
-// -metrics JSONL and the served /metrics endpoint snapshot.
+// -metrics JSONL and the served /metrics endpoint snapshot. Control
+// callbacks that hold the coordinator for 20 ms, far past the barrier's
+// spin budget, let the workers park, so pdes_worker_parks must count.
 func TestPDESMetricsPresence(t *testing.T) {
 	sys, err := NewSystem(ScaleConfig(7, 2, 3, 2, 2))
 	if err != nil {
@@ -388,6 +392,10 @@ func TestPDESMetricsPresence(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	defer sys.Stop()
+	sys.Fabric().ForceParallel = true
+	for _, at := range []time.Duration{500 * time.Millisecond, time.Second, 1500 * time.Millisecond} {
+		sys.Scheduler().At(sim.Time(at), func() { time.Sleep(20 * time.Millisecond) })
+	}
 	if err := sys.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +407,7 @@ func TestPDESMetricsPresence(t *testing.T) {
 	}
 	for _, name := range []string{
 		"pdes_flush_skipped", "pdes_lookahead_rescans", "pdes_serial_windows",
-		"pdes_windows", "pdes_lookahead_ns",
+		"pdes_windows", "pdes_lookahead_ns", "pdes_worker_parks",
 	} {
 		if count[name] != 1 {
 			t.Errorf("%s: %d series, want 1", name, count[name])
@@ -415,5 +423,8 @@ func TestPDESMetricsPresence(t *testing.T) {
 	}
 	if v, w := vals["pdes_serial_windows"], vals["pdes_windows"]; v < 0 || v > w {
 		t.Errorf("pdes_serial_windows = %v outside [0, windows=%v]", v, w)
+	}
+	if v, w := vals["pdes_worker_parks"], vals["pdes_windows"]-vals["pdes_serial_windows"]; v < 1 || v > w {
+		t.Errorf("pdes_worker_parks = %v outside [1, parallel windows=%v]", v, w)
 	}
 }

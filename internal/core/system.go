@@ -286,6 +286,7 @@ func (s *System) instrumentKernel() {
 	reg.GaugeFunc("pdes_serial_windows", func() float64 { return float64(s.fabric.Stats().SerialWindows) })
 	reg.GaugeFunc("pdes_flush_skipped", func() float64 { return float64(s.fabric.Stats().FlushesSkipped) })
 	reg.GaugeFunc("pdes_lookahead_rescans", func() float64 { return float64(s.fabric.Stats().LookaheadRescans) })
+	reg.GaugeFunc("pdes_worker_parks", func() float64 { return float64(s.fabric.Stats().WorkerParks) })
 	hist := reg.Histogram("pdes_barrier_wait_ns", []float64{1e3, 1e4, 1e5, 1e6, 1e7})
 	s.fabric.BarrierObserver = hist.Observe
 }

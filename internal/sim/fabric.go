@@ -44,12 +44,13 @@ package sim
 // (fabric_worker.go holds the first):
 //
 //   - Shard execution is dispatched to per-shard worker goroutines that
-//     live for one RunUntil call, over a channel barrier, instead of
-//     spawning a goroutine per window; a deterministic serial fast path
-//     runs busy shards inline on the coordinator when parallelism cannot
-//     pay (GOMAXPROCS 1, a single busy shard, or nearly-empty queues).
-//     Both paths execute the same events against the same state, so the
-//     choice is invisible to every determinism surface.
+//     live for one RunUntil call, over a spin-then-park barrier that keeps
+//     them polling between close dispatches, instead of spawning a
+//     goroutine per window; a deterministic serial fast path runs the busy
+//     shards inline on the coordinator when parallelism cannot pay: with
+//     GOMAXPROCS 1, or a single busy shard. Both paths execute the same
+//     events against the same state, so the choice is invisible to every
+//     determinism surface.
 //   - The lookahead is cached: the O(boundaries) MinDelay rescan happens
 //     only after a boundary reports, through the hook NewFabric binds, a
 //     delay mutation (chaos override, WAN drift step, attack install,
@@ -128,8 +129,9 @@ type Boundary interface {
 }
 
 // FabricStats are cumulative fabric-level counters, sampled by the obs
-// layer. BarrierWait values are wall-clock — and SerialWindows depends on
-// GOMAXPROCS — so both are excluded from any determinism surface.
+// layer. BarrierWait and WorkerParks depend on wall-clock timing — and
+// SerialWindows on GOMAXPROCS — so all three are excluded from any
+// determinism surface.
 type FabricStats struct {
 	Windows       uint64 // barrier-separated execution windows run
 	ControlRounds uint64 // control-scheduler turns fired between windows
@@ -140,6 +142,7 @@ type FabricStats struct {
 	SerialWindows    uint64 // windows run inline on the coordinator (no worker dispatch)
 	FlushesSkipped   uint64 // barriers with no captured sends: flush was a no-op
 	LookaheadRescans uint64 // O(boundaries) MinDelay rescans actually performed
+	WorkerParks      uint64 // window dispatches that had to wake a parked worker
 }
 
 // Fabric coordinates sharded execution. It is driven from a single
@@ -161,8 +164,11 @@ type Fabric struct {
 
 	// Shard workers of the running RunUntil call (fabric_worker.go),
 	// started lazily by its first parallel window; nil between calls.
-	group    *workerGroup
-	maxprocs int
+	// maxprocs is GOMAXPROCS as read at the start of that call.
+	// spinBudget is the barrier's spinBudget; tests shorten it.
+	group      *workerGroup
+	maxprocs   int
+	spinBudget time.Duration
 
 	// ForceParallel bypasses every serial fast-path heuristic and routes
 	// each multi-shard-capable window through the worker barrier, even on
@@ -192,11 +198,11 @@ func NewFabric(shards []*Scheduler, control *Scheduler, bounds []Boundary) *Fabr
 		b.BindFabric(func() { h.markDirty(rank) }, h.invalidateLookahead)
 	}
 	return &Fabric{
-		shards:   shards,
-		control:  control,
-		bounds:   bounds,
-		hooks:    h,
-		maxprocs: runtime.GOMAXPROCS(0),
+		shards:     shards,
+		control:    control,
+		bounds:     bounds,
+		hooks:      h,
+		spinBudget: spinBudget,
 	}
 }
 
@@ -349,27 +355,19 @@ func deferredLess(a, b *Deferred) bool {
 	return a.Dir < b.Dir
 }
 
-// serialPendingMax is the busy-shard queue-depth sum below which a window
-// is run serially even when several shards are busy: with almost nothing
-// queued anywhere, a window can only hold a handful of events and the
-// barrier wake-up costs more than it parallelizes away.
-const serialPendingMax = 16
-
 // runWindow advances every shard to end: shards with pending work in the
 // window run concurrently on the workers, idle shards fast-forward inline.
 // A deterministic serial fast path executes the busy shards in shard order
-// on the coordinator when parallelism cannot pay: a single core, a lone
-// busy shard, or nearly-empty queues. Both paths fire the same events
-// against the same state, so the choice never reaches a determinism
-// surface. Returns the first busy shard's error in shard order (ErrStopped
-// propagates); every busy shard finishes its window either way.
+// on the coordinator when parallelism cannot pay: GOMAXPROCS 1, or a lone
+// busy shard. Both paths fire the same events against the same state, so
+// the choice never reaches a determinism surface. Returns the first busy
+// shard's error in shard order (ErrStopped propagates); every busy shard
+// finishes its window either way.
 func (f *Fabric) runWindow(end Time) error {
 	busy := f.busy[:0]
-	pending := 0
 	for i, sc := range f.shards {
 		if at, ok := sc.NextEventAt(); ok && at <= end {
 			busy = append(busy, i)
-			pending += sc.Pending()
 		} else {
 			sc.SkipTo(end)
 		}
@@ -379,7 +377,7 @@ func (f *Fabric) runWindow(end Time) error {
 	if len(busy) == 0 {
 		return nil
 	}
-	if !f.ForceParallel && (f.maxprocs == 1 || len(busy) == 1 || pending <= serialPendingMax) {
+	if !f.ForceParallel && (f.maxprocs == 1 || len(busy) == 1) {
 		f.stats.SerialWindows++
 		var firstErr error
 		for _, i := range busy {
@@ -426,6 +424,7 @@ func (f *Fabric) RunUntil(target Time) error {
 	if target < f.now {
 		return fmt.Errorf("sim: fabric RunUntil(%v) behind committed instant %v", target, f.now)
 	}
+	f.maxprocs = runtime.GOMAXPROCS(0)
 	defer f.stopWorkers()
 	for {
 		e, haveShard := f.minShardNext()
