@@ -1,7 +1,8 @@
 # Verification targets. `make verify` is the tier-1 gate; `make race`
 # adds the race detector over the whole module (the runner's worker pool
-# is the main concurrency surface; the frame pool in netsim and the obs
-# registry handles are shared between the pool's workers).
+# and the PDES shard workers are the concurrency surfaces; free lists and
+# counters on the message path belong to one scheduler and are shared by
+# nothing, which verify's race lines check).
 #
 # `make ci` mirrors .github/workflows/ci.yml so the pipeline can be
 # reproduced locally in one command.
@@ -111,7 +112,8 @@ profile:
 
 verify: build fmt-check vet test
 	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/netsim/... \
-		./internal/obs/... ./internal/chaos/... ./internal/ptp4l/... ./internal/core/...
+		./internal/obs/... ./internal/chaos/... ./internal/ptp4l/... ./internal/core/... \
+		./internal/gptp/... ./internal/shmem/... ./internal/measure/...
 	$(GO) test -race -cpu 1,2,4 -run 'TestFabric|TestSignal|TestShardEquivalenceForceParallel' ./internal/sim/ ./internal/core/
 	$(GO) test -race -run 'TestForkEquivalenceLanes' ./internal/experiments/
 
@@ -159,6 +161,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim/ -run ^$$ -fuzz FuzzStreamSeek -fuzztime 10s
 	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzWireDecode -fuzztime 10s
 	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzWireSyncRoundTrip -fuzztime 10s
+	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzSeqWindow -fuzztime 10s
 	$(GO) test ./internal/experiments/ -run ^$$ -fuzz FuzzDecodeConfig -fuzztime 10s
 	$(GO) test ./internal/chaos/ -run ^$$ -fuzz FuzzParsePlan -fuzztime 10s
 	$(GO) test ./internal/serve/ -run ^$$ -fuzz FuzzLoadState -fuzztime 10s

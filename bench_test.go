@@ -315,7 +315,7 @@ func BenchmarkNetsimFrameBurst(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := netsim.GetFrame()
+		f := netsim.PoolOf(sched).Get()
 		f.Src = "nic/dev0"
 		f.Dst = "mc/burst"
 		if _, err := nics[0].Send(f); err != nil {

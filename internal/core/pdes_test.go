@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,15 +32,36 @@ type runFingerprint struct {
 
 func fingerprint(t *testing.T, cfg Config, d time.Duration) runFingerprint {
 	t.Helper()
+	return fingerprintTweak(t, cfg, d, nil)
+}
+
+// fingerprintTweak is fingerprint with a hook between Start and RunFor,
+// for tests that flip fabric knobs (ForceParallel) on an otherwise
+// identical run.
+func fingerprintTweak(t *testing.T, cfg Config, d time.Duration, tweak func(*System)) runFingerprint {
+	t.Helper()
+	fp, err := runPrint(cfg, d, tweak)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
+// runPrint builds, starts and runs a system and takes its fingerprint;
+// unlike fingerprint it may be called from any goroutine.
+func runPrint(cfg Config, d time.Duration, tweak func(*System)) (runFingerprint, error) {
 	sys, err := NewSystem(cfg)
 	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
+		return runFingerprint{}, fmt.Errorf("NewSystem: %w", err)
 	}
 	if err := sys.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
+		return runFingerprint{}, fmt.Errorf("Start: %w", err)
+	}
+	if tweak != nil {
+		tweak(sys)
 	}
 	if err := sys.RunFor(d); err != nil {
-		t.Fatalf("RunFor: %v", err)
+		return runFingerprint{}, fmt.Errorf("RunFor: %w", err)
 	}
 	fp := runFingerprint{samples: sys.Collector().Samples()}
 	for _, e := range sys.EventLog().Events() {
@@ -52,7 +74,7 @@ func fingerprint(t *testing.T, cfg Config, d time.Duration) runFingerprint {
 	fp.ftaReady = sys.AllInFTOperation()
 	fp.frames = framesTotal(sys)
 	sys.Stop()
-	return fp
+	return fp, nil
 }
 
 func framesTotal(sys *System) uint64 {
@@ -201,38 +223,6 @@ func TestScaleTopologyRuns(t *testing.T) {
 	sys.Stop()
 }
 
-// fingerprintTweak is fingerprint with a hook between Start and RunFor,
-// for tests that flip fabric knobs (ForceParallel) on an otherwise
-// identical run.
-func fingerprintTweak(t *testing.T, cfg Config, d time.Duration, tweak func(*System)) runFingerprint {
-	t.Helper()
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	if err := sys.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	if tweak != nil {
-		tweak(sys)
-	}
-	if err := sys.RunFor(d); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
-	fp := runFingerprint{samples: sys.Collector().Samples()}
-	for _, e := range sys.EventLog().Events() {
-		fp.events = append(fp.events, e.String())
-	}
-	sort.Strings(fp.events)
-	min, max, ok := sys.SyncLatencies().Extrema()
-	fp.minNS, fp.maxNS, fp.haveLat = int64(min), int64(max), ok
-	fp.precNS, fp.precOK = sys.TruePrecision()
-	fp.ftaReady = sys.AllInFTOperation()
-	fp.frames = framesTotal(sys)
-	sys.Stop()
-	return fp
-}
-
 // TestShardEquivalenceForceParallel re-proves the determinism contract with
 // the serial fast path disabled: every window with ≥1 busy shard goes
 // through the worker barrier, on any core count. This is the
@@ -249,6 +239,47 @@ func TestShardEquivalenceForceParallel(t *testing.T) {
 			sys.Fabric().ForceParallel = true
 		})
 		requireSameFingerprint(t, fmt.Sprintf("forced-parallel shards=%d", shards), ref, fp)
+	}
+}
+
+// TestConcurrentSystemsShareNoFreeList runs two unsharded systems on two
+// goroutines while a third, sharded one runs every window through the
+// worker barrier, all at two Ps, and requires each to reproduce the run it
+// makes alone (the sharded one its unsharded twin's). Under -race (make
+// verify) it shows that no free list, pool counter or other message-path
+// state is shared between systems or between the shards of one.
+func TestConcurrentSystemsShareNoFreeList(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three concurrent systems")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const d = 1200 * time.Millisecond
+	cfgs := []Config{NewConfig(41), NewConfig(42), ScaleConfig(7, 3, 3, 2, 2)}
+	want := []runFingerprint{
+		fingerprint(t, cfgs[0], d),
+		fingerprint(t, cfgs[1], d),
+		fingerprint(t, ScaleConfig(7, 3, 3, 2, 1), d),
+	}
+	got := make([]runFingerprint, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		var tweak func(*System)
+		if cfg.Shards > 1 {
+			tweak = func(sys *System) { sys.Fabric().ForceParallel = true }
+		}
+		wg.Add(1)
+		go func(i int, cfg Config) {
+			defer wg.Done()
+			got[i], errs[i] = runPrint(cfg, d, tweak)
+		}(i, cfg)
+	}
+	wg.Wait()
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatalf("system %d: %v", i, errs[i])
+		}
+		requireSameFingerprint(t, fmt.Sprintf("concurrent system %d", i), want[i], got[i])
 	}
 }
 

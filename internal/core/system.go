@@ -259,10 +259,14 @@ func (s *System) instrumentKernel() {
 		}
 		return float64(n)
 	})
-	// The frame pool is process-global (shared across concurrently running
-	// simulations); its hit rate is an aggregate, not per-system.
+	// Each scheduler owns one frame pool; the hit rate is over all of
+	// this system's pools.
 	reg.GaugeFunc("netsim_pool_hit_rate", func() float64 {
-		gets, news, _ := netsim.PoolStats()
+		var gets, news uint64
+		for _, sc := range s.scheds {
+			g, n, _ := netsim.PoolOf(sc).Stats()
+			gets, news = gets+g, news+n
+		}
 		if gets == 0 {
 			return 0
 		}
@@ -507,22 +511,19 @@ func (s *System) buildNodes() error {
 				return err
 			}
 			stack.Instrument(s.obs)
-			// Precompute the per-domain tracker keys: the observer runs once
-			// per received Sync, and a Sprintf there dominated the system
-			// allocation profile. Preregistering them also keeps the tracker's
-			// sharded fast path race-free (one writer per key).
-			syncKeys := make([]string, s.cfg.NumDomains())
-			for d := range syncKeys {
-				syncKeys[d] = fmt.Sprintf("dom%d->%s", d+1, vmNameCopy)
+			// Register the per-domain tracker paths at build time: the
+			// observer runs once per received Sync, so it indexes a dense
+			// table instead of formatting and hashing a key, and sharded
+			// runs stay race-free (one writer per path). A Sync of a domain
+			// the system does not run is no path of its bound.
+			syncPaths := make([]int, s.cfg.NumDomains())
+			for d := range syncPaths {
+				syncPaths[d] = s.syncLat.Path(fmt.Sprintf("dom%d->%s", d+1, vmNameCopy))
 			}
-			s.syncLat.Preregister(syncKeys...)
 			stack.SetSyncObserver(func(domain int, latency time.Duration) {
-				if domain >= 0 && domain < len(syncKeys) {
-					s.syncLat.Observe(syncKeys[domain], latency)
-					return
+				if domain >= 0 && domain < len(syncPaths) {
+					s.syncLat.ObservePath(syncPaths[domain], latency)
 				}
-				// Unknown domain (malformed or adversarial Sync): fall back.
-				s.syncLat.Observe(fmt.Sprintf("dom%d->%s", domain+1, vmNameCopy), latency)
 			})
 			p2s := phc2sys.New(sc, nic.PHC(), tsc, node.STSHMEM(),
 				s.streams.Stream("phc2sys/"+vmName),

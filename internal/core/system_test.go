@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -497,5 +498,34 @@ func TestSystemMetricsSnapshot(t *testing.T) {
 		if m.Name == "netsim_frames_sent" && m.Value <= 0 {
 			t.Errorf("netsim_frames_sent = %v, want > 0", m.Value)
 		}
+	}
+}
+
+// maxAllocsPerEvent bounds the steady-state heap allocations per processed
+// event of the paper mesh. What is left is one Sync per domain and
+// interval (a relay's egress copies share it), the measurement probe and
+// its collect-window closure, and the amortised growth of result slices.
+const maxAllocsPerEvent = 0.025
+
+// TestSteadyStateAllocations guards the allocation-free message path:
+// frames, FollowUps, pdelay messages and measurement replies come from
+// per-scheduler free lists. It converges the paper mesh for a simulated
+// minute and then counts the mallocs of the next one.
+func TestSteadyStateAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two simulated minutes")
+	}
+	sys := buildAndStart(t, 1, nil)
+	runFor(t, sys, time.Minute)
+	var before, after runtime.MemStats
+	events := sys.ProcessedEvents()
+	runtime.ReadMemStats(&before)
+	runFor(t, sys, time.Minute)
+	runtime.ReadMemStats(&after)
+	events = sys.ProcessedEvents() - events
+	perEvent := float64(after.Mallocs-before.Mallocs) / float64(events)
+	t.Logf("%d mallocs over %d events: %.4f per event", after.Mallocs-before.Mallocs, events, perEvent)
+	if perEvent > maxAllocsPerEvent {
+		t.Fatalf("%.4f mallocs per event in steady state, bound %v", perEvent, maxAllocsPerEvent)
 	}
 }

@@ -305,7 +305,7 @@ func (b *BMCA) tick() {
 			Seq:          b.seq,
 			Path:         path,
 		}
-		b.tx[i](newFrame(netsim.Address("nic/"+b.cfg.Self.ClockID), a))
+		b.tx[i](newFrame(netsim.PoolOf(b.sched), netsim.Address("nic/"+b.cfg.Self.ClockID), a))
 	}
 }
 

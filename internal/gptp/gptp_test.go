@@ -372,7 +372,7 @@ func TestRelayIgnoresSyncOnWrongPort(t *testing.T) {
 	stCL := newStation(h, cl)
 	received := 0
 	stCL.addSlave(0, func(OffsetSample) { received++ })
-	_, err := cl.Send(newFrame("nic/cl", &Sync{Domain: 0, Seq: 1}))
+	_, err := cl.Send(newFrame(netsim.PoolOf(h.sched), "nic/cl", &Sync{Domain: 0, Seq: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,12 +36,14 @@ func (c LinkDelayConfig) withDefaults() LinkDelayConfig {
 // ratio toward its peer) and responder (answering the peer's requests).
 // Time-aware bridges run one per port; end stations run one on their NIC.
 type LinkDelay struct {
-	name  string
-	addr  netsim.Address // source address of this endpoint's frames
-	sched *sim.Scheduler
-	cfg   LinkDelayConfig
-	tx    TxFunc
-	rng   sim.RNG
+	name   string
+	addr   netsim.Address // source address of this endpoint's frames
+	sched  *sim.Scheduler
+	frames *netsim.FramePool
+	msgs   *payloads
+	cfg    LinkDelayConfig
+	tx     TxFunc
+	rng    sim.RNG
 	linkDelayState
 }
 
@@ -73,6 +75,8 @@ func NewLinkDelay(name string, sched *sim.Scheduler, rng sim.RNG, tx TxFunc, cfg
 		name:           name,
 		addr:           netsim.Address("nic/" + name),
 		sched:          sched,
+		frames:         netsim.PoolOf(sched),
+		msgs:           payloadsOf(sched),
 		cfg:            cfg.withDefaults(),
 		tx:             tx,
 		rng:            rng,
@@ -105,8 +109,9 @@ func (ld *LinkDelay) Stop() {
 
 func (ld *LinkDelay) sendReq() {
 	ld.seq++
-	f := newFrame(ld.addr, &PdelayReq{Seq: ld.seq, Requester: ld.name})
-	ts, ok := ld.tx(f)
+	req := ld.msgs.reqs.Get()
+	req.Seq, req.Requester = ld.seq, ld.name
+	ts, ok := ld.tx(newFrame(ld.frames, ld.addr, req))
 	if !ok {
 		return
 	}
@@ -115,41 +120,45 @@ func (ld *LinkDelay) sendReq() {
 }
 
 // HandleFrame processes a received gPTP pdelay message (with its local
-// receive timestamp) and reports whether it consumed the payload.
+// receive timestamp) and reports whether it consumed the payload. A
+// consumed message is recycled on return, so the caller must not use it
+// afterwards.
 func (ld *LinkDelay) HandleFrame(payload any, rxTS float64) bool {
 	switch m := payload.(type) {
 	case *PdelayReq:
 		ld.respond(m, rxTS)
-		return true
+		ld.msgs.reqs.Put(m)
 	case *PdelayResp:
-		if m.Requester != ld.name || m.Seq != ld.seq {
-			return true // stale or foreign; consumed but ignored
+		// A stale or foreign response is consumed but ignored.
+		if m.Requester == ld.name && m.Seq == ld.seq {
+			ld.respT2 = m.T2
+			ld.respT4 = rxTS
+			ld.havePair = true
 		}
-		ld.respT2 = m.T2
-		ld.respT4 = rxTS
-		ld.havePair = true
-		return true
+		ld.msgs.resps.Put(m)
 	case *PdelayRespFollowUp:
-		if m.Requester != ld.name || m.Seq != ld.seq || !ld.havePair {
-			return true
+		if m.Requester == ld.name && m.Seq == ld.seq && ld.havePair {
+			ld.complete(m.T3)
 		}
-		ld.complete(m.T3)
-		return true
+		ld.msgs.respFUs.Put(m)
 	default:
 		return false
 	}
+	return true
 }
 
 // respond implements the responder side: send PdelayResp carrying t2, then
 // PdelayRespFollowUp carrying t3 (the response transmit timestamp).
 func (ld *LinkDelay) respond(req *PdelayReq, t2 float64) {
-	resp := newFrame(ld.addr, &PdelayResp{Seq: req.Seq, Requester: req.Requester, T2: t2})
-	t3, ok := ld.tx(resp)
+	resp := ld.msgs.resps.Get()
+	resp.Seq, resp.Requester, resp.T2 = req.Seq, req.Requester, t2
+	t3, ok := ld.tx(newFrame(ld.frames, ld.addr, resp))
 	if !ok {
 		return
 	}
-	fu := newFrame(ld.addr, &PdelayRespFollowUp{Seq: req.Seq, Requester: req.Requester, T3: t3})
-	ld.tx(fu)
+	fu := ld.msgs.respFUs.Get()
+	fu.Seq, fu.Requester, fu.T3 = req.Seq, req.Requester, t3
+	ld.tx(newFrame(ld.frames, ld.addr, fu))
 }
 
 // complete computes one link-delay sample from (t1, t2, t3, t4):

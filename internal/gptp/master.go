@@ -74,6 +74,8 @@ func (c MasterConfig) withDefaults() MasterConfig {
 type Master struct {
 	nic     *netsim.NIC
 	sched   *sim.Scheduler
+	frames  *netsim.FramePool
+	msgs    *payloads
 	rng     sim.RNG
 	onFault func(kind string)
 	// txFn is the prebound ETF completion callback (snapshot-safe: it
@@ -99,8 +101,8 @@ type masterState struct {
 // NewMaster creates a grandmaster port on nic. onFault, if non-nil,
 // receives transient-fault notifications.
 func NewMaster(nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG, cfg MasterConfig, onFault func(kind string)) *Master {
-	m := &Master{nic: nic, sched: sched, rng: rng, onFault: onFault,
-		masterState: masterState{cfg: cfg.withDefaults(), lastSlot: -1}}
+	m := &Master{nic: nic, sched: sched, frames: netsim.PoolOf(sched), msgs: payloadsOf(sched),
+		rng: rng, onFault: onFault, masterState: masterState{cfg: cfg.withDefaults(), lastSlot: -1}}
 	m.txFn = m.onSyncTx
 	m.fuFn = func(x any) { m.sendFollowUp(x.(*FollowUp)) }
 	m.addr = netsim.Address("nic/" + nic.DeviceName())
@@ -163,7 +165,7 @@ func (m *Master) tick() {
 		sync.RateRatio = 1
 		sync.GMIdentity = m.cfg.GMIdentity
 	}
-	syncFrame := newFrame(m.addr, sync)
+	syncFrame := newFrame(m.frames, m.addr, sync)
 
 	if m.rng != nil && m.cfg.DeadlineMissProb > 0 && m.rng.Float64() < m.cfg.DeadlineMissProb {
 		// Model a late hand-off: the launch time passed to the qdisc is
@@ -208,7 +210,7 @@ func (m *Master) completeFollowUp(seq uint16, txTS float64) {
 	// Until it is sent, the queued FollowUp holds the raw transmit
 	// timestamp in PreciseOrigin. As a scheduler arg it is a sim.Cloner, so
 	// a snapshot keeps its own copy.
-	fu := newFollowUp()
+	fu := m.msgs.followUps.Get()
 	fu.Seq = seq
 	fu.PreciseOrigin = txTS
 	m.sched.AfterArg(delay, m.fuFn, fu)
@@ -219,14 +221,14 @@ func (m *Master) completeFollowUp(seq uint16, txTS float64) {
 // attacker replacing ptp4l in between would apply it.
 func (m *Master) sendFollowUp(fu *FollowUp) {
 	if m.nic.Down() {
-		fu.release()
+		m.msgs.followUps.Put(fu)
 		return
 	}
 	fu.Domain = m.cfg.Domain
 	fu.PreciseOrigin += m.cfg.MaliciousOriginOffsetNS
 	fu.RateRatio = 1
 	fu.GMIdentity = m.cfg.GMIdentity
-	if _, err := m.nic.Send(newFrame(m.addr, fu)); err == nil {
+	if _, err := m.nic.Send(newFrame(m.frames, m.addr, fu)); err == nil {
 		m.followUpsSent++
 	}
 }

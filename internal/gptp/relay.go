@@ -32,25 +32,26 @@ type RelayConfig struct {
 // free-running clock.
 type Relay struct {
 	bridge *netsim.Bridge
-	sched  *sim.Scheduler
+	frames *netsim.FramePool
+	msgs   *payloads
 	cfg    RelayConfig
 	addr   netsim.Address // source address of relayed FollowUps
 
 	linkDelays []*LinkDelay
-	domains    map[int]*relayDomain
+	// domains is indexed by domain number; nil entries are not relayed.
+	domains []*relayDomain
 	// onAnnounce receives Announce messages per ingress port (the BMCA
 	// engine in dynamic operation); Announce is link-local and always
 	// consumed.
 	onAnnounce func(ingress int, a *Announce)
 }
 
+// maxDomain is the largest gPTP domain number (domainNumber is one octet).
+const maxDomain = 255
+
 type relayDomain struct {
 	cfg     DomainPorts
-	pending map[uint16]*relaySync
-	lastSeq uint16
-	// free recycles completed relaySync records; one Sync per interval per
-	// domain makes this a single-element list in steady state.
-	free []*relaySync
+	pending seqRing[relaySync]
 	// onTx is the prebound egress-timestamp callback of relayed Syncs, so
 	// relaying a Sync allocates no closure. It captures only the relay and
 	// this record, both restored in place, which keeps it snapshot-safe.
@@ -59,77 +60,58 @@ type relayDomain struct {
 
 // newRelayDomain returns the relaying state of one domain.
 func (r *Relay) newRelayDomain(ports DomainPorts) *relayDomain {
-	d := &relayDomain{cfg: ports, pending: make(map[uint16]*relaySync)}
+	d := &relayDomain{cfg: ports}
 	d.onTx = func(egress int, payload any, txTS float64) { r.syncSent(d, egress, payload.(*Sync).Seq, txTS) }
 	return d
 }
 
+// relaySync is the relaying state of one two-step Sync.
 type relaySync struct {
 	rxTS float64
-	// txTS/haveTx hold the measured egress timestamp per bridge port.
-	txTS   []float64
-	haveTx []bool
+	// egress holds the per-bridge-port progress.
+	egress []egressState
 	// fu holds a copy of the upstream FollowUp (valid when haveFU) until
 	// all egress timestamps exist.
-	fu     FollowUp
-	haveFU bool
-	// done marks master ports whose FollowUp has been forwarded.
-	done      []bool
+	fu        FollowUp
+	haveFU    bool
 	doneCount int
 }
 
-// newSync returns a reset relaySync sized for nports bridge ports, reusing
-// a completed record when one is available.
-func (d *relayDomain) newSync(rxTS float64, nports int) *relaySync {
-	var st *relaySync
-	if n := len(d.free); n > 0 {
-		st = d.free[n-1]
-		d.free = d.free[:n-1]
-	} else {
-		st = &relaySync{}
-	}
-	if cap(st.txTS) < nports {
-		st.txTS = make([]float64, nports)
-		st.haveTx = make([]bool, nports)
-		st.done = make([]bool, nports)
-	} else {
-		st.txTS = st.txTS[:nports]
-		st.haveTx = st.haveTx[:nports]
-		st.done = st.done[:nports]
-		for i := range st.haveTx {
-			st.haveTx[i] = false
-			st.done[i] = false
-		}
-	}
-	st.rxTS = rxTS
-	st.haveFU = false
-	st.doneCount = 0
-	return st
+type egressState struct {
+	txTS   float64 // measured egress timestamp, valid when haveTx
+	haveTx bool
+	done   bool // the FollowUp has been forwarded on this port
 }
 
-// recycle returns a fully-forwarded relaySync to the free list. Records
-// that age out instead (a FollowUp that never arrived) go to the garbage
-// collector: an in-flight egress-timestamp callback may still reference
-// them.
-func (d *relayDomain) recycle(st *relaySync) {
-	d.free = append(d.free, st)
+// reset starts the record over for a Sync received at rxTS, reusing its
+// per-port slice.
+func (st *relaySync) reset(rxTS float64, nports int) {
+	egress := st.egress
+	if cap(egress) < nports {
+		egress = make([]egressState, nports)
+	}
+	egress = egress[:nports]
+	clear(egress)
+	*st = relaySync{rxTS: rxTS, egress: egress}
 }
 
 // NewRelay installs 802.1AS relaying on a bridge and returns the relay. rng
 // seeds the per-port pdelay phase.
 func NewRelay(bridge *netsim.Bridge, sched *sim.Scheduler, rng sim.RNG, cfg RelayConfig) (*Relay, error) {
 	r := &Relay{
-		bridge:  bridge,
-		sched:   sched,
-		cfg:     cfg,
-		addr:    netsim.Address("nic/" + bridge.DeviceName()),
-		domains: make(map[int]*relayDomain, len(cfg.Domains)),
+		bridge: bridge,
+		frames: netsim.PoolOf(sched),
+		msgs:   payloadsOf(sched),
+		cfg:    cfg,
+		addr:   netsim.Address("nic/" + bridge.DeviceName()),
 	}
 	for d, ports := range cfg.Domains {
 		if ports.SlavePort < 0 || ports.SlavePort >= bridge.NumPorts() {
 			return nil, fmt.Errorf("gptp: relay %s domain %d: bad slave port %d", bridge.DeviceName(), d, ports.SlavePort)
 		}
-		r.domains[d] = r.newRelayDomain(ports)
+		if err := r.setDomain(d, r.newRelayDomain(ports)); err != nil {
+			return nil, err
+		}
 	}
 	r.linkDelays = make([]*LinkDelay, bridge.NumPorts())
 	for i := range r.linkDelays {
@@ -141,6 +123,26 @@ func NewRelay(bridge *netsim.Bridge, sched *sim.Scheduler, rng sim.RNG, cfg Rela
 	}
 	bridge.SetHook(r)
 	return r, nil
+}
+
+// domain returns the relaying state of domain n, or nil.
+func (r *Relay) domain(n int) *relayDomain {
+	if n >= 0 && n < len(r.domains) {
+		return r.domains[n]
+	}
+	return nil
+}
+
+// setDomain installs the relaying state of domain n.
+func (r *Relay) setDomain(n int, d *relayDomain) error {
+	if n < 0 || n > maxDomain {
+		return fmt.Errorf("gptp: relay %s: bad domain %d", r.bridge.DeviceName(), n)
+	}
+	for len(r.domains) <= n {
+		r.domains = append(r.domains, nil)
+	}
+	r.domains[n] = d
+	return nil
 }
 
 // Start begins pdelay measurement on all connected ports.
@@ -181,20 +183,21 @@ func (r *Relay) SetDomainPorts(domain int, ports DomainPorts) error {
 				r.bridge.DeviceName(), domain, m)
 		}
 	}
-	r.domains[domain] = r.newRelayDomain(ports)
-	return nil
+	return r.setDomain(domain, r.newRelayDomain(ports))
 }
 
 // RemoveDomain stops relaying a domain (its grandmaster disappeared and no
 // successor exists on this side of the network).
 func (r *Relay) RemoveDomain(domain int) {
-	delete(r.domains, domain)
+	if r.domain(domain) != nil {
+		r.domains[domain] = nil
+	}
 }
 
 // DomainPortsFor reports a domain's current configuration.
 func (r *Relay) DomainPortsFor(domain int) (DomainPorts, bool) {
-	d, ok := r.domains[domain]
-	if !ok {
+	d := r.domain(domain)
+	if d == nil {
 		return DomainPorts{}, false
 	}
 	return DomainPorts{
@@ -215,7 +218,7 @@ func (r *Relay) Handle(_ *netsim.Bridge, ingress int, f *netsim.Frame, rxTS floa
 		return true
 	case *FollowUp:
 		r.handleFollowUp(ingress, m)
-		m.release()
+		r.msgs.followUps.Put(m)
 		return true
 	case *Announce:
 		if r.onAnnounce != nil {
@@ -233,25 +236,17 @@ func (r *Relay) SetAnnounceHandler(h func(ingress int, a *Announce)) {
 }
 
 func (r *Relay) handleSync(ingress int, f *netsim.Frame, m *Sync, rxTS float64) {
-	d, ok := r.domains[m.Domain]
-	if !ok || ingress != d.cfg.SlavePort {
+	d := r.domain(m.Domain)
+	if d == nil || ingress != d.cfg.SlavePort {
 		return // not part of this domain's tree here: drop
 	}
 	if m.OneStep {
 		r.relayOneStep(d, f, m, rxTS)
 		return
 	}
-	st := d.newSync(rxTS, r.bridge.NumPorts())
-	d.pending[m.Seq] = st
-	d.lastSeq = m.Seq
-	// Garbage-collect stale entries (a FollowUp that never arrived).
-	for seq := range d.pending {
-		if seqDelta(d.lastSeq, seq) > 4 {
-			delete(d.pending, seq)
-		}
-	}
+	d.pending.add(m.Seq).reset(rxTS, r.bridge.NumPorts())
 	for _, egress := range d.cfg.MasterPorts {
-		out := f.Clone()
+		out := r.frames.Clone(f)
 		residence := r.bridge.ResidenceFor(f)
 		r.bridge.TransmitAt(egress, residence, out, d.onTx)
 	}
@@ -259,16 +254,16 @@ func (r *Relay) handleSync(ingress int, f *netsim.Frame, m *Sync, rxTS float64) 
 
 // syncSent records the egress timestamp of a relayed two-step Sync. It
 // looks the record up by sequence number (carried by the Sync payload)
-// instead of holding *relaySync: records are freelist-recycled. Residence
-// times are microseconds while ageing takes seqDelta > 4 intervals, so a
-// pending egress callback never misses its record.
+// instead of holding *relaySync: ring slots are reused. Residence times
+// are microseconds while ageing takes seqDelta > 4 intervals, so a pending
+// egress callback never misses its record.
 func (r *Relay) syncSent(d *relayDomain, egress int, seq uint16, txTS float64) {
-	st, ok := d.pending[seq]
-	if !ok {
+	st := d.pending.get(seq)
+	if st == nil {
 		return
 	}
-	st.txTS[egress] = txTS
-	st.haveTx[egress] = true
+	st.egress[egress].txTS = txTS
+	st.egress[egress].haveTx = true
 	if st.haveFU {
 		r.forwardFollowUp(d, seq, st, egress)
 	}
@@ -285,7 +280,7 @@ func (r *Relay) relayOneStep(d *relayDomain, f *netsim.Frame, m *Sync, rxTS floa
 	cumRatio := m.RateRatio * nrr
 	linkDelay := slaveLD.DelayOrDefault(r.cfg.DefaultLinkDelayNS)
 	for _, egress := range d.cfg.MasterPorts {
-		out := f.Clone()
+		out := r.frames.Clone(f)
 		copySync := *m
 		copySync.RateRatio = cumRatio
 		out.Payload = &copySync
@@ -301,18 +296,18 @@ func (r *Relay) relayOneStep(d *relayDomain, f *netsim.Frame, m *Sync, rxTS floa
 }
 
 func (r *Relay) handleFollowUp(ingress int, m *FollowUp) {
-	d, ok := r.domains[m.Domain]
-	if !ok || ingress != d.cfg.SlavePort {
+	d := r.domain(m.Domain)
+	if d == nil || ingress != d.cfg.SlavePort {
 		return
 	}
-	st, ok := d.pending[m.Seq]
-	if !ok {
+	st := d.pending.get(m.Seq)
+	if st == nil {
 		return // Sync was lost or aged out
 	}
 	st.fu = *m
 	st.haveFU = true
 	for _, egress := range d.cfg.MasterPorts {
-		if st.haveTx[egress] {
+		if st.egress[egress].haveTx {
 			r.forwardFollowUp(d, m.Seq, st, egress)
 		}
 	}
@@ -323,33 +318,28 @@ func (r *Relay) handleFollowUp(ingress int, m *FollowUp) {
 // delay, both expressed in the grandmaster timebase via the cumulative rate
 // ratio (802.1AS clause 11.1.3).
 func (r *Relay) forwardFollowUp(d *relayDomain, seq uint16, st *relaySync, egress int) {
-	if st.done[egress] {
+	if st.egress[egress].done {
 		return
 	}
-	st.done[egress] = true
+	st.egress[egress].done = true
 	st.doneCount++
 
 	slaveLD := r.linkDelays[d.cfg.SlavePort]
 	nrr := slaveLD.NeighborRateRatio()
 	cumRatio := st.fu.RateRatio * nrr
-	residence := st.txTS[egress] - st.rxTS
+	residence := st.egress[egress].txTS - st.rxTS
 	linkDelay := slaveLD.DelayOrDefault(r.cfg.DefaultLinkDelayNS)
 
-	out := newFollowUp()
+	out := r.msgs.followUps.Get()
 	out.Domain = st.fu.Domain
 	out.Seq = seq
 	out.PreciseOrigin = st.fu.PreciseOrigin
 	out.Correction = st.fu.Correction + (residence+linkDelay)*cumRatio
 	out.RateRatio = cumRatio
 	out.GMIdentity = st.fu.GMIdentity
-	r.bridge.TransmitAfterResidence(egress, newFrame(r.addr, out))
+	r.bridge.TransmitAfterResidence(egress, newFrame(r.frames, r.addr, out))
 
 	if st.doneCount == len(d.cfg.MasterPorts) {
-		delete(d.pending, seq)
-		d.recycle(st)
+		d.pending.remove(seq)
 	}
 }
-
-// seqDelta computes the forward distance between two uint16 sequence
-// numbers with wraparound.
-func seqDelta(newer, older uint16) uint16 { return newer - older }

@@ -27,15 +27,14 @@ type OffsetSample struct {
 type Slave struct {
 	domain    int
 	linkDelay *LinkDelay
+	msgs      *payloads
 	onOffset  func(OffsetSample)
-
-	pending map[uint16]float64 // seq → rxTS
 	slaveState
 }
 
-// slaveState is the slave's scalar state, copied whole by Snapshot.
+// slaveState is the slave's state, copied whole by Snapshot.
 type slaveState struct {
-	lastSeq uint16
+	pending seqRing[float64] // receive timestamps of unmatched Syncs
 	matched uint64
 }
 
@@ -45,8 +44,8 @@ func NewSlave(domain int, linkDelay *LinkDelay, onOffset func(OffsetSample)) *Sl
 	return &Slave{
 		domain:    domain,
 		linkDelay: linkDelay,
+		msgs:      linkDelay.msgs,
 		onOffset:  onOffset,
-		pending:   make(map[uint16]float64),
 	}
 }
 
@@ -79,28 +78,23 @@ func (s *Slave) HandleSync(m *Sync, rxTS float64) {
 		}
 		return
 	}
-	s.pending[m.Seq] = rxTS
-	s.lastSeq = m.Seq
-	for seq := range s.pending {
-		if seqDelta(s.lastSeq, seq) > 4 {
-			delete(s.pending, seq)
-		}
-	}
+	*s.pending.add(m.Seq) = rxTS
 }
 
 // HandleFollowUp completes a measurement if the matching Sync was seen. It
 // consumes m: a FollowUp taken off the wire is recycled on return, so the
 // caller must not use it afterwards.
 func (s *Slave) HandleFollowUp(m *FollowUp) {
-	defer m.release()
+	defer s.msgs.followUps.Put(m)
 	if m.Domain != s.domain {
 		return
 	}
-	rxTS, ok := s.pending[m.Seq]
-	if !ok {
+	p := s.pending.get(m.Seq)
+	if p == nil {
 		return // Sync lost (deadline miss upstream) or arrived out of order
 	}
-	delete(s.pending, m.Seq)
+	rxTS := *p
+	s.pending.remove(m.Seq)
 	delay := s.linkDelay.DelayOrDefault(0)
 	offset := rxTS - m.PreciseOrigin - m.Correction - delay
 	s.matched++

@@ -1,7 +1,5 @@
 package gptp
 
-import "maps"
-
 // Warm-start snapshot support (sim.Snapshotter) for the gPTP layer. All
 // components are rewound in place, which keeps the egress-timestamp and
 // FollowUp callbacks already queued in the scheduler valid across a fork:
@@ -17,70 +15,51 @@ func (ld *LinkDelay) Snapshot() any {
 // Restore implements sim.Snapshotter.
 func (ld *LinkDelay) Restore(snap any) { ld.linkDelayState = *snap.(*linkDelayState) }
 
-// slaveSnapshot captures one end-station slave.
-type slaveSnapshot struct {
-	slaveState
-	pending map[uint16]float64
-}
-
 // Snapshot implements sim.Snapshotter.
 func (s *Slave) Snapshot() any {
-	return &slaveSnapshot{s.slaveState, maps.Clone(s.pending)}
+	st := s.slaveState
+	return &st
 }
 
 // Restore implements sim.Snapshotter.
-func (s *Slave) Restore(snap any) {
-	sn := snap.(*slaveSnapshot)
-	s.slaveState = sn.slaveState
-	s.pending = maps.Clone(sn.pending)
-}
+func (s *Slave) Restore(snap any) { s.slaveState = *snap.(*slaveState) }
 
-// clone deep-copies a relaySync for the snapshot engine.
-func (st *relaySync) clone() *relaySync {
-	return &relaySync{
-		rxTS:      st.rxTS,
-		txTS:      append([]float64(nil), st.txTS...),
-		haveTx:    append([]bool(nil), st.haveTx...),
-		fu:        st.fu,
-		haveFU:    st.haveFU,
-		done:      append([]bool(nil), st.done...),
-		doneCount: st.doneCount,
+// clonePending deep-copies a domain's pending ring: each slot's per-port
+// slice, which a reused slot writes in place.
+func clonePending(src *seqRing[relaySync]) seqRing[relaySync] {
+	out := *src
+	for i := range out {
+		out[i].v.egress = append([]egressState(nil), out[i].v.egress...)
 	}
+	return out
 }
 
 // relayDomainSnapshot is one domain's captured state. The *relayDomain
 // instance itself is captured by pointer — queued egress callbacks hold it —
-// and its pending records as pristine deep copies, re-cloned on every
-// restore so each fork consumes private copies.
+// and its pending ring as a pristine deep copy, re-cloned on every restore
+// so each fork consumes private copies.
 type relayDomainSnapshot struct {
 	d       *relayDomain
-	pending map[uint16]*relaySync
-	lastSeq uint16
+	pending seqRing[relaySync]
 }
 
 // relaySnapshot captures a relay: the domain set (SetDomainPorts and
 // RemoveDomain mutate it at runtime) and every per-port pdelay endpoint.
 type relaySnapshot struct {
-	domains    map[int]*relayDomainSnapshot
+	domains    []*relayDomainSnapshot // indexed by domain number
 	linkDelays []any
 }
 
 // Snapshot implements sim.Snapshotter.
 func (r *Relay) Snapshot() any {
 	sn := &relaySnapshot{
-		domains:    make(map[int]*relayDomainSnapshot, len(r.domains)),
+		domains:    make([]*relayDomainSnapshot, len(r.domains)),
 		linkDelays: make([]any, len(r.linkDelays)),
 	}
-	for k, d := range r.domains {
-		ds := &relayDomainSnapshot{
-			d:       d,
-			pending: make(map[uint16]*relaySync, len(d.pending)),
-			lastSeq: d.lastSeq,
+	for n, d := range r.domains {
+		if d != nil {
+			sn.domains[n] = &relayDomainSnapshot{d: d, pending: clonePending(&d.pending)}
 		}
-		for seq, st := range d.pending {
-			ds.pending[seq] = st.clone()
-		}
-		sn.domains[k] = ds
 	}
 	for i, ld := range r.linkDelays {
 		sn.linkDelays[i] = ld.Snapshot()
@@ -90,20 +69,15 @@ func (r *Relay) Snapshot() any {
 
 // Restore implements sim.Snapshotter. Domains added after the snapshot are
 // dropped; replaced ones revert to their snapshot-time instances, which is
-// what queued callbacks captured. Free lists start empty — record identity
-// is not observable to the simulation.
+// what queued callbacks captured.
 func (r *Relay) Restore(snap any) {
 	sn := snap.(*relaySnapshot)
-	r.domains = make(map[int]*relayDomain, len(sn.domains))
-	for k, ds := range sn.domains {
-		d := ds.d
-		d.pending = make(map[uint16]*relaySync, len(ds.pending))
-		for seq, st := range ds.pending {
-			d.pending[seq] = st.clone()
+	r.domains = make([]*relayDomain, len(sn.domains))
+	for n, ds := range sn.domains {
+		if ds != nil {
+			ds.d.pending = clonePending(&ds.pending)
+			r.domains[n] = ds.d
 		}
-		d.lastSeq = ds.lastSeq
-		d.free = nil
-		r.domains[k] = d
 	}
 	for i, ld := range r.linkDelays {
 		ld.Restore(sn.linkDelays[i])

@@ -53,15 +53,18 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 type pendingWindow struct {
 	seq     uint64
 	open    bool
-	replies []*Reply
+	replies []Reply
 }
 
 // Collector is the measurement VM's probe driver and Π* computer.
 type Collector struct {
-	cfg   CollectorConfig
-	sched *sim.Scheduler
-	nic   *netsim.NIC
-	name  string
+	cfg    CollectorConfig
+	sched  *sim.Scheduler
+	frames *netsim.FramePool
+	free   *replyPool
+	nic    *netsim.NIC
+	name   string
+	addr   netsim.Address
 
 	exclude map[string]bool
 	collectorState
@@ -96,8 +99,11 @@ func NewCollector(name string, sched *sim.Scheduler, nic *netsim.NIC, cfg Collec
 	return &Collector{
 		cfg:     cfg,
 		sched:   sched,
+		frames:  netsim.PoolOf(sched),
+		free:    sim.Local[replyPool](sched),
 		nic:     nic,
 		name:    name,
+		addr:    netsim.Address("nic/" + name),
 		exclude: ex,
 		pathMin: make(map[string]time.Duration),
 		pathMax: make(map[string]time.Duration),
@@ -147,39 +153,36 @@ func (c *Collector) openWindow(seq uint64) {
 	c.windows = append(c.windows, pendingWindow{seq: seq, open: true})
 }
 
-// closeWindow recycles a window, dropping its reply references promptly so
-// they do not linger until the next probe with the same slot.
+// closeWindow recycles a window.
 func (c *Collector) closeWindow(w *pendingWindow) {
-	for i := range w.replies {
-		w.replies[i] = nil
-	}
 	w.replies = w.replies[:0]
 	w.open = false
 }
 
 // Handle consumes measurement replies; install it alongside the Agent on
-// the measurement VM's frame demultiplexer.
+// the measurement VM's frame demultiplexer. The window keeps a copy of the
+// reply, and the payload is recycled.
 func (c *Collector) Handle(f *netsim.Frame, _ float64) {
 	r, ok := f.Payload.(*Reply)
 	if !ok {
 		return
 	}
-	w := c.window(r.Seq)
-	if w == nil {
-		return // reply after the collect window closed
+	// A reply after its collect window closed is dropped.
+	if w := c.window(r.Seq); w != nil {
+		w.replies = append(w.replies, *r)
 	}
-	w.replies = append(w.replies, r)
+	c.free.Put(r)
 }
 
 func (c *Collector) probe() {
 	c.seq++
 	seq := c.seq
 	c.openWindow(seq)
-	f := netsim.GetFrame()
-	f.Src = netsim.Address("nic/" + c.name)
+	f := c.frames.Get()
+	f.Src = c.addr
 	f.Dst = MulticastAddr
 	f.Priority = netsim.PriorityMeasure
-	f.Payload = &Probe{Seq: seq, Origin: netsim.Address("nic/" + c.name)}
+	f.Payload = &Probe{Seq: seq, Origin: c.addr}
 	atSec := float64(c.sched.Now()) / 1e9
 	if _, err := c.nic.Send(f); err != nil {
 		c.closeWindow(c.window(seq))
@@ -196,7 +199,8 @@ func (c *Collector) finalize(seq uint64, atSec float64) {
 	replies := w.replies
 
 	times := c.times[:0]
-	for _, r := range replies {
+	for i := range replies {
+		r := &replies[i]
 		if c.exclude[r.VM] || !r.Valid {
 			continue
 		}

@@ -39,11 +39,27 @@ type Reply struct {
 	PathLatency time.Duration
 }
 
+// ClonePayload implements netsim.PayloadCloner: a Reply is recycled once
+// the collector has copied it, so a warm-start snapshot must hold its own
+// copy of any still in flight.
+func (r *Reply) ClonePayload() any {
+	c := *r
+	return &c
+}
+
+// replyPool is one scheduler's Reply free list. Agents take from the list
+// of their own scheduler and the collector puts back on its own, which
+// differ only when the fabric splits them across shards.
+type replyPool = sim.FreeList[Reply]
+
 // Agent answers measurement probes on one clock-synchronization VM. It is
 // installed as the ptp4l stack's auxiliary frame handler.
 type Agent struct {
 	name     string
+	addr     netsim.Address
 	sched    *sim.Scheduler
+	frames   *netsim.FramePool
+	free     *replyPool
 	nic      *netsim.NIC
 	syncTime func() (float64, bool)
 	agentState
@@ -56,7 +72,8 @@ type agentState struct {
 
 // NewAgent creates an agent; syncTime reads the node's CLOCK_SYNCTIME.
 func NewAgent(name string, sched *sim.Scheduler, nic *netsim.NIC, syncTime func() (float64, bool)) *Agent {
-	return &Agent{name: name, sched: sched, nic: nic, syncTime: syncTime}
+	return &Agent{name: name, addr: netsim.Address("nic/" + name), sched: sched,
+		frames: netsim.PoolOf(sched), free: sim.Local[replyPool](sched), nic: nic, syncTime: syncTime}
 }
 
 // Replies reports how many probes the agent answered.
@@ -69,15 +86,16 @@ func (a *Agent) Handle(f *netsim.Frame, _ float64) {
 		return
 	}
 	v, valid := a.syncTime()
-	reply := &Reply{
+	reply := a.free.Get()
+	*reply = Reply{
 		Seq:         probe.Seq,
 		VM:          a.name,
 		SyncTimeNS:  v,
 		Valid:       valid,
 		PathLatency: f.PathLatency(a.sched.Now()),
 	}
-	out := netsim.GetFrame()
-	out.Src = netsim.Address("nic/" + a.name)
+	out := a.frames.Get()
+	out.Src = a.addr
 	out.Dst = probe.Origin
 	out.Priority = netsim.PriorityMeasure
 	out.Payload = reply

@@ -9,8 +9,7 @@ import (
 // every derived and windowed quantity from the snapshot — open collect
 // windows, the sample series, and the per-path latency extrema — so a fork
 // never inherits measurement state accumulated after the snapshot point.
-// Reply payloads are immutable once sent, so window snapshots share the
-// *Reply pointers and only copy the slices holding them.
+// Windows hold replies by value, so copying a window's slice copies them.
 
 type collectorSnapshot struct {
 	collectorState
@@ -25,7 +24,7 @@ func copyWindows(src []pendingWindow) []pendingWindow {
 	for i := range src {
 		out[i] = pendingWindow{seq: src[i].seq, open: src[i].open}
 		if len(src[i].replies) > 0 {
-			out[i].replies = append([]*Reply(nil), src[i].replies...)
+			out[i].replies = append([]Reply(nil), src[i].replies...)
 		}
 	}
 	return out
@@ -56,40 +55,15 @@ func (c *Collector) Restore(snap any) {
 	c.pathMax = maps.Clone(sn.pathMax)
 }
 
-type latencyTrackerSnapshot struct {
-	paths map[string]pathExtrema
-}
+// Snapshot implements sim.Snapshotter. Registered-but-unseen paths are
+// captured too.
+func (lt *LatencyTracker) Snapshot() any { return append([]pathExtrema(nil), lt.paths...) }
 
-// Snapshot implements sim.Snapshotter. Preregistered-but-unseen entries are
-// captured too, so a fork keeps the race-free fast path for them.
-func (lt *LatencyTracker) Snapshot() any {
-	sn := &latencyTrackerSnapshot{paths: make(map[string]pathExtrema, len(lt.paths)+len(lt.overflow))}
-	for k, p := range lt.paths {
-		sn.paths[k] = *p
-	}
-	for k, p := range lt.overflow {
-		sn.paths[k] = *p
-	}
-	return sn
-}
-
-// Restore implements sim.Snapshotter. Keys that are preregistered on the
-// live tracker restore in place; anything else lands back in the overflow
-// map.
+// Restore implements sim.Snapshotter. Paths registered since the snapshot
+// read as unobserved.
 func (lt *LatencyTracker) Restore(snap any) {
-	sn := snap.(*latencyTrackerSnapshot)
-	for _, p := range lt.paths {
-		*p = pathExtrema{}
-	}
-	lt.overflow = make(map[string]*pathExtrema)
-	for k, v := range sn.paths {
-		if p, ok := lt.paths[k]; ok {
-			*p = v
-			continue
-		}
-		pv := v
-		lt.overflow[k] = &pv
-	}
+	clear(lt.paths)
+	copy(lt.paths, snap.([]pathExtrema))
 }
 
 // Snapshot implements sim.Snapshotter.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -162,7 +161,7 @@ func ViolationCount(samples []Sample, boundNS float64) int {
 	return n
 }
 
-// pathExtrema is one path key's observed latency range. Each preregistered
+// pathExtrema is one path key's observed latency range. Each registered
 // entry has exactly one writer (the VM stack observing that path), so the
 // struct needs no lock of its own.
 type pathExtrema struct {
@@ -189,63 +188,46 @@ func (p *pathExtrema) observe(d time.Duration) {
 // precision bound (§III-A3).
 //
 // Concurrency: with a sharded kernel, paths on different shards are
-// observed in parallel. Preregister installs each expected key into a map
-// that is read-only afterwards, so concurrent Observe calls on distinct
-// preregistered keys are race-free (one writer per entry). Unknown keys
-// (malformed or adversarial domains) fall back to a mutex-guarded overflow
-// map. Readers (Extrema, Paths) run from the driver, never concurrently
+// observed in parallel. Path assigns each key a dense index before the
+// simulation starts, and the table is fixed afterwards, so concurrent
+// ObservePath calls on distinct indices are race-free (one writer per
+// entry). Readers (Extrema, Paths) run from the driver, never concurrently
 // with shard execution.
 type LatencyTracker struct {
-	paths map[string]*pathExtrema
-
-	mu       sync.Mutex
-	overflow map[string]*pathExtrema
+	index map[string]int // key → index into paths
+	paths []pathExtrema
 }
 
 // NewLatencyTracker creates an empty tracker.
 func NewLatencyTracker() *LatencyTracker {
-	return &LatencyTracker{
-		paths:    make(map[string]*pathExtrema),
-		overflow: make(map[string]*pathExtrema),
-	}
+	return &LatencyTracker{index: make(map[string]int)}
 }
 
-// Preregister installs path keys before the simulation starts. It must not
-// be called once observations may be arriving concurrently.
-func (lt *LatencyTracker) Preregister(keys ...string) {
-	for _, k := range keys {
-		if _, ok := lt.paths[k]; !ok {
-			lt.paths[k] = &pathExtrema{}
-		}
-	}
-}
-
-// Observe records one latency for a path key.
-func (lt *LatencyTracker) Observe(key string, d time.Duration) {
-	if p, ok := lt.paths[key]; ok {
-		p.observe(d)
-		return
-	}
-	lt.mu.Lock()
-	p, ok := lt.overflow[key]
+// Path returns the dense index of a path key, registering it on first
+// use. It must not be called once observations may be arriving
+// concurrently.
+func (lt *LatencyTracker) Path(key string) int {
+	i, ok := lt.index[key]
 	if !ok {
-		p = &pathExtrema{}
-		lt.overflow[key] = p
+		i = len(lt.paths)
+		lt.index[key] = i
+		lt.paths = append(lt.paths, pathExtrema{})
 	}
-	p.observe(d)
-	lt.mu.Unlock()
+	return i
 }
+
+// ObservePath records one latency for a path index returned by Path.
+func (lt *LatencyTracker) ObservePath(i int, d time.Duration) { lt.paths[i].observe(d) }
+
+// Observe records one latency for a path key, registering it on first
+// use (see Path).
+func (lt *LatencyTracker) Observe(key string, d time.Duration) { lt.ObservePath(lt.Path(key), d) }
 
 // each visits every observed path's extrema.
 func (lt *LatencyTracker) each(fn func(p *pathExtrema)) {
-	for _, p := range lt.paths {
-		if p.seen {
-			fn(p)
-		}
-	}
-	for _, p := range lt.overflow {
-		if p.seen {
-			fn(p)
+	for i := range lt.paths {
+		if lt.paths[i].seen {
+			fn(&lt.paths[i])
 		}
 	}
 }

@@ -43,8 +43,8 @@ func (m ResidenceModel) Draw(rng sim.RNG) time.Duration {
 // RelayHook lets a protocol layer (the gPTP time-aware bridge logic) claim
 // frames before generic forwarding. Handle returns true if the frame was
 // consumed. Handle must not retain f after it returns — the bridge recycles
-// pool-owned frames once a hook consumes them; payloads may be retained,
-// they are never pooled.
+// pool-owned frames once a hook consumes them; the payload is the hook's
+// to keep or recycle.
 type RelayHook interface {
 	Handle(b *Bridge, ingress int, f *Frame, rxTS float64) bool
 }
@@ -52,8 +52,9 @@ type RelayHook interface {
 // BridgeConfig configures a TSN bridge.
 type BridgeConfig struct {
 	Ports int
-	// Residence maps priority class to residence model. Missing classes
-	// fall back to PriorityBestEffort's model.
+	// Residence maps priority class (0–7) to residence model. Missing
+	// classes, and frames outside 0–7, fall back to PriorityBestEffort's
+	// model.
 	Residence map[int]ResidenceModel
 }
 
@@ -61,17 +62,20 @@ type BridgeConfig struct {
 // multicast membership (the measurement VLAN), a free-running local clock
 // used for residence-time measurement, and a relay hook for gPTP.
 type Bridge struct {
-	name  string
-	sched *sim.Scheduler
-	rng   sim.RNG
-	cfg   BridgeConfig
-	clk   *clock.PHC
-	ports []Port
+	name   string
+	sched  *sim.Scheduler
+	frames *FramePool
+	rng    sim.RNG
+	clk    *clock.PHC
+	ports  []Port
+	// residence is the residence model per priority class, fallbacks
+	// resolved at build time.
+	residence [PriorityPTP + 1]ResidenceModel
 
 	unicast map[Address]int
 	groups  map[Address][]int
 	hook    RelayHook
-	egress  map[int]EgressScheduler
+	egress  []EgressScheduler // per port; nil entries are unshaped
 	// txFns holds one prebound transmit callback per port so the generic
 	// forwarding path schedules through AtArg/AfterArg without allocating
 	// a closure per frame. txAtFn is the equivalent runner for TransmitAt
@@ -81,7 +85,7 @@ type Bridge struct {
 	// txAtFree recycles fired TransmitAt jobs. Jobs still queued when a
 	// snapshot is taken are deep-copied by the scheduler (txAtJob is a
 	// sim.Cloner), so a recycled job is never shared with a fork.
-	txAtFree []*txAtJob
+	txAtFree sim.FreeList[txAtJob]
 	bridgeState
 }
 
@@ -109,11 +113,19 @@ func NewBridge(name string, sched *sim.Scheduler, rng sim.RNG, clk *clock.PHC, c
 	b := &Bridge{
 		name:    name,
 		sched:   sched,
+		frames:  PoolOf(sched),
 		rng:     rng,
-		cfg:     cfg,
 		clk:     clk,
 		unicast: make(map[Address]int),
 		groups:  make(map[Address][]int),
+		egress:  make([]EgressScheduler, cfg.Ports),
+	}
+	for p := range b.residence {
+		m, ok := cfg.Residence[p]
+		if !ok {
+			m = cfg.Residence[PriorityBestEffort]
+		}
+		b.residence[p] = m
 	}
 	b.ports = make([]Port, cfg.Ports)
 	b.txFns = make([]func(any), cfg.Ports)
@@ -144,12 +156,7 @@ func (b *Bridge) SetHook(h RelayHook) { b.hook = h }
 // SetEgressScheduler installs a time-aware shaper on one egress port;
 // frames leaving that port are scheduled by it instead of the stochastic
 // residence model.
-func (b *Bridge) SetEgressScheduler(port int, es EgressScheduler) {
-	if b.egress == nil {
-		b.egress = make(map[int]EgressScheduler)
-	}
-	b.egress[port] = es
-}
+func (b *Bridge) SetEgressScheduler(port int, es EgressScheduler) { b.egress[port] = es }
 
 // Dropped reports frames discarded by egress schedulers (no gate window).
 func (b *Bridge) Dropped() uint64 { return b.dropped }
@@ -188,12 +195,12 @@ func (b *Bridge) Forwarded() uint64 { return b.forwarded }
 func (b *Bridge) Receive(p *Port, f *Frame) {
 	if b.failed {
 		b.faultedDrop++
-		f.release()
+		b.frames.put(f)
 		return
 	}
 	rxTS := b.clk.Timestamp()
 	if b.hook != nil && b.hook.Handle(b, p.Index, f, rxTS) {
-		f.release()
+		b.frames.put(f)
 		return
 	}
 	b.forward(p.Index, f)
@@ -206,15 +213,15 @@ func (b *Bridge) forward(ingress int, f *Frame) {
 			if egress == ingress {
 				continue
 			}
-			b.TransmitAfterResidence(egress, f.Clone())
+			b.TransmitAfterResidence(egress, b.frames.Clone(f))
 		}
 		// The original frame dies here; only its clones travel on.
-		f.release()
+		b.frames.put(f)
 		return
 	}
 	egress, ok := b.unicast[f.Dst]
 	if !ok || egress == ingress {
-		f.release()
+		b.frames.put(f)
 		return // no route: drop (static config covers all legitimate traffic)
 	}
 	b.TransmitAfterResidence(egress, f)
@@ -222,11 +229,11 @@ func (b *Bridge) forward(ingress int, f *Frame) {
 
 // ResidenceFor samples a residence time for the frame's priority class.
 func (b *Bridge) ResidenceFor(f *Frame) time.Duration {
-	m, ok := b.cfg.Residence[f.Priority]
-	if !ok {
-		m = b.cfg.Residence[PriorityBestEffort]
+	p := f.Priority
+	if p < 0 || p >= len(b.residence) {
+		p = PriorityBestEffort
 	}
-	return m.Draw(b.rng)
+	return b.residence[p].Draw(b.rng)
 }
 
 // TransmitAfterResidence schedules the frame on egress after a sampled
@@ -234,12 +241,12 @@ func (b *Bridge) ResidenceFor(f *Frame) time.Duration {
 // installed (a fixed store-and-forward processing delay plus the shaper's
 // gate/queue schedule).
 func (b *Bridge) TransmitAfterResidence(egress int, f *Frame) {
-	if es, ok := b.egress[egress]; ok {
+	if es := b.egress[egress]; es != nil {
 		const processing = 600 * time.Nanosecond // lookup + store-and-forward
 		departAt, err := es.Enqueue(b.sched.Now().Add(processing), f.Priority, f.Bytes)
 		if err != nil {
 			b.dropped++
-			f.release()
+			b.frames.put(f)
 			return
 		}
 		b.sched.AtArg(departAt, b.txFns[egress], f)
@@ -255,12 +262,12 @@ func (b *Bridge) Transmit(egress int, f *Frame) (txTS float64) {
 	txTS = b.clk.Timestamp()
 	if b.failed {
 		b.faultedDrop++
-		f.release()
+		b.frames.put(f)
 		return txTS
 	}
 	p := &b.ports[egress]
 	if !p.Connected() {
-		f.release()
+		b.frames.put(f)
 		return txTS
 	}
 	f.Hops++
@@ -292,8 +299,7 @@ func (j *txAtJob) CloneForSnapshot() any {
 // onTx.
 func (b *Bridge) fireTxAt(j *txAtJob) {
 	egress, f, onTx := j.egress, j.f, j.onTx
-	*j = txAtJob{}
-	b.txAtFree = append(b.txAtFree, j)
+	b.txAtFree.Put(j)
 	payload := f.Payload
 	ts := b.Transmit(egress, f)
 	if onTx != nil {
@@ -303,13 +309,7 @@ func (b *Bridge) fireTxAt(j *txAtJob) {
 
 // newTxAt returns a TransmitAt job, reusing a fired one when available.
 func (b *Bridge) newTxAt(egress int, f *Frame, onTx func(egress int, payload any, txTS float64)) *txAtJob {
-	var j *txAtJob
-	if n := len(b.txAtFree); n > 0 {
-		j = b.txAtFree[n-1]
-		b.txAtFree = b.txAtFree[:n-1]
-	} else {
-		j = new(txAtJob)
-	}
+	j := b.txAtFree.Get()
 	*j = txAtJob{egress: egress, f: f, onTx: onTx}
 	return j
 }
@@ -323,12 +323,12 @@ func (b *Bridge) newTxAt(egress int, f *Frame, onTx func(egress int, payload any
 // allocates nothing once the bridge has recycled a job; callers on a hot
 // path pass a prebound onTx.
 func (b *Bridge) TransmitAt(egress int, d time.Duration, f *Frame, onTx func(egress int, payload any, txTS float64)) {
-	if es, ok := b.egress[egress]; ok {
+	if es := b.egress[egress]; es != nil {
 		const processing = 600 * time.Nanosecond
 		departAt, err := es.Enqueue(b.sched.Now().Add(processing), f.Priority, f.Bytes)
 		if err != nil {
 			b.dropped++
-			f.release()
+			b.frames.put(f)
 			return
 		}
 		b.sched.AtArg(departAt, b.txAtFn, b.newTxAt(egress, f, onTx))

@@ -6,8 +6,6 @@
 package netsim
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gptpfta/internal/sim"
@@ -51,86 +49,71 @@ type Frame struct {
 	SentAt sim.Time // true instant of original transmission
 	Hops   int      // bridges traversed
 
-	// pooled marks frames owned by the frame pool. Only such frames are
+	// pooled marks frames taken from a FramePool. Only such frames are
 	// recycled at their netsim-internal death points (endpoint delivery,
 	// drops); frames built with a plain &Frame{} literal are left to the
 	// garbage collector, so external code needs no lifetime discipline.
 	pooled bool
 }
 
-// framePool recycles Frame structs — the second-hottest allocation site
-// after scheduler events. It is shared across simulations (the parallel
-// runner executes several in one process), which is safe because a frame
-// is fully overwritten at Get and object identity is never observable to
-// the simulation, so pooling cannot perturb determinism.
-var framePool = sync.Pool{New: func() any {
-	poolNews.Add(1)
-	return new(Frame)
-}}
+// FramePool is one scheduler's frame free list, the hottest allocation
+// site after scheduler events. Every device and protocol endpoint built on
+// a scheduler (one shard, or a whole unsharded System) shares its pool, and
+// only the goroutine running that scheduler touches it. A frame goes back
+// to the pool of the side that releases it: the receiving device, or
+// either end of a boundary link when the fabric drops it at a barrier
+// (every shard is paused then). A frame is fully overwritten at Get and
+// its identity is never observable, so recycling cannot perturb
+// determinism. Its Stats count Get and Clone calls; the hit rate is
+// (gets-news)/gets.
+type FramePool struct{ sim.FreeList[Frame] }
 
-// Pool traffic counters. Process-global like the pool itself; the hit rate
-// (gets-news)/gets is an aggregate across all concurrently running
-// simulations, which is what the profiling harness wants to watch.
-var (
-	poolGets atomic.Uint64 // GetFrame + Clone calls
-	poolNews atomic.Uint64 // pool misses that allocated a fresh Frame
-	poolPuts atomic.Uint64 // frames recycled via release
-)
+// PoolOf returns sched's frame pool.
+func PoolOf(sched *sim.Scheduler) *FramePool { return sim.Local[FramePool](sched) }
 
-// PoolStats reports cumulative frame-pool traffic: total acquisitions,
-// pool misses (fresh allocations), and recycled frames. The hit rate is
-// (gets-news)/gets. Values are process-wide and monotone.
-func PoolStats() (gets, news, puts uint64) {
-	return poolGets.Load(), poolNews.Load(), poolPuts.Load()
-}
-
-// GetFrame returns a zeroed pool-owned frame. The caller fills in the
-// fields and transmits it; netsim recycles it automatically when it is
-// delivered to a NIC endpoint or dropped in flight. Callers must not
-// retain the frame after handing it to Send/Transmit.
-func GetFrame() *Frame {
-	poolGets.Add(1)
-	f := framePool.Get().(*Frame)
+// Get returns a zeroed pool-owned frame. The caller fills in the fields
+// and transmits it; netsim recycles it when it is delivered to a NIC
+// endpoint or dropped in flight. Callers must not retain the frame after
+// handing it to Send/Transmit.
+func (p *FramePool) Get() *Frame {
+	f := p.FreeList.Get()
 	f.pooled = true
 	return f
 }
 
-// release returns a pool-owned frame; no-op for GC-owned frames. The frame
-// is cleared so stale payload references do not outlive it.
-func (f *Frame) release() {
-	if !f.pooled {
-		return
-	}
-	*f = Frame{}
-	poolPuts.Add(1)
-	framePool.Put(f)
-}
-
-// Clone returns a pool-owned shallow copy for fan-out across egress ports.
-// Payloads are treated as immutable once transmitted and are shared
+// Clone returns a pool-owned shallow copy of f for fan-out across egress
+// ports. Payloads are treated as immutable once transmitted and are shared
 // between clones.
-func (f *Frame) Clone() *Frame {
-	poolGets.Add(1)
-	c := framePool.Get().(*Frame)
+func (p *FramePool) Clone(f *Frame) *Frame {
+	c := p.FreeList.Get()
 	*c = *f
 	c.pooled = true
 	return c
 }
 
-// PayloadCloner is implemented by the rare payload types that are mutated
-// after the frame has been scheduled (a Sync whose origin/correction is
-// written at the transmit instant). The snapshot engine deep-copies such
-// payloads so a fork cannot observe mutations made by another run; all
-// other payloads are immutable once scheduled and are safely shared.
+// put recycles a pool-owned frame; a no-op for GC-owned frames.
+func (p *FramePool) put(f *Frame) {
+	if f.pooled {
+		p.Put(f)
+	}
+}
+
+// PayloadCloner is implemented by the payload types that are mutated after
+// the frame has been scheduled (a Sync whose origin/correction is written
+// at the transmit instant) or recycled once received (the gPTP FollowUp
+// and pdelay messages, measurement replies). The snapshot engine
+// deep-copies such payloads so a fork cannot observe what another run did
+// to them; all other payloads are immutable once scheduled and are safely
+// shared.
 type PayloadCloner interface {
 	ClonePayload() any
 }
 
 // CloneForSnapshot implements sim.Cloner: a GC-owned value copy for the
-// warm-start snapshot engine. The copy is marked non-pooled so release() is
-// a no-op on it — the pool must never receive a frame the live run did not
-// acquire — and the payload is deep-copied iff it declares itself mutable
-// via PayloadCloner.
+// warm-start snapshot engine. The copy is marked non-pooled so no pool ever
+// receives a frame the live run did not acquire, and the payload is
+// deep-copied iff it declares itself mutable or recycled via
+// PayloadCloner.
 func (f *Frame) CloneForSnapshot() any {
 	c := *f
 	c.pooled = false

@@ -68,6 +68,10 @@ type Link struct {
 	// cross-shard boundary link (ConnectBoundary). Direction dir sends from
 	// ends[dir] (scheds[dir]) to ends[1-dir] (scheds[1-dir]).
 	scheds [2]*sim.Scheduler
+	// frames holds the frame pool of each endpoint's scheduler: a frame
+	// dropped on the wire goes back to the pool of the side that drops
+	// it, never to one another goroutine may be using.
+	frames [2]*FramePool
 	rng    sim.RNG
 	cfg    LinkConfig
 	ends   [2]*Port
@@ -179,7 +183,8 @@ func ConnectBoundary(schedA, schedB *sim.Scheduler, rng sim.RNG, cfg LinkConfig,
 		return nil, fmt.Errorf("netsim: port already connected (%s, %s)", a.Name, b.Name)
 	}
 	l := &Link{scheds: [2]*sim.Scheduler{schedA, schedB}, rng: rng, cfg: cfg,
-		ends: [2]*Port{a, b}, deferred: schedA != schedB}
+		frames: [2]*FramePool{PoolOf(schedA), PoolOf(schedB)},
+		ends:   [2]*Port{a, b}, deferred: schedA != schedB}
 	l.deliver[0] = func(x any) { l.finishDelivery(0, x.(*Frame)) } // a -> b
 	l.deliver[1] = func(x any) { l.finishDelivery(1, x.(*Frame)) } // b -> a
 	a.link = l
@@ -328,18 +333,20 @@ func (l *Link) Send(from *Port, f *Frame) {
 // the send instant (delay is computed from it, not from the commit
 // instant) and both keys are stamped onto the delivery event so it sorts
 // against the destination shard's local events exactly as an inline
-// schedule at send time would have.
+// schedule at send time would have. A dropped frame goes back to the
+// sender's pool: inline this runs on the sender's goroutine, and at a
+// barrier every shard is paused.
 func (l *Link) CommitDeferred(dir int, payload any, key1, key2 sim.Time) {
 	f := payload.(*Frame)
 	l.sent++
 	if l.down {
 		l.faultedDrop++
-		f.release()
+		l.frames[dir].put(f)
 		return
 	}
 	if l.dropFrame() {
 		l.lost++
-		f.release()
+		l.frames[dir].put(f)
 		return
 	}
 	at := key1.Add(l.delay(dir, f))
@@ -412,7 +419,7 @@ func (l *Link) dropFrame() bool {
 func (l *Link) finishDelivery(dir int, f *Frame) {
 	if l.down || l.scheds[1-dir].Now() <= l.dropBefore[dir] {
 		l.faultedDrop++
-		f.release()
+		l.frames[1-dir].put(f)
 		return
 	}
 	p := l.ends[1-dir]

@@ -30,6 +30,7 @@ type RxHandler func(f *Frame, rxTS float64)
 type NIC struct {
 	name    string
 	sched   *sim.Scheduler
+	frames  *FramePool
 	phc     *clock.PHC
 	port    Port
 	handler RxHandler
@@ -39,7 +40,7 @@ type NIC struct {
 	// etfFree recycles fired ETF jobs. Jobs still queued when a snapshot is
 	// taken are deep-copied by the scheduler (etfJob is a sim.Cloner), so a
 	// recycled job is never shared with a fork.
-	etfFree []*etfJob
+	etfFree sim.FreeList[etfJob]
 	nicState
 }
 
@@ -51,7 +52,7 @@ type nicState struct {
 
 // NewNIC creates a NIC with the given PHC.
 func NewNIC(name string, sched *sim.Scheduler, phc *clock.PHC) *NIC {
-	n := &NIC{name: name, sched: sched, phc: phc}
+	n := &NIC{name: name, sched: sched, frames: PoolOf(sched), phc: phc}
 	n.port = Port{Name: name + "/p0", Owner: n, Index: 0}
 	n.etfFn = func(x any) { n.fireETF(x.(*etfJob)) }
 	return n
@@ -86,12 +87,12 @@ func (n *NIC) Counters() (tx, rx uint64) { return n.txCount, n.rxCount }
 // must not retain the *Frame itself.
 func (n *NIC) Receive(_ *Port, f *Frame) {
 	if n.down || n.handler == nil {
-		f.release()
+		n.frames.put(f)
 		return
 	}
 	n.rxCount++
 	n.handler(f, n.phc.Timestamp())
-	f.release()
+	n.frames.put(f)
 }
 
 // Send transmits a frame immediately and returns the hardware transmit
@@ -131,8 +132,7 @@ func (j *etfJob) CloneForSnapshot() any {
 // payloads are never pooled, so the reference stays valid for onTx.
 func (n *NIC) fireETF(j *etfJob) {
 	f, onTx := j.f, j.onTx
-	*j = etfJob{}
-	n.etfFree = append(n.etfFree, j)
+	n.etfFree.Put(j)
 	if n.down {
 		return
 	}
@@ -163,13 +163,7 @@ func (n *NIC) SendAtPHC(launchPHC float64, f *Frame, onTx func(payload any, txTS
 		return ErrLaunchDeadlineMissed
 	}
 	wait := n.trueDelayUntilPHC(launchPHC)
-	var j *etfJob
-	if k := len(n.etfFree); k > 0 {
-		j = n.etfFree[k-1]
-		n.etfFree = n.etfFree[:k-1]
-	} else {
-		j = new(etfJob)
-	}
+	j := n.etfFree.Get()
 	*j = etfJob{f: f, onTx: onTx}
 	n.sched.AfterArg(wait, n.etfFn, j)
 	return nil

@@ -9,40 +9,23 @@ import "gptpfta/internal/sim"
 // VM. Observability counters live in the experiment's obs.Registry and are
 // restored by its own snapshot.
 
-// statisticsSnapshot deep-copies the running summary windows.
-type statisticsSnapshot struct {
-	perDomain map[int]OffsetStats
-	aggregate OffsetStats
-	freqPPB   OffsetStats
+// snapshot deep-copies the running summary windows.
+func (st *Statistics) snapshot() Statistics {
+	c := *st
+	c.perDomain = append([]OffsetStats(nil), st.perDomain...)
+	return c
 }
 
-func (st *Statistics) snapshot() *statisticsSnapshot {
-	sn := &statisticsSnapshot{
-		perDomain: make(map[int]OffsetStats, len(st.perDomain)),
-		aggregate: st.aggregate,
-		freqPPB:   st.freqPPB,
-	}
-	for d, s := range st.perDomain {
-		sn.perDomain[d] = *s
-	}
-	return sn
-}
-
-func (st *Statistics) restore(sn *statisticsSnapshot) {
-	st.perDomain = make(map[int]*OffsetStats, len(sn.perDomain))
-	for d, s := range sn.perDomain {
-		s := s
-		st.perDomain[d] = &s
-	}
-	st.aggregate = sn.aggregate
-	st.freqPPB = sn.freqPPB
+func (st *Statistics) restore(sn Statistics) {
+	copy(st.perDomain, sn.perDomain)
+	st.aggregate, st.freqPPB = sn.aggregate, sn.freqPPB
 }
 
 // stackSnapshot captures one extended-ptp4l stack.
 type stackSnapshot struct {
 	stackState
 	lastFlags []bool
-	stats     *statisticsSnapshot
+	stats     Statistics
 	parts     []any
 }
 

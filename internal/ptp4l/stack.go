@@ -172,8 +172,11 @@ type Stack struct {
 	rng   sim.RNG
 	nic   *netsim.NIC
 
-	ld     *gptp.LinkDelay
-	slaves map[int]*gptp.Slave
+	ld *gptp.LinkDelay
+	// slaves, obsOffset and the per-domain statistics are indexed by
+	// domain slot, the domain's position in cfg.Domains (see slot). The
+	// slave at the slot of the domain this VM masters is nil.
+	slaves []*gptp.Slave
 	master *gptp.Master
 	shm    *shmem.FTSHMEM
 
@@ -197,7 +200,7 @@ type Stack struct {
 
 	// Observability handles, resolved once by Instrument. All remain nil
 	// (inert no-ops) when the stack is not instrumented.
-	obsOffset     map[int]*obs.Histogram
+	obsOffset     []*obs.Histogram
 	obsAggs       *obs.Counter
 	obsDiscarded  *obs.Counter
 	obsDiscardMal *obs.Counter
@@ -235,9 +238,8 @@ var offsetBuckets = []float64{-1e6, -1e5, -1e4, -1e3, -100, 0, 100, 1e3, 1e4, 1e
 // handles are no-ops, so the hot path needs no conditionals.
 func (s *Stack) Instrument(reg *obs.Registry) {
 	vm := obs.L("vm", s.cfg.Name)
-	s.obsOffset = make(map[int]*obs.Histogram, len(s.cfg.Domains))
-	for _, d := range s.cfg.Domains {
-		s.obsOffset[d] = reg.Histogram("ptp4l_offset_ns", offsetBuckets, vm, obs.L("domain", strconv.Itoa(d)))
+	for i, d := range s.cfg.Domains {
+		s.obsOffset[i] = reg.Histogram("ptp4l_offset_ns", offsetBuckets, vm, obs.L("domain", strconv.Itoa(d)))
 	}
 	s.obsAggs = reg.Counter("ptp4l_fta_aggregations", vm)
 	s.obsDiscarded = reg.Counter("ptp4l_fta_discarded", vm)
@@ -271,9 +273,10 @@ func New(nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG, cfg Config, onEvent
 		sched:      sched,
 		rng:        rng,
 		nic:        nic,
-		slaves:     make(map[int]*gptp.Slave, len(cfg.Domains)),
+		slaves:     make([]*gptp.Slave, len(cfg.Domains)),
 		shm:        shmem.NewFTSHMEM(cfg.Domains, staleNS, pi),
-		stats:      newStatistics(),
+		stats:      newStatistics(cfg.Domains),
+		obsOffset:  make([]*obs.Histogram, len(cfg.Domains)),
 		onEvent:    onEvent,
 		stackState: stackState{mode: ModeStartup},
 	}
@@ -284,12 +287,10 @@ func New(nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG, cfg Config, onEvent
 		ts, err := nic.Send(f)
 		return ts, err == nil
 	}, gptp.LinkDelayConfig{})
-	for _, d := range cfg.Domains {
-		if d == cfg.GMDomain {
-			continue // the GM does not slave to its own domain
+	for i, d := range cfg.Domains {
+		if d != cfg.GMDomain { // the GM does not slave to its own domain
+			s.slaves[i] = gptp.NewSlave(d, s.ld, s.onOffset)
 		}
-		d := d
-		s.slaves[d] = gptp.NewSlave(d, s.ld, s.onOffset)
 	}
 	if cfg.GMDomain >= 0 {
 		s.master = gptp.NewMaster(nic, sched, rng, gptp.MasterConfig{
@@ -304,13 +305,31 @@ func New(nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG, cfg Config, onEvent
 	if s.master != nil {
 		s.parts = append(s.parts, s.master)
 	}
-	for _, d := range cfg.Domains {
-		if sl, ok := s.slaves[d]; ok {
+	for _, sl := range s.slaves {
+		if sl != nil {
 			s.parts = append(s.parts, sl)
 		}
 	}
 	nic.SetHandler(s.receive)
 	return s, nil
+}
+
+// slot returns domain's position in cfg.Domains, or -1.
+func (s *Stack) slot(domain int) int {
+	for i, d := range s.cfg.Domains {
+		if d == domain {
+			return i
+		}
+	}
+	return -1
+}
+
+// slave returns the instance slaving to domain, or nil.
+func (s *Stack) slave(domain int) *gptp.Slave {
+	if i := s.slot(domain); i >= 0 {
+		return s.slaves[i]
+	}
+	return nil
 }
 
 // Name reports the VM name.
@@ -456,11 +475,11 @@ func (s *Stack) receive(f *netsim.Frame, rxTS float64) {
 		if s.syncObserver != nil {
 			s.syncObserver(m.Domain, f.PathLatency(s.sched.Now()))
 		}
-		if sl, ok := s.slaves[m.Domain]; ok {
+		if sl := s.slave(m.Domain); sl != nil {
 			sl.HandleSync(m, rxTS)
 		}
 	case *gptp.FollowUp:
-		if sl, ok := s.slaves[m.Domain]; ok {
+		if sl := s.slave(m.Domain); sl != nil {
 			sl.HandleFollowUp(m)
 		}
 	default:
@@ -478,8 +497,9 @@ func (s *Stack) onOffset(sample gptp.OffsetSample) {
 	}
 	nowPHC := s.nic.PHC().Now()
 	s.shm.StoreOffset(sample, nowPHC)
-	s.stats.addDomain(sample.Domain, sample.OffsetNS)
-	s.obsOffset[sample.Domain].Observe(sample.OffsetNS)
+	i := s.slot(sample.Domain)
+	s.stats.perDomain[i].Add(sample.OffsetNS)
+	s.obsOffset[i].Observe(sample.OffsetNS)
 	switch s.mode {
 	case ModeStartup:
 		s.startupStep(sample, nowPHC)

@@ -3,7 +3,6 @@ package ptp4l
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -54,28 +53,22 @@ func (s OffsetStats) String() string {
 // offsets, the aggregated FTA offsets fed to the shared servo, and the
 // servo frequency trajectory.
 type Statistics struct {
-	perDomain map[int]*OffsetStats
+	domains   []int         // domain number per slot
+	perDomain []OffsetStats // by domain slot
 	aggregate OffsetStats
 	freqPPB   OffsetStats
 }
 
-func newStatistics() *Statistics {
-	return &Statistics{perDomain: make(map[int]*OffsetStats)}
-}
-
-func (st *Statistics) addDomain(domain int, offsetNS float64) {
-	s, ok := st.perDomain[domain]
-	if !ok {
-		s = &OffsetStats{}
-		st.perDomain[domain] = s
-	}
-	s.Add(offsetNS)
+func newStatistics(domains []int) *Statistics {
+	return &Statistics{domains: domains, perDomain: make([]OffsetStats, len(domains))}
 }
 
 // Domain reports the statistics of one domain's grandmaster offsets.
 func (st *Statistics) Domain(domain int) OffsetStats {
-	if s, ok := st.perDomain[domain]; ok {
-		return *s
+	for i, d := range st.domains {
+		if d == domain {
+			return st.perDomain[i]
+		}
 	}
 	return OffsetStats{}
 }
@@ -86,17 +79,14 @@ func (st *Statistics) Aggregate() OffsetStats { return st.aggregate }
 // FreqPPB reports the statistics of applied servo frequency corrections.
 func (st *Statistics) FreqPPB() OffsetStats { return st.freqPPB }
 
-// Summary renders a multi-line report, one line per domain plus the
-// aggregation and frequency lines.
+// Summary renders a multi-line report, one line per domain with samples
+// (in configuration order) plus the aggregation and frequency lines.
 func (st *Statistics) Summary() string {
 	var b strings.Builder
-	domains := make([]int, 0, len(st.perDomain))
-	for d := range st.perDomain {
-		domains = append(domains, d)
-	}
-	sort.Ints(domains)
-	for _, d := range domains {
-		fmt.Fprintf(&b, "dom%d offset %s\n", d+1, st.perDomain[d])
+	for i, d := range st.domains {
+		if st.perDomain[i].Count > 0 {
+			fmt.Fprintf(&b, "dom%d offset %s\n", d+1, st.perDomain[i])
+		}
 	}
 	fmt.Fprintf(&b, "FTA  offset %s\n", st.aggregate)
 	fmt.Fprintf(&b, "servo freq  %s ppb\n", st.freqPPB)
@@ -105,7 +95,7 @@ func (st *Statistics) Summary() string {
 
 // Reset clears every window (a new summary interval begins).
 func (st *Statistics) Reset() {
-	st.perDomain = make(map[int]*OffsetStats)
+	clear(st.perDomain)
 	st.aggregate = OffsetStats{}
 	st.freqPPB = OffsetStats{}
 }

@@ -12,8 +12,6 @@
 package shmem
 
 import (
-	"sync"
-
 	"gptpfta/internal/fta"
 	"gptpfta/internal/gptp"
 	"gptpfta/internal/servo"
@@ -21,12 +19,11 @@ import (
 
 // FTSHMEM is the fault-tolerance shared memory between M ptp4l instances
 // inside one clock-synchronization VM (paper §II-B). All times are on the
-// VM's NIC PHC timescale, in nanoseconds.
+// VM's NIC PHC timescale, in nanoseconds. The simulated instances share
+// one goroutine (the scheduler running the VM), so the region needs no
+// lock; see DESIGN.md, "Single-goroutine ownership".
 type FTSHMEM struct {
-	mu sync.Mutex
-
-	domains []int
-	index   map[int]int // domain → slot
+	domains []int // domain number per slot
 
 	offsets    []fta.Reading
 	flags      []bool
@@ -41,15 +38,12 @@ type FTSHMEM struct {
 // (in PHC ns) beyond which a stored offset no longer counts as fresh —
 // a fail-silent grandmaster's slot goes stale after a few missed Syncs.
 func NewFTSHMEM(domains []int, staleNS float64, pi *servo.PI) *FTSHMEM {
-	idx := make(map[int]int, len(domains))
 	offsets := make([]fta.Reading, len(domains))
 	for i, d := range domains {
-		idx[d] = i
 		offsets[i] = fta.Reading{Domain: d}
 	}
 	return &FTSHMEM{
 		domains: append([]int(nil), domains...),
-		index:   idx,
 		offsets: offsets,
 		flags:   make([]bool, len(domains)),
 		staleNS: staleNS,
@@ -65,17 +59,11 @@ func (s *FTSHMEM) Domains() []int {
 // StoreOffset records one grandmaster-offset sample. nowPHC timestamps the
 // store for freshness accounting.
 func (s *FTSHMEM) StoreOffset(sample gptp.OffsetSample, nowPHC float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i, ok := s.index[sample.Domain]
-	if !ok {
-		return
-	}
-	s.offsets[i] = fta.Reading{
-		Domain:   sample.Domain,
-		OffsetNS: sample.OffsetNS,
-		At:       nowPHC,
-		Fresh:    true,
+	for i, d := range s.domains {
+		if d == sample.Domain {
+			s.offsets[i] = fta.Reading{Domain: d, OffsetNS: sample.OffsetNS, At: nowPHC, Fresh: true}
+			return
+		}
 	}
 }
 
@@ -93,8 +81,6 @@ func (s *FTSHMEM) Readings(nowPHC float64) []fta.Reading {
 // AppendReadings is Readings appending to dst, so a caller that reuses one
 // buffer reads the region without allocating.
 func (s *FTSHMEM) AppendReadings(dst []fta.Reading, nowPHC float64) []fta.Reading {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := len(dst)
 	dst = append(dst, s.offsets...)
 	for i := n; i < len(dst); i++ {
@@ -110,8 +96,6 @@ func (s *FTSHMEM) AppendReadings(dst []fta.Reading, nowPHC float64) []fta.Readin
 // adjust_last + sync_interval <= now wins and updates adjust_last; every
 // other instance's attempt in the same interval fails.
 func (s *FTSHMEM) TryAcquireAdjust(nowPHC, syncIntervalNS float64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.hasAdjust && s.adjustLast+syncIntervalNS > nowPHC {
 		return false
 	}
@@ -123,22 +107,16 @@ func (s *FTSHMEM) TryAcquireAdjust(nowPHC, syncIntervalNS float64) bool {
 // AdjustLast reports the PHC time of the last aggregation, and whether any
 // aggregation has happened.
 func (s *FTSHMEM) AdjustLast() (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.adjustLast, s.hasAdjust
 }
 
 // SetFlags stores the validity booleans computed during aggregation.
 func (s *FTSHMEM) SetFlags(flags []bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	copy(s.flags, flags)
 }
 
 // Flags snapshots the validity booleans, indexed in slot order.
 func (s *FTSHMEM) Flags() []bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]bool(nil), s.flags...)
 }
 
@@ -148,8 +126,6 @@ func (s *FTSHMEM) Servo() *servo.PI { return s.pi }
 // Reset clears offsets, flags, the gate and the servo — a rebooting VM
 // re-establishes its region from scratch.
 func (s *FTSHMEM) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i := range s.offsets {
 		s.offsets[i] = fta.Reading{Domain: s.offsets[i].Domain}
 	}

@@ -15,8 +15,6 @@ type ftshmemSnapshot struct {
 
 // Snapshot implements sim.Snapshotter.
 func (s *FTSHMEM) Snapshot() any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return &ftshmemSnapshot{
 		offsets:    append([]fta.Reading(nil), s.offsets...),
 		flags:      append([]bool(nil), s.flags...),
@@ -28,8 +26,6 @@ func (s *FTSHMEM) Snapshot() any {
 // Restore implements sim.Snapshotter.
 func (s *FTSHMEM) Restore(snap any) {
 	sn := snap.(*ftshmemSnapshot)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	copy(s.offsets, sn.offsets)
 	copy(s.flags, sn.flags)
 	s.adjustLast = sn.adjustLast
@@ -43,8 +39,6 @@ type stshmemSnapshot struct {
 
 // Snapshot implements sim.Snapshotter.
 func (s *STSHMEM) Snapshot() any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return &stshmemSnapshot{
 		slots:  append([]ClockParams(nil), s.slots...),
 		active: s.active,
@@ -54,8 +48,6 @@ func (s *STSHMEM) Snapshot() any {
 // Restore implements sim.Snapshotter.
 func (s *STSHMEM) Restore(snap any) {
 	sn := snap.(*stshmemSnapshot)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	copy(s.slots, sn.slots)
 	s.active = sn.active
 }

@@ -1,9 +1,5 @@
 package shmem
 
-import (
-	"sync"
-)
-
 // ClockParams maps the node's platform counter (TSC) onto the fault-tolerant
 // global time: CLOCK_SYNCTIME(tsc) = SyncRef + (tsc − TSCRef)·Ratio.
 // A clock-synchronization VM's phc2sys derives these parameters from its
@@ -30,9 +26,9 @@ func (p ClockParams) SyncTimeAt(tsc float64) float64 {
 // exposes to co-located VMs as a virtual PCI device. Each of the node's
 // clock-synchronization VMs owns one parameter slot; the hypervisor's
 // monitor selects the active slot, and every VM on the node derives
-// CLOCK_SYNCTIME from it.
+// CLOCK_SYNCTIME from it. Like FTSHMEM it is touched only by the goroutine
+// running its node's scheduler and needs no lock.
 type STSHMEM struct {
-	mu     sync.Mutex
 	slots  []ClockParams
 	active int
 }
@@ -45,15 +41,11 @@ func NewSTSHMEM(slots int) *STSHMEM {
 
 // NumSlots reports the number of VM slots.
 func (s *STSHMEM) NumSlots() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.slots)
 }
 
 // Publish writes a VM's clock parameters into its slot, bumping Seq.
 func (s *STSHMEM) Publish(slot int, p ClockParams) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if slot < 0 || slot >= len(s.slots) {
 		return
 	}
@@ -64,8 +56,6 @@ func (s *STSHMEM) Publish(slot int, p ClockParams) {
 
 // Slot snapshots one VM's parameters.
 func (s *STSHMEM) Slot(slot int) ClockParams {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if slot < 0 || slot >= len(s.slots) {
 		return ClockParams{}
 	}
@@ -74,23 +64,17 @@ func (s *STSHMEM) Slot(slot int) ClockParams {
 
 // Slots snapshots all parameter slots.
 func (s *STSHMEM) Slots() []ClockParams {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]ClockParams(nil), s.slots...)
 }
 
 // Active reports which slot currently defines CLOCK_SYNCTIME.
 func (s *STSHMEM) Active() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.active
 }
 
 // SetActive switches the slot that defines CLOCK_SYNCTIME (hypervisor
 // monitor failover).
 func (s *STSHMEM) SetActive(slot int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if slot >= 0 && slot < len(s.slots) {
 		s.active = slot
 	}
@@ -98,8 +82,6 @@ func (s *STSHMEM) SetActive(slot int) {
 
 // Invalidate clears a slot (VM shutdown); the monitor will fail over.
 func (s *STSHMEM) Invalidate(slot int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if slot >= 0 && slot < len(s.slots) {
 		s.slots[slot] = ClockParams{}
 	}
@@ -108,8 +90,6 @@ func (s *STSHMEM) Invalidate(slot int) {
 // SyncTimeAt evaluates CLOCK_SYNCTIME from the active slot at a TSC
 // reading. ok is false while no valid parameters are published.
 func (s *STSHMEM) SyncTimeAt(tsc float64) (v float64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	p := s.slots[s.active]
 	if !p.Valid {
 		return 0, false

@@ -2,9 +2,11 @@ package sim
 
 // Per-call shard workers and the spin-then-park barrier that drives them.
 //
-// One goroutine per shard is started lazily on the first parallel window
-// of a RunUntil call and ends with that call: RunUntil stops the group and
-// waits for it on every return path, errors included. A fabric holds no
+// One goroutine per shard but shard 0 is started lazily on the first
+// parallel window of a RunUntil call and ends with that call: RunUntil
+// stops the group and waits for it on every return path, errors included.
+// Shard 0, when busy, is always busy[0], which runs inline on the
+// coordinator, so it never needs a worker. A fabric holds no
 // goroutine between calls, so a fabric dropped mid-simulation (or the
 // System owning it) leaves nothing running and needs no Close.
 //
@@ -18,7 +20,7 @@ package sim
 // signal's one-slot wake channel only once spinBudget of wall time has
 // passed; a publisher sends a wake token only to a waiter that parked.
 //
-//	coordinator                       worker w (one per shard)
+//	coordinator                       worker w (one per shard > 0)
 //	-----------                       ------------------------
 //	for each w in busy[1:]:           for e := 1, 2, ...:
 //	  w.end = end                       w.start.await(e)   spin, then park
@@ -122,7 +124,7 @@ func (s *signal) await(want uint64, budget time.Duration) {
 
 // workerGroup owns the workers of one RunUntil call.
 type workerGroup struct {
-	workers []*fabricWorker
+	workers []*fabricWorker // indexed by shard; workers[0] is nil
 	budget  time.Duration
 	exited  sync.WaitGroup
 }
@@ -141,14 +143,14 @@ type fabricWorker struct {
 	sent        uint64
 }
 
-// startWorkers spawns the per-shard workers. Called lazily from the first
-// window of a RunUntil call that takes the parallel path, so serial-only
-// calls (one core, one busy shard at a time) never spawn any.
+// startWorkers spawns the workers of shards 1..n−1. Called lazily from the
+// first window of a RunUntil call that takes the parallel path, so
+// serial-only calls (one core, one busy shard at a time) never spawn any.
 func (f *Fabric) startWorkers() {
-	g := &workerGroup{budget: f.spinBudget}
-	for _, sc := range f.shards {
+	g := &workerGroup{budget: f.spinBudget, workers: make([]*fabricWorker, len(f.shards))}
+	for i, sc := range f.shards[1:] {
 		w := &fabricWorker{sc: sc, start: newSignal(), done: newSignal()}
-		g.workers = append(g.workers, w)
+		g.workers[i+1] = w
 		g.exited.Add(1)
 		go w.run(g)
 	}
@@ -174,7 +176,7 @@ func (f *Fabric) stopWorkers() {
 	if f.group == nil {
 		return
 	}
-	for _, w := range f.group.workers {
+	for _, w := range f.group.workers[1:] {
 		w.quit = true
 		w.sent++
 		w.start.publish(w.sent)

@@ -300,11 +300,22 @@ func runStress(t *testing.T, rounds int, parallel bool, prepare func(*Fabric)) (
 // from one lone shard to all eight — and checks the delivery traces are
 // bit-identical to a serial twin of the same workload. Run under -race
 // at one, two and four Ps (make verify) this doubles as the memory-model
-// check on the barrier hand-offs and the dirty-list publication.
+// check on the barrier hand-offs and the dirty-list publication. It also
+// counts the goroutines of the parallel call: one worker per shard but
+// shard 0 (which runs inline on the coordinator), none left afterwards.
 func TestFabricBarrierStress(t *testing.T) {
 	const rounds = 3000
 	serial, sstats := runStress(t, rounds, false, nil)
-	par, pstats := runStress(t, rounds, true, nil)
+	base, peak, shards := runtime.NumGoroutine(), 0, 0
+	par, pstats := runStress(t, rounds, true, func(f *Fabric) {
+		shards = len(f.shards)
+		f.control.At(Time(rounds/2*stressSpacing), func() { peak = runtime.NumGoroutine() })
+	})
+	if peak != base+shards-1 {
+		t.Fatalf("parallel RunUntil ran %d goroutines over a base of %d, want %d workers for %d shards",
+			peak, base, shards-1, shards)
+	}
+	waitGoroutines(t, base)
 	if len(serial) == 0 {
 		t.Fatal("stress workload produced no deliveries")
 	}
@@ -338,9 +349,9 @@ func TestFabricStaleWakeRunsEachWindowOnce(t *testing.T) {
 				if f.group == nil {
 					t.Fatal("no worker started before the counting control event")
 				}
-				for i, w := range f.group.workers {
+				for i, w := range f.group.workers[1:] {
 					if w.runs != w.sent {
-						t.Errorf("budget %v: shard %d ran %d windows, %d dispatched", budget, i, w.runs, w.sent)
+						t.Errorf("budget %v: shard %d ran %d windows, %d dispatched", budget, i+1, w.runs, w.sent)
 					}
 					dispatched += w.sent
 				}
@@ -493,7 +504,7 @@ func TestFabricStopWorkersSpinningOrParked(t *testing.T) {
 			if err := f.runWindowParallel([]int{0, 1}, 0); err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range f.group.workers {
+			for _, w := range f.group.workers[1:] {
 				deadline := time.Now().Add(5 * time.Second)
 				for w.start.parked.Load() != tc.parked {
 					if time.Now().After(deadline) {

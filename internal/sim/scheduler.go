@@ -101,6 +101,10 @@ type Scheduler struct {
 	firing        bool
 	firingSchedAt Time
 	firingCause   Time
+
+	// locals holds the Local values of the layers above the kernel. They
+	// are not simulation state: Snapshot and Restore leave them alone.
+	locals []any
 }
 
 // schedulerState is the scheduler's scalar queue state; Snapshot copies it
