@@ -105,9 +105,11 @@ shard-scaling:
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/shard-scaling.json
 	$(GO) run ./cmd/shardgate -max-regress 0.10 .bench-smoke/shard-scaling.json
 
-# CPU + heap profile of the full report run; inspect with `go tool pprof`.
+# CPU + heap profile of the paper's full evaluation (sweep -which paper:
+# E1–E6 at the 1 h and 24 h horizons, plus A1–A3); inspect with
+# `go tool pprof`.
 profile:
-	$(GO) run ./cmd/report -scale 0.02 -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
+	$(GO) run ./cmd/sweep -which paper -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof and mem.pprof (go tool pprof cpu.pprof)"
 
 verify: build fmt-check vet test
@@ -118,14 +120,17 @@ verify: build fmt-check vet test
 	$(GO) test -race -run 'TestForkEquivalenceLanes' ./internal/experiments/
 
 # Chaos smoke: a 10-minute-sim-time fault-injection campaign driven by the
-# committed example scenario plan, with the holdover watchdog armed. Fails
-# on a non-zero exit or an empty metrics snapshot.
+# committed example scenario plan (examples/chaos-smoke.json embeds
+# examples/partition.json), with the holdover watchdog armed, run through
+# the registry by cmd/sweep. Fails on a non-zero exit or when the metrics
+# snapshot holds no faultinjection line (sweep always writes the runner's
+# lines, so a non-empty file alone proves nothing).
 chaos-smoke:
 	@mkdir -p .chaos-smoke
-	$(GO) run ./cmd/faultinjection -duration 10m -chaos examples/partition.json \
-		-holdover-window 2s -metrics .chaos-smoke/metrics.jsonl > .chaos-smoke/log.txt
-	@test -s .chaos-smoke/metrics.jsonl || { echo "chaos-smoke: empty metrics snapshot"; exit 1; }
-	@echo "chaos-smoke: ok ($$(wc -l < .chaos-smoke/metrics.jsonl) metric lines)"
+	$(GO) run ./cmd/sweep -which faultinjection -config examples/chaos-smoke.json \
+		-metrics .chaos-smoke/metrics.jsonl > .chaos-smoke/log.txt
+	@grep -q '"run":"faultinjection"' .chaos-smoke/metrics.jsonl || { echo "chaos-smoke: no faultinjection metrics"; exit 1; }
+	@echo "chaos-smoke: ok ($$(grep -c '"run":"faultinjection"' .chaos-smoke/metrics.jsonl) faultinjection metric lines)"
 
 # Attack smoke: the adversarial campaign matrix (Byzantine grandmaster
 # count × on-path Sync delay, examples/attacks-smoke.json) against the

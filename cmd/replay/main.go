@@ -1,10 +1,10 @@
-// Command replay re-renders a precision series previously exported with
-// `faultinjection -csv`: the ASCII chart, the distribution and the summary
-// statistics — offline analysis of recorded experiment data.
+// Command replay re-renders a precision series exported by `sweep -which
+// faultinjection -csv out` (out/faultinjection/samples.csv): the ASCII
+// chart, the distribution and the summary statistics.
 //
 // Usage:
 //
-//	replay -samples out/samples.csv [-bound 11.42us] [-gamma 856ns] [-window 2m]
+//	replay -samples out/faultinjection/samples.csv [-bound 11.42us] [-gamma 856ns] [-window 2m]
 package main
 
 import (
@@ -26,7 +26,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
-	path := fs.String("samples", "", "samples.csv written by faultinjection -csv (required)")
+	path := fs.String("samples", "", "samples.csv written by sweep -which faultinjection -csv dir, as dir/faultinjection/samples.csv (required)")
 	bound := fs.Duration("bound", 11420*time.Nanosecond, "precision bound Pi to draw")
 	gamma := fs.Duration("gamma", 856*time.Nanosecond, "measurement error gamma to draw")
 	window := fs.Duration("window", 2*time.Minute, "aggregation window width")

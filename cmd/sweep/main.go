@@ -1,30 +1,43 @@
-// Command sweep runs any registered study by name, dispatching it through
-// the experiments registry and fanning independent studies across the
-// runner's worker pool. Output order is deterministic regardless of
-// completion order.
+// Command sweep is the one experiment surface: it runs any registered
+// study by name, dispatching it through the experiments registry and
+// fanning independent studies across the runner's worker pool. Output order
+// is deterministic regardless of completion order.
 //
 // A curated list covers the design-space studies beyond the paper's
 // headline figures — synchronization-interval and domain-count sweeps, the
 // dynamic 802.1AS and BMCA ablations, the 2f+1 fail-consistent voting
 // variant, the TSN egress study and the §IV recovery comparison — with its
 // own headers and footnotes; -which all runs exactly that list, and a
-// curated key such as "bmca" also selects its "bmca-*" variants. Any other
-// registry name (attacks, wansites, netchaos, ...) runs on its seeded
-// default config, headed by the registry's description.
+// curated key such as "bmca" also selects its "bmca-*" variants. -which
+// paper selects the paper's evaluation at its 1 h and 24 h horizons: the
+// §III-A3 bounds, Fig. 3a/3b, Fig. 4a/4b and Fig. 5, and the A1–A3
+// ablations. Any other registry name (resilience, faultinjection, attacks,
+// wansites, netchaos, ...) runs on its seeded default config, headed by the
+// registry's description. A result that reproduces a paper figure prints
+// the figure after its summary in place of the generic table.
 //
 // Usage:
 //
-//	sweep [-seed N] [-parallel N] [-shards N] [-warm-start] [-config file.json]
-//	      [-fail-on-anomaly] [-metrics file.jsonl] [-which all|<curated key>|<registry name>]
+//	sweep [-seed N[,N...]] [-parallel N] [-shards N] [-warm-start] [-config file.json]
+//	      [-fail-on-anomaly] [-metrics file.jsonl] [-csv dir]
+//	      [-which all|paper|<curated key>|<registry name>]
 //
 // -seed, -parallel and -shards apply to every study whose config has the
-// field; studies without it ignore it. -shards runs shard-aware studies on
-// the sharded PDES kernel (the tables are bit-identical at every shard
-// count).
+// field; studies without it ignore it. A -seed list runs every selected
+// study once per seed, each block headed and tagged with its seed. -shards
+// runs shard-aware studies on the sharded PDES kernel (the tables are
+// bit-identical at every shard count).
 //
 // -config overlays a JSON config file onto the selected study's config
 // through the registry's strict decode path (the same path the job server
-// uses); it requires a single-study -which selection.
+// uses); it requires a single-study -which selection. Chaos plans, holdover
+// windows and horizons are config fields:
+//
+//	sweep -which faultinjection -config examples/chaos-smoke.json
+//
+// -csv writes every study's generic table as <dir>/<key>.csv; a result
+// carrying a raw series (faultinjection) also writes <dir>/<key>/samples.csv,
+// windows.csv, histogram.csv and events.csv, which cmd/replay reads.
 //
 // -fail-on-anomaly exits non-zero when a study reports anomaly verdicts (a
 // measured outcome the analytic bound does not predict). The attack and
@@ -36,9 +49,12 @@ package main
 
 import (
 	"context"
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -84,13 +100,31 @@ func curated() []study {
 	}
 }
 
-// selectStudies resolves -which: "all" is the curated list, a curated key
-// selects itself and its "key-*" variants, and any other name must be a
-// registry name.
+// paper is the -which paper selection: the paper's evaluation and its
+// A1–A3 ablations at registry defaults, which are the paper's horizons.
+func paper() []study {
+	return []study{
+		{key: "paper-bounds", header: "E1 — bound methodology (§III-A3/B)", experiment: "bounds"},
+		{key: "paper-fig3a", header: "E2 — Fig. 3a (identical kernels)", experiment: "resilience"},
+		{key: "paper-fig3b", header: "E3 — Fig. 3b (diverse kernels)", experiment: "resilience",
+			fields: map[string]any{"DiverseKernels": true}},
+		{key: "paper-fig4", header: "E4/E5/E6 — Fig. 4a/4b and Fig. 5 (fault injection)", experiment: "faultinjection"},
+		{key: "paper-ablation-baseline", header: "A1 — clients-only aggregation without start-up sync", experiment: "baseline"},
+		{key: "paper-ablation-single-domain", header: "A2 — single-domain gPTP vs the multi-domain FTA", experiment: "single-domain"},
+		{key: "paper-ablation-flag-policy", header: "A3 — FTSHMEM validity-flag policies", experiment: "flag-policy"},
+	}
+}
+
+// selectStudies resolves -which: "all" is the curated list, a curated or
+// paper key selects itself and its "key-*" variants (so "paper" selects
+// every paper-* study), and any other name must be a registry name.
 func selectStudies(which string) ([]study, error) {
+	if which == "all" {
+		return curated(), nil
+	}
 	var selected []study
-	for _, s := range curated() {
-		if which == "all" || which == s.key || strings.HasPrefix(s.key, which+"-") {
+	for _, s := range append(curated(), paper()...) {
+		if which == s.key || strings.HasPrefix(s.key, which+"-") {
 			selected = append(selected, s)
 		}
 	}
@@ -106,13 +140,15 @@ func selectStudies(which string) ([]study, error) {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "master random seed")
-	which := fs.String("which", "all", "study selection: all (the curated list), a curated key (interval|domains|dynamic|bmca|voting|tas|recovery) or any registry name")
+	seeds := seedList{1}
+	fs.Var(&seeds, "seed", "master random seed, or a comma-separated list running every selected study once per seed")
+	which := fs.String("which", "all", "study selection: all (the curated list), paper (the paper's evaluation), a curated key (interval|domains|dynamic|bmca|voting|tas|recovery) or any registry name")
 	parallel := fs.Int("parallel", 0, "worker count for independent studies and for studies with a parallel knob (0 = GOMAXPROCS, 1 = sequential)")
 	shards := fs.Int("shards", 1, "PDES shard count for shard-aware studies (1 = legacy single scheduler; results are bit-identical)")
 	warmStart := fs.Bool("warm-start", false, "fork sweep points from a shared warm-state snapshot where eligible (identical tables; prefix-hash mismatches fall back to cold runs)")
 	configPath := fs.String("config", "", "JSON config file overlaid onto the selected study's config (requires a single-study -which)")
 	metricsPath := fs.String("metrics", "", "write a JSONL metrics snapshot (one line per metric, tagged per study) to this file")
+	csvDir := fs.String("csv", "", "directory to write <key>.csv per study (plus <key>/ raw-series CSVs for results carrying one) into")
 	failOnAnomaly := fs.Bool("fail-on-anomaly", false, "exit non-zero when a study reports an anomaly verdict (a measured outcome the analytic bound does not predict)")
 	profCfg := prof.Flags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -144,8 +180,8 @@ func run(args []string) error {
 
 	ctx := context.Background()
 	campaign := obs.NewRegistry()
-	runs := make([]runner.Run, len(selected))
-	for i, s := range selected {
+	runs := make([]runner.Run, 0, len(selected)*len(seeds))
+	for _, s := range selected {
 		name := s.experiment
 		if name == "" {
 			name = s.key
@@ -154,26 +190,33 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		// The flag-built config round-trips through the registry's strict
-		// decode path (shared with the job server), with the -config
-		// overlay merged on top; runtime handles (campaign metrics,
-		// warm-start) are re-attached after decoding.
-		base := experiments.SetFields(exp.DefaultConfig(*seed), map[string]any{"Parallel": *parallel, "Shards": *shards})
-		cfg, err := experiments.MergeConfig(exp, experiments.SetFields(base, s.fields), overlay)
-		if err != nil {
-			return fmt.Errorf("%s: %w", s.key, err)
-		}
-		cfg = experiments.SetFields(cfg, map[string]any{"Metrics": campaign})
-		if *warmStart {
-			cfg, _ = experiments.EnableWarmStart(cfg, campaign, nil)
-		}
-		runs[i] = runner.Run{Name: s.key, Do: func(ctx context.Context) (any, error) {
-			res, err := exp.Run(ctx, cfg)
-			if err != nil {
-				return nil, err
+		for _, seed := range seeds {
+			s := s
+			if len(seeds) > 1 {
+				s.key = fmt.Sprintf("%s/seed/%d", s.key, seed)
+				s.header = fmt.Sprintf("%s — seed %d", s.header, seed)
 			}
-			return block{key: s.key, text: render(s, res), res: res}, nil
-		}}
+			// The flag-built config round-trips through the registry's
+			// strict decode path (shared with the job server), with the
+			// -config overlay merged on top; runtime handles (campaign
+			// metrics, warm-start) are re-attached after decoding.
+			base := experiments.SetFields(exp.DefaultConfig(seed), map[string]any{"Parallel": *parallel, "Shards": *shards})
+			cfg, err := experiments.MergeConfig(exp, experiments.SetFields(base, s.fields), overlay)
+			if err != nil {
+				return fmt.Errorf("%s: %w", s.key, err)
+			}
+			cfg = experiments.SetFields(cfg, map[string]any{"Metrics": campaign})
+			if *warmStart {
+				cfg, _ = experiments.EnableWarmStart(cfg, campaign, nil)
+			}
+			runs = append(runs, runner.Run{Name: s.key, Do: func(ctx context.Context) (any, error) {
+				res, err := exp.Run(ctx, cfg)
+				if err != nil {
+					return nil, err
+				}
+				return block{key: s.key, text: render(s, res), res: res}, nil
+			}})
+		}
 	}
 
 	outcomes := runner.New(*parallel).WithMetrics(campaign).Execute(ctx, runs)
@@ -195,6 +238,14 @@ func run(args []string) error {
 	if *warmStart {
 		fmt.Println(runner.WarmSummary(campaign))
 	}
+	if *csvDir != "" {
+		for _, b := range blocks {
+			if err := writeCSVs(*csvDir, b); err != nil {
+				return err
+			}
+		}
+		fmt.Printf("CSV tables written to %s\n", *csvDir)
+	}
 	if *metricsPath != "" {
 		snaps = append(snaps, obs.Tagged{Run: "runner", Metrics: campaign.Snapshot()})
 		if err := obs.WriteJSONLFile(*metricsPath, snaps...); err != nil {
@@ -209,23 +260,74 @@ func run(args []string) error {
 }
 
 // block is one study's rendered output plus its result, kept so -metrics
-// can snapshot carriers after the deterministic ordering is restored.
+// and -csv can use it after the deterministic ordering is restored.
 type block struct {
 	key  string
 	text string
 	res  experiments.Result
 }
 
-// render produces one study's output block: header, summary, table,
-// footnotes.
+// render produces one study's output block: header, summary, the figure
+// (or, for a result that reproduces none, the generic table), footnotes.
 func render(s study, res experiments.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== %s ===\n", s.header)
 	fmt.Fprintf(&b, "  %s\n", res.Summary())
-	b.WriteString(experiments.RenderTable(res.Rows(), "  "))
+	if f, ok := res.(experiments.Figurer); ok {
+		b.WriteString(f.Figure())
+	} else {
+		b.WriteString(experiments.RenderTable(res.Rows(), "  "))
+	}
 	for _, note := range s.footnotes {
 		fmt.Fprintf(&b, "  %s\n", note)
 	}
 	b.WriteString("\n")
 	return b.String()
+}
+
+// writeCSVs writes a block's Rows() as <dir>/<key>.csv and, for a result
+// carrying a raw series, the series CSVs into <dir>/<key>/.
+func writeCSVs(dir string, b block) error {
+	path := filepath.Join(dir, b.key+".csv")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := csv.NewWriter(f).WriteAll(b.res.Rows()); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if s, ok := b.res.(interface{ WriteCSVs(dir string) error }); ok {
+		return s.WriteCSVs(filepath.Join(dir, b.key))
+	}
+	return nil
+}
+
+// seedList is the -seed flag: one seed or a comma-separated list.
+type seedList []int64
+
+func (l *seedList) String() string {
+	parts := make([]string, len(*l))
+	for i, s := range *l {
+		parts[i] = strconv.FormatInt(s, 10)
+	}
+	return strings.Join(parts, ",")
+}
+
+func (l *seedList) Set(v string) error {
+	*l = (*l)[:0]
+	for _, part := range strings.Split(v, ",") {
+		s, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
+		if err != nil {
+			return fmt.Errorf("bad seed %q: %w", part, err)
+		}
+		*l = append(*l, s)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"gptpfta/internal/core"
@@ -97,6 +98,19 @@ func (r BoundsResult) Table() []string {
 		fmt.Sprintf("gamma (measurement error, eq. 3.2)       %12v", r.Gamma),
 		fmt.Sprintf("observed sync paths                      %12d", r.SyncPaths),
 	}
+}
+
+// Figure implements Figurer: the methodology table against the paper's
+// §III-B and §III-C numbers.
+func (r *BoundsResult) Figure() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "=== §III-A3 bound methodology — seed %d, %v fault-free ===\n", r.Config.Seed, r.Config.Duration)
+	for _, row := range r.Table() {
+		b.WriteString(row + "\n")
+	}
+	b.WriteString("\npaper (§III-B):  d_min=4120ns d_max=9188ns E=5068ns Pi=12.636µs gamma=1313ns\n")
+	b.WriteString("paper (§III-C):  Pi=11.42µs gamma=856ns\n")
+	return b.String()
 }
 
 // Bounds runs the fault-free methodology experiment and instantiates the

@@ -13,8 +13,8 @@ import (
 )
 
 // Result is the contract every experiment result satisfies, so generic
-// tooling (cmd/sweep's printing, cmd/report's CSV emission, the runner's
-// campaign aggregation) handles any study without per-type special cases.
+// tooling (cmd/sweep's printing and CSV emission, the runner's campaign
+// aggregation) handles any study without per-type special cases.
 type Result interface {
 	// Summary renders the experiment's one-line verdict.
 	Summary() string
@@ -30,6 +30,15 @@ type Result interface {
 type ObsCarrier interface {
 	// ObsMetrics returns the metrics snapshot taken at experiment end.
 	ObsMetrics() []obs.Metric
+}
+
+// Figurer is the optional interface a Result implements when it reproduces
+// one of the paper's figures. cmd/sweep prints the figure after the
+// summary, in place of the generic Rows() table.
+type Figurer interface {
+	// Figure renders the figure's text blocks (bound parameters, series,
+	// distribution, event window) with the paper's reference values.
+	Figure() string
 }
 
 // ObsSnapshot is the embeddable ObsCarrier implementation: an experiment

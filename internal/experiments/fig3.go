@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"gptpfta/internal/attack"
@@ -54,6 +55,7 @@ func (c CyberResilienceConfig) Validate() error {
 			field{"duration", c.Duration},
 			field{"holdover_window", c.HoldoverWindow}),
 		checkShards(defaultShards(c.Shards)),
+		checkPlan(c.ChaosPlan),
 	)
 }
 
@@ -120,6 +122,32 @@ func (r CyberResilienceResult) Rows() [][]string {
 			fmt.Sprintf("%.0f", r.MaxAfterSecondNS),
 			strconv.FormatInt(r.Bound.Nanoseconds(), 10), strconv.FormatInt(r.Gamma.Nanoseconds(), 10)},
 	}
+}
+
+// Figure implements Figurer: the bound parameters, the attack schedule, the
+// violation counts around the second attack and the precision series.
+func (r CyberResilienceResult) Figure() string {
+	figure := "Fig. 3a (identical kernels)"
+	paper := "paper: second compromise at 00:31:52 breaks the bound; nodes lose synchronization"
+	if r.Config.DiverseKernels {
+		figure = "Fig. 3b (diverse kernels)"
+		paper = "paper: second exploit fails; precision stays within Pi+gamma"
+	}
+	var b strings.Builder
+	writePlanLine(&b, r.Config.ChaosPlan)
+	fmt.Fprintf(&b, "=== %s — seed %d, duration %v ===\n", figure, r.Config.Seed, r.Config.Duration)
+	fmt.Fprintf(&b, "bound parameters: E = %v, Gamma = %v, Pi = %v, gamma = %v\n",
+		r.ReadingError, r.DriftOffset, r.Bound, r.Gamma)
+	fmt.Fprintf(&b, "attack schedule: first %v, second %v\n", r.FirstAttackAt, r.SecondAttackAt)
+	for _, e := range r.ExploitResults {
+		fmt.Fprintf(&b, "   %s\n", e)
+	}
+	fmt.Fprintf(&b, "samples: %d before second attack (%d violations), %d after (%d violations, max %.0f ns)\n",
+		r.SamplesBeforeSecond, r.ViolationsBeforeSecond,
+		r.SamplesAfterSecond, r.ViolationsAfterSecond, r.MaxAfterSecondNS)
+	fmt.Fprintf(&b, "%s\n\n", paper)
+	b.WriteString(RenderSeries(r.Windows, r.Bound, r.Gamma, 18))
+	return b.String()
 }
 
 // CyberResilience runs the Fig. 3a / Fig. 3b experiment: an attacker with

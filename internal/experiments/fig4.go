@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"gptpfta/internal/chaos"
@@ -73,7 +77,7 @@ func (c FaultInjectionConfig) Validate() error {
 		return fmt.Errorf("redundant_min_per_hour (%v) exceeds redundant_max_per_hour (%v)",
 			c.RedundantMinPerHour, c.RedundantMaxPerHour)
 	}
-	return checkShards(defaultShards(c.Shards))
+	return firstErr(checkShards(defaultShards(c.Shards)), checkPlan(c.ChaosPlan))
 }
 
 func (c FaultInjectionConfig) withDefaults() FaultInjectionConfig {
@@ -149,6 +153,69 @@ func (r *FaultInjectionResult) Rows() [][]string {
 			strconv.Itoa(r.DeadlineMisses),
 		},
 	}
+}
+
+// Figure implements Figurer: the bound parameters, Fig. 4a's precision
+// series, Fig. 4b's distribution and Fig. 5's one-hour event window around
+// the maximum spike.
+func (r *FaultInjectionResult) Figure() string {
+	var b strings.Builder
+	writePlanLine(&b, r.Config.ChaosPlan)
+	fmt.Fprintf(&b, "=== Fig. 4 / Fig. 5 — fault injection, seed %d, duration %v ===\n", r.Config.Seed, r.Config.Duration)
+	fmt.Fprintf(&b, "bound parameters: E = %v, Gamma = %v, Pi = %v, gamma = %v, Pi+gamma = %v\n",
+		r.ReadingError, r.DriftOffset, r.Bound, r.Gamma, r.Bound+r.Gamma)
+	b.WriteString("paper: avg 322ns ± 421ns, min 33ns, max 10.08us within Pi+gamma=12.28us;\n")
+	b.WriteString("       94 fail-silent VMs (48 GM), 2992 tx-ts timeouts, 347 deadline misses over 24h\n")
+
+	b.WriteString("\n--- Fig. 4a: measured precision, 120 s windows (log scale) ---\n")
+	b.WriteString(RenderSeries(r.Windows, r.Bound, r.Gamma, 18))
+
+	b.WriteString("\n--- Fig. 4b: distribution of per-second precision ---\n")
+	fmt.Fprintf(&b, "%s\n", r.Stats)
+	b.WriteString(RenderHistogram(r.histogram(), 60))
+
+	w := r.Fig5Window(time.Hour)
+	fmt.Fprintf(&b, "\n--- Fig. 5: %v window around the max spike (%.0f ns at t=%s) ---\n",
+		time.Hour, w.SpikeNS, time.Duration(w.SpikeAtSec*float64(time.Second)).Truncate(time.Second))
+	b.WriteString(RenderEvents(w.Events, w.FromSec))
+	return b.String()
+}
+
+// histogram is Fig. 4b's binning: 50 ns buckets up to 1 µs.
+func (r *FaultInjectionResult) histogram() measure.Histogram {
+	return measure.ComputeHistogram(r.Samples, 50, 1000)
+}
+
+// WriteCSVs writes the raw series into dir: samples.csv (the per-second
+// precision that cmd/replay reads back), windows.csv, histogram.csv and
+// events.csv.
+func (r *FaultInjectionResult) WriteCSVs(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	files := []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"samples.csv", func(w io.Writer) error { return measure.WriteSamplesCSV(w, r.Samples) }},
+		{"windows.csv", func(w io.Writer) error { return measure.WriteWindowsCSV(w, r.Windows) }},
+		{"histogram.csv", func(w io.Writer) error { return measure.WriteHistogramCSV(w, r.histogram()) }},
+		{"events.csv", r.Events.WriteCSV},
+	}
+	for _, file := range files {
+		f, err := os.Create(filepath.Join(dir, file.name))
+		if err != nil {
+			return err
+		}
+		if err := file.write(f); err != nil {
+			f.Close()
+			return fmt.Errorf("write %s: %w", file.name, err)
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // faultInjectStart is the injector's grace period: the system synchronizes

@@ -59,6 +59,29 @@ func TestLookupUnknownError(t *testing.T) {
 	}
 }
 
+// TestDecodeConfigRejectsBadChaosPlan: an embedded chaos plan gets the same
+// static checks chaos.Load applies, at decode time.
+func TestDecodeConfigRejectsBadChaosPlan(t *testing.T) {
+	for _, name := range []string{"faultinjection", "resilience"} {
+		exp, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, raw := range []string{
+			`{"chaos_plan":{"actions":[]}}`,
+			`{"chaos_plan":{"actions":[{"op":"no-such-op"}]}}`,
+		} {
+			if _, err := exp.DecodeConfig([]byte(raw)); err == nil || !strings.Contains(err.Error(), "chaos") {
+				t.Errorf("%s: %s: err = %v, want a chaos plan error", name, raw, err)
+			}
+		}
+		valid := `{"chaos_plan":{"actions":[{"op":"link-down","links":["sw1-sw2"],"at":"1m","duration":"1s"}]}}`
+		if _, err := exp.DecodeConfig([]byte(valid)); err != nil {
+			t.Errorf("%s: valid plan rejected: %v", name, err)
+		}
+	}
+}
+
 func TestRegistryDispatch(t *testing.T) {
 	exp, err := Lookup("bounds")
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"gptpfta/internal/chaos"
 	"gptpfta/internal/core"
 	"gptpfta/internal/measure"
 )
@@ -187,4 +188,11 @@ func RenderEvents(events []core.Event, fromSec float64) string {
 		fmt.Fprintf(&b, "  [%s] +%-12v %-5s %-4s %s %s\n", marker, offset, e.Node, e.VM, e.Kind, e.Detail)
 	}
 	return b.String()
+}
+
+// writePlanLine names the chaos plan a figure's run composed, if any.
+func writePlanLine(b *strings.Builder, p *chaos.Plan) {
+	if p != nil {
+		fmt.Fprintf(b, "chaos plan %q: %d actions\n", p.Name, len(p.Actions))
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"gptpfta/internal/chaos"
 )
 
 // Shared validation vocabulary for the config structs' Validate methods.
@@ -71,6 +73,16 @@ func defaultShards(shards int) int {
 		return 1
 	}
 	return shards
+}
+
+// checkPlan applies chaos.Load's static plan checks to an embedded plan
+// (nil means no plan), so a config carrying an empty or malformed plan is
+// rejected at decode time instead of after a System is built.
+func checkPlan(p *chaos.Plan) error {
+	if p == nil {
+		return nil
+	}
+	return p.Validate()
 }
 
 // firstErr returns the first non-nil error.

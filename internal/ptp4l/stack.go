@@ -192,8 +192,8 @@ type Stack struct {
 	onEvent      func(Event)
 	syncObserver func(domain int, latency time.Duration)
 
-	// readings and flags are the aggregation's scratch buffers, reused
-	// every interval; nothing retains them past one step.
+	// readings and flags are the aggregation's and the start-up checks'
+	// scratch buffers, reused every step; nothing retains them past one.
 	readings []fta.Reading
 	flags    []bool
 	stackState
@@ -513,9 +513,9 @@ func (s *Stack) onOffset(sample gptp.OffsetSample) {
 // foreign domain (so a node rebooting while the initial grandmaster is
 // fail-silent can still rejoin).
 func (s *Stack) startupReferenceDomain(nowPHC float64) (int, bool) {
-	readings := s.shm.Readings(nowPHC)
+	s.readings = s.shm.AppendReadings(s.readings[:0], nowPHC)
 	best := -1
-	for _, r := range readings {
+	for _, r := range s.readings {
 		if !r.Fresh || r.Domain == s.cfg.GMDomain {
 			continue
 		}
@@ -559,9 +559,9 @@ func (s *Stack) startupStep(sample gptp.OffsetSample, nowPHC float64) {
 // initialGMConvergence checks whether the M−1 other grandmasters have
 // synchronized to this reference within the start-up threshold.
 func (s *Stack) initialGMConvergence(nowPHC float64) {
-	readings := s.shm.Readings(nowPHC)
+	s.readings = s.shm.AppendReadings(s.readings[:0], nowPHC)
 	freshForeign := 0
-	for _, r := range readings {
+	for _, r := range s.readings {
 		if r.Domain == s.cfg.GMDomain || !r.Fresh {
 			continue
 		}

@@ -331,6 +331,15 @@ func TestServerBadConfig(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("validation status %d, want 400", resp.StatusCode)
 	}
+	// An invalid embedded chaos plan is refused at submission, not failed
+	// after a System is built.
+	_, resp = postJob(t, ts, JobRequest{
+		Experiment: "faultinjection",
+		Config:     json.RawMessage(`{"chaos_plan": {"actions": [{"op": "no-such-op"}]}}`),
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("chaos plan status %d, want 400", resp.StatusCode)
+	}
 }
 
 // TestServerQueueFull: with no workers draining, the bounded queue rejects

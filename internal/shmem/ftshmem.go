@@ -73,13 +73,9 @@ func (s *FTSHMEM) StoreOwnDomain(domain int, nowPHC float64) {
 	s.StoreOffset(gptp.OffsetSample{Domain: domain, OffsetNS: 0}, nowPHC)
 }
 
-// Readings snapshots the M readings with freshness evaluated at nowPHC.
-func (s *FTSHMEM) Readings(nowPHC float64) []fta.Reading {
-	return s.AppendReadings(make([]fta.Reading, 0, len(s.offsets)), nowPHC)
-}
-
-// AppendReadings is Readings appending to dst, so a caller that reuses one
-// buffer reads the region without allocating.
+// AppendReadings appends the M readings, with freshness evaluated at
+// nowPHC, to dst, so a caller that reuses one buffer reads the region
+// without allocating.
 func (s *FTSHMEM) AppendReadings(dst []fta.Reading, nowPHC float64) []fta.Reading {
 	n := len(dst)
 	dst = append(dst, s.offsets...)

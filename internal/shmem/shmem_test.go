@@ -15,7 +15,7 @@ func newFT() *FTSHMEM {
 func TestFTSHMEMStoreAndReadings(t *testing.T) {
 	s := newFT()
 	s.StoreOffset(gptp.OffsetSample{Domain: 2, OffsetNS: -42}, 1000)
-	r := s.Readings(2000)
+	r := s.AppendReadings(nil, 2000)
 	if len(r) != 4 {
 		t.Fatalf("readings len = %d, want 4", len(r))
 	}
@@ -32,7 +32,7 @@ func TestFTSHMEMStoreAndReadings(t *testing.T) {
 func TestFTSHMEMUnknownDomainIgnored(t *testing.T) {
 	s := newFT()
 	s.StoreOffset(gptp.OffsetSample{Domain: 99, OffsetNS: 1}, 0)
-	for _, r := range s.Readings(1) {
+	for _, r := range s.AppendReadings(nil, 1) {
 		if r.Fresh {
 			t.Fatal("unknown domain stored")
 		}
@@ -42,10 +42,10 @@ func TestFTSHMEMUnknownDomainIgnored(t *testing.T) {
 func TestFTSHMEMStaleness(t *testing.T) {
 	s := NewFTSHMEM([]int{1, 2}, 375e6, servo.NewPI(servo.Config{})) // stale after 375 ms
 	s.StoreOffset(gptp.OffsetSample{Domain: 1, OffsetNS: 5}, 0)
-	if r := s.Readings(300e6); !r[0].Fresh {
+	if r := s.AppendReadings(nil, 300e6); !r[0].Fresh {
 		t.Fatal("reading stale too early")
 	}
-	if r := s.Readings(400e6); r[0].Fresh {
+	if r := s.AppendReadings(nil, 400e6); r[0].Fresh {
 		t.Fatal("reading fresh after staleness window (fail-silent GM must age out)")
 	}
 }
@@ -53,7 +53,7 @@ func TestFTSHMEMStaleness(t *testing.T) {
 func TestFTSHMEMStoreOwnDomain(t *testing.T) {
 	s := newFT()
 	s.StoreOwnDomain(3, 100)
-	r := s.Readings(101)
+	r := s.AppendReadings(nil, 101)
 	if !r[2].Fresh || r[2].OffsetNS != 0 {
 		t.Fatalf("own-domain slot = %+v, want fresh zero offset", r[2])
 	}
@@ -128,7 +128,7 @@ func TestFTSHMEMReset(t *testing.T) {
 	s.Servo().Sample(100, 0)
 	s.Servo().Sample(200, 125e6)
 	s.Reset()
-	for _, r := range s.Readings(1) {
+	for _, r := range s.AppendReadings(nil, 1) {
 		if r.Fresh {
 			t.Fatal("reset left fresh readings")
 		}
