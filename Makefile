@@ -49,7 +49,7 @@ determinism:
 bench:
 	$(GO) test -run ^$$ -bench 'BenchmarkSchedulerThroughput|BenchmarkSchedulerCancelHeavy|BenchmarkNetsimFrameBurst' \
 		-benchmem . | $(GO) run ./cmd/benchjson -o BENCH_scheduler.json
-	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_system.json
+	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate|BenchmarkSystemStartup' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_system.json
 	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart|BenchmarkSweepWarmLanes|BenchmarkForkSystem' -benchtime 3x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
 	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric' -benchtime 3x -benchmem -cpu 1,2 . \
@@ -70,7 +70,7 @@ bench-smoke:
 	@mkdir -p .bench-smoke
 	$(GO) test -run ^$$ -bench 'BenchmarkSchedulerThroughput|BenchmarkSchedulerCancelHeavy|BenchmarkNetsimFrameBurst' \
 		-benchtime 1x -benchmem . | $(GO) run ./cmd/benchjson -o .bench-smoke/scheduler.json
-	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate' -benchtime 1x -benchmem . \
+	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate|BenchmarkSystemStartup' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/system.json
 	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart|BenchmarkSweepWarmLanes|BenchmarkForkSystem' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/sweep.json
@@ -136,25 +136,28 @@ chaos-smoke:
 # count × on-path Sync delay, examples/attacks-smoke.json) against the
 # analytic 2f+1 resilience bound, run through the registry by cmd/sweep.
 # -fail-on-anomaly makes any point that was predicted to survive but
-# measured to fail a non-zero exit; an empty metrics snapshot also fails.
+# measured to fail a non-zero exit; so does a metrics snapshot holding no
+# attacks line (sweep always writes the runner's lines, so a non-empty file
+# alone proves nothing).
 attack-smoke:
 	@mkdir -p .attack-smoke
 	$(GO) run ./cmd/sweep -which attacks -config examples/attacks-smoke.json \
 		-fail-on-anomaly -metrics .attack-smoke/metrics.jsonl > .attack-smoke/log.txt
-	@test -s .attack-smoke/metrics.jsonl || { echo "attack-smoke: empty metrics snapshot"; exit 1; }
-	@echo "attack-smoke: ok ($$(wc -l < .attack-smoke/metrics.jsonl) metric lines)"
+	@grep -q '"run":"attacks"' .attack-smoke/metrics.jsonl || { echo "attack-smoke: no attacks metrics"; exit 1; }
+	@echo "attack-smoke: ok ($$(grep -c '"run":"attacks"' .attack-smoke/metrics.jsonl) attacks metric lines)"
 
 # Wide-area smoke: the wansites campaign (site failures × WAN asymmetry,
 # examples/wansites-smoke.json) against the site-level min(f, ⌊(N−1)/2⌋)
 # quorum with cross-site holdover, run through the registry by cmd/sweep.
 # -fail-on-anomaly makes any verdict of measured degradation outside the
-# quorum bound a non-zero exit; an empty metrics snapshot also fails.
+# quorum bound a non-zero exit; so does a metrics snapshot holding no
+# wansites line.
 wan-smoke:
 	@mkdir -p .wan-smoke
 	$(GO) run ./cmd/sweep -which wansites -config examples/wansites-smoke.json \
 		-fail-on-anomaly -metrics .wan-smoke/metrics.jsonl > .wan-smoke/log.txt
-	@test -s .wan-smoke/metrics.jsonl || { echo "wan-smoke: empty metrics snapshot"; exit 1; }
-	@echo "wan-smoke: ok ($$(wc -l < .wan-smoke/metrics.jsonl) metric lines)"
+	@grep -q '"run":"wansites"' .wan-smoke/metrics.jsonl || { echo "wan-smoke: no wansites metrics"; exit 1; }
+	@echo "wan-smoke: ok ($$(grep -c '"run":"wansites"' .wan-smoke/metrics.jsonl) wansites metric lines)"
 
 # Fuzz smoke: a short informational pass over every committed fuzz target
 # (Go runs one -fuzz pattern per invocation), plus the derived-seed fault

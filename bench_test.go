@@ -353,6 +353,29 @@ func BenchmarkSystemSimulationRate(b *testing.B) {
 	b.ReportMetric(float64(sys.Scheduler().Processed())/float64(b.N), "events/op")
 }
 
+// BenchmarkSystemStartup measures what BenchmarkSystemSimulationRate leaves
+// out before its timer starts: building the paper testbed, starting it and
+// its first simulated minute, where every stack is still in start-up mode.
+// allocs/op is the whole start-up allocation count of one testbed.
+func BenchmarkSystemStartup(b *testing.B) {
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		sys, err := core.NewSystem(core.NewConfig(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.Start(); err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.RunFor(time.Minute); err != nil {
+			b.Fatal(err)
+		}
+		events = sys.Scheduler().Processed()
+	}
+	b.ReportMetric(float64(events), "events/op")
+}
+
 // BenchmarkAblationBMCAReelection — A4: the BMCA's grandmaster re-election
 // gap, which the paper's static external port configuration + FTA design
 // eliminates.

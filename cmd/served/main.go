@@ -12,9 +12,11 @@
 //	       [-job-timeout 0] [-no-warm] [-state-dir DIR]
 //
 // -state-dir persists every finished job's status and result envelopes as
-// JSON under DIR; a restarted server loads them back so GET /v1/jobs/{id}
-// and GET /v1/jobs/{id}/result keep answering for jobs that completed
-// before the restart, and new job IDs continue past the persisted ones.
+// JSON under DIR; a restarted server loads the newest 64 back so GET
+// /v1/jobs/{id} and GET /v1/jobs/{id}/result keep answering for jobs that
+// completed before the restart, and new job IDs continue past the
+// persisted ones. Running or not, the server keeps only the newest 64
+// finished jobs in memory; older ids answer 410 Gone.
 //
 // -addr :0 binds an ephemeral port; the bound address is printed on stdout
 // as "listening on <addr>" either way, so scripts can scrape it.

@@ -77,6 +77,7 @@ type job struct {
 	req     JobRequest
 	timeout time.Duration
 	warm    bool
+	retired bool // on Server.done; guarded by Server.mu
 
 	mu       sync.Mutex
 	state    JobState

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -42,8 +43,8 @@ type Options struct {
 	DisableWarm bool
 	// StateDir, when set, persists every job that reaches a terminal state
 	// as a JSON envelope (status + wire results) under this directory, and
-	// New loads the directory back so a restarted server still answers
-	// GET /v1/jobs/{id} and GET /v1/jobs/{id}/result for finished jobs.
+	// New loads the newest maxFinished back so a restarted server still
+	// answers GET /v1/jobs/{id} and GET /v1/jobs/{id}/result for them.
 	// Unreadable files are skipped; job IDs continue past the highest
 	// persisted one.
 	StateDir string
@@ -69,6 +70,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// maxFinished is how many finished jobs a server keeps answering for. Past
+// it, the jobs that finished earliest are evicted: their ids answer 410
+// Gone and leave the listing. A job holds its wire results (~0.17 MB for
+// the smoke netchaos job), so the bound caps that memory near 11 MB however
+// long the server runs; a client that needs older results reads them from
+// the -state-dir envelopes.
+const maxFinished = 64
+
 // Server queues experiment jobs, runs them on a fixed worker pool and keeps
 // the shared warm-snapshot cache. It is the HTTP-independent core; Handler
 // exposes it as an http.Handler.
@@ -81,7 +90,8 @@ type Server struct {
 	mu     sync.RWMutex
 	jobs   map[string]*job
 	order  []string // submission order, for GET /v1/jobs
-	nextID int
+	done   []string // retained finished jobs, oldest finish first
+	nextID int      // ids job-000001 … of this number were all issued
 	closed bool
 
 	baseCtx context.Context
@@ -155,7 +165,7 @@ func (s *Server) Stop() {
 		select {
 		case j := <-s.queue:
 			j.finish(JobCancelled, errors.New("server shutdown before the job started"), nil)
-			s.persist(j)
+			s.retire(j)
 		default:
 			return
 		}
@@ -198,9 +208,8 @@ func (s *Server) submit(req JobRequest) (*job, int, error) {
 		s.mu.Unlock()
 		return nil, http.StatusServiceUnavailable, fmt.Errorf("server is shutting down")
 	}
-	s.nextID++
 	j := &job{
-		id:      fmt.Sprintf("job-%06d", s.nextID),
+		id:      jobID(s.nextID + 1),
 		req:     req,
 		timeout: timeout,
 		warm:    warm,
@@ -212,6 +221,7 @@ func (s *Server) submit(req JobRequest) (*job, int, error) {
 	// never has to roll back state that concurrent submits built on.
 	select {
 	case s.queue <- j:
+		s.nextID++
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 		s.mu.Unlock()
@@ -225,12 +235,59 @@ func (s *Server) submit(req JobRequest) (*job, int, error) {
 	}
 }
 
-// lookup finds a job by id.
-func (s *Server) lookup(id string) (*job, bool) {
+// jobID formats the n-th issued job id.
+func jobID(n int) string { return fmt.Sprintf("job-%06d", n) }
+
+// find resolves the request's job id. It answers 410 Gone for a job this
+// server issued or restored and has since evicted, and 404 for any other
+// unknown id.
+func (s *Server) find(w http.ResponseWriter, r *http.Request) (*job, bool) {
+	id := r.PathValue("id")
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	j, ok := s.jobs[id]
-	return j, ok
+	issued := err == nil && n >= 1 && n <= s.nextID && id == jobID(n)
+	s.mu.RUnlock()
+	switch {
+	case ok:
+		return j, true
+	case issued:
+		writeError(w, http.StatusGone, fmt.Errorf("job %s was evicted: the server keeps the newest %d finished jobs", id, maxFinished))
+	default:
+		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", id))
+	}
+	return nil, false
+}
+
+// retire persists a job that may have reached a terminal state and, the
+// first time it sees the job finished, queues it for eviction; the oldest
+// finished jobs beyond maxFinished are then evicted, in finish order.
+func (s *Server) retire(j *job) {
+	if state, _ := j.snapshotResults(); !state.Terminal() {
+		return
+	}
+	s.persist(j)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.retired {
+		return
+	}
+	j.retired = true
+	s.done = append(s.done, j.id)
+	if len(s.done) <= maxFinished {
+		return
+	}
+	for _, id := range s.done[:len(s.done)-maxFinished] {
+		delete(s.jobs, id)
+	}
+	s.done = append(s.done[:0], s.done[len(s.done)-maxFinished:]...)
+	kept := s.order[:0]
+	for _, id := range s.order {
+		if _, ok := s.jobs[id]; ok {
+			kept = append(kept, id)
+		}
+	}
+	s.order = kept
 }
 
 // runJob executes one job on a worker: it fans the job's points across a
@@ -257,7 +314,7 @@ func (s *Server) runJob(j *job) {
 		// Unreachable after submit-time validation, but a registry is
 		// mutable in tests.
 		j.finish(JobFailed, err, nil)
-		s.persist(j)
+		s.retire(j)
 		return
 	}
 
@@ -303,7 +360,7 @@ func (s *Server) runJob(j *job) {
 	default:
 		j.finish(JobFailed, err, nil)
 	}
-	s.persist(j)
+	s.retire(j)
 }
 
 // Handler returns the server's HTTP API.
@@ -396,7 +453,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, j.status())
 }
 
-// handleJobs lists every job in submission order.
+// handleJobs lists every retained job in submission order.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	jobs := make([]*job, 0, len(s.order))
@@ -413,9 +470,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 // handleStatus serves one job's status.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.find(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, j.status())
@@ -424,9 +480,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // handleCancel cancels a queued or running job (202), reports terminal jobs
 // with 409.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.find(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
 	if !j.requestCancel() {
@@ -434,8 +489,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A queued job is terminal right away; persist skips the running case
-	// (the worker persists it when the run loop observes the cancel).
-	s.persist(j)
+	// (the worker retires it when the run loop observes the cancel).
+	s.retire(j)
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
@@ -451,9 +506,8 @@ type jobResults struct {
 // handleResult serves a finished job's results; non-done jobs answer 409
 // with the current state.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.find(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
 	state, results := j.snapshotResults()
@@ -474,9 +528,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // (snapshot cache, queue counters). Available while the job is still
 // running — completed points stream early.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.find(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

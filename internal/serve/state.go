@@ -70,12 +70,15 @@ func (s *Server) persist(j *job) {
 	s.mStatePersisted.Inc()
 }
 
-// loadState restores persisted terminal jobs into the jobs map so the
-// status, listing and result endpoints keep answering for them across
-// restarts, and advances nextID past the highest persisted id so new
-// submissions never collide with a restored job. Unreadable or malformed
-// files are skipped and counted; restored jobs are listed before this
-// process's own submissions, in id order.
+// loadState restores the newest maxFinished persisted terminal jobs into
+// the jobs map so the status, listing and result endpoints keep answering
+// for them across restarts, and advances nextID past the highest persisted
+// id so new submissions never collide with a persisted job; older
+// envelopes are not read, and their ids answer 410 Gone. Only files named
+// exactly <job id>.json count as envelopes. Unreadable or malformed files
+// are skipped and counted, and a well-named one still advances nextID so no
+// new job overwrites it; restored jobs are listed before this process's own
+// submissions, in id order, and are the first evicted.
 func (s *Server) loadState() {
 	dir := s.opts.StateDir
 	if dir == "" {
@@ -90,13 +93,31 @@ func (s *Server) loadState() {
 		s.mStateErrors.Inc()
 		return
 	}
-	var ids []string
+	type envelope struct {
+		name string
+		n    int // the id's number
+	}
+	var files []envelope
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		raw, err := os.ReadFile(filepath.Join(dir, name))
+		n, err := strconv.Atoi(strings.TrimPrefix(strings.TrimSuffix(name, ".json"), "job-"))
+		if err != nil || n < 1 || name != jobID(n)+".json" {
+			s.mStateErrors.Inc()
+			continue
+		}
+		files = append(files, envelope{name, n})
+		s.nextID = max(s.nextID, n)
+	}
+	sort.Slice(files, func(a, b int) bool { return files[a].n > files[b].n })
+	var ids []string
+	for _, f := range files {
+		if len(ids) == maxFinished {
+			break
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, f.name))
 		if err != nil {
 			s.mStateErrors.Inc()
 			continue
@@ -107,7 +128,7 @@ func (s *Server) loadState() {
 			continue
 		}
 		st := pj.Status
-		if st.ID == "" || !st.State.Terminal() || st.ID != strings.TrimSuffix(name, ".json") {
+		if st.ID == "" || !st.State.Terminal() || st.ID != strings.TrimSuffix(f.name, ".json") {
 			s.mStateErrors.Inc()
 			continue
 		}
@@ -133,13 +154,12 @@ func (s *Server) loadState() {
 			// restored status claim the job never ended.
 			j.finished = time.Now()
 		}
+		j.retired = true
 		s.jobs[j.id] = j
 		ids = append(ids, j.id)
-		if n, err := strconv.Atoi(strings.TrimPrefix(j.id, "job-")); err == nil && n > s.nextID {
-			s.nextID = n
-		}
 	}
 	sort.Strings(ids)
 	s.order = append(s.order, ids...)
+	s.done = append(s.done, ids...)
 	s.mStateLoaded.Add(uint64(len(ids)))
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -120,5 +122,174 @@ func TestServerStateCancelledPersists(t *testing.T) {
 	r3.Body.Close()
 	if r3.StatusCode != http.StatusConflict {
 		t.Fatalf("restored result status %d, want 409", r3.StatusCode)
+	}
+}
+
+// getStatus issues GET path against ts and returns the status code.
+func getStatus(t *testing.T, ts *httptest.Server, path string) int {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// deleteJob issues DELETE /v1/jobs/{id} against ts and returns the status code.
+func deleteJob(t *testing.T, ts *httptest.Server, id string) int {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+	r, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	return r.StatusCode
+}
+
+// listedIDs returns the ids GET /v1/jobs lists, in order.
+func listedIDs(t *testing.T, ts *httptest.Server) []string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(out.Jobs))
+	for i, st := range out.Jobs {
+		ids[i] = st.ID
+	}
+	return ids
+}
+
+// TestServerEvictsOldestFinished: past maxFinished finished jobs, the
+// oldest are evicted. Their ids answer 410 on every job endpoint and leave
+// the listing, the retained ones still answer, an id never issued answers
+// 404, and a queued job is never evicted.
+func TestServerEvictsOldestFinished(t *testing.T) {
+	const extra = 3
+	s := New(Options{QueueDepth: maxFinished + extra + 1}) // never Start()ed
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cfg := rawConfig(t, experiments.BoundsConfig{Seed: 1, Duration: 3 * time.Minute})
+	var ids []string
+	for i := 0; i < maxFinished+extra; i++ {
+		st, resp := postJob(t, ts, JobRequest{Experiment: "bounds", Config: cfg})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d status %d", i, resp.StatusCode)
+		}
+		ids = append(ids, st.ID)
+		// Cancelling a queued job finishes it at once.
+		deleteJob(t, ts, st.ID)
+	}
+	queued, _ := postJob(t, ts, JobRequest{Experiment: "bounds", Config: cfg})
+
+	for _, id := range ids[:extra] {
+		for _, path := range []string{"", "/result", "/metrics"} {
+			if code := getStatus(t, ts, "/v1/jobs/"+id+path); code != http.StatusGone {
+				t.Fatalf("GET %s%s = %d, want 410", id, path, code)
+			}
+		}
+		if code := deleteJob(t, ts, id); code != http.StatusGone {
+			t.Fatalf("DELETE %s = %d, want 410", id, code)
+		}
+	}
+	if code := getStatus(t, ts, "/v1/jobs/"+ids[extra]); code != http.StatusOK {
+		t.Fatalf("oldest retained job answers %d, want 200", code)
+	}
+	for _, id := range []string{jobID(maxFinished + extra + 2), "job-0", "nope"} {
+		if code := getStatus(t, ts, "/v1/jobs/"+id); code != http.StatusNotFound {
+			t.Fatalf("GET never-issued %s = %d, want 404", id, code)
+		}
+	}
+	want := append(append([]string(nil), ids[extra:]...), queued.ID)
+	if got := listedIDs(t, ts); len(got) != len(want) || got[0] != want[0] || got[len(got)-1] != queued.ID {
+		t.Fatalf("listing holds %d jobs %v…, want the %d retained then the queued one", len(got), got[:1], len(want))
+	}
+}
+
+// TestServerEvictsInFinishOrder: eviction follows the order jobs finished,
+// not the order they were submitted. A job submitted first but finished
+// last is the newest finished job and keeps answering; the first of the
+// later jobs to finish is the one evicted.
+func TestServerEvictsInFinishOrder(t *testing.T) {
+	s := New(Options{QueueDepth: maxFinished + 1}) // never Start()ed
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cfg := rawConfig(t, experiments.BoundsConfig{Seed: 1, Duration: 3 * time.Minute})
+	first, _ := postJob(t, ts, JobRequest{Experiment: "bounds", Config: cfg})
+	var later []string
+	for i := 0; i < maxFinished; i++ {
+		st, _ := postJob(t, ts, JobRequest{Experiment: "bounds", Config: cfg})
+		later = append(later, st.ID)
+		if code := deleteJob(t, ts, st.ID); code != http.StatusAccepted {
+			t.Fatalf("DELETE %s = %d, want 202", st.ID, code)
+		}
+	}
+	if code := deleteJob(t, ts, first.ID); code != http.StatusAccepted {
+		t.Fatalf("DELETE %s = %d, want 202", first.ID, code)
+	}
+	if code := getStatus(t, ts, "/v1/jobs/"+first.ID); code != http.StatusOK {
+		t.Fatalf("job finished last answers %d, want 200", code)
+	}
+	if code := getStatus(t, ts, "/v1/jobs/"+later[0]); code != http.StatusGone {
+		t.Fatalf("job finished first answers %d, want 410", code)
+	}
+	if got := listedIDs(t, ts); len(got) != maxFinished || got[0] != first.ID {
+		t.Fatalf("listing holds %d jobs starting %v, want %d starting %s", len(got), got[:1], maxFinished, first.ID)
+	}
+}
+
+// TestServerStateLoadsNewestRetained: a restart reads only the newest
+// maxFinished envelopes of the state dir; older persisted ids answer 410
+// and new submissions still continue past the highest persisted id.
+func TestServerStateLoadsNewestRetained(t *testing.T) {
+	dir := t.TempDir()
+	const total = maxFinished + 2
+	for n := 1; n <= total; n++ {
+		raw, err := json.Marshal(persistedJob{Status: JobStatus{
+			ID: jobID(n), Experiment: "bounds", Points: 1, State: JobCancelled, Created: time.Unix(int64(n), 0),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, jobID(n)+".json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Files not named exactly <job id>.json are no envelopes: they are
+	// counted as errors and move neither the listing nor the id sequence.
+	for _, stray := range []string{"123.json", "job-999.json"} {
+		if err := os.WriteFile(filepath.Join(dir, stray), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(Options{StateDir: dir, QueueDepth: 1}) // never Start()ed
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if loaded := counterValue(s.Metrics(), "served_state_loaded"); loaded != maxFinished {
+		t.Fatalf("served_state_loaded = %v, want %d", loaded, maxFinished)
+	}
+	if errs := counterValue(s.Metrics(), "served_state_errors"); errs != 2 {
+		t.Fatalf("served_state_errors = %v, want 2 for the stray files", errs)
+	}
+	if got := listedIDs(t, ts); len(got) != maxFinished || got[0] != jobID(total-maxFinished+1) {
+		t.Fatalf("listing after restart holds %d jobs starting %v, want %d from %s",
+			len(got), got[:1], maxFinished, jobID(total-maxFinished+1))
+	}
+	if code := getStatus(t, ts, "/v1/jobs/"+jobID(1)); code != http.StatusGone {
+		t.Fatalf("unloaded persisted job answers %d, want 410", code)
+	}
+	st, _ := postJob(t, ts, JobRequest{Experiment: "bounds",
+		Config: rawConfig(t, experiments.BoundsConfig{Seed: 1, Duration: 3 * time.Minute})})
+	if st.ID != jobID(total+1) {
+		t.Fatalf("first new id %s, want %s", st.ID, jobID(total+1))
 	}
 }

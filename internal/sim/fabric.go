@@ -71,7 +71,7 @@ import (
 type Deferred struct {
 	// Key1 is the send instant; Key2 the sender event's schedule-time key;
 	// Key3 the sender event's own cause key (see Scheduler.SchedKeys).
-	// (Key1, Key2, Key3) is the heap key prefix of the *sending* event, so
+	// (Key1, Key2, Key3) is the firing-key prefix of the *sending* event, so
 	// sorting on it reproduces the order a single scheduler executed the
 	// senders in — the order it would have inserted the deliveries in.
 	// Only Key1 and Key2 are replayed onto the delivery event.

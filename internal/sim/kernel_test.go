@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
@@ -261,23 +262,33 @@ func TestTickerTickIsAllocFree(t *testing.T) {
 
 // --- randomized differential test against a container/heap reference ---
 
-// refEvent / refQueue reimplement the original container/heap-based
-// scheduler semantics as the oracle.
+// refEvent / refQueue reimplement the kernel's firing order on
+// container/heap as the oracle: the full key (at, schedAt, cause, seq), the
+// causal stamping of schedule calls made from callbacks, and ticker re-arm.
 type refEvent struct {
-	at    Time
-	seq   uint64
-	index int
-	fn    func()
+	at, schedAt, cause Time
+	seq                uint64
+	period             time.Duration
+	index              int
+	fn                 func()
+	stopped            func() bool // ticker only: did this tick stop it?
 }
 
 type refQueue []*refEvent
 
 func (q refQueue) Len() int { return len(q) }
 func (q refQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+	a, b := q[i], q[j]
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	if a.schedAt != b.schedAt {
+		return a.schedAt < b.schedAt
+	}
+	if a.cause != b.cause {
+		return a.cause < b.cause
+	}
+	return a.seq < b.seq
 }
 func (q refQueue) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
@@ -299,18 +310,36 @@ func (q *refQueue) Pop() any {
 }
 
 type refScheduler struct {
-	now   Time
-	seq   uint64
-	queue refQueue
+	now           Time
+	seq           uint64
+	queue         refQueue
+	firing        bool
+	firingSchedAt Time
 }
 
+// at schedules like Scheduler.At: scheduled now, caused by the firing
+// callback's schedule instant (or now, outside any callback).
 func (r *refScheduler) at(t Time, fn func()) *refEvent {
+	cause := r.now
+	if r.firing {
+		cause = r.firingSchedAt
+	}
+	return r.keyed(t, r.now, cause, fn)
+}
+
+func (r *refScheduler) keyed(t, schedAt, cause Time, fn func()) *refEvent {
 	if t < r.now {
 		t = r.now
 	}
-	e := &refEvent{at: t, seq: r.seq, fn: fn}
+	e := &refEvent{at: t, schedAt: schedAt, cause: cause, seq: r.seq, fn: fn}
 	r.seq++
 	heap.Push(&r.queue, e)
+	return e
+}
+
+func (r *refScheduler) every(start Time, period time.Duration, fn func(), stopped func() bool) *refEvent {
+	e := r.at(start, fn)
+	e.period, e.stopped = period, stopped
 	return e
 }
 
@@ -322,18 +351,72 @@ func (r *refScheduler) cancel(e *refEvent) {
 	e.index = -1
 }
 
-func (r *refScheduler) run() {
-	for len(r.queue) > 0 {
-		e := heap.Pop(&r.queue).(*refEvent)
-		e.index = -1
-		r.now = e.at
-		e.fn()
+// fire pops and runs the earliest event, re-arming a ticker after its
+// callback the way the kernel does.
+func (r *refScheduler) fire() {
+	e := heap.Pop(&r.queue).(*refEvent)
+	e.index = -1
+	r.now = e.at
+	prevFiring, prevSchedAt := r.firing, r.firingSchedAt
+	r.firing, r.firingSchedAt = true, e.schedAt
+	e.fn()
+	r.firing, r.firingSchedAt = prevFiring, prevSchedAt
+	if e.period > 0 && !e.stopped() {
+		e.at = e.at.Add(e.period)
+		e.cause, e.schedAt = e.schedAt, r.now
+		e.seq = r.seq
+		r.seq++
+		heap.Push(&r.queue, e)
 	}
 }
 
-// runDifferential drives both schedulers through the same randomized
-// schedule/cancel script and compares complete firing traces.
-func runDifferential(t *testing.T, seed int64, ops int) {
+func (r *refScheduler) runUntil(t Time) {
+	for len(r.queue) > 0 && r.queue[0].at <= t {
+		r.fire()
+	}
+	if r.now < t {
+		r.now = t
+	}
+}
+
+func (r *refScheduler) run() {
+	for len(r.queue) > 0 {
+		r.fire()
+	}
+}
+
+// clone deep-copies the reference and maps each handle in evs onto its
+// copy (nil for events no longer queued, whose cancel is a no-op).
+func (r *refScheduler) clone(evs []*refEvent) (refScheduler, []*refEvent) {
+	c := *r
+	c.queue = make(refQueue, len(r.queue))
+	copies := make(map[*refEvent]*refEvent, len(r.queue))
+	for i, e := range r.queue {
+		ce := *e
+		c.queue[i] = &ce
+		copies[e] = &ce
+	}
+	out := make([]*refEvent, len(evs))
+	for i, e := range evs {
+		out[i] = copies[e]
+	}
+	return c, out
+}
+
+// diffHorizon caps drawn instants: past 2^62, so the top bucket is
+// reachable, and far enough below MaxInt64 that ticker re-arms cannot wrap.
+const diffHorizon = Time(3) << 61
+
+// runDifferential drives the kernel and the reference through the same
+// randomized script and compares complete firing traces. The script mixes
+// one-shot events (some scheduling a child from their callback), tickers
+// that stop themselves, ScheduleKeyedArg injections with arbitrary causal
+// keys (bursts at one instant, as a barrier commit makes), cancels, partial
+// drains, peeks followed by SkipTo/AdvanceTo and a schedule below the peeked
+// minimum, and Snapshot/Restore. Offsets span nanoseconds to hours and,
+// rarely, centuries, so that every bucket of the radix queue is used. It
+// returns the set of buckets that held events, as a bitmask.
+func runDifferential(t *testing.T, seed int64, ops int) (cover uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -342,41 +425,159 @@ func runDifferential(t *testing.T, seed int64, ops int) {
 		at Time
 	}
 	var gotNew, gotRef []rec
+	var ticksNew, ticksRef []int // per ticker: ticks fired so far
 
 	s := NewScheduler()
 	r := &refScheduler{}
-	newIDs := make([]EventID, 0, ops)
-	refEvs := make([]*refEvent, 0, ops)
+	var ids []EventID   // kernel handles, by script event id
+	var evs []*refEvent // reference handles, same index
 
-	next := 0
-	for i := 0; i < ops; i++ {
-		switch {
-		case len(newIDs) > 0 && rng.Intn(3) == 0: // cancel a random event
-			k := rng.Intn(len(newIDs))
-			s.Cancel(newIDs[k])
-			r.cancel(refEvs[k])
-		default:
-			at := Time(rng.Intn(1000))
-			id := next
-			next++
-			newIDs = append(newIDs, s.At(at, func() { gotNew = append(gotNew, rec{id: id, at: s.Now()}) }))
-			refEvs = append(refEvs, r.at(at, func() { gotRef = append(gotRef, rec{id: id, at: r.now}) }))
+	// span draws an offset: mostly nanosecond ties and sub-µs gaps, then
+	// any power of two up to hours, and now and then up to 2^62.
+	span := func() Time {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1, 2, 3:
+			return Time(rng.Intn(1000))
 		}
-		// Occasionally drain part of the timeline mid-script.
-		if rng.Intn(16) == 0 {
-			target := s.Now() + Time(rng.Intn(500))
+		k := rng.Intn(44)
+		if rng.Intn(8) == 0 {
+			k = rng.Intn(63)
+		}
+		return Time(1)<<k | Time(rng.Int63n(int64(1)<<k))
+	}
+	instant := func() Time {
+		if len(r.queue) > 0 && rng.Intn(4) == 0 { // tie with a queued event
+			return r.queue[rng.Intn(len(r.queue))].at
+		}
+		if d := span(); d < diffHorizon-s.Now() {
+			return s.Now() + d
+		}
+		return diffHorizon
+	}
+	oneShot := func(at Time) {
+		id := len(ids)
+		var child Time = -1
+		if rng.Intn(4) == 0 {
+			child = span() % (1 << 40)
+		}
+		ids = append(ids, s.At(at, func() {
+			gotNew = append(gotNew, rec{id, s.Now()})
+			if child >= 0 {
+				s.At(s.Now()+child, func() { gotNew = append(gotNew, rec{-id - 1, s.Now()}) })
+			}
+		}))
+		evs = append(evs, r.at(at, func() {
+			gotRef = append(gotRef, rec{id, r.now})
+			if child >= 0 {
+				r.at(r.now+child, func() { gotRef = append(gotRef, rec{-id - 1, r.now}) })
+			}
+		}))
+	}
+
+	// mark is a snapshot of both sides: the kernel's, a copy of the
+	// reference, and the lengths and tick counts the callbacks write to.
+	type mark struct {
+		snap                  any
+		ref                   refScheduler
+		evs                   []*refEvent
+		ids, nGotNew, nGotRef int
+		ticksNew, ticksRef    []int
+	}
+	var m *mark
+
+	for i := 0; i < ops; i++ {
+		switch op := rng.Intn(20); {
+		case op < 4 && len(ids) > 0: // cancel a random event or ticker
+			k := rng.Intn(len(ids))
+			s.Cancel(ids[k])
+			r.cancel(evs[k])
+		case op < 6: // a ticker that stops itself after a few ticks
+			id, limit := len(ids), 1+rng.Intn(6)
+			period := time.Duration(1 + span()%(1<<40))
+			start := instant()
+			tn, tr := len(ticksNew), len(ticksRef)
+			ticksNew, ticksRef = append(ticksNew, 0), append(ticksRef, 0)
+			var tk *Ticker
+			tk, err := s.Every(start, period, func() {
+				gotNew = append(gotNew, rec{id, s.Now()})
+				if ticksNew[tn]++; ticksNew[tn] == limit {
+					tk.Stop()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, tk.id)
+			evs = append(evs, r.every(start, period, func() {
+				gotRef = append(gotRef, rec{id, r.now})
+				ticksRef[tr]++
+			}, func() bool { return ticksRef[tr] == limit }))
+		case op < 8: // a burst of keyed injections at one instant
+			at := instant()
+			for n := 1 + rng.Intn(6); n > 0; n-- {
+				schedAt := s.Now() - Time(rng.Int63n(int64(min(s.Now(), 1000))+1))
+				cause := schedAt - Time(rng.Int63n(int64(min(schedAt, 1000))+1))
+				id := len(ids)
+				ids = append(ids, s.ScheduleKeyedArg(at, schedAt, cause, func(a any) {
+					gotNew = append(gotNew, rec{a.(int), s.Now()})
+				}, id))
+				evs = append(evs, r.keyed(at, schedAt, cause, func() { gotRef = append(gotRef, rec{id, r.now}) }))
+			}
+		case op == 8: // peek, move the clock up to the minimum, schedule below it
+			at, ok := s.NextEventAt()
+			if rok := len(r.queue) > 0; ok != rok || ok && at != r.queue[0].at {
+				t.Fatalf("seed %d op %d: NextEventAt = %v,%v, reference %v", seed, i, at, ok, r.queue)
+			}
+			if !ok || at == s.Now() {
+				break
+			}
+			to := s.Now() + Time(rng.Int63n(int64(at-s.Now())))
+			switch rng.Intn(3) {
+			case 0:
+				s.SkipTo(to)
+			case 1:
+				s.AdvanceTo(to)
+			default:
+				to = at
+				s.AdvanceTo(at)
+			}
+			r.now = to
+			below := to
+			if to < at {
+				below += Time(rng.Int63n(int64(at - to)))
+			}
+			oneShot(below)
+		case op == 9: // snapshot, or rewind to the last one
+			if m != nil && rng.Intn(2) == 0 {
+				s.Restore(m.snap)
+				*r, evs = m.ref.clone(m.evs)
+				ids, gotNew, gotRef = ids[:m.ids], gotNew[:m.nGotNew], gotRef[:m.nGotRef]
+				ticksNew = append(ticksNew[:0], m.ticksNew...)
+				ticksRef = append(ticksRef[:0], m.ticksRef...)
+				break
+			}
+			m = &mark{snap: s.Snapshot(), ids: len(ids), nGotNew: len(gotNew), nGotRef: len(gotRef),
+				ticksNew: append([]int(nil), ticksNew...), ticksRef: append([]int(nil), ticksRef...)}
+			m.ref, m.evs = r.clone(evs)
+		default:
+			oneShot(instant())
+		}
+		if rng.Intn(16) == 0 { // drain part of the timeline
+			target := instant()
 			if err := s.RunUntil(target); err != nil {
 				t.Fatal(err)
 			}
-			for len(r.queue) > 0 && r.queue[0].at <= target {
-				e := heap.Pop(&r.queue).(*refEvent)
-				e.index = -1
-				r.now = e.at
-				e.fn()
-			}
-			if r.now < s.Now() {
-				r.now = s.Now()
-			}
+			r.runUntil(target)
+		}
+		if s.Pending() != len(r.queue) || s.Now() != r.now {
+			t.Fatalf("seed %d op %d: kernel pending %d at %v, reference %d at %v",
+				seed, i, s.Pending(), s.Now(), len(r.queue), r.now)
+		}
+		cover |= s.q.mask
+		if s.q.head < len(s.q.buckets[0]) {
+			cover |= 1
 		}
 	}
 	if err := s.Run(); err != nil {
@@ -393,11 +594,16 @@ func runDifferential(t *testing.T, seed int64, ops int) {
 				seed, i, gotNew[i], gotRef[i])
 		}
 	}
+	return cover
 }
 
 func TestSchedulerMatchesReferenceModel(t *testing.T) {
+	var cover uint64
 	for seed := int64(1); seed <= 50; seed++ {
-		runDifferential(t, seed, 400)
+		cover |= runDifferential(t, seed, 400)
+	}
+	if cover != ^uint64(0) {
+		t.Fatalf("the script left %d of 64 queue buckets unused (used %064b)", 64-bits.OnesCount64(cover), cover)
 	}
 }
 

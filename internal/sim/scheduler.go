@@ -9,8 +9,8 @@
 // bit-for-bit reproducible.
 //
 // The kernel is allocation-free in steady state: events live inline in a
-// growable slab indexed by a hand-rolled 4-ary min-heap (see heap.go), At
-// and After hand out compact EventID handles instead of per-event pointers,
+// growable slab ordered by a monotone radix queue (see heap.go), At and
+// After hand out compact EventID handles instead of per-event pointers,
 // Cancel is an O(1) generation bump with lazy deletion at pop, and fired
 // slots recycle through a free list. See DESIGN.md, "Event kernel".
 package sim
@@ -77,8 +77,8 @@ type eventSlot struct {
 	// at += period, reusing the slot, the callback and the EventID.
 	period    time.Duration
 	gen       uint32
-	heapIdx   int32 // position in Scheduler.heap; -1 when not queued
 	nextFree  int32
+	queued    bool // in the queue (cancelled entries stay until reaped)
 	cancelled bool
 }
 
@@ -90,7 +90,7 @@ var ErrStopped = errors.New("sim: scheduler stopped")
 type Scheduler struct {
 	schedulerState
 	slab    []eventSlot
-	heap    []int32 // slot indices; 4-ary min-heap on (at, seq)
+	q       radixQueue
 	stopped bool
 
 	// firing/firingSchedAt track the schedule-time key of the event whose
@@ -108,7 +108,7 @@ type Scheduler struct {
 }
 
 // schedulerState is the scheduler's scalar queue state; Snapshot copies it
-// whole and copies the slab and heap explicitly.
+// whole and copies the slab and queue explicitly.
 type schedulerState struct {
 	now      Time
 	seq      uint64
@@ -161,7 +161,7 @@ type Diagnostics struct {
 	Cancelled  uint64 // events cancelled before firing
 	PastClamps uint64 // At calls clamped to now
 	Pending    int    // live queued events
-	QueueLen   int    // heap entries including lazily-deleted ones
+	QueueLen   int    // queue entries including lazily-deleted ones
 	SlabSlots  int    // slots ever allocated (high-water mark)
 }
 
@@ -172,7 +172,7 @@ func (s *Scheduler) Diag() Diagnostics {
 		Cancelled:  s.cancels,
 		PastClamps: s.pastClamps,
 		Pending:    s.live,
-		QueueLen:   len(s.heap),
+		QueueLen:   s.q.len(),
 		SlabSlots:  len(s.slab),
 	}
 }
@@ -185,7 +185,7 @@ func (s *Scheduler) alloc() int32 {
 		s.freeHead = s.slab[i].nextFree
 		return i
 	}
-	s.slab = append(s.slab, eventSlot{gen: 1, heapIdx: -1, nextFree: -1})
+	s.slab = append(s.slab, eventSlot{gen: 1, nextFree: -1})
 	return int32(len(s.slab) - 1)
 }
 
@@ -195,7 +195,6 @@ func (s *Scheduler) free(i int32) {
 	sl.fn, sl.afn, sl.arg = nil, nil, nil
 	sl.period = 0
 	sl.cancelled = false
-	sl.heapIdx = -1
 	sl.nextFree = s.freeHead
 	s.freeHead = i
 }
@@ -233,7 +232,7 @@ func (s *Scheduler) scheduleKeyed(t, schedAt, cause Time, fn func(), afn func(an
 	sl.cause = cause
 	sl.fn, sl.afn, sl.arg = fn, afn, arg
 	sl.period = period
-	s.heapPush(i)
+	s.push(i)
 	s.live++
 	return EventID{slot: uint32(i), gen: sl.gen}
 }
@@ -246,7 +245,7 @@ func (s *Scheduler) scheduleKeyed(t, schedAt, cause Time, fn func(), afn func(an
 // ScheduleKeyedArg on the destination shard, so the delivery sorts against
 // that shard's local events exactly as it would have in a single-scheduler
 // run, while prevCause only orders the barrier mailbox — it reproduces the
-// heap order (at, schedAt, cause, …) of the *sending* events themselves,
+// firing order (at, schedAt, cause, …) of the *sending* events themselves,
 // which is the order a single scheduler executed them (and hence inserted
 // their deliveries) in.
 func (s *Scheduler) SchedKeys() (schedAt, cause, prevCause Time) {
@@ -343,8 +342,8 @@ func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) EventID {
 }
 
 // Cancel removes a pending event in O(1): the slot's generation is bumped
-// (so the handle dies) and the heap entry is discarded lazily when it
-// reaches the top. Cancelling an event that already fired, was already
+// (so the handle dies) and the queue entry is discarded lazily when it
+// reaches the front. Cancelling an event that already fired, was already
 // cancelled, or is the zero EventID is a no-op.
 func (s *Scheduler) Cancel(id EventID) {
 	i := int32(id.slot)
@@ -359,8 +358,8 @@ func (s *Scheduler) Cancel(id EventID) {
 	s.cancels++
 	sl.bumpGen()
 	sl.fn, sl.afn, sl.arg = nil, nil, nil
-	if sl.heapIdx >= 0 {
-		// Still queued: drop from the live count; the heap entry is
+	if sl.queued {
+		// Still queued: drop from the live count; the queue entry is
 		// reaped at pop. A ticker cancelled from inside its own callback
 		// is not queued at this point and was already uncounted.
 		s.live--
@@ -374,29 +373,36 @@ func (s *Scheduler) When(id EventID) (Time, bool) {
 		return 0, false
 	}
 	sl := &s.slab[i]
-	if sl.gen != id.gen || sl.heapIdx < 0 {
+	if sl.gen != id.gen || !sl.queued {
 		return 0, false
 	}
 	return sl.at, true
 }
 
-// peekLive reaps cancelled entries off the heap top and reports the slot of
-// the earliest live event, if any.
+// peekLive reaps cancelled entries off the queue front and reports the slot
+// of the earliest live event, if any; that slot is then the head of bucket
+// 0, which is what fire pops.
 func (s *Scheduler) peekLive() (int32, bool) {
-	for len(s.heap) > 0 {
-		i := s.heap[0]
-		if !s.slab[i].cancelled {
-			return i, true
+	for q := &s.q; ; {
+		if q.head < len(q.buckets[0]) {
+			i := q.buckets[0][q.head].slot
+			if !s.slab[i].cancelled {
+				return i, true
+			}
+			s.popHead()
+			s.free(i)
+			continue
 		}
-		s.heapPopTop()
-		s.free(i)
+		if !s.refill() {
+			return -1, false
+		}
 	}
-	return -1, false
 }
 
-// fire pops slot i (already verified live) and runs its callback.
+// fire pops slot i (the live event peekLive just reported) and runs its
+// callback.
 func (s *Scheduler) fire(i int32) {
-	s.heapPopTop()
+	s.popHead()
 	sl := &s.slab[i]
 	s.now = sl.at
 	s.processed++
@@ -426,7 +432,7 @@ func (s *Scheduler) fire(i int32) {
 		// callback: scheduled now, caused by the slot's previous key.
 		sl.cause = sl.schedAt
 		sl.schedAt = s.now
-		s.heapPush(i)
+		s.push(i)
 		s.live++
 		return
 	}

@@ -50,12 +50,12 @@ type Cloner interface {
 
 // schedulerSnapshot is the scheduler's full queue state: the scalars, the
 // event slab (including re-arm descriptors for tickers: at/seq/period per
-// slot, not closures re-captured per fork) and the heap order. Slots
-// referencing Cloner args hold pristine deep copies.
+// slot, not closures re-captured per fork) and the radix queue's buckets.
+// Slots referencing Cloner args hold pristine deep copies.
 type schedulerSnapshot struct {
 	schedulerState
 	slab []eventSlot
-	heap []int32
+	q    radixQueue
 }
 
 // Snapshot implements Snapshotter. Event callbacks are captured by
@@ -67,8 +67,8 @@ func (s *Scheduler) Snapshot() any {
 	sn := &schedulerSnapshot{
 		schedulerState: s.schedulerState,
 		slab:           append([]eventSlot(nil), s.slab...),
-		heap:           append([]int32(nil), s.heap...),
 	}
+	sn.q.copyFrom(&s.q)
 	cloneArgs(sn.slab)
 	return sn
 }
@@ -83,7 +83,7 @@ func (s *Scheduler) Restore(snap any) {
 	s.schedulerState = sn.schedulerState
 	s.slab = append(s.slab[:0], sn.slab...)
 	cloneArgs(s.slab)
-	s.heap = append(s.heap[:0], sn.heap...)
+	s.q.copyFrom(&sn.q)
 	s.stopped = false
 }
 
