@@ -172,6 +172,7 @@ fuzz-smoke:
 	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzSeqWindow -fuzztime 10s
 	$(GO) test ./internal/experiments/ -run ^$$ -fuzz FuzzDecodeConfig -fuzztime 10s
 	$(GO) test ./internal/chaos/ -run ^$$ -fuzz FuzzParsePlan -fuzztime 10s
+	$(GO) test ./internal/core/ -run ^$$ -fuzz FuzzConfigJSON -fuzztime 10s
 	$(GO) test ./internal/serve/ -run ^$$ -fuzz FuzzLoadState -fuzztime 10s
 	$(GO) test ./internal/faultinject/ -run TestFaultHypothesisAcrossDerivedSeeds -count=1
 

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	served [-addr :8080] [-workers N] [-queue N] [-point-parallel N]
-//	       [-cache-entries N] [-cache-bytes N] [-max-points N]
+//	       [-cache-entries N] [-max-points N]
 //	       [-job-timeout 0] [-no-warm] [-state-dir DIR]
 //
 // -state-dir persists every finished job's status and result envelopes as
@@ -60,7 +60,6 @@ func run(args []string) error {
 	queue := fs.Int("queue", 16, "bounded job queue depth (full queue answers 503)")
 	pointParallel := fs.Int("point-parallel", 1, "worker count of each job's point pool")
 	cacheEntries := fs.Int("cache-entries", 8, "warm-snapshot LRU entry bound (-1 = unbounded)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "warm-snapshot LRU byte bound (0 = unbounded)")
 	maxPoints := fs.Int("max-points", 64, "cap on a single job's point fan-out")
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-job execution timeout (0 = none)")
 	noWarm := fs.Bool("no-warm", false, "disable warm-start snapshot sharing by default")
@@ -74,7 +73,6 @@ func run(args []string) error {
 		QueueDepth:     *queue,
 		PointParallel:  *pointParallel,
 		CacheEntries:   *cacheEntries,
-		CacheBytes:     *cacheBytes,
 		MaxPoints:      *maxPoints,
 		DefaultTimeout: *jobTimeout,
 		DisableWarm:    *noWarm,

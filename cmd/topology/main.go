@@ -1,6 +1,8 @@
 // Command topology prints the wired testbed — the textual form of the
 // paper's Fig. 2 — and optionally writes or reads a JSON configuration so
-// that experiment setups can be version-controlled and shared.
+// that experiment setups can be version-controlled and shared. -save writes
+// the full core.Config, the site-level WAN tier and the holdover knobs
+// included, so -config on the saved file rebuilds the same system.
 //
 // Usage:
 //

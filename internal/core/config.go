@@ -17,75 +17,77 @@ import (
 )
 
 // Config describes a testbed instance. The zero value plus NewConfig
-// defaults reproduces the paper's setup.
+// defaults reproduces the paper's setup. The JSON tags are the
+// configuration file format (WriteJSON, ReadConfigJSON): durations are
+// integer nanoseconds, hence the Ns suffixes.
 type Config struct {
 	// Seed drives every random stream; identical seeds reproduce runs
 	// bit-for-bit.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Nodes is the number of edge computing devices (and gPTP domains).
-	Nodes int
+	Nodes int `json:"nodes"`
 	// VMsPerNode is the number of clock-synchronization VMs per node
 	// (f+1 = 2 in the paper's fail-silent configuration).
-	VMsPerNode int
+	VMsPerNode int `json:"vmsPerNode"`
 	// F is the tolerated number of Byzantine grandmaster faults.
-	F int
+	F int `json:"f"`
 	// SyncInterval is the gPTP synchronization interval S.
-	SyncInterval time.Duration
+	SyncInterval time.Duration `json:"syncIntervalNs"`
 	// Phc2sysInterval is the CLOCK_SYNCTIME parameter update period.
-	Phc2sysInterval time.Duration
+	Phc2sysInterval time.Duration `json:"phc2sysIntervalNs"`
 	// MonitorPeriod is the hypervisor monitor task period.
-	MonitorPeriod time.Duration
+	MonitorPeriod time.Duration `json:"monitorPeriodNs"`
 	// VoteThresholdNS enables the monitor's 2f+1 consistency vote.
-	VoteThresholdNS float64
+	VoteThresholdNS float64 `json:"voteThresholdNs"`
 
 	// Clock imperfections.
-	MaxStaticPPB        float64 // static oscillator error drawn in ±this
-	WanderPPBPerSqrtSec float64
-	TimestampJitterNS   float64
-	TSCReadNoiseNS      float64
-	BootOffsetMaxNS     float64 // initial PHC disagreement across nodes
+	MaxStaticPPB        float64 `json:"maxStaticPpb"` // static oscillator error drawn in ±this
+	WanderPPBPerSqrtSec float64 `json:"wanderPpbPerSqrtSec"`
+	TimestampJitterNS   float64 `json:"timestampJitterNs"`
+	TSCReadNoiseNS      float64 `json:"tscReadNoiseNs"`
+	BootOffsetMaxNS     float64 `json:"bootOffsetMaxNs"` // initial PHC disagreement across nodes
 
 	// Network parameters.
-	LinkPropagation time.Duration
-	LinkJitterNS    float64
+	LinkPropagation time.Duration `json:"linkPropagationNs"`
+	LinkJitterNS    float64       `json:"linkJitterNs"`
 	// LinkLossProb is the per-frame silent-loss probability on every link
 	// (CRC errors, queue overruns). The protocol stack tolerates loss by
 	// skipping measurement intervals.
-	LinkLossProb  float64
-	ResidencePTP  netsim.ResidenceModel
-	ResidenceMeas netsim.ResidenceModel
-	ResidenceBE   netsim.ResidenceModel
+	LinkLossProb  float64               `json:"linkLossProb"`
+	ResidencePTP  netsim.ResidenceModel `json:"residencePtp"`
+	ResidenceMeas netsim.ResidenceModel `json:"residenceMeasure"`
+	ResidenceBE   netsim.ResidenceModel `json:"residenceBestEffort"`
 
 	// Protocol parameters.
-	StartupThresholdNS  float64
-	ValidityThresholdNS float64
-	FlagPolicy          fta.FlagPolicy
+	StartupThresholdNS  float64        `json:"startupThresholdNs"`
+	ValidityThresholdNS float64        `json:"validityThresholdNs"`
+	FlagPolicy          fta.FlagPolicy `json:"flagPolicy"`
 
 	// Holdover (graceful degradation under quorum starvation). Zero
 	// HoldoverWindow keeps the legacy free-run behavior; see
 	// ptp4l.Config.HoldoverWindow. The paper's default config leaves this
 	// off — chaos experiments opt in.
-	HoldoverWindow       time.Duration
-	ReacquireThresholdNS float64
-	ReacquireStableCount int
-	HoldoverMaxSlewPPB   float64
+	HoldoverWindow       time.Duration `json:"holdoverWindowNs"`
+	ReacquireThresholdNS float64       `json:"reacquireThresholdNs"`
+	ReacquireStableCount int           `json:"reacquireStableCount"`
+	HoldoverMaxSlewPPB   float64       `json:"holdoverMaxSlewPpb"`
 
 	// Transient software fault probabilities (per Sync).
-	TxTimestampTimeoutProb float64
-	DeadlineMissProb       float64
+	TxTimestampTimeoutProb float64 `json:"txTimestampTimeoutProb"`
+	DeadlineMissProb       float64 `json:"deadlineMissProb"`
 
 	// Measurement configuration (the paper uses VM 2 of dev2 as the
 	// measurement VM and excludes the co-located GM c_m1).
-	MeasurementNode int
-	MeasurementVM   int
+	MeasurementNode int `json:"measurementNode"`
+	MeasurementVM   int `json:"measurementVm"`
 
 	// Kernels assigns a kernel version per VM name; missing entries get
 	// the paper's vulnerable v4.19.1 (the identical-kernel scenario).
-	Kernels map[string]string
+	Kernels map[string]string `json:"kernels,omitempty"`
 
 	// DomainCount overrides the number of gPTP domains (default: one per
 	// node). The single-domain ablation uses DomainCount = 1.
-	DomainCount int
+	DomainCount int `json:"domainCount,omitempty"`
 
 	// Shards splits the event kernel into this many conservatively
 	// synchronized parallel schedulers (sim.Fabric). Nodes are assigned to
@@ -93,24 +95,24 @@ type Config struct {
 	// become deferred-mailbox boundaries. 0 or 1 keeps the legacy
 	// single-scheduler kernel. Results are bit-identical at every shard
 	// count (see DESIGN.md, "Parallel kernel").
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// Sites scales the topology: each site is one full copy of the paper's
 	// mesh (Nodes switches × VMsPerNode ECD VMs, its own gPTP domains and
 	// grandmasters), and site gateways (node 0 of each site) are joined in
 	// a chain by InterSitePropagation links. The measurement VLAN rooted at
 	// site 0 spans the whole fabric, so probe/reply traffic crosses every
 	// site boundary. 0 or 1 reproduces the paper topology exactly.
-	Sites int
+	Sites int `json:"sites,omitempty"`
 	// InterSitePropagation is the one-way latency of the gateway chain
 	// links (a metro/long-haul span, so orders of magnitude above the
 	// in-site LinkPropagation — it is also the cross-shard lookahead when
 	// shard boundaries align with sites).
-	InterSitePropagation time.Duration
+	InterSitePropagation time.Duration `json:"interSitePropagationNs,omitempty"`
 	// BaselineClientsOnly reproduces the Kyriakakis-style baseline the
 	// paper criticises: no start-up protocol, and grandmaster nodes do not
 	// aggregate (their clocks free-run) — multi-domain aggregation is for
 	// PTP clients only.
-	BaselineClientsOnly bool
+	BaselineClientsOnly bool `json:"baselineClientsOnly,omitempty"`
 
 	// WanSync configures the wide-area site-level FTA tier (internal/wan):
 	// with Enabled set on a multi-site fabric, a coordinator on the control
@@ -118,7 +120,7 @@ type Config struct {
 	// disciplines one virtual correction per site, with cross-site holdover
 	// under quorum loss. Off by default; single-site fabrics ignore it.
 	// All fields are value types, keeping PrefixHash stable.
-	WanSync wan.Config
+	WanSync wan.Config `json:"wanSync"`
 }
 
 // NumDomains resolves the effective domain count per site.

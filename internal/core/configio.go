@@ -2,214 +2,40 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"gptpfta/internal/fta"
-	"gptpfta/internal/netsim"
 )
 
-// configJSON is the serialised form of Config. Durations carry explicit
-// nanosecond units in the field names; probabilities and ppb values are
-// plain numbers.
-type configJSON struct {
-	Seed              int64   `json:"seed"`
-	Nodes             int     `json:"nodes"`
-	VMsPerNode        int     `json:"vmsPerNode"`
-	F                 int     `json:"f"`
-	SyncIntervalNS    int64   `json:"syncIntervalNs"`
-	Phc2sysIntervalNS int64   `json:"phc2sysIntervalNs"`
-	MonitorPeriodNS   int64   `json:"monitorPeriodNs"`
-	VoteThresholdNS   float64 `json:"voteThresholdNs"`
-
-	MaxStaticPPB        float64 `json:"maxStaticPpb"`
-	WanderPPBPerSqrtSec float64 `json:"wanderPpbPerSqrtSec"`
-	TimestampJitterNS   float64 `json:"timestampJitterNs"`
-	TSCReadNoiseNS      float64 `json:"tscReadNoiseNs"`
-	BootOffsetMaxNS     float64 `json:"bootOffsetMaxNs"`
-
-	LinkPropagationNS int64         `json:"linkPropagationNs"`
-	LinkJitterNS      float64       `json:"linkJitterNs"`
-	LinkLossProb      float64       `json:"linkLossProb"`
-	ResidencePTP      residenceJSON `json:"residencePtp"`
-	ResidenceMeas     residenceJSON `json:"residenceMeasure"`
-	ResidenceBE       residenceJSON `json:"residenceBestEffort"`
-
-	StartupThresholdNS  float64 `json:"startupThresholdNs"`
-	ValidityThresholdNS float64 `json:"validityThresholdNs"`
-	FlagPolicy          string  `json:"flagPolicy"`
-
-	TxTimestampTimeoutProb float64 `json:"txTimestampTimeoutProb"`
-	DeadlineMissProb       float64 `json:"deadlineMissProb"`
-
-	MeasurementNode int `json:"measurementNode"`
-	MeasurementVM   int `json:"measurementVm"`
-
-	Kernels map[string]string `json:"kernels,omitempty"`
-
-	DomainCount         int  `json:"domainCount,omitempty"`
-	BaselineClientsOnly bool `json:"baselineClientsOnly,omitempty"`
-
-	Shards                 int   `json:"shards,omitempty"`
-	Sites                  int   `json:"sites,omitempty"`
-	InterSitePropagationNS int64 `json:"interSitePropagationNs,omitempty"`
-}
-
-type residenceJSON struct {
-	BaseNS    int64   `json:"baseNs"`
-	JitterNS  float64 `json:"jitterNs"`
-	TailProb  float64 `json:"tailProb"`
-	TailMinNS int64   `json:"tailMinNs"`
-	TailMaxNS int64   `json:"tailMaxNs"`
-}
-
-func toResidenceJSON(m netsim.ResidenceModel) residenceJSON {
-	return residenceJSON{
-		BaseNS:    m.Base.Nanoseconds(),
-		JitterNS:  m.JitterNS,
-		TailProb:  m.TailProb,
-		TailMinNS: m.TailMin.Nanoseconds(),
-		TailMaxNS: m.TailMax.Nanoseconds(),
-	}
-}
-
-func fromResidenceJSON(j residenceJSON) netsim.ResidenceModel {
-	return netsim.ResidenceModel{
-		Base:     time.Duration(j.BaseNS),
-		JitterNS: j.JitterNS,
-		TailProb: j.TailProb,
-		TailMin:  time.Duration(j.TailMinNS),
-		TailMax:  time.Duration(j.TailMaxNS),
-	}
-}
-
-func flagPolicyName(p fta.FlagPolicy) string {
-	switch p {
-	case fta.FlagExclude:
-		return "exclude"
-	default:
-		return "monitor"
-	}
-}
-
-func flagPolicyFromName(name string) (fta.FlagPolicy, error) {
-	switch name {
-	case "", "monitor":
-		return fta.FlagMonitor, nil
-	case "exclude":
-		return fta.FlagExclude, nil
-	default:
-		return 0, fmt.Errorf("core: unknown flag policy %q", name)
-	}
-}
-
-// WriteJSON serialises the configuration.
+// WriteJSON serialises the configuration. Config's JSON tags are the file
+// format: durations are integer nanoseconds, the flag policy is its name.
 func (c Config) WriteJSON(w io.Writer) error {
-	j := configJSON{
-		Seed:              c.Seed,
-		Nodes:             c.Nodes,
-		VMsPerNode:        c.VMsPerNode,
-		F:                 c.F,
-		SyncIntervalNS:    c.SyncInterval.Nanoseconds(),
-		Phc2sysIntervalNS: c.Phc2sysInterval.Nanoseconds(),
-		MonitorPeriodNS:   c.MonitorPeriod.Nanoseconds(),
-		VoteThresholdNS:   c.VoteThresholdNS,
-
-		MaxStaticPPB:        c.MaxStaticPPB,
-		WanderPPBPerSqrtSec: c.WanderPPBPerSqrtSec,
-		TimestampJitterNS:   c.TimestampJitterNS,
-		TSCReadNoiseNS:      c.TSCReadNoiseNS,
-		BootOffsetMaxNS:     c.BootOffsetMaxNS,
-
-		LinkPropagationNS: c.LinkPropagation.Nanoseconds(),
-		LinkJitterNS:      c.LinkJitterNS,
-		LinkLossProb:      c.LinkLossProb,
-		ResidencePTP:      toResidenceJSON(c.ResidencePTP),
-		ResidenceMeas:     toResidenceJSON(c.ResidenceMeas),
-		ResidenceBE:       toResidenceJSON(c.ResidenceBE),
-
-		StartupThresholdNS:  c.StartupThresholdNS,
-		ValidityThresholdNS: c.ValidityThresholdNS,
-		FlagPolicy:          flagPolicyName(c.FlagPolicy),
-
-		TxTimestampTimeoutProb: c.TxTimestampTimeoutProb,
-		DeadlineMissProb:       c.DeadlineMissProb,
-
-		MeasurementNode: c.MeasurementNode,
-		MeasurementVM:   c.MeasurementVM,
-		Kernels:         c.Kernels,
-
-		DomainCount:         c.DomainCount,
-		BaselineClientsOnly: c.BaselineClientsOnly,
-
-		Shards:                 c.Shards,
-		Sites:                  c.Sites,
-		InterSitePropagationNS: c.InterSitePropagation.Nanoseconds(),
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(j)
+	return enc.Encode(c)
 }
 
-// ReadConfigJSON deserialises a configuration written by WriteJSON.
+// ReadConfigJSON deserialises one configuration written by WriteJSON.
+// Unknown fields and data after the object are errors; absent fields stay
+// zero, except that the flag policy defaults to monitor and Kernels to an
+// empty map.
 func ReadConfigJSON(r io.Reader) (Config, error) {
-	var j configJSON
+	c := Config{FlagPolicy: fta.FlagMonitor}
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&j); err != nil {
+	if err := dec.Decode(&c); err != nil {
 		return Config{}, fmt.Errorf("core: decode config: %w", err)
 	}
-	policy, err := flagPolicyFromName(j.FlagPolicy)
-	if err != nil {
-		return Config{}, err
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return Config{}, errors.New("core: decode config: data after the configuration object")
 	}
-	kernels := j.Kernels
-	if kernels == nil {
-		kernels = map[string]string{}
+	if c.Kernels == nil {
+		c.Kernels = map[string]string{}
 	}
-	return Config{
-		Seed:            j.Seed,
-		Nodes:           j.Nodes,
-		VMsPerNode:      j.VMsPerNode,
-		F:               j.F,
-		SyncInterval:    time.Duration(j.SyncIntervalNS),
-		Phc2sysInterval: time.Duration(j.Phc2sysIntervalNS),
-		MonitorPeriod:   time.Duration(j.MonitorPeriodNS),
-		VoteThresholdNS: j.VoteThresholdNS,
-
-		MaxStaticPPB:        j.MaxStaticPPB,
-		WanderPPBPerSqrtSec: j.WanderPPBPerSqrtSec,
-		TimestampJitterNS:   j.TimestampJitterNS,
-		TSCReadNoiseNS:      j.TSCReadNoiseNS,
-		BootOffsetMaxNS:     j.BootOffsetMaxNS,
-
-		LinkPropagation: time.Duration(j.LinkPropagationNS),
-		LinkJitterNS:    j.LinkJitterNS,
-		LinkLossProb:    j.LinkLossProb,
-		ResidencePTP:    fromResidenceJSON(j.ResidencePTP),
-		ResidenceMeas:   fromResidenceJSON(j.ResidenceMeas),
-		ResidenceBE:     fromResidenceJSON(j.ResidenceBE),
-
-		StartupThresholdNS:  j.StartupThresholdNS,
-		ValidityThresholdNS: j.ValidityThresholdNS,
-		FlagPolicy:          policy,
-
-		TxTimestampTimeoutProb: j.TxTimestampTimeoutProb,
-		DeadlineMissProb:       j.DeadlineMissProb,
-
-		MeasurementNode: j.MeasurementNode,
-		MeasurementVM:   j.MeasurementVM,
-		Kernels:         kernels,
-
-		DomainCount:         j.DomainCount,
-		BaselineClientsOnly: j.BaselineClientsOnly,
-
-		Shards:               j.Shards,
-		Sites:                j.Sites,
-		InterSitePropagation: time.Duration(j.InterSitePropagationNS),
-	}, nil
+	return c, nil
 }
 
 // LoadConfigFile reads a configuration from a JSON file.

@@ -1,18 +1,49 @@
 package core
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"gptpfta/internal/fta"
 )
 
+// fillLeaves gives every leaf field under v a distinct non-zero value, so
+// a field the codec drops or mangles shows up as a DeepEqual difference.
+func fillLeaves(t *testing.T, v reflect.Value, next *int) {
+	t.Helper()
+	*next++
+	n := *next
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillLeaves(t, v.Field(i), next)
+		}
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(n))
+	case reflect.Float64:
+		v.SetFloat(float64(n) + 0.25)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Map:
+		v.Set(reflect.ValueOf(map[string]string{"c41": "v5.10", "c11": "v4.19.1"}))
+	default:
+		t.Fatalf("fillLeaves: no filler for %s", v.Type())
+	}
+}
+
 func TestConfigJSONRoundTrip(t *testing.T) {
-	cfg := NewConfig(99)
-	cfg.DiversifyKernels("c41")
-	cfg.LinkLossProb = 0.001
-	cfg.DomainCount = 3
-	cfg.BaselineClientsOnly = true
+	var cfg Config
+	fillLeaves(t, reflect.ValueOf(&cfg).Elem(), new(int))
+	// The policy is an enum: any value other than FlagExclude reads back
+	// as FlagMonitor, so pick the non-default one.
+	cfg.FlagPolicy = fta.FlagExclude
+	if cfg.WanSync.Drift.MaxAsymNS == 0 || cfg.HoldoverMaxSlewPPB == 0 {
+		t.Fatal("fillLeaves left a leaf at zero")
+	}
 
 	var b strings.Builder
 	if err := cfg.WriteJSON(&b); err != nil {
@@ -23,7 +54,20 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 		t.Fatalf("read: %v", err)
 	}
 	if !reflect.DeepEqual(cfg, got) {
-		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", cfg, got)
+		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v\njson %s", cfg, got, b.String())
+	}
+}
+
+// TestConfigJSONReadsParentFile pins backward compatibility: a file
+// written by `topology -save` before Config carried its own JSON tags
+// (no holdover or wanSync keys) still loads to the paper configuration.
+func TestConfigJSONReadsParentFile(t *testing.T) {
+	got, err := LoadConfigFile("testdata/config-parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := NewConfig(1); !reflect.DeepEqual(want, got) {
+		t.Fatalf("loaded config differs from NewConfig(1):\nwant %+v\ngot  %+v", want, got)
 	}
 }
 
@@ -46,6 +90,46 @@ func TestConfigJSONRejectsUnknownFields(t *testing.T) {
 	if _, err := ReadConfigJSON(strings.NewReader(`{"bogusField": 1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	if _, err := ReadConfigJSON(strings.NewReader(`{"wanSync": {"bogus": 1}}`)); err == nil {
+		t.Fatal("unknown nested field accepted")
+	}
+	for _, doc := range []string{`{"seed": 1} {"seed": 2}`, `{"seed": 1}}`, `{"seed": 1} x`} {
+		if _, err := ReadConfigJSON(strings.NewReader(doc)); err == nil {
+			t.Fatalf("trailing data accepted: %s", doc)
+		}
+	}
+	if _, err := ReadConfigJSON(strings.NewReader("{\"seed\": 1}\n\t ")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+}
+
+// FuzzConfigJSON holds the config codec to its contract: every document
+// ReadConfigJSON accepts re-encodes through WriteJSON to a document that
+// decodes to an equal Config.
+func FuzzConfigJSON(f *testing.F) {
+	parent, err := os.ReadFile("testdata/config-parent.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parent)
+	f.Add([]byte(`{"flagPolicy": "exclude", "kernels": {"c41": "v5.10"}, "wanSync": {"enabled": true, "drift": {"stepNs": 1.5}}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := ReadConfigJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var b bytes.Buffer
+		if err := cfg.WriteJSON(&b); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		got, err := ReadConfigJSON(&b)
+		if err != nil {
+			t.Fatalf("re-read: %v\ninput: %s", err, data)
+		}
+		if !reflect.DeepEqual(cfg, got) {
+			t.Fatalf("re-encoded config differs:\nwant %+v\ngot  %+v", cfg, got)
+		}
+	})
 }
 
 func TestConfigFileRoundTrip(t *testing.T) {

@@ -154,6 +154,28 @@ const (
 	FlagExclude
 )
 
+// MarshalText names the policy: "exclude" for FlagExclude, "monitor"
+// otherwise (the zero value behaves as FlagMonitor everywhere).
+func (p FlagPolicy) MarshalText() ([]byte, error) {
+	if p == FlagExclude {
+		return []byte("exclude"), nil
+	}
+	return []byte("monitor"), nil
+}
+
+// UnmarshalText parses a policy name; "" means FlagMonitor.
+func (p *FlagPolicy) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "", "monitor":
+		*p = FlagMonitor
+	case "exclude":
+		*p = FlagExclude
+	default:
+		return fmt.Errorf("fta: unknown flag policy %q", text)
+	}
+	return nil
+}
+
 // AggregateInfo reports what one aggregation step actually did, for
 // observability: how many readings the FTA averaged, how many extreme
 // readings it discarded (2·f_effective), and whether FlagExclude starved

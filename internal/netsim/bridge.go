@@ -15,11 +15,11 @@ import (
 // spread between minimum and maximum path latencies (the paper's reading
 // error E ≈ 5 µs) while typical latencies remain tightly grouped.
 type ResidenceModel struct {
-	Base     time.Duration
-	JitterNS float64 // half-normal sigma
-	TailProb float64
-	TailMin  time.Duration
-	TailMax  time.Duration
+	Base     time.Duration `json:"baseNs"`
+	JitterNS float64       `json:"jitterNs"` // half-normal sigma
+	TailProb float64       `json:"tailProb"`
+	TailMin  time.Duration `json:"tailMinNs"`
+	TailMax  time.Duration `json:"tailMaxNs"`
 }
 
 // Draw samples a residence time.
@@ -146,9 +146,6 @@ func (b *Bridge) Port(i int) *Port { return &b.ports[i] }
 
 // NumPorts reports the number of ports.
 func (b *Bridge) NumPorts() int { return len(b.ports) }
-
-// Clock returns the bridge's free-running PHC.
-func (b *Bridge) Clock() *clock.PHC { return b.clk }
 
 // SetHook installs the gPTP relay hook.
 func (b *Bridge) SetHook(h RelayHook) { b.hook = h }

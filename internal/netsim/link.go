@@ -195,20 +195,9 @@ func ConnectBoundary(schedA, schedB *sim.Scheduler, rng sim.RNG, cfg LinkConfig,
 // Boundary reports whether the link crosses shards (deferred sends).
 func (l *Link) Boundary() bool { return l.deferred }
 
-// Peer returns the port at the other end of the link from p.
-func (l *Link) Peer(p *Port) *Port {
-	if l.ends[0] == p {
-		return l.ends[1]
-	}
-	return l.ends[0]
-}
-
 // End returns endpoint i (0 or 1) for topology inspection (the chaos
 // engine's partition actions match links by their endpoint device names).
 func (l *Link) End(i int) *Port { return l.ends[i] }
-
-// Nominal reports the configured one-way propagation delay.
-func (l *Link) Nominal() time.Duration { return l.cfg.Propagation }
 
 // SetDown marks the link physically severed (true) or restored (false). A
 // down link drops frames at Send; frames already in flight die at their

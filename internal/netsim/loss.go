@@ -41,10 +41,6 @@ func (g *GilbertElliott) Drop(u float64, rng sim.RNG) bool {
 	return lost
 }
 
-// InBadState reports whether the channel is currently in the Bad state
-// (test introspection).
-func (g *GilbertElliott) InBadState() bool { return g.bad }
-
 // Snapshot implements sim.Snapshotter: the channel state is the single
 // Good/Bad bit (sojourn randomness lives in the link's loss stream, which
 // sim.Streams rewinds).

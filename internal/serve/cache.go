@@ -12,7 +12,7 @@ import (
 	"gptpfta/internal/obs"
 )
 
-// SnapshotCache is a size-bounded LRU of converged prefix snapshots keyed by
+// SnapshotCache is an entry-bounded LRU of converged prefix snapshots keyed by
 // core.PrefixHash, implementing runner.SnapshotCache. It provides:
 //
 //   - single-flight computation: concurrent Acquires of one hash run the
@@ -20,18 +20,15 @@ import (
 //   - exclusive holds: forks resume in place on the snapshot's component
 //     graph, so an entry is checked out to exactly one campaign at a time
 //     and concurrent campaigns serialise on it;
-//   - bounded memory: LRU eviction by entry count and by estimated deep
-//     size, never evicting a held entry.
+//   - bounded memory: LRU eviction by entry count, never evicting a held
+//     entry.
 type SnapshotCache struct {
 	maxEntries int
-	maxBytes   int64
-	sizeOf     func(any) int64
 
 	mu    sync.Mutex
 	cond  *sync.Cond
 	byKey map[string]*cacheEntry
 	lru   *list.List // front = most recently used
-	bytes int64
 
 	mHits, mMisses, mEvictions *obs.Counter
 }
@@ -42,22 +39,18 @@ type SnapshotCache struct {
 type cacheEntry struct {
 	hash  string
 	snap  any
-	size  int64
 	held  bool
-	ready bool // snap/size are valid (compute finished)
+	ready bool // snap is valid (compute finished)
 	elem  *list.Element
 }
 
 // NewSnapshotCache returns a cache bounded to maxEntries snapshots (<= 0:
-// unbounded) and maxBytes of estimated snapshot memory (<= 0: unbounded),
-// instrumented on reg: snapcache_hits / snapcache_misses /
-// snapcache_evictions counters and snapcache_entries / snapcache_bytes
-// gauges. A nil registry disables instrumentation.
-func NewSnapshotCache(reg *obs.Registry, maxEntries int, maxBytes int64) *SnapshotCache {
+// unbounded), instrumented on reg: snapcache_hits / snapcache_misses /
+// snapcache_evictions counters and a snapcache_entries gauge. A nil
+// registry disables instrumentation.
+func NewSnapshotCache(reg *obs.Registry, maxEntries int) *SnapshotCache {
 	c := &SnapshotCache{
 		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		sizeOf:     deepSize,
 		byKey:      make(map[string]*cacheEntry),
 		lru:        list.New(),
 		mHits:      reg.Counter("snapcache_hits"),
@@ -70,18 +63,8 @@ func NewSnapshotCache(reg *obs.Registry, maxEntries int, maxBytes int64) *Snapsh
 		defer c.mu.Unlock()
 		return float64(len(c.byKey))
 	})
-	reg.GaugeFunc("snapcache_bytes", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.bytes)
-	})
 	return c
 }
-
-// SetSizer replaces the snapshot size estimator (deepSize by default). Call
-// before first use; tests use it to drive byte-bounded eviction with known
-// sizes.
-func (c *SnapshotCache) SetSizer(f func(any) int64) { c.sizeOf = f }
 
 // Acquire implements runner.SnapshotCache. On a miss it runs compute (once,
 // no matter how many campaigns ask) and stores the snapshot; on a hit the
@@ -117,10 +100,8 @@ func (c *SnapshotCache) Acquire(ctx context.Context, hash string, compute func(c
 				return nil, false, nil, err
 			}
 			e.snap = snap
-			e.size = c.sizeOf(snap)
 			e.ready = true
 			e.elem = c.lru.PushFront(e)
-			c.bytes += e.size
 			c.evictLocked()
 			c.mu.Unlock()
 			return snap, false, c.releaser(e), nil
@@ -147,7 +128,7 @@ func (c *SnapshotCache) releaser(e *cacheEntry) func() {
 		once.Do(func() {
 			c.mu.Lock()
 			e.held = false
-			// The entry may have been over-bounds while held.
+			// The cache may have been over its bound while e was held.
 			c.evictLocked()
 			c.cond.Broadcast()
 			c.mu.Unlock()
@@ -169,22 +150,20 @@ func (c *SnapshotCache) waitLocked(ctx context.Context) {
 	stop()
 }
 
-// evictLocked drops least-recently-used, unheld entries until both bounds
-// hold. Held entries (computing or checked out) are skipped — evicting a
-// snapshot a campaign is forking on would corrupt the fork — so the cache
-// can transiently exceed its bounds while everything is held.
+// evictLocked drops least-recently-used, unheld entries until the entry
+// bound holds. Held entries (computing or checked out) are skipped —
+// evicting a snapshot a campaign is forking on would corrupt the fork — so
+// the cache can transiently exceed its bound while everything is held.
 func (c *SnapshotCache) evictLocked() {
-	over := func() bool {
-		return (c.maxEntries > 0 && len(c.byKey) > c.maxEntries) ||
-			(c.maxBytes > 0 && c.bytes > c.maxBytes)
+	if c.maxEntries <= 0 {
+		return
 	}
-	for e := c.lru.Back(); e != nil && over(); {
+	for e := c.lru.Back(); e != nil && len(c.byKey) > c.maxEntries; {
 		prev := e.Prev()
 		entry := e.Value.(*cacheEntry)
 		if !entry.held {
 			c.lru.Remove(e)
 			delete(c.byKey, entry.hash)
-			c.bytes -= entry.size
 			c.mEvictions.Inc()
 		}
 		e = prev
@@ -196,11 +175,4 @@ func (c *SnapshotCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.byKey)
-}
-
-// Bytes returns the estimated memory pinned by cached snapshots.
-func (c *SnapshotCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }

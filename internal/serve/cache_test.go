@@ -25,7 +25,7 @@ func counterValue(reg *obs.Registry, name string) float64 {
 // of one hash run compute exactly once; everybody gets the same snapshot.
 func TestCacheSingleFlight(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewSnapshotCache(reg, 4, 0)
+	c := NewSnapshotCache(reg, 4)
 	var computes atomic.Int64
 	snapshot := &struct{ x int }{x: 99}
 
@@ -70,7 +70,7 @@ func TestCacheSingleFlight(t *testing.T) {
 // TestCacheExclusiveHold pins the fork-safety contract: while one caller
 // holds an entry, a second Acquire of the same hash blocks until release.
 func TestCacheExclusiveHold(t *testing.T) {
-	c := NewSnapshotCache(nil, 4, 0)
+	c := NewSnapshotCache(nil, 4)
 	_, _, release, err := c.Acquire(context.Background(), "h1", func(context.Context) (any, error) {
 		return "snap", nil
 	})
@@ -104,7 +104,7 @@ func TestCacheExclusiveHold(t *testing.T) {
 // TestCacheWaiterCancellation: a waiter blocked on a held entry honours its
 // context.
 func TestCacheWaiterCancellation(t *testing.T) {
-	c := NewSnapshotCache(nil, 4, 0)
+	c := NewSnapshotCache(nil, 4)
 	_, _, release, err := c.Acquire(context.Background(), "h1", func(context.Context) (any, error) {
 		return "snap", nil
 	})
@@ -134,7 +134,7 @@ func TestCacheWaiterCancellation(t *testing.T) {
 // next Acquire retries it.
 func TestCacheFailedComputeRetries(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewSnapshotCache(reg, 4, 0)
+	c := NewSnapshotCache(reg, 4)
 	boom := errors.New("converge failed")
 	if _, _, _, err := c.Acquire(context.Background(), "h1", func(context.Context) (any, error) {
 		return nil, boom
@@ -157,7 +157,7 @@ func TestCacheFailedComputeRetries(t *testing.T) {
 // unheld snapshot.
 func TestCacheLRUEviction(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewSnapshotCache(reg, 2, 0)
+	c := NewSnapshotCache(reg, 2)
 	for _, h := range []string{"a", "b", "c"} {
 		h := h
 		_, _, release, err := c.Acquire(context.Background(), h, func(context.Context) (any, error) {
@@ -195,30 +195,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	release()
 }
 
-// TestCacheByteBoundEviction: the byte bound, fed by the (test-replaced)
-// sizer, evicts until the estimate fits.
-func TestCacheByteBoundEviction(t *testing.T) {
-	c := NewSnapshotCache(nil, -1, 100)
-	c.SetSizer(func(any) int64 { return 60 })
-	for _, h := range []string{"a", "b"} {
-		h := h
-		_, _, release, err := c.Acquire(context.Background(), h, func(context.Context) (any, error) {
-			return h, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		release()
-	}
-	if n, b := c.Len(), c.Bytes(); n != 1 || b != 60 {
-		t.Fatalf("len=%d bytes=%d, want 1 entry / 60 bytes", n, b)
-	}
-}
-
 // TestCacheNeverEvictsHeld: an over-bounds cache keeps held entries alive
 // until release.
 func TestCacheNeverEvictsHeld(t *testing.T) {
-	c := NewSnapshotCache(nil, 1, 0)
+	c := NewSnapshotCache(nil, 1)
 	_, _, releaseA, err := c.Acquire(context.Background(), "a", func(context.Context) (any, error) {
 		return "snap-a", nil
 	})
@@ -246,36 +226,5 @@ func TestCacheNeverEvictsHeld(t *testing.T) {
 	release()
 	if !hit {
 		t.Fatal("held entry was evicted")
-	}
-}
-
-// TestCacheDeepSize sanity-checks the reflective size estimator on shapes a
-// snapshot graph actually contains.
-func TestCacheDeepSize(t *testing.T) {
-	if s := deepSize(nil); s != 0 {
-		t.Fatalf("nil size %d", s)
-	}
-	buf := make([]byte, 1024)
-	if s := deepSize(&buf); s < 1024 {
-		t.Fatalf("1 KiB slice estimated at %d bytes", s)
-	}
-	type node struct {
-		next *node
-		data [64]byte
-	}
-	a := &node{}
-	a.next = a // cycle must terminate
-	if s := deepSize(a); s < 64 || s > 1024 {
-		t.Fatalf("cyclic node estimated at %d bytes", s)
-	}
-	shared := make([]float64, 512)
-	pair := struct{ x, y []float64 }{shared, shared}
-	single := deepSize(struct{ x []float64 }{shared})
-	if s := deepSize(pair); s >= 2*single {
-		t.Fatalf("shared backing array double-counted: pair=%d single=%d", s, single)
-	}
-	m := map[string][]int{"k": make([]int, 100)}
-	if s := deepSize(m); s < 800 {
-		t.Fatalf("map estimated at %d bytes", s)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -30,9 +29,6 @@ type Options struct {
 	// CacheEntries bounds the warm-snapshot LRU by entry count (0: 8,
 	// -1: unbounded).
 	CacheEntries int
-	// CacheBytes bounds the warm-snapshot LRU by estimated deep size
-	// (0: unbounded).
-	CacheBytes int64
 	// MaxPoints caps a single job's fan-out (0: 64).
 	MaxPoints int
 	// DefaultTimeout bounds each job's execution when the request does not
@@ -94,6 +90,8 @@ type Server struct {
 	nextID int      // ids job-000001 … of this number were all issued
 	closed bool
 
+	pruneMu sync.Mutex // orders prune's marker writes
+
 	baseCtx context.Context
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
@@ -111,7 +109,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:            opts,
 		reg:             reg,
-		cache:           NewSnapshotCache(reg, opts.CacheEntries, opts.CacheBytes),
+		cache:           NewSnapshotCache(reg, opts.CacheEntries),
 		queue:           make(chan *job, opts.QueueDepth),
 		jobs:            make(map[string]*job),
 		mSubmitted:      reg.Counter("served_jobs_submitted"),
@@ -243,10 +241,10 @@ func jobID(n int) string { return fmt.Sprintf("job-%06d", n) }
 // unknown id.
 func (s *Server) find(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	id := r.PathValue("id")
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	n, valid := parseJobID(id)
 	s.mu.RLock()
 	j, ok := s.jobs[id]
-	issued := err == nil && n >= 1 && n <= s.nextID && id == jobID(n)
+	issued := valid && n <= s.nextID
 	s.mu.RUnlock()
 	switch {
 	case ok:
@@ -259,25 +257,34 @@ func (s *Server) find(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	return nil, false
 }
 
-// retire persists a job that may have reached a terminal state and, the
-// first time it sees the job finished, queues it for eviction; the oldest
-// finished jobs beyond maxFinished are then evicted, in finish order.
+// retire persists a job the first time it sees it finished and queues it
+// for eviction; the oldest finished jobs beyond maxFinished are then
+// evicted, in finish order, and their envelopes pruned. A terminal state
+// never changes, so one envelope write per job suffices, and a second
+// retire cannot re-create the envelope of a job evicted in between.
 func (s *Server) retire(j *job) {
 	if state, _ := j.snapshotResults(); !state.Terminal() {
 		return
 	}
-	s.persist(j)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if j.retired {
+		s.mu.Unlock()
 		return
 	}
 	j.retired = true
+	s.mu.Unlock()
+	// Persisted before it joins s.done, so no eviction can prune the
+	// envelope ahead of this write.
+	s.persist(j)
+
+	s.mu.Lock()
 	s.done = append(s.done, j.id)
 	if len(s.done) <= maxFinished {
+		s.mu.Unlock()
 		return
 	}
-	for _, id := range s.done[:len(s.done)-maxFinished] {
+	evicted := append([]string(nil), s.done[:len(s.done)-maxFinished]...)
+	for _, id := range evicted {
 		delete(s.jobs, id)
 	}
 	s.done = append(s.done[:0], s.done[len(s.done)-maxFinished:]...)
@@ -288,6 +295,8 @@ func (s *Server) retire(j *job) {
 		}
 	}
 	s.order = kept
+	s.mu.Unlock()
+	s.prune(evicted)
 }
 
 // runJob executes one job on a worker: it fans the job's points across a

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,11 +29,39 @@ func (s *Server) stateFile(id string) string {
 	return filepath.Join(s.opts.StateDir, id+".json")
 }
 
-// persist writes a terminal job's envelope to the state directory via a
-// temp-file rename, so a crash mid-write never leaves a truncated envelope
-// for loadState to trip over. Non-terminal jobs and persistence errors are
-// skipped (the latter counted on served_state_errors) — persistence is an
-// availability feature, not a correctness gate.
+// lastIDFile names the state directory's id marker: the highest job id the
+// server had issued when it last deleted evicted envelopes. It keeps a
+// restart from re-issuing an evicted id whose envelope is gone, even when
+// that id was the highest one. It is no envelope (no .json suffix).
+const lastIDFile = "last-id"
+
+// writeFileAtomic writes data to dir/name via a temp-file rename, so a
+// crash mid-write never leaves a truncated file for loadState to trip over.
+func writeFileAtomic(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, name+".tmp-*")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
+}
+
+// persist writes a terminal job's envelope to the state directory.
+// Non-terminal jobs and persistence errors are skipped (the latter counted
+// on served_state_errors) — persistence is an availability feature, not a
+// correctness gate.
 func (s *Server) persist(j *job) {
 	if s.opts.StateDir == "" {
 		return
@@ -42,43 +72,58 @@ func (s *Server) persist(j *job) {
 	}
 	_, results := j.snapshotResults()
 	raw, err := json.MarshalIndent(persistedJob{Status: st, Results: results}, "", "  ")
+	if err == nil {
+		err = writeFileAtomic(s.opts.StateDir, j.id+".json", append(raw, '\n'))
+	}
 	if err != nil {
-		s.mStateErrors.Inc()
-		return
-	}
-	tmp, err := os.CreateTemp(s.opts.StateDir, j.id+".tmp-*")
-	if err != nil {
-		s.mStateErrors.Inc()
-		return
-	}
-	if _, err := tmp.Write(append(raw, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.mStateErrors.Inc()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		s.mStateErrors.Inc()
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.stateFile(j.id)); err != nil {
-		os.Remove(tmp.Name())
 		s.mStateErrors.Inc()
 		return
 	}
 	s.mStatePersisted.Inc()
 }
 
+// prune deletes the envelopes of evicted jobs, so the state directory
+// holds no more than the retained maxFinished. It first records the
+// highest issued id in the lastIDFile marker; if that fails it deletes
+// nothing, since the envelopes then still carry the id sequence. Failures
+// other than an already-missing file count on served_state_errors.
+func (s *Server) prune(evicted []string) {
+	if s.opts.StateDir == "" || len(evicted) == 0 {
+		return
+	}
+	// Serialised, so the marker only ever moves forward.
+	s.pruneMu.Lock()
+	defer s.pruneMu.Unlock()
+	s.mu.RLock()
+	last := s.nextID
+	s.mu.RUnlock()
+	if err := writeFileAtomic(s.opts.StateDir, lastIDFile, []byte(jobID(last)+"\n")); err != nil {
+		s.mStateErrors.Inc()
+		return
+	}
+	for _, id := range evicted {
+		if err := os.Remove(s.stateFile(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			s.mStateErrors.Inc()
+		}
+	}
+}
+
+// parseJobID returns n for a name that is exactly jobID(n), n >= 1.
+func parseJobID(name string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(name, "job-"))
+	return n, err == nil && n >= 1 && name == jobID(n)
+}
+
 // loadState restores the newest maxFinished persisted terminal jobs into
 // the jobs map so the status, listing and result endpoints keep answering
 // for them across restarts, and advances nextID past the highest persisted
-// id so new submissions never collide with a persisted job; older
-// envelopes are not read, and their ids answer 410 Gone. Only files named
-// exactly <job id>.json count as envelopes. Unreadable or malformed files
-// are skipped and counted, and a well-named one still advances nextID so no
-// new job overwrites it; restored jobs are listed before this process's own
-// submissions, in id order, and are the first evicted.
+// id and the lastIDFile marker so new submissions never reuse an id; older
+// envelopes are not read but pruned, and their ids answer 410 Gone. Only
+// files named exactly <job id>.json count as envelopes. Unreadable or
+// malformed files are skipped and counted, and a well-named one still
+// advances nextID so no new job overwrites it; restored jobs are listed
+// before this process's own submissions, in id order, and are the first
+// evicted.
 func (s *Server) loadState() {
 	dir := s.opts.StateDir
 	if dir == "" {
@@ -93,6 +138,15 @@ func (s *Server) loadState() {
 		s.mStateErrors.Inc()
 		return
 	}
+	if raw, err := os.ReadFile(filepath.Join(dir, lastIDFile)); err == nil {
+		if n, ok := parseJobID(strings.TrimSpace(string(raw))); ok {
+			s.nextID = max(s.nextID, n)
+		} else {
+			s.mStateErrors.Inc()
+		}
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		s.mStateErrors.Inc()
+	}
 	type envelope struct {
 		name string
 		n    int // the id's number
@@ -103,8 +157,8 @@ func (s *Server) loadState() {
 		if e.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		n, err := strconv.Atoi(strings.TrimPrefix(strings.TrimSuffix(name, ".json"), "job-"))
-		if err != nil || n < 1 || name != jobID(n)+".json" {
+		n, ok := parseJobID(strings.TrimSuffix(name, ".json"))
+		if !ok {
 			s.mStateErrors.Inc()
 			continue
 		}
@@ -113,8 +167,13 @@ func (s *Server) loadState() {
 	}
 	sort.Slice(files, func(a, b int) bool { return files[a].n > files[b].n })
 	var ids []string
-	for _, f := range files {
+	for i, f := range files {
 		if len(ids) == maxFinished {
+			var older []string
+			for _, f := range files[i:] {
+				older = append(older, jobID(f.n))
+			}
+			s.prune(older)
 			break
 		}
 		raw, err := os.ReadFile(filepath.Join(dir, f.name))

@@ -287,9 +287,75 @@ func TestServerStateLoadsNewestRetained(t *testing.T) {
 	if code := getStatus(t, ts, "/v1/jobs/"+jobID(1)); code != http.StatusGone {
 		t.Fatalf("unloaded persisted job answers %d, want 410", code)
 	}
+	if _, err := os.Stat(filepath.Join(dir, jobID(1)+".json")); !os.IsNotExist(err) {
+		t.Fatalf("unloaded envelope %s was not pruned (stat err %v)", jobID(1), err)
+	}
 	st, _ := postJob(t, ts, JobRequest{Experiment: "bounds",
 		Config: rawConfig(t, experiments.BoundsConfig{Seed: 1, Duration: 3 * time.Minute})})
 	if st.ID != jobID(total+1) {
 		t.Fatalf("first new id %s, want %s", st.ID, jobID(total+1))
+	}
+}
+
+// TestServerStatePrunesEvicted: the state dir holds no more envelopes than
+// the server retains. Evicted jobs' envelopes are deleted, and a restart
+// still continues past every id issued before, even when the job with the
+// highest id finished first and was evicted with its envelope.
+func TestServerStatePrunesEvicted(t *testing.T) {
+	dir := t.TempDir()
+	const total = maxFinished + 6
+	s1 := New(Options{StateDir: dir, QueueDepth: total}) // never Start()ed
+	ts1 := httptest.NewServer(s1.Handler())
+	cfg := rawConfig(t, experiments.BoundsConfig{Seed: 1, Duration: 3 * time.Minute})
+	var ids []string
+	for i := 0; i < total; i++ {
+		st, resp := postJob(t, ts1, JobRequest{Experiment: "bounds", Config: cfg})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d status %d", i, resp.StatusCode)
+		}
+		ids = append(ids, st.ID)
+	}
+	// The highest id finishes first, so it is among the evicted.
+	order := append([]string{ids[total-1]}, ids[:total-1]...)
+	for _, id := range order {
+		if code := deleteJob(t, ts1, id); code != http.StatusAccepted {
+			t.Fatalf("DELETE %s = %d, want 202", id, code)
+		}
+	}
+	ts1.Close()
+	s1.Stop() // drains the cancelled jobs still in the queue
+	if errs := counterValue(s1.Metrics(), "served_state_errors"); errs != 0 {
+		t.Fatalf("served_state_errors = %v, want 0", errs)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelopes := 0
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) == ".json" {
+			envelopes++
+		}
+	}
+	if envelopes > maxFinished {
+		t.Fatalf("state dir holds %d envelopes after %d finished jobs, want at most %d", envelopes, total, maxFinished)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ids[total-1]+".json")); !os.IsNotExist(err) {
+		t.Fatalf("evicted job %s still has an envelope (stat err %v)", ids[total-1], err)
+	}
+
+	s2 := New(Options{StateDir: dir, QueueDepth: 1}) // never Start()ed
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	if loaded := counterValue(s2.Metrics(), "served_state_loaded"); loaded != maxFinished {
+		t.Fatalf("served_state_loaded = %v, want %d", loaded, maxFinished)
+	}
+	if code := getStatus(t, ts2, "/v1/jobs/"+ids[total-1]); code != http.StatusGone {
+		t.Fatalf("evicted highest id answers %d after restart, want 410", code)
+	}
+	st, _ := postJob(t, ts2, JobRequest{Experiment: "bounds", Config: cfg})
+	if st.ID != jobID(total+1) {
+		t.Fatalf("first new id after restart %s, want %s", st.ID, jobID(total+1))
 	}
 }

@@ -12,18 +12,18 @@ import (
 // All fields are value types (prefix-hash safe).
 type DriftConfig struct {
 	// Enabled switches the process on.
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// Interval is the walk's step period.
-	Interval time.Duration
+	Interval time.Duration `json:"intervalNs"`
 	// StepNS is the 1-sigma per-step increment for both axes.
-	StepNS float64
+	StepNS float64 `json:"stepNs"`
 	// MaxExtraNS bounds the symmetric extra delay in [0, MaxExtraNS] by
 	// reflection; the lower bound matches SetWanDelay's non-negative
 	// contract, keeping PDES lookahead shifts one-sided.
-	MaxExtraNS float64
+	MaxExtraNS float64 `json:"maxExtraNs"`
 	// MaxAsymNS bounds the directional asymmetry in [−MaxAsymNS,
 	// +MaxAsymNS] by reflection.
-	MaxAsymNS float64
+	MaxAsymNS float64 `json:"maxAsymNs"`
 }
 
 func (c DriftConfig) withDefaults() DriftConfig {

@@ -70,31 +70,31 @@ type Fabric interface {
 type Config struct {
 	// Enabled switches the tier on. Disabled, nothing is scheduled and no
 	// randomness is consumed.
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// F is the site-level Byzantine fault budget (sites that may lie).
-	F int
+	F int `json:"f"`
 	// Interval is the site-level resynchronisation period.
-	Interval time.Duration
+	Interval time.Duration `json:"intervalNs"`
 	// ValidityThresholdNS is the site-level validity-flag threshold passed
 	// to the FTA (readings further than this from the peer median are
 	// flagged; FlagMonitor policy, as in the LAN tier).
-	ValidityThresholdNS float64
+	ValidityThresholdNS float64 `json:"validityThresholdNs"`
 	// NoiseNS is the 1-sigma measurement noise per pairwise reading.
-	NoiseNS float64
+	NoiseNS float64 `json:"noiseNs"`
 	// StaleAfter keeps a peer's last reading usable after contact is lost.
-	StaleAfter time.Duration
+	StaleAfter time.Duration `json:"staleAfterNs"`
 	// HoldoverWindow is how long quorum loss must persist before the servo
 	// freezes.
-	HoldoverWindow time.Duration
+	HoldoverWindow time.Duration `json:"holdoverWindowNs"`
 	// ReacquireThresholdNS and ReacquireStableCount are the thaw
 	// hysteresis: the aggregate must stay below the threshold for that
 	// many consecutive ticks before holdover ends.
-	ReacquireThresholdNS float64
-	ReacquireStableCount int
+	ReacquireThresholdNS float64 `json:"reacquireThresholdNs"`
+	ReacquireStableCount int     `json:"reacquireStableCount"`
 	// MaxSlewPPB bounds the post-thaw frequency slew.
-	MaxSlewPPB float64
+	MaxSlewPPB float64 `json:"maxSlewPpb"`
 	// Drift parameterises the WAN delay drift process (see DriftConfig).
-	Drift DriftConfig
+	Drift DriftConfig `json:"drift"`
 }
 
 // WithDefaults fills zero fields with the paper-scale defaults.
