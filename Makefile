@@ -138,12 +138,14 @@ chaos-smoke:
 # -fail-on-anomaly makes any point that was predicted to survive but
 # measured to fail a non-zero exit; so does a metrics snapshot holding no
 # attacks line (sweep always writes the runner's lines, so a non-empty file
-# alone proves nothing).
+# alone proves nothing), or one whose runner served no fork (the points
+# share one prefix, so the default path must fork them).
 attack-smoke:
 	@mkdir -p .attack-smoke
 	$(GO) run ./cmd/sweep -which attacks -config examples/attacks-smoke.json \
 		-fail-on-anomaly -metrics .attack-smoke/metrics.jsonl > .attack-smoke/log.txt
 	@grep -q '"run":"attacks"' .attack-smoke/metrics.jsonl || { echo "attack-smoke: no attacks metrics"; exit 1; }
+	@grep '"name":"runner_forks_served"' .attack-smoke/metrics.jsonl | grep -q '"value":[1-9]' || { echo "attack-smoke: no point forked"; exit 1; }
 	@echo "attack-smoke: ok ($$(grep -c '"run":"attacks"' .attack-smoke/metrics.jsonl) attacks metric lines)"
 
 # Wide-area smoke: the wansites campaign (site failures × WAN asymmetry,
@@ -151,12 +153,14 @@ attack-smoke:
 # quorum with cross-site holdover, run through the registry by cmd/sweep.
 # -fail-on-anomaly makes any verdict of measured degradation outside the
 # quorum bound a non-zero exit; so does a metrics snapshot holding no
-# wansites line.
+# wansites line, or one whose runner served no fork (each site count's
+# points share one prefix, so the default path must fork them).
 wan-smoke:
 	@mkdir -p .wan-smoke
 	$(GO) run ./cmd/sweep -which wansites -config examples/wansites-smoke.json \
 		-fail-on-anomaly -metrics .wan-smoke/metrics.jsonl > .wan-smoke/log.txt
 	@grep -q '"run":"wansites"' .wan-smoke/metrics.jsonl || { echo "wan-smoke: no wansites metrics"; exit 1; }
+	@grep '"name":"runner_forks_served"' .wan-smoke/metrics.jsonl | grep -q '"value":[1-9]' || { echo "wan-smoke: no point forked"; exit 1; }
 	@echo "wan-smoke: ok ($$(grep -c '"run":"wansites"' .wan-smoke/metrics.jsonl) wansites metric lines)"
 
 # Fuzz smoke: a short informational pass over every committed fuzz target

@@ -8,7 +8,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -541,36 +544,44 @@ func BenchmarkCampaign4SeedsParallel4(b *testing.B) { benchCampaign(b, 4) }
 // benchmarks compare: six plans (three burst intensities, three partition
 // durations) whose divergent tails (95 s each) are short against the shared
 // 265 s convergence prefix — the regime the copy-on-fork snapshot engine is
-// built for. Cold mode pays the prefix six times; warm mode pays it once per
-// fork lane and forks, on parallel runner workers. The tables are
-// bit-identical either way (see TestForkEquivalenceNetworkChaos and
-// TestForkEquivalenceLanes), so ns/op is the only difference.
-func benchChaosSweep(b *testing.B, warm bool, parallel int) {
+// built for. The sweep pays the prefix once per fork lane and forks every
+// point, on parallel runner workers. With cold set, each plan runs instead as
+// its own one-point sweep, which runs cold and pays the prefix six times.
+// The tables are bit-identical either way (see
+// TestForkEquivalenceNetworkChaos and TestForkEquivalenceLanes), so ns/op is
+// the only difference.
+func benchChaosSweep(b *testing.B, cold bool, parallel int) {
 	reg := obs.NewRegistry()
-	var last *experiments.NetworkChaosResult
+	sweeps := []experiments.NetworkChaosConfig{{
+		Duration:           6 * time.Minute,
+		ChaosStart:         4*time.Minute + 30*time.Second,
+		BurstBadLoss:       []float64{0.25, 0.5, 0.9},
+		PartitionDurations: []time.Duration{time.Second, 10 * time.Second, 30 * time.Second},
+		Parallel:           parallel,
+		Metrics:            reg,
+	}}
+	if cold {
+		sweeps = onePointSweeps(b, sweeps[0])
+	}
+	var points []experiments.ChaosPoint
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.NetworkChaos(context.Background(), experiments.NetworkChaosConfig{
-			Seed:               int64(i + 1),
-			Duration:           6 * time.Minute,
-			ChaosStart:         4*time.Minute + 30*time.Second,
-			BurstBadLoss:       []float64{0.25, 0.5, 0.9},
-			PartitionDurations: []time.Duration{time.Second, 10 * time.Second, 30 * time.Second},
-			Parallel:           parallel,
-			WarmStart:          warm,
-			Metrics:            reg,
-		})
-		if err != nil {
-			b.Fatal(err)
+		points = points[:0]
+		for _, cfg := range sweeps {
+			cfg.Seed = int64(i + 1)
+			res, err := experiments.NetworkChaos(context.Background(), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			points = append(points, res.Points...)
 		}
-		last = res
 	}
 	var violations int
-	for _, p := range last.Points {
+	for _, p := range points {
 		violations += p.Violations
 	}
-	b.ReportMetric(float64(len(last.Points)), "points")
+	b.ReportMetric(float64(len(points)), "points")
 	b.ReportMetric(float64(violations), "violations")
-	if warm {
+	if !cold {
 		var forks float64
 		for _, m := range reg.Snapshot() {
 			if m.Name == "runner_forks_served" {
@@ -581,21 +592,46 @@ func benchChaosSweep(b *testing.B, warm bool, parallel int) {
 	}
 }
 
-// BenchmarkSweepCold — the chaos sweep with every point run cold from t=0:
-// the wall-clock baseline the warm-start claim is measured against.
-func BenchmarkSweepCold(b *testing.B) { benchChaosSweep(b, false, 1) }
+// onePointSweeps splits a chaos sweep into one sweep per plan, each reading
+// its plan from a file.
+func onePointSweeps(b *testing.B, cfg experiments.NetworkChaosConfig) []experiments.NetworkChaosConfig {
+	plans, err := cfg.Plans()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	sweeps := make([]experiments.NetworkChaosConfig, len(plans))
+	for i, p := range plans {
+		raw, err := json.Marshal(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("plan%d.json", i))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		sweeps[i] = cfg
+		sweeps[i].BurstBadLoss, sweeps[i].PartitionDurations, sweeps[i].PlanPath = nil, nil, path
+	}
+	return sweeps
+}
+
+// BenchmarkSweepCold — the chaos sweep's six plans as six one-point sweeps,
+// every point run cold from t=0: the wall-clock baseline the warm-start
+// claim is measured against.
+func BenchmarkSweepCold(b *testing.B) { benchChaosSweep(b, true, 1) }
 
 // BenchmarkSweepWarmStart — the same sweep forked from one shared
 // convergence-prefix snapshot, serially. Compare ns/op against
 // BenchmarkSweepCold (both serial: prefix reuse, not worker count); the
 // committed BENCH_sweep.json records the pair.
-func BenchmarkSweepWarmStart(b *testing.B) { benchChaosSweep(b, true, 1) }
+func BenchmarkSweepWarmStart(b *testing.B) { benchChaosSweep(b, false, 1) }
 
 // BenchmarkSweepWarmLanes — the warm sweep on two runner workers: two fork
 // lanes, each with its own replica of the prefix, draining the six forks
 // together. Compare ns/op against BenchmarkSweepWarmStart at -cpu 2; at
 // GOMAXPROCS 1 the lanes only interleave and pay the extra prefix.
-func BenchmarkSweepWarmLanes(b *testing.B) { benchChaosSweep(b, true, 2) }
+func BenchmarkSweepWarmLanes(b *testing.B) { benchChaosSweep(b, false, 2) }
 
 // BenchmarkForkSystem times core.ForkSystem on the paper mesh after a 1-min
 // and a 60-min prefix. Each iteration first runs a tail past the snapshot

@@ -1,15 +1,15 @@
 // Command served runs the experiment registry as an HTTP service: jobs are
 // POSTed as JSON (the same strict wire configs the CLIs use), queued into a
 // bounded work queue, fanned across runner pools with panic isolation and
-// per-job timeouts, and warm-capable studies fork their convergence prefix
-// from a shared LRU snapshot cache so concurrent sweeps that share a prefix
-// converge once.
+// per-job timeouts, and every job of a warm-capable study forks its
+// convergence prefix from a shared LRU snapshot cache, so concurrent sweeps
+// that share a prefix converge once.
 //
 // Usage:
 //
 //	served [-addr :8080] [-workers N] [-queue N] [-point-parallel N]
 //	       [-cache-entries N] [-max-points N]
-//	       [-job-timeout 0] [-no-warm] [-state-dir DIR]
+//	       [-job-timeout 0] [-state-dir DIR]
 //
 // -state-dir persists every finished job's status and result envelopes as
 // JSON under DIR; a restarted server loads the newest 64 back so GET
@@ -62,7 +62,6 @@ func run(args []string) error {
 	cacheEntries := fs.Int("cache-entries", 8, "warm-snapshot LRU entry bound (-1 = unbounded)")
 	maxPoints := fs.Int("max-points", 64, "cap on a single job's point fan-out")
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-job execution timeout (0 = none)")
-	noWarm := fs.Bool("no-warm", false, "disable warm-start snapshot sharing by default")
 	stateDir := fs.String("state-dir", "", "persist finished jobs as JSON here and reload them on restart")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,7 +74,6 @@ func run(args []string) error {
 		CacheEntries:   *cacheEntries,
 		MaxPoints:      *maxPoints,
 		DefaultTimeout: *jobTimeout,
-		DisableWarm:    *noWarm,
 		StateDir:       *stateDir,
 	})
 	s.Start()

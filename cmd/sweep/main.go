@@ -18,15 +18,21 @@
 //
 // Usage:
 //
-//	sweep [-seed N[,N...]] [-parallel N] [-shards N] [-warm-start] [-config file.json]
+//	sweep [-seed N[,N...]] [-parallel N] [-shards N] [-config file.json]
 //	      [-fail-on-anomaly] [-metrics file.jsonl] [-csv dir]
 //	      [-which all|paper|<curated key>|<registry name>]
 //
 // -seed, -parallel and -shards apply to every study whose config has the
-// field; studies without it ignore it. A -seed list runs every selected
-// study once per seed, each block headed and tagged with its seed. -shards
-// runs shard-aware studies on the sharded PDES kernel (the tables are
-// bit-identical at every shard count).
+// field; studies without it ignore it. A -seed list of distinct seeds runs
+// every selected study once per seed, each block headed and tagged with its
+// seed. -shards runs shard-aware studies on the sharded PDES kernel (the
+// tables are bit-identical at every shard count).
+//
+// A study forks its sweep points from one shared convergence-prefix
+// snapshot exactly when they share a prefix (the chaos, identical-kernel
+// attack and wansites sweeps); there is no flag for it, and the tables are
+// bit-identical to cold runs. -metrics records the runner's
+// runner_prefix_runs, runner_forks_served and runner_cold_fallbacks.
 //
 // -config overlays a JSON config file onto the selected study's config
 // through the registry's strict decode path (the same path the job server
@@ -54,6 +60,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -145,7 +152,6 @@ func run(args []string) error {
 	which := fs.String("which", "all", "study selection: all (the curated list), paper (the paper's evaluation), a curated key (interval|domains|dynamic|bmca|voting|tas|recovery) or any registry name")
 	parallel := fs.Int("parallel", 0, "worker count for independent studies and for studies with a parallel knob (0 = GOMAXPROCS, 1 = sequential)")
 	shards := fs.Int("shards", 1, "PDES shard count for shard-aware studies (1 = legacy single scheduler; results are bit-identical)")
-	warmStart := fs.Bool("warm-start", false, "fork sweep points from a shared warm-state snapshot where eligible (identical tables; prefix-hash mismatches fall back to cold runs)")
 	configPath := fs.String("config", "", "JSON config file overlaid onto the selected study's config (requires a single-study -which)")
 	metricsPath := fs.String("metrics", "", "write a JSONL metrics snapshot (one line per metric, tagged per study) to this file")
 	csvDir := fs.String("csv", "", "directory to write <key>.csv per study (plus <key>/ raw-series CSVs for results carrying one) into")
@@ -198,17 +204,14 @@ func run(args []string) error {
 			}
 			// The flag-built config round-trips through the registry's
 			// strict decode path (shared with the job server), with the
-			// -config overlay merged on top; runtime handles (campaign
-			// metrics, warm-start) are re-attached after decoding.
+			// -config overlay merged on top; the campaign metrics registry
+			// is re-attached after decoding.
 			base := experiments.SetFields(exp.DefaultConfig(seed), map[string]any{"Parallel": *parallel, "Shards": *shards})
 			cfg, err := experiments.MergeConfig(exp, experiments.SetFields(base, s.fields), overlay)
 			if err != nil {
 				return fmt.Errorf("%s: %w", s.key, err)
 			}
 			cfg = experiments.SetFields(cfg, map[string]any{"Metrics": campaign})
-			if *warmStart {
-				cfg, _ = experiments.EnableWarmStart(cfg, campaign, nil)
-			}
 			runs = append(runs, runner.Run{Name: s.key, Do: func(ctx context.Context) (any, error) {
 				res, err := exp.Run(ctx, cfg)
 				if err != nil {
@@ -234,9 +237,6 @@ func run(args []string) error {
 		if a, ok := b.res.(interface{ Anomalies() int }); ok {
 			anomalies += a.Anomalies()
 		}
-	}
-	if *warmStart {
-		fmt.Println(runner.WarmSummary(campaign))
 	}
 	if *csvDir != "" {
 		for _, b := range blocks {
@@ -309,7 +309,8 @@ func writeCSVs(dir string, b block) error {
 	return nil
 }
 
-// seedList is the -seed flag: one seed or a comma-separated list.
+// seedList is the -seed flag: one seed or a comma-separated list of distinct
+// seeds (a repeat would run a study twice under one key).
 type seedList []int64
 
 func (l *seedList) String() string {
@@ -326,6 +327,9 @@ func (l *seedList) Set(v string) error {
 		s, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
 		if err != nil {
 			return fmt.Errorf("bad seed %q: %w", part, err)
+		}
+		if slices.Contains(*l, s) {
+			return fmt.Errorf("seed %d repeated", s)
 		}
 		*l = append(*l, s)
 	}

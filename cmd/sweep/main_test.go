@@ -182,6 +182,7 @@ func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-seed", "1,,2"},
 		{"-seed", "x"},
+		{"-seed", "1, 2,1"}, // a repeat would run one key twice
 		{"-no-such-flag"},
 	} {
 		if err := run(append(args, "-which", "sweep-test-seeded")); err == nil {

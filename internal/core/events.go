@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"gptpfta/internal/sim"
@@ -82,17 +81,6 @@ func (l *EventLog) Events() []Event {
 // Len reports the number of events.
 func (l *EventLog) Len() int { return len(l.events) }
 
-// Filter returns events of one kind.
-func (l *EventLog) Filter(kind string) []Event {
-	var out []Event
-	for _, e := range l.events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Window returns events within [from, to].
 func (l *EventLog) Window(from, to sim.Time) []Event {
 	var out []Event
@@ -124,20 +112,6 @@ func (l *EventLog) CountsByKindAndDetail() map[string]int {
 		}
 		out[key]++
 	}
-	return out
-}
-
-// Kinds lists the distinct event kinds, sorted.
-func (l *EventLog) Kinds() []string {
-	seen := make(map[string]bool)
-	for _, e := range l.events {
-		seen[e.Kind] = true
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

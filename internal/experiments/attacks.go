@@ -299,11 +299,12 @@ func Attacks(ctx context.Context, cfg AttacksConfig) (*AttacksResult, error) {
 			},
 		}
 	}
-	// Cold only: the attack events are scheduled at t = 0 (no diverge
-	// instant, so no prefix boundary).
+	// The attacks are scheduled at the boundary, for AttackStart: identical
+	// kernels share one prefix, which diverse kernels change.
 	res := &AttacksResult{Config: cfg}
 	res.Points, res.Obs, err = runPoints(ctx, campaign{
 		duration: cfg.Duration,
+		diverge:  cfg.AttackStart,
 		parallel: cfg.Parallel,
 		metrics:  cfg.Metrics,
 	}, points)
@@ -313,8 +314,9 @@ func Attacks(ctx context.Context, cfg AttacksConfig) (*AttacksResult, error) {
 	return res, nil
 }
 
-// attackRun schedules one scenario's attacks on a freshly started system,
-// runs it and classifies the outcome against the analytic bound.
+// attackRun schedules one scenario's attacks on a system standing at the
+// campaign boundary, runs it and classifies the outcome against the
+// analytic bound.
 func attackRun(cfg AttacksConfig, sc attackScenario, behavior attack.Behavior,
 	sys *core.System, remaining time.Duration) (AttackPoint, []obs.Metric, error) {
 	sysCfg := sys.Config()

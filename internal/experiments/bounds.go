@@ -16,18 +16,15 @@ import (
 type BoundsConfig struct {
 	Seed     int64         `json:"seed"`
 	Duration time.Duration `json:"duration,omitempty"` // fault-free observation window
-	// WarmStart runs the window up to near its middle as a snapshot prefix
-	// and forks the rest from it. The run is fault-free throughout, so the
-	// forked run is bit-identical to the cold one — this mode exists to
-	// exercise (and regression-test) the fork path on a full system.
-	WarmStart bool `json:"warm_start,omitempty"`
 	// Shards runs the simulation on a sharded PDES kernel (1 = the legacy
 	// single scheduler). Results are bit-identical at every shard count.
 	Shards int `json:"shards,omitempty"`
 	// Metrics optionally instruments the run's pool (fork accounting).
 	Metrics *obs.Registry `json:"-"`
 	// Snapshots optionally shares the prefix snapshot through a campaign
-	// cache (the job server's LRU); nil keeps the per-run prefix.
+	// cache (the job server's LRU). The run forks only through a cache:
+	// without one a lone run would pay a snapshot for nothing, so it runs
+	// cold.
 	Snapshots runner.SnapshotCache `json:"-"`
 }
 
@@ -114,9 +111,10 @@ func (r *BoundsResult) Figure() string {
 }
 
 // Bounds runs the fault-free methodology experiment and instantiates the
-// convergence-function bound from measured latencies. Warm mode forks the
-// rest of the window from a snapshot taken near its middle: the run has no
-// divergent machinery, so the result is bit-identical either way.
+// convergence-function bound from measured latencies. With a snapshot cache
+// attached it forks the rest of the window from a snapshot taken near its
+// middle: the run has no divergent machinery, so the result is
+// bit-identical either way.
 func Bounds(cfg BoundsConfig) (*BoundsResult, error) {
 	cfg = cfg.withDefaults()
 	sysCfg := core.NewConfig(cfg.Seed)
@@ -124,7 +122,6 @@ func Bounds(cfg BoundsConfig) (*BoundsResult, error) {
 	res, ms, err := runOne(campaign{
 		duration:  cfg.Duration,
 		diverge:   cfg.Duration / 2,
-		warm:      cfg.WarmStart,
 		parallel:  1,
 		metrics:   cfg.Metrics,
 		snapshots: cfg.Snapshots,

@@ -40,19 +40,16 @@ type FaultInjectionConfig struct {
 	// HoldoverWindow arms the ptp4l holdover watchdog for chaos-composed
 	// campaigns (zero keeps the paper's free-run default).
 	HoldoverWindow time.Duration `json:"holdover_window,omitempty"`
-	// WarmStart snapshots the fault-free convergence prefix (up to the
-	// injector's start minus a guard) and forks the campaign from it. The
-	// result is bit-identical to the cold run. A chaos plan acting before
-	// the boundary (or anchored relative to engine start) demotes the run
-	// to cold.
-	WarmStart bool `json:"warm_start,omitempty"`
 	// Shards runs the simulation on a sharded PDES kernel (1 = the legacy
 	// single scheduler). Results are bit-identical at every shard count.
 	Shards int `json:"shards,omitempty"`
 	// Metrics optionally instruments the run's pool (fork accounting).
 	Metrics *obs.Registry `json:"-"`
-	// Snapshots optionally shares the prefix snapshot through a campaign
-	// cache (the job server's LRU); nil keeps the per-run prefix.
+	// Snapshots optionally shares the fault-free convergence prefix (up to
+	// the injector's start minus a guard) through a campaign cache (the job
+	// server's LRU); the run forks from it only then, and runs cold without
+	// one. A chaos plan acting before the boundary (or anchored relative to
+	// engine start) also makes it run cold.
 	Snapshots runner.SnapshotCache `json:"-"`
 }
 
@@ -219,7 +216,7 @@ func (r *FaultInjectionResult) WriteCSVs(dir string) error {
 }
 
 // faultInjectStart is the injector's grace period: the system synchronizes
-// undisturbed for this long before the first injection (and warm-start mode
+// undisturbed for this long before the first injection (and a forked run
 // snapshots warmGuard before it).
 const faultInjectStart = 2 * time.Minute
 
@@ -237,7 +234,6 @@ func FaultInjection(cfg FaultInjectionConfig) (*FaultInjectionResult, error) {
 	c := campaign{
 		duration:  cfg.Duration,
 		diverge:   faultInjectStart,
-		warm:      cfg.WarmStart,
 		parallel:  1,
 		metrics:   cfg.Metrics,
 		snapshots: cfg.Snapshots,

@@ -37,20 +37,17 @@ type NetworkChaosConfig struct {
 	// Parallel is the runner's worker count (0 = GOMAXPROCS, 1 =
 	// sequential); the table is identical for every value.
 	Parallel int `json:"parallel,omitempty"`
-	// WarmStart runs the shared convergence prefix (everything before
-	// ChaosStart) once and forks every sweep point from its snapshot. The
-	// table is bit-identical to the cold runs; a plan acting before the
-	// boundary (or anchored relative to engine start) demotes the sweep to
-	// cold (see DESIGN.md "Warm-state snapshots").
-	WarmStart bool `json:"warm_start,omitempty"`
 	// Metrics optionally instruments the campaign's runner pool (fork and
 	// fallback accounting). The registry must be campaign-level, never a
 	// simulation's.
 	Metrics *obs.Registry `json:"-"`
 	// Snapshots optionally shares the prefix snapshot through a campaign
 	// cache (the job server's LRU), so concurrent campaigns with the same
-	// convergence prefix fork from one snapshot; nil keeps the
-	// per-campaign prefix.
+	// convergence prefix fork from one snapshot. Without one the sweep
+	// still runs its prefix (everything before ChaosStart) once and forks
+	// every point from it. Either way a plan acting before the boundary (or
+	// anchored relative to engine start) makes the sweep run cold (see
+	// DESIGN.md "Warm-state snapshots").
 	Snapshots runner.SnapshotCache `json:"-"`
 	// Shards runs every point on a sharded PDES kernel (1 = the legacy
 	// single scheduler). Results are bit-identical at every shard count.
@@ -203,6 +200,28 @@ func partitionPlan(d, chaosStart time.Duration) *chaos.Plan {
 	}
 }
 
+// Plans returns the sweep's scenario plans in point order: the custom plan
+// file when PlanPath is set, otherwise one burst-loss plan per intensity
+// and one partition plan per duration.
+func (c NetworkChaosConfig) Plans() ([]*chaos.Plan, error) {
+	c = c.withDefaults()
+	if c.PlanPath != "" {
+		p, err := chaos.Load(c.PlanPath)
+		if err != nil {
+			return nil, err
+		}
+		return []*chaos.Plan{p}, nil
+	}
+	var plans []*chaos.Plan
+	for _, bad := range c.BurstBadLoss {
+		plans = append(plans, burstPlan(bad, c.ChaosStart))
+	}
+	for _, d := range c.PartitionDurations {
+		plans = append(plans, partitionPlan(d, c.ChaosStart))
+	}
+	return plans, nil
+}
+
 // sumMetric totals a metric's value across all label sets in a snapshot.
 func sumMetric(ms []obs.Metric, name string) int {
 	var s float64
@@ -220,25 +239,14 @@ func sumMetric(ms []obs.Metric, name string) int {
 // of the same config are byte-identical (the engine consumes no
 // randomness; all stochastic loss draws come from the per-link seeded loss
 // streams). Every point shares one system config — the plans differ, not
-// the warm-up — so in warm mode every point forks from one prefix, unless
-// some plan acts before the boundary and the whole sweep runs cold.
+// the warm-up — so every point forks from one prefix, unless some plan acts
+// before the boundary and the whole sweep runs cold.
 func NetworkChaos(ctx context.Context, cfg NetworkChaosConfig) (*NetworkChaosResult, error) {
 	cfg = cfg.withDefaults()
 
-	var plans []*chaos.Plan
-	if cfg.PlanPath != "" {
-		p, err := chaos.Load(cfg.PlanPath)
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, p)
-	} else {
-		for _, bad := range cfg.BurstBadLoss {
-			plans = append(plans, burstPlan(bad, cfg.ChaosStart))
-		}
-		for _, d := range cfg.PartitionDurations {
-			plans = append(plans, partitionPlan(d, cfg.ChaosStart))
-		}
+	plans, err := cfg.Plans()
+	if err != nil {
+		return nil, err
 	}
 
 	sysCfg := chaosSystemConfig(cfg)
@@ -261,12 +269,10 @@ func NetworkChaos(ctx context.Context, cfg NetworkChaosConfig) (*NetworkChaosRes
 		}
 	}
 	res := &NetworkChaosResult{Config: cfg}
-	var err error
 	res.Points, res.Obs, err = runPoints(ctx, campaign{
 		duration:  cfg.Duration,
 		diverge:   cfg.ChaosStart,
 		plans:     plans,
-		warm:      cfg.WarmStart,
 		parallel:  cfg.Parallel,
 		metrics:   cfg.Metrics,
 		snapshots: cfg.Snapshots,

@@ -129,9 +129,10 @@ func TestFaultInjectionComposesChaos(t *testing.T) {
 }
 
 // TestNetworkChaosWarmHonoursCustomPlan: a custom plan whose first action
-// precedes the default warm boundary (ChaosStart − guard) must demote the
-// warm sweep to cold runs, so the warm table equals the cold one and no
-// point is served from a fork that already ran past the plan's first fault.
+// precedes the default boundary (ChaosStart − guard) must demote the sweep
+// to cold runs even with a snapshot cache attached, so its table equals the
+// cold one and no point is served from a fork that already ran past the
+// plan's first fault.
 func TestNetworkChaosWarmHonoursCustomPlan(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "early-partition.json")
 	plan := `{"name": "early partition", "actions": [
@@ -145,17 +146,17 @@ func TestNetworkChaosWarmHonoursCustomPlan(t *testing.T) {
 		t.Fatalf("cold: %v", err)
 	}
 	reg := obs.NewRegistry()
-	warmCfg := cfg
-	warmCfg.WarmStart = true
-	warmCfg.Metrics = reg
-	warm, err := NetworkChaos(context.Background(), warmCfg)
+	cachedCfg := cfg
+	cachedCfg.Metrics = reg
+	cachedCfg.Snapshots = stubCache{}
+	cached, err := NetworkChaos(context.Background(), cachedCfg)
 	if err != nil {
-		t.Fatalf("warm: %v", err)
+		t.Fatalf("cached: %v", err)
 	}
 	if forks := metricValue(reg, "runner_forks_served"); forks != 0 {
 		t.Fatalf("forks served = %v, want 0 (the plan acts before the boundary)", forks)
 	}
-	if !reflect.DeepEqual(cold.Rows(), warm.Rows()) {
-		t.Fatalf("warm table diverged from cold:\ncold: %v\nwarm: %v", cold.Rows(), warm.Rows())
+	if !reflect.DeepEqual(cold.Rows(), cached.Rows()) {
+		t.Fatalf("cached table diverged from cold:\ncold: %v\ncached: %v", cold.Rows(), cached.Rows())
 	}
 }

@@ -94,15 +94,12 @@ type IntervalSweepConfig struct {
 	// Parallel is the runner's worker count (0 = GOMAXPROCS, 1 =
 	// sequential); the table is identical for every value.
 	Parallel int `json:"parallel,omitempty"`
-	// WarmStart enables snapshot forking. The swept parameter (SyncInterval)
-	// shapes the warm-up itself, so every point except the first falls back
-	// to a cold run via the prefix-hash mismatch — this sweep demonstrates
-	// the fallback detection, not the speed-up.
-	WarmStart bool `json:"warm_start,omitempty"`
 	// Metrics optionally instruments the campaign's runner pool.
 	Metrics *obs.Registry `json:"-"`
 	// Snapshots optionally shares the prefix snapshot through a campaign
-	// cache (the job server's LRU); nil keeps the per-campaign prefix.
+	// cache (the job server's LRU). The swept parameter shapes the warm-up
+	// itself, so only the first point can fork from it; without a cache
+	// every point runs cold.
 	Snapshots runner.SnapshotCache `json:"-"`
 	// Shards runs every point on a sharded PDES kernel (1 = the legacy
 	// single scheduler). Results are bit-identical at every shard count.
@@ -142,8 +139,9 @@ func (c IntervalSweepConfig) withDefaults() IntervalSweepConfig {
 // across synchronization intervals S. The drift-offset term Γ = 2·r_max·S
 // grows linearly with S, so the bound widens while the achieved precision
 // degrades more slowly — the engineering trade-off behind the paper's
-// choice of S = 125 ms. The run is fault-free; in warm mode only the first
-// point forks (halfway), since S shapes the warm-up of every other point.
+// choice of S = 125 ms. The run is fault-free; S shapes the warm-up of
+// every point, so the points run cold unless a snapshot cache is attached,
+// and then only the first forks (halfway).
 func IntervalSweep(ctx context.Context, cfg IntervalSweepConfig) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
 	points := make([]point[SweepPoint], len(cfg.Intervals))
@@ -157,7 +155,6 @@ func IntervalSweep(ctx context.Context, cfg IntervalSweepConfig) (*SweepResult, 
 	res, _, err := runPoints(ctx, campaign{
 		duration:  cfg.Duration,
 		diverge:   cfg.Duration / 2,
-		warm:      cfg.WarmStart,
 		parallel:  cfg.Parallel,
 		metrics:   cfg.Metrics,
 		snapshots: cfg.Snapshots,
@@ -177,14 +174,12 @@ type DomainSweepConfig struct {
 	// Parallel is the runner's worker count (0 = GOMAXPROCS, 1 =
 	// sequential); the table is identical for every value.
 	Parallel int `json:"parallel,omitempty"`
-	// WarmStart enables snapshot forking. The swept parameter (DomainCount)
-	// shapes the warm-up itself, so every point except the first falls back
-	// to a cold run via the prefix-hash mismatch.
-	WarmStart bool `json:"warm_start,omitempty"`
 	// Metrics optionally instruments the campaign's runner pool.
 	Metrics *obs.Registry `json:"-"`
 	// Snapshots optionally shares the prefix snapshot through a campaign
-	// cache (the job server's LRU); nil keeps the per-campaign prefix.
+	// cache (the job server's LRU). The swept parameter shapes the warm-up
+	// itself, so only the first point can fork from it; without a cache
+	// every point runs cold.
 	Snapshots runner.SnapshotCache `json:"-"`
 	// Shards runs every point on a sharded PDES kernel (1 = the legacy
 	// single scheduler). Results are bit-identical at every shard count.
@@ -218,9 +213,9 @@ func (c DomainSweepConfig) withDefaults() DomainSweepConfig {
 // DomainSweep measures Byzantine masking across domain counts M with one
 // compromised grandmaster: M = 2 cannot mask any fault (N < 2f+1 for
 // f = 1), M = 3 masks via the median, M = 4 is the paper's configuration.
-// The compromise is scheduled in each point's setup, so in warm mode the
-// first point's prefix carries it pending; the other counts change the
-// prefix hash and run cold.
+// The compromise is scheduled in each point's setup, so a forked first
+// point's prefix carries it pending; the other counts change the prefix
+// hash and run cold.
 func DomainSweep(ctx context.Context, cfg DomainSweepConfig) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
 	attackAt := cfg.Duration / 3
@@ -241,7 +236,6 @@ func DomainSweep(ctx context.Context, cfg DomainSweepConfig) (*SweepResult, erro
 	res, _, err := runPoints(ctx, campaign{
 		duration:  cfg.Duration,
 		diverge:   attackAt,
-		warm:      cfg.WarmStart,
 		parallel:  cfg.Parallel,
 		metrics:   cfg.Metrics,
 		snapshots: cfg.Snapshots,

@@ -75,15 +75,13 @@ type WanSitesConfig struct {
 	// Parallel is the runner's worker count (0 = GOMAXPROCS, 1 =
 	// sequential); the table is identical for every value.
 	Parallel int `json:"parallel,omitempty"`
-	// WarmStart runs each site count's convergence prefix once and forks
-	// every point of that fabric size from the snapshot; the table is
-	// bit-identical to the cold runs.
-	WarmStart bool `json:"warm_start,omitempty"`
 	// Metrics optionally instruments the campaign's runner pool. The
 	// registry must be campaign-level, never a simulation's.
 	Metrics *obs.Registry `json:"-"`
 	// Snapshots optionally shares prefix snapshots through a campaign cache
-	// (the job server's LRU).
+	// (the job server's LRU). Without one each site count still runs its
+	// convergence prefix once and forks every point of that fabric size
+	// from it; the table is bit-identical to the cold runs.
 	Snapshots runner.SnapshotCache `json:"-"`
 	// Shards runs every point on a sharded PDES kernel (1 = the legacy
 	// single scheduler). Results are bit-identical at every shard count.
@@ -334,8 +332,8 @@ func wanSitesPlan(cfg WanSitesConfig, sc wanScenario, sys *core.System) *chaos.P
 // min(f, ⌊(N−1)/2⌋); two runs of the same config are byte-identical, at
 // every shard count and worker count. The fabric size is the only axis that
 // shapes the convergence prefix — failures and asymmetry start at
-// FaultStart — so each site count runs as one campaign, warm mode forking
-// all of its points from one prefix.
+// FaultStart — so each site count runs as one campaign, forking all of its
+// points from one prefix.
 func WanSites(ctx context.Context, cfg WanSitesConfig) (*WanSitesResult, error) {
 	cfg = cfg.withDefaults()
 	res := &WanSitesResult{Config: cfg}
@@ -365,7 +363,6 @@ func WanSites(ctx context.Context, cfg WanSitesConfig) (*WanSitesResult, error) 
 		group, ms, err := runPoints(ctx, campaign{
 			duration:  cfg.Duration,
 			diverge:   cfg.FaultStart,
-			warm:      cfg.WarmStart,
 			parallel:  cfg.Parallel,
 			metrics:   cfg.Metrics,
 			snapshots: cfg.Snapshots,

@@ -115,41 +115,46 @@ func TestShardEquivalenceWanSites(t *testing.T) {
 	}
 }
 
-// TestForkEquivalenceWanSites: the warm mode groups points by fabric size,
-// forks each group from its own prefix snapshot, and produces a table
-// bit-identical to the cold run.
+// TestForkEquivalenceWanSites: the sweep groups points by fabric size and
+// forks each group of two or more from its own prefix snapshot; the table
+// must be bit-identical to every point run cold as its own campaign.
 func TestForkEquivalenceWanSites(t *testing.T) {
 	if testing.Short() {
-		t.Skip("warm-vs-cold double campaign")
+		t.Skip("forked-vs-cold double campaign")
 	}
 	cfg := WanSitesConfig{
 		Seed:        3,
 		SiteCounts:  []int{4, 5},
 		FailedSites: []int{2},
-		Asyms:       []time.Duration{0},
+		Asyms:       []time.Duration{0, 10 * time.Microsecond},
 		Parallel:    1,
 	}
 	reg := obs.NewRegistry()
-	warmCfg := cfg
-	warmCfg.WarmStart = true
-	warmCfg.Metrics = reg
-	warm, err := WanSites(context.Background(), warmCfg)
+	forkCfg := cfg
+	forkCfg.Metrics = reg
+	forked, err := WanSites(context.Background(), forkCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if forks := metricValue(reg, "runner_forks_served"); forks != 2 {
-		t.Fatalf("forks served = %v, want 2 (one per fabric-size group)", forks)
+	if forks := metricValue(reg, "runner_forks_served"); forks != 4 {
+		t.Fatalf("forks served = %v, want 4 (two per fabric-size group)", forks)
 	}
-	cold, err := WanSites(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	coldReg := obs.NewRegistry()
+	var results []Result
+	for _, sites := range cfg.SiteCounts {
+		for _, asym := range cfg.Asyms {
+			one := cfg
+			one.SiteCounts, one.Asyms, one.Metrics = []int{sites}, []time.Duration{asym}, coldReg
+			res, err := WanSites(context.Background(), one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res)
+		}
 	}
-	hc, hw := sha256.New(), sha256.New()
-	hashRows(hc, cold.Rows())
-	hashRows(hw, warm.Rows())
-	if digest(hc) != digest(hw) {
-		t.Fatalf("warm wansites sweep diverged from cold\ncold: %s\nwarm: %s",
-			cold.Summary(), warm.Summary())
+	if cold := coldRows(t, coldReg, results); rowsDigest(cold) != rowsDigest(forked.Rows()) {
+		t.Fatalf("forked wansites sweep diverged from cold\ncold:\n%s\nforked:\n%s",
+			RenderTable(cold, ""), RenderTable(forked.Rows(), ""))
 	}
 }
 

@@ -11,17 +11,17 @@ import (
 )
 
 // The point executor shared by the studies (see DESIGN.md "Warm-state
-// snapshots"). Every sweep point runs one form, cold or warm:
+// snapshots"). Every sweep point runs one form, cold or forked:
 //
 //	NewSystem → Start → setup → RunFor(boundary) → run(sys, Duration − boundary)
 //
 // where the boundary sits warmGuard before the study's first divergent event
-// (fault injection, chaos action, attack). A warm campaign executes the
+// (fault injection, chaos action, attack). A forked campaign executes the
 // prefix up to the boundary once, from the first point's config, snapshots
 // it, and forks every point whose own config-prefix hash (core.PrefixHash)
 // matches; a mismatching point — its parameters shape the warm-up — runs the
 // cold form instead, counted by the runner's runner_cold_fallbacks. Because
-// the cold form splits the timeline at the same boundary, a warm table is
+// the cold form splits the timeline at the same boundary, a forked table is
 // bit-identical to the cold one by construction.
 
 // warmGuard is the safety margin between the snapshot boundary and the first
@@ -52,7 +52,6 @@ type campaign struct {
 	// plans must all act strictly after the boundary, or there is none.
 	plans []*chaos.Plan
 
-	warm      bool
 	parallel  int
 	metrics   *obs.Registry
 	snapshots runner.SnapshotCache
@@ -74,8 +73,14 @@ func (c campaign) boundary() time.Duration {
 	return b
 }
 
-// runPoints executes the points, cold or forked from a shared prefix, and
-// returns their results in order plus the last point's metrics snapshot.
+// runPoints executes the points and returns their results in order plus the
+// last point's metrics snapshot. It forks exactly when a snapshot can be
+// reused: the shared prefix is offered when a snapshot cache is attached
+// (another campaign may hit it), or when there are several points and every
+// one has the first point's prefix hash. Otherwise every point runs cold: a
+// lone point would pay a snapshot for nothing, and ExecuteWarm starts its
+// cold fallbacks only after the fork lanes finish, so forking a sweep with
+// mixed hashes would run its two halves one after the other.
 func runPoints[P any](ctx context.Context, c campaign, points []point[P]) ([]P, []obs.Metric, error) {
 	if len(points) == 0 {
 		return nil, nil, nil
@@ -87,54 +92,43 @@ func runPoints[P any](ctx context.Context, c campaign, points []point[P]) ([]P, 
 		snaps[i] = ms
 		return v, err
 	}
-	cold := func(i int) func(context.Context) (any, error) {
-		return func(context.Context) (any, error) {
-			sys, err := prefix(points[i], boundary)
-			if err != nil {
-				return nil, err
-			}
-			return finish(i, sys)
-		}
-	}
 
-	pool := runner.New(c.parallel).WithMetrics(c.metrics).WithSnapshots(c.snapshots)
-	var outcomes []runner.Outcome
-	if c.warm {
-		wc := runner.WarmConfig{}
-		if boundary > 0 {
-			wc.Hash = core.PrefixHash(points[0].cfg, boundary)
-			wc.Prefix = func(context.Context) (any, error) {
-				sys, err := prefix(points[0], boundary)
+	runs := make([]runner.WarmRun, len(points))
+	shared := boundary > 0 && (c.snapshots != nil || len(points) > 1)
+	for i := range points {
+		runs[i] = runner.WarmRun{
+			Name: points[i].name,
+			Hash: core.PrefixHash(points[i].cfg, boundary),
+			Fork: func(_ context.Context, snap any) (any, error) {
+				sys, err := core.ForkSystem(snap)
 				if err != nil {
 					return nil, err
 				}
-				return sys.Snapshot(), nil
-			}
+				return finish(i, sys)
+			},
+			Cold: func(context.Context) (any, error) {
+				sys, err := prefix(points[i], boundary)
+				if err != nil {
+					return nil, err
+				}
+				return finish(i, sys)
+			},
 		}
-		runs := make([]runner.WarmRun, len(points))
-		for i := range points {
-			runs[i] = runner.WarmRun{
-				Name: points[i].name,
-				Hash: core.PrefixHash(points[i].cfg, boundary),
-				Fork: func(_ context.Context, snap any) (any, error) {
-					sys, err := core.ForkSystem(snap)
-					if err != nil {
-						return nil, err
-					}
-					return finish(i, sys)
-				},
-				Cold: cold(i),
-			}
-		}
-		outcomes = pool.ExecuteWarm(ctx, wc, runs)
-	} else {
-		runs := make([]runner.Run, len(points))
-		for i := range points {
-			runs[i] = runner.Run{Name: points[i].name, Do: cold(i)}
-		}
-		outcomes = pool.Execute(ctx, runs)
+		shared = shared && (c.snapshots != nil || runs[i].Hash == runs[0].Hash)
 	}
-	vals, err := runner.Values[P](outcomes)
+	var wc runner.WarmConfig
+	if shared {
+		wc.Hash = runs[0].Hash
+		wc.Prefix = func(context.Context) (any, error) {
+			sys, err := prefix(points[0], boundary)
+			if err != nil {
+				return nil, err
+			}
+			return sys.Snapshot(), nil
+		}
+	}
+	pool := runner.New(c.parallel).WithMetrics(c.metrics).WithSnapshots(c.snapshots)
+	vals, err := runner.Values[P](pool.ExecuteWarm(ctx, wc, runs))
 	if err != nil {
 		return nil, nil, err
 	}

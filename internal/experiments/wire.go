@@ -49,20 +49,20 @@ func Wire(experiment string, r Result) WireResult {
 	return w
 }
 
-// EnableWarmStart switches a warm-capable config into warm-start mode,
-// attaching the campaign metrics registry and the shared snapshot cache the
-// study's runner pool should fork through. A config is warm-capable when it
-// declares a WarmStart field (every such config also declares Metrics and
-// Snapshots); other configs pass through unchanged, and the boolean reports
-// which case applied. Because `json:"-"` fields do not survive the wire,
-// callers that decode a config from JSON re-attach the runtime handles here,
-// after decoding.
+// EnableWarmStart attaches the campaign metrics registry and the shared
+// snapshot cache a warm-capable config's runner pool forks through. A
+// config is warm-capable when it declares a Snapshots field (every such
+// config also declares Metrics); other configs pass through unchanged, and
+// the boolean reports which case applied. Whether a study forks is decided
+// by its points, not by a setting (see runPoints). Because `json:"-"`
+// fields do not survive the wire, callers that decode a config from JSON
+// re-attach the runtime handles here, after decoding.
 func EnableWarmStart(cfg any, reg *obs.Registry, snaps runner.SnapshotCache) (any, bool) {
 	v := reflect.ValueOf(cfg)
-	if v.Kind() != reflect.Struct || !v.FieldByName("WarmStart").IsValid() {
+	if v.Kind() != reflect.Struct || !v.FieldByName("Snapshots").IsValid() {
 		return cfg, false
 	}
-	return SetFields(cfg, map[string]any{"WarmStart": true, "Metrics": reg, "Snapshots": snaps}), true
+	return SetFields(cfg, map[string]any{"Metrics": reg, "Snapshots": snaps}), true
 }
 
 // SetFields returns a copy of the config struct cfg with each named field it

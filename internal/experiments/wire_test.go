@@ -190,28 +190,25 @@ func (*fakeCache) Acquire(context.Context, string, func(context.Context) (any, e
 
 // TestEnableWarmStartEveryWarmConfig checks EnableWarmStart against the
 // registry itself rather than a hand-kept list: every registered config that
-// declares a WarmStart field is warm-capable and gets WarmStart, Metrics and
-// Snapshots set; every other config passes through unchanged.
+// declares a Snapshots field is warm-capable and gets Metrics and Snapshots
+// attached; every other config passes through unchanged.
 func TestEnableWarmStartEveryWarmConfig(t *testing.T) {
 	reg, snaps := obs.NewRegistry(), &fakeCache{}
 	for _, e := range All() {
 		def := e.DefaultConfig(1)
-		hasWarm := reflect.ValueOf(def).FieldByName("WarmStart").IsValid()
+		hasCache := reflect.ValueOf(def).FieldByName("Snapshots").IsValid()
 		cfg, warm := EnableWarmStart(def, reg, snaps)
-		if warm != hasWarm {
-			t.Errorf("%s: EnableWarmStart = %v, config declares WarmStart: %v", e.Name(), warm, hasWarm)
+		if warm != hasCache {
+			t.Errorf("%s: EnableWarmStart = %v, config declares Snapshots: %v", e.Name(), warm, hasCache)
 			continue
 		}
 		if !warm {
 			if !reflect.DeepEqual(cfg, def) {
-				t.Errorf("%s: config without a warm mode was modified", e.Name())
+				t.Errorf("%s: config without a snapshot cache was modified", e.Name())
 			}
 			continue
 		}
 		v := reflect.ValueOf(cfg)
-		if !v.FieldByName("WarmStart").Bool() {
-			t.Errorf("%s: WarmStart not set", e.Name())
-		}
 		if m, ok := v.FieldByName("Metrics").Interface().(*obs.Registry); !ok || m != reg {
 			t.Errorf("%s: Metrics not attached", e.Name())
 		}

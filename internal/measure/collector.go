@@ -260,16 +260,3 @@ func (c *Collector) Gamma() time.Duration {
 	}
 	return maxMax - minMin
 }
-
-// PathExtrema reports the per-VM measurement-path latency extrema.
-func (c *Collector) PathExtrema() (min, max map[string]time.Duration) {
-	min = make(map[string]time.Duration, len(c.pathMin))
-	max = make(map[string]time.Duration, len(c.pathMax))
-	for k, v := range c.pathMin {
-		min[k] = v
-	}
-	for k, v := range c.pathMax {
-		max[k] = v
-	}
-	return min, max
-}

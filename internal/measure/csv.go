@@ -4,9 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
-	"time"
 )
 
 // WriteSamplesCSV writes the per-second precision series as CSV with the
@@ -113,28 +111,4 @@ func ParseSamplesCSV(r io.Reader) ([]Sample, error) {
 		out = append(out, Sample{Seq: seq, AtSec: at, PiStarNS: pi, Replies: replies})
 	}
 	return out, nil
-}
-
-// WritePathExtremaCSV writes the per-path latency extrema used for γ.
-func WritePathExtremaCSV(w io.Writer, min, max map[string]time.Duration) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"path", "min_ns", "max_ns"}); err != nil {
-		return err
-	}
-	keys := make([]string, 0, len(min))
-	for k := range min {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		rec := []string{k,
-			strconv.FormatInt(min[k].Nanoseconds(), 10),
-			strconv.FormatInt(max[k].Nanoseconds(), 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

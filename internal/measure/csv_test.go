@@ -3,7 +3,6 @@ package measure
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestSamplesCSVRoundTrip(t *testing.T) {
@@ -64,20 +63,6 @@ func TestWriteHistogramCSV(t *testing.T) {
 	}
 	out := b.String()
 	if !strings.Contains(out, "bucket_lo_ns") || !strings.Contains(out, "overflow,2") {
-		t.Fatalf("output: %s", out)
-	}
-}
-
-func TestWritePathExtremaCSV(t *testing.T) {
-	var b strings.Builder
-	min := map[string]time.Duration{"b": 2 * time.Microsecond, "a": time.Microsecond}
-	max := map[string]time.Duration{"b": 3 * time.Microsecond, "a": 2 * time.Microsecond}
-	if err := WritePathExtremaCSV(&b, min, max); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	out := b.String()
-	// Sorted by path key.
-	if !strings.Contains(out, "a,1000,2000") || strings.Index(out, "a,") > strings.Index(out, "b,") {
 		t.Fatalf("output: %s", out)
 	}
 }

@@ -129,8 +129,7 @@ func TestCollectorGamma(t *testing.T) {
 	if gamma > 5*time.Microsecond {
 		t.Fatalf("gamma = %v, implausibly large for the configured jitter", gamma)
 	}
-	min, max := tn.collector.PathExtrema()
-	if len(min) != 3 || len(max) != 3 {
+	if min, max := tn.collector.pathMin, tn.collector.pathMax; len(min) != 3 || len(max) != 3 {
 		t.Fatalf("path extrema over %d/%d VMs, want 3", len(min), len(max))
 	}
 }

@@ -219,17 +219,6 @@ func execute(ctx context.Context, epoch time.Time, idx int, r Run) (out Outcome)
 	return out
 }
 
-// FirstError returns the first failed outcome's error in submission order,
-// wrapped with the run name, or nil when every run succeeded.
-func FirstError(outcomes []Outcome) error {
-	for _, o := range outcomes {
-		if o.Err != nil {
-			return fmt.Errorf("run %q: %w", o.Name, o.Err)
-		}
-	}
-	return nil
-}
-
 // Values unwraps every outcome's value as T, in submission order, stopping
 // at the first failed run or type mismatch.
 func Values[T any](outcomes []Outcome) ([]T, error) {

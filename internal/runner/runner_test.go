@@ -85,8 +85,8 @@ func TestPanicIsolation(t *testing.T) {
 			t.Fatalf("healthy run %d disturbed: %+v", i, o)
 		}
 	}
-	if err := FirstError(outcomes); err == nil || !strings.Contains(err.Error(), `run "run/3"`) {
-		t.Fatalf("FirstError = %v", err)
+	if _, err := Values[int](outcomes); err == nil || !strings.Contains(err.Error(), `run "run/3"`) {
+		t.Fatalf("Values error = %v", err)
 	}
 }
 
@@ -194,7 +194,7 @@ func TestWorkerDefaults(t *testing.T) {
 	}
 	// More workers than runs must not deadlock or drop outcomes.
 	outcomes := New(64).Execute(context.Background(), campaign(3, nil))
-	if len(outcomes) != 3 || FirstError(outcomes) != nil {
+	if _, err := Values[int](outcomes); len(outcomes) != 3 || err != nil {
 		t.Fatalf("outcomes: %+v", outcomes)
 	}
 	// An empty campaign is a no-op.

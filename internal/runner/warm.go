@@ -21,8 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"gptpfta/internal/obs"
 )
 
 // WarmRun is one unit of a warm-start campaign.
@@ -188,26 +186,6 @@ func (p *Pool) forkLanes(ctx context.Context, epoch time.Time, wc WarmConfig, ru
 	}
 	replicas.Wait()
 	return lane0OK
-}
-
-// WarmSummary renders a campaign's warm-start accounting line from the
-// registry its pools were instrumented with: how many shared prefixes ran,
-// how many sweep points were served by a fork, and how many fell back to a
-// cold run (prefix-hash mismatch, missing prefix, or prefix failure).
-func WarmSummary(reg *obs.Registry) string {
-	var prefixes, forks, cold float64
-	for _, m := range reg.Snapshot() {
-		switch m.Name {
-		case "runner_prefix_runs":
-			prefixes += m.Value
-		case "runner_forks_served":
-			forks += m.Value
-		case "runner_cold_fallbacks":
-			cold += m.Value
-		}
-	}
-	return fmt.Sprintf("warm-start: %.0f prefix runs, %.0f forks served, %.0f cold fallbacks",
-		prefixes, forks, cold)
 }
 
 // runPrefix executes the shared prefix with panic isolation.

@@ -42,10 +42,6 @@ type JobRequest struct {
 	// Points fans the job out into this many runs with derived seeds
 	// (default 1).
 	Points int `json:"points,omitempty"`
-	// Warm opts the job out of warm-start snapshot sharing when false;
-	// omitted means the server default (on). Ignored for studies without a
-	// warm mode.
-	Warm *bool `json:"warm,omitempty"`
 	// TimeoutNS bounds the job's wall-clock execution (0: the server
 	// default).
 	TimeoutNS int64 `json:"timeout_ns,omitempty"`
@@ -76,7 +72,6 @@ type job struct {
 	id      string
 	req     JobRequest
 	timeout time.Duration
-	warm    bool
 	retired bool // on Server.done; guarded by Server.mu
 
 	mu       sync.Mutex

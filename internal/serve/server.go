@@ -34,9 +34,6 @@ type Options struct {
 	// DefaultTimeout bounds each job's execution when the request does not
 	// set its own (0: no timeout).
 	DefaultTimeout time.Duration
-	// DisableWarm turns off warm-start snapshot sharing for jobs that do
-	// not explicitly request it.
-	DisableWarm bool
 	// StateDir, when set, persists every job that reaches a terminal state
 	// as a JSON envelope (status + wire results) under this directory, and
 	// New loads the newest maxFinished back so a restarted server still
@@ -196,10 +193,6 @@ func (s *Server) submit(req JobRequest) (*job, int, error) {
 	if req.TimeoutNS > 0 {
 		timeout = time.Duration(req.TimeoutNS)
 	}
-	warm := !s.opts.DisableWarm
-	if req.Warm != nil {
-		warm = *req.Warm
-	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -210,7 +203,6 @@ func (s *Server) submit(req JobRequest) (*job, int, error) {
 		id:      jobID(s.nextID + 1),
 		req:     req,
 		timeout: timeout,
-		warm:    warm,
 		state:   JobQueued,
 		created: time.Now(),
 	}
@@ -340,9 +332,7 @@ func (s *Server) runJob(j *job) {
 			if err != nil {
 				return nil, err
 			}
-			if j.warm {
-				cfg, _ = experiments.EnableWarmStart(cfg, jobReg, s.cache)
-			}
+			cfg, _ = experiments.EnableWarmStart(cfg, jobReg, s.cache)
 			res, err := exp.Run(ctx, cfg)
 			if err != nil {
 				return nil, err

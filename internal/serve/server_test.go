@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -214,8 +215,8 @@ func TestServerEveryExperiment(t *testing.T) {
 
 // TestServerWarmSharing is the cache acceptance criterion: two concurrent
 // jobs sharing a convergence prefix trigger exactly one prefix run, and
-// their results are identical to each other and to a cold (warm-disabled)
-// run of the same config.
+// their results are identical to each other and to a cold run of the same
+// config (the study run directly, without a cache, forks nothing).
 func TestServerWarmSharing(t *testing.T) {
 	s, ts := testServer(t, Options{Workers: 2})
 	cfg := rawConfig(t, experiments.BoundsConfig{Seed: 3, Duration: 4 * time.Minute})
@@ -233,11 +234,21 @@ func TestServerWarmSharing(t *testing.T) {
 		t.Fatalf("snapcache_hits = %v, want >= 1", hits)
 	}
 
-	cold := false
-	c, _ := postJob(t, ts, JobRequest{Experiment: "bounds", Config: cfg, Warm: &cold})
-	waitDone(t, ts, c.ID)
+	exp, err := experiments.Lookup("bounds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldCfg, err := experiments.SeededConfig(exp, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := exp.Run(context.Background(), coldCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	ra, rb, rc := fetchResults(t, ts, a.ID), fetchResults(t, ts, b.ID), fetchResults(t, ts, c.ID)
+	ra, rb := fetchResults(t, ts, a.ID), fetchResults(t, ts, b.ID)
+	rc := []experiments.WireResult{experiments.Wire("bounds", cold)}
 	// Identity covers the deterministic result surface — the same rows the
 	// golden digests hash. Obs gauges (e.g. allocator pool hit rates)
 	// measure process state, not simulation state, and are exempt by
@@ -339,6 +350,17 @@ func TestServerBadConfig(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("chaos plan status %d, want 400", resp.StatusCode)
+	}
+	// A job cannot choose whether it forks: a "warm" field is unknown, like
+	// any other.
+	r, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"experiment": "bounds", "warm": false}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("warm field status %d, want 400", r.StatusCode)
 	}
 }
 

@@ -178,19 +178,12 @@ func (s *Streams) Restore(snap any) {
 	s.sources = s.sources[:len(sn.positions)]
 }
 
-// Derive returns a stream factory for the named sub-campaign. A campaign
-// that fans out into independent runs (one per seed, sweep point or
-// scenario variant) gives each run Derive'd Streams, so the runs are
-// mutually decorrelated, independent of the campaign's own streams, and
-// each reproducible from the campaign seed plus the run name alone —
-// executing runs in parallel therefore yields bit-identical results to
-// executing them sequentially.
-func (s *Streams) Derive(name string) *Streams {
-	return NewStreams(DeriveSeed(s.seed, name))
-}
-
 // DeriveSeed maps a master seed and a name to a stable derived seed; it is
-// the derivation behind both Stream and Derive.
+// the derivation behind Stream. A campaign that fans out into independent
+// runs (one per seed, sweep point or scenario variant) seeds each run's
+// NewStreams with DeriveSeed(campaign seed, run name), so the runs are
+// mutually decorrelated, independent of the campaign's own streams, and
+// each reproducible from the campaign seed plus the run name alone.
 func DeriveSeed(master int64, name string) int64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))

@@ -64,20 +64,19 @@ func TestDeriveSeedStable(t *testing.T) {
 }
 
 func TestDeriveMatchesFreshStreams(t *testing.T) {
-	// A derived factory must behave exactly like NewStreams on the derived
-	// seed — the property that makes parallel campaigns bit-identical to
-	// sequential ones.
-	derived := NewStreams(42).Derive("run/interval/125ms")
-	fresh := NewStreams(DeriveSeed(42, "run/interval/125ms"))
-	a, b := derived.Stream("osc/dev1"), fresh.Stream("osc/dev1")
+	// A run's streams, seeded by DeriveSeed from the campaign seed and the
+	// run name, must reproduce from those two alone and must not correlate
+	// with the campaign's own streams — the properties that make parallel
+	// campaigns bit-identical to sequential ones.
+	a := NewStreams(DeriveSeed(42, "run/interval/125ms")).Stream("osc/dev1")
+	b := NewStreams(DeriveSeed(42, "run/interval/125ms")).Stream("osc/dev1")
 	for i := 0; i < 100; i++ {
 		if a.Float64() != b.Float64() {
-			t.Fatal("Derive diverges from NewStreams(DeriveSeed(...))")
+			t.Fatal("derived streams do not reproduce")
 		}
 	}
-	campaign := NewStreams(42)
-	run := campaign.Derive("run/0").Stream("osc/dev1")
-	own := campaign.Stream("osc/dev1")
+	run := NewStreams(DeriveSeed(42, "run/0")).Stream("osc/dev1")
+	own := NewStreams(42).Stream("osc/dev1")
 	same := 0
 	for i := 0; i < 100; i++ {
 		if run.Float64() == own.Float64() {
