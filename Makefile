@@ -35,11 +35,12 @@ race: vet
 # convergence-prefix snapshot must be bit-identical to the cold run its
 # fallback executes, across several seeds, and on 1, 2 and 4 concurrent
 # fork lanes: the TestForkEquivalence pattern selects
-# TestForkEquivalenceLanes), and the PDES shard-equivalence
+# TestForkEquivalenceLanes), and the core PDES shard-equivalence
 # suites (every shard count must reproduce the single-scheduler run
-# bit-for-bit, at both the core and the experiments layer).
+# bit-for-bit; TestShardEquivalenceInjected adds fault injection,
+# attacks, a partition and a WAN site failure).
 determinism:
-	$(GO) test ./internal/experiments/ -run 'TestGoldenDigest|TestForkEquivalence|TestWarmFallback|TestShardEquivalence' -count=1 -v
+	$(GO) test ./internal/experiments/ -run 'TestGoldenDigest|TestForkEquivalence|TestWarmFallback' -count=1 -v
 	$(GO) test ./internal/core/ -run 'TestShardEquivalence|TestSnapshotRestoreIsolation' -count=1 -v
 
 # Committed performance evidence: the event-kernel microbenchmarks and the

@@ -18,15 +18,16 @@
 //
 // Usage:
 //
-//	sweep [-seed N[,N...]] [-parallel N] [-shards N] [-config file.json]
+//	sweep [-seed N[,N...]] [-parallel N] [-config file.json]
 //	      [-fail-on-anomaly] [-metrics file.jsonl] [-csv dir]
 //	      [-which all|paper|<curated key>|<registry name>]
 //
-// -seed, -parallel and -shards apply to every study whose config has the
-// field; studies without it ignore it. A -seed list of distinct seeds runs
-// every selected study once per seed, each block headed and tagged with its
-// seed. -shards runs shard-aware studies on the sharded PDES kernel (the
-// tables are bit-identical at every shard count).
+// -seed and -parallel apply to every study whose config has the field;
+// studies without it ignore it. A -seed list of distinct seeds runs every
+// selected study once per seed, each block headed and tagged with its seed.
+// Every study runs on the single-scheduler kernel: sharding is a property
+// of a core.Config topology (core.ScaleConfig's multi-site fabrics), not a
+// study option.
 //
 // A study forks its sweep points from one shared convergence-prefix
 // snapshot exactly when they share a prefix (the chaos, identical-kernel
@@ -151,7 +152,6 @@ func run(args []string) error {
 	fs.Var(&seeds, "seed", "master random seed, or a comma-separated list running every selected study once per seed")
 	which := fs.String("which", "all", "study selection: all (the curated list), paper (the paper's evaluation), a curated key (interval|domains|dynamic|bmca|voting|tas|recovery) or any registry name")
 	parallel := fs.Int("parallel", 0, "worker count for independent studies and for studies with a parallel knob (0 = GOMAXPROCS, 1 = sequential)")
-	shards := fs.Int("shards", 1, "PDES shard count for shard-aware studies (1 = legacy single scheduler; results are bit-identical)")
 	configPath := fs.String("config", "", "JSON config file overlaid onto the selected study's config (requires a single-study -which)")
 	metricsPath := fs.String("metrics", "", "write a JSONL metrics snapshot (one line per metric, tagged per study) to this file")
 	csvDir := fs.String("csv", "", "directory to write <key>.csv per study (plus <key>/ raw-series CSVs for results carrying one) into")
@@ -206,7 +206,7 @@ func run(args []string) error {
 			// strict decode path (shared with the job server), with the
 			// -config overlay merged on top; the campaign metrics registry
 			// is re-attached after decoding.
-			base := experiments.SetFields(exp.DefaultConfig(seed), map[string]any{"Parallel": *parallel, "Shards": *shards})
+			base := experiments.SetFields(exp.DefaultConfig(seed), map[string]any{"Parallel": *parallel})
 			cfg, err := experiments.MergeConfig(exp, experiments.SetFields(base, s.fields), overlay)
 			if err != nil {
 				return fmt.Errorf("%s: %w", s.key, err)

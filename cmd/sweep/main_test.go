@@ -184,6 +184,7 @@ func TestBadFlags(t *testing.T) {
 		{"-seed", "x"},
 		{"-seed", "1, 2,1"}, // a repeat would run one key twice
 		{"-no-such-flag"},
+		{"-shards", "2"}, // sharding is a core.Config property, not a study option
 	} {
 		if err := run(append(args, "-which", "sweep-test-seeded")); err == nil {
 			t.Errorf("%v accepted", args)

@@ -5,10 +5,14 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"gptpfta/internal/attack"
+	"gptpfta/internal/chaos"
+	"gptpfta/internal/faultinject"
 	"gptpfta/internal/sim"
 )
 
@@ -28,6 +32,7 @@ type runFingerprint struct {
 	precNS   float64
 	ftaReady bool
 	frames   uint64
+	wan      string // the WAN coordinator's samples, printed: failed sites read NaN
 }
 
 func fingerprint(t *testing.T, cfg Config, d time.Duration) runFingerprint {
@@ -73,6 +78,9 @@ func runPrint(cfg Config, d time.Duration, tweak func(*System)) (runFingerprint,
 	fp.precNS, fp.precOK = sys.TruePrecision()
 	fp.ftaReady = sys.AllInFTOperation()
 	fp.frames = framesTotal(sys)
+	if co := sys.Wan(); co != nil {
+		fp.wan = fmt.Sprint(co.Samples())
+	}
 	sys.Stop()
 	return fp, nil
 }
@@ -115,6 +123,9 @@ func requireSameFingerprint(t *testing.T, label string, want, got runFingerprint
 	}
 	if want.frames != got.frames {
 		t.Errorf("%s: frame counters diverge: want %d, got %d", label, want.frames, got.frames)
+	}
+	if want.wan != got.wan {
+		t.Errorf("%s: WAN coordinator samples diverge", label)
 	}
 }
 
@@ -240,6 +251,158 @@ func TestShardEquivalenceForceParallel(t *testing.T) {
 		})
 		requireSameFingerprint(t, fmt.Sprintf("forced-parallel shards=%d", shards), ref, fp)
 	}
+}
+
+// TestShardEquivalenceInjected carries the contract to the scenarios the
+// studies inject from the control scheduler: a fault-injection campaign, a
+// Byzantine grandmaster compromise, an on-path Sync delay, a mesh partition
+// and a WAN site failure. Each injection is armed between Start and RunFor,
+// where the studies attach theirs, and every control-context action is
+// logged at the instant it fires, so its timing is part of the fingerprint.
+// Those entries go to the control log stamped with the control scheduler's
+// clock: on a sharded system EventLog() is a merged copy and System.Now()
+// reads one nanosecond behind a control instant. The reference run must
+// show the injection took effect.
+func TestShardEquivalenceInjected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-shard sweep")
+	}
+	paper := func(seed int64) func(int) Config {
+		return func(shards int) Config {
+			cfg := NewConfig(seed)
+			cfg.HoldoverWindow = 2 * time.Second
+			cfg.Shards = shards
+			return cfg
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    func(shards int) Config
+		d      time.Duration
+		inject func(t *testing.T, sys *System)
+		want   string // an event kind the reference run must log
+	}{
+		// FailVM/RebootVM run on the control scheduler and re-arm the
+		// rebooted stack's timers from its node's shard clock, which must
+		// read exactly the control instant. The compressed GM period packs
+		// several failure/reboot/takeover cycles into the run.
+		{"faultinject", paper(11), 3 * time.Minute, injectFaults, "takeover"},
+		// Two grandmasters are exploited at one control instant; the wander
+		// behavior re-falsifies each every second from its own stream.
+		{"byzantine", paper(5), 90 * time.Second, injectByzantine, "exploit"},
+		{"sync-delay", paper(5), 90 * time.Second, injectSyncDelay, "delay_attack"},
+		// A 30 s split outlasts the 2 s holdover window.
+		{"partition", paper(2), 2 * time.Minute, func(t *testing.T, sys *System) {
+			injectPlan(t, sys, &chaos.Plan{Name: "partition", Actions: []chaos.Action{{
+				Op:       chaos.OpPartition,
+				Groups:   [][]string{{"sw1", "sw2"}, {"sw3", "sw4"}},
+				At:       chaos.Duration(time.Minute),
+				Duration: chaos.Duration(30 * time.Second),
+			}}})
+		}, "holdover"},
+		// Two of four sites fail while the first chain link's asymmetry
+		// ramps to 10 µs; the coordinator's samples join the fingerprint.
+		{"wan-site-fail", wanSiteFailConfig, time.Minute, func(t *testing.T, sys *System) {
+			at := chaos.Duration(20 * time.Second)
+			injectPlan(t, sys, &chaos.Plan{Name: "wan-site-fail", Actions: []chaos.Action{
+				{Op: chaos.OpSiteFail, Sites: []int{2, 3}, At: at, Duration: chaos.Duration(15 * time.Second)},
+				{Op: chaos.OpWanAsymDrift, Links: []string{sys.WanLinkName(0)}, At: at,
+					Duration: chaos.Duration(5 * time.Second), Asym: chaos.Duration(10 * time.Microsecond)},
+			}})
+		}, "site-fail"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inject := func(sys *System) { tc.inject(t, sys) }
+			ref := fingerprintTweak(t, tc.cfg(1), tc.d, inject)
+			if !containsKind(ref.events, tc.want) {
+				t.Fatalf("reference run logged no %q event", tc.want)
+			}
+			for _, shards := range []int{2, 4, 8} {
+				requireSameFingerprint(t, fmt.Sprintf("%s shards=%d", tc.name, shards),
+					ref, fingerprintTweak(t, tc.cfg(shards), tc.d, inject))
+			}
+		})
+	}
+}
+
+func containsKind(events []string, kind string) bool {
+	for _, e := range events {
+		if strings.Contains(e, " "+kind+" ") {
+			return true
+		}
+	}
+	return false
+}
+
+func injectFaults(t *testing.T, sys *System) {
+	startInjector(t, sys, faultinject.Config{
+		GMPeriod:            45 * time.Second,
+		RedundantMinPerHour: 6,
+		RedundantMaxPerHour: 12,
+		Downtime:            15 * time.Second,
+		Start:               45 * time.Second,
+	})
+}
+
+func injectByzantine(t *testing.T, sys *System) {
+	t.Helper()
+	behavior := attack.Behavior{Kind: attack.BehaviorWander, OffsetNS: attack.MaliciousOriginOffsetNS, WanderNSPerStep: 2000}
+	targets := attack.CampaignTargets(attack.DefaultTargetOrder(), 2)
+	atk := attack.NewAttacker(attack.DefaultVulnDB(), attack.CVE201818955, targets...)
+	sys.Scheduler().At(sim.Time(30*time.Second), func() {
+		for _, target := range targets {
+			vm, _ := sys.VM(target)
+			adv := attack.NewAdversary(behavior, sys.Streams().Stream("attack/"+target))
+			r := atk.Exploit(vm, adv.Offset(0))
+			sys.controlLog().Append(Event{At: sys.Scheduler().Now(), VM: target, Kind: "exploit", Detail: r.String()})
+			if !r.Success {
+				t.Errorf("exploit of %s failed: %s", target, r)
+				continue
+			}
+			start := sys.Scheduler().Now()
+			if _, err := sys.Scheduler().Every(start.Add(time.Second), time.Second, func() {
+				vm.InstallMaliciousPTP4L(adv.Offset(time.Duration(sys.Scheduler().Now() - start).Seconds()))
+			}); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+}
+
+// injectSyncDelay holds c31's outbound Sync frames (all domains) by 24 µs.
+func injectSyncDelay(t *testing.T, sys *System) {
+	t.Helper()
+	link := sys.Link("c31")
+	sys.Scheduler().At(sim.Time(30*time.Second), func() {
+		link.SetDelayAttack(attack.SyncDelayAttack{DelayNS: 24000, Dir: 0, Domain: -1})
+		sys.controlLog().Append(Event{At: sys.Scheduler().Now(), VM: "c31", Kind: "delay_attack"})
+	})
+}
+
+// injectPlan starts a chaos engine that logs each action as it fires.
+func injectPlan(t *testing.T, sys *System, plan *chaos.Plan) {
+	t.Helper()
+	eng, err := chaos.New(sys.Scheduler(), sys, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetActionObserver(func(a chaos.Action) {
+		sys.controlLog().Append(Event{At: sys.Scheduler().Now(), Kind: a.Op})
+	})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// wanSiteFailConfig is the wansites study's fabric: four paper meshes with
+// the WAN tier armed and its background drift off, so the chaos ramp is the
+// only writer of the WAN delay axis.
+func wanSiteFailConfig(shards int) Config {
+	cfg := ScaleConfig(5, 4, 4, 2, shards)
+	cfg.WanSync.Enabled = true
+	cfg.WanSync.F = 2
+	cfg.WanSync.HoldoverWindow = 2 * time.Second
+	return cfg
 }
 
 // TestConcurrentSystemsShareNoFreeList runs two unsharded systems on two

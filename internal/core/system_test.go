@@ -145,27 +145,33 @@ func TestSystemVMFailover(t *testing.T) {
 	}
 }
 
-func TestSystemWithFaultInjector(t *testing.T) {
-	sys := buildAndStart(t, 104, nil)
+// startInjector attaches a started fault injector to every node of sys.
+func startInjector(t *testing.T, sys *System, cfg faultinject.Config) *faultinject.Injector {
+	t.Helper()
 	controls := sys.NodeControls()
 	nodes := make([]faultinject.NodeControl, len(controls))
 	for i := range controls {
 		nodes[i] = controls[i]
 	}
-	inj, err := faultinject.New(sys.Scheduler(), sys.Streams().Stream("inject"), nodes,
-		faultinject.Config{
-			GMPeriod:            4 * time.Minute,
-			RedundantMinPerHour: 20,
-			RedundantMaxPerHour: 30,
-			Downtime:            30 * time.Second,
-			Start:               2 * time.Minute,
-		})
+	inj, err := faultinject.New(sys.Scheduler(), sys.Streams().Stream("inject"), nodes, cfg)
 	if err != nil {
 		t.Fatalf("injector: %v", err)
 	}
 	if err := inj.Start(); err != nil {
 		t.Fatalf("injector start: %v", err)
 	}
+	return inj
+}
+
+func TestSystemWithFaultInjector(t *testing.T) {
+	sys := buildAndStart(t, 104, nil)
+	inj := startInjector(t, sys, faultinject.Config{
+		GMPeriod:            4 * time.Minute,
+		RedundantMinPerHour: 20,
+		RedundantMaxPerHour: 30,
+		Downtime:            30 * time.Second,
+		Start:               2 * time.Minute,
+	})
 	runFor(t, sys, 20*time.Minute)
 	inj.Stop()
 

@@ -64,9 +64,6 @@ type AttacksConfig struct {
 	// Metrics optionally instruments the campaign's runner pool. The
 	// registry must be campaign-level, never a simulation's.
 	Metrics *obs.Registry `json:"-"`
-	// Shards runs every point on a sharded PDES kernel (1 = the legacy
-	// single scheduler). Results are bit-identical at every shard count.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Validate implements Validator.
@@ -98,7 +95,6 @@ func (c AttacksConfig) Validate() error {
 			field{"duration", c.Duration},
 			field{"attack_start", c.AttackStart},
 			field{"holdover_window", c.HoldoverWindow}),
-		checkShards(defaultShards(c.Shards)),
 	)
 }
 
@@ -130,7 +126,6 @@ func (c AttacksConfig) withDefaults() AttacksConfig {
 	if c.HoldoverWindow <= 0 {
 		c.HoldoverWindow = 2 * time.Second
 	}
-	c.Shards = defaultShards(c.Shards)
 	return c
 }
 
@@ -259,8 +254,8 @@ func (s attackScenario) label() string {
 // canonical target order (successes depend on the kernel assignment) and
 // the on-path adversary starts holding the delay target's Sync frames.
 // Each point's measured survival is compared against the analytic 2f+1
-// bound; two runs of the same config are byte-identical, at every shard
-// count and worker count.
+// bound; two runs of the same config are byte-identical, at every worker
+// count.
 func Attacks(ctx context.Context, cfg AttacksConfig) (*AttacksResult, error) {
 	cfg = cfg.withDefaults()
 
@@ -287,7 +282,6 @@ func Attacks(ctx context.Context, cfg AttacksConfig) (*AttacksResult, error) {
 	for i, sc := range scenarios {
 		sysCfg := core.NewConfig(cfg.Seed)
 		sysCfg.HoldoverWindow = cfg.HoldoverWindow
-		sysCfg.Shards = cfg.Shards
 		if sc.diversity == DiversityDiverse {
 			sysCfg.DiversifyKernels("c41")
 		}
@@ -324,9 +318,9 @@ func attackRun(cfg AttacksConfig, sc attackScenario, behavior attack.Behavior,
 	atk := attack.NewAttacker(attack.DefaultVulnDB(), attack.CVE201818955, targets...)
 
 	// Schedule the coordinated campaign on the control scheduler: all
-	// exploits fire at AttackStart (control events run at exact instants at
-	// every shard count). Evolving behaviors re-falsify once per second
-	// from a per-adversary stream, so their draws are also shard-invariant.
+	// exploits fire at AttackStart. Evolving behaviors re-falsify once per
+	// second from a per-adversary stream, so their draws do not depend on
+	// what else the simulation draws.
 	sys.Scheduler().At(sim.Time(cfg.AttackStart), func() {
 		for _, target := range targets {
 			vm, ok := sys.VM(target)

@@ -16,32 +16,18 @@ import (
 type BaselineConfig struct {
 	Seed     int64         `json:"seed"`
 	Duration time.Duration `json:"duration,omitempty"`
-	// Shards runs every variant on a sharded PDES kernel (1 = the legacy
-	// single scheduler). Results are bit-identical at every shard count.
-	Shards int `json:"shards,omitempty"`
 }
 
 func (c BaselineConfig) withDefaults() BaselineConfig {
 	if c.Duration <= 0 {
 		c.Duration = 20 * time.Minute
 	}
-	c.Shards = defaultShards(c.Shards)
 	return c
 }
 
 // Validate implements Validator.
 func (c BaselineConfig) Validate() error {
-	return firstErr(
-		checkDurations(field{"duration", c.Duration}),
-		checkShards(defaultShards(c.Shards)),
-	)
-}
-
-// sysConfig builds the paper system config for one ablation variant.
-func (c BaselineConfig) sysConfig() core.Config {
-	sc := core.NewConfig(c.Seed)
-	sc.Shards = c.Shards
-	return sc
+	return checkDurations(field{"duration", c.Duration})
 }
 
 // ComparisonResult contrasts an ablated variant against the paper's
@@ -133,11 +119,11 @@ func runSystem(cfg core.Config, d time.Duration, drive func(*core.System)) (*cor
 func BaselineNoStartupSync(cfg BaselineConfig) (*ComparisonResult, error) {
 	cfg = cfg.withDefaults()
 
-	ours, err := runSystem(cfg.sysConfig(), cfg.Duration, nil)
+	ours, err := runSystem(core.NewConfig(cfg.Seed), cfg.Duration, nil)
 	if err != nil {
 		return nil, err
 	}
-	baseCfg := cfg.sysConfig()
+	baseCfg := core.NewConfig(cfg.Seed)
 	baseCfg.BaselineClientsOnly = true
 	base, err := runSystem(baseCfg, cfg.Duration, nil)
 	if err != nil {
@@ -163,11 +149,11 @@ func AblationSingleDomainVsFTA(cfg BaselineConfig) (*ComparisonResult, error) {
 	cfg = cfg.withDefaults()
 	attackAt := cfg.Duration / 3
 
-	ours, err := runSystem(cfg.sysConfig(), cfg.Duration, compromiseAt(attackAt, "c41"))
+	ours, err := runSystem(core.NewConfig(cfg.Seed), cfg.Duration, compromiseAt(attackAt, "c41"))
 	if err != nil {
 		return nil, err
 	}
-	singleCfg := cfg.sysConfig()
+	singleCfg := core.NewConfig(cfg.Seed)
 	singleCfg.DomainCount = 1
 	singleCfg.F = 0
 	single, err := runSystem(singleCfg, cfg.Duration, compromiseAt(attackAt, "c11"))
@@ -196,13 +182,13 @@ func AblationFlagPolicy(cfg BaselineConfig) (*ComparisonResult, error) {
 	attackAt := cfg.Duration / 3
 
 	drive := compromiseAt(attackAt, "c41")
-	monitorCfg := cfg.sysConfig()
+	monitorCfg := core.NewConfig(cfg.Seed)
 	monitorCfg.FlagPolicy = fta.FlagMonitor
 	monitor, err := runSystem(monitorCfg, cfg.Duration, drive)
 	if err != nil {
 		return nil, err
 	}
-	excludeCfg := cfg.sysConfig()
+	excludeCfg := core.NewConfig(cfg.Seed)
 	excludeCfg.FlagPolicy = fta.FlagExclude
 	exclude, err := runSystem(excludeCfg, cfg.Duration, drive)
 	if err != nil {

@@ -16,9 +16,6 @@ import (
 type BoundsConfig struct {
 	Seed     int64         `json:"seed"`
 	Duration time.Duration `json:"duration,omitempty"` // fault-free observation window
-	// Shards runs the simulation on a sharded PDES kernel (1 = the legacy
-	// single scheduler). Results are bit-identical at every shard count.
-	Shards int `json:"shards,omitempty"`
 	// Metrics optionally instruments the run's pool (fork accounting).
 	Metrics *obs.Registry `json:"-"`
 	// Snapshots optionally shares the prefix snapshot through a campaign
@@ -32,16 +29,12 @@ func (c BoundsConfig) withDefaults() BoundsConfig {
 	if c.Duration <= 0 {
 		c.Duration = 10 * time.Minute
 	}
-	c.Shards = defaultShards(c.Shards)
 	return c
 }
 
 // Validate implements Validator.
 func (c BoundsConfig) Validate() error {
-	return firstErr(
-		checkDurations(field{"duration", c.Duration}),
-		checkShards(defaultShards(c.Shards)),
-	)
+	return checkDurations(field{"duration", c.Duration})
 }
 
 // BoundsResult reproduces the paper's bound-instantiation numbers:
@@ -118,7 +111,6 @@ func (r *BoundsResult) Figure() string {
 func Bounds(cfg BoundsConfig) (*BoundsResult, error) {
 	cfg = cfg.withDefaults()
 	sysCfg := core.NewConfig(cfg.Seed)
-	sysCfg.Shards = cfg.Shards
 	res, ms, err := runOne(campaign{
 		duration:  cfg.Duration,
 		diverge:   cfg.Duration / 2,

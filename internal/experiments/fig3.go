@@ -35,16 +35,12 @@ type CyberResilienceConfig struct {
 	// HoldoverWindow arms the ptp4l holdover watchdog for chaos-composed
 	// runs (zero keeps the paper's free-run default).
 	HoldoverWindow time.Duration `json:"holdover_window,omitempty"`
-	// Shards runs the simulation on a sharded PDES kernel (1 = the legacy
-	// single scheduler). Results are bit-identical at every shard count.
-	Shards int `json:"shards,omitempty"`
 }
 
 func (c CyberResilienceConfig) withDefaults() CyberResilienceConfig {
 	if c.Duration <= 0 {
 		c.Duration = time.Hour
 	}
-	c.Shards = defaultShards(c.Shards)
 	return c
 }
 
@@ -54,7 +50,6 @@ func (c CyberResilienceConfig) Validate() error {
 		checkDurations(
 			field{"duration", c.Duration},
 			field{"holdover_window", c.HoldoverWindow}),
-		checkShards(defaultShards(c.Shards)),
 		checkPlan(c.ChaosPlan),
 	)
 }
@@ -158,7 +153,6 @@ func CyberResilience(cfg CyberResilienceConfig) (*CyberResilienceResult, error) 
 	cfg = cfg.withDefaults()
 	sysCfg := core.NewConfig(cfg.Seed)
 	sysCfg.HoldoverWindow = cfg.HoldoverWindow
-	sysCfg.Shards = cfg.Shards
 	if cfg.DiverseKernels {
 		sysCfg.DiversifyKernels("c41")
 	}

@@ -40,9 +40,6 @@ type FaultInjectionConfig struct {
 	// HoldoverWindow arms the ptp4l holdover watchdog for chaos-composed
 	// campaigns (zero keeps the paper's free-run default).
 	HoldoverWindow time.Duration `json:"holdover_window,omitempty"`
-	// Shards runs the simulation on a sharded PDES kernel (1 = the legacy
-	// single scheduler). Results are bit-identical at every shard count.
-	Shards int `json:"shards,omitempty"`
 	// Metrics optionally instruments the run's pool (fork accounting).
 	Metrics *obs.Registry `json:"-"`
 	// Snapshots optionally shares the fault-free convergence prefix (up to
@@ -74,7 +71,7 @@ func (c FaultInjectionConfig) Validate() error {
 		return fmt.Errorf("redundant_min_per_hour (%v) exceeds redundant_max_per_hour (%v)",
 			c.RedundantMinPerHour, c.RedundantMaxPerHour)
 	}
-	return firstErr(checkShards(defaultShards(c.Shards)), checkPlan(c.ChaosPlan))
+	return checkPlan(c.ChaosPlan)
 }
 
 func (c FaultInjectionConfig) withDefaults() FaultInjectionConfig {
@@ -93,7 +90,6 @@ func (c FaultInjectionConfig) withDefaults() FaultInjectionConfig {
 	if c.Downtime <= 0 {
 		c.Downtime = 45 * time.Second
 	}
-	c.Shards = defaultShards(c.Shards)
 	return c
 }
 
@@ -230,7 +226,6 @@ func FaultInjection(cfg FaultInjectionConfig) (*FaultInjectionResult, error) {
 	cfg = cfg.withDefaults()
 	sysCfg := core.NewConfig(cfg.Seed)
 	sysCfg.HoldoverWindow = cfg.HoldoverWindow
-	sysCfg.Shards = cfg.Shards
 	c := campaign{
 		duration:  cfg.Duration,
 		diverge:   faultInjectStart,

@@ -29,10 +29,6 @@ type MultiSeedConfig struct {
 	// result is identical for every value — each seed runs in its own
 	// simulation with its own sim.Streams.
 	Parallel int `json:"parallel,omitempty"`
-	// Shards runs every per-seed campaign on a sharded PDES kernel (1 = the
-	// legacy single scheduler). Results are bit-identical at every shard
-	// count.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Validate implements Validator.
@@ -40,10 +36,7 @@ func (c MultiSeedConfig) Validate() error {
 	if c.SeedCount < 0 {
 		return fmt.Errorf("seed_count must not be negative (got %d)", c.SeedCount)
 	}
-	return firstErr(
-		checkDurations(field{"duration", c.Duration}),
-		checkShards(defaultShards(c.Shards)),
-	)
+	return checkDurations(field{"duration", c.Duration})
 }
 
 func (c MultiSeedConfig) withDefaults() MultiSeedConfig {
@@ -60,7 +53,6 @@ func (c MultiSeedConfig) withDefaults() MultiSeedConfig {
 	if c.Duration <= 0 {
 		c.Duration = 15 * time.Minute
 	}
-	c.Shards = defaultShards(c.Shards)
 	return c
 }
 
@@ -151,7 +143,6 @@ func MultiSeedValidation(ctx context.Context, cfg MultiSeedConfig) (*MultiSeedRe
 					RedundantMinPerHour: 4,
 					RedundantMaxPerHour: 8,
 					Downtime:            30 * time.Second,
-					Shards:              cfg.Shards,
 				})
 			},
 		}

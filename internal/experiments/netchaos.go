@@ -49,9 +49,6 @@ type NetworkChaosConfig struct {
 	// anchored relative to engine start) makes the sweep run cold (see
 	// DESIGN.md "Warm-state snapshots").
 	Snapshots runner.SnapshotCache `json:"-"`
-	// Shards runs every point on a sharded PDES kernel (1 = the legacy
-	// single scheduler). Results are bit-identical at every shard count.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Validate implements Validator.
@@ -66,13 +63,10 @@ func (c NetworkChaosConfig) Validate() error {
 			return fmt.Errorf("partition_durations[%d] must be positive (got %v)", i, d)
 		}
 	}
-	return firstErr(
-		checkDurations(
-			field{"duration", c.Duration},
-			field{"chaos_start", c.ChaosStart},
-			field{"holdover_window", c.HoldoverWindow}),
-		checkShards(defaultShards(c.Shards)),
-	)
+	return checkDurations(
+		field{"duration", c.Duration},
+		field{"chaos_start", c.ChaosStart},
+		field{"holdover_window", c.HoldoverWindow})
 }
 
 func (c NetworkChaosConfig) withDefaults() NetworkChaosConfig {
@@ -82,16 +76,16 @@ func (c NetworkChaosConfig) withDefaults() NetworkChaosConfig {
 	if c.ChaosStart <= 0 {
 		c.ChaosStart = 3 * time.Minute
 	}
-	if len(c.BurstBadLoss) == 0 && c.PlanPath == "" {
+	// The built-in sweep fills in only when the config names no point of
+	// its own: a lone burst_bad_loss or partition_durations list is the
+	// whole sweep.
+	if len(c.BurstBadLoss) == 0 && len(c.PartitionDurations) == 0 && c.PlanPath == "" {
 		c.BurstBadLoss = []float64{0.25, 0.9}
-	}
-	if len(c.PartitionDurations) == 0 && c.PlanPath == "" {
 		c.PartitionDurations = []time.Duration{time.Second, 30 * time.Second}
 	}
 	if c.HoldoverWindow <= 0 {
 		c.HoldoverWindow = 2 * time.Second
 	}
-	c.Shards = defaultShards(c.Shards)
 	return c
 }
 
@@ -288,7 +282,6 @@ func NetworkChaos(ctx context.Context, cfg NetworkChaosConfig) (*NetworkChaosRes
 func chaosSystemConfig(cfg NetworkChaosConfig) core.Config {
 	sysCfg := core.NewConfig(cfg.Seed)
 	sysCfg.HoldoverWindow = cfg.HoldoverWindow
-	sysCfg.Shards = cfg.Shards
 	return sysCfg
 }
 

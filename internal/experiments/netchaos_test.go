@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -158,5 +159,36 @@ func TestNetworkChaosWarmHonoursCustomPlan(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold.Rows(), cached.Rows()) {
 		t.Fatalf("cached table diverged from cold:\ncold: %v\ncached: %v", cold.Rows(), cached.Rows())
+	}
+}
+
+// TestNetworkChaosOneListSweep: a config that names only one sweep axis
+// runs exactly the points it names; the built-in sweep fills in only when
+// neither axis is given.
+func TestNetworkChaosOneListSweep(t *testing.T) {
+	e, err := Lookup("netchaos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for raw, want := range map[string][]string{
+		`{"burst_bad_loss": [0.5]}`:              {"burst bad=0.50"},
+		`{"partition_durations": [10000000000]}`: {"partition 10s"},
+		`{}`:                                     {"burst bad=0.25", "burst bad=0.90", "partition 1s", "partition 30s"},
+	} {
+		cfg, err := e.DecodeConfig(json.RawMessage(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		plans, err := cfg.(NetworkChaosConfig).Plans()
+		if err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		var got []string
+		for _, p := range plans {
+			got = append(got, p.Name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: plans %q, want %q", raw, got, want)
+		}
 	}
 }

@@ -27,20 +27,14 @@ type RecoveryConfig struct {
 	// Parallel is the runner's worker count for the two stack campaigns
 	// (0 = GOMAXPROCS, 1 = sequential); the result is identical either way.
 	Parallel int `json:"parallel,omitempty"`
-	// Shards runs each campaign on a sharded PDES kernel (1 = the legacy
-	// single scheduler). Results are bit-identical at every shard count.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Validate implements Validator.
 func (c RecoveryConfig) Validate() error {
-	return firstErr(
-		checkDurations(
-			field{"duration", c.Duration},
-			field{"linux_downtime", c.LinuxDowntime},
-			field{"unikernel_downtime", c.UnikernelDowntime}),
-		checkShards(defaultShards(c.Shards)),
-	)
+	return checkDurations(
+		field{"duration", c.Duration},
+		field{"linux_downtime", c.LinuxDowntime},
+		field{"unikernel_downtime", c.UnikernelDowntime})
 }
 
 func (c RecoveryConfig) withDefaults() RecoveryConfig {
@@ -53,7 +47,6 @@ func (c RecoveryConfig) withDefaults() RecoveryConfig {
 	if c.UnikernelDowntime <= 0 {
 		c.UnikernelDowntime = 2 * time.Second
 	}
-	c.Shards = defaultShards(c.Shards)
 	return c
 }
 
@@ -122,7 +115,6 @@ func RecoveryComparison(ctx context.Context, cfg RecoveryConfig) (*RecoveryResul
 	run := func(downtime time.Duration) (RecoveryOutcome, error) {
 		out := RecoveryOutcome{Downtime: downtime}
 		sysCfg := core.NewConfig(cfg.Seed)
-		sysCfg.Shards = cfg.Shards
 		sys, err := core.NewSystem(sysCfg)
 		if err != nil {
 			return out, err

@@ -31,32 +31,32 @@ func liftCtx[C any, R Result](run func(context.Context, C) (R, error)) func(cont
 func init() {
 	RegisterFunc("bounds",
 		"§III-A3 bound methodology: E, Γ, u(N,f), Π, γ from measured latencies",
-		func(seed int64) BoundsConfig { return BoundsConfig{Seed: seed, Shards: 1} },
+		func(seed int64) BoundsConfig { return BoundsConfig{Seed: seed} },
 		lift(Bounds))
 
 	RegisterFunc("resilience",
 		"Fig. 3 cyber-resilience: CVE exploits on two grandmasters, identical or diverse kernels",
-		func(seed int64) CyberResilienceConfig { return CyberResilienceConfig{Seed: seed, Shards: 1} },
+		func(seed int64) CyberResilienceConfig { return CyberResilienceConfig{Seed: seed} },
 		lift(CyberResilience))
 
 	RegisterFunc("faultinjection",
 		"Fig. 4/5 fault-injection campaign: rotating GM shutdowns plus random redundant-VM failures",
-		func(seed int64) FaultInjectionConfig { return FaultInjectionConfig{Seed: seed, Shards: 1} },
+		func(seed int64) FaultInjectionConfig { return FaultInjectionConfig{Seed: seed} },
 		lift(FaultInjection))
 
 	RegisterFunc("baseline",
 		"A1 ablation: clients-only aggregation without initial grandmaster synchronization",
-		func(seed int64) BaselineConfig { return BaselineConfig{Seed: seed, Shards: 1} },
+		func(seed int64) BaselineConfig { return BaselineConfig{Seed: seed} },
 		lift(BaselineNoStartupSync))
 
 	RegisterFunc("single-domain",
 		"A2 ablation: plain single-domain gPTP vs the multi-domain FTA under one Byzantine GM",
-		func(seed int64) BaselineConfig { return BaselineConfig{Seed: seed, Shards: 1} },
+		func(seed int64) BaselineConfig { return BaselineConfig{Seed: seed} },
 		lift(AblationSingleDomainVsFTA))
 
 	RegisterFunc("flag-policy",
 		"A3 ablation: FTSHMEM validity-flag policies (monitor vs exclude) under one Byzantine GM",
-		func(seed int64) BaselineConfig { return BaselineConfig{Seed: seed, Shards: 1} },
+		func(seed int64) BaselineConfig { return BaselineConfig{Seed: seed} },
 		lift(AblationFlagPolicy))
 
 	RegisterFunc("bmca",
@@ -66,22 +66,22 @@ func init() {
 
 	RegisterFunc("voting",
 		"A5 ablation: 2f+1 fail-consistent monitor voting vs freshness-only detection",
-		func(seed int64) VotingConfig { return VotingConfig{Seed: seed, Shards: 1} },
+		func(seed int64) VotingConfig { return VotingConfig{Seed: seed} },
 		lift(VotingFailover))
 
 	RegisterFunc("recovery",
 		"§IV future work: GNU/Linux vs unikernel reboot time → redundancy exposure",
-		func(seed int64) RecoveryConfig { return RecoveryConfig{Seed: seed, Shards: 1} },
+		func(seed int64) RecoveryConfig { return RecoveryConfig{Seed: seed} },
 		liftCtx(RecoveryComparison))
 
 	RegisterFunc("interval",
 		"synchronization-interval sweep: the Γ = 2·r_max·S bound/precision trade-off",
-		func(seed int64) IntervalSweepConfig { return IntervalSweepConfig{Seed: seed, Shards: 1} },
+		func(seed int64) IntervalSweepConfig { return IntervalSweepConfig{Seed: seed} },
 		liftCtx(IntervalSweep))
 
 	RegisterFunc("domains",
 		"domain-count sweep: Byzantine masking across M = 2, 3, 4 domains",
-		func(seed int64) DomainSweepConfig { return DomainSweepConfig{Seed: seed, Shards: 1} },
+		func(seed int64) DomainSweepConfig { return DomainSweepConfig{Seed: seed} },
 		liftCtx(DomainSweep))
 
 	RegisterFunc("dynamic",
@@ -101,21 +101,21 @@ func init() {
 
 	RegisterFunc("netchaos",
 		"network chaos campaign: burst-loss and partition scenario plans vs the precision bounds, with servo holdover",
-		func(seed int64) NetworkChaosConfig { return NetworkChaosConfig{Seed: seed, Shards: 1} },
+		func(seed int64) NetworkChaosConfig { return NetworkChaosConfig{Seed: seed} },
 		liftCtx(NetworkChaos))
 
 	RegisterFunc("attacks",
 		"adversarial campaign: Byzantine GM falsification and on-path Sync delay attacks vs the analytic 2f+1 resilience bound",
-		func(seed int64) AttacksConfig { return AttacksConfig{Seed: seed, Shards: 1} },
+		func(seed int64) AttacksConfig { return AttacksConfig{Seed: seed} },
 		liftCtx(Attacks))
 
 	RegisterFunc("wansites",
 		"wide-area campaign: site failures and WAN asymmetry vs the site-level min(f, ⌊(N−1)/2⌋) quorum, with cross-site holdover",
-		func(seed int64) WanSitesConfig { return WanSitesConfig{Seed: seed, Shards: 1} },
+		func(seed int64) WanSitesConfig { return WanSitesConfig{Seed: seed} },
 		liftCtx(WanSites))
 
 	RegisterFunc("multiseed",
 		"the headline fault-injection result re-run across independent seeds",
-		func(seed int64) MultiSeedConfig { return MultiSeedConfig{CampaignSeed: seed, SeedCount: 5, Shards: 1} },
+		func(seed int64) MultiSeedConfig { return MultiSeedConfig{CampaignSeed: seed, SeedCount: 5} },
 		liftCtx(MultiSeedValidation))
 }

@@ -101,9 +101,6 @@ type IntervalSweepConfig struct {
 	// itself, so only the first point can fork from it; without a cache
 	// every point runs cold.
 	Snapshots runner.SnapshotCache `json:"-"`
-	// Shards runs every point on a sharded PDES kernel (1 = the legacy
-	// single scheduler). Results are bit-identical at every shard count.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Validate implements Validator.
@@ -113,10 +110,7 @@ func (c IntervalSweepConfig) Validate() error {
 			return fmt.Errorf("intervals[%d] must be positive (got %v)", i, s)
 		}
 	}
-	return firstErr(
-		checkDurations(field{"duration", c.Duration}),
-		checkShards(defaultShards(c.Shards)),
-	)
+	return checkDurations(field{"duration", c.Duration})
 }
 
 func (c IntervalSweepConfig) withDefaults() IntervalSweepConfig {
@@ -131,7 +125,6 @@ func (c IntervalSweepConfig) withDefaults() IntervalSweepConfig {
 	if c.Duration <= 0 {
 		c.Duration = 6 * time.Minute
 	}
-	c.Shards = defaultShards(c.Shards)
 	return c
 }
 
@@ -148,7 +141,6 @@ func IntervalSweep(ctx context.Context, cfg IntervalSweepConfig) (*SweepResult, 
 	for i, s := range cfg.Intervals {
 		sysCfg := core.NewConfig(cfg.Seed)
 		sysCfg.SyncInterval = s
-		sysCfg.Shards = cfg.Shards
 		label := fmt.Sprintf("S = %v", s)
 		points[i] = point[SweepPoint]{name: label, cfg: sysCfg, run: sweepRun(label, (90 * time.Second).Seconds())}
 	}
@@ -181,9 +173,6 @@ type DomainSweepConfig struct {
 	// itself, so only the first point can fork from it; without a cache
 	// every point runs cold.
 	Snapshots runner.SnapshotCache `json:"-"`
-	// Shards runs every point on a sharded PDES kernel (1 = the legacy
-	// single scheduler). Results are bit-identical at every shard count.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Validate implements Validator.
@@ -193,10 +182,7 @@ func (c DomainSweepConfig) Validate() error {
 			return fmt.Errorf("counts[%d] must be at least 2 domains (got %d)", i, m)
 		}
 	}
-	return firstErr(
-		checkDurations(field{"duration", c.Duration}),
-		checkShards(defaultShards(c.Shards)),
-	)
+	return checkDurations(field{"duration", c.Duration})
 }
 
 func (c DomainSweepConfig) withDefaults() DomainSweepConfig {
@@ -206,7 +192,6 @@ func (c DomainSweepConfig) withDefaults() DomainSweepConfig {
 	if c.Duration <= 0 {
 		c.Duration = 8 * time.Minute
 	}
-	c.Shards = defaultShards(c.Shards)
 	return c
 }
 
@@ -223,7 +208,6 @@ func DomainSweep(ctx context.Context, cfg DomainSweepConfig) (*SweepResult, erro
 	for i, m := range cfg.Counts {
 		sysCfg := core.NewConfig(cfg.Seed)
 		sysCfg.DomainCount = m
-		sysCfg.Shards = cfg.Shards
 		label := fmt.Sprintf("M = %d domains", m)
 		points[i] = point[SweepPoint]{
 			name: label,

@@ -57,24 +57,6 @@ func checkNonNegative(name string, v float64) error {
 	return nil
 }
 
-// checkShards rejects shard counts below 1. Zero never reaches validation:
-// withDefaults() maps it to 1 (the legacy single-scheduler kernel), and the
-// registry's default configs set it explicitly.
-func checkShards(shards int) error {
-	if shards < 1 {
-		return fmt.Errorf("shards must be >= 1 (got %d)", shards)
-	}
-	return nil
-}
-
-// defaultShards resolves a config's shard count (0 means "default": 1).
-func defaultShards(shards int) int {
-	if shards == 0 {
-		return 1
-	}
-	return shards
-}
-
 // checkPlan applies chaos.Load's static plan checks to an embedded plan
 // (nil means no plan), so a config carrying an empty or malformed plan is
 // rejected at decode time instead of after a System is built.

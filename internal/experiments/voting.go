@@ -23,9 +23,6 @@ type VotingConfig struct {
 	Settle time.Duration `json:"settle,omitempty"`
 	// Observe after the injection. Default 1 min.
 	Observe time.Duration `json:"observe,omitempty"`
-	// Shards runs the simulation on a sharded PDES kernel (1 = the legacy
-	// single scheduler). Results are bit-identical at every shard count.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Validate implements Validator.
@@ -33,12 +30,9 @@ func (c VotingConfig) Validate() error {
 	if err := checkFinite("corruption_ns", c.CorruptionNS); err != nil {
 		return err
 	}
-	return firstErr(
-		checkDurations(
-			field{"settle", c.Settle},
-			field{"observe", c.Observe}),
-		checkShards(defaultShards(c.Shards)),
-	)
+	return checkDurations(
+		field{"settle", c.Settle},
+		field{"observe", c.Observe})
 }
 
 func (c VotingConfig) withDefaults() VotingConfig {
@@ -51,7 +45,6 @@ func (c VotingConfig) withDefaults() VotingConfig {
 	if c.Observe <= 0 {
 		c.Observe = time.Minute
 	}
-	c.Shards = defaultShards(c.Shards)
 	return c
 }
 
@@ -103,7 +96,6 @@ func VotingFailover(cfg VotingConfig) (*VotingResult, error) {
 
 	run := func(voteThresholdNS float64) (maxErr, errIntegral float64, detection time.Duration, takeovers int, err error) {
 		sysCfg := core.NewConfig(cfg.Seed)
-		sysCfg.Shards = cfg.Shards
 		sysCfg.VMsPerNode = 3 // 2f+1 for f = 1 fail-consistent
 		sysCfg.VoteThresholdNS = voteThresholdNS
 		sys, err := core.NewSystem(sysCfg)

@@ -83,9 +83,6 @@ type WanSitesConfig struct {
 	// convergence prefix once and forks every point of that fabric size
 	// from it; the table is bit-identical to the cold runs.
 	Snapshots runner.SnapshotCache `json:"-"`
-	// Shards runs every point on a sharded PDES kernel (1 = the legacy
-	// single scheduler). Results are bit-identical at every shard count.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Validate implements Validator.
@@ -115,7 +112,6 @@ func (c WanSitesConfig) Validate() error {
 			field{"fault_duration", c.FaultDuration},
 			field{"holdover_window", c.HoldoverWindow},
 			field{"resync_window", c.ResyncWindow}),
-		checkShards(defaultShards(c.Shards)),
 	)
 }
 
@@ -147,7 +143,6 @@ func (c WanSitesConfig) withDefaults() WanSitesConfig {
 	if c.ResyncWindow <= 0 {
 		c.ResyncWindow = 20 * time.Second
 	}
-	c.Shards = defaultShards(c.Shards)
 	return c
 }
 
@@ -284,7 +279,7 @@ func (s wanScenario) failedCount() int {
 // campaign's single writer of the WAN delay axis (Link.SetWanDelay is
 // last-writer-wins between the two).
 func wanSitesSystemConfig(cfg WanSitesConfig, sites int) core.Config {
-	sysCfg := core.ScaleConfig(cfg.Seed, sites, 4, 2, cfg.Shards)
+	sysCfg := core.ScaleConfig(cfg.Seed, sites, 4, 2, 1)
 	sysCfg.WanSync.Enabled = true
 	sysCfg.WanSync.F = cfg.F
 	sysCfg.WanSync.HoldoverWindow = cfg.HoldoverWindow
@@ -330,7 +325,7 @@ func wanSitesPlan(cfg WanSitesConfig, sc wanScenario, sys *core.System) *chaos.P
 // measured degradation ladder (quorum retention, holdover entry,
 // re-stabilization after heal) is judged against the analytic site budget
 // min(f, ⌊(N−1)/2⌋); two runs of the same config are byte-identical, at
-// every shard count and worker count. The fabric size is the only axis that
+// every worker count. The fabric size is the only axis that
 // shapes the convergence prefix — failures and asymmetry start at
 // FaultStart — so each site count runs as one campaign, forking all of its
 // points from one prefix.
@@ -378,8 +373,7 @@ func WanSites(ctx context.Context, cfg WanSitesConfig) (*WanSitesResult, error) 
 
 // wanSitesCollect classifies one finished run. The verdict is computed
 // entirely from the coordinator's per-tick sample series and the wan_*
-// counters — both control-scheduler state, bit-identical at every shard
-// count.
+// counters, both control-scheduler state.
 func wanSitesCollect(cfg WanSitesConfig, sc wanScenario, sys *core.System) (WanSitePoint, []obs.Metric, error) {
 	co := sys.Wan()
 	if co == nil {

@@ -68,9 +68,9 @@ func EnableWarmStart(cfg any, reg *obs.Registry, snaps runner.SnapshotCache) (an
 // SetFields returns a copy of the config struct cfg with each named field it
 // declares set to the given value. Names the config does not declare, and
 // values not assignable to the field, are skipped; a nil value zeroes the
-// field. It is how the command-line tools apply a run knob (-parallel,
-// -shards, a campaign metrics registry) to whichever registered configs
-// have it, without a per-type list.
+// field. It is how the command-line tools apply a run knob (-parallel, a
+// campaign metrics registry) to whichever registered configs have it,
+// without a per-type list.
 func SetFields(cfg any, fields map[string]any) any {
 	v := reflect.ValueOf(cfg)
 	if v.Kind() != reflect.Struct {

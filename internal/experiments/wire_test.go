@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gptpfta/internal/core"
 	"gptpfta/internal/obs"
 	"gptpfta/internal/runner"
 )
@@ -51,12 +53,18 @@ func TestDecodeConfigNil(t *testing.T) {
 }
 
 // TestDecodeConfigUnknownField checks the strict decode: a typo'd key is an
-// error for every experiment, not a silently ignored no-op.
+// error for every experiment, not a silently ignored no-op. "shards" is
+// one: sharding is a property of a core.Config topology, not of a study.
 func TestDecodeConfigUnknownField(t *testing.T) {
 	for _, e := range All() {
-		if _, err := e.DecodeConfig(json.RawMessage(`{"no_such_knob": 1}`)); err == nil {
-			t.Fatalf("%s: unknown field accepted", e.Name())
-		}
+		t.Run(e.Name(), func(t *testing.T) {
+			for _, key := range []string{"no_such_knob", "shards"} {
+				_, err := e.DecodeConfig(json.RawMessage(`{"` + key + `": 2}`))
+				if err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
+					t.Errorf("%s: %v, want an unknown-field error", key, err)
+				}
+			}
+		})
 	}
 }
 
@@ -146,36 +154,45 @@ func TestWireResultEnvelope(t *testing.T) {
 	}
 }
 
-// TestShardsKnobWire pins the PDES knob's wire contract on every
-// shard-aware experiment: {"shards": N} decodes (snake_case key), the
-// registry default is 1 (legacy single scheduler), and negative values are
-// rejected by Validate through the strict decode path.
+// TestShardsKnobWire pins where the PDES knob lives on the wire: the
+// shard count is a core.Config field ({"shards": N}, default 1, kept
+// through a save and load), and no study config accepts it, so a payload
+// still carrying it fails closed instead of being silently ignored.
 func TestShardsKnobWire(t *testing.T) {
-	shardAware := []string{
+	if got := core.NewConfig(1).Shards; got != 1 {
+		t.Errorf("core.NewConfig Shards = %d, want 1", got)
+	}
+	cfg, err := core.ReadConfigJSON(strings.NewReader(`{"shards": 4}`))
+	if err != nil {
+		t.Fatalf("core decode shards=4: %v", err)
+	}
+	if cfg.Shards != 4 {
+		t.Errorf("core decoded Shards = %d, want 4", cfg.Shards)
+	}
+	var buf bytes.Buffer
+	if err := cfg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := core.ReadConfigJSON(&buf); err != nil || back.Shards != 4 {
+		t.Errorf("core round trip: Shards = %d, err %v; want 4", back.Shards, err)
+	}
+
+	formerlyShardAware := []string{
 		"bounds", "resilience", "faultinjection", "baseline", "single-domain",
 		"flag-policy", "voting", "recovery", "interval", "domains",
 		"netchaos", "multiseed", "attacks", "wansites",
 	}
-	for _, name := range shardAware {
+	for _, name := range formerlyShardAware {
 		e, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		def := reflect.ValueOf(e.DefaultConfig(1)).FieldByName("Shards")
-		if !def.IsValid() || def.Int() != 1 {
-			t.Errorf("%s: default config Shards = %v, want 1", name, def)
-			continue
+		if reflect.ValueOf(e.DefaultConfig(1)).FieldByName("Shards").IsValid() {
+			t.Errorf("%s: study config still has a Shards field", name)
 		}
-		cfg, err := e.DecodeConfig(json.RawMessage(`{"shards": 4}`))
-		if err != nil {
-			t.Errorf("%s: decode shards=4: %v", name, err)
-			continue
-		}
-		if got := reflect.ValueOf(cfg).FieldByName("Shards").Int(); got != 4 {
-			t.Errorf("%s: decoded Shards = %d, want 4", name, got)
-		}
-		if _, err := e.DecodeConfig(json.RawMessage(`{"shards": -1}`)); err == nil {
-			t.Errorf("%s: negative shards accepted", name)
+		_, err = e.DecodeConfig(json.RawMessage(`{"shards": 4}`))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "shards"`) {
+			t.Errorf("%s: decode shards=4: %v, want an unknown-field error", name, err)
 		}
 	}
 }
