@@ -62,11 +62,12 @@ bench:
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .
 
-# Informational regression gate: one -benchtime 1x pass diffed against the
-# committed baselines with cmd/benchdiff. The threshold is deliberately
-# generous (25x) and -warn-only keeps it non-blocking: a 1x pass on shared
-# CI hardware is noisy evidence, useful only for spotting order-of-magnitude
-# cliffs. `make bench` regenerates the committed baselines.
+# "The root benchmarks still run" (blocking): one -benchtime 1x pass of
+# every benchmark `make bench` commits, through cmd/benchjson, which exits
+# non-zero when a benchmark fails or panics (make's /bin/sh has no
+# pipefail, so the pipeline's status is benchjson's). Timing is not
+# compared: the paired bench/ runs are the performance evidence of record,
+# and `make bench` regenerates the committed baselines.
 bench-smoke:
 	@mkdir -p .bench-smoke
 	$(GO) test -run ^$$ -bench 'BenchmarkSchedulerThroughput|BenchmarkSchedulerCancelHeavy|BenchmarkNetsimFrameBurst' \
@@ -79,11 +80,6 @@ bench-smoke:
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/pdes.json
 	$(GO) test -run ^$$ -bench 'BenchmarkWANFabric' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/wan.json
-	$(GO) run ./cmd/benchdiff -warn-only -threshold 25 BENCH_scheduler.json .bench-smoke/scheduler.json
-	$(GO) run ./cmd/benchdiff -warn-only -threshold 25 BENCH_system.json .bench-smoke/system.json
-	$(GO) run ./cmd/benchdiff -warn-only -threshold 25 BENCH_sweep.json .bench-smoke/sweep.json
-	$(GO) run ./cmd/benchdiff -warn-only -threshold 25 BENCH_pdes.json .bench-smoke/pdes.json
-	$(GO) run ./cmd/benchdiff -warn-only -threshold 25 BENCH_wan.json .bench-smoke/wan.json
 
 # Outside-in benchmark gate (blocking): a short pass of bench/ over all four
 # workloads (mesh, fabric, campaign, served), which fails on any failed
@@ -93,13 +89,13 @@ bench-golden:
 	bash bench/run.sh --seconds 3 --trace 0
 	cd bench && $(GO) test ./...
 
-# Shard-scaling gate (blocking, unlike bench-smoke): run BenchmarkPDESFabric
+# Shard-scaling gate (blocking): run BenchmarkPDESFabric
 # at shards=1 and shards=4 in one process on one machine and compare the two
 # points with cmd/shardgate. events/op must match exactly (shard count must
 # not change what is simulated) and the sharded point must not regress more
 # than 10% in ns/op against shards=1 — machine speed cancels out of the
-# within-run ratio, so this stays meaningful on shared runners where the
-# absolute benchdiff comparison cannot.
+# within-run ratio, so this stays meaningful on shared runners where an
+# absolute comparison against committed baselines cannot.
 shard-scaling:
 	@mkdir -p .bench-smoke
 	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric/shards=(1|4)$$' -benchtime 3x -benchmem . \

@@ -4,6 +4,10 @@
 // with it). Standard columns become typed fields; custom b.ReportMetric
 // columns land in a metrics map.
 //
+// A transcript holding a failed benchmark (a "--- FAIL", "FAIL" or
+// "panic:" line) writes nothing and exits 1, so a pipeline whose shell has
+// no pipefail still fails when a benchmark does.
+//
 // Usage:
 //
 //	go test -bench X -benchmem . | benchjson -o BENCH_X.json
@@ -14,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -52,34 +57,45 @@ type Document struct {
 }
 
 func main() {
-	out := flag.String("o", "", "output file (default stdout)")
-	flag.Parse()
-	doc, err := parse(bufio.NewScanner(os.Stdin))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	enc, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	enc = append(enc, '\n')
-	if *out == "" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
+func run(args []string, in io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	out := fs.String("o", "", "output file (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	doc, err := parse(bufio.NewScanner(in))
+	if err != nil {
+		return err
+	}
+	enc, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	enc = append(enc, '\n')
+	if *out == "" {
+		_, err = stdout.Write(enc)
+		return err
+	}
+	return os.WriteFile(*out, enc, 0o644)
+}
+
+// parse reads the whole transcript and fails, listing the failure lines,
+// if any benchmark failed or panicked.
 func parse(sc *bufio.Scanner) (*Document, error) {
 	doc := &Document{NumCPU: runtime.NumCPU(), Results: []Result{}}
+	var failed []string
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
+		case strings.HasPrefix(line, "--- FAIL"), strings.HasPrefix(line, "FAIL"),
+			strings.HasPrefix(line, "panic:"):
+			failed = append(failed, line)
 		case strings.HasPrefix(line, "goos:"):
 			doc.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
 		case strings.HasPrefix(line, "goarch:"):
@@ -104,6 +120,9 @@ func parse(sc *bufio.Scanner) (*Document, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if len(failed) > 0 {
+		return nil, fmt.Errorf("benchmark run failed:\n%s", strings.Join(failed, "\n"))
 	}
 	// Hoist a uniform GOMAXPROCS into the header; a mixed run (-cpu=1,4)
 	// keeps the per-result values so nothing is misattributed.

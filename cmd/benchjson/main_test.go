@@ -2,6 +2,9 @@ package main
 
 import (
 	"bufio"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -74,5 +77,45 @@ func TestParseEmpty(t *testing.T) {
 	}
 	if doc.GoMaxProcs != 0 || len(doc.Results) != 0 {
 		t.Fatalf("empty input produced gomaxprocs=%d, %d results", doc.GoMaxProcs, len(doc.Results))
+	}
+}
+
+// TestRunFailedTranscript pins the pipeline gate: a transcript in which a
+// benchmark failed or panicked must make benchjson fail and write no file,
+// even though the passing lines parse, so `go test -bench … | benchjson`
+// fails without pipefail.
+func TestRunFailedTranscript(t *testing.T) {
+	for name, in := range map[string]string{
+		"fail": `goos: linux
+BenchmarkFoo-2   100  12345 ns/op
+--- FAIL: BenchmarkBar-2
+    bench_test.go:10: boom
+FAIL
+exit status 1
+FAIL	example.com/p	0.012s
+`,
+		"panic": `BenchmarkFoo-2   100  12345 ns/op
+panic: runtime error: index out of range [3] with length 3
+
+goroutine 7 [running]:
+FAIL	example.com/p	0.010s
+`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "BENCH.json")
+			if err := run([]string{"-o", out}, strings.NewReader(in), io.Discard); err == nil {
+				t.Fatal("failed transcript converted without error")
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Fatalf("failed transcript wrote %s (stat err %v)", out, err)
+			}
+		})
+	}
+	var buf strings.Builder
+	if err := run(nil, strings.NewReader("BenchmarkFoo-2   100  12345 ns/op\nPASS\nok  \texample.com/p\t0.01s\n"), &buf); err != nil {
+		t.Fatalf("passing transcript: %v", err)
+	}
+	if !strings.Contains(buf.String(), `"BenchmarkFoo"`) {
+		t.Fatalf("passing transcript lost its result:\n%s", buf.String())
 	}
 }

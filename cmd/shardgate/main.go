@@ -10,8 +10,9 @@
 //     the same machine. On a multi-core runner it should be faster; on a
 //     single-core runner this bounds the barrier overhead itself.
 //
-// Comparing two points from one run of one runner sidesteps the noise that
-// keeps benchdiff warn-only: machine speed cancels out of the ratio.
+// Comparing two points from one run of one runner sidesteps the noise of
+// comparing against committed baselines: machine speed cancels out of the
+// ratio.
 //
 // Usage:
 //

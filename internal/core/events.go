@@ -29,10 +29,11 @@ func (e Event) String() string {
 	return s
 }
 
-// EventLog accumulates events in time order. Each log has a single writer
-// (one shard's scheduler, or the control scheduler), so appends are
-// naturally ordered; a sharded system keeps one log per scheduler and
-// presents MergeEventLogs of them.
+// EventLog accumulates events in time order. A System keeps one log per
+// scheduler, each with a single writer (one shard's components, or the
+// control context through System.LogEvent), so appends are naturally
+// ordered. System.EventLog presents MergeEventLogs of them: a read view,
+// never a log to write to.
 type EventLog struct {
 	events []Event
 }
@@ -40,8 +41,8 @@ type EventLog struct {
 // NewEventLog creates an empty log.
 func NewEventLog() *EventLog { return &EventLog{} }
 
-// Append records an event.
-func (l *EventLog) Append(e Event) { l.events = append(l.events, e) }
+// add records an event.
+func (l *EventLog) add(e Event) { l.events = append(l.events, e) }
 
 // MergeEventLogs combines per-scheduler logs into one time-ordered log.
 // Entries at equal timestamps keep the argument order of their source logs

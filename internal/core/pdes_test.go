@@ -259,10 +259,9 @@ func TestShardEquivalenceForceParallel(t *testing.T) {
 // and a WAN site failure. Each injection is armed between Start and RunFor,
 // where the studies attach theirs, and every control-context action is
 // logged at the instant it fires, so its timing is part of the fingerprint.
-// Those entries go to the control log stamped with the control scheduler's
-// clock: on a sharded system EventLog() is a merged copy and System.Now()
-// reads one nanosecond behind a control instant. The reference run must
-// show the injection took effect.
+// The injectors use only the public control-context API (Scheduler, Now,
+// LogEvent), which must mean the same at every shard count. The reference
+// run must show the injection took effect.
 func TestShardEquivalenceInjected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-shard sweep")
@@ -354,14 +353,14 @@ func injectByzantine(t *testing.T, sys *System) {
 			vm, _ := sys.VM(target)
 			adv := attack.NewAdversary(behavior, sys.Streams().Stream("attack/"+target))
 			r := atk.Exploit(vm, adv.Offset(0))
-			sys.controlLog().Append(Event{At: sys.Scheduler().Now(), VM: target, Kind: "exploit", Detail: r.String()})
+			sys.LogEvent(Event{At: sys.Now(), VM: target, Kind: "exploit", Detail: r.String()})
 			if !r.Success {
 				t.Errorf("exploit of %s failed: %s", target, r)
 				continue
 			}
-			start := sys.Scheduler().Now()
+			start := sys.Now()
 			if _, err := sys.Scheduler().Every(start.Add(time.Second), time.Second, func() {
-				vm.InstallMaliciousPTP4L(adv.Offset(time.Duration(sys.Scheduler().Now() - start).Seconds()))
+				vm.InstallMaliciousPTP4L(adv.Offset(time.Duration(sys.Now() - start).Seconds()))
 			}); err != nil {
 				t.Error(err)
 			}
@@ -375,7 +374,7 @@ func injectSyncDelay(t *testing.T, sys *System) {
 	link := sys.Link("c31")
 	sys.Scheduler().At(sim.Time(30*time.Second), func() {
 		link.SetDelayAttack(attack.SyncDelayAttack{DelayNS: 24000, Dir: 0, Domain: -1})
-		sys.controlLog().Append(Event{At: sys.Scheduler().Now(), VM: "c31", Kind: "delay_attack"})
+		sys.LogEvent(Event{At: sys.Now(), VM: "c31", Kind: "delay_attack"})
 	})
 }
 
@@ -387,7 +386,7 @@ func injectPlan(t *testing.T, sys *System, plan *chaos.Plan) {
 		t.Fatal(err)
 	}
 	eng.SetActionObserver(func(a chaos.Action) {
-		sys.controlLog().Append(Event{At: sys.Scheduler().Now(), Kind: a.Op})
+		sys.LogEvent(Event{At: sys.Now(), Kind: a.Op})
 	})
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)

@@ -46,15 +46,13 @@ func (l *EventLog) Restore(snap any) {
 	l.events = append([]Event(nil), sn.events...)
 }
 
-// systemSnapshot captures a System. scheds mirrors System.scheds and
-// states System.stateful positionally; control is captured separately only
-// when sharded (unsharded it aliases scheds[0]). Snapshots are taken at
-// driver time, when every shard is parked at the same instant and all
-// boundary outboxes are empty.
+// systemSnapshot captures a System. scheds mirrors System.kernels and
+// states System.stateful positionally. Snapshots are taken at driver time,
+// when every shard is parked at the same instant and all boundary outboxes
+// are empty.
 type systemSnapshot struct {
 	sys     *System
 	scheds  []any
-	control any
 	streams any
 	metrics *obs.RegistryState
 	states  []any
@@ -65,17 +63,14 @@ type systemSnapshot struct {
 func (s *System) Snapshot() any {
 	sn := &systemSnapshot{
 		sys:     s,
-		scheds:  make([]any, len(s.scheds)),
+		scheds:  make([]any, len(s.kernels)),
 		streams: s.streams.Snapshot(),
 		metrics: s.obs.StateSnapshot(),
 		states:  sim.SnapshotAll(s.stateful),
 		started: s.started,
 	}
-	for i, sc := range s.scheds {
+	for i, sc := range s.kernels {
 		sn.scheds[i] = sc.Snapshot()
-	}
-	if s.fabric != nil {
-		sn.control = s.control.Snapshot()
 	}
 	return sn
 }
@@ -88,11 +83,10 @@ func (s *System) Restore(snap any) {
 	if sn.sys != s {
 		panic("core: snapshot restored into a different System")
 	}
-	for i, sc := range s.scheds {
+	for i, sc := range s.kernels {
 		sc.Restore(sn.scheds[i])
 	}
 	if s.fabric != nil {
-		s.control.Restore(sn.control)
 		s.fabric.Resync()
 	}
 	s.streams.Restore(sn.streams)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gptpfta/internal/clock"
+	"gptpfta/internal/faultinject"
 	"gptpfta/internal/fta"
 	"gptpfta/internal/gptp"
 	"gptpfta/internal/hypervisor"
@@ -23,13 +24,20 @@ import (
 // contiguously by global index and links that straddle a shard cut become
 // deferred-mailbox boundaries. Shards == 1 keeps the single legacy
 // scheduler, which then also serves as the control scheduler.
+//
+// The control context (Scheduler, Now, LogEvent, EventLog, NodeControls)
+// means the same at every shard count: Now reads the control instant,
+// LogEvent is the one writer of driver and control-callback events, and
+// EventLog is a merged read view.
 type System struct {
 	cfg Config
 	// scheds holds one scheduler per shard. control is the shard-less
 	// scheduler driving chaos plans, fault injectors and driver At/Every
-	// calls; unsharded it aliases scheds[0].
+	// calls; unsharded it aliases scheds[0]. kernels lists every distinct
+	// scheduler once: the shards, then control when sharded.
 	scheds  []*sim.Scheduler
 	control *sim.Scheduler
+	kernels []*sim.Scheduler
 	fabric  *sim.Fabric // nil when unsharded
 	streams *sim.Streams
 
@@ -54,7 +62,8 @@ type System struct {
 
 	collector *measure.Collector
 	// logs holds one event log per shard plus, when sharded, a trailing
-	// control log; EventLog() presents the deterministic merged view.
+	// control log (unsharded, the one log is both); EventLog() presents
+	// the deterministic merged view.
 	logs    []*EventLog
 	syncLat *measure.LatencyTracker
 	obs     *obs.Registry
@@ -98,9 +107,11 @@ func NewSystem(cfg Config) (*System, error) {
 	if nShards == 1 {
 		// Legacy kernel: one scheduler plays every role, one log.
 		s.control = s.scheds[0]
+		s.kernels = s.scheds
 		s.logs = []*EventLog{NewEventLog()}
 	} else {
 		s.control = sim.NewScheduler()
+		s.kernels = append(append([]*sim.Scheduler(nil), s.scheds...), s.control)
 		s.logs = make([]*EventLog, nShards+1)
 		for i := range s.logs {
 			s.logs[i] = NewEventLog()
@@ -150,22 +161,6 @@ func (s *System) shardOf(g int) int {
 // attached to it (its relay, node, VMs and their NICs).
 func (s *System) shardSched(g int) *sim.Scheduler { return s.scheds[s.shardOf(g)] }
 
-// eventNow timestamps an event emitted by a component owned by sc. Control
-// callbacks (fault injection, chaos) run while shards are paused one
-// nanosecond behind the control instant; taking the later of the two clocks
-// reproduces the timestamp a single-scheduler run would have logged. Both
-// reads are race-free: during shard windows the control scheduler is
-// parked, and control callbacks run only while every shard is parked.
-func (s *System) eventNow(sc *sim.Scheduler) sim.Time {
-	t := sc.Now()
-	if s.fabric != nil {
-		if ct := s.control.Now(); ct > t {
-			t = ct
-		}
-	}
-	return t
-}
-
 // controlLog is where driver/control-context events land (the trailing log,
 // which unsharded is the only log).
 func (s *System) controlLog() *EventLog { return s.logs[len(s.logs)-1] }
@@ -177,16 +172,12 @@ func (s *System) controlLog() *EventLog { return s.logs[len(s.logs)-1] }
 // digests are unaffected.
 func (s *System) Metrics() *obs.Registry { return s.obs }
 
-// ProcessedEvents totals the events executed across every shard scheduler
-// (plus the control scheduler when sharded) — the benchmark-facing
-// throughput counter.
+// ProcessedEvents totals the events executed across every scheduler — the
+// benchmark-facing throughput counter.
 func (s *System) ProcessedEvents() uint64 {
 	var n uint64
-	for _, sc := range s.scheds {
+	for _, sc := range s.kernels {
 		n += sc.Diag().Processed
-	}
-	if s.fabric != nil {
-		n += s.control.Diag().Processed
 	}
 	return n
 }
@@ -201,11 +192,8 @@ func (s *System) instrumentKernel() {
 	reg := s.obs
 	eachSched := func(fn func(d sim.Diagnostics) uint64) float64 {
 		var n uint64
-		for _, sc := range s.scheds {
+		for _, sc := range s.kernels {
 			n += fn(sc.Diag())
-		}
-		if s.fabric != nil {
-			n += fn(s.control.Diag())
 		}
 		return float64(n)
 	}
@@ -454,7 +442,7 @@ func (s *System) buildNodes() error {
 				VoteThresholdNS: s.cfg.VoteThresholdNS,
 			},
 			func(e hypervisor.Event) {
-				shardLog.Append(Event{At: s.eventNow(sc), Node: e.Node, VM: e.VM, Kind: e.Kind, Detail: e.Detail})
+				shardLog.add(Event{At: sc.Now(), Node: e.Node, VM: e.VM, Kind: e.Kind, Detail: e.Detail})
 			})
 		node.Instrument(s.obs)
 		s.nodes = append(s.nodes, node)
@@ -505,7 +493,7 @@ func (s *System) buildNodes() error {
 				SkipStartup:            s.cfg.BaselineClientsOnly,
 				DisableDiscipline:      s.cfg.BaselineClientsOnly && gmDomain >= 0,
 			}, func(e ptp4l.Event) {
-				shardLog.Append(Event{At: s.eventNow(sc), Node: nodeNameCopy, VM: vmNameCopy, Kind: e.Kind, Detail: e.Detail})
+				shardLog.add(Event{At: sc.Now(), Node: nodeNameCopy, VM: vmNameCopy, Kind: e.Kind, Detail: e.Detail})
 			})
 			if err != nil {
 				return err
@@ -746,14 +734,11 @@ func (s *System) Stop() {
 	// asked for an instant that had already elapsed (usually a drift-induced
 	// deadline miss) and silently ran late instead.
 	var clamps uint64
-	for _, sc := range s.scheds {
+	for _, sc := range s.kernels {
 		clamps += sc.PastClamps()
 	}
-	if s.fabric != nil {
-		clamps += s.control.PastClamps()
-	}
 	if clamps > 0 {
-		s.controlLog().Append(Event{At: s.Now(), Kind: "sched_past_clamps",
+		s.LogEvent(Event{At: s.Now(), Kind: "sched_past_clamps",
 			Detail: fmt.Sprintf("%d events clamped to now", clamps)})
 	}
 	s.started = false
@@ -780,18 +765,17 @@ func (s *System) RunUntil(t sim.Time) error {
 	return s.control.RunUntil(t)
 }
 
-// Now reports the current simulation instant.
-func (s *System) Now() sim.Time {
-	if s.fabric != nil {
-		return s.fabric.Now()
-	}
-	return s.control.Now()
-}
+// Now reports the control instant: inside a control callback at tc it reads
+// tc, and between RunFor/RunUntil calls the instant the last one reached.
+// Sharded, every shard clock reads the same instant whenever the control
+// context runs.
+func (s *System) Now() sim.Time { return s.control.Now() }
 
 // Scheduler exposes the control scheduler: the home for fault-injection
-// drivers, chaos plans and test hooks. Unsharded it is the simulation's
-// only scheduler; sharded, its events fire at barriers between windows,
-// never concurrently with shard execution.
+// drivers, chaos plans, attack timers and test hooks. Unsharded it is the
+// simulation's only scheduler; sharded, its events fire at barriers
+// between windows, never concurrently with shard execution, and before
+// the shards' own events at the same instant.
 func (s *System) Scheduler() *sim.Scheduler { return s.control }
 
 // Fabric exposes the PDES coordinator, nil when running unsharded.
@@ -831,20 +815,23 @@ func (s *System) VM(name string) (*hypervisor.CSVM, bool) {
 // Collector returns the measurement collector.
 func (s *System) Collector() *measure.Collector { return s.collector }
 
-// EventLog returns the experiment event log. Sharded, it is a merged view
-// rebuilt on every call: entries ordered by timestamp, control-context
-// events first among equals (they fire before shard events at the same
-// instant), then by shard. Unsharded, it is the live log itself.
+// EventLog returns a read view of the experiment event log, rebuilt on
+// every call at every shard count: entries ordered by timestamp,
+// control-context events first among equals (they fire before shard events
+// at the same instant), then by shard. Later events never reach a view
+// already taken; record them with LogEvent.
 func (s *System) EventLog() *EventLog {
-	if len(s.logs) == 1 {
-		return s.logs[0]
-	}
 	// Control log last in storage but first among timestamp ties.
 	ordered := make([]*EventLog, 0, len(s.logs))
 	ordered = append(ordered, s.controlLog())
 	ordered = append(ordered, s.logs[:len(s.logs)-1]...)
 	return MergeEventLogs(ordered...)
 }
+
+// LogEvent records a driver or control-callback event (an exploit, an
+// installed attack, a chaos action) in the control log. It is the only
+// writer outside the system's own components; stamp e.At with Now().
+func (s *System) LogEvent(e Event) { s.controlLog().add(e) }
 
 // SyncLatencies returns the tracker of observed Sync path latencies.
 func (s *System) SyncLatencies() *measure.LatencyTracker { return s.syncLat }
@@ -910,36 +897,21 @@ func (s *System) TruePrecision() (float64, bool) {
 	return worst, true
 }
 
-// nodeControl adapts a node for the faultinject package.
-type nodeControl struct {
-	sys *System
-	idx int
-}
+// nodeControl adapts a node to faultinject.NodeControl.
+type nodeControl struct{ node *hypervisor.Node }
 
-// NodeControls returns fault-injection adapters for every node.
-func (s *System) NodeControls() []NodeControlAdapter {
-	out := make([]NodeControlAdapter, len(s.nodes))
-	for i := range s.nodes {
-		out[i] = NodeControlAdapter{&nodeControl{sys: s, idx: i}}
+// NodeControls returns fault-injection handles for every node, ready for
+// faultinject.New on the control scheduler.
+func (s *System) NodeControls() []faultinject.NodeControl {
+	out := make([]faultinject.NodeControl, len(s.nodes))
+	for i, n := range s.nodes {
+		out[i] = nodeControl{n}
 	}
 	return out
 }
 
-// NodeControlAdapter wraps the unexported adapter so callers outside the
-// package can pass it to faultinject.New.
-type NodeControlAdapter struct{ *nodeControl }
-
-// ControlName implements faultinject.NodeControl.
-func (c *nodeControl) ControlName() string { return c.sys.nodes[c.idx].Name() }
-
-// NumVMs implements faultinject.NodeControl.
-func (c *nodeControl) NumVMs() int { return len(c.sys.nodes[c.idx].VMs()) }
-
-// VMFailed implements faultinject.NodeControl.
-func (c *nodeControl) VMFailed(i int) bool { return c.sys.nodes[c.idx].VM(i).Failed() }
-
-// InjectFail implements faultinject.NodeControl.
-func (c *nodeControl) InjectFail(i int) error { return c.sys.nodes[c.idx].FailVM(i) }
-
-// InjectReboot implements faultinject.NodeControl.
-func (c *nodeControl) InjectReboot(i int) error { return c.sys.nodes[c.idx].RebootVM(i) }
+func (c nodeControl) ControlName() string      { return c.node.Name() }
+func (c nodeControl) NumVMs() int              { return len(c.node.VMs()) }
+func (c nodeControl) VMFailed(i int) bool      { return c.node.VM(i).Failed() }
+func (c nodeControl) InjectFail(i int) error   { return c.node.FailVM(i) }
+func (c nodeControl) InjectReboot(i int) error { return c.node.RebootVM(i) }

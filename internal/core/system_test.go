@@ -267,9 +267,9 @@ func TestDiversifyKernels(t *testing.T) {
 
 func TestEventLog(t *testing.T) {
 	l := NewEventLog()
-	l.Append(Event{At: 1, Kind: "a"})
-	l.Append(Event{At: 2, Kind: "b", Detail: "x"})
-	l.Append(Event{At: 3, Kind: "a"})
+	l.add(Event{At: 1, Kind: "a"})
+	l.add(Event{At: 2, Kind: "b", Detail: "x"})
+	l.add(Event{At: 3, Kind: "a"})
 	if l.Len() != 3 {
 		t.Fatal("len wrong")
 	}
@@ -447,8 +447,8 @@ func TestGMAndRedundantStaggeredFailures(t *testing.T) {
 
 func TestEventLogWriteCSV(t *testing.T) {
 	l := NewEventLog()
-	l.Append(Event{At: 125000000, Node: "dev1", VM: "c11", Kind: "vm_failed"})
-	l.Append(Event{At: 250000000, Node: "dev1", VM: "c12", Kind: "takeover", Detail: "replacing c11"})
+	l.add(Event{At: 125000000, Node: "dev1", VM: "c11", Kind: "vm_failed"})
+	l.add(Event{At: 250000000, Node: "dev1", VM: "c12", Kind: "takeover", Detail: "replacing c11"})
 	var b strings.Builder
 	if err := l.WriteCSV(&b); err != nil {
 		t.Fatalf("write: %v", err)

@@ -329,7 +329,7 @@ func attackRun(cfg AttacksConfig, sc attackScenario, behavior attack.Behavior,
 			}
 			adv := attack.NewAdversary(behavior, sys.Streams().Stream("attack/"+target))
 			r := atk.Exploit(vm, adv.Offset(0))
-			sys.EventLog().Append(core.Event{
+			sys.LogEvent(core.Event{
 				At: sys.Now(), VM: target, Kind: "exploit", Detail: r.String(),
 			})
 			if r.Success && !behavior.Static() {
@@ -340,7 +340,7 @@ func attackRun(cfg AttacksConfig, sc attackScenario, behavior attack.Behavior,
 					vm.InstallMaliciousPTP4L(adv.Offset(elapsed))
 				})
 				if terr != nil {
-					sys.EventLog().Append(core.Event{
+					sys.LogEvent(core.Event{
 						At: sys.Now(), VM: target, Kind: "exploit",
 						Detail: "behavior ticker failed: " + terr.Error(),
 					})
@@ -362,7 +362,7 @@ func attackRun(cfg AttacksConfig, sc attackScenario, behavior attack.Behavior,
 			// the grandmaster's outbound Sync frames (all domains — the GM
 			// only masters one).
 			link.SetDelayAttack(attack.SyncDelayAttack{DelayNS: delayNS, Dir: 0, Domain: -1})
-			sys.EventLog().Append(core.Event{
+			sys.LogEvent(core.Event{
 				At: sys.Now(), VM: cfg.DelayTarget, Kind: "delay_attack",
 				Detail: fmt.Sprintf("on-path Sync delay %v installed on uplink", sc.delay),
 			})

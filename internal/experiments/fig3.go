@@ -182,7 +182,7 @@ func CyberResilience(cfg CyberResilienceConfig) (*CyberResilienceResult, error) 
 				return
 			}
 			r := atk.Exploit(vm, attack.MaliciousOriginOffsetNS)
-			sys.EventLog().Append(core.Event{
+			sys.LogEvent(core.Event{
 				At: sys.Now(), Node: "", VM: target, Kind: "exploit", Detail: r.String(),
 			})
 		}

@@ -253,12 +253,7 @@ func FaultInjection(cfg FaultInjectionConfig) (*FaultInjectionResult, error) {
 // faultInjectionRun attaches the injection campaign to a system standing at
 // the boundary, runs the remainder, and assembles the result.
 func faultInjectionRun(cfg FaultInjectionConfig, sys *core.System, remaining time.Duration) (*FaultInjectionResult, []obs.Metric, error) {
-	controls := sys.NodeControls()
-	nodes := make([]faultinject.NodeControl, len(controls))
-	for i := range controls {
-		nodes[i] = controls[i]
-	}
-	inj, err := faultinject.New(sys.Scheduler(), sys.Streams().Stream("inject"), nodes,
+	inj, err := faultinject.New(sys.Scheduler(), sys.Streams().Stream("inject"), sys.NodeControls(),
 		faultinject.Config{
 			GMPeriod:            cfg.GMPeriod,
 			RedundantMinPerHour: cfg.RedundantMinPerHour,
@@ -291,10 +286,10 @@ func faultInjectionRun(cfg FaultInjectionConfig, sys *core.System, remaining tim
 	res.Bound, _ = sys.PrecisionBound()
 	res.Injection = inj.Stats()
 
-	counts := sys.EventLog().CountsByKindAndDetail()
+	counts := res.Events.CountsByKindAndDetail()
 	res.TxTimestampTimeouts = counts[ptp4l.EventFault+"/"+gptp.FaultTxTimestampTimeout]
 	res.DeadlineMisses = counts[ptp4l.EventFault+"/"+gptp.FaultDeadlineMiss]
-	res.Takeovers = sys.EventLog().CountsByKind()["takeover"]
+	res.Takeovers = res.Events.CountsByKind()["takeover"]
 
 	res.Stats, res.Violations, _ = steadyStats(res.Samples, (30 * time.Second).Seconds(), float64(res.Bound+res.Gamma))
 	return res, sys.Metrics().Snapshot(), nil

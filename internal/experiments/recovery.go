@@ -122,12 +122,7 @@ func RecoveryComparison(ctx context.Context, cfg RecoveryConfig) (*RecoveryResul
 		if err := sys.Start(); err != nil {
 			return out, err
 		}
-		controls := sys.NodeControls()
-		nodes := make([]faultinject.NodeControl, len(controls))
-		for i := range controls {
-			nodes[i] = controls[i]
-		}
-		inj, err := faultinject.New(sys.Scheduler(), sys.Streams().Stream("inject"), nodes,
+		inj, err := faultinject.New(sys.Scheduler(), sys.Streams().Stream("inject"), sys.NodeControls(),
 			faultinject.Config{
 				GMPeriod:            10 * time.Minute,
 				RedundantMinPerHour: 3,

@@ -336,8 +336,8 @@ type Metric struct {
 	Histogram *HistogramSnapshot `json:"histogram,omitempty"`
 }
 
-// Key canonicalises the metric's identity (name plus sorted labels) for
-// cross-snapshot matching (cmd/benchdiff).
+// Key canonicalises the metric's identity (name plus sorted labels); the
+// snapshot is ordered by it.
 func (m Metric) Key() string {
 	if len(m.Labels) == 0 {
 		return m.Name

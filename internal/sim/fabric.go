@@ -219,10 +219,6 @@ type fabricHooks struct {
 	lookStale  bool
 }
 
-// Now reports the fabric's committed instant: every shard has processed all
-// events up to and including it.
-func (f *Fabric) Now() Time { return f.now }
-
 // Stats returns the cumulative fabric counters.
 func (f *Fabric) Stats() FabricStats { return f.stats }
 
