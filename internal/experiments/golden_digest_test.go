@@ -191,3 +191,106 @@ func TestGoldenDigestRunToRun(t *testing.T) {
 		t.Fatalf("same-seed runs diverged: %s vs %s", a, b)
 	}
 }
+
+// The comparison goldens pin the two-system studies (A1–A3, the voting and
+// recovery contrasts) and the multi-seed campaign at shortened horizons:
+// every statistic enters at full precision, not only as its rendered row.
+const (
+	goldenBaselineDigest     = "a5b8c890af564c083166c6f471b1225b202014813e7bab30919da4ecb931abd9"
+	goldenSingleDomainDigest = "308e99689b1a358f3ffbe7cade223137e0ffcc4ab53cf65094281df2fd802f0f"
+	goldenFlagPolicyDigest   = "3e867b2ec510dab57515a018ec4897f1ab58747ba9fb0ec9a84d74260e65100b"
+	goldenVotingDigest       = "644b24845d45a4d882cf7f63e675acffa68ec66b1d17d26c94e9e68b0c66eb6b"
+	goldenRecoveryDigest     = "239f1ccddd219a8bfda30cb20a5c276153007174ee450d74a07f2269644b1daf"
+	goldenMultiSeedDigest    = "25f5b5f67018b9cc0b5b3d0434aa7a68ee5b16b14a9fbc7ba09d56c5deb8bd31"
+)
+
+// hashFloats folds the bit patterns of vs into h.
+func hashFloats(h hash.Hash, vs ...float64) {
+	for _, v := range vs {
+		fmt.Fprintf(h, "%016x ", math.Float64bits(v))
+	}
+	fmt.Fprintln(h)
+}
+
+func hashStats(h hash.Hash, s measure.Stats) {
+	hashFloats(h, s.MeanNS, s.StdNS, s.MinNS, s.MaxNS, s.MaxAtSec)
+	fmt.Fprintf(h, "%d\n", s.Count)
+}
+
+func TestGoldenDigestComparisons(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(BaselineConfig) (*ComparisonResult, error)
+		cfg  BaselineConfig
+		want string
+	}{
+		{"baseline", BaselineNoStartupSync, BaselineConfig{Seed: 1, Duration: 4 * time.Minute}, goldenBaselineDigest},
+		{"single-domain", AblationSingleDomainVsFTA, BaselineConfig{Seed: 1, Duration: 6 * time.Minute}, goldenSingleDomainDigest},
+		{"flag-policy", AblationFlagPolicy, BaselineConfig{Seed: 1, Duration: 6 * time.Minute}, goldenFlagPolicyDigest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			hashRows(h, res.Rows())
+			hashStats(h, res.OursStats)
+			hashStats(h, res.VariantStats)
+			hashFloats(h, res.BoundNS)
+			if got := digest(h); got != tc.want {
+				t.Fatalf("%s digest changed: got %s want %s\nsummary: %s", tc.name, got, tc.want, res.Summary())
+			}
+		})
+	}
+}
+
+func TestGoldenDigestVoting(t *testing.T) {
+	res, err := VotingFailover(VotingConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	hashRows(h, res.Rows())
+	hashFloats(h, res.WithVotingMaxErrNS, res.WithoutVotingMaxErrNS,
+		res.WithVotingErrIntegral, res.WithoutVotingErrIntegral)
+	fmt.Fprintf(h, "%d %d\n", res.VotingDetection, res.VotingTakeovers)
+	if got := digest(h); got != goldenVotingDigest {
+		t.Fatalf("voting digest changed: got %s want %s\nsummary: %s", got, goldenVotingDigest, res.Summary())
+	}
+}
+
+func TestGoldenDigestRecovery(t *testing.T) {
+	res, err := RecoveryComparison(context.Background(), RecoveryConfig{Seed: 1, Duration: 20 * time.Minute, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	hashRows(h, res.Rows())
+	for _, o := range []RecoveryOutcome{res.Linux, res.Unikernel} {
+		hashFloats(h, o.DegradedSeconds, o.StaleDomainSeconds, o.MeanPrecisionNS)
+		fmt.Fprintf(h, "%d %d\n", o.Downtime, o.Failures)
+	}
+	if got := digest(h); got != goldenRecoveryDigest {
+		t.Fatalf("recovery digest changed: got %s want %s\nsummary: %s", got, goldenRecoveryDigest, res.Summary())
+	}
+}
+
+func TestGoldenDigestMultiSeed(t *testing.T) {
+	res, err := MultiSeedValidation(context.Background(), MultiSeedConfig{
+		Seeds: []int64{1, 2}, Duration: 6 * time.Minute, Parallel: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	hashRows(h, res.Rows())
+	for _, o := range res.Outcomes {
+		hashFloats(h, o.MeanNS, o.MaxNS)
+	}
+	hashFloats(h, res.MeanOfMeansNS, res.StdOfMeansNS, res.WorstMaxNS)
+	fmt.Fprintf(h, "%d\n", res.AnyViolations)
+	if got := digest(h); got != goldenMultiSeedDigest {
+		t.Fatalf("multiseed digest changed: got %s want %s\nsummary: %s", got, goldenMultiSeedDigest, res.Summary())
+	}
+}
