@@ -31,7 +31,7 @@ import (
 func BenchmarkBoundsMethodology(b *testing.B) {
 	var last *experiments.BoundsResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Bounds(experiments.BoundsConfig{
+		res, err := experiments.Bounds(context.Background(), experiments.BoundsConfig{
 			Seed:     int64(i + 1),
 			Duration: 3 * time.Minute,
 		})
@@ -50,7 +50,7 @@ func BenchmarkBoundsMethodology(b *testing.B) {
 func BenchmarkFig3aIdenticalKernels(b *testing.B) {
 	var last *experiments.CyberResilienceResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.CyberResilience(experiments.CyberResilienceConfig{
+		res, err := experiments.CyberResilience(context.Background(), experiments.CyberResilienceConfig{
 			Seed:     int64(i + 1),
 			Duration: 10 * time.Minute,
 		})
@@ -72,7 +72,7 @@ func BenchmarkFig3aIdenticalKernels(b *testing.B) {
 func BenchmarkFig3bDiverseKernels(b *testing.B) {
 	var last *experiments.CyberResilienceResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.CyberResilience(experiments.CyberResilienceConfig{
+		res, err := experiments.CyberResilience(context.Background(), experiments.CyberResilienceConfig{
 			Seed:           int64(i + 1),
 			Duration:       10 * time.Minute,
 			DiverseKernels: true,
@@ -94,7 +94,7 @@ func BenchmarkFig3bDiverseKernels(b *testing.B) {
 func BenchmarkFig4aFaultInjection(b *testing.B) {
 	var last *experiments.FaultInjectionResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.FaultInjection(experiments.FaultInjectionConfig{
+		res, err := experiments.FaultInjection(context.Background(), experiments.FaultInjectionConfig{
 			Seed:                int64(i + 1),
 			Duration:            20 * time.Minute,
 			GMPeriod:            5 * time.Minute,
@@ -118,7 +118,7 @@ func BenchmarkFig4aFaultInjection(b *testing.B) {
 func BenchmarkFig4bDistribution(b *testing.B) {
 	var stats measure.Stats
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.FaultInjection(experiments.FaultInjectionConfig{
+		res, err := experiments.FaultInjection(context.Background(), experiments.FaultInjectionConfig{
 			Seed:                int64(i + 1),
 			Duration:            15 * time.Minute,
 			GMPeriod:            5 * time.Minute,
@@ -140,7 +140,7 @@ func BenchmarkFig4bDistribution(b *testing.B) {
 // BenchmarkFig5EventWindow — E6: event extraction around the maximum
 // spike, correlating VM failures, takeovers and ptp4l transient faults.
 func BenchmarkFig5EventWindow(b *testing.B) {
-	res, err := experiments.FaultInjection(experiments.FaultInjectionConfig{
+	res, err := experiments.FaultInjection(context.Background(), experiments.FaultInjectionConfig{
 		Seed:                1,
 		Duration:            20 * time.Minute,
 		GMPeriod:            5 * time.Minute,
@@ -167,7 +167,7 @@ func BenchmarkFig5EventWindow(b *testing.B) {
 func BenchmarkBaselineNoStartupSync(b *testing.B) {
 	var last *experiments.ComparisonResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.BaselineNoStartupSync(experiments.BaselineConfig{
+		res, err := experiments.BaselineNoStartupSync(context.Background(), experiments.BaselineConfig{
 			Seed:     int64(i + 1),
 			Duration: 8 * time.Minute,
 		})
@@ -185,7 +185,7 @@ func BenchmarkBaselineNoStartupSync(b *testing.B) {
 func BenchmarkAblationSingleDomainVsFTA(b *testing.B) {
 	var last *experiments.ComparisonResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationSingleDomainVsFTA(experiments.BaselineConfig{
+		res, err := experiments.AblationSingleDomainVsFTA(context.Background(), experiments.BaselineConfig{
 			Seed:     int64(i + 1),
 			Duration: 8 * time.Minute,
 		})
@@ -203,7 +203,7 @@ func BenchmarkAblationSingleDomainVsFTA(b *testing.B) {
 func BenchmarkAblationFlagPolicy(b *testing.B) {
 	var last *experiments.ComparisonResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationFlagPolicy(experiments.BaselineConfig{
+		res, err := experiments.AblationFlagPolicy(context.Background(), experiments.BaselineConfig{
 			Seed:     int64(i + 1),
 			Duration: 6 * time.Minute,
 		})
@@ -402,7 +402,7 @@ func BenchmarkAblationBMCAReelection(b *testing.B) {
 func BenchmarkAblationVotingMonitor(b *testing.B) {
 	var last *experiments.VotingResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.VotingFailover(experiments.VotingConfig{
+		res, err := experiments.VotingFailover(context.Background(), experiments.VotingConfig{
 			Seed:    int64(i + 1),
 			Settle:  90 * time.Second,
 			Observe: 45 * time.Second,

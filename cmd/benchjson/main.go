@@ -5,8 +5,10 @@
 // columns land in a metrics map.
 //
 // A transcript holding a failed benchmark (a "--- FAIL", "FAIL" or
-// "panic:" line) writes nothing and exits 1, so a pipeline whose shell has
-// no pipefail still fails when a benchmark does.
+// "panic:" line), or no benchmark result at all, writes nothing and exits
+// 1, so a pipeline whose shell has no pipefail still fails when a
+// benchmark does, and a -bench pattern that matches nothing cannot commit
+// an empty document.
 //
 // Usage:
 //
@@ -72,6 +74,9 @@ func run(args []string, in io.Reader, stdout io.Writer) error {
 	doc, err := parse(bufio.NewScanner(in))
 	if err != nil {
 		return err
+	}
+	if len(doc.Results) == 0 {
+		return fmt.Errorf("no Benchmark result lines in the transcript (did the -bench pattern match nothing?)")
 	}
 	enc, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

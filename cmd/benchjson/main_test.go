@@ -80,6 +80,20 @@ func TestParseEmpty(t *testing.T) {
 	}
 }
 
+// TestRunEmptyTranscript pins the other half of the gate: a run whose
+// -bench pattern matched nothing prints no Benchmark line, and must fail
+// without writing a file rather than commit `"results": []`.
+func TestRunEmptyTranscript(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "BENCH.json")
+	in := "goos: linux\ngoarch: amd64\npkg: example.com/p\nPASS\nok  \texample.com/p\t0.01s\n"
+	if err := run([]string{"-o", out}, strings.NewReader(in), io.Discard); err == nil {
+		t.Fatal("transcript without results converted without error")
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("empty transcript wrote %s (stat err %v)", out, err)
+	}
+}
+
 // TestRunFailedTranscript pins the pipeline gate: a transcript in which a
 // benchmark failed or panicked must make benchjson fail and write no file,
 // even though the passing lines parse, so `go test -bench … | benchjson`

@@ -148,12 +148,7 @@ func TestSystemVMFailover(t *testing.T) {
 // startInjector attaches a started fault injector to every node of sys.
 func startInjector(t *testing.T, sys *System, cfg faultinject.Config) *faultinject.Injector {
 	t.Helper()
-	controls := sys.NodeControls()
-	nodes := make([]faultinject.NodeControl, len(controls))
-	for i := range controls {
-		nodes[i] = controls[i]
-	}
-	inj, err := faultinject.New(sys.Scheduler(), sys.Streams().Stream("inject"), nodes, cfg)
+	inj, err := faultinject.New(sys.Scheduler(), sys.Streams().Stream("inject"), sys.NodeControls(), cfg)
 	if err != nil {
 		t.Fatalf("injector: %v", err)
 	}

@@ -296,7 +296,8 @@ func Attacks(ctx context.Context, cfg AttacksConfig) (*AttacksResult, error) {
 	// The attacks are scheduled at the boundary, for AttackStart: identical
 	// kernels share one prefix, which diverse kernels change.
 	res := &AttacksResult{Config: cfg}
-	res.Points, res.Obs, err = runPoints(ctx, campaign{
+	var ms [][]obs.Metric
+	res.Points, ms, err = runPoints(ctx, campaign{
 		duration: cfg.Duration,
 		diverge:  cfg.AttackStart,
 		parallel: cfg.Parallel,
@@ -305,6 +306,7 @@ func Attacks(ctx context.Context, cfg AttacksConfig) (*AttacksResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.Obs = lastSnapshot(ms)
 	return res, nil
 }
 

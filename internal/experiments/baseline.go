@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -75,13 +76,6 @@ func steadyStats(samples []measure.Sample, settleSec, boundNS float64) (measure.
 	return measure.ComputeStats(steady), measure.ViolationCount(steady, boundNS), len(steady)
 }
 
-// comparisonObs merges the metrics of the two systems a comparison ran,
-// distinguishing the series with a "variant" label.
-func comparisonObs(ours, variant *core.System) []obs.Metric {
-	ms := obs.AddLabel(ours.Metrics().Snapshot(), "variant", "ours")
-	return append(ms, obs.AddLabel(variant.Metrics().Snapshot(), "variant", "variant")...)
-}
-
 // compromiseAt returns a setup that turns target's grandmaster Byzantine
 // (the paper's −24 µs origin falsification) at instant at.
 func compromiseAt(at time.Duration, target string) func(*core.System) {
@@ -94,21 +88,45 @@ func compromiseAt(at time.Duration, target string) func(*core.System) {
 	}
 }
 
-func runSystem(cfg core.Config, d time.Duration, drive func(*core.System)) (*core.System, error) {
-	sys, err := core.NewSystem(cfg)
+// comparisonRun is what a comparison keeps of one finished system.
+type comparisonRun struct {
+	samples []measure.Sample
+	limitNS float64 // Π+γ
+}
+
+// comparisonPoint is one side of a comparison: cfg's system runs the whole
+// horizon with setup (if any) attached at t=0.
+func comparisonPoint(name string, cfg core.Config, setup func(*core.System)) point[comparisonRun] {
+	return point[comparisonRun]{
+		name:  name,
+		cfg:   cfg,
+		setup: setup,
+		run: func(sys *core.System, remaining time.Duration) (comparisonRun, []obs.Metric, error) {
+			if err := sys.RunFor(remaining); err != nil {
+				return comparisonRun{}, nil, err
+			}
+			bound, _ := sys.PrecisionBound()
+			limit := float64(bound + sys.Collector().Gamma())
+			return comparisonRun{sys.Collector().Samples(), limit}, sys.Metrics().Snapshot(), nil
+		},
+	}
+}
+
+// compare runs the paper's architecture (ours) and an ablated variant for
+// d and contrasts their precision after the first minute against ours'
+// Π+γ. The two series of the merged metrics carry a "variant" label.
+func compare(ctx context.Context, name string, d time.Duration, ours, variant point[comparisonRun]) (*ComparisonResult, error) {
+	runs, ms, err := runPoints(ctx, campaign{duration: d, parallel: 1}, []point[comparisonRun]{ours, variant})
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Start(); err != nil {
-		return nil, err
-	}
-	if drive != nil {
-		drive(sys)
-	}
-	if err := sys.RunFor(d); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	limit := runs[0].limitNS
+	settle := time.Minute.Seconds()
+	res := &ComparisonResult{Name: name, BoundNS: limit}
+	res.OursStats, res.OursViolations, res.OursSamples = steadyStats(runs[0].samples, settle, limit)
+	res.VariantStats, res.VariantViolations, res.VariantSamples = steadyStats(runs[1].samples, settle, limit)
+	res.Obs = append(obs.AddLabel(ms[0], "variant", "ours"), obs.AddLabel(ms[1], "variant", "variant")...)
+	return res, nil
 }
 
 // BaselineNoStartupSync reproduces the paper's criticism of the
@@ -116,93 +134,41 @@ func runSystem(cfg core.Config, d time.Duration, drive func(*core.System)) (*cor
 // PTP clients, with no protocol to synchronize the grandmaster clocks of
 // different domains initially — grandmaster nodes free-run and the
 // grandmasters never agree.
-func BaselineNoStartupSync(cfg BaselineConfig) (*ComparisonResult, error) {
+func BaselineNoStartupSync(ctx context.Context, cfg BaselineConfig) (*ComparisonResult, error) {
 	cfg = cfg.withDefaults()
-
-	ours, err := runSystem(core.NewConfig(cfg.Seed), cfg.Duration, nil)
-	if err != nil {
-		return nil, err
-	}
 	baseCfg := core.NewConfig(cfg.Seed)
 	baseCfg.BaselineClientsOnly = true
-	base, err := runSystem(baseCfg, cfg.Duration, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	bound, _ := ours.PrecisionBound()
-	gamma := ours.Collector().Gamma()
-	limit := float64(bound + gamma)
-	settle := (60 * time.Second).Seconds()
-
-	res := &ComparisonResult{Name: "no-startup-sync baseline (clients only)", BoundNS: limit}
-	res.OursStats, res.OursViolations, res.OursSamples = steadyStats(ours.Collector().Samples(), settle, limit)
-	res.VariantStats, res.VariantViolations, res.VariantSamples = steadyStats(base.Collector().Samples(), settle, limit)
-	res.Obs = comparisonObs(ours, base)
-	return res, nil
+	return compare(ctx, "no-startup-sync baseline (clients only)", cfg.Duration,
+		comparisonPoint("ours", core.NewConfig(cfg.Seed), nil),
+		comparisonPoint("variant", baseCfg, nil))
 }
 
 // AblationSingleDomainVsFTA contrasts plain single-domain gPTP against the
 // paper's M = 4 multi-domain FTA when one grandmaster turns Byzantine:
 // without the FTA the falsified timestamps propagate unmasked.
-func AblationSingleDomainVsFTA(cfg BaselineConfig) (*ComparisonResult, error) {
+func AblationSingleDomainVsFTA(ctx context.Context, cfg BaselineConfig) (*ComparisonResult, error) {
 	cfg = cfg.withDefaults()
 	attackAt := cfg.Duration / 3
-
-	ours, err := runSystem(core.NewConfig(cfg.Seed), cfg.Duration, compromiseAt(attackAt, "c41"))
-	if err != nil {
-		return nil, err
-	}
 	singleCfg := core.NewConfig(cfg.Seed)
 	singleCfg.DomainCount = 1
 	singleCfg.F = 0
-	single, err := runSystem(singleCfg, cfg.Duration, compromiseAt(attackAt, "c11"))
-	if err != nil {
-		return nil, err
-	}
-
-	bound, _ := ours.PrecisionBound()
-	gamma := ours.Collector().Gamma()
-	limit := float64(bound + gamma)
-	settle := (60 * time.Second).Seconds()
-
-	res := &ComparisonResult{Name: "single-domain gPTP vs multi-domain FTA under one Byzantine GM", BoundNS: limit}
-	res.OursStats, res.OursViolations, res.OursSamples = steadyStats(ours.Collector().Samples(), settle, limit)
-	res.VariantStats, res.VariantViolations, res.VariantSamples = steadyStats(single.Collector().Samples(), settle, limit)
-	res.Obs = comparisonObs(ours, single)
-	return res, nil
+	return compare(ctx, "single-domain gPTP vs multi-domain FTA under one Byzantine GM", cfg.Duration,
+		comparisonPoint("ours", core.NewConfig(cfg.Seed), compromiseAt(attackAt, "c41")),
+		comparisonPoint("variant", singleCfg, compromiseAt(attackAt, "c11")))
 }
 
 // AblationFlagPolicy contrasts the FTSHMEM validity-flag policies under a
 // single Byzantine grandmaster: FlagMonitor (the paper's configuration,
 // masking via the FTA alone) against FlagExclude (outliers removed before
 // averaging).
-func AblationFlagPolicy(cfg BaselineConfig) (*ComparisonResult, error) {
+func AblationFlagPolicy(ctx context.Context, cfg BaselineConfig) (*ComparisonResult, error) {
 	cfg = cfg.withDefaults()
-	attackAt := cfg.Duration / 3
-
-	drive := compromiseAt(attackAt, "c41")
+	drive := compromiseAt(cfg.Duration/3, "c41")
 	monitorCfg := core.NewConfig(cfg.Seed)
 	monitorCfg.FlagPolicy = fta.FlagMonitor
-	monitor, err := runSystem(monitorCfg, cfg.Duration, drive)
-	if err != nil {
-		return nil, err
-	}
 	excludeCfg := core.NewConfig(cfg.Seed)
 	excludeCfg.FlagPolicy = fta.FlagExclude
-	exclude, err := runSystem(excludeCfg, cfg.Duration, drive)
-	if err != nil {
-		return nil, err
-	}
-
-	bound, _ := monitor.PrecisionBound()
-	gamma := monitor.Collector().Gamma()
-	limit := float64(bound + gamma)
-	settle := (60 * time.Second).Seconds()
-
-	res := &ComparisonResult{Name: "flag policy: monitor (ours) vs exclude", BoundNS: limit}
-	res.OursStats, res.OursViolations, res.OursSamples = steadyStats(monitor.Collector().Samples(), settle, limit)
-	res.VariantStats, res.VariantViolations, res.VariantSamples = steadyStats(exclude.Collector().Samples(), settle, limit)
-	res.Obs = comparisonObs(monitor, exclude)
-	return res, nil
+	return compare(ctx, "flag policy: monitor (ours) vs exclude", cfg.Duration,
+		comparisonPoint("ours", monitorCfg, drive),
+		comparisonPoint("variant", excludeCfg, drive))
 }

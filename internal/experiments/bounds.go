@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -108,16 +109,16 @@ func (r *BoundsResult) Figure() string {
 // attached it forks the rest of the window from a snapshot taken near its
 // middle: the run has no divergent machinery, so the result is
 // bit-identical either way.
-func Bounds(cfg BoundsConfig) (*BoundsResult, error) {
+func Bounds(ctx context.Context, cfg BoundsConfig) (*BoundsResult, error) {
 	cfg = cfg.withDefaults()
 	sysCfg := core.NewConfig(cfg.Seed)
-	res, ms, err := runOne(campaign{
+	res, ms, err := runPoints(ctx, campaign{
 		duration:  cfg.Duration,
 		diverge:   cfg.Duration / 2,
 		parallel:  1,
 		metrics:   cfg.Metrics,
 		snapshots: cfg.Snapshots,
-	}, point[*BoundsResult]{
+	}, []point[*BoundsResult]{{
 		name: "bounds",
 		cfg:  sysCfg,
 		run: func(sys *core.System, remaining time.Duration) (*BoundsResult, []obs.Metric, error) {
@@ -126,12 +127,12 @@ func Bounds(cfg BoundsConfig) (*BoundsResult, error) {
 			}
 			return boundsCollect(cfg, sysCfg, sys), sys.Metrics().Snapshot(), nil
 		},
-	})
+	}})
 	if err != nil {
 		return nil, err
 	}
-	res.Obs = ms
-	return res, nil
+	res[0].Obs = ms[0]
+	return res[0], nil
 }
 
 // boundsCollect instantiates the bound from a finished run.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 // exercised by the benchmark harness and command-line tools.
 
 func TestCyberResilienceIdenticalKernels(t *testing.T) {
-	res, err := CyberResilience(CyberResilienceConfig{Seed: 42, Duration: 12 * time.Minute})
+	res, err := CyberResilience(context.Background(), CyberResilienceConfig{Seed: 42, Duration: 12 * time.Minute})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -43,7 +44,7 @@ func TestCyberResilienceIdenticalKernels(t *testing.T) {
 }
 
 func TestCyberResilienceDiverseKernels(t *testing.T) {
-	res, err := CyberResilience(CyberResilienceConfig{Seed: 42, Duration: 12 * time.Minute, DiverseKernels: true})
+	res, err := CyberResilience(context.Background(), CyberResilienceConfig{Seed: 42, Duration: 12 * time.Minute, DiverseKernels: true})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -73,7 +74,7 @@ func TestCyberResilienceDiverseKernels(t *testing.T) {
 }
 
 func TestFaultInjectionShort(t *testing.T) {
-	res, err := FaultInjection(FaultInjectionConfig{
+	res, err := FaultInjection(context.Background(), FaultInjectionConfig{
 		Seed:                7,
 		Duration:            25 * time.Minute,
 		GMPeriod:            5 * time.Minute,
@@ -118,7 +119,7 @@ func TestFaultInjectionShort(t *testing.T) {
 }
 
 func TestBounds(t *testing.T) {
-	res, err := Bounds(BoundsConfig{Seed: 3, Duration: 4 * time.Minute})
+	res, err := Bounds(context.Background(), BoundsConfig{Seed: 3, Duration: 4 * time.Minute})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -143,7 +144,7 @@ func TestBounds(t *testing.T) {
 }
 
 func TestBaselineNoStartupSync(t *testing.T) {
-	res, err := BaselineNoStartupSync(BaselineConfig{Seed: 11, Duration: 10 * time.Minute})
+	res, err := BaselineNoStartupSync(context.Background(), BaselineConfig{Seed: 11, Duration: 10 * time.Minute})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -162,7 +163,7 @@ func TestBaselineNoStartupSync(t *testing.T) {
 }
 
 func TestAblationSingleDomainVsFTA(t *testing.T) {
-	res, err := AblationSingleDomainVsFTA(BaselineConfig{Seed: 12, Duration: 10 * time.Minute})
+	res, err := AblationSingleDomainVsFTA(context.Background(), BaselineConfig{Seed: 12, Duration: 10 * time.Minute})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -178,7 +179,7 @@ func TestAblationSingleDomainVsFTA(t *testing.T) {
 }
 
 func TestAblationFlagPolicy(t *testing.T) {
-	res, err := AblationFlagPolicy(BaselineConfig{Seed: 13, Duration: 8 * time.Minute})
+	res, err := AblationFlagPolicy(context.Background(), BaselineConfig{Seed: 13, Duration: 8 * time.Minute})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -1,12 +1,14 @@
 // Package experiments contains the canned reproductions of every figure in
 // the paper's evaluation (Fig. 3a, 3b, 4a, 4b, 5), the §III-A3 bounds
-// methodology, and the ablation studies listed in DESIGN.md. Each
-// experiment builds a core.System, drives the scenario, and returns a
-// structured result that the command-line tools render and the benchmark
-// harness regenerates.
+// methodology, and the ablation studies listed in DESIGN.md. Each study of
+// the paper's system runs its points through the point executor
+// (runPoints, warm.go), drives the scenario, and returns a structured
+// result that the command-line tools render and the benchmark harness
+// regenerates.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -16,6 +18,7 @@ import (
 	"gptpfta/internal/chaos"
 	"gptpfta/internal/core"
 	"gptpfta/internal/measure"
+	"gptpfta/internal/obs"
 	"gptpfta/internal/sim"
 )
 
@@ -148,24 +151,29 @@ func (r CyberResilienceResult) Figure() string {
 // CyberResilience runs the Fig. 3a / Fig. 3b experiment: an attacker with
 // user credentials on the grandmasters of dom1 (c11) and dom4 (c41)
 // escalates via CVE-2018-18955 and replaces benign ptp4l instances with
-// malicious ones shifting preciseOriginTimestamps by −24 µs.
-func CyberResilience(cfg CyberResilienceConfig) (*CyberResilienceResult, error) {
+// malicious ones shifting preciseOriginTimestamps by −24 µs. The chaos
+// engine and the exploits attach at t=0, so the run has no shared prefix.
+func CyberResilience(ctx context.Context, cfg CyberResilienceConfig) (*CyberResilienceResult, error) {
 	cfg = cfg.withDefaults()
 	sysCfg := core.NewConfig(cfg.Seed)
 	sysCfg.HoldoverWindow = cfg.HoldoverWindow
 	if cfg.DiverseKernels {
 		sysCfg.DiversifyKernels("c41")
 	}
-	sys, err := core.NewSystem(sysCfg)
+	res, _, err := runPoints(ctx, campaign{duration: cfg.Duration, parallel: 1},
+		[]point[*CyberResilienceResult]{{name: "resilience", cfg: sysCfg, run: cfg.run}})
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Start(); err != nil {
-		return nil, err
-	}
+	return res[0], nil
+}
+
+// run attaches the chaos engine and schedules both exploits on a started
+// system, runs it and counts the violations around the second attack.
+func (cfg CyberResilienceConfig) run(sys *core.System, remaining time.Duration) (*CyberResilienceResult, []obs.Metric, error) {
 	stopChaos, err := startChaos(sys, cfg.ChaosPlan, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Scale the paper's attack instants (21:42 and 31:52 into 1 h).
@@ -190,8 +198,8 @@ func CyberResilience(cfg CyberResilienceConfig) (*CyberResilienceResult, error) 
 	sys.Scheduler().At(sim.Time(first), exploit("c41"))
 	sys.Scheduler().At(sim.Time(second), exploit("c11"))
 
-	if err := sys.RunFor(cfg.Duration); err != nil {
-		return nil, err
+	if err := sys.RunFor(remaining); err != nil {
+		return nil, nil, err
 	}
 	stopChaos()
 
@@ -225,5 +233,5 @@ func CyberResilience(cfg CyberResilienceConfig) (*CyberResilienceResult, error) 
 		}
 	}
 	res.Obs = sys.Metrics().Snapshot()
-	return res, nil
+	return res, res.Obs, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -222,10 +223,8 @@ const faultInjectStart = 2 * time.Minute
 // injector (and optional chaos engine) attach at the warm boundary; both
 // anchor their firings to absolute instants, so where they attach does not
 // change when they fire.
-func FaultInjection(cfg FaultInjectionConfig) (*FaultInjectionResult, error) {
+func FaultInjection(ctx context.Context, cfg FaultInjectionConfig) (*FaultInjectionResult, error) {
 	cfg = cfg.withDefaults()
-	sysCfg := core.NewConfig(cfg.Seed)
-	sysCfg.HoldoverWindow = cfg.HoldoverWindow
 	c := campaign{
 		duration:  cfg.Duration,
 		diverge:   faultInjectStart,
@@ -236,23 +235,25 @@ func FaultInjection(cfg FaultInjectionConfig) (*FaultInjectionResult, error) {
 	if cfg.ChaosPlan != nil {
 		c.plans = []*chaos.Plan{cfg.ChaosPlan}
 	}
-	res, ms, err := runOne(c, point[*FaultInjectionResult]{
-		name: "faultinjection",
-		cfg:  sysCfg,
-		run: func(sys *core.System, remaining time.Duration) (*FaultInjectionResult, []obs.Metric, error) {
-			return faultInjectionRun(cfg, sys, remaining)
-		},
-	})
+	res, ms, err := runPoints(ctx, c, []point[*FaultInjectionResult]{faultInjectionPoint("faultinjection", cfg)})
 	if err != nil {
 		return nil, err
 	}
-	res.Obs = ms
-	return res, nil
+	res[0].Obs = ms[0]
+	return res[0], nil
 }
 
-// faultInjectionRun attaches the injection campaign to a system standing at
-// the boundary, runs the remainder, and assembles the result.
-func faultInjectionRun(cfg FaultInjectionConfig, sys *core.System, remaining time.Duration) (*FaultInjectionResult, []obs.Metric, error) {
+// faultInjectionPoint is one campaign (cfg defaulted) as a point:
+// FaultInjection runs one, MultiSeedValidation one per seed.
+func faultInjectionPoint(name string, cfg FaultInjectionConfig) point[*FaultInjectionResult] {
+	sysCfg := core.NewConfig(cfg.Seed)
+	sysCfg.HoldoverWindow = cfg.HoldoverWindow
+	return point[*FaultInjectionResult]{name: name, cfg: sysCfg, run: cfg.run}
+}
+
+// run attaches the injection campaign to a system standing at the
+// boundary, runs the remainder, and assembles the result.
+func (cfg FaultInjectionConfig) run(sys *core.System, remaining time.Duration) (*FaultInjectionResult, []obs.Metric, error) {
 	inj, err := faultinject.New(sys.Scheduler(), sys.Streams().Stream("inject"), sys.NodeControls(),
 		faultinject.Config{
 			GMPeriod:            cfg.GMPeriod,

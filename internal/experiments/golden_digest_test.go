@@ -51,7 +51,7 @@ func hashRows(h hash.Hash, rows [][]string) {
 func digest(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
 
 func TestGoldenDigestBounds(t *testing.T) {
-	res, err := Bounds(BoundsConfig{Seed: 1, Duration: 3 * time.Minute})
+	res, err := Bounds(context.Background(), BoundsConfig{Seed: 1, Duration: 3 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestGoldenDigestFig3(t *testing.T) {
 		{"diverse", true, goldenFig3bDigest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := CyberResilience(CyberResilienceConfig{
+			res, err := CyberResilience(context.Background(), CyberResilienceConfig{
 				Seed: 1, Duration: 8 * time.Minute, DiverseKernels: tc.diverse,
 			})
 			if err != nil {
@@ -94,7 +94,7 @@ func TestGoldenDigestFig3(t *testing.T) {
 }
 
 func TestGoldenDigestFig4(t *testing.T) {
-	res, err := FaultInjection(FaultInjectionConfig{
+	res, err := FaultInjection(context.Background(), FaultInjectionConfig{
 		Seed:                1,
 		Duration:            20 * time.Minute,
 		GMPeriod:            5 * time.Minute,
@@ -179,7 +179,7 @@ func checkRowsDigest(t *testing.T, name string, res Result, want string) {
 // one binary, independent of the pinned constants above.
 func TestGoldenDigestRunToRun(t *testing.T) {
 	run := func() string {
-		res, err := CyberResilience(CyberResilienceConfig{Seed: 7, Duration: 8 * time.Minute})
+		res, err := CyberResilience(context.Background(), CyberResilienceConfig{Seed: 7, Duration: 8 * time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func hashStats(h hash.Hash, s measure.Stats) {
 func TestGoldenDigestComparisons(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		run  func(BaselineConfig) (*ComparisonResult, error)
+		run  func(context.Context, BaselineConfig) (*ComparisonResult, error)
 		cfg  BaselineConfig
 		want string
 	}{
@@ -229,7 +229,7 @@ func TestGoldenDigestComparisons(t *testing.T) {
 		{"flag-policy", AblationFlagPolicy, BaselineConfig{Seed: 1, Duration: 6 * time.Minute}, goldenFlagPolicyDigest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := tc.run(tc.cfg)
+			res, err := tc.run(context.Background(), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +246,7 @@ func TestGoldenDigestComparisons(t *testing.T) {
 }
 
 func TestGoldenDigestVoting(t *testing.T) {
-	res, err := VotingFailover(VotingConfig{Seed: 1})
+	res, err := VotingFailover(context.Background(), VotingConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
-	"gptpfta/internal/runner"
 	"gptpfta/internal/sim"
 )
 
@@ -31,10 +31,21 @@ type MultiSeedConfig struct {
 	Parallel int `json:"parallel,omitempty"`
 }
 
+// maxSeeds caps a campaign's seed count (served's default point limit):
+// seed_count sizes an allocation before anything runs, so an untrusted
+// config must not choose it freely.
+const maxSeeds = 64
+
 // Validate implements Validator.
 func (c MultiSeedConfig) Validate() error {
-	if c.SeedCount < 0 {
-		return fmt.Errorf("seed_count must not be negative (got %d)", c.SeedCount)
+	if c.SeedCount < 0 || c.SeedCount > maxSeeds || len(c.Seeds) > maxSeeds {
+		return fmt.Errorf("seed_count and len(seeds) must be in [0, %d] (got %d and %d)",
+			maxSeeds, c.SeedCount, len(c.Seeds))
+	}
+	for i, s := range c.Seeds {
+		if slices.Contains(c.Seeds[:i], s) {
+			return fmt.Errorf("seeds repeats seed %d", s)
+		}
 	}
 	return checkDurations(field{"duration", c.Duration})
 }
@@ -124,35 +135,32 @@ func meanStd(values []float64) (mean, std float64) {
 }
 
 // MultiSeedValidation runs the fault-injection campaign once per seed —
-// fanned across the runner's worker pool — and aggregates the headline
-// statistics in seed order, regardless of completion order.
+// one point per seed, fanned across the point executor's workers — and
+// aggregates the headline statistics in seed order, regardless of
+// completion order. Distinct seeds never share a prefix, so no point forks.
 func MultiSeedValidation(ctx context.Context, cfg MultiSeedConfig) (*MultiSeedResult, error) {
 	cfg = cfg.withDefaults()
-	res := &MultiSeedResult{Config: cfg}
-
-	runs := make([]runner.Run, len(cfg.Seeds))
+	points := make([]point[*FaultInjectionResult], len(cfg.Seeds))
 	for i, seed := range cfg.Seeds {
-		seed := seed
-		runs[i] = runner.Run{
-			Name: fmt.Sprintf("seed/%d", seed),
-			Do: func(context.Context) (any, error) {
-				return FaultInjection(FaultInjectionConfig{
-					Seed:                seed,
-					Duration:            cfg.Duration,
-					GMPeriod:            cfg.Duration / 4,
-					RedundantMinPerHour: 4,
-					RedundantMaxPerHour: 8,
-					Downtime:            30 * time.Second,
-				})
-			},
-		}
+		points[i] = faultInjectionPoint(fmt.Sprintf("seed/%d", seed), FaultInjectionConfig{
+			Seed:                seed,
+			Duration:            cfg.Duration,
+			GMPeriod:            cfg.Duration / 4,
+			RedundantMinPerHour: 4,
+			RedundantMaxPerHour: 8,
+			Downtime:            30 * time.Second,
+		}.withDefaults())
 	}
-	outcomes := runner.New(cfg.Parallel).Execute(ctx, runs)
-	injections, err := runner.Values[*FaultInjectionResult](outcomes)
+	injections, _, err := runPoints(ctx, campaign{
+		duration: cfg.Duration,
+		diverge:  faultInjectStart,
+		parallel: cfg.Parallel,
+	}, points)
 	if err != nil {
 		return nil, err
 	}
 
+	res := &MultiSeedResult{Config: cfg}
 	means := make([]float64, 0, len(injections))
 	for i, fi := range injections {
 		out := SeedOutcome{

@@ -263,7 +263,8 @@ func NetworkChaos(ctx context.Context, cfg NetworkChaosConfig) (*NetworkChaosRes
 		}
 	}
 	res := &NetworkChaosResult{Config: cfg}
-	res.Points, res.Obs, err = runPoints(ctx, campaign{
+	var ms [][]obs.Metric
+	res.Points, ms, err = runPoints(ctx, campaign{
 		duration:  cfg.Duration,
 		diverge:   cfg.ChaosStart,
 		plans:     plans,
@@ -274,6 +275,7 @@ func NetworkChaos(ctx context.Context, cfg NetworkChaosConfig) (*NetworkChaosRes
 	if err != nil {
 		return nil, err
 	}
+	res.Obs = lastSnapshot(ms)
 	return res, nil
 }
 

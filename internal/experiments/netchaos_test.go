@@ -108,7 +108,7 @@ func TestNetworkChaosReproducible(t *testing.T) {
 // engine run in one campaign, with network actions counted in the
 // injection stats.
 func TestFaultInjectionComposesChaos(t *testing.T) {
-	res, err := FaultInjection(FaultInjectionConfig{
+	res, err := FaultInjection(context.Background(), FaultInjectionConfig{
 		Seed:           33,
 		Duration:       6 * time.Minute,
 		GMPeriod:       2 * time.Minute,

@@ -8,7 +8,7 @@ import (
 
 	"gptpfta/internal/core"
 	"gptpfta/internal/faultinject"
-	"gptpfta/internal/runner"
+	"gptpfta/internal/obs"
 )
 
 // RecoveryConfig parameterises the paper's §IV future-work study: replacing
@@ -106,94 +106,82 @@ func safeRatio(a, b float64) float64 {
 }
 
 // RecoveryComparison runs the same fault-injection campaign against both
-// stack variants — in parallel through the runner — and measures redundancy
-// exposure.
+// stack variants — in parallel through the point executor — and measures
+// redundancy exposure.
 func RecoveryComparison(ctx context.Context, cfg RecoveryConfig) (*RecoveryResult, error) {
 	cfg = cfg.withDefaults()
-	res := &RecoveryResult{Config: cfg}
+	return recoveryCompare(ctx, cfg, recoveryPoint(cfg, "stack/linux", cfg.LinuxDowntime),
+		recoveryPoint(cfg, "stack/unikernel", cfg.UnikernelDowntime))
+}
 
-	run := func(downtime time.Duration) (RecoveryOutcome, error) {
-		out := RecoveryOutcome{Downtime: downtime}
-		sysCfg := core.NewConfig(cfg.Seed)
-		sys, err := core.NewSystem(sysCfg)
-		if err != nil {
-			return out, err
-		}
-		if err := sys.Start(); err != nil {
-			return out, err
-		}
-		inj, err := faultinject.New(sys.Scheduler(), sys.Streams().Stream("inject"), sys.NodeControls(),
-			faultinject.Config{
-				GMPeriod:            10 * time.Minute,
-				RedundantMinPerHour: 3,
-				RedundantMaxPerHour: 6,
-				Downtime:            downtime,
-				DowntimeJitter:      downtime / 8,
-				Start:               2 * time.Minute,
-			})
-		if err != nil {
-			return out, err
-		}
-		if err := inj.Start(); err != nil {
-			return out, err
-		}
-
-		// Sample redundancy and grandmaster liveness once per second.
-		tick, err := sys.Scheduler().Every(sys.Now(), time.Second, func() {
-			for _, n := range sys.Nodes() {
-				if n.HealthyVMs() < 2 {
-					out.DegradedSeconds++
-				}
-			}
-			for i := 0; i < sys.Config().Nodes; i++ {
-				name := core.VMName(i, 0)
-				vm, ok := sys.VM(name)
-				if ok && (!vm.Stack.Running() || vm.Stack.Master() == nil || !vm.Stack.Master().Running()) {
-					out.StaleDomainSeconds++
-				}
-			}
-		})
-		if err != nil {
-			return out, err
-		}
-		defer tick.Stop()
-
-		if err := sys.RunFor(cfg.Duration); err != nil {
-			return out, err
-		}
-		inj.Stop()
-		out.Failures = inj.Stats().TotalFailures
-		var sum float64
-		var n int
-		for _, s := range sys.Collector().Samples() {
-			if s.AtSec > 60 {
-				sum += s.PiStarNS
-				n++
-			}
-		}
-		if n > 0 {
-			out.MeanPrecisionNS = sum / float64(n)
-		}
-		return out, nil
-	}
-
-	campaign := func(downtime time.Duration) func(context.Context) (any, error) {
-		return func(context.Context) (any, error) {
-			out, err := run(downtime)
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-	}
-	outcomes := runner.New(cfg.Parallel).Execute(ctx, []runner.Run{
-		{Name: "stack/linux", Do: campaign(cfg.LinuxDowntime)},
-		{Name: "stack/unikernel", Do: campaign(cfg.UnikernelDowntime)},
-	})
-	outs, err := runner.Values[RecoveryOutcome](outcomes)
+// recoveryCompare runs the two variants' points and pairs their outcomes.
+func recoveryCompare(ctx context.Context, cfg RecoveryConfig, linux, unikernel point[RecoveryOutcome]) (*RecoveryResult, error) {
+	outs, _, err := runPoints(ctx, campaign{duration: cfg.Duration, parallel: cfg.Parallel},
+		[]point[RecoveryOutcome]{linux, unikernel})
 	if err != nil {
 		return nil, err
 	}
-	res.Linux, res.Unikernel = outs[0], outs[1]
-	return res, nil
+	return &RecoveryResult{Config: cfg, Linux: outs[0], Unikernel: outs[1]}, nil
+}
+
+// recoveryPoint is one stack variant's campaign: the injector and a 1-Hz
+// redundancy sampler attach at t=0, so the variants share no prefix.
+func recoveryPoint(cfg RecoveryConfig, name string, downtime time.Duration) point[RecoveryOutcome] {
+	return point[RecoveryOutcome]{name: name, cfg: core.NewConfig(cfg.Seed),
+		run: func(sys *core.System, remaining time.Duration) (RecoveryOutcome, []obs.Metric, error) {
+			out := RecoveryOutcome{Downtime: downtime}
+			inj, err := faultinject.New(sys.Scheduler(), sys.Streams().Stream("inject"), sys.NodeControls(),
+				faultinject.Config{
+					GMPeriod:            10 * time.Minute,
+					RedundantMinPerHour: 3,
+					RedundantMaxPerHour: 6,
+					Downtime:            downtime,
+					DowntimeJitter:      downtime / 8,
+					Start:               2 * time.Minute,
+				})
+			if err != nil {
+				return out, nil, err
+			}
+			if err := inj.Start(); err != nil {
+				return out, nil, err
+			}
+
+			// Sample redundancy and grandmaster liveness once per second.
+			tick, err := sys.Scheduler().Every(sys.Now(), time.Second, func() {
+				for _, n := range sys.Nodes() {
+					if n.HealthyVMs() < 2 {
+						out.DegradedSeconds++
+					}
+				}
+				for i := 0; i < sys.Config().Nodes; i++ {
+					name := core.VMName(i, 0)
+					vm, ok := sys.VM(name)
+					if ok && (!vm.Stack.Running() || vm.Stack.Master() == nil || !vm.Stack.Master().Running()) {
+						out.StaleDomainSeconds++
+					}
+				}
+			})
+			if err != nil {
+				return out, nil, err
+			}
+			defer tick.Stop()
+
+			if err := sys.RunFor(remaining); err != nil {
+				return out, nil, err
+			}
+			inj.Stop()
+			out.Failures = inj.Stats().TotalFailures
+			var sum float64
+			var n int
+			for _, s := range sys.Collector().Samples() {
+				if s.AtSec > 60 {
+					sum += s.PiStarNS
+					n++
+				}
+			}
+			if n > 0 {
+				out.MeanPrecisionNS = sum / float64(n)
+			}
+			return out, nil, nil
+		}}
 }

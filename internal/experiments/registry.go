@@ -3,7 +3,10 @@ package experiments
 import "context"
 
 // lift adapts a ctx-less typed entrypoint to the registry's run signature,
-// converting a typed-nil result into a nil Result interface on error.
+// converting a typed-nil result into a nil Result interface on error. Only
+// the studies that hand-build their own netsim topology (bmca, dynamic,
+// onestep, tas) are ctx-less; every study of the paper's system runs its
+// points through runPoints, which the context cancels between points.
 func lift[C any, R Result](run func(C) (R, error)) func(context.Context, C) (Result, error) {
 	return func(_ context.Context, cfg C) (Result, error) {
 		res, err := run(cfg)
@@ -32,32 +35,32 @@ func init() {
 	RegisterFunc("bounds",
 		"§III-A3 bound methodology: E, Γ, u(N,f), Π, γ from measured latencies",
 		func(seed int64) BoundsConfig { return BoundsConfig{Seed: seed} },
-		lift(Bounds))
+		liftCtx(Bounds))
 
 	RegisterFunc("resilience",
 		"Fig. 3 cyber-resilience: CVE exploits on two grandmasters, identical or diverse kernels",
 		func(seed int64) CyberResilienceConfig { return CyberResilienceConfig{Seed: seed} },
-		lift(CyberResilience))
+		liftCtx(CyberResilience))
 
 	RegisterFunc("faultinjection",
 		"Fig. 4/5 fault-injection campaign: rotating GM shutdowns plus random redundant-VM failures",
 		func(seed int64) FaultInjectionConfig { return FaultInjectionConfig{Seed: seed} },
-		lift(FaultInjection))
+		liftCtx(FaultInjection))
 
 	RegisterFunc("baseline",
 		"A1 ablation: clients-only aggregation without initial grandmaster synchronization",
 		func(seed int64) BaselineConfig { return BaselineConfig{Seed: seed} },
-		lift(BaselineNoStartupSync))
+		liftCtx(BaselineNoStartupSync))
 
 	RegisterFunc("single-domain",
 		"A2 ablation: plain single-domain gPTP vs the multi-domain FTA under one Byzantine GM",
 		func(seed int64) BaselineConfig { return BaselineConfig{Seed: seed} },
-		lift(AblationSingleDomainVsFTA))
+		liftCtx(AblationSingleDomainVsFTA))
 
 	RegisterFunc("flag-policy",
 		"A3 ablation: FTSHMEM validity-flag policies (monitor vs exclude) under one Byzantine GM",
 		func(seed int64) BaselineConfig { return BaselineConfig{Seed: seed} },
-		lift(AblationFlagPolicy))
+		liftCtx(AblationFlagPolicy))
 
 	RegisterFunc("bmca",
 		"A4 ablation: BMCA grandmaster re-election gap vs static external port configuration",
@@ -67,7 +70,7 @@ func init() {
 	RegisterFunc("voting",
 		"A5 ablation: 2f+1 fail-consistent monitor voting vs freshness-only detection",
 		func(seed int64) VotingConfig { return VotingConfig{Seed: seed} },
-		lift(VotingFailover))
+		liftCtx(VotingFailover))
 
 	RegisterFunc("recovery",
 		"§IV future work: GNU/Linux vs unikernel reboot time → redundancy exposure",

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -150,6 +152,36 @@ func TestMultiSeedDerivedSeeds(t *testing.T) {
 	c := MultiSeedConfig{CampaignSeed: 100, SeedCount: 4}.withDefaults()
 	if reflect.DeepEqual(a.Seeds, c.Seeds) {
 		t.Fatal("different campaign seeds derived identical run seeds")
+	}
+}
+
+// TestMultiSeedConfigFailsClosed checks the submit-time bounds of a
+// multiseed campaign: a seed count that would size a huge allocation, too
+// many explicit seeds and a repeated seed are rejected at decode time,
+// before anything is allocated or run.
+func TestMultiSeedConfigFailsClosed(t *testing.T) {
+	e, err := Lookup("multiseed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := func(n int) string {
+		s := make([]string, n)
+		for i := range s {
+			s[i] = strconv.Itoa(i + 1)
+		}
+		return `{"seeds":[` + strings.Join(s, ",") + `]}`
+	}
+	for _, raw := range []string{
+		`{"seed_count":1000000000}`, `{"seed_count":65}`, seeds(65), `{"seeds":[1,2,1]}`,
+	} {
+		if _, err := e.DecodeConfig(json.RawMessage(raw)); err == nil {
+			t.Errorf("invalid config %.40s accepted", raw)
+		}
+	}
+	for _, raw := range []string{`{"seed_count":64}`, seeds(64)} {
+		if _, err := e.DecodeConfig(json.RawMessage(raw)); err != nil {
+			t.Errorf("config %.40s rejected: %v", raw, err)
+		}
 	}
 }
 

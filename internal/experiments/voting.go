@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"gptpfta/internal/core"
+	"gptpfta/internal/obs"
 	"gptpfta/internal/sim"
 )
 
@@ -87,82 +89,92 @@ func (r *VotingResult) Rows() [][]string {
 	}
 }
 
+// votingRun is one monitor's observation of the corrupted node.
+type votingRun struct {
+	maxErr, errIntegral float64
+	detection           time.Duration
+	takeovers           int
+}
+
 // VotingFailover runs the experiment twice — with the monitor's
 // consistency vote enabled (2f+1 = 3 VMs per node) and disabled — and
-// reports the observed node-level clock error.
-func VotingFailover(cfg VotingConfig) (*VotingResult, error) {
+// reports the observed node-level clock error. The observation loop steps
+// each system from t=0, so the runs share no prefix.
+func VotingFailover(ctx context.Context, cfg VotingConfig) (*VotingResult, error) {
 	cfg = cfg.withDefaults()
-	res := &VotingResult{Config: cfg}
-
-	run := func(voteThresholdNS float64) (maxErr, errIntegral float64, detection time.Duration, takeovers int, err error) {
+	monitor := func(name string, voteThresholdNS float64) point[votingRun] {
 		sysCfg := core.NewConfig(cfg.Seed)
 		sysCfg.VMsPerNode = 3 // 2f+1 for f = 1 fail-consistent
 		sysCfg.VoteThresholdNS = voteThresholdNS
-		sys, err := core.NewSystem(sysCfg)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		if err := sys.Start(); err != nil {
-			return 0, 0, 0, 0, err
-		}
-		if err := sys.RunFor(cfg.Settle); err != nil {
-			return 0, 0, 0, 0, err
-		}
-
-		node := sys.Node(2) // dev3's active VM gets corrupted
-		active := node.STSHMEM().Active()
-		vm := node.VM(active)
-		injectedAt := sys.Now()
-		vm.Stack.NIC().PHC().Step(cfg.CorruptionNS)
-
-		var detectedAt sim.Time
-		const stepSec = 0.05
-		end := sys.Now().Add(cfg.Observe)
-		for sys.Now() < end {
-			if err := sys.RunFor(50 * time.Millisecond); err != nil {
-				return 0, 0, 0, 0, err
-			}
-			if detectedAt == 0 && node.STSHMEM().Active() != active {
-				detectedAt = sys.Now()
-			}
-			v, ok := node.SyncTimeNow()
-			if !ok {
-				continue
-			}
-			var sum float64
-			var n int
-			for i, other := range sys.Nodes() {
-				if i == 2 {
-					continue
-				}
-				if ov, ok := other.SyncTimeNow(); ok {
-					sum += ov
-					n++
-				}
-			}
-			if n == 0 {
-				continue
-			}
-			e := math.Abs(v - sum/float64(n))
-			if e > maxErr {
-				maxErr = e
-			}
-			errIntegral += e * stepSec
-		}
-		if detectedAt != 0 {
-			detection = detectedAt.Sub(injectedAt)
-		}
-		return maxErr, errIntegral, detection, int(node.Takeovers()), nil
+		return point[votingRun]{name: name, cfg: sysCfg, run: cfg.run}
 	}
-
-	var err error
-	res.WithVotingMaxErrNS, res.WithVotingErrIntegral, res.VotingDetection, res.VotingTakeovers, err = run(5000)
+	runs, _, err := runPoints(ctx, campaign{duration: cfg.Settle + cfg.Observe, parallel: 1},
+		[]point[votingRun]{monitor("voting", 5000), monitor("freshness-only", 0)})
 	if err != nil {
 		return nil, err
 	}
-	res.WithoutVotingMaxErrNS, res.WithoutVotingErrIntegral, _, _, err = run(0)
-	if err != nil {
-		return nil, err
+	return &VotingResult{
+		Config:                   cfg,
+		WithVotingMaxErrNS:       runs[0].maxErr,
+		WithoutVotingMaxErrNS:    runs[1].maxErr,
+		WithVotingErrIntegral:    runs[0].errIntegral,
+		WithoutVotingErrIntegral: runs[1].errIntegral,
+		VotingDetection:          runs[0].detection,
+		VotingTakeovers:          runs[0].takeovers,
+	}, nil
+}
+
+// run settles a started system, corrupts dev3's active VM and samples the
+// node's deviation from its peers every 50 ms.
+func (cfg VotingConfig) run(sys *core.System, _ time.Duration) (votingRun, []obs.Metric, error) {
+	var out votingRun
+	if err := sys.RunFor(cfg.Settle); err != nil {
+		return out, nil, err
 	}
-	return res, nil
+
+	node := sys.Node(2) // dev3's active VM gets corrupted
+	active := node.STSHMEM().Active()
+	vm := node.VM(active)
+	injectedAt := sys.Now()
+	vm.Stack.NIC().PHC().Step(cfg.CorruptionNS)
+
+	var detectedAt sim.Time
+	const stepSec = 0.05
+	end := sys.Now().Add(cfg.Observe)
+	for sys.Now() < end {
+		if err := sys.RunFor(50 * time.Millisecond); err != nil {
+			return out, nil, err
+		}
+		if detectedAt == 0 && node.STSHMEM().Active() != active {
+			detectedAt = sys.Now()
+		}
+		v, ok := node.SyncTimeNow()
+		if !ok {
+			continue
+		}
+		var sum float64
+		var n int
+		for i, other := range sys.Nodes() {
+			if i == 2 {
+				continue
+			}
+			if ov, ok := other.SyncTimeNow(); ok {
+				sum += ov
+				n++
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		e := math.Abs(v - sum/float64(n))
+		if e > out.maxErr {
+			out.maxErr = e
+		}
+		out.errIntegral += e * stepSec
+	}
+	if detectedAt != 0 {
+		out.detection = detectedAt.Sub(injectedAt)
+	}
+	out.takeovers = int(node.Takeovers())
+	return out, nil, nil
 }

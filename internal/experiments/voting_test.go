@@ -7,7 +7,7 @@ import (
 )
 
 func TestVotingFailover(t *testing.T) {
-	res, err := VotingFailover(VotingConfig{Seed: 9})
+	res, err := VotingFailover(context.Background(), VotingConfig{Seed: 9})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

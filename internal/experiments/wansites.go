@@ -366,7 +366,7 @@ func WanSites(ctx context.Context, cfg WanSitesConfig) (*WanSitesResult, error) 
 			return nil, err
 		}
 		res.Points = append(res.Points, group...)
-		res.Obs = ms
+		res.Obs = lastSnapshot(ms)
 	}
 	return res, nil
 }

@@ -10,19 +10,23 @@ import (
 	"gptpfta/internal/runner"
 )
 
-// The point executor shared by the studies (see DESIGN.md "Warm-state
-// snapshots"). Every sweep point runs one form, cold or forked:
+// The point executor: the one place a study builds, starts and runs the
+// paper's system (see DESIGN.md "Warm-state snapshots"). Every point runs
+// one form, cold or forked:
 //
 //	NewSystem → Start → setup → RunFor(boundary) → run(sys, Duration − boundary)
 //
 // where the boundary sits warmGuard before the study's first divergent event
-// (fault injection, chaos action, attack). A forked campaign executes the
-// prefix up to the boundary once, from the first point's config, snapshots
-// it, and forks every point whose own config-prefix hash (core.PrefixHash)
-// matches; a mismatching point — its parameters shape the warm-up — runs the
-// cold form instead, counted by the runner's runner_cold_fallbacks. Because
-// the cold form splits the timeline at the same boundary, a forked table is
-// bit-identical to the cold one by construction.
+// (fault injection, chaos action, attack). A study that attaches its
+// machinery at t=0 passes no divergent event: its boundary is 0, so its
+// points run NewSystem → Start → setup → run(sys, Duration). A forked
+// campaign executes the prefix up to the boundary once, from the first
+// point's config, snapshots it, and forks every point whose own
+// config-prefix hash (core.PrefixHash) matches; a mismatching point — its
+// parameters shape the warm-up — runs the cold form instead, counted by the
+// runner's runner_cold_fallbacks. Because the cold form splits the timeline
+// at the same boundary, a forked table is bit-identical to the cold one by
+// construction.
 
 // warmGuard is the safety margin between the snapshot boundary and the first
 // divergent event: the boundary is placed this far before the event so the
@@ -73,15 +77,15 @@ func (c campaign) boundary() time.Duration {
 	return b
 }
 
-// runPoints executes the points and returns their results in order plus the
-// last point's metrics snapshot. It forks exactly when a snapshot can be
+// runPoints executes the points and returns their results and metrics
+// snapshots in order. It forks exactly when a snapshot can be
 // reused: the shared prefix is offered when a snapshot cache is attached
 // (another campaign may hit it), or when there are several points and every
 // one has the first point's prefix hash. Otherwise every point runs cold: a
 // lone point would pay a snapshot for nothing, and ExecuteWarm starts its
 // cold fallbacks only after the fork lanes finish, so forking a sweep with
 // mixed hashes would run its two halves one after the other.
-func runPoints[P any](ctx context.Context, c campaign, points []point[P]) ([]P, []obs.Metric, error) {
+func runPoints[P any](ctx context.Context, c campaign, points []point[P]) ([]P, [][]obs.Metric, error) {
 	if len(points) == 0 {
 		return nil, nil, nil
 	}
@@ -132,7 +136,15 @@ func runPoints[P any](ctx context.Context, c campaign, points []point[P]) ([]P, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return vals, snaps[len(snaps)-1], nil
+	return vals, snaps, nil
+}
+
+// lastSnapshot is the metrics snapshot a sweep reports: its last point's.
+func lastSnapshot(ms [][]obs.Metric) []obs.Metric {
+	if len(ms) == 0 {
+		return nil
+	}
+	return ms[len(ms)-1]
 }
 
 // prefix builds a point's system and runs it, set up, to the boundary.
@@ -155,16 +167,6 @@ func prefix[P any](p point[P], boundary time.Duration) (*core.System, error) {
 		}
 	}
 	return sys, nil
-}
-
-// runOne executes a single-point study through runPoints.
-func runOne[P any](c campaign, p point[P]) (P, []obs.Metric, error) {
-	vals, ms, err := runPoints(context.Background(), c, []point[P]{p})
-	if err != nil {
-		var zero P
-		return zero, nil, err
-	}
-	return vals[0], ms, nil
 }
 
 // startChaos attaches plan's engine to sys, instrumented with the system's

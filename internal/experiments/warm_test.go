@@ -4,11 +4,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"gptpfta/internal/core"
 	"gptpfta/internal/obs"
 )
 
@@ -141,7 +143,7 @@ func TestForkRule(t *testing.T) {
 		if tc.cache {
 			cfg.Snapshots = stubCache{}
 		}
-		if _, err := Bounds(cfg); err != nil {
+		if _, err := Bounds(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 		if p, f := metricValue(reg, "runner_prefix_runs"), metricValue(reg, "runner_forks_served"); p != tc.prefixes || f != tc.forks {
@@ -157,7 +159,7 @@ func TestForkRule(t *testing.T) {
 func TestForkEquivalenceBounds(t *testing.T) {
 	for _, seed := range warmSeeds() {
 		cfg := BoundsConfig{Seed: seed, Duration: 3 * time.Minute}
-		cold, err := Bounds(cfg)
+		cold, err := Bounds(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("seed %d cold: %v", seed, err)
 		}
@@ -165,7 +167,7 @@ func TestForkEquivalenceBounds(t *testing.T) {
 		forkCfg := cfg
 		forkCfg.Metrics = reg
 		forkCfg.Snapshots = stubCache{}
-		forked, err := Bounds(forkCfg)
+		forked, err := Bounds(context.Background(), forkCfg)
 		if err != nil {
 			t.Fatalf("seed %d forked: %v", seed, err)
 		}
@@ -194,7 +196,7 @@ func TestForkEquivalenceFaultInjection(t *testing.T) {
 			RedundantMaxPerHour: 12,
 			Downtime:            30 * time.Second,
 		}
-		cold, err := FaultInjection(cfg)
+		cold, err := FaultInjection(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("seed %d cold: %v", seed, err)
 		}
@@ -202,7 +204,7 @@ func TestForkEquivalenceFaultInjection(t *testing.T) {
 		forkCfg := cfg
 		forkCfg.Metrics = reg
 		forkCfg.Snapshots = stubCache{}
-		forked, err := FaultInjection(forkCfg)
+		forked, err := FaultInjection(context.Background(), forkCfg)
 		if err != nil {
 			t.Fatalf("seed %d forked: %v", seed, err)
 		}
@@ -363,4 +365,71 @@ func TestWarmFallbackOnPrefixMismatch(t *testing.T) {
 		t.Fatalf("forked interval sweep diverged from cold\ncold: %s\nforked: %s",
 			coldRes.Summary(), forked.Summary())
 	}
+}
+
+// cancelAfter wraps p's run so that it cancels the campaign's context once
+// the point has finished.
+func cancelAfter[P any](p point[P], cancel context.CancelFunc) point[P] {
+	run := p.run
+	p.run = func(sys *core.System, remaining time.Duration) (P, []obs.Metric, error) {
+		defer cancel()
+		return run(sys, remaining)
+	}
+	return p
+}
+
+// unbuildable marks a point that must never be built: its config has too
+// few nodes for core.NewSystem, so building it fails with a config error
+// instead of the cancellation the tests expect.
+func unbuildable[P any](p point[P]) point[P] {
+	p.cfg.Nodes = 1
+	return p
+}
+
+// TestCancelStopsLaterPoints cancels a two-point study inside its first
+// point's run: the second point must not be built, and the study must
+// return context.Canceled.
+func TestCancelStopsLaterPoints(t *testing.T) {
+	t.Run("comparison", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		_, err := compare(ctx, "cancel", 2*time.Minute,
+			cancelAfter(comparisonPoint("ours", core.NewConfig(1), nil), cancel),
+			unbuildable(comparisonPoint("variant", core.NewConfig(1), nil)))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	})
+	t.Run("recovery", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg := RecoveryConfig{Seed: 1, Duration: 3 * time.Minute, Parallel: 1}.withDefaults()
+		_, err := recoveryCompare(ctx, cfg,
+			cancelAfter(recoveryPoint(cfg, "stack/linux", cfg.LinuxDowntime), cancel),
+			unbuildable(recoveryPoint(cfg, "stack/unikernel", cfg.UnikernelDowntime)))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	})
+	// Every study of the paper's system honours the caller's context: a
+	// cancelled one runs nothing, at the studies' default horizons.
+	t.Run("entry points", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for name, run := range map[string]func() error{
+			"bounds":         func() error { _, err := Bounds(ctx, BoundsConfig{}); return err },
+			"resilience":     func() error { _, err := CyberResilience(ctx, CyberResilienceConfig{}); return err },
+			"faultinjection": func() error { _, err := FaultInjection(ctx, FaultInjectionConfig{}); return err },
+			"baseline":       func() error { _, err := BaselineNoStartupSync(ctx, BaselineConfig{}); return err },
+			"single-domain":  func() error { _, err := AblationSingleDomainVsFTA(ctx, BaselineConfig{}); return err },
+			"flag-policy":    func() error { _, err := AblationFlagPolicy(ctx, BaselineConfig{}); return err },
+			"voting":         func() error { _, err := VotingFailover(ctx, VotingConfig{}); return err },
+			"recovery":       func() error { _, err := RecoveryComparison(ctx, RecoveryConfig{}); return err },
+			"multiseed":      func() error { _, err := MultiSeedValidation(ctx, MultiSeedConfig{}); return err },
+		} {
+			if err := run(); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: err = %v, want context.Canceled", name, err)
+			}
+		}
+	})
 }
