@@ -41,7 +41,7 @@ race: vet
 # attacks, a partition and a WAN site failure).
 determinism:
 	$(GO) test ./internal/experiments/ -run 'TestGoldenDigest|TestForkEquivalence|TestWarmFallback' -count=1 -v
-	$(GO) test ./internal/core/ -run 'TestShardEquivalence|TestSnapshotRestoreIsolation' -count=1 -v
+	$(GO) test ./internal/core/ -run 'TestFingerprint|TestShardEquivalence|TestSnapshotRestoreIsolation' -count=1 -v
 
 # Committed performance evidence: the event-kernel microbenchmarks and the
 # full-system simulation rate, as diffable JSON (ns/op, allocs/op, custom

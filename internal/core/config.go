@@ -214,12 +214,14 @@ func NewConfig(seed int64) Config {
 // benchmarks: sites copies of the paper mesh with nodes switches and vms
 // clock VMs each, gateways chained at metro latency, simulated on shards
 // parallel schedulers. Network element count = sites × nodes × (1 + vms).
-func ScaleConfig(seed int64, sites, nodes, vms, shards int) Config {
+func ScaleConfig(seed int64, sites, nodes, vms int, shards ...int) Config {
 	cfg := NewConfig(seed)
 	cfg.Nodes = nodes
 	cfg.VMsPerNode = vms
 	cfg.Sites = sites
-	cfg.Shards = shards
+	if len(shards) > 0 {
+		cfg.Shards = shards[0]
+	}
 	// The paper defaults pin the measurement VM to dev2/c22; clamp onto
 	// smaller fabrics so any (nodes, vms) ≥ 1 builds.
 	if cfg.MeasurementNode >= nodes {

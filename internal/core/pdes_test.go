@@ -2,132 +2,14 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"gptpfta/internal/attack"
 	"gptpfta/internal/chaos"
-	"gptpfta/internal/faultinject"
 	"gptpfta/internal/sim"
 )
-
-// runFingerprint runs a system for d and reduces everything downstream
-// experiments consume to a comparable value: the exact measurement sample
-// series, the event log as a sorted multiset, the Sync latency extrema and
-// the kernel traffic counters. Shard-count equivalence means these are
-// bit-identical, because every derived experiment row is a pure function of
-// them.
-type runFingerprint struct {
-	samples  any
-	events   []string
-	minNS    int64
-	maxNS    int64
-	haveLat  bool
-	precOK   bool
-	precNS   float64
-	ftaReady bool
-	frames   uint64
-	wan      string // the WAN coordinator's samples, printed: failed sites read NaN
-}
-
-func fingerprint(t *testing.T, cfg Config, d time.Duration) runFingerprint {
-	t.Helper()
-	return fingerprintTweak(t, cfg, d, nil)
-}
-
-// fingerprintTweak is fingerprint with a hook between Start and RunFor,
-// for tests that flip fabric knobs (ForceParallel) on an otherwise
-// identical run.
-func fingerprintTweak(t *testing.T, cfg Config, d time.Duration, tweak func(*System)) runFingerprint {
-	t.Helper()
-	fp, err := runPrint(cfg, d, tweak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fp
-}
-
-// runPrint builds, starts and runs a system and takes its fingerprint;
-// unlike fingerprint it may be called from any goroutine.
-func runPrint(cfg Config, d time.Duration, tweak func(*System)) (runFingerprint, error) {
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		return runFingerprint{}, fmt.Errorf("NewSystem: %w", err)
-	}
-	if err := sys.Start(); err != nil {
-		return runFingerprint{}, fmt.Errorf("Start: %w", err)
-	}
-	if tweak != nil {
-		tweak(sys)
-	}
-	if err := sys.RunFor(d); err != nil {
-		return runFingerprint{}, fmt.Errorf("RunFor: %w", err)
-	}
-	fp := runFingerprint{samples: sys.Collector().Samples()}
-	for _, e := range sys.EventLog().Events() {
-		fp.events = append(fp.events, e.String())
-	}
-	sort.Strings(fp.events)
-	min, max, ok := sys.SyncLatencies().Extrema()
-	fp.minNS, fp.maxNS, fp.haveLat = int64(min), int64(max), ok
-	fp.precNS, fp.precOK = sys.TruePrecision()
-	fp.ftaReady = sys.AllInFTOperation()
-	fp.frames = framesTotal(sys)
-	if co := sys.Wan(); co != nil {
-		fp.wan = fmt.Sprint(co.Samples())
-	}
-	sys.Stop()
-	return fp, nil
-}
-
-func framesTotal(sys *System) uint64 {
-	var n uint64
-	for _, l := range sys.links {
-		n += l.Sent() + l.Lost()
-	}
-	for _, b := range sys.bridges {
-		n += b.Forwarded() + b.Dropped()
-	}
-	return n
-}
-
-func requireSameFingerprint(t *testing.T, label string, want, got runFingerprint) {
-	t.Helper()
-	if !reflect.DeepEqual(want.samples, got.samples) {
-		t.Errorf("%s: measurement samples diverge", label)
-	}
-	if !reflect.DeepEqual(want.events, got.events) {
-		t.Errorf("%s: event logs diverge (%d vs %d events)", label, len(want.events), len(got.events))
-		for i := range want.events {
-			if i < len(got.events) && want.events[i] != got.events[i] {
-				t.Errorf("%s: first difference:\n  want %s\n  got  %s", label, want.events[i], got.events[i])
-				break
-			}
-		}
-	}
-	if want.minNS != got.minNS || want.maxNS != got.maxNS || want.haveLat != got.haveLat {
-		t.Errorf("%s: latency extrema diverge: want [%d %d %v], got [%d %d %v]",
-			label, want.minNS, want.maxNS, want.haveLat, got.minNS, got.maxNS, got.haveLat)
-	}
-	if want.precOK != got.precOK || want.precNS != got.precNS {
-		t.Errorf("%s: true precision diverges: want %v/%v, got %v/%v",
-			label, want.precNS, want.precOK, got.precNS, got.precOK)
-	}
-	if want.ftaReady != got.ftaReady {
-		t.Errorf("%s: FT-operation state diverges", label)
-	}
-	if want.frames != got.frames {
-		t.Errorf("%s: frame counters diverge: want %d, got %d", label, want.frames, got.frames)
-	}
-	if want.wan != got.wan {
-		t.Errorf("%s: WAN coordinator samples diverge", label)
-	}
-}
 
 // TestShardEquivalencePaper proves the determinism contract on the paper
 // topology: every shard count reproduces the single-scheduler run
@@ -246,7 +128,7 @@ func TestShardEquivalenceForceParallel(t *testing.T) {
 	const d = 1200 * time.Millisecond
 	ref := fingerprint(t, ScaleConfig(7, 3, 3, 2, 1), d)
 	for _, shards := range []int{2, 6} {
-		fp := fingerprintTweak(t, ScaleConfig(7, 3, 3, 2, shards), d, func(sys *System) {
+		fp := fingerprintSetup(t, ScaleConfig(7, 3, 3, 2, shards), d, func(sys *System) {
 			sys.Fabric().ForceParallel = true
 		})
 		requireSameFingerprint(t, fmt.Sprintf("forced-parallel shards=%d", shards), ref, fp)
@@ -301,7 +183,11 @@ func TestShardEquivalenceInjected(t *testing.T) {
 		}, "holdover"},
 		// Two of four sites fail while the first chain link's asymmetry
 		// ramps to 10 µs; the coordinator's samples join the fingerprint.
-		{"wan-site-fail", wanSiteFailConfig, time.Minute, func(t *testing.T, sys *System) {
+		{"wan-site-fail", func(shards int) Config {
+			cfg := wanSiteFailConfig()
+			cfg.Shards = shards
+			return cfg
+		}, time.Minute, func(t *testing.T, sys *System) {
 			at := chaos.Duration(20 * time.Second)
 			injectPlan(t, sys, &chaos.Plan{Name: "wan-site-fail", Actions: []chaos.Action{
 				{Op: chaos.OpSiteFail, Sites: []int{2, 3}, At: at, Duration: chaos.Duration(15 * time.Second)},
@@ -312,96 +198,16 @@ func TestShardEquivalenceInjected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inject := func(sys *System) { tc.inject(t, sys) }
-			ref := fingerprintTweak(t, tc.cfg(1), tc.d, inject)
+			ref := fingerprintSetup(t, tc.cfg(1), tc.d, inject)
 			if !containsKind(ref.events, tc.want) {
 				t.Fatalf("reference run logged no %q event", tc.want)
 			}
 			for _, shards := range []int{2, 4, 8} {
 				requireSameFingerprint(t, fmt.Sprintf("%s shards=%d", tc.name, shards),
-					ref, fingerprintTweak(t, tc.cfg(shards), tc.d, inject))
+					ref, fingerprintSetup(t, tc.cfg(shards), tc.d, inject))
 			}
 		})
 	}
-}
-
-func containsKind(events []string, kind string) bool {
-	for _, e := range events {
-		if strings.Contains(e, " "+kind+" ") {
-			return true
-		}
-	}
-	return false
-}
-
-func injectFaults(t *testing.T, sys *System) {
-	startInjector(t, sys, faultinject.Config{
-		GMPeriod:            45 * time.Second,
-		RedundantMinPerHour: 6,
-		RedundantMaxPerHour: 12,
-		Downtime:            15 * time.Second,
-		Start:               45 * time.Second,
-	})
-}
-
-func injectByzantine(t *testing.T, sys *System) {
-	t.Helper()
-	behavior := attack.Behavior{Kind: attack.BehaviorWander, OffsetNS: attack.MaliciousOriginOffsetNS, WanderNSPerStep: 2000}
-	targets := attack.CampaignTargets(attack.DefaultTargetOrder(), 2)
-	atk := attack.NewAttacker(attack.DefaultVulnDB(), attack.CVE201818955, targets...)
-	sys.Scheduler().At(sim.Time(30*time.Second), func() {
-		for _, target := range targets {
-			vm, _ := sys.VM(target)
-			adv := attack.NewAdversary(behavior, sys.Streams().Stream("attack/"+target))
-			r := atk.Exploit(vm, adv.Offset(0))
-			sys.LogEvent(Event{At: sys.Now(), VM: target, Kind: "exploit", Detail: r.String()})
-			if !r.Success {
-				t.Errorf("exploit of %s failed: %s", target, r)
-				continue
-			}
-			start := sys.Now()
-			if _, err := sys.Scheduler().Every(start.Add(time.Second), time.Second, func() {
-				vm.InstallMaliciousPTP4L(adv.Offset(time.Duration(sys.Now() - start).Seconds()))
-			}); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-}
-
-// injectSyncDelay holds c31's outbound Sync frames (all domains) by 24 µs.
-func injectSyncDelay(t *testing.T, sys *System) {
-	t.Helper()
-	link := sys.Link("c31")
-	sys.Scheduler().At(sim.Time(30*time.Second), func() {
-		link.SetDelayAttack(attack.SyncDelayAttack{DelayNS: 24000, Dir: 0, Domain: -1})
-		sys.LogEvent(Event{At: sys.Now(), VM: "c31", Kind: "delay_attack"})
-	})
-}
-
-// injectPlan starts a chaos engine that logs each action as it fires.
-func injectPlan(t *testing.T, sys *System, plan *chaos.Plan) {
-	t.Helper()
-	eng, err := chaos.New(sys.Scheduler(), sys, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetActionObserver(func(a chaos.Action) {
-		sys.LogEvent(Event{At: sys.Now(), Kind: a.Op})
-	})
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// wanSiteFailConfig is the wansites study's fabric: four paper meshes with
-// the WAN tier armed and its background drift off, so the chaos ramp is the
-// only writer of the WAN delay axis.
-func wanSiteFailConfig(shards int) Config {
-	cfg := ScaleConfig(5, 4, 4, 2, shards)
-	cfg.WanSync.Enabled = true
-	cfg.WanSync.F = 2
-	cfg.WanSync.HoldoverWindow = 2 * time.Second
-	return cfg
 }
 
 // TestConcurrentSystemsShareNoFreeList runs two unsharded systems on two
