@@ -1,6 +1,6 @@
 # Verification targets. `make verify` is the tier-1 gate; `make race`
 # adds the race detector over the whole module (the runner's worker pool
-# and the PDES shard workers are the concurrency surfaces; free lists and
+# and the served queue are the concurrency surfaces; free lists and
 # counters on the message path belong to one scheduler and are shared by
 # nothing, which verify's race lines check).
 #
@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race bench bench-all bench-smoke bench-golden shard-scaling chaos-smoke serve-smoke attack-smoke wan-smoke fuzz-smoke determinism profile verify ci
+.PHONY: build test vet fmt-check race bench bench-all bench-smoke bench-golden chaos-smoke serve-smoke attack-smoke wan-smoke fuzz-smoke determinism profile verify ci
 
 build:
 	$(GO) build ./...
@@ -35,13 +35,13 @@ race: vet
 # convergence-prefix snapshot must be bit-identical to the cold run its
 # fallback executes, across several seeds, and on 1, 2 and 4 concurrent
 # fork lanes: the TestForkEquivalence pattern selects
-# TestForkEquivalenceLanes), and the core PDES shard-equivalence
-# suites (every shard count must reproduce the single-scheduler run
-# bit-for-bit; TestShardEquivalenceInjected adds fault injection,
-# attacks, a partition and a WAN site failure).
+# TestForkEquivalenceLanes), and the core pinned run fingerprints (whole
+# runs as SHA-256 digests on the paper mesh, multi-site fabrics and the WAN
+# tier; TestFingerprintInjected adds fault injection, attacks, a partition
+# and a WAN site failure).
 determinism:
 	$(GO) test ./internal/experiments/ -run 'TestGoldenDigest|TestForkEquivalence|TestWarmFallback' -count=1 -v
-	$(GO) test ./internal/core/ -run 'TestFingerprint|TestShardEquivalence|TestSnapshotRestoreIsolation' -count=1 -v
+	$(GO) test ./internal/core/ -run 'TestFingerprint|TestSnapshotRestoreIsolation' -count=1 -v
 
 # Committed performance evidence: the event-kernel microbenchmarks and the
 # full-system simulation rate, as diffable JSON (ns/op, allocs/op, custom
@@ -53,8 +53,8 @@ bench:
 	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate|BenchmarkSystemStartup' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_system.json
 	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart|BenchmarkSweepWarmLanes|BenchmarkForkSystem' -benchtime 3x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric' -benchtime 3x -benchmem -cpu 1,2 . \
-		| $(GO) run ./cmd/benchjson -o BENCH_pdes.json
+	$(GO) test -run ^$$ -bench 'BenchmarkScaleFabric' -benchtime 3x -benchmem . \
+		| $(GO) run ./cmd/benchjson -o BENCH_fabric.json
 	$(GO) test -run ^$$ -bench 'BenchmarkWANFabric' -benchtime 3x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_wan.json
 
@@ -76,8 +76,8 @@ bench-smoke:
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/system.json
 	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart|BenchmarkSweepWarmLanes|BenchmarkForkSystem' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/sweep.json
-	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric' -benchtime 1x -benchmem -cpu 1,2 . \
-		| $(GO) run ./cmd/benchjson -o .bench-smoke/pdes.json
+	$(GO) test -run ^$$ -bench 'BenchmarkScaleFabric' -benchtime 1x -benchmem . \
+		| $(GO) run ./cmd/benchjson -o .bench-smoke/fabric.json
 	$(GO) test -run ^$$ -bench 'BenchmarkWANFabric' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o .bench-smoke/wan.json
 
@@ -88,19 +88,6 @@ bench-smoke:
 bench-golden:
 	bash bench/run.sh --seconds 3 --trace 0
 	cd bench && $(GO) test ./...
-
-# Shard-scaling gate (blocking): run BenchmarkPDESFabric
-# at shards=1 and shards=4 in one process on one machine and compare the two
-# points with cmd/shardgate. events/op must match exactly (shard count must
-# not change what is simulated) and the sharded point must not regress more
-# than 10% in ns/op against shards=1 — machine speed cancels out of the
-# within-run ratio, so this stays meaningful on shared runners where an
-# absolute comparison against committed baselines cannot.
-shard-scaling:
-	@mkdir -p .bench-smoke
-	$(GO) test -run ^$$ -bench 'BenchmarkPDESFabric/shards=(1|4)$$' -benchtime 3x -benchmem . \
-		| $(GO) run ./cmd/benchjson -o .bench-smoke/shard-scaling.json
-	$(GO) run ./cmd/shardgate -max-regress 0.10 .bench-smoke/shard-scaling.json
 
 # CPU + heap profile of the paper's full evaluation (sweep -which paper:
 # E1–E6 at the 1 h and 24 h horizons, plus A1–A3); inspect with
@@ -113,7 +100,6 @@ verify: build fmt-check vet test
 	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/netsim/... \
 		./internal/obs/... ./internal/chaos/... ./internal/ptp4l/... ./internal/core/... \
 		./internal/gptp/... ./internal/shmem/... ./internal/measure/...
-	$(GO) test -race -cpu 1,2,4 -run 'TestFabric|TestSignal|TestShardEquivalenceForceParallel' ./internal/sim/ ./internal/core/
 	$(GO) test -race -run 'TestForkEquivalenceLanes' ./internal/experiments/
 
 # Chaos smoke: a 10-minute-sim-time fault-injection campaign driven by the
@@ -164,7 +150,7 @@ wan-smoke:
 # (Go runs one -fuzz pattern per invocation), plus the derived-seed fault
 # hypothesis property test. CI runs this as a non-blocking job.
 fuzz-smoke:
-	$(GO) test ./internal/netsim/ -run ^$$ -fuzz FuzzLinkMinDelay -fuzztime 10s
+	$(GO) test ./internal/netsim/ -run ^$$ -fuzz FuzzLinkDelay -fuzztime 10s
 	$(GO) test ./internal/sim/ -run ^$$ -fuzz FuzzSchedulerSnapshotRoundTrip -fuzztime 10s
 	$(GO) test ./internal/sim/ -run ^$$ -fuzz FuzzSchedulerVsReferenceModel -fuzztime 10s
 	$(GO) test ./internal/sim/ -run ^$$ -fuzz FuzzStreamSeek -fuzztime 10s
@@ -184,4 +170,4 @@ serve-smoke:
 	sh scripts/serve_smoke.sh .serve-smoke
 
 # Everything the CI workflow runs, in one local command.
-ci: verify determinism bench-smoke bench-golden shard-scaling chaos-smoke attack-smoke wan-smoke serve-smoke
+ci: verify determinism bench-smoke bench-golden chaos-smoke attack-smoke wan-smoke serve-smoke

@@ -709,81 +709,32 @@ func BenchmarkOneStepVsTwoStep(b *testing.B) {
 	b.ReportMetric(last.OneStep.OffsetErrRMS, "one-step-rms-ns")
 }
 
-// BenchmarkPDESFabric measures the sharded conservative PDES kernel on a
-// generated thousand-element TSN fabric (84 sites × 4 switches × 2 ECD VMs
-// per switch = 336 switches + 672 VMs). Each op simulates one second of
-// fabric time after convergence; sim_s_per_wall_s > 1 means the fabric
-// simulates faster than real time. The same seed produces bit-identical
-// results at every shard count (TestShardEquivalenceScale), so the curve
-// isolates kernel cost, not behaviour. Parallel speedup requires cores:
-// on a single-core host the sharded points only measure barrier overhead.
-func BenchmarkPDESFabric(b *testing.B) {
-	const simPerOp = time.Second
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := core.ScaleConfig(1, 84, 4, 2, shards)
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.Start(); err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.RunFor(2 * time.Second); err != nil { // converge first
-				b.Fatal(err)
-			}
-			startEvents := sys.ProcessedEvents()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				if err := sys.RunFor(simPerOp); err != nil {
-					b.Fatal(err)
-				}
-			}
-			wall := time.Since(start)
-			b.ReportMetric(float64(simPerOp)*float64(b.N)/float64(wall), "sim_s_per_wall_s")
-			b.ReportMetric(float64(cfg.TotalNodes()+cfg.TotalNodes()*cfg.VMsPerNode), "nodes")
-			b.ReportMetric(float64(sys.ProcessedEvents()-startEvents)/float64(b.N), "events/op")
-		})
-	}
+// BenchmarkScaleFabric measures the kernel on a generated
+// thousand-element TSN fabric (84 sites × 4 switches × 2 ECD VMs per switch
+// = 336 switches + 672 VMs), the scale of a G-SINC-style multi-site
+// hierarchy. Each op simulates one second of fabric time after
+// convergence; sim_s_per_wall_s > 1 means the fabric simulates faster than
+// real time.
+func BenchmarkScaleFabric(b *testing.B) {
+	cfg := core.ScaleConfig(1, 84, 4, 2)
+	benchFabricRate(b, cfg)
+	b.ReportMetric(float64(cfg.TotalNodes()+cfg.TotalNodes()*cfg.VMsPerNode), "nodes")
 }
 
 // BenchmarkWANFabric measures the wide-area tier's overhead on a multi-site
 // fabric: the site-level FTA coordinator (pairwise offset exchanges over the
 // gateway chain, trimmed-mean aggregation, per-site virtual-correction
-// servos) and the WAN delay drift process, both ticking on the control
-// scheduler. Each op simulates one second of fabric time after convergence;
-// comparing against the matching BenchmarkPDESFabric shape isolates what the
-// WAN tier itself costs.
+// servos) and the WAN delay drift process. Each op simulates one second of
+// fabric time after convergence; comparing against BenchmarkScaleFabric's
+// per-site cost isolates what the WAN tier itself costs.
 func BenchmarkWANFabric(b *testing.B) {
-	const simPerOp = time.Second
-	for _, p := range []struct{ sites, shards int }{{4, 1}, {16, 1}, {16, 4}} {
-		b.Run(fmt.Sprintf("sites=%d/shards=%d", p.sites, p.shards), func(b *testing.B) {
-			cfg := core.ScaleConfig(1, p.sites, 4, 2, p.shards)
+	for _, sites := range []int{4, 16} {
+		b.Run(fmt.Sprintf("sites=%d", sites), func(b *testing.B) {
+			cfg := core.ScaleConfig(1, sites, 4, 2)
 			cfg.WanSync.Enabled = true
 			cfg.WanSync.F = 1
 			cfg.WanSync.Drift.Enabled = true
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.Start(); err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.RunFor(2 * time.Second); err != nil { // converge first
-				b.Fatal(err)
-			}
-			startEvents := sys.ProcessedEvents()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				if err := sys.RunFor(simPerOp); err != nil {
-					b.Fatal(err)
-				}
-			}
-			wall := time.Since(start)
-			b.ReportMetric(float64(simPerOp)*float64(b.N)/float64(wall), "sim_s_per_wall_s")
-			b.ReportMetric(float64(sys.ProcessedEvents()-startEvents)/float64(b.N), "events/op")
+			sys := benchFabricRate(b, cfg)
 			co := sys.Wan()
 			if co == nil {
 				b.Fatal("WAN coordinator missing")
@@ -791,4 +742,33 @@ func BenchmarkWANFabric(b *testing.B) {
 			b.ReportMetric(float64(len(co.Samples()))/float64(b.N), "wan_samples/op")
 		})
 	}
+}
+
+// benchFabricRate builds and converges a system from cfg for 2 simulated
+// seconds, then times b.N one-second RunFor calls and reports the
+// simulation rate and the events per op.
+func benchFabricRate(b *testing.B, cfg core.Config) *core.System {
+	const simPerOp = time.Second
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.Start(); err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.RunFor(2 * time.Second); err != nil { // converge first
+		b.Fatal(err)
+	}
+	startEvents := sys.ProcessedEvents()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		if err := sys.RunFor(simPerOp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	wall := time.Since(start)
+	b.ReportMetric(float64(simPerOp)*float64(b.N)/float64(wall), "sim_s_per_wall_s")
+	b.ReportMetric(float64(sys.ProcessedEvents()-startEvents)/float64(b.N), "events/op")
+	return sys
 }

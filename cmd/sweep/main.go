@@ -25,9 +25,6 @@
 // -seed and -parallel apply to every study whose config has the field;
 // studies without it ignore it. A -seed list of distinct seeds runs every
 // selected study once per seed, each block headed and tagged with its seed.
-// Every study runs on the single-scheduler kernel: sharding is a property
-// of a core.Config topology (core.ScaleConfig's multi-site fabrics), not a
-// study option.
 //
 // A study forks its sweep points from one shared convergence-prefix
 // snapshot exactly when they share a prefix (the chaos, identical-kernel

@@ -21,8 +21,7 @@ const (
 	BehaviorRamp BehaviorKind = "ramp"
 	// BehaviorWander adds a random walk on top of the base shift,
 	// modelling a noisy covert attacker. The walk draws from a dedicated
-	// per-adversary stream so its consumption is independent of the
-	// simulation's shard layout.
+	// per-adversary stream, so it perturbs no other random sequence.
 	BehaviorWander BehaviorKind = "wander"
 )
 
@@ -65,9 +64,8 @@ func (b Behavior) Static() bool {
 	}
 }
 
-// Adversary evolves one compromised grandmaster's falsification. It is
-// driven from control-scheduler events, which fire at identical instants at
-// every shard count, so a wander stream's consumption is shard-invariant.
+// Adversary evolves one compromised grandmaster's falsification, driven
+// from scheduler events that the attack campaign arms.
 type Adversary struct {
 	b    Behavior
 	rng  sim.RNG
@@ -124,8 +122,8 @@ func CampaignTargets(order []string, n int) []string {
 // extra delay — the classic gPTP delay attack, invisible to pdelay because
 // pdelay frames pass unharmed.
 //
-// The attack only ever adds latency (an on-path attacker can hold frames,
-// not accelerate them), so netsim's MinDelay lookahead bound stays valid.
+// The attack only ever adds latency: an on-path attacker can hold frames,
+// not accelerate them.
 type SyncDelayAttack struct {
 	// DelayNS is the extra one-way delay in nanoseconds; non-positive
 	// values disable the attack.

@@ -286,7 +286,7 @@ func (e *Engine) wanCutSet(a *Action) map[string]*netsim.Link {
 // wanRampSteps is the fixed step count of a wan-asym-drift ramp: enough
 // steps that each increment stays well below the validity threshold (a
 // slow drift, not a detectable step), few enough that the schedule stays
-// cheap. Fixed so the ramp's event sequence is shard- and fork-invariant.
+// cheap. Fixed so the ramp's event sequence is fork-invariant.
 const wanRampSteps = 8
 
 // rampWanDelay schedules a linear ramp of each target link's WAN delay

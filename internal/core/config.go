@@ -89,13 +89,6 @@ type Config struct {
 	// node). The single-domain ablation uses DomainCount = 1.
 	DomainCount int `json:"domainCount,omitempty"`
 
-	// Shards splits the event kernel into this many conservatively
-	// synchronized parallel schedulers (sim.Fabric). Nodes are assigned to
-	// shards contiguously; links whose endpoints land in different shards
-	// become deferred-mailbox boundaries. 0 or 1 keeps the legacy
-	// single-scheduler kernel. Results are bit-identical at every shard
-	// count (see DESIGN.md, "Parallel kernel").
-	Shards int `json:"shards,omitempty"`
 	// Sites scales the topology: each site is one full copy of the paper's
 	// mesh (Nodes switches × VMsPerNode ECD VMs, its own gPTP domains and
 	// grandmasters), and site gateways (node 0 of each site) are joined in
@@ -105,8 +98,7 @@ type Config struct {
 	Sites int `json:"sites,omitempty"`
 	// InterSitePropagation is the one-way latency of the gateway chain
 	// links (a metro/long-haul span, so orders of magnitude above the
-	// in-site LinkPropagation — it is also the cross-shard lookahead when
-	// shard boundaries align with sites).
+	// in-site LinkPropagation).
 	InterSitePropagation time.Duration `json:"interSitePropagationNs,omitempty"`
 	// BaselineClientsOnly reproduces the Kyriakakis-style baseline the
 	// paper criticises: no start-up protocol, and grandmaster nodes do not
@@ -115,8 +107,8 @@ type Config struct {
 	BaselineClientsOnly bool `json:"baselineClientsOnly,omitempty"`
 
 	// WanSync configures the wide-area site-level FTA tier (internal/wan):
-	// with Enabled set on a multi-site fabric, a coordinator on the control
-	// scheduler aggregates per-site clocks over the gateway chain and
+	// with Enabled set on a multi-site fabric, a coordinator on the
+	// system's scheduler aggregates per-site clocks over the gateway chain and
 	// disciplines one virtual correction per site, with cross-site holdover
 	// under quorum loss. Off by default; single-site fabrics ignore it.
 	// All fields are value types, keeping PrefixHash stable.
@@ -141,19 +133,6 @@ func (c Config) NumSites() int {
 
 // TotalNodes is the number of switches across all sites.
 func (c Config) TotalNodes() int { return c.NumSites() * c.Nodes }
-
-// effectiveShards resolves the shard count: at least 1, at most one shard
-// per switch (extra shards would only sit empty at every barrier).
-func (c Config) effectiveShards() int {
-	s := c.Shards
-	if s < 1 {
-		s = 1
-	}
-	if t := c.TotalNodes(); s > t {
-		s = t
-	}
-	return s
-}
 
 // NewConfig returns the paper's testbed configuration for the given seed.
 func NewConfig(seed int64) Config {
@@ -202,7 +181,6 @@ func NewConfig(seed int64) Config {
 		MeasurementNode: 1, // dev2
 		MeasurementVM:   1, // c22
 
-		Shards:               1,
 		Sites:                1,
 		InterSitePropagation: 50 * time.Microsecond,
 
@@ -210,18 +188,17 @@ func NewConfig(seed int64) Config {
 	}
 }
 
-// ScaleConfig builds a multi-site fabric configuration for scale and PDES
+// ScaleConfig builds a multi-site fabric configuration for scale
 // benchmarks: sites copies of the paper mesh with nodes switches and vms
-// clock VMs each, gateways chained at metro latency, simulated on shards
-// parallel schedulers. Network element count = sites × nodes × (1 + vms).
-func ScaleConfig(seed int64, sites, nodes, vms int, shards ...int) Config {
+// clock VMs each, gateways chained at metro latency. Network element
+// count = sites × nodes × (1 + vms). The ignored trailing argument was the
+// shard count of the deleted sharded kernel; it is kept only for bench/,
+// which still passes one.
+func ScaleConfig(seed int64, sites, nodes, vms int, _ ...int) Config {
 	cfg := NewConfig(seed)
 	cfg.Nodes = nodes
 	cfg.VMsPerNode = vms
 	cfg.Sites = sites
-	if len(shards) > 0 {
-		cfg.Shards = shards[0]
-	}
 	// The paper defaults pin the measurement VM to dev2/c22; clamp onto
 	// smaller fabrics so any (nodes, vms) ≥ 1 builds.
 	if cfg.MeasurementNode >= nodes {

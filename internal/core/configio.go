@@ -21,14 +21,19 @@ func (c Config) WriteJSON(w io.Writer) error {
 // ReadConfigJSON deserialises one configuration written by WriteJSON.
 // Unknown fields and data after the object are errors; absent fields stay
 // zero, except that the flag policy defaults to monitor and Kernels to an
-// empty map.
+// empty map. A "shards" key, which files saved before the sharded kernel
+// was deleted carry, is read and dropped: results never depended on it.
 func ReadConfigJSON(r io.Reader) (Config, error) {
-	c := Config{FlagPolicy: fta.FlagMonitor}
+	file := struct {
+		Config
+		Dropped int `json:"shards"`
+	}{Config: Config{FlagPolicy: fta.FlagMonitor}}
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	if err := dec.Decode(&file); err != nil {
 		return Config{}, fmt.Errorf("core: decode config: %w", err)
 	}
+	c := file.Config
 	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
 		return Config{}, errors.New("core: decode config: data after the configuration object")
 	}

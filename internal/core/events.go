@@ -29,11 +29,9 @@ func (e Event) String() string {
 	return s
 }
 
-// EventLog accumulates events in time order. A System keeps one log per
-// scheduler, each with a single writer (one shard's components, or the
-// control context through System.LogEvent), so appends are naturally
-// ordered. System.EventLog presents MergeEventLogs of them: a read view,
-// never a log to write to.
+// EventLog accumulates events in time order: its one writer is the
+// system's scheduler goroutine (its components, and drivers through
+// System.LogEvent), so appends are naturally ordered.
 type EventLog struct {
 	events []Event
 }
@@ -43,36 +41,6 @@ func NewEventLog() *EventLog { return &EventLog{} }
 
 // add records an event.
 func (l *EventLog) add(e Event) { l.events = append(l.events, e) }
-
-// MergeEventLogs combines per-scheduler logs into one time-ordered log.
-// Entries at equal timestamps keep the argument order of their source logs
-// (pass the control log first: its events fire before same-instant shard
-// events), and within one source log the original append order. The merge
-// is deterministic, so the combined view is independent of shard count for
-// order-insensitive consumers (counts, windows) by construction.
-func MergeEventLogs(logs ...*EventLog) *EventLog {
-	n := 0
-	for _, l := range logs {
-		n += len(l.events)
-	}
-	out := &EventLog{events: make([]Event, 0, n)}
-	// Index-based k-way merge; k is tiny (shard count + 1).
-	pos := make([]int, len(logs))
-	for len(out.events) < n {
-		best := -1
-		for i, l := range logs {
-			if pos[i] >= len(l.events) {
-				continue
-			}
-			if best < 0 || l.events[pos[i]].At < logs[best].events[pos[best]].At {
-				best = i
-			}
-		}
-		out.events = append(out.events, logs[best].events[pos[best]])
-		pos[best]++
-	}
-	return out
-}
 
 // Events snapshots the full log.
 func (l *EventLog) Events() []Event {

@@ -12,11 +12,11 @@ import (
 )
 
 // Warm-start snapshot engine. System.Snapshot captures every stateful
-// component — the schedulers (with queued events as re-arm descriptors),
+// component — the scheduler (with queued events as re-arm descriptors),
 // the RNG stream positions and the metrics registry, then everything on
 // the System.stateful list: bridges (with their clocks), links, relays,
 // nodes (stacks, phc2sys, shared memory), the measurement collector and
-// agents, the event logs, the Sync latency tracker and the wide-area tier
+// agents, the event log, the Sync latency tracker and the wide-area tier
 // — into one opaque value. ForkSystem rewinds the captured system back to
 // that instant, so a sweep campaign pays for the convergence prefix once
 // and forks per sweep point.
@@ -46,13 +46,11 @@ func (l *EventLog) Restore(snap any) {
 	l.events = append([]Event(nil), sn.events...)
 }
 
-// systemSnapshot captures a System. scheds mirrors System.kernels and
-// states System.stateful positionally. Snapshots are taken at driver time,
-// when every shard is parked at the same instant and all boundary outboxes
-// are empty.
+// systemSnapshot captures a System. states mirrors System.stateful
+// positionally. Snapshots are taken at driver time, between RunFor calls.
 type systemSnapshot struct {
 	sys     *System
-	scheds  []any
+	sched   any
 	streams any
 	metrics *obs.RegistryState
 	states  []any
@@ -61,34 +59,25 @@ type systemSnapshot struct {
 
 // Snapshot captures the complete system state at the current instant.
 func (s *System) Snapshot() any {
-	sn := &systemSnapshot{
+	return &systemSnapshot{
 		sys:     s,
-		scheds:  make([]any, len(s.kernels)),
+		sched:   s.sched.Snapshot(),
 		streams: s.streams.Snapshot(),
 		metrics: s.obs.StateSnapshot(),
 		states:  sim.SnapshotAll(s.stateful),
 		started: s.started,
 	}
-	for i, sc := range s.kernels {
-		sn.scheds[i] = sc.Snapshot()
-	}
-	return sn
 }
 
-// Restore rewinds the system to a Snapshot taken from it. The schedulers
-// (and the fabric's view of them), streams and metrics come back first,
-// then every stateful component in build order.
+// Restore rewinds the system to a Snapshot taken from it. The scheduler,
+// streams and metrics come back first, then every stateful component in
+// build order.
 func (s *System) Restore(snap any) {
 	sn := snap.(*systemSnapshot)
 	if sn.sys != s {
 		panic("core: snapshot restored into a different System")
 	}
-	for i, sc := range s.kernels {
-		sc.Restore(sn.scheds[i])
-	}
-	if s.fabric != nil {
-		s.fabric.Resync()
-	}
+	s.sched.Restore(sn.sched)
 	s.streams.Restore(sn.streams)
 	s.obs.RestoreState(sn.metrics)
 	sim.RestoreAll(s.stateful, sn.states)

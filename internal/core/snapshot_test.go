@@ -74,9 +74,7 @@ func TestSnapshotRestoreIsolation(t *testing.T) {
 func checkStateTypes(t *testing.T, sn *systemSnapshot) {
 	t.Helper()
 	w := stateWalker{t: t, seen: map[uintptr]bool{}, checked: map[reflect.Type]bool{}}
-	for _, v := range sn.scheds {
-		w.walk(reflect.ValueOf(v))
-	}
+	w.walk(reflect.ValueOf(sn.sched))
 	for _, v := range sn.states {
 		w.walk(reflect.ValueOf(v))
 	}

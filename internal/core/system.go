@@ -18,27 +18,13 @@ import (
 	"gptpfta/internal/wan"
 )
 
-// System is one fully wired testbed instance. With Config.Shards > 1 the
-// event kernel is split into per-shard schedulers coordinated by a
-// sim.Fabric (conservative PDES); switches are assigned to shards
-// contiguously by global index and links that straddle a shard cut become
-// deferred-mailbox boundaries. Shards == 1 keeps the single legacy
-// scheduler, which then also serves as the control scheduler.
-//
-// The control context (Scheduler, Now, LogEvent, EventLog, NodeControls)
-// means the same at every shard count: Now reads the control instant,
-// LogEvent is the one writer of driver and control-callback events, and
-// EventLog is a merged read view.
+// System is one fully wired testbed instance, simulated on one
+// sim.Scheduler. Drivers and control callbacks (chaos plans, fault
+// injectors, attacks) use Scheduler, Now and LogEvent; EventLog is a read
+// view of the log.
 type System struct {
-	cfg Config
-	// scheds holds one scheduler per shard. control is the shard-less
-	// scheduler driving chaos plans, fault injectors and driver At/Every
-	// calls; unsharded it aliases scheds[0]. kernels lists every distinct
-	// scheduler once: the shards, then control when sharded.
-	scheds  []*sim.Scheduler
-	control *sim.Scheduler
-	kernels []*sim.Scheduler
-	fabric  *sim.Fabric // nil when unsharded
+	cfg     Config
+	sched   *sim.Scheduler
 	streams *sim.Streams
 
 	bridges []*netsim.Bridge
@@ -55,21 +41,17 @@ type System struct {
 	agents       map[string]*measure.Agent
 
 	// wanCoord/wanDrift are the wide-area tier (nil unless
-	// cfg.WanSync.Enabled on a multi-site fabric); both tick on the
-	// control scheduler.
+	// cfg.WanSync.Enabled on a multi-site fabric).
 	wanCoord *wan.Coordinator
 	wanDrift *wan.Drift
 
 	collector *measure.Collector
-	// logs holds one event log per shard plus, when sharded, a trailing
-	// control log (unsharded, the one log is both); EventLog() presents
-	// the deterministic merged view.
-	logs    []*EventLog
-	syncLat *measure.LatencyTracker
-	obs     *obs.Registry
+	log       *EventLog
+	syncLat   *measure.LatencyTracker
+	obs       *obs.Registry
 
 	// stateful lists every component a snapshot captures besides the
-	// schedulers, streams and metrics, in build order.
+	// scheduler, streams and metrics, in build order.
 	stateful []sim.Snapshotter
 
 	started bool
@@ -88,39 +70,26 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: measurement VM c%d%d out of range",
 			cfg.MeasurementNode+1, cfg.MeasurementVM+1)
 	}
+	if cfg.NumDomains() > cfg.Nodes {
+		// Node i hosts domain i's grandmaster, so a domain numbered at or
+		// above Nodes would have none.
+		return nil, fmt.Errorf("core: %d domains on %d nodes: every domain needs a grandmaster node",
+			cfg.NumDomains(), cfg.Nodes)
+	}
 
 	s := &System{
 		cfg:          cfg,
+		sched:        sim.NewScheduler(),
 		streams:      sim.NewStreams(cfg.Seed),
 		vms:          make(map[string]*hypervisor.CSVM),
 		agents:       make(map[string]*measure.Agent),
 		linkByName:   make(map[string]*netsim.Link),
 		bridgeByName: make(map[string]*netsim.Bridge),
+		log:          NewEventLog(),
 		syncLat:      measure.NewLatencyTracker(),
 		obs:          obs.NewRegistry(),
 	}
-	nShards := cfg.effectiveShards()
-	s.scheds = make([]*sim.Scheduler, nShards)
-	for i := range s.scheds {
-		s.scheds[i] = sim.NewScheduler()
-	}
-	if nShards == 1 {
-		// Legacy kernel: one scheduler plays every role, one log.
-		s.control = s.scheds[0]
-		s.kernels = s.scheds
-		s.logs = []*EventLog{NewEventLog()}
-	} else {
-		s.control = sim.NewScheduler()
-		s.kernels = append(append([]*sim.Scheduler(nil), s.scheds...), s.control)
-		s.logs = make([]*EventLog, nShards+1)
-		for i := range s.logs {
-			s.logs[i] = NewEventLog()
-		}
-	}
-	for _, l := range s.logs {
-		s.stateful = append(s.stateful, l)
-	}
-	s.stateful = append(s.stateful, s.syncLat)
+	s.stateful = append(s.stateful, s.log, s.syncLat)
 	if err := s.buildBridges(); err != nil {
 		return nil, err
 	}
@@ -131,39 +100,16 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s.buildForwarding()
-	if nShards > 1 {
-		var bounds []sim.Boundary
-		for _, l := range s.links {
-			if l.Boundary() {
-				bounds = append(bounds, l)
-			}
-		}
-		s.fabric = sim.NewFabric(s.scheds, s.control, bounds)
-	}
 	s.buildWan()
 	s.instrumentKernel()
 	return s, nil
 }
 
 // Topology helpers. Switches carry a global index g in [0, TotalNodes);
-// site = g / Nodes, local in-site index = g % Nodes. Shard assignment is
-// contiguous in g, so with Shards == Sites every shard is exactly one site
-// and the only boundaries are the metro-latency gateway links.
+// site = g / Nodes, local in-site index = g % Nodes.
 
 func (s *System) siteOf(g int) int  { return g / s.cfg.Nodes }
 func (s *System) localOf(g int) int { return g % s.cfg.Nodes }
-
-func (s *System) shardOf(g int) int {
-	return g * len(s.scheds) / s.cfg.TotalNodes()
-}
-
-// shardSched returns the scheduler owning global switch g and everything
-// attached to it (its relay, node, VMs and their NICs).
-func (s *System) shardSched(g int) *sim.Scheduler { return s.scheds[s.shardOf(g)] }
-
-// controlLog is where driver/control-context events land (the trailing log,
-// which unsharded is the only log).
-func (s *System) controlLog() *EventLog { return s.logs[len(s.logs)-1] }
 
 // Metrics exposes the system's private metrics registry. Each System owns
 // its own registry so the parallel experiment runner never mixes metrics of
@@ -172,43 +118,20 @@ func (s *System) controlLog() *EventLog { return s.logs[len(s.logs)-1] }
 // digests are unaffected.
 func (s *System) Metrics() *obs.Registry { return s.obs }
 
-// ProcessedEvents totals the events executed across every scheduler — the
+// ProcessedEvents reports the events executed so far — the
 // benchmark-facing throughput counter.
-func (s *System) ProcessedEvents() uint64 {
-	var n uint64
-	for _, sc := range s.kernels {
-		n += sc.Diag().Processed
-	}
-	return n
-}
+func (s *System) ProcessedEvents() uint64 { return s.sched.Processed() }
 
 // instrumentKernel registers gauge funcs over the kernel-level counters the
 // components already maintain: scheduler diagnostics, bridge and link
-// traffic, frame-pool hit rate and — when sharded — the PDES fabric
-// counters. Sampling happens only at Snapshot, so the hot paths pay
-// nothing. Wall-clock quantities (barrier waits) are observability only and
-// never part of a determinism surface.
+// traffic and the frame-pool hit rate. Sampling happens only at Snapshot,
+// so the hot paths pay nothing.
 func (s *System) instrumentKernel() {
 	reg := s.obs
-	eachSched := func(fn func(d sim.Diagnostics) uint64) float64 {
-		var n uint64
-		for _, sc := range s.kernels {
-			n += fn(sc.Diag())
-		}
-		return float64(n)
-	}
-	reg.GaugeFunc("sim_events_processed", func() float64 {
-		return eachSched(func(d sim.Diagnostics) uint64 { return d.Processed })
-	})
-	reg.GaugeFunc("sim_events_cancelled", func() float64 {
-		return eachSched(func(d sim.Diagnostics) uint64 { return d.Cancelled })
-	})
-	reg.GaugeFunc("sim_past_clamps", func() float64 {
-		return eachSched(func(d sim.Diagnostics) uint64 { return d.PastClamps })
-	})
-	reg.GaugeFunc("sim_events_pending", func() float64 {
-		return eachSched(func(d sim.Diagnostics) uint64 { return uint64(d.Pending) })
-	})
+	reg.GaugeFunc("sim_events_processed", func() float64 { return float64(s.sched.Diag().Processed) })
+	reg.GaugeFunc("sim_events_cancelled", func() float64 { return float64(s.sched.Diag().Cancelled) })
+	reg.GaugeFunc("sim_past_clamps", func() float64 { return float64(s.sched.Diag().PastClamps) })
+	reg.GaugeFunc("sim_events_pending", func() float64 { return float64(s.sched.Diag().Pending) })
 	reg.GaugeFunc("netsim_frames_forwarded", func() float64 {
 		var n uint64
 		for _, b := range s.bridges {
@@ -247,40 +170,13 @@ func (s *System) instrumentKernel() {
 		}
 		return float64(n)
 	})
-	// Each scheduler owns one frame pool; the hit rate is over all of
-	// this system's pools.
 	reg.GaugeFunc("netsim_pool_hit_rate", func() float64 {
-		var gets, news uint64
-		for _, sc := range s.scheds {
-			g, n, _ := netsim.PoolOf(sc).Stats()
-			gets, news = gets+g, news+n
-		}
+		gets, news, _ := netsim.PoolOf(s.sched).Stats()
 		if gets == 0 {
 			return 0
 		}
 		return float64(gets-news) / float64(gets)
 	})
-	if s.fabric == nil {
-		return
-	}
-	for i := range s.scheds {
-		sc := s.scheds[i]
-		reg.GaugeFunc("pdes_shard_events", func() float64 {
-			return float64(sc.Diag().Processed)
-		}, obs.L("shard", itoa(i)))
-	}
-	reg.GaugeFunc("pdes_shards", func() float64 { return float64(len(s.scheds)) })
-	reg.GaugeFunc("pdes_windows", func() float64 { return float64(s.fabric.Stats().Windows) })
-	reg.GaugeFunc("pdes_control_rounds", func() float64 { return float64(s.fabric.Stats().ControlRounds) })
-	reg.GaugeFunc("pdes_mailbox_frames", func() float64 { return float64(s.fabric.Stats().Committed) })
-	reg.GaugeFunc("pdes_lookahead_ns", func() float64 { return float64(s.fabric.Stats().LookaheadNS) })
-	reg.GaugeFunc("pdes_barrier_wait_ns_total", func() float64 { return float64(s.fabric.Stats().BarrierWaitNS) })
-	reg.GaugeFunc("pdes_serial_windows", func() float64 { return float64(s.fabric.Stats().SerialWindows) })
-	reg.GaugeFunc("pdes_flush_skipped", func() float64 { return float64(s.fabric.Stats().FlushesSkipped) })
-	reg.GaugeFunc("pdes_lookahead_rescans", func() float64 { return float64(s.fabric.Stats().LookaheadRescans) })
-	reg.GaugeFunc("pdes_worker_parks", func() float64 { return float64(s.fabric.Stats().WorkerParks) })
-	hist := reg.Histogram("pdes_barrier_wait_ns", []float64{1e3, 1e4, 1e5, 1e6, 1e7})
-	s.fabric.BarrierObserver = hist.Observe
 }
 
 // meshPort returns the port index on a bridge (in-site index i) that faces
@@ -361,7 +257,7 @@ func (s *System) buildBridges() error {
 	total := s.cfg.TotalNodes()
 	for g := 0; g < total; g++ {
 		name := "sw" + itoa(g+1)
-		sc := s.shardSched(g)
+		sc := s.sched
 		static := clock.UniformPPB(s.streams.Stream("static/"+name), s.cfg.MaxStaticPPB)
 		br := netsim.NewBridge(name, sc, s.streams.Stream("br/"+name),
 			s.newPHC(sc, name, static, 0), netsim.BridgeConfig{Ports: s.numPorts(g), Residence: residence})
@@ -369,18 +265,14 @@ func (s *System) buildBridges() error {
 		s.bridgeByName[name] = br
 		s.stateful = append(s.stateful, br)
 	}
-	// Full mesh between each site's integrated switches. ConnectBoundary
-	// degrades to a plain local link when both ends share a scheduler, so a
-	// shard cut through the middle of a site is merely slower (the in-site
-	// propagation shrinks the fabric lookahead), never incorrect.
+	// Full mesh between each site's integrated switches.
 	for site := 0; site < s.cfg.NumSites(); site++ {
 		base := site * s.cfg.Nodes
 		for i := 0; i < s.cfg.Nodes; i++ {
 			for j := i + 1; j < s.cfg.Nodes; j++ {
 				gi, gj := base+i, base+j
 				linkName := fmt.Sprintf("sw%d-sw%d", gi+1, gj+1)
-				link, err := netsim.ConnectBoundary(s.shardSched(gi), s.shardSched(gj),
-					s.streams.Stream("link/"+linkName),
+				link, err := netsim.Connect(s.sched, s.streams.Stream("link/"+linkName),
 					s.linkConfig(linkName),
 					s.bridges[gi].Port(s.meshPort(i, j)), s.bridges[gj].Port(s.meshPort(j, i)))
 				if err != nil {
@@ -398,8 +290,7 @@ func (s *System) buildBridges() error {
 		linkName := fmt.Sprintf("sw%d-sw%d", ga+1, gb+1)
 		cfg := s.linkConfig(linkName)
 		cfg.Propagation = s.interSitePropagation()
-		link, err := netsim.ConnectBoundary(s.shardSched(ga), s.shardSched(gb),
-			s.streams.Stream("link/"+linkName), cfg,
+		link, err := netsim.Connect(s.sched, s.streams.Stream("link/"+linkName), cfg,
 			s.bridges[ga].Port(s.uplinkToNext(site-1)), s.bridges[gb].Port(s.uplinkToPrev(site)))
 		if err != nil {
 			return err
@@ -427,8 +318,7 @@ func (s *System) linkConfig(name string) netsim.LinkConfig {
 func (s *System) buildNodes() error {
 	total := s.cfg.TotalNodes()
 	for g := 0; g < total; g++ {
-		sc := s.shardSched(g)
-		shardLog := s.logs[s.shardOf(g)]
+		sc := s.sched
 		nodeName := NodeName(g)
 		tscOsc := clock.NewOscillator(clock.OscillatorConfig{
 			StaticPPB:           clock.UniformPPB(s.streams.Stream("tsc/"+nodeName), s.cfg.MaxStaticPPB),
@@ -442,7 +332,7 @@ func (s *System) buildNodes() error {
 				VoteThresholdNS: s.cfg.VoteThresholdNS,
 			},
 			func(e hypervisor.Event) {
-				shardLog.add(Event{At: sc.Now(), Node: e.Node, VM: e.VM, Kind: e.Kind, Detail: e.Detail})
+				s.log.add(Event{At: sc.Now(), Node: e.Node, VM: e.VM, Kind: e.Kind, Detail: e.Detail})
 			})
 		node.Instrument(s.obs)
 		s.nodes = append(s.nodes, node)
@@ -493,7 +383,7 @@ func (s *System) buildNodes() error {
 				SkipStartup:            s.cfg.BaselineClientsOnly,
 				DisableDiscipline:      s.cfg.BaselineClientsOnly && gmDomain >= 0,
 			}, func(e ptp4l.Event) {
-				shardLog.add(Event{At: sc.Now(), Node: nodeNameCopy, VM: vmNameCopy, Kind: e.Kind, Detail: e.Detail})
+				s.log.add(Event{At: sc.Now(), Node: nodeNameCopy, VM: vmNameCopy, Kind: e.Kind, Detail: e.Detail})
 			})
 			if err != nil {
 				return err
@@ -501,9 +391,8 @@ func (s *System) buildNodes() error {
 			stack.Instrument(s.obs)
 			// Register the per-domain tracker paths at build time: the
 			// observer runs once per received Sync, so it indexes a dense
-			// table instead of formatting and hashing a key, and sharded
-			// runs stay race-free (one writer per path). A Sync of a domain
-			// the system does not run is no path of its bound.
+			// table instead of formatting and hashing a key. A Sync of a
+			// domain the system does not run is no path of its bound.
 			syncPaths := make([]int, s.cfg.NumDomains())
 			for d := range syncPaths {
 				syncPaths[d] = s.syncLat.Path(fmt.Sprintf("dom%d->%s", d+1, vmNameCopy))
@@ -549,8 +438,8 @@ func (s *System) buildNodes() error {
 
 // installMeasurement attaches the probe agent or the collector to the VM.
 // The collector lives on site 0; every other VM in the fabric answers its
-// probes, so with Sites > 1 the measurement VLAN is the cross-site (and
-// cross-shard) traffic source.
+// probes, so with Sites > 1 the measurement VLAN is the cross-site traffic
+// source.
 func (s *System) installMeasurement(node *hypervisor.Node, vm *hypervisor.CSVM, sc *sim.Scheduler, nodeIdx, vmIdx int) {
 	if nodeIdx == s.cfg.MeasurementNode && vmIdx == s.cfg.MeasurementVM {
 		excluded := VMName(s.cfg.MeasurementNode, 0) // c_m1, asymmetric path
@@ -593,7 +482,7 @@ func (s *System) buildRelays() error {
 			}
 			domainPorts[d] = gptp.DomainPorts{SlavePort: s.meshPort(local, d), MasterPorts: masters}
 		}
-		relay, err := gptp.NewRelay(s.bridges[g], s.shardSched(g), s.streams.Stream("relay/"+itoa(g+1)),
+		relay, err := gptp.NewRelay(s.bridges[g], s.sched, s.streams.Stream("relay/"+itoa(g+1)),
 			gptp.RelayConfig{Domains: domainPorts, DefaultLinkDelayNS: float64(s.cfg.LinkPropagation)})
 		if err != nil {
 			return err
@@ -687,16 +576,16 @@ func (s *System) Start() error {
 	if err := s.collector.Start(); err != nil {
 		return err
 	}
-	// WAN tier on the control scheduler; the drift process is armed first
+	// WAN tier; the drift process is armed first
 	// so coincident-instant ticks apply the delay walk before the
 	// coordinator measures across it.
 	if s.wanDrift != nil {
-		if err := s.wanDrift.Start(s.control); err != nil {
+		if err := s.wanDrift.Start(s.sched); err != nil {
 			return err
 		}
 	}
 	if s.wanCoord != nil {
-		if err := s.wanCoord.Start(s.control); err != nil {
+		if err := s.wanCoord.Start(s.sched); err != nil {
 			return err
 		}
 	}
@@ -733,53 +622,42 @@ func (s *System) Stop() {
 	// Surface scheduler diagnostics: past-time clamps mean some component
 	// asked for an instant that had already elapsed (usually a drift-induced
 	// deadline miss) and silently ran late instead.
-	var clamps uint64
-	for _, sc := range s.kernels {
-		clamps += sc.PastClamps()
-	}
-	if clamps > 0 {
+	if clamps := s.sched.PastClamps(); clamps > 0 {
 		s.LogEvent(Event{At: s.Now(), Kind: "sched_past_clamps",
 			Detail: fmt.Sprintf("%d events clamped to now", clamps)})
 	}
 	s.started = false
 }
 
-// Close is a no-op, kept for callers that release systems explicitly: a
-// sharded system's shard workers live for one RunFor/RunUntil call, so a
-// system holds no goroutine between calls and dropping it leaks nothing.
-func (s *System) Close() {}
-
 // RunFor advances the simulation by d.
-func (s *System) RunFor(d time.Duration) error {
-	if s.fabric != nil {
-		return s.fabric.RunFor(d)
-	}
-	return s.control.RunFor(d)
-}
+func (s *System) RunFor(d time.Duration) error { return s.sched.RunFor(d) }
 
 // RunUntil advances the simulation to absolute instant t.
-func (s *System) RunUntil(t sim.Time) error {
-	if s.fabric != nil {
-		return s.fabric.RunUntil(t)
-	}
-	return s.control.RunUntil(t)
-}
+func (s *System) RunUntil(t sim.Time) error { return s.sched.RunUntil(t) }
 
-// Now reports the control instant: inside a control callback at tc it reads
-// tc, and between RunFor/RunUntil calls the instant the last one reached.
-// Sharded, every shard clock reads the same instant whenever the control
-// context runs.
-func (s *System) Now() sim.Time { return s.control.Now() }
+// Now reports the simulation instant: inside a callback at t it reads t,
+// and between RunFor/RunUntil calls the instant the last one reached.
+func (s *System) Now() sim.Time { return s.sched.Now() }
 
-// Scheduler exposes the control scheduler: the home for fault-injection
-// drivers, chaos plans, attack timers and test hooks. Unsharded it is the
-// simulation's only scheduler; sharded, its events fire at barriers
-// between windows, never concurrently with shard execution, and before
-// the shards' own events at the same instant.
-func (s *System) Scheduler() *sim.Scheduler { return s.control }
+// Scheduler exposes the system's scheduler: the home for fault-injection
+// drivers, chaos plans, attack timers and test hooks.
+func (s *System) Scheduler() *sim.Scheduler { return s.sched }
 
-// Fabric exposes the PDES coordinator, nil when running unsharded.
-func (s *System) Fabric() *sim.Fabric { return s.fabric }
+// Close, Fabric and benchFabric are kept only for bench/, which still
+// calls them: a System holds no goroutine or other resource to release,
+// and there is no sharded kernel whose statistics Fabric could report.
+
+// Close does nothing. Kept only for bench/.
+func (s *System) Close() {}
+
+// Fabric returns nil. Kept only for bench/.
+func (s *System) Fabric() *benchFabric { return nil }
+
+// benchFabric is the type of Fabric's nil result. Kept only for bench/.
+type benchFabric struct{}
+
+// Stats returns zero counters. Kept only for bench/.
+func (*benchFabric) Stats() sim.FabricStats { return sim.FabricStats{} }
 
 // Streams exposes the seeded random stream factory.
 func (s *System) Streams() *sim.Streams { return s.streams }
@@ -815,23 +693,15 @@ func (s *System) VM(name string) (*hypervisor.CSVM, bool) {
 // Collector returns the measurement collector.
 func (s *System) Collector() *measure.Collector { return s.collector }
 
-// EventLog returns a read view of the experiment event log, rebuilt on
-// every call at every shard count: entries ordered by timestamp,
-// control-context events first among equals (they fire before shard events
-// at the same instant), then by shard. Later events never reach a view
-// already taken; record them with LogEvent.
-func (s *System) EventLog() *EventLog {
-	// Control log last in storage but first among timestamp ties.
-	ordered := make([]*EventLog, 0, len(s.logs))
-	ordered = append(ordered, s.controlLog())
-	ordered = append(ordered, s.logs[:len(s.logs)-1]...)
-	return MergeEventLogs(ordered...)
-}
+// EventLog returns a copy of the experiment event log, in the order the
+// events happened. Later events never reach a copy already taken; record
+// driver and control-callback events with LogEvent.
+func (s *System) EventLog() *EventLog { return &EventLog{events: s.log.Events()} }
 
 // LogEvent records a driver or control-callback event (an exploit, an
-// installed attack, a chaos action) in the control log. It is the only
-// writer outside the system's own components; stamp e.At with Now().
-func (s *System) LogEvent(e Event) { s.controlLog().add(e) }
+// installed attack, a chaos action). It is the only writer outside the
+// system's own components; stamp e.At with Now().
+func (s *System) LogEvent(e Event) { s.log.add(e) }
 
 // SyncLatencies returns the tracker of observed Sync path latencies.
 func (s *System) SyncLatencies() *measure.LatencyTracker { return s.syncLat }
@@ -901,7 +771,7 @@ func (s *System) TruePrecision() (float64, bool) {
 type nodeControl struct{ node *hypervisor.Node }
 
 // NodeControls returns fault-injection handles for every node, ready for
-// faultinject.New on the control scheduler.
+// faultinject.New on the system's scheduler.
 func (s *System) NodeControls() []faultinject.NodeControl {
 	out := make([]faultinject.NodeControl, len(s.nodes))
 	for i, n := range s.nodes {

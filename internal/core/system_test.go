@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -218,6 +220,101 @@ func TestSystemConfigValidation(t *testing.T) {
 	cfg.VMsPerNode = 0
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("0 VMs per node accepted")
+	}
+}
+
+// TestSystemRejectsDomainsWithoutGrandmaster: node i hosts domain i's
+// grandmaster, so more domains than nodes would leave the extra domains
+// with none, and an attack on them would silently hit nothing.
+func TestSystemRejectsDomainsWithoutGrandmaster(t *testing.T) {
+	cfg := NewConfig(1)
+	cfg.DomainCount = cfg.Nodes + 1
+	if _, err := NewSystem(cfg); err == nil {
+		t.Fatalf("%d domains on %d nodes accepted", cfg.DomainCount, cfg.Nodes)
+	}
+	cfg.DomainCount = cfg.Nodes
+	if _, err := NewSystem(cfg); err != nil {
+		t.Fatalf("one domain per node rejected: %v", err)
+	}
+}
+
+// TestScaleTopologyRuns sanity-checks the generated fabric itself: the
+// fabric-wide measurement VLAN returns replies across the gateway chain.
+func TestScaleTopologyRuns(t *testing.T) {
+	cfg := ScaleConfig(5, 2, 3, 2)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	if err := sys.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := sys.RunFor(5 * time.Second); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	samples := sys.Collector().Samples()
+	if len(samples) == 0 {
+		t.Fatal("collector gathered no samples")
+	}
+	// Agents on the remote site are reachable through the gateway chain.
+	want := cfg.TotalNodes()*cfg.VMsPerNode - 2 // minus collector and excluded GM
+	if got := samples[len(samples)-1].Replies; got != want {
+		t.Errorf("probe replies = %d, want %d (remote site unreachable?)", got, want)
+	}
+	sys.Stop()
+}
+
+// TestSystemCloseIdempotent pins the lifecycle bench/ relies on: Close is
+// a repeatable no-op, the system keeps simulating after it, and Stop after
+// Close is safe.
+func TestSystemCloseIdempotent(t *testing.T) {
+	sys := buildAndStart(t, 7, nil)
+	runFor(t, sys, 500*time.Millisecond)
+	sys.Close()
+	sys.Close()
+	before := sys.ProcessedEvents()
+	runFor(t, sys, 500*time.Millisecond)
+	if sys.ProcessedEvents() == before {
+		t.Fatal("no events after Close")
+	}
+	if sys.Fabric() != nil {
+		t.Fatal("Fabric() is not nil")
+	}
+	sys.Stop()
+}
+
+// TestConcurrentSystemsShareNoFreeList runs three distinct systems (two
+// paper meshes and a three-site fabric) on three goroutines at two Ps and
+// requires each to reproduce the run it makes alone. Under -race (make
+// verify) it shows that no free list, pool counter or other message-path
+// state is shared between systems.
+func TestConcurrentSystemsShareNoFreeList(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three concurrent systems")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const d = 1200 * time.Millisecond
+	cfgs := []Config{NewConfig(41), NewConfig(42), ScaleConfig(7, 3, 3, 2)}
+	want := make([]runFingerprint, len(cfgs))
+	for i, cfg := range cfgs {
+		want[i] = fingerprint(t, cfg, d)
+	}
+	got := make([]runFingerprint, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = runPrint(cfg, d, nil)
+		}()
+	}
+	wg.Wait()
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatalf("system %d: %v", i, errs[i])
+		}
+		requireSameFingerprint(t, fmt.Sprintf("concurrent system %d", i), want[i], got[i])
 	}
 }
 

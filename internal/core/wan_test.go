@@ -2,13 +2,12 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"time"
 )
 
-func wanTestConfig(seed int64, sites, shards int) Config {
-	cfg := ScaleConfig(seed, sites, 4, 2, shards)
+func wanTestConfig(seed int64, sites int) Config {
+	cfg := ScaleConfig(seed, sites, 4, 2)
 	cfg.WanSync.Enabled = true
 	cfg.WanSync.Drift.Enabled = true
 	return cfg
@@ -17,7 +16,7 @@ func wanTestConfig(seed int64, sites, shards int) Config {
 // TestWanPathAsym pins the sign and magnitude of the two-way-exchange
 // asymmetry error the coordinator's readings inherit from the chain.
 func TestWanPathAsym(t *testing.T) {
-	sys, err := NewSystem(wanTestConfig(1, 3, 1))
+	sys, err := NewSystem(wanTestConfig(1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestWanTierConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-site convergence run")
 	}
-	sys, err := NewSystem(wanTestConfig(1, 3, 1))
+	sys, err := NewSystem(wanTestConfig(1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,50 +95,5 @@ func TestWanTierConverges(t *testing.T) {
 	// scale; the raw (uncorrected) site clocks disagree by milliseconds.
 	if hi-lo > 50_000 {
 		t.Fatalf("WAN site spread after 30s = %.0fns, want ≤ 50µs", hi-lo)
-	}
-}
-
-// TestShardEquivalenceWan extends the PDES contract to the WAN tier: the
-// coordinator's full sample series (and the system fingerprint) must be
-// bit-identical at every shard count, because its ticks run on the control
-// scheduler at barrier instants.
-func TestShardEquivalenceWan(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run equivalence suite")
-	}
-	const d = 12 * time.Second
-	type wanFP struct {
-		fp      runFingerprint
-		samples any
-	}
-	run := func(shards int) wanFP {
-		cfg := wanTestConfig(7, 3, shards)
-		sys, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatalf("NewSystem(shards=%d): %v", shards, err)
-		}
-		if err := sys.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.RunFor(d); err != nil {
-			t.Fatal(err)
-		}
-		out := wanFP{samples: sys.Wan().Samples(), fp: runFingerprint{samples: sys.Collector().Samples()}}
-		out.fp.frames = framesTotal(sys)
-		sys.Stop()
-		return out
-	}
-	want := run(1)
-	for _, shards := range []int{2, 3, 6} {
-		got := run(shards)
-		if !reflect.DeepEqual(want.samples, got.samples) {
-			t.Errorf("shards=%d: WAN sample series diverges from single-scheduler run", shards)
-		}
-		if !reflect.DeepEqual(want.fp.samples, got.fp.samples) {
-			t.Errorf("shards=%d: measurement samples diverge", shards)
-		}
-		if want.fp.frames != got.fp.frames {
-			t.Errorf("shards=%d: frame counters diverge: %d vs %d", shards, want.fp.frames, got.fp.frames)
-		}
 	}
 }

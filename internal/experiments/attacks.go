@@ -319,7 +319,7 @@ func attackRun(cfg AttacksConfig, sc attackScenario, behavior attack.Behavior,
 	targets := attack.CampaignTargets(attack.DefaultTargetOrder(), sc.byz)
 	atk := attack.NewAttacker(attack.DefaultVulnDB(), attack.CVE201818955, targets...)
 
-	// Schedule the coordinated campaign on the control scheduler: all
+	// Schedule the coordinated campaign on the system's scheduler: all
 	// exploits fire at AttackStart. Evolving behaviors re-falsify once per
 	// second from a per-adversary stream, so their draws do not depend on
 	// what else the simulation draws.

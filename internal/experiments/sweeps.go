@@ -177,9 +177,11 @@ type DomainSweepConfig struct {
 
 // Validate implements Validator.
 func (c DomainSweepConfig) Validate() error {
+	// Each domain's grandmaster is the first VM of its own node.
+	nodes := core.NewConfig(c.Seed).Nodes
 	for i, m := range c.Counts {
-		if m < 2 {
-			return fmt.Errorf("counts[%d] must be at least 2 domains (got %d)", i, m)
+		if m < 2 || m > nodes {
+			return fmt.Errorf("counts[%d] must be 2 to %d domains, one per node (got %d)", i, nodes, m)
 		}
 	}
 	return checkDurations(field{"duration", c.Duration})

@@ -373,7 +373,7 @@ func WanSites(ctx context.Context, cfg WanSitesConfig) (*WanSitesResult, error) 
 
 // wanSitesCollect classifies one finished run. The verdict is computed
 // entirely from the coordinator's per-tick sample series and the wan_*
-// counters, both control-scheduler state.
+// counters.
 func wanSitesCollect(cfg WanSitesConfig, sc wanScenario, sys *core.System) (WanSitePoint, []obs.Metric, error) {
 	co := sys.Wan()
 	if co == nil {

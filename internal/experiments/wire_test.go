@@ -54,7 +54,7 @@ func TestDecodeConfigNil(t *testing.T) {
 
 // TestDecodeConfigUnknownField checks the strict decode: a typo'd key is an
 // error for every experiment, not a silently ignored no-op. "shards" is
-// one: sharding is a property of a core.Config topology, not of a study.
+// one: it was the shard count of the deleted sharded kernel.
 func TestDecodeConfigUnknownField(t *testing.T) {
 	for _, e := range All() {
 		t.Run(e.Name(), func(t *testing.T) {
@@ -86,6 +86,29 @@ func TestDecodeConfigValidation(t *testing.T) {
 		if _, err := e.DecodeConfig(json.RawMessage(raw)); err == nil {
 			t.Fatalf("%s: invalid config %s accepted", name, raw)
 		}
+	}
+}
+
+// TestDomainSweepCountsNeedGrandmasters bounds the domain sweep by the
+// paper mesh's node count: node i hosts domain i's grandmaster, so a count
+// above it would run domains no grandmaster serves, and a served job could
+// size per-domain tables by an arbitrary count. Nothing here builds a system.
+func TestDomainSweepCountsNeedGrandmasters(t *testing.T) {
+	nodes := core.NewConfig(1).Nodes
+	if err := (DomainSweepConfig{Counts: []int{2, nodes}}).Validate(); err != nil {
+		t.Fatalf("counts [2 %d] rejected: %v", nodes, err)
+	}
+	for _, m := range []int{nodes + 1, 1_000_000_000} {
+		if err := (DomainSweepConfig{Counts: []int{m}}).Validate(); err == nil {
+			t.Errorf("count %d on %d nodes accepted", m, nodes)
+		}
+	}
+	e, err := Lookup("domains")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.DecodeConfig(json.RawMessage(`{"counts":[1000000000]}`)); err == nil {
+		t.Fatal(`served job {"counts":[1000000000]} passed submit-time validation`)
 	}
 }
 
@@ -154,27 +177,25 @@ func TestWireResultEnvelope(t *testing.T) {
 	}
 }
 
-// TestShardsKnobWire pins where the PDES knob lives on the wire: the
-// shard count is a core.Config field ({"shards": N}, default 1, kept
-// through a save and load), and no study config accepts it, so a payload
-// still carrying it fails closed instead of being silently ignored.
+// TestShardsKnobWire pins what is left of the deleted shard knob on the
+// wire: a core config file that still carries {"shards": N}, as every file
+// saved before the sharded kernel went does, loads with the key dropped and
+// saves without it, and no study config accepts it, so a payload still
+// carrying it fails closed instead of being silently ignored.
 func TestShardsKnobWire(t *testing.T) {
-	if got := core.NewConfig(1).Shards; got != 1 {
-		t.Errorf("core.NewConfig Shards = %d, want 1", got)
-	}
 	cfg, err := core.ReadConfigJSON(strings.NewReader(`{"shards": 4}`))
 	if err != nil {
 		t.Fatalf("core decode shards=4: %v", err)
-	}
-	if cfg.Shards != 4 {
-		t.Errorf("core decoded Shards = %d, want 4", cfg.Shards)
 	}
 	var buf bytes.Buffer
 	if err := cfg.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if back, err := core.ReadConfigJSON(&buf); err != nil || back.Shards != 4 {
-		t.Errorf("core round trip: Shards = %d, err %v; want 4", back.Shards, err)
+	if strings.Contains(buf.String(), "shards") {
+		t.Errorf("core config saved with a shards key:\n%s", buf.String())
+	}
+	if _, err := core.ReadConfigJSON(strings.NewReader(`{"shards": "4"}`)); err == nil {
+		t.Error("core decode accepted a non-integer shard count")
 	}
 
 	formerlyShardAware := []string{

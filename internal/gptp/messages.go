@@ -108,8 +108,8 @@ func (m *PdelayRespFollowUp) ClonePayload() any { c := *m; return &c }
 // and the pdelay messages. gPTP frames are link-local, so each has exactly
 // one receiver: the next relay, which copies a FollowUp (Relay.Handle), a
 // slave, which reads it (HandleFollowUp), or a LinkDelay (HandleFrame).
-// The receiver puts the message on its own scheduler's list, which may not
-// be the sender's when a link crosses shards. A message whose frame is
+// The receiver puts the message on its scheduler's list. A message whose
+// frame is
 // lost is left to the garbage collector. A Sync is shared by a relay's
 // egress copies and is never recycled.
 type payloads struct {

@@ -47,9 +47,8 @@ func (r *Reply) ClonePayload() any {
 	return &c
 }
 
-// replyPool is one scheduler's Reply free list. Agents take from the list
-// of their own scheduler and the collector puts back on its own, which
-// differ only when the fabric splits them across shards.
+// replyPool is one scheduler's Reply free list: agents take from it and
+// the collector puts back on it.
 type replyPool = sim.FreeList[Reply]
 
 // Agent answers measurement probes on one clock-synchronization VM. It is

@@ -187,12 +187,8 @@ func (p *pathExtrema) observe(d time.Duration) {
 // quantity the paper extracts from ptp4l's latency data to instantiate the
 // precision bound (§III-A3).
 //
-// Concurrency: with a sharded kernel, paths on different shards are
-// observed in parallel. Path assigns each key a dense index before the
-// simulation starts, and the table is fixed afterwards, so concurrent
-// ObservePath calls on distinct indices are race-free (one writer per
-// entry). Readers (Extrema, Paths) run from the driver, never concurrently
-// with shard execution.
+// Path assigns each key a dense index before the simulation starts, so the
+// per-Sync ObservePath indexes a table instead of hashing a key.
 type LatencyTracker struct {
 	index map[string]int // key → index into paths
 	paths []pathExtrema

@@ -260,53 +260,3 @@ func TestLegacySharedStreamOrderPreserved(t *testing.T) {
 		}
 	}
 }
-
-// TestLinkBindFabric pins the sim.Boundary hook contract on boundary
-// links: the first deferred send per direction (and only the first, until
-// the outbox drains) registers the link dirty, and every MinDelay-axis
-// mutator — SetDelayOverride, SetWanDelay, SetDelayAttack, Restore —
-// reports through the lookahead-invalidation hook.
-func TestLinkBindFabric(t *testing.T) {
-	fx := newFixture()
-	schedB := sim.NewScheduler()
-	a, b := fx.nic("a"), fx.nic("b")
-	l, err := ConnectBoundary(fx.sched, schedB, fx.streams.Stream("link/a"),
-		LinkConfig{Propagation: 500 * time.Nanosecond}, a.Port(), b.Port())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.Boundary() {
-		t.Fatal("cross-scheduler link not marked as boundary")
-	}
-	var dirty, invalidated int
-	var bound sim.Boundary = l
-	bound.BindFabric(func() { dirty++ }, func() { invalidated++ })
-
-	send := func() {
-		if _, err := a.Send(&Frame{Src: "nic/a", Dst: "nic/b"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send()
-	send()
-	if dirty != 1 {
-		t.Fatalf("markDirty calls after two same-direction sends: %d, want 1", dirty)
-	}
-	var buf []sim.Deferred
-	if buf = l.AppendDeferred(buf); len(buf) != 2 {
-		t.Fatalf("drained %d deferred sends, want 2", len(buf))
-	}
-	send()
-	if dirty != 2 {
-		t.Fatalf("markDirty calls after drain + resend: %d, want 2", dirty)
-	}
-
-	snap := l.Snapshot()
-	l.SetDelayOverride(time.Microsecond, 0)
-	l.SetWanDelay(time.Microsecond, -200*time.Nanosecond)
-	l.SetDelayAttack(nil)
-	l.Restore(snap)
-	if invalidated != 4 {
-		t.Fatalf("invalidation calls after 4 delay mutations: %d, want 4", invalidated)
-	}
-}

@@ -58,11 +58,9 @@ type Frame struct {
 
 // FramePool is one scheduler's frame free list, the hottest allocation
 // site after scheduler events. Every device and protocol endpoint built on
-// a scheduler (one shard, or a whole unsharded System) shares its pool, and
-// only the goroutine running that scheduler touches it. A frame goes back
-// to the pool of the side that releases it: the receiving device, or
-// either end of a boundary link when the fabric drops it at a barrier
-// (every shard is paused then). A frame is fully overwritten at Get and
+// a scheduler (a whole System) shares its pool, and only the goroutine
+// running that scheduler touches it. The receiving device, or the link
+// that drops a frame, releases it. A frame is fully overwritten at Get and
 // its identity is never observable, so recycling cannot perturb
 // determinism. Its Stats count Get and Clone calls; the hit rate is
 // (gets-news)/gets.

@@ -49,8 +49,7 @@ type LossModel interface {
 // (0 = ends[0]→ends[1]).
 //
 // Contract: the returned delay must be non-negative — an on-path attacker
-// can hold frames back but never accelerate them — so MinDelay's lookahead
-// bound stays valid without consulting the attack. Negative returns are
+// can hold frames back but never accelerate them. Negative returns are
 // clamped to zero. Implementations must not draw from the link's RNG
 // streams (an installed attack must not perturb jitter or loss draws).
 type DelayAttack interface {
@@ -63,41 +62,20 @@ type DelayAttack interface {
 // observed path latency arises from bridge residence times — or from a
 // chaos-injected asymmetric delay shift (SetDelayOverride).
 type Link struct {
-	// scheds holds the scheduler owning each endpoint's device: both entries
-	// are the same scheduler for an ordinary link, and differ for a
-	// cross-shard boundary link (ConnectBoundary). Direction dir sends from
-	// ends[dir] (scheds[dir]) to ends[1-dir] (scheds[1-dir]).
-	scheds [2]*sim.Scheduler
-	// frames holds the frame pool of each endpoint's scheduler: a frame
-	// dropped on the wire goes back to the pool of the side that drops
-	// it, never to one another goroutine may be using.
-	frames [2]*FramePool
+	sched *sim.Scheduler
+	// frames is the scheduler's frame pool: frames dropped on the wire go
+	// back to it.
+	frames *FramePool
 	rng    sim.RNG
 	cfg    LinkConfig
 	ends   [2]*Port
-	// deferred marks a boundary link: Send only records the frame in the
-	// per-direction outbox, and the fabric commits it at the next barrier
-	// (sim.Boundary). The commit replays the exact legacy Send tail —
-	// counters, loss draw, jitter draw, FIFO clamp — in globally sorted
-	// send order, so per-link RNG consumption matches a single-scheduler
-	// run.
-	deferred bool
-	outbox   [2][]sim.Deferred
-	// Fabric hooks (sim.Boundary.BindFabric), set only on boundary links
-	// inside a sharded system. markDirty registers the link for the next barrier
-	// flush on the first deferred send per direction; invalidateLA marks
-	// the fabric's lookahead cache stale after any MinDelay-affecting
-	// mutation. Both are nil on ordinary links and unsharded runs.
-	markDirty    func()
-	invalidateLA func()
 	// deliver holds one prebound delivery callback per direction so Send
 	// can schedule through AtArg without allocating a closure per frame.
 	deliver [2]func(any)
 
 	// Dynamic fault state (chaos engine), nil when no plan is active.
 	// lossModel replaces the configured loss probability; delayAttack, when
-	// set, is an on-path adversary adding per-frame delay (SetDelayAttack);
-	// it only ever adds latency, so MinDelay ignores it.
+	// set, is an on-path adversary adding per-frame delay (SetDelayAttack).
 	lossModel   LossModel
 	delayAttack DelayAttack
 	linkState
@@ -136,28 +114,6 @@ type linkState struct {
 // Lost reports how many frames the link dropped by stochastic loss.
 func (l *Link) Lost() uint64 { return l.lost }
 
-// BindFabric implements sim.Boundary: the fabric installs its
-// dirty-list and lookahead-invalidation hooks when the link is registered
-// as a cross-shard boundary.
-func (l *Link) BindFabric(markDirty, invalidateLookahead func()) {
-	l.markDirty = markDirty
-	l.invalidateLA = invalidateLookahead
-}
-
-// minDelayChanged reports a (possible) MinDelay change to the fabric so
-// the cached lookahead is rescanned before the next window. Every mutator
-// that touches a delay axis calls it — including SetDelayAttack, whose
-// axis never enters MinDelay: one spurious O(boundaries) rescan per attack
-// install is cheaper than coupling this call-site rule to the MinDelay
-// formula. All such mutations happen in control/driver context (chaos and
-// WAN drift tick on the control scheduler, attack installs and snapshot
-// restores at driver time), which is exactly when the hook is allowed.
-func (l *Link) minDelayChanged() {
-	if l.invalidateLA != nil {
-		l.invalidateLA()
-	}
-}
-
 // FaultDropped reports frames discarded by injected faults (link down,
 // frames caught in flight during an outage).
 func (l *Link) FaultDropped() uint64 { return l.faultedDrop }
@@ -170,30 +126,16 @@ func (l *Link) Sent() uint64 { return l.sent }
 // Connect attaches two ports with a link. It returns an error if either
 // port is already attached.
 func Connect(sched *sim.Scheduler, rng sim.RNG, cfg LinkConfig, a, b *Port) (*Link, error) {
-	return ConnectBoundary(sched, sched, rng, cfg, a, b)
-}
-
-// ConnectBoundary attaches two ports whose devices may live on different
-// shard schedulers (schedA owns a's device, schedB owns b's). When the
-// schedulers differ the link operates in deferred mode: sends queue in
-// per-direction outboxes and the owning sim.Fabric commits them at
-// barriers. With schedA == schedB this is exactly Connect.
-func ConnectBoundary(schedA, schedB *sim.Scheduler, rng sim.RNG, cfg LinkConfig, a, b *Port) (*Link, error) {
 	if a.link != nil || b.link != nil {
 		return nil, fmt.Errorf("netsim: port already connected (%s, %s)", a.Name, b.Name)
 	}
-	l := &Link{scheds: [2]*sim.Scheduler{schedA, schedB}, rng: rng, cfg: cfg,
-		frames: [2]*FramePool{PoolOf(schedA), PoolOf(schedB)},
-		ends:   [2]*Port{a, b}, deferred: schedA != schedB}
+	l := &Link{sched: sched, frames: PoolOf(sched), rng: rng, cfg: cfg, ends: [2]*Port{a, b}}
 	l.deliver[0] = func(x any) { l.finishDelivery(0, x.(*Frame)) } // a -> b
 	l.deliver[1] = func(x any) { l.finishDelivery(1, x.(*Frame)) } // b -> a
 	a.link = l
 	b.link = l
 	return l, nil
 }
-
-// Boundary reports whether the link crosses shards (deferred sends).
-func (l *Link) Boundary() bool { return l.deferred }
 
 // End returns endpoint i (0 or 1) for topology inspection (the chaos
 // engine's partition actions match links by their endpoint device names).
@@ -234,12 +176,8 @@ func (l *Link) SetLossModel(m LossModel) { l.lossModel = m }
 //
 // The axes are independent controllers (chaos engine, WAN drift process,
 // on-path adversary) and compose by pure addition; none of them draws from
-// the link's RNG streams. MinDelay mirrors every term that can lower the
-// bound: the full extraDelay and wanExtra shifts, and the negative parts of
-// asymDelay and wanAsym (each applies to one direction only, so only a
-// negative value lowers the all-direction floor). The attack term is
-// clamped non-negative per frame and therefore never enters MinDelay.
-// FuzzLinkMinDelay pins this contract across all three axes at once.
+// the link's RNG streams. The attack term is clamped non-negative per
+// frame. FuzzLinkDelay pins this contract across all three axes at once.
 
 // SetDelayOverride injects extra one-way latency: extra applies to both
 // directions, asym additionally to the a->b direction only (an asymmetry
@@ -248,7 +186,6 @@ func (l *Link) SetLossModel(m LossModel) { l.lossModel = m }
 func (l *Link) SetDelayOverride(extra, asym time.Duration) {
 	l.extraDelay = extra
 	l.asymDelay = asym
-	l.minDelayChanged()
 }
 
 // SetWanDelay sets the WAN drift axis: extra latency on both directions
@@ -262,7 +199,6 @@ func (l *Link) SetWanDelay(extra, asym time.Duration) {
 	}
 	l.wanExtra = extra
 	l.wanAsym = asym
-	l.minDelayChanged()
 }
 
 // WanDelay reports the current WAN drift axis (extra, asym).
@@ -285,100 +221,33 @@ func (l *Link) DirectionalDelay(dir int) time.Duration {
 // delay adversary. Unlike SetDelayOverride — which shifts every frame in a
 // direction — an attack selects its victims frame by frame (e.g. only Sync
 // messages of one domain), modelling a selective gPTP delay attacker.
-func (l *Link) SetDelayAttack(a DelayAttack) {
-	l.delayAttack = a
-	l.minDelayChanged()
-}
+func (l *Link) SetDelayAttack(a DelayAttack) { l.delayAttack = a }
 
 // Send transmits a frame from port "from" toward the peer. Delivery is
 // scheduled after propagation plus jitter; deliveries in one direction
-// never reorder. On a boundary link the send is deferred to the next
-// fabric barrier instead of committed inline.
+// never reorder. A dropped frame goes back to the scheduler's pool.
 func (l *Link) Send(from *Port, f *Frame) {
 	dir := 0
 	if l.ends[1] == from {
 		dir = 1
 	}
-	key1, key2, key3 := l.scheds[dir].SchedKeys()
-	if l.deferred {
-		// First capture in this direction since the last barrier: register
-		// with the fabric's dirty list. Each direction has a single writer
-		// (the shard owning ends[dir]), so the emptiness check races with
-		// nothing; the fabric dedups the two directions' registrations.
-		if len(l.outbox[dir]) == 0 && l.markDirty != nil {
-			l.markDirty()
-		}
-		l.outbox[dir] = append(l.outbox[dir], sim.Deferred{
-			Key1: key1, Key2: key2, Key3: key3, Dir: dir,
-			Ord:     l.scheds[dir].NextDeferOrd(),
-			Payload: f, By: l,
-		})
-		return
-	}
-	l.CommitDeferred(dir, f, key1, key2)
-}
-
-// CommitDeferred implements sim.Committer: the legacy Send tail. key1 is
-// the send instant (delay is computed from it, not from the commit
-// instant) and both keys are stamped onto the delivery event so it sorts
-// against the destination shard's local events exactly as an inline
-// schedule at send time would have. A dropped frame goes back to the
-// sender's pool: inline this runs on the sender's goroutine, and at a
-// barrier every shard is paused.
-func (l *Link) CommitDeferred(dir int, payload any, key1, key2 sim.Time) {
-	f := payload.(*Frame)
 	l.sent++
 	if l.down {
 		l.faultedDrop++
-		l.frames[dir].put(f)
+		l.frames.put(f)
 		return
 	}
 	if l.dropFrame() {
 		l.lost++
-		l.frames[dir].put(f)
+		l.frames.put(f)
 		return
 	}
-	at := key1.Add(l.delay(dir, f))
+	at := l.sched.Now().Add(l.delay(dir, f))
 	if at <= l.lastDelivery[dir] {
 		at = l.lastDelivery[dir] + 1
 	}
 	l.lastDelivery[dir] = at
-	l.scheds[1-dir].ScheduleKeyedArg(at, key1, key2, l.deliver[dir], f)
-}
-
-// AppendDeferred implements sim.Boundary: drain both outboxes into buf.
-func (l *Link) AppendDeferred(buf []sim.Deferred) []sim.Deferred {
-	for dir := range l.outbox {
-		ob := l.outbox[dir]
-		buf = append(buf, ob...)
-		for i := range ob {
-			ob[i].Payload, ob[i].By = nil, nil
-		}
-		l.outbox[dir] = ob[:0]
-	}
-	return buf
-}
-
-// MinDelay implements sim.Boundary: a lower bound on the delay any send
-// committed from now on can experience. The jitter draw is truncated at
-// half the nominal propagation, so with jitter enabled the floor is
-// Propagation/2; delay overrides shift the bound (a negative asymmetry
-// applies to direction 0 only, so only its negative part lowers the
-// bound). The result can be non-positive under pathological overrides;
-// the fabric clamps its lookahead to at least 1 ns.
-func (l *Link) MinDelay() time.Duration {
-	d := l.cfg.Propagation
-	if l.rng != nil && l.cfg.JitterNS > 0 {
-		d = l.cfg.Propagation / 2
-	}
-	d += l.extraDelay + l.wanExtra
-	if l.asymDelay < 0 {
-		d += l.asymDelay
-	}
-	if l.wanAsym < 0 {
-		d += l.wanAsym
-	}
-	return d
+	l.sched.AtArg(at, l.deliver[dir], f)
 }
 
 // dropFrame decides stochastic loss. Draw-order contract: with a dedicated
@@ -406,9 +275,9 @@ func (l *Link) dropFrame() bool {
 // fault killed it in flight: the link is down at the delivery instant, or
 // the delivery was scheduled before the link last came back up.
 func (l *Link) finishDelivery(dir int, f *Frame) {
-	if l.down || l.scheds[1-dir].Now() <= l.dropBefore[dir] {
+	if l.down || l.sched.Now() <= l.dropBefore[dir] {
 		l.faultedDrop++
-		l.frames[1-dir].put(f)
+		l.frames.put(f)
 		return
 	}
 	p := l.ends[1-dir]
@@ -452,7 +321,6 @@ func (l *Link) Restore(snap any) {
 	if s, ok := l.delayAttack.(sim.Snapshotter); ok && sn.attackState != nil {
 		s.Restore(sn.attackState)
 	}
-	l.minDelayChanged()
 }
 
 func (l *Link) delay(dir int, f *Frame) time.Duration {

@@ -64,39 +64,6 @@ func TestLinkDelayAxesCompose(t *testing.T) {
 	}
 }
 
-// TestLinkMinDelayTracksWanAxis checks MinDelay mirrors the WAN axis the
-// same way it mirrors the chaos override: the full extra shift and only the
-// negative part of the asymmetry (it applies to one direction, so a
-// positive value cannot lower the all-direction floor).
-func TestLinkMinDelayTracksWanAxis(t *testing.T) {
-	const prop = 50 * time.Microsecond
-	l := jitterlessLink(t, prop)
-
-	l.SetWanDelay(9*time.Microsecond, 2*time.Microsecond)
-	if got, want := l.MinDelay(), prop+9*time.Microsecond; got != want {
-		t.Fatalf("MinDelay with positive wan asym = %v, want %v", got, want)
-	}
-	l.SetWanDelay(9*time.Microsecond, -2*time.Microsecond)
-	if got, want := l.MinDelay(), prop+9*time.Microsecond-2*time.Microsecond; got != want {
-		t.Fatalf("MinDelay with negative wan asym = %v, want %v", got, want)
-	}
-	// All three static axes at once.
-	l.SetDelayOverride(4*time.Microsecond, -1*time.Microsecond)
-	if got, want := l.MinDelay(), prop+9*time.Microsecond-2*time.Microsecond+4*time.Microsecond-1*time.Microsecond; got != want {
-		t.Fatalf("MinDelay with all axes = %v, want %v", got, want)
-	}
-
-	// A negative wan extra is clamped to zero at the setter.
-	l.SetDelayOverride(0, 0)
-	l.SetWanDelay(-3*time.Microsecond, 0)
-	if e, a := l.WanDelay(); e != 0 || a != 0 {
-		t.Fatalf("SetWanDelay(-3µs, 0) stored (%v, %v), want (0, 0)", e, a)
-	}
-	if got := l.MinDelay(); got != prop {
-		t.Fatalf("MinDelay after clamped negative extra = %v, want %v", got, prop)
-	}
-}
-
 // TestLinkSnapshotRoundTripsWanAxis pins that warm-start forks restore the
 // WAN drift axis bit-identically alongside the chaos override.
 func TestLinkSnapshotRoundTripsWanAxis(t *testing.T) {

@@ -1,16 +1,14 @@
 package sim
 
-// Per-scheduler free lists. A scheduler is run by one goroutine at a time
-// (a shard worker or the coordinator, never both at once), so state keyed
-// by the scheduler needs no lock: it is the home of the recycled objects of
-// everything built on that scheduler. Objects are never snapshotted and
-// their identity is never observable to the simulation, so which list an
-// object returns to cannot change a result.
+// Per-scheduler free lists. A scheduler is run by one goroutine at a time,
+// so state keyed by the scheduler needs no lock: it is the home of the
+// recycled objects of everything built on that scheduler. Objects are
+// never snapshotted and their identity is never observable to the
+// simulation, so which object a Get returns cannot change a result.
 
-// maxFree bounds a free list. An object released on one shard and taken on
-// another (a measurement reply crossing the fabric) would otherwise pile up
-// on the releasing side for ever; past the bound it is left to the garbage
-// collector.
+// maxFree bounds a free list, so that a burst of releases does not keep
+// its peak for the life of the system; past the bound an object is left to
+// the garbage collector.
 const maxFree = 1024
 
 // FreeList is a LIFO list of recycled *T with traffic counters, owned by

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // Monotone radix queue over slab slots. Every instant the kernel queues is
 // at or after the instant it last took off the queue (schedules before
@@ -14,19 +11,24 @@ import (
 // Bucket k ≥ 1 holds the events whose instant first differs from base at
 // bit k−1, that is bits.Len64(at ^ base) == k; base is the instant of the
 // queue's minimum as of the last redistribution, and every queued instant is
-// ≥ base. Bucket 0 holds the events at exactly base, kept sorted on the
-// full firing key (at, schedAt, cause, seq) and popped from its head. When
-// bucket 0 runs dry, the lowest non-empty bucket (a bitmask and one
-// TrailingZeros64) is redistributed around its own minimum: each of its
+// ≥ base. Bucket 0 holds the events at exactly base and is popped from its
+// head. When bucket 0 runs dry, the lowest non-empty bucket (a bitmask and
+// one TrailingZeros64) is redistributed around its own minimum: each of its
 // entries moves to a strictly lower bucket, so an event moves at most 63
 // times before it fires, and in practice once or twice.
 //
-// A peek can move base past "now" (the fabric's window loop and RunUntil's
-// stopping test both peek at events they will not fire yet). A later
-// schedule below base then lowers base: buckets 0..h−1 merge into bucket h,
-// where h = bits.Len64(t ^ base), and every higher bucket stays put (see
-// lower). The queue holds each entry's instant inline, so redistribution
-// touches slab memory only to order the events that reach bucket 0.
+// A peek can move base past "now" (RunUntil's stopping test peeks at an
+// event it will not fire yet). A later schedule below base then lowers
+// base: buckets 0..h−1 merge into bucket h, where h = bits.Len64(t ^ base),
+// and every higher bucket stays put (see lower). The queue holds each
+// entry's instant inline, so redistribution never touches slab memory.
+//
+// The firing key is (at, seq), seq being the insertion order: same-instant
+// events fire in the order they were scheduled. The queue keeps it without
+// a comparison. Events with equal instants always share a bucket, since
+// the bucket index is a function of the instant; a push appends the newest
+// event, and refill and lower move entries in order. So every bucket holds
+// its same-instant events in insertion order, and bucket 0 in firing order.
 
 // qent is one queued event: its slab slot and a copy of its instant.
 type qent struct {
@@ -34,8 +36,8 @@ type qent struct {
 	slot int32
 }
 
-// radixQueue is the kernel's priority queue; the Scheduler methods below
-// operate on it because ordering ties and reaping need the slab.
+// radixQueue is the kernel's priority queue. push and popHead are
+// Scheduler methods because they maintain the slab's queued flags.
 type radixQueue struct {
 	base    Time
 	mask    uint64 // bit k set iff buckets[k] is non-empty, for k ≥ 1
@@ -65,75 +67,19 @@ func (q *radixQueue) len() int {
 	return n
 }
 
-// eventLess orders slots by scheduled instant, then by the causal key
-// (schedule instant, causing event's schedule instant), then insertion
-// sequence. Within one scheduler the causal components are monotone in seq,
-// so the order is identical to the historical (at, seq); they exist so that
-// cross-shard deliveries injected with sender-side keys (ScheduleKeyedArg)
-// sort against local events the way a single-scheduler run would order
-// them. The key is total and unique, so firing order is independent of
-// the queue's layout.
-func (s *Scheduler) eventLess(a, b int32) bool {
-	sa, sb := &s.slab[a], &s.slab[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	if sa.schedAt != sb.schedAt {
-		return sa.schedAt < sb.schedAt
-	}
-	if sa.cause != sb.cause {
-		return sa.cause < sb.cause
-	}
-	return sa.seq < sb.seq
-}
-
-// eventCmp is eventLess as a three-way comparison over queue entries.
-func (s *Scheduler) eventCmp(a, b qent) int {
-	switch {
-	case a.slot == b.slot:
-		return 0
-	case s.eventLess(a.slot, b.slot):
-		return -1
-	}
-	return 1
-}
-
 // push queues slot i at its instant.
 func (s *Scheduler) push(i int32) {
 	sl := &s.slab[i]
 	sl.queued = true
 	q := &s.q
 	if sl.at < q.base {
-		s.lower(sl.at)
+		q.lower(sl.at)
 	}
-	e := qent{at: sl.at, slot: i}
-	k := bits.Len64(uint64(e.at ^ q.base))
+	k := bits.Len64(uint64(sl.at ^ q.base))
+	q.buckets[k] = append(q.buckets[k], qent{at: sl.at, slot: i})
 	if k > 0 {
-		q.buckets[k] = append(q.buckets[k], e)
 		q.mask |= 1 << k
-		return
 	}
-	// Same instant as base: insert in firing-key order. Local schedules
-	// arrive in key order, so the append is the common case.
-	b := q.buckets[0]
-	n := len(b)
-	if n == q.head || s.eventLess(b[n-1].slot, i) {
-		q.buckets[0] = append(b, e)
-		return
-	}
-	lo, hi := q.head, n-1 // b[hi] sorts after i
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.eventLess(b[mid].slot, i) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	b = append(b, qent{})
-	copy(b[lo+1:], b[lo:n])
-	b[lo] = e
-	q.buckets[0] = b
 }
 
 // lower moves base down to t, below every queued instant. With
@@ -143,8 +89,7 @@ func (s *Scheduler) push(i int32) {
 // bit h−1 and so differ from t first there — they all belong in bucket h.
 // Entries of buckets above h differ from base above bit h−1, where t agrees
 // with base, and keep their bucket.
-func (s *Scheduler) lower(t Time) {
-	q := &s.q
+func (q *radixQueue) lower(t Time) {
 	h := bits.Len64(uint64(t ^ q.base))
 	dst := append(q.buckets[h], q.buckets[0][q.head:]...)
 	q.buckets[0], q.head = q.buckets[0][:0], 0
@@ -175,8 +120,7 @@ func (s *Scheduler) popHead() {
 // refill redistributes the lowest non-empty bucket around its minimum
 // instant, which becomes base; it requires bucket 0 empty and reports
 // false when the whole queue is.
-func (s *Scheduler) refill() bool {
-	q := &s.q
+func (q *radixQueue) refill() bool {
 	if q.mask == 0 {
 		return false
 	}
@@ -197,9 +141,5 @@ func (s *Scheduler) refill() bool {
 		q.mask |= 1 << j
 	}
 	q.mask &^= 1 // bucket 0 is tracked by head and length
-	// The ties at m arrive in bucket order, which is key order unless
-	// cross-shard commits or earlier merges interleaved them; on sorted
-	// input the sort is one linear pass.
-	slices.SortFunc(q.buckets[0], s.eventCmp)
 	return true
 }

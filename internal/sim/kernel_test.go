@@ -263,15 +263,14 @@ func TestTickerTickIsAllocFree(t *testing.T) {
 // --- randomized differential test against a container/heap reference ---
 
 // refEvent / refQueue reimplement the kernel's firing order on
-// container/heap as the oracle: the full key (at, schedAt, cause, seq), the
-// causal stamping of schedule calls made from callbacks, and ticker re-arm.
+// container/heap as the oracle: the key (at, seq) and ticker re-arm.
 type refEvent struct {
-	at, schedAt, cause Time
-	seq                uint64
-	period             time.Duration
-	index              int
-	fn                 func()
-	stopped            func() bool // ticker only: did this tick stop it?
+	at      Time
+	seq     uint64
+	period  time.Duration
+	index   int
+	fn      func()
+	stopped func() bool // ticker only: did this tick stop it?
 }
 
 type refQueue []*refEvent
@@ -281,12 +280,6 @@ func (q refQueue) Less(i, j int) bool {
 	a, b := q[i], q[j]
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.schedAt != b.schedAt {
-		return a.schedAt < b.schedAt
-	}
-	if a.cause != b.cause {
-		return a.cause < b.cause
 	}
 	return a.seq < b.seq
 }
@@ -310,28 +303,17 @@ func (q *refQueue) Pop() any {
 }
 
 type refScheduler struct {
-	now           Time
-	seq           uint64
-	queue         refQueue
-	firing        bool
-	firingSchedAt Time
+	now   Time
+	seq   uint64
+	queue refQueue
 }
 
-// at schedules like Scheduler.At: scheduled now, caused by the firing
-// callback's schedule instant (or now, outside any callback).
+// at schedules like Scheduler.At.
 func (r *refScheduler) at(t Time, fn func()) *refEvent {
-	cause := r.now
-	if r.firing {
-		cause = r.firingSchedAt
-	}
-	return r.keyed(t, r.now, cause, fn)
-}
-
-func (r *refScheduler) keyed(t, schedAt, cause Time, fn func()) *refEvent {
 	if t < r.now {
 		t = r.now
 	}
-	e := &refEvent{at: t, schedAt: schedAt, cause: cause, seq: r.seq, fn: fn}
+	e := &refEvent{at: t, seq: r.seq, fn: fn}
 	r.seq++
 	heap.Push(&r.queue, e)
 	return e
@@ -357,13 +339,9 @@ func (r *refScheduler) fire() {
 	e := heap.Pop(&r.queue).(*refEvent)
 	e.index = -1
 	r.now = e.at
-	prevFiring, prevSchedAt := r.firing, r.firingSchedAt
-	r.firing, r.firingSchedAt = true, e.schedAt
 	e.fn()
-	r.firing, r.firingSchedAt = prevFiring, prevSchedAt
 	if e.period > 0 && !e.stopped() {
 		e.at = e.at.Add(e.period)
-		e.cause, e.schedAt = e.schedAt, r.now
 		e.seq = r.seq
 		r.seq++
 		heap.Push(&r.queue, e)
@@ -410,10 +388,9 @@ const diffHorizon = Time(3) << 61
 // runDifferential drives the kernel and the reference through the same
 // randomized script and compares complete firing traces. The script mixes
 // one-shot events (some scheduling a child from their callback), tickers
-// that stop themselves, ScheduleKeyedArg injections with arbitrary causal
-// keys (bursts at one instant, as a barrier commit makes), cancels, partial
-// drains, peeks followed by SkipTo/AdvanceTo and a schedule below the peeked
-// minimum, and Snapshot/Restore. Offsets span nanoseconds to hours and,
+// that stop themselves, bursts of events at one instant, cancels, partial
+// drains, drains that stop short of the next event followed by a schedule
+// below it (which lowers the queue's base), and Snapshot/Restore. Offsets span nanoseconds to hours and,
 // rarely, centuries, so that every bucket of the radix queue is used. It
 // returns the set of buckets that held events, as a bitmask.
 func runDifferential(t *testing.T, seed int64, ops int) (cover uint64) {
@@ -514,41 +491,22 @@ func runDifferential(t *testing.T, seed int64, ops int) (cover uint64) {
 				gotRef = append(gotRef, rec{id, r.now})
 				ticksRef[tr]++
 			}, func() bool { return ticksRef[tr] == limit }))
-		case op < 8: // a burst of keyed injections at one instant
+		case op < 8: // a burst of one-shots at one instant
 			at := instant()
 			for n := 1 + rng.Intn(6); n > 0; n-- {
-				schedAt := s.Now() - Time(rng.Int63n(int64(min(s.Now(), 1000))+1))
-				cause := schedAt - Time(rng.Int63n(int64(min(schedAt, 1000))+1))
-				id := len(ids)
-				ids = append(ids, s.ScheduleKeyedArg(at, schedAt, cause, func(a any) {
-					gotNew = append(gotNew, rec{a.(int), s.Now()})
-				}, id))
-				evs = append(evs, r.keyed(at, schedAt, cause, func() { gotRef = append(gotRef, rec{id, r.now}) }))
+				oneShot(at)
 			}
-		case op == 8: // peek, move the clock up to the minimum, schedule below it
-			at, ok := s.NextEventAt()
-			if rok := len(r.queue) > 0; ok != rok || ok && at != r.queue[0].at {
-				t.Fatalf("seed %d op %d: NextEventAt = %v,%v, reference %v", seed, i, at, ok, r.queue)
-			}
-			if !ok || at == s.Now() {
+		case op == 8: // drain short of the next event, schedule below it
+			if len(r.queue) == 0 || r.queue[0].at == s.Now() {
 				break
 			}
+			at := r.queue[0].at
 			to := s.Now() + Time(rng.Int63n(int64(at-s.Now())))
-			switch rng.Intn(3) {
-			case 0:
-				s.SkipTo(to)
-			case 1:
-				s.AdvanceTo(to)
-			default:
-				to = at
-				s.AdvanceTo(at)
+			if err := s.RunUntil(to); err != nil { // peeks at, fires nothing
+				t.Fatal(err)
 			}
-			r.now = to
-			below := to
-			if to < at {
-				below += Time(rng.Int63n(int64(at - to)))
-			}
-			oneShot(below)
+			r.runUntil(to)
+			oneShot(to + Time(rng.Int63n(int64(at-to))))
 		case op == 9: // snapshot, or rewind to the last one
 			if m != nil && rng.Intn(2) == 0 {
 				s.Restore(m.snap)

@@ -55,18 +55,11 @@ func (id EventID) Valid() bool { return id.gen != 0 }
 // scheduler's free list; gen disambiguates incarnations so stale EventIDs
 // cannot touch a reused slot.
 type eventSlot struct {
-	at  Time
-	seq uint64
-	// schedAt is the simulation instant the schedule call happened at, and
-	// cause is the schedAt of the event whose callback made that call (for
-	// calls from outside any callback, cause == schedAt). Together they form
-	// the causal portion of the firing key (at, schedAt, cause, seq): within
-	// one scheduler the extended key orders identically to (at, seq), but it
-	// also lets the sharded fabric inject cross-shard deliveries with their
-	// sender-side keys (ScheduleKeyedArg) so they interleave with local
-	// events exactly where a single-scheduler run would have placed them.
-	schedAt Time
-	cause   Time
+	// at is the firing instant. Same-instant events fire in the order they
+	// were scheduled (a ticker re-arm counts as scheduled when it re-arms):
+	// the firing key is (at, seq) for an insertion counter seq, which the
+	// queue keeps without storing it (see heap.go).
+	at Time
 	// Exactly one of fn / afn is set. afn receives arg, letting hot
 	// callers (link delivery, bridge egress) schedule with a prebound
 	// callback and avoid a per-event closure allocation.
@@ -93,15 +86,6 @@ type Scheduler struct {
 	q       radixQueue
 	stopped bool
 
-	// firing/firingSchedAt track the schedule-time key of the event whose
-	// callback is currently executing, so schedule() can stamp the causal
-	// key of everything that callback schedules. firingCause is that
-	// event's own cause key, exposed through SchedKeys as the third
-	// mailbox sort key (it is never stamped onto scheduled events).
-	firing        bool
-	firingSchedAt Time
-	firingCause   Time
-
 	// locals holds the Local values of the layers above the kernel. They
 	// are not simulation state: Snapshot and Restore leave them alone.
 	locals []any
@@ -111,13 +95,8 @@ type Scheduler struct {
 // whole and copies the slab and queue explicitly.
 type schedulerState struct {
 	now      Time
-	seq      uint64
 	freeHead int32 // head of the free-slot list; -1 when empty
 	live     int   // queued events that are not cancelled
-
-	// deferOrd numbers this shard's deferred cross-shard sends in issuance
-	// order (see NextDeferOrd); single-scheduler runs never touch it.
-	deferOrd uint64
 
 	// processed counts events that have fired, for diagnostics.
 	processed uint64
@@ -210,15 +189,6 @@ func (sl *eventSlot) bumpGen() {
 
 // schedule is the shared entry point behind At/After/AtArg/Every.
 func (s *Scheduler) schedule(t Time, fn func(), afn func(any), arg any, period time.Duration) EventID {
-	cause := s.now
-	if s.firing {
-		cause = s.firingSchedAt
-	}
-	return s.scheduleKeyed(t, s.now, cause, fn, afn, arg, period)
-}
-
-// scheduleKeyed is schedule with explicit causal keys (cross-shard commits).
-func (s *Scheduler) scheduleKeyed(t, schedAt, cause Time, fn func(), afn func(any), arg any, period time.Duration) EventID {
 	if t < s.now {
 		t = s.now
 		s.pastClamps++
@@ -226,88 +196,11 @@ func (s *Scheduler) scheduleKeyed(t, schedAt, cause Time, fn func(), afn func(an
 	i := s.alloc()
 	sl := &s.slab[i]
 	sl.at = t
-	sl.seq = s.seq
-	s.seq++
-	sl.schedAt = schedAt
-	sl.cause = cause
 	sl.fn, sl.afn, sl.arg = fn, afn, arg
 	sl.period = period
 	s.push(i)
 	s.live++
 	return EventID{slot: uint32(i), gen: sl.gen}
-}
-
-// SchedKeys reports the causal keys a schedule call made right now would
-// carry: the current instant, the schedule-time key of the callback being
-// fired, and that callback's own cause key (outside any callback, all
-// three are the current instant). The sharded fabric captures these at a
-// deferred cross-shard send: schedAt and cause are replayed through
-// ScheduleKeyedArg on the destination shard, so the delivery sorts against
-// that shard's local events exactly as it would have in a single-scheduler
-// run, while prevCause only orders the barrier mailbox — it reproduces the
-// firing order (at, schedAt, cause, …) of the *sending* events themselves,
-// which is the order a single scheduler executed them (and hence inserted
-// their deliveries) in.
-func (s *Scheduler) SchedKeys() (schedAt, cause, prevCause Time) {
-	if s.firing {
-		return s.now, s.firingSchedAt, s.firingCause
-	}
-	return s.now, s.now, s.now
-}
-
-// NextDeferOrd issues the next deferred-send ordinal for this shard.
-// Boundary links stamp it onto every send they defer, so the fabric's
-// barrier commit can reproduce the exact issuance order of same-instant
-// sends that left one shard through different boundary links — the order a
-// single-scheduler run would have given them by insertion sequence.
-func (s *Scheduler) NextDeferOrd() uint64 {
-	s.deferOrd++
-	return s.deferOrd
-}
-
-// ScheduleKeyedArg schedules fn(arg) at instant t carrying an explicit
-// causal key captured elsewhere (see SchedKeys). It is the inter-shard
-// mailbox primitive: everything else should use At/AtArg, which stamp the
-// keys automatically.
-func (s *Scheduler) ScheduleKeyedArg(t, schedAt, cause Time, fn func(any), arg any) EventID {
-	return s.scheduleKeyed(t, schedAt, cause, nil, fn, arg, 0)
-}
-
-// NextEventAt reports the instant of the earliest live queued event. The
-// second result is false when the queue is empty.
-func (s *Scheduler) NextEventAt() (Time, bool) {
-	i, ok := s.peekLive()
-	if !ok {
-		return 0, false
-	}
-	return s.slab[i].at, true
-}
-
-// SkipTo advances the clock to t without firing anything. It is a
-// fabric-internal fast-forward for shards whose next event lies beyond the
-// current synchronization window; calling it with a pending event at or
-// before t would violate causality, so it panics.
-func (s *Scheduler) SkipTo(t Time) {
-	if at, ok := s.NextEventAt(); ok && at <= t {
-		panic(fmt.Sprintf("sim: SkipTo(%v) past pending event at %v", t, at))
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
-// AdvanceTo advances the clock to t without firing anything, leaving events
-// pending at exactly t in the queue — they fire at their scheduled instant
-// once execution resumes. The fabric uses it to present shard clocks at the
-// control instant tc while the shards' own tc events wait their turn; an
-// unfired event strictly before t would violate causality, so it panics.
-func (s *Scheduler) AdvanceTo(t Time) {
-	if at, ok := s.NextEventAt(); ok && at < t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) past pending event at %v", t, at))
-	}
-	if t > s.now {
-		s.now = t
-	}
 }
 
 // At schedules fn to run at instant t. Scheduling in the past is a
@@ -393,7 +286,7 @@ func (s *Scheduler) peekLive() (int32, bool) {
 			s.free(i)
 			continue
 		}
-		if !s.refill() {
+		if !q.refill() {
 			return -1, false
 		}
 	}
@@ -415,23 +308,13 @@ func (s *Scheduler) fire(i int32) {
 		// it replaces — so events fn schedules for the same future
 		// instant keep their FIFO position ahead of the next tick.
 		gen := sl.gen
-		fn := sl.fn
-		prevFiring, prevSchedAt, prevCause := s.firing, s.firingSchedAt, s.firingCause
-		s.firing, s.firingSchedAt, s.firingCause = true, sl.schedAt, sl.cause
-		fn()
-		s.firing, s.firingSchedAt, s.firingCause = prevFiring, prevSchedAt, prevCause
+		sl.fn()
 		sl = &s.slab[i] // fn may have grown the slab
 		if sl.cancelled || sl.gen != gen {
 			s.free(i) // stopped from within its own callback
 			return
 		}
 		sl.at = sl.at.Add(sl.period)
-		sl.seq = s.seq
-		s.seq++
-		// The re-arm is causally a schedule call made by this tick's
-		// callback: scheduled now, caused by the slot's previous key.
-		sl.cause = sl.schedAt
-		sl.schedAt = s.now
 		s.push(i)
 		s.live++
 		return
@@ -439,17 +322,13 @@ func (s *Scheduler) fire(i int32) {
 	// One-shot: invalidate the handle and recycle the slot before the
 	// callback runs, so the callback can immediately reuse it.
 	fn, afn, arg := sl.fn, sl.afn, sl.arg
-	schedAt, cause := sl.schedAt, sl.cause
 	sl.bumpGen()
 	s.free(i)
-	prevFiring, prevSchedAt, prevCause := s.firing, s.firingSchedAt, s.firingCause
-	s.firing, s.firingSchedAt, s.firingCause = true, schedAt, cause
 	if afn != nil {
 		afn(arg)
 	} else {
 		fn()
 	}
-	s.firing, s.firingSchedAt, s.firingCause = prevFiring, prevSchedAt, prevCause
 }
 
 // Step fires the next pending event and reports whether one was available.
@@ -526,3 +405,10 @@ type Ticker struct {
 // Stop cancels future firings. It is safe to call from within the callback
 // and safe to call more than once.
 func (t *Ticker) Stop() { t.sched.Cancel(t.id) }
+
+// FabricStats is kept only for bench/, which reads these counters of the
+// sharded kernel this package no longer has; they are always zero.
+type FabricStats struct {
+	Windows, SerialWindows, FlushesSkipped, Committed uint64
+	BarrierWaitNS, LookaheadRescans                   uint64
+}

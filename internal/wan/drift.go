@@ -19,7 +19,7 @@ type DriftConfig struct {
 	StepNS float64 `json:"stepNs"`
 	// MaxExtraNS bounds the symmetric extra delay in [0, MaxExtraNS] by
 	// reflection; the lower bound matches SetWanDelay's non-negative
-	// contract, keeping PDES lookahead shifts one-sided.
+	// contract.
 	MaxExtraNS float64 `json:"maxExtraNs"`
 	// MaxAsymNS bounds the directional asymmetry in [−MaxAsymNS,
 	// +MaxAsymNS] by reflection.
@@ -53,10 +53,8 @@ type NamedLink struct {
 	Link DriftLink
 }
 
-// Drift runs the reflected random walk over a set of WAN links. Like the
-// coordinator it ticks on the control scheduler, so delay updates land at
-// PDES barrier instants — exactly when the fabric recomputes its lookahead
-// from Link.MinDelay — and every shard count sees identical walks.
+// Drift runs the reflected random walk over a set of WAN links, ticking on
+// the system's scheduler like the coordinator.
 type Drift struct {
 	cfg   DriftConfig
 	links []NamedLink
@@ -85,7 +83,7 @@ func NewDrift(cfg DriftConfig, links []NamedLink, streams *sim.Streams) *Drift {
 	return d
 }
 
-// Start arms the walk on the control scheduler.
+// Start arms the walk on sched.
 func (d *Drift) Start(sched *sim.Scheduler) error {
 	d.sched = sched
 	t, err := sched.Every(sched.Now().Add(d.cfg.Interval), d.cfg.Interval, d.tick)

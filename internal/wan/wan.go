@@ -5,7 +5,7 @@
 //
 // Each site exposes one aggregate clock (the site's FTA-disciplined sync
 // time, read at its gateway node). A site-level coordinator ticks on the
-// control scheduler: every Interval each site takes pairwise offset
+// system's scheduler: every Interval each site takes pairwise offset
 // readings against every reachable peer site — corrupted by the WAN path's
 // two-way-exchange asymmetry error and measurement noise — and runs the
 // same trimmed FTA over them (fta.AggregateWithInfo) that the LAN tier
@@ -29,9 +29,7 @@
 //     a MaxSlewPPB slew bound (servo.Thaw) — re-stabilization is a bounded
 //     ramp, never a step storm.
 //
-// Determinism: the coordinator runs on the control scheduler, so at every
-// shard count its ticks fire at barrier instants in the same order; its
-// noise draws come from dedicated per-site streams and are consumed every
+// Determinism: the coordinator's noise draws come from dedicated per-site streams and are consumed every
 // tick for every peer slot regardless of reachability, so fault injection
 // never shifts the random sequence. Disabled (Config.Enabled == false) the
 // tier consumes nothing and the committed golden digests are unaffected.
@@ -144,7 +142,7 @@ func Tolerable(numSites, f int) int {
 // SiteSample is one coordinator tick's observable state, recorded for the
 // wansites experiment's verdict computation.
 type SiteSample struct {
-	// AtSec is the control-scheduler instant in seconds.
+	// AtSec is the simulation instant in seconds.
 	AtSec float64
 	// AdjNS is each site's adjusted (raw + correction) time; NaN while the
 	// site is failed.
@@ -240,8 +238,7 @@ func (c *Coordinator) Tolerable() int { return c.tolerable }
 // Samples returns the recorded per-tick site states (aliased, not copied).
 func (c *Coordinator) Samples() []SiteSample { return c.samples }
 
-// Start arms the coordinator's ticker on the control scheduler. Ticks run
-// at barrier instants, so every shard count observes the same sequence.
+// Start arms the coordinator's ticker on sched.
 func (c *Coordinator) Start(sched *sim.Scheduler) error {
 	c.sched = sched
 	c.lastTickNS = float64(sched.Now())
