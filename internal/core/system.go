@@ -228,12 +228,12 @@ func (s *System) numPorts(g int) int {
 	return n
 }
 
-func (s *System) newPHC(sc *sim.Scheduler, name string, staticPPB, bootOffset float64) *clock.PHC {
+func (s *System) newPHC(name string, staticPPB, bootOffset float64) *clock.PHC {
 	osc := clock.NewOscillator(clock.OscillatorConfig{
 		StaticPPB:           staticPPB,
 		WanderPPBPerSqrtSec: s.cfg.WanderPPBPerSqrtSec,
-	}, s.streams.Stream("osc/"+name), sc.Now())
-	return clock.NewPHC(sc, osc, s.streams.Stream("ts/"+name), clock.PHCConfig{
+	}, s.streams.Stream("osc/"+name), s.sched.Now())
+	return clock.NewPHC(s.sched, osc, s.streams.Stream("ts/"+name), clock.PHCConfig{
 		TimestampJitterNS: s.cfg.TimestampJitterNS,
 		InitialOffsetNS:   bootOffset,
 	})
@@ -257,10 +257,9 @@ func (s *System) buildBridges() error {
 	total := s.cfg.TotalNodes()
 	for g := 0; g < total; g++ {
 		name := "sw" + itoa(g+1)
-		sc := s.sched
 		static := clock.UniformPPB(s.streams.Stream("static/"+name), s.cfg.MaxStaticPPB)
-		br := netsim.NewBridge(name, sc, s.streams.Stream("br/"+name),
-			s.newPHC(sc, name, static, 0), netsim.BridgeConfig{Ports: s.numPorts(g), Residence: residence})
+		br := netsim.NewBridge(name, s.sched, s.streams.Stream("br/"+name),
+			s.newPHC(name, static, 0), netsim.BridgeConfig{Ports: s.numPorts(g), Residence: residence})
 		s.bridges = append(s.bridges, br)
 		s.bridgeByName[name] = br
 		s.stateful = append(s.stateful, br)
@@ -318,21 +317,20 @@ func (s *System) linkConfig(name string) netsim.LinkConfig {
 func (s *System) buildNodes() error {
 	total := s.cfg.TotalNodes()
 	for g := 0; g < total; g++ {
-		sc := s.sched
 		nodeName := NodeName(g)
 		tscOsc := clock.NewOscillator(clock.OscillatorConfig{
 			StaticPPB:           clock.UniformPPB(s.streams.Stream("tsc/"+nodeName), s.cfg.MaxStaticPPB),
 			WanderPPBPerSqrtSec: s.cfg.WanderPPBPerSqrtSec,
-		}, s.streams.Stream("tscosc/"+nodeName), sc.Now())
-		tsc := clock.NewTSC(sc, tscOsc, s.streams.Stream("tscrd/"+nodeName), s.cfg.TSCReadNoiseNS)
-		node := hypervisor.NewNode(nodeName, sc, tsc, s.cfg.VMsPerNode,
+		}, s.streams.Stream("tscosc/"+nodeName), s.sched.Now())
+		tsc := clock.NewTSC(s.sched, tscOsc, s.streams.Stream("tscrd/"+nodeName), s.cfg.TSCReadNoiseNS)
+		node := hypervisor.NewNode(nodeName, s.sched, tsc, s.cfg.VMsPerNode,
 			hypervisor.MonitorConfig{
 				Period:          s.cfg.MonitorPeriod,
 				StaleAfter:      4 * s.cfg.Phc2sysInterval,
 				VoteThresholdNS: s.cfg.VoteThresholdNS,
 			},
 			func(e hypervisor.Event) {
-				s.log.add(Event{At: sc.Now(), Node: e.Node, VM: e.VM, Kind: e.Kind, Detail: e.Detail})
+				s.log.add(Event{At: s.sched.Now(), Node: e.Node, VM: e.VM, Kind: e.Kind, Detail: e.Detail})
 			})
 		node.Instrument(s.obs)
 		s.nodes = append(s.nodes, node)
@@ -349,8 +347,8 @@ func (s *System) buildNodes() error {
 			vmName := VMName(g, v)
 			static := clock.UniformPPB(s.streams.Stream("static/"+vmName), s.cfg.MaxStaticPPB)
 			boot := s.streams.Stream("boot/"+vmName).Float64() * s.cfg.BootOffsetMaxNS
-			nic := netsim.NewNIC(vmName, sc, s.newPHC(sc, vmName, static, boot))
-			link, err := netsim.Connect(sc, s.streams.Stream("link/"+vmName),
+			nic := netsim.NewNIC(vmName, s.sched, s.newPHC(vmName, static, boot))
+			link, err := netsim.Connect(s.sched, s.streams.Stream("link/"+vmName),
 				s.linkConfig(vmName),
 				nic.Port(), s.bridges[g].Port(s.vmPort(v)))
 			if err != nil {
@@ -364,7 +362,7 @@ func (s *System) buildNodes() error {
 				gmDomain = s.localOf(g)
 			}
 			nodeNameCopy, vmNameCopy := nodeName, vmName
-			stack, err := ptp4l.New(nic, sc, s.streams.Stream("stack/"+vmName), ptp4l.Config{
+			stack, err := ptp4l.New(nic, s.sched, s.streams.Stream("stack/"+vmName), ptp4l.Config{
 				Name:                   vmName,
 				Domains:                domains,
 				GMDomain:               gmDomain,
@@ -383,7 +381,7 @@ func (s *System) buildNodes() error {
 				SkipStartup:            s.cfg.BaselineClientsOnly,
 				DisableDiscipline:      s.cfg.BaselineClientsOnly && gmDomain >= 0,
 			}, func(e ptp4l.Event) {
-				s.log.add(Event{At: sc.Now(), Node: nodeNameCopy, VM: vmNameCopy, Kind: e.Kind, Detail: e.Detail})
+				s.log.add(Event{At: s.sched.Now(), Node: nodeNameCopy, VM: vmNameCopy, Kind: e.Kind, Detail: e.Detail})
 			})
 			if err != nil {
 				return err
@@ -402,7 +400,7 @@ func (s *System) buildNodes() error {
 					s.syncLat.ObservePath(syncPaths[domain], latency)
 				}
 			})
-			p2s := phc2sys.New(sc, nic.PHC(), tsc, node.STSHMEM(),
+			p2s := phc2sys.New(s.sched, nic.PHC(), tsc, node.STSHMEM(),
 				s.streams.Stream("phc2sys/"+vmName),
 				phc2sys.Config{
 					Interval: s.cfg.Phc2sysInterval,
@@ -430,7 +428,7 @@ func (s *System) buildNodes() error {
 				return err
 			}
 			s.vms[vmName] = vm
-			s.installMeasurement(node, vm, sc, g, v)
+			s.installMeasurement(node, vm, g, v)
 		}
 	}
 	return nil
@@ -440,17 +438,17 @@ func (s *System) buildNodes() error {
 // The collector lives on site 0; every other VM in the fabric answers its
 // probes, so with Sites > 1 the measurement VLAN is the cross-site traffic
 // source.
-func (s *System) installMeasurement(node *hypervisor.Node, vm *hypervisor.CSVM, sc *sim.Scheduler, nodeIdx, vmIdx int) {
+func (s *System) installMeasurement(node *hypervisor.Node, vm *hypervisor.CSVM, nodeIdx, vmIdx int) {
 	if nodeIdx == s.cfg.MeasurementNode && vmIdx == s.cfg.MeasurementVM {
 		excluded := VMName(s.cfg.MeasurementNode, 0) // c_m1, asymmetric path
-		s.collector = measure.NewCollector(vm.Name, sc, vm.Stack.NIC(), measure.CollectorConfig{
+		s.collector = measure.NewCollector(vm.Name, s.sched, vm.Stack.NIC(), measure.CollectorConfig{
 			Exclude: []string{excluded},
 		})
 		vm.Stack.SetAuxHandler(s.collector.Handle)
 		s.stateful = append(s.stateful, s.collector)
 		return
 	}
-	agent := measure.NewAgent(vm.Name, sc, vm.Stack.NIC(), node.SyncTimeNow)
+	agent := measure.NewAgent(vm.Name, s.sched, vm.Stack.NIC(), node.SyncTimeNow)
 	vm.Stack.SetAuxHandler(agent.Handle)
 	s.agents[vm.Name] = agent
 	s.stateful = append(s.stateful, agent)
@@ -576,9 +574,8 @@ func (s *System) Start() error {
 	if err := s.collector.Start(); err != nil {
 		return err
 	}
-	// WAN tier; the drift process is armed first
-	// so coincident-instant ticks apply the delay walk before the
-	// coordinator measures across it.
+	// WAN tier: the drift process is armed first so coincident-instant
+	// ticks apply the delay walk before the coordinator measures across it.
 	if s.wanDrift != nil {
 		if err := s.wanDrift.Start(s.sched); err != nil {
 			return err

@@ -221,20 +221,12 @@ func TestSystemConfigValidation(t *testing.T) {
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("0 VMs per node accepted")
 	}
-}
-
-// TestSystemRejectsDomainsWithoutGrandmaster: node i hosts domain i's
-// grandmaster, so more domains than nodes would leave the extra domains
-// with none, and an attack on them would silently hit nothing.
-func TestSystemRejectsDomainsWithoutGrandmaster(t *testing.T) {
-	cfg := NewConfig(1)
+	// Node i hosts domain i's grandmaster. The count must be refused
+	// before any per-domain state is sized by it, not by a later check.
+	cfg = NewConfig(1)
 	cfg.DomainCount = cfg.Nodes + 1
-	if _, err := NewSystem(cfg); err == nil {
-		t.Fatalf("%d domains on %d nodes accepted", cfg.DomainCount, cfg.Nodes)
-	}
-	cfg.DomainCount = cfg.Nodes
-	if _, err := NewSystem(cfg); err != nil {
-		t.Fatalf("one domain per node rejected: %v", err)
+	if _, err := NewSystem(cfg); err == nil || !strings.Contains(err.Error(), "grandmaster") {
+		t.Fatalf("a domain without a grandmaster node: err %v, want one naming the grandmaster", err)
 	}
 }
 

@@ -390,9 +390,10 @@ const diffHorizon = Time(3) << 61
 // one-shot events (some scheduling a child from their callback), tickers
 // that stop themselves, bursts of events at one instant, cancels, partial
 // drains, drains that stop short of the next event followed by a schedule
-// below it (which lowers the queue's base), and Snapshot/Restore. Offsets span nanoseconds to hours and,
-// rarely, centuries, so that every bucket of the radix queue is used. It
-// returns the set of buckets that held events, as a bitmask.
+// below it (which lowers the queue's base), and Snapshot/Restore. Offsets
+// span nanoseconds to hours and, rarely, centuries, so that every bucket of
+// the radix queue is used. It returns the set of buckets that held events,
+// as a bitmask.
 func runDifferential(t *testing.T, seed int64, ops int) (cover uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
