@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race bench bench-all bench-smoke bench-golden chaos-smoke serve-smoke attack-smoke wan-smoke fuzz-smoke determinism profile verify ci
+.PHONY: build test vet fmt-check race bench bench-all bench-smoke bench-golden chaos-smoke serve-smoke attack-smoke wan-smoke fuzz-smoke determinism examples profile verify ci
 
 build:
 	$(GO) build ./...
@@ -163,6 +163,13 @@ fuzz-smoke:
 	$(GO) test ./internal/serve/ -run ^$$ -fuzz FuzzLoadState -fuzztime 10s
 	$(GO) test ./internal/faultinject/ -run TestFaultHypothesisAcrossDerivedSeeds -count=1
 
+# Examples: run the README quick start's five programs (examples/*/main.go,
+# about 0.5 s each); fails on the first non-zero exit.
+examples:
+	@for d in examples/*/; do \
+		echo "== go run ./$$d"; $(GO) run ./$$d || exit 1; \
+	done
+
 # Serve smoke: boot cmd/served on an ephemeral port, drive a small
 # netchaos job through POST /v1/jobs, poll it to completion and assert a
 # schema-1 result envelope plus a non-empty metrics JSONL stream.
@@ -170,4 +177,4 @@ serve-smoke:
 	sh scripts/serve_smoke.sh .serve-smoke
 
 # Everything the CI workflow runs, in one local command.
-ci: verify determinism bench-smoke bench-golden chaos-smoke attack-smoke wan-smoke serve-smoke
+ci: verify examples determinism bench-smoke bench-golden chaos-smoke attack-smoke wan-smoke serve-smoke

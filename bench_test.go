@@ -387,7 +387,7 @@ func BenchmarkSystemStartup(b *testing.B) {
 func BenchmarkAblationBMCAReelection(b *testing.B) {
 	var last *experiments.BMCAReconvergenceResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.BMCAReconvergence(experiments.BMCAReconvergenceConfig{Seed: int64(i + 1)})
+		res, err := experiments.BMCAReconvergence(context.Background(), experiments.BMCAReconvergenceConfig{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -480,7 +480,7 @@ func BenchmarkSweepDomainCount(b *testing.B) {
 func BenchmarkAblationTASProtection(b *testing.B) {
 	var last *experiments.TASStudyResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.TASStudy(experiments.TASStudyConfig{Seed: int64(i + 1)})
+		res, err := experiments.TASStudy(context.Background(), experiments.TASStudyConfig{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -683,7 +683,7 @@ func BenchmarkForkSystem(b *testing.B) {
 func BenchmarkAblationDynamicMesh(b *testing.B) {
 	var last *experiments.DynamicMeshResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.DynamicMeshStudy(experiments.DynamicMeshConfig{Seed: int64(i + 1)})
+		res, err := experiments.DynamicMeshStudy(context.Background(), experiments.DynamicMeshConfig{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -699,7 +699,7 @@ func BenchmarkAblationDynamicMesh(b *testing.B) {
 func BenchmarkOneStepVsTwoStep(b *testing.B) {
 	var last *experiments.OneStepStudyResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.OneStepStudy(experiments.OneStepStudyConfig{Seed: int64(i + 1)})
+		res, err := experiments.OneStepStudy(context.Background(), experiments.OneStepStudyConfig{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -181,18 +181,19 @@ func (s *System) instrumentKernel() {
 
 // meshPort returns the port index on a bridge (in-site index i) that faces
 // in-site bridge j.
-func (s *System) meshPort(i, j int) int {
-	p := 0
-	for k := 0; k < s.cfg.Nodes; k++ {
-		if k == i {
-			continue
-		}
-		if k == j {
-			return p
-		}
-		p++
+func (s *System) meshPort(i, j int) int { return MeshPort(s.cfg.Nodes, i, j) }
+
+// MeshPort returns the port on bridge i of a full mesh of nodes bridges
+// that faces bridge j: the mesh takes ports 0..nodes-2 in index order,
+// skipping i itself. It returns -1 when j is i or not in the mesh.
+func MeshPort(nodes, i, j int) int {
+	switch {
+	case j == i || j < 0 || j >= nodes:
+		return -1
+	case j < i:
+		return j
 	}
-	return -1
+	return j - 1
 }
 
 // vmPort returns the port index on a bridge for local VM vm.

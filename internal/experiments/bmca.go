@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"gptpfta/internal/clock"
 	"gptpfta/internal/gptp"
 	"gptpfta/internal/netsim"
-	"gptpfta/internal/sim"
 )
 
 // BMCAReconvergenceConfig parameterises the BMCA ablation: how long a
@@ -24,8 +24,10 @@ type BMCAReconvergenceConfig struct {
 
 // Validate implements Validator.
 func (c BMCAReconvergenceConfig) Validate() error {
-	if c.Systems < 0 {
-		return fmt.Errorf("systems must not be negative (got %d)", c.Systems)
+	// An Announce that has crossed 255 systems is discarded (stepsRemoved
+	// ≥ 255 in 802.1AS and 1588), and one system has no successor.
+	if c.Systems < 0 || c.Systems == 1 || c.Systems > 255 {
+		return fmt.Errorf("systems must be 2..255, or 0 for the default (got %d)", c.Systems)
 	}
 	if c.TimeoutCount < 0 {
 		return fmt.Errorf("timeout_count must not be negative (got %d)", c.TimeoutCount)
@@ -34,7 +36,7 @@ func (c BMCAReconvergenceConfig) Validate() error {
 }
 
 func (c BMCAReconvergenceConfig) withDefaults() BMCAReconvergenceConfig {
-	if c.Systems <= 1 {
+	if c.Systems <= 0 {
 		c.Systems = 4
 	}
 	if c.AnnounceInterval <= 0 {
@@ -88,42 +90,30 @@ func (h *bmcaAblationHook) Handle(_ *netsim.Bridge, ingress int, f *netsim.Frame
 // BMCAReconvergence builds a single-domain chain of time-aware systems
 // under BMCA control, measures the initial election, fails the elected
 // grandmaster (the chain's best clock sits at one end so the survivors
-// stay connected), and measures the re-election gap.
-func BMCAReconvergence(cfg BMCAReconvergenceConfig) (*BMCAReconvergenceResult, error) {
+// stay connected), and measures the re-election gap. ctx is checked
+// while it waits for agreement.
+func BMCAReconvergence(ctx context.Context, cfg BMCAReconvergenceConfig) (*BMCAReconvergenceResult, error) {
 	cfg = cfg.withDefaults()
-	sched := sim.NewScheduler()
-	streams := sim.NewStreams(cfg.Seed)
+	m := newMicro(cfg.Seed)
+	sched := m.sched
 
 	n := cfg.Systems
 	engines := make([]*gptp.BMCA, n)
 	bridges := make([]*netsim.Bridge, n)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("sys%d", i)
-		osc := clock.NewOscillator(clock.OscillatorConfig{}, streams.Stream("osc/"+name), 0)
-		phc := clock.NewPHC(sched, osc, streams.Stream("ts/"+name), clock.PHCConfig{})
-		br := netsim.NewBridge(name, sched, streams.Stream("br/"+name), phc,
-			netsim.BridgeConfig{Ports: 2, Residence: map[int]netsim.ResidenceModel{
-				netsim.PriorityBestEffort: {Base: time.Microsecond, JitterNS: 100},
-			}})
+		br := m.bridge(name, "br/"+name, m.phc(name, clock.OscillatorConfig{}, clock.PHCConfig{}), 2,
+			map[int]netsim.ResidenceModel{netsim.PriorityBestEffort: {Base: time.Microsecond, JitterNS: 100}})
 		bridges[i] = br
 
 		tx := make([]gptp.TxFunc, 2)
 		for p := 0; p < 2; p++ {
-			p := p
-			brCopy := br
-			tx[p] = func(f *netsim.Frame) (float64, bool) { return brCopy.Transmit(p, f), true }
-		}
-		priority := uint8(128)
-		switch i {
-		case n - 1:
-			priority = 50 // the elected grandmaster, at the chain's end
-		case 0:
-			priority = 60 // the successor
+			tx[p] = func(f *netsim.Frame) (float64, bool) { return br.Transmit(p, f), true }
 		}
 		engine, err := gptp.NewBMCA(sched, tx, gptp.BMCAConfig{
 			Domain: 0,
-			Self: gptp.SystemIdentity{
-				Priority1: priority, ClockClass: 248, Priority2: 128, ClockID: name,
+			Self: gptp.SystemIdentity{ // the grandmaster at the chain's end, the successor at its start
+				Priority1: priority1(i, n-1, 0), ClockClass: 248, Priority2: 128, ClockID: name,
 			},
 			AnnounceInterval:    cfg.AnnounceInterval,
 			ReceiptTimeoutCount: cfg.TimeoutCount,
@@ -135,35 +125,27 @@ func BMCAReconvergence(cfg BMCAReconvergenceConfig) (*BMCAReconvergenceResult, e
 		engines[i] = engine
 	}
 	for i := 0; i+1 < n; i++ {
-		if _, err := netsim.Connect(sched, streams.Stream(fmt.Sprintf("link/%d", i)),
-			netsim.LinkConfig{Propagation: 500 * time.Nanosecond, JitterNS: 20},
-			bridges[i].Port(1), bridges[i+1].Port(0)); err != nil {
+		if err := m.link(fmt.Sprintf("link/%d", i), bridges[i].Port(1), bridges[i+1].Port(0)); err != nil {
 			return nil, err
 		}
 	}
-	for _, e := range engines {
-		if err := e.Start(); err != nil {
-			return nil, err
-		}
+	if err := startAll(engines...); err != nil {
+		return nil, err
 	}
 
-	gmName := fmt.Sprintf("sys%d", n-1)
-	agreedOn := func(name string, exclude int) bool {
-		for i, e := range engines {
-			if i == exclude {
-				continue
-			}
-			if e.GM().ClockID != name {
-				return false
-			}
-		}
-		return true
-	}
+	// waitAgreement runs until every engine but exclude follows name.
 	waitAgreement := func(name string, exclude int, limit time.Duration) (time.Duration, error) {
 		start := sched.Now()
 		deadline := start.Add(limit)
 		for sched.Now() < deadline {
-			if agreedOn(name, exclude) {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+			agreed := true
+			for i, e := range engines {
+				agreed = agreed && (i == exclude || e.GM().ClockID == name)
+			}
+			if agreed {
 				return sched.Now().Sub(start), nil
 			}
 			if err := sched.RunFor(10 * time.Millisecond); err != nil {
@@ -173,20 +155,16 @@ func BMCAReconvergence(cfg BMCAReconvergenceConfig) (*BMCAReconvergenceResult, e
 		return 0, fmt.Errorf("experiments: no agreement on %s within %v", name, limit)
 	}
 
-	res := &BMCAReconvergenceResult{Config: cfg}
-	elect, err := waitAgreement(gmName, -1, time.Duration(n)*10*cfg.AnnounceInterval)
-	if err != nil {
+	res := &BMCAReconvergenceResult{Config: cfg, Successor: "sys0"}
+	var err error
+	if res.InitialElection, err = waitAgreement(fmt.Sprintf("sys%d", n-1), -1,
+		time.Duration(n)*10*cfg.AnnounceInterval); err != nil {
 		return nil, err
 	}
-	res.InitialElection = elect
-
 	engines[n-1].Stop() // fail-silent grandmaster
-	successor := "sys0"
-	gap, err := waitAgreement(successor, n-1, time.Duration(cfg.TimeoutCount+n)*10*cfg.AnnounceInterval)
-	if err != nil {
+	if res.ReelectionGap, err = waitAgreement(res.Successor, n-1,
+		time.Duration(cfg.TimeoutCount+n)*10*cfg.AnnounceInterval); err != nil {
 		return nil, err
 	}
-	res.ReelectionGap = gap
-	res.Successor = successor
 	return res, nil
 }

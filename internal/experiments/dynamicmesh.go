@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"gptpfta/internal/clock"
+	"gptpfta/internal/core"
 	"gptpfta/internal/gptp"
 	"gptpfta/internal/netsim"
 	"gptpfta/internal/sim"
@@ -81,47 +83,23 @@ func (r DynamicMeshResult) Rows() [][]string {
 
 // DynamicMeshStudy wires the Fig. 2 switch mesh in fully dynamic 802.1AS
 // operation and measures grandmaster re-election end to end (Announce,
-// tree rebuild, Sync flow).
-func DynamicMeshStudy(cfg DynamicMeshConfig) (*DynamicMeshResult, error) {
+// tree rebuild, Sync flow). ctx is checked between the settle and observe
+// phases.
+func DynamicMeshStudy(ctx context.Context, cfg DynamicMeshConfig) (*DynamicMeshResult, error) {
 	cfg = cfg.withDefaults()
-	sched := sim.NewScheduler()
-	streams := sim.NewStreams(cfg.Seed)
+	m := newMicro(cfg.Seed)
+	sched, streams := m.sched, m.streams
 	res := &DynamicMeshResult{Config: cfg}
 
 	const nodes = 4
-	mkPHC := func(name string, ppb float64) *clock.PHC {
-		osc := clock.NewOscillator(clock.OscillatorConfig{StaticPPB: ppb, WanderPPBPerSqrtSec: 1},
-			streams.Stream("osc/"+name), 0)
-		return clock.NewPHC(sched, osc, streams.Stream("ts/"+name),
-			clock.PHCConfig{TimestampJitterNS: 8})
-	}
-
 	// Bridges: full mesh on ports 0..2, station on port 3.
 	bridges := make([]*netsim.Bridge, nodes)
 	relays := make([]*gptp.Relay, nodes)
 	dynBridges := make([]*gptp.DynamicBridge, nodes)
-	residence := map[int]netsim.ResidenceModel{
-		netsim.PriorityBestEffort: {Base: 1500 * time.Nanosecond, JitterNS: 150},
-		netsim.PriorityPTP:        {Base: 1200 * time.Nanosecond, JitterNS: 100},
-	}
-	meshPort := func(i, j int) int {
-		p := 0
-		for k := 0; k < nodes; k++ {
-			if k == i {
-				continue
-			}
-			if k == j {
-				return p
-			}
-			p++
-		}
-		return -1
-	}
 	for i := 0; i < nodes; i++ {
 		name := fmt.Sprintf("sw%d", i+1)
-		bridges[i] = netsim.NewBridge(name, sched, streams.Stream("br/"+name),
-			mkPHC(name, clock.UniformPPB(streams.Stream("sppb/"+name), 5000)),
-			netsim.BridgeConfig{Ports: nodes, Residence: residence})
+		bridges[i] = m.bridge(name, "br/"+name,
+			m.drifting(name, clock.UniformPPB(streams.Stream("sppb/"+name), 5000), 0), nodes, beptpResidence)
 		relay, err := gptp.NewRelay(bridges[i], sched, streams.Stream("relay/"+name),
 			gptp.RelayConfig{Domains: map[int]gptp.DomainPorts{}, DefaultLinkDelayNS: 500})
 		if err != nil {
@@ -138,11 +116,10 @@ func DynamicMeshStudy(cfg DynamicMeshConfig) (*DynamicMeshResult, error) {
 		}
 		dynBridges[i] = db
 	}
-	lc := netsim.LinkConfig{Propagation: 500 * time.Nanosecond, JitterNS: 20}
 	for i := 0; i < nodes; i++ {
 		for j := i + 1; j < nodes; j++ {
-			if _, err := netsim.Connect(sched, streams.Stream(fmt.Sprintf("l/%d-%d", i, j)), lc,
-				bridges[i].Port(meshPort(i, j)), bridges[j].Port(meshPort(j, i))); err != nil {
+			if err := m.link(fmt.Sprintf("l/%d-%d", i, j),
+				bridges[i].Port(core.MeshPort(nodes, i, j)), bridges[j].Port(core.MeshPort(nodes, j, i))); err != nil {
 				return nil, err
 			}
 		}
@@ -151,33 +128,21 @@ func DynamicMeshStudy(cfg DynamicMeshConfig) (*DynamicMeshResult, error) {
 	// Stations: s1 is the best clock, s2 the successor.
 	stations := make([]*gptp.DynamicStation, nodes)
 	offsets := make([]int, nodes)
-	var lastOffsetAt sim.Time
+	var lastOffsetAt, failedAt sim.Time
 	var worstGap time.Duration
-	var failedAt sim.Time
 	for i := 0; i < nodes; i++ {
 		name := fmt.Sprintf("s%d", i+1)
-		nic := netsim.NewNIC(name, sched, mkPHC(name, clock.UniformPPB(streams.Stream("nppb/"+name), 5000)))
-		if _, err := netsim.Connect(sched, streams.Stream("lnk/"+name), lc,
-			nic.Port(), bridges[i].Port(3)); err != nil {
+		nic := m.nic(name, clock.UniformPPB(streams.Stream("nppb/"+name), 5000), 0)
+		if err := m.link("lnk/"+name, nic.Port(), bridges[i].Port(3)); err != nil {
 			return nil, err
 		}
-		priority := uint8(128)
-		switch i {
-		case 0:
-			priority = 50
-		case 1:
-			priority = 60
-		}
-		idx := i
 		st, err := gptp.NewDynamicStation(name, nic, sched, streams.Stream("st/"+name),
-			gptp.SystemIdentity{Priority1: priority, ClockClass: 248, ClockID: name},
+			gptp.SystemIdentity{Priority1: priority1(i, 0, 1), ClockClass: 248, ClockID: name},
 			0, cfg.AnnounceInterval,
 			func(gptp.OffsetSample) {
-				offsets[idx]++
-				if failedAt > 0 {
-					if gap := sched.Now().Sub(lastOffsetAt); gap > worstGap {
-						worstGap = gap
-					}
+				offsets[i]++
+				if gap := sched.Now().Sub(lastOffsetAt); failedAt > 0 && gap > worstGap {
+					worstGap = gap
 				}
 				lastOffsetAt = sched.Now()
 			})
@@ -186,20 +151,14 @@ func DynamicMeshStudy(cfg DynamicMeshConfig) (*DynamicMeshResult, error) {
 		}
 		stations[i] = st
 	}
-	for _, r := range relays {
-		if err := r.Start(); err != nil {
-			return nil, err
-		}
+	if err := startAll(relays...); err != nil {
+		return nil, err
 	}
-	for _, db := range dynBridges {
-		if err := db.Start(); err != nil {
-			return nil, err
-		}
+	if err := startAll(dynBridges...); err != nil {
+		return nil, err
 	}
-	for _, st := range stations {
-		if err := st.Start(); err != nil {
-			return nil, err
-		}
+	if err := startAll(stations...); err != nil {
+		return nil, err
 	}
 
 	if err := sched.RunUntil(sim.Time(cfg.Settle)); err != nil {
@@ -222,6 +181,9 @@ func DynamicMeshStudy(cfg DynamicMeshConfig) (*DynamicMeshResult, error) {
 	}
 	if res.PassivePorts == 0 {
 		return nil, fmt.Errorf("experiments: no passive ports in a redundant mesh")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	// Fail the elected grandmaster.

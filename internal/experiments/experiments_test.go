@@ -217,7 +217,7 @@ func TestRenderHistogram(t *testing.T) {
 }
 
 func TestBMCAReconvergence(t *testing.T) {
-	res, err := BMCAReconvergence(BMCAReconvergenceConfig{Seed: 5})
+	res, err := BMCAReconvergence(context.Background(), BMCAReconvergenceConfig{Seed: 5})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -241,11 +241,11 @@ func TestBMCAReconvergence(t *testing.T) {
 }
 
 func TestBMCAReconvergenceFasterAnnounce(t *testing.T) {
-	slow, err := BMCAReconvergence(BMCAReconvergenceConfig{Seed: 5})
+	slow, err := BMCAReconvergence(context.Background(), BMCAReconvergenceConfig{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := BMCAReconvergence(BMCAReconvergenceConfig{Seed: 5, AnnounceInterval: 250 * time.Millisecond})
+	fast, err := BMCAReconvergence(context.Background(), BMCAReconvergenceConfig{Seed: 5, AnnounceInterval: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

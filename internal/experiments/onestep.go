@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
-	"gptpfta/internal/clock"
 	"gptpfta/internal/gptp"
 	"gptpfta/internal/netsim"
 	"gptpfta/internal/sim"
@@ -70,57 +70,35 @@ func (r *OneStepStudyResult) Rows() [][]string {
 }
 
 // OneStepStudy runs a GM → bridge → client path in both modes and compares
-// measured offsets against ground truth.
-func OneStepStudy(cfg OneStepStudyConfig) (*OneStepStudyResult, error) {
+// measured offsets against ground truth. ctx is checked before each mode
+// is built.
+func OneStepStudy(ctx context.Context, cfg OneStepStudyConfig) (*OneStepStudyResult, error) {
 	cfg = cfg.withDefaults()
 	res := &OneStepStudyResult{Config: cfg}
 
 	run := func(mode string, oneStep bool) (StepModeOutcome, error) {
 		out := StepModeOutcome{Mode: mode}
-		sched := sim.NewScheduler()
-		streams := sim.NewStreams(cfg.Seed)
-		mkPHC := func(name string, ppb, off float64) *clock.PHC {
-			osc := clock.NewOscillator(clock.OscillatorConfig{StaticPPB: ppb, WanderPPBPerSqrtSec: 1},
-				streams.Stream("osc/"+name), 0)
-			return clock.NewPHC(sched, osc, streams.Stream("ts/"+name),
-				clock.PHCConfig{TimestampJitterNS: 8, InitialOffsetNS: off})
-		}
-		gm := netsim.NewNIC("gm", sched, mkPHC("gm", 3000, 0))
-		cl := netsim.NewNIC("cl", sched, mkPHC("cl", -3000, 42000))
-		br := netsim.NewBridge("sw", sched, streams.Stream("br"), mkPHC("sw", 5000, 0),
-			netsim.BridgeConfig{Ports: 2, Residence: map[int]netsim.ResidenceModel{
-				netsim.PriorityBestEffort: {Base: 1500 * time.Nanosecond, JitterNS: 150},
-				netsim.PriorityPTP:        {Base: 1200 * time.Nanosecond, JitterNS: 100},
-			}})
-		lc := netsim.LinkConfig{Propagation: 500 * time.Nanosecond, JitterNS: 20}
-		if _, err := netsim.Connect(sched, streams.Stream("l0"), lc, gm.Port(), br.Port(0)); err != nil {
+		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		if _, err := netsim.Connect(sched, streams.Stream("l1"), lc, cl.Port(), br.Port(1)); err != nil {
-			return out, err
-		}
-		relay, err := gptp.NewRelay(br, sched, streams.Stream("relay"), gptp.RelayConfig{
-			Domains: map[int]gptp.DomainPorts{0: {SlavePort: 0, MasterPorts: []int{1}}},
-		})
+		m := newMicro(cfg.Seed)
+		gm, cl := m.nic("gm", 3000, 0), m.nic("cl", -3000, 42000)
+		br := m.bridge("sw", "br", m.drifting("sw", 5000, 0), 2, beptpResidence)
+		master, err := m.relayPath(br, gptp.MasterConfig{Domain: 0, GMIdentity: "gm", OneStep: oneStep}, gm, cl)
 		if err != nil {
-			return out, err
-		}
-		if err := relay.Start(); err != nil {
 			return out, err
 		}
 
 		// Pdelay endpoints on both NICs.
 		mkLD := func(nic *netsim.NIC) *gptp.LinkDelay {
-			return gptp.NewLinkDelay(nic.DeviceName(), sched, streams.Stream("pd/"+nic.DeviceName()),
+			return gptp.NewLinkDelay(nic.DeviceName(), m.sched, m.streams.Stream("pd/"+nic.DeviceName()),
 				func(f *netsim.Frame) (float64, bool) {
 					ts, err := nic.Send(f)
 					return ts, err == nil
 				}, gptp.LinkDelayConfig{})
 		}
 		ldGM, ldCL := mkLD(gm), mkLD(cl)
-		gm.SetHandler(func(f *netsim.Frame, rxTS float64) {
-			ldGM.HandleFrame(f.Payload, rxTS)
-		})
+		gm.SetHandler(func(f *netsim.Frame, rxTS float64) { ldGM.HandleFrame(f.Payload, rxTS) })
 
 		var sumSq float64
 		slave := gptp.NewSlave(0, ldCL, func(s gptp.OffsetSample) {
@@ -130,29 +108,21 @@ func OneStepStudy(cfg OneStepStudyConfig) (*OneStepStudyResult, error) {
 			out.Samples++
 		})
 		cl.SetHandler(func(f *netsim.Frame, rxTS float64) {
-			switch m := f.Payload.(type) {
+			switch msg := f.Payload.(type) {
 			case *gptp.PdelayReq, *gptp.PdelayResp, *gptp.PdelayRespFollowUp:
 				ldCL.HandleFrame(f.Payload, rxTS)
 			case *gptp.Sync:
 				out.Messages++
-				slave.HandleSync(m, rxTS)
+				slave.HandleSync(msg, rxTS)
 			case *gptp.FollowUp:
 				out.Messages++
-				slave.HandleFollowUp(m)
+				slave.HandleFollowUp(msg)
 			}
 		})
-		if err := ldGM.Start(); err != nil {
+		if err := startAll[starter](ldGM, ldCL, master); err != nil {
 			return out, err
 		}
-		if err := ldCL.Start(); err != nil {
-			return out, err
-		}
-		master := gptp.NewMaster(gm, sched, streams.Stream("gm"),
-			gptp.MasterConfig{Domain: 0, GMIdentity: "gm", OneStep: oneStep}, nil)
-		if err := master.Start(); err != nil {
-			return out, err
-		}
-		if err := sched.RunUntil(sim.Time(cfg.Duration)); err != nil {
+		if err := m.sched.RunUntil(sim.Time(cfg.Duration)); err != nil {
 			return out, err
 		}
 		if out.Samples == 0 {
@@ -163,12 +133,10 @@ func OneStepStudy(cfg OneStepStudyConfig) (*OneStepStudyResult, error) {
 	}
 
 	var err error
-	res.TwoStep, err = run("two-step", false)
-	if err != nil {
+	if res.TwoStep, err = run("two-step", false); err != nil {
 		return nil, err
 	}
-	res.OneStep, err = run("one-step", true)
-	if err != nil {
+	if res.OneStep, err = run("one-step", true); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"gptpfta/internal/clock"
 	"gptpfta/internal/gptp"
 	"gptpfta/internal/measure"
 	"gptpfta/internal/netsim"
@@ -28,16 +28,25 @@ type TASStudyConfig struct {
 
 // Validate implements Validator.
 func (c TASStudyConfig) Validate() error {
-	if c.BurstBytes < 0 {
-		return fmt.Errorf("burst_bytes must not be negative (got %d)", c.BurstBytes)
+	if c.BurstBytes < 0 || c.BurstBytes > 1522 {
+		return fmt.Errorf("burst_bytes must be 0..1522, the largest tagged Ethernet frame (got %d)", c.BurstBytes)
 	}
 	if c.BurstFrames < 0 {
 		return fmt.Errorf("burst_frames must not be negative (got %d)", c.BurstFrames)
+	}
+	// Above the egress rate the contended queue grows for the whole run.
+	d := c.withDefaults()
+	if mbps := float64(d.BurstFrames) * float64(d.BurstBytes) * 8 / d.BurstInterval.Seconds() / 1e6; mbps > tasEgressMbps {
+		return fmt.Errorf("burst_frames × burst_bytes × 8 / burst_interval is %.0f Mb/s, above the %d Mb/s egress",
+			mbps, tasEgressMbps)
 	}
 	return checkDurations(
 		field{"duration", c.Duration},
 		field{"burst_interval", c.BurstInterval})
 }
+
+// tasEgressMbps is the rate of the study's contended egress port.
+const tasEgressMbps = 1000
 
 func (c TASStudyConfig) withDefaults() TASStudyConfig {
 	if c.Duration <= 0 {
@@ -96,52 +105,29 @@ func (r *TASStudyResult) Rows() [][]string {
 // TASStudy wires a grandmaster and a client through one switch whose
 // client-facing egress port also carries heavy best-effort bursts, and
 // measures the Sync path latency spread with (a) a single FIFO queue (a
-// non-TSN switch) and (b) a protected-window gate schedule.
-func TASStudy(cfg TASStudyConfig) (*TASStudyResult, error) {
+// non-TSN switch) and (b) a protected-window gate schedule. ctx is
+// checked before each egress model is built.
+func TASStudy(ctx context.Context, cfg TASStudyConfig) (*TASStudyResult, error) {
 	cfg = cfg.withDefaults()
 	res := &TASStudyResult{Config: cfg}
 
 	run := func(model string, mkShaper func() (*tas.Shaper, error)) (TASOutcome, error) {
 		out := TASOutcome{Model: model}
-		sched := sim.NewScheduler()
-		streams := sim.NewStreams(cfg.Seed)
-
-		mkPHC := func(name string, ppb float64) *clock.PHC {
-			osc := clock.NewOscillator(clock.OscillatorConfig{StaticPPB: ppb, WanderPPBPerSqrtSec: 1},
-				streams.Stream("osc/"+name), 0)
-			return clock.NewPHC(sched, osc, streams.Stream("ts/"+name),
-				clock.PHCConfig{TimestampJitterNS: 8})
+		if err := ctx.Err(); err != nil {
+			return out, err
 		}
-		br := netsim.NewBridge("sw", sched, streams.Stream("br"), mkPHC("sw", 2000),
-			netsim.BridgeConfig{
-				Ports: 3,
-				Residence: map[int]netsim.ResidenceModel{
-					netsim.PriorityBestEffort: {Base: time.Microsecond},
-				},
-			})
+		m := newMicro(cfg.Seed)
+		br := m.bridge("sw", "br", m.drifting("sw", 2000, 0), 3,
+			map[int]netsim.ResidenceModel{netsim.PriorityBestEffort: {Base: time.Microsecond}})
 		shaper, err := mkShaper()
 		if err != nil {
 			return out, err
 		}
 		br.SetEgressScheduler(1, shaper) // the client-facing port
 
-		gm := netsim.NewNIC("gm", sched, mkPHC("gm", 1500))
-		cl := netsim.NewNIC("cl", sched, mkPHC("cl", -1500))
-		be := netsim.NewNIC("be", sched, mkPHC("be", 0))
-		lc := netsim.LinkConfig{Propagation: 500 * time.Nanosecond, JitterNS: 20}
-		for i, nic := range []*netsim.NIC{gm, cl, be} {
-			if _, err := netsim.Connect(sched, streams.Stream(fmt.Sprintf("l%d", i)), lc,
-				nic.Port(), br.Port(i)); err != nil {
-				return out, err
-			}
-		}
-		relay, err := gptp.NewRelay(br, sched, streams.Stream("relay"), gptp.RelayConfig{
-			Domains: map[int]gptp.DomainPorts{0: {SlavePort: 0, MasterPorts: []int{1}}},
-		})
+		gm, cl, be := m.nic("gm", 1500, 0), m.nic("cl", -1500, 0), m.nic("be", 0, 0)
+		master, err := m.relayPath(br, gptp.MasterConfig{Domain: 0}, gm, cl, be)
 		if err != nil {
-			return out, err
-		}
-		if err := relay.Start(); err != nil {
 			return out, err
 		}
 
@@ -151,16 +137,15 @@ func TASStudy(cfg TASStudyConfig) (*TASStudyResult, error) {
 		cl.SetHandler(func(f *netsim.Frame, _ float64) {
 			if _, ok := f.Payload.(*gptp.Sync); ok {
 				syncs++
-				tracker.Observe("gm->cl", f.PathLatency(sched.Now()))
+				tracker.Observe("gm->cl", f.PathLatency(m.sched.Now()))
 			}
 		})
-		master := gptp.NewMaster(gm, sched, streams.Stream("gm"), gptp.MasterConfig{Domain: 0}, nil)
 		if err := master.Start(); err != nil {
 			return out, err
 		}
 
 		// Best-effort bursts toward the client: they contend on port 1.
-		src, err := netsim.NewTrafficSource(be, sched, streams.Stream("traffic"), netsim.TrafficConfig{
+		src, err := netsim.NewTrafficSource(be, m.sched, m.streams.Stream("traffic"), netsim.TrafficConfig{
 			Dst:      "nic/cl",
 			Priority: netsim.PriorityBestEffort,
 			Bytes:    cfg.BurstBytes,
@@ -175,12 +160,9 @@ func TASStudy(cfg TASStudyConfig) (*TASStudyResult, error) {
 			return out, err
 		}
 
-		if err := sched.RunUntil(sim.Time(cfg.Duration)); err != nil {
+		if err := m.sched.RunUntil(sim.Time(cfg.Duration)); err != nil {
 			return out, err
 		}
-		src.Stop()
-		master.Stop()
-
 		min, max, ok := tracker.Extrema()
 		if !ok {
 			return out, fmt.Errorf("experiments: no Sync observed under %s egress", model)
@@ -194,7 +176,7 @@ func TASStudy(cfg TASStudyConfig) (*TASStudyResult, error) {
 
 	var err error
 	res.FIFO, err = run("fifo", func() (*tas.Shaper, error) {
-		return tas.NewFIFOShaper(1000)
+		return tas.NewFIFOShaper(tasEgressMbps)
 	})
 	if err != nil {
 		return nil, err
@@ -212,7 +194,7 @@ func TASStudy(cfg TASStudyConfig) (*TASStudyResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return tas.NewShaper(gcl, 1000)
+		return tas.NewShaper(gcl, tasEgressMbps)
 	})
 	if err != nil {
 		return nil, err

@@ -92,7 +92,7 @@ func TestDomainCountSweep(t *testing.T) {
 }
 
 func TestTASStudy(t *testing.T) {
-	res, err := TASStudy(TASStudyConfig{Seed: 14})
+	res, err := TASStudy(context.Background(), TASStudyConfig{Seed: 14})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestMultiSeedValidation(t *testing.T) {
 }
 
 func TestDynamicMeshStudy(t *testing.T) {
-	res, err := DynamicMeshStudy(DynamicMeshConfig{Seed: 15})
+	res, err := DynamicMeshStudy(context.Background(), DynamicMeshConfig{Seed: 15})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestDynamicMeshStudy(t *testing.T) {
 }
 
 func TestOneStepStudy(t *testing.T) {
-	res, err := OneStepStudy(OneStepStudyConfig{Seed: 16})
+	res, err := OneStepStudy(context.Background(), OneStepStudyConfig{Seed: 16})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

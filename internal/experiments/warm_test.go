@@ -426,10 +426,49 @@ func TestCancelStopsLaterPoints(t *testing.T) {
 			"voting":         func() error { _, err := VotingFailover(ctx, VotingConfig{}); return err },
 			"recovery":       func() error { _, err := RecoveryComparison(ctx, RecoveryConfig{}); return err },
 			"multiseed":      func() error { _, err := MultiSeedValidation(ctx, MultiSeedConfig{}); return err },
+			"bmca":           func() error { _, err := BMCAReconvergence(ctx, BMCAReconvergenceConfig{}); return err },
+			"dynamic":        func() error { _, err := DynamicMeshStudy(ctx, DynamicMeshConfig{}); return err },
+			"onestep":        func() error { _, err := OneStepStudy(ctx, OneStepStudyConfig{}); return err },
+			"tas":            func() error { _, err := TASStudy(ctx, TASStudyConfig{}); return err },
 		} {
 			if err := run(); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s: err = %v, want context.Canceled", name, err)
 			}
 		}
 	})
+	// The two-mode micro-topology studies check the context before each
+	// mode: one cancelled while the first mode runs builds no second mode.
+	t.Run("second mode", func(t *testing.T) {
+		for name, run := range map[string]func(context.Context) error{
+			"onestep": func(ctx context.Context) error { _, err := OneStepStudy(ctx, OneStepStudyConfig{Seed: 1}); return err },
+			"tas": func(ctx context.Context) error {
+				_, err := TASStudy(ctx, TASStudyConfig{Seed: 1, Duration: time.Second})
+				return err
+			},
+		} {
+			ctx := &cancelAfterChecks{Context: context.Background(), live: 1}
+			if err := run(ctx); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: err = %v, want context.Canceled", name, err)
+			}
+			if ctx.checks != 2 {
+				t.Errorf("%s: %d context checks, want 2 (one per mode built)", name, ctx.checks)
+			}
+		}
+	})
+}
+
+// cancelAfterChecks is a context that reads live for its first live Err
+// calls and cancelled after them: a cancel that lands between two checks,
+// while the study runs what the last live check let it build.
+type cancelAfterChecks struct {
+	context.Context
+	live, checks int
+}
+
+func (c *cancelAfterChecks) Err() error {
+	c.checks++
+	if c.checks > c.live {
+		return context.Canceled
+	}
+	return nil
 }

@@ -71,7 +71,9 @@ func TestDecodeConfigUnknownField(t *testing.T) {
 // TestDecodeConfigValidation checks that DecodeConfig runs the config's
 // Validate: a structurally well-formed but semantically invalid payload is
 // rejected at decode time. A domain count above the paper mesh's four
-// nodes would leave a domain without a grandmaster.
+// nodes would leave a domain without a grandmaster; a BMCA chain needs 2
+// to 255 systems; a TAS burst must fit in tagged Ethernet frames and its
+// mean load in the 1000 Mb/s egress.
 func TestDecodeConfigValidation(t *testing.T) {
 	cases := []struct{ name, raw string }{
 		{"bounds", `{"duration": -1}`},
@@ -80,6 +82,13 @@ func TestDecodeConfigValidation(t *testing.T) {
 		{"domains", `{"counts": [5]}`},
 		{"domains", `{"counts": [1000000000]}`},
 		{"netchaos", `{"burst_bad_loss": [1.5]}`},
+		{"bmca", `{"systems": 1}`},
+		{"bmca", `{"systems": 256}`},
+		{"bmca", `{"systems": 1000000000}`},
+		{"tas", `{"burst_bytes": 1523}`},
+		{"tas", `{"burst_frames": 100}`},
+		{"tas", `{"burst_interval": 1000}`},
+		{"tas", `{"burst_frames": 1000000000000000000}`},
 	}
 	for _, tc := range cases {
 		name, raw := tc.name, tc.raw
