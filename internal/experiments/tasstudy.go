@@ -40,6 +40,12 @@ func (c TASStudyConfig) Validate() error {
 		return fmt.Errorf("burst_frames × burst_bytes × 8 / burst_interval is %.0f Mb/s, above the %d Mb/s egress",
 			mbps, tasEgressMbps)
 	}
+	// One burst is sent inside one event, so it must also drain within one
+	// Sync interval.
+	if s := float64(d.BurstFrames) * float64(d.BurstBytes) * 8 / (tasEgressMbps * 1e6); s > tasSyncInterval.Seconds() {
+		return fmt.Errorf("burst_frames × burst_bytes × 8 takes %g s at the %d Mb/s egress, above one %v Sync interval",
+			s, tasEgressMbps, tasSyncInterval)
+	}
 	return checkDurations(
 		field{"duration", c.Duration},
 		field{"burst_interval", c.BurstInterval})
@@ -47,6 +53,10 @@ func (c TASStudyConfig) Validate() error {
 
 // tasEgressMbps is the rate of the study's contended egress port.
 const tasEgressMbps = 1000
+
+// tasSyncInterval is the study grandmaster's Sync interval, the
+// gptp.MasterConfig default.
+const tasSyncInterval = 125 * time.Millisecond
 
 func (c TASStudyConfig) withDefaults() TASStudyConfig {
 	if c.Duration <= 0 {

@@ -72,8 +72,8 @@ func TestDecodeConfigUnknownField(t *testing.T) {
 // Validate: a structurally well-formed but semantically invalid payload is
 // rejected at decode time. A domain count above the paper mesh's four
 // nodes would leave a domain without a grandmaster; a BMCA chain needs 2
-// to 255 systems; a TAS burst must fit in tagged Ethernet frames and its
-// mean load in the 1000 Mb/s egress.
+// to 255 systems; a TAS burst must fit in tagged Ethernet frames, its mean
+// load in the 1000 Mb/s egress and each burst in one 125-ms Sync interval.
 func TestDecodeConfigValidation(t *testing.T) {
 	cases := []struct{ name, raw string }{
 		{"bounds", `{"duration": -1}`},
@@ -89,6 +89,8 @@ func TestDecodeConfigValidation(t *testing.T) {
 		{"tas", `{"burst_frames": 100}`},
 		{"tas", `{"burst_interval": 1000}`},
 		{"tas", `{"burst_frames": 1000000000000000000}`},
+		{"tas", `{"burst_interval": 120000000000, "burst_frames": 9000000}`},
+		{"tas", `{"burst_interval": 1000000000, "burst_frames": 10417}`},
 	}
 	for _, tc := range cases {
 		name, raw := tc.name, tc.raw

@@ -60,6 +60,9 @@ type Task struct {
 	releases []Release
 	running  bool
 	skips    uint64
+	// pending is the armed wake-up; Stop cancels it, so a Start that
+	// follows before it fires begins the only wake chain.
+	pending sim.EventID
 	// lastCycle enforces monotone cycle numbers: when the dependent clock
 	// is adjusted backwards (takeover, attack), the task must not release
 	// the same instance twice — clock_nanosleep semantics on a stepped
@@ -85,8 +88,11 @@ func (t *Task) Start() error {
 	return nil
 }
 
-// Stop halts the task.
-func (t *Task) Stop() { t.running = false }
+// Stop halts the task and cancels its armed wake-up.
+func (t *Task) Stop() {
+	t.running = false
+	t.sched.Cancel(t.pending)
+}
 
 // Node reports the hosting node.
 func (t *Task) Node() string { return t.node }
@@ -104,13 +110,10 @@ func (t *Task) Skips() uint64 { return t.skips }
 // (its rate is within ppm of true time); an early wake re-sleeps, like a
 // clock_nanosleep(TIMER_ABSTIME) loop on the dependent clock.
 func (t *Task) scheduleNext() {
-	if !t.running {
-		return
-	}
 	now, ok := t.clock.SyncTimeNow()
 	if !ok {
 		t.skips++
-		t.sched.After(t.cfg.Period, t.scheduleNext)
+		t.pending = t.sched.After(t.cfg.Period, t.scheduleNext)
 		return
 	}
 	period := float64(t.cfg.Period)
@@ -124,22 +127,19 @@ func (t *Task) scheduleNext() {
 	if sleep < 0 {
 		sleep = 0
 	}
-	t.sched.After(sleep, func() { t.wake(cycle, target) })
+	t.pending = t.sched.After(sleep, func() { t.wake(cycle, target) })
 }
 
 func (t *Task) wake(cycle int64, target float64) {
-	if !t.running {
-		return
-	}
 	now, ok := t.clock.SyncTimeNow()
 	if !ok {
 		t.skips++
-		t.sched.After(t.cfg.Period, t.scheduleNext)
+		t.pending = t.sched.After(t.cfg.Period, t.scheduleNext)
 		return
 	}
 	if now < target-float64(t.cfg.Tolerance) {
 		// Woke early (the dependent clock was adjusted): re-sleep.
-		t.sched.After(time.Duration(target-now), func() { t.wake(cycle, target) })
+		t.pending = t.sched.After(time.Duration(target-now), func() { t.wake(cycle, target) })
 		return
 	}
 	t.lastCycle = cycle

@@ -72,6 +72,40 @@ func TestTaskOffsetSchedule(t *testing.T) {
 	}
 }
 
+// TestTaskRestartKeepsOneWakeChain stops and restarts a task before its
+// armed wake-up fires: the restart must not leave a second wake chain that
+// releases every cycle twice.
+func TestTaskRestartKeepsOneWakeChain(t *testing.T) {
+	sched := sim.NewScheduler()
+	clk := &fakeClock{sched: sched, valid: true}
+	task, err := NewTask("dev1", sched, clk, TaskConfig{Name: "ctrl", Period: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := task.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.RunUntil(sim.Time(25 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	task.Stop()
+	if err := task.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.RunUntil(sim.Time(75 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	rel := task.Releases()
+	if len(rel) < 6 {
+		t.Fatalf("releases = %d in 75 ms at 10 ms period", len(rel))
+	}
+	for i := 1; i < len(rel); i++ {
+		if rel[i].Cycle <= rel[i-1].Cycle {
+			t.Fatalf("release %d: cycle %d after cycle %d", i, rel[i].Cycle, rel[i-1].Cycle)
+		}
+	}
+}
+
 func TestTaskHandlesInvalidClock(t *testing.T) {
 	sched := sim.NewScheduler()
 	clk := &fakeClock{sched: sched, valid: false}
