@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race bench bench-all bench-smoke bench-golden chaos-smoke serve-smoke attack-smoke wan-smoke fuzz-smoke determinism examples profile verify ci
+.PHONY: build test vet fmt-check race bench bench-smoke bench-golden chaos-smoke serve-smoke attack-smoke wan-smoke fuzz-smoke determinism quickstart profile verify ci
 
 build:
 	$(GO) build ./...
@@ -58,28 +58,15 @@ bench:
 	$(GO) test -run ^$$ -bench 'BenchmarkWANFabric' -benchtime 3x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_wan.json
 
-# One quick pass over every benchmark (figure regeneration smoke test).
-bench-all:
-	$(GO) test -bench . -benchtime 1x -run ^$$ .
-
 # "The root benchmarks still run" (blocking): one -benchtime 1x pass of
-# every benchmark `make bench` commits, through cmd/benchjson, which exits
-# non-zero when a benchmark fails or panics (make's /bin/sh has no
-# pipefail, so the pipeline's status is benchjson's). Timing is not
-# compared: the paired bench/ runs are the performance evidence of record,
-# and `make bench` regenerates the committed baselines.
+# every root benchmark through cmd/benchjson, which exits non-zero when a
+# benchmark fails or panics (make's /bin/sh has no pipefail, so the
+# pipeline's status is benchjson's). Timing is not compared: the paired
+# bench/ runs are the performance evidence of record, and `make bench`
+# regenerates the committed baselines.
 bench-smoke:
 	@mkdir -p .bench-smoke
-	$(GO) test -run ^$$ -bench 'BenchmarkSchedulerThroughput|BenchmarkSchedulerCancelHeavy|BenchmarkNetsimFrameBurst' \
-		-benchtime 1x -benchmem . | $(GO) run ./cmd/benchjson -o .bench-smoke/scheduler.json
-	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate|BenchmarkSystemStartup' -benchtime 1x -benchmem . \
-		| $(GO) run ./cmd/benchjson -o .bench-smoke/system.json
-	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart|BenchmarkSweepWarmLanes|BenchmarkForkSystem' -benchtime 1x -benchmem . \
-		| $(GO) run ./cmd/benchjson -o .bench-smoke/sweep.json
-	$(GO) test -run ^$$ -bench 'BenchmarkScaleFabric' -benchtime 1x -benchmem . \
-		| $(GO) run ./cmd/benchjson -o .bench-smoke/fabric.json
-	$(GO) test -run ^$$ -bench 'BenchmarkWANFabric' -benchtime 1x -benchmem . \
-		| $(GO) run ./cmd/benchjson -o .bench-smoke/wan.json
+	$(GO) test -run ^$$ -bench . -benchtime 1x -benchmem . | $(GO) run ./cmd/benchjson -o .bench-smoke/all.json
 
 # Outside-in benchmark gate (blocking): a short pass of bench/ over all four
 # workloads (mesh, fabric, campaign, served), which fails on any failed
@@ -163,12 +150,14 @@ fuzz-smoke:
 	$(GO) test ./internal/serve/ -run ^$$ -fuzz FuzzLoadState -fuzztime 10s
 	$(GO) test ./internal/faultinject/ -run TestFaultHypothesisAcrossDerivedSeeds -count=1
 
-# Examples: run the README quick start's five programs (examples/*/main.go,
-# about 0.5 s each); fails on the first non-zero exit.
-examples:
-	@for d in examples/*/; do \
-		echo "== go run ./$$d"; $(GO) run ./$$d || exit 1; \
-	done
+# Quick start: the README's first three commands, each one registry study
+# at its defaults (the §III-A3 bound, Fig. 3a, Fig. 3b; about 3 s in all);
+# fails on the first non-zero exit. Its fourth command, the failover
+# campaign on examples/chaos-smoke.json, is chaos-smoke.
+quickstart:
+	$(GO) run ./cmd/sweep -which paper-bounds
+	$(GO) run ./cmd/sweep -which paper-fig3a
+	$(GO) run ./cmd/sweep -which paper-fig3b
 
 # Serve smoke: boot cmd/served on an ephemeral port, drive a small
 # netchaos job through POST /v1/jobs, poll it to completion and assert a
@@ -177,4 +166,4 @@ serve-smoke:
 	sh scripts/serve_smoke.sh .serve-smoke
 
 # Everything the CI workflow runs, in one local command.
-ci: verify examples determinism bench-smoke bench-golden chaos-smoke attack-smoke wan-smoke serve-smoke
+ci: verify quickstart determinism bench-smoke bench-golden chaos-smoke attack-smoke wan-smoke serve-smoke

@@ -1,9 +1,11 @@
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md's per-experiment index) plus microbenchmarks of
-// the core algorithms. The figure benchmarks run time-compressed instances
-// of the full experiments and report the paper-relevant quantities as
-// custom metrics (ns-of-precision, violation counts), so `go test -bench`
-// regenerates every row/series shape the paper reports.
+// Performance benchmarks: microbenchmarks of the hot algorithms (FTA
+// aggregation, the PI servo, the event kernel, the netsim frame path) and
+// end-to-end rates (the paper testbed's simulation rate and start-up, the
+// runner's multi-seed campaign, warm and cold sweeps, forks, and the
+// generated multi-site and WAN fabrics). `make bench-smoke` runs each once;
+// `make bench` commits the kernel, system, sweep and fabric figures as
+// BENCH_*.json. The paper's studies are not benchmarked here: each has one
+// runnable form, `sweep -which <name>`, pinned by its TestGoldenDigest*.
 package main
 
 import (
@@ -19,204 +21,11 @@ import (
 	"gptpfta/internal/core"
 	"gptpfta/internal/experiments"
 	"gptpfta/internal/fta"
-	"gptpfta/internal/measure"
 	"gptpfta/internal/netsim"
 	"gptpfta/internal/obs"
 	"gptpfta/internal/servo"
 	"gptpfta/internal/sim"
 )
-
-// BenchmarkBoundsMethodology — E1: the §III-A3/§III-B numbers
-// (d_min, d_max, E, Γ, Π, γ).
-func BenchmarkBoundsMethodology(b *testing.B) {
-	var last *experiments.BoundsResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Bounds(context.Background(), experiments.BoundsConfig{
-			Seed:     int64(i + 1),
-			Duration: 3 * time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(float64(last.ReadingError.Nanoseconds()), "E-ns")
-	b.ReportMetric(float64(last.Bound.Nanoseconds()), "Pi-ns")
-	b.ReportMetric(float64(last.Gamma.Nanoseconds()), "gamma-ns")
-}
-
-// BenchmarkFig3aIdenticalKernels — E2: both exploits succeed; the bound is
-// violated after the second compromise.
-func BenchmarkFig3aIdenticalKernels(b *testing.B) {
-	var last *experiments.CyberResilienceResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.CyberResilience(context.Background(), experiments.CyberResilienceConfig{
-			Seed:     int64(i + 1),
-			Duration: 10 * time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.BoundViolatedAfterSecondAttack() {
-			b.Fatalf("Fig. 3a shape lost: %s", res.Summary())
-		}
-		last = res
-	}
-	b.ReportMetric(float64(last.ViolationsAfterSecond), "violations")
-	b.ReportMetric(last.MaxAfterSecondNS, "max-after-ns")
-	b.ReportMetric(float64(last.Bound.Nanoseconds()), "Pi-ns")
-}
-
-// BenchmarkFig3bDiverseKernels — E3: the second exploit fails; the bound
-// holds throughout.
-func BenchmarkFig3bDiverseKernels(b *testing.B) {
-	var last *experiments.CyberResilienceResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.CyberResilience(context.Background(), experiments.CyberResilienceConfig{
-			Seed:           int64(i + 1),
-			Duration:       10 * time.Minute,
-			DiverseKernels: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.BoundViolatedAfterSecondAttack() {
-			b.Fatalf("Fig. 3b shape lost: %s", res.Summary())
-		}
-		last = res
-	}
-	b.ReportMetric(float64(last.ViolationsAfterSecond), "violations")
-	b.ReportMetric(float64(last.Bound.Nanoseconds()), "Pi-ns")
-}
-
-// BenchmarkFig4aFaultInjection — E4: the precision series stays within
-// Π+γ under grandmaster and redundant-VM fail-silent faults.
-func BenchmarkFig4aFaultInjection(b *testing.B) {
-	var last *experiments.FaultInjectionResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.FaultInjection(context.Background(), experiments.FaultInjectionConfig{
-			Seed:                int64(i + 1),
-			Duration:            20 * time.Minute,
-			GMPeriod:            5 * time.Minute,
-			RedundantMinPerHour: 6,
-			RedundantMaxPerHour: 12,
-			Downtime:            30 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Stats.MeanNS, "avg-ns")
-	b.ReportMetric(last.Stats.MaxNS, "max-ns")
-	b.ReportMetric(float64(last.Violations), "violations")
-	b.ReportMetric(float64(last.Injection.TotalFailures), "vm-failures")
-}
-
-// BenchmarkFig4bDistribution — E5: the right-skewed sub-µs distribution
-// (the paper: avg 322 ns, std 421 ns, min 33 ns, max 10.08 µs).
-func BenchmarkFig4bDistribution(b *testing.B) {
-	var stats measure.Stats
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.FaultInjection(context.Background(), experiments.FaultInjectionConfig{
-			Seed:                int64(i + 1),
-			Duration:            15 * time.Minute,
-			GMPeriod:            5 * time.Minute,
-			RedundantMinPerHour: 4,
-			RedundantMaxPerHour: 8,
-			Downtime:            30 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		stats = res.Stats
-	}
-	b.ReportMetric(stats.MeanNS, "avg-ns")
-	b.ReportMetric(stats.StdNS, "std-ns")
-	b.ReportMetric(stats.MinNS, "min-ns")
-	b.ReportMetric(stats.MaxNS, "max-ns")
-}
-
-// BenchmarkFig5EventWindow — E6: event extraction around the maximum
-// spike, correlating VM failures, takeovers and ptp4l transient faults.
-func BenchmarkFig5EventWindow(b *testing.B) {
-	res, err := experiments.FaultInjection(context.Background(), experiments.FaultInjectionConfig{
-		Seed:                1,
-		Duration:            20 * time.Minute,
-		GMPeriod:            5 * time.Minute,
-		RedundantMinPerHour: 6,
-		RedundantMaxPerHour: 12,
-		Downtime:            30 * time.Second,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var events int
-	for i := 0; i < b.N; i++ {
-		w := res.Fig5Window(10 * time.Minute)
-		events = len(w.Events)
-	}
-	b.ReportMetric(float64(events), "events")
-	b.ReportMetric(float64(res.TxTimestampTimeouts), "tx-timeouts")
-	b.ReportMetric(float64(res.DeadlineMisses), "deadline-misses")
-}
-
-// BenchmarkBaselineNoStartupSync — A1: the Kyriakakis-style baseline
-// (clients-only aggregation, no initial GM synchronization) versus ours.
-func BenchmarkBaselineNoStartupSync(b *testing.B) {
-	var last *experiments.ComparisonResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.BaselineNoStartupSync(context.Background(), experiments.BaselineConfig{
-			Seed:     int64(i + 1),
-			Duration: 8 * time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.OursStats.MeanNS, "ours-avg-ns")
-	b.ReportMetric(last.VariantStats.MeanNS, "baseline-avg-ns")
-}
-
-// BenchmarkAblationSingleDomainVsFTA — A2: plain single-domain gPTP versus
-// the multi-domain FTA under one Byzantine grandmaster.
-func BenchmarkAblationSingleDomainVsFTA(b *testing.B) {
-	var last *experiments.ComparisonResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationSingleDomainVsFTA(context.Background(), experiments.BaselineConfig{
-			Seed:     int64(i + 1),
-			Duration: 8 * time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.OursStats.MeanNS, "fta-avg-ns")
-	b.ReportMetric(last.VariantStats.MeanNS, "single-avg-ns")
-	b.ReportMetric(float64(last.VariantViolations), "single-violations")
-}
-
-// BenchmarkAblationFlagPolicy — A3: FTSHMEM validity-flag policy sweep.
-func BenchmarkAblationFlagPolicy(b *testing.B) {
-	var last *experiments.ComparisonResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationFlagPolicy(context.Background(), experiments.BaselineConfig{
-			Seed:     int64(i + 1),
-			Duration: 6 * time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.OursStats.MeanNS, "monitor-avg-ns")
-	b.ReportMetric(last.VariantStats.MeanNS, "exclude-avg-ns")
-}
-
-// --- microbenchmarks of the hot algorithms ---
 
 // BenchmarkFTAAggregate measures one FTSHMEM aggregation step (sort, drop,
 // average, flags) at the paper's M = 4.
@@ -379,134 +188,6 @@ func BenchmarkSystemStartup(b *testing.B) {
 		events = sys.Scheduler().Processed()
 	}
 	b.ReportMetric(float64(events), "events/op")
-}
-
-// BenchmarkAblationBMCAReelection — A4: the BMCA's grandmaster re-election
-// gap, which the paper's static external port configuration + FTA design
-// eliminates.
-func BenchmarkAblationBMCAReelection(b *testing.B) {
-	var last *experiments.BMCAReconvergenceResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.BMCAReconvergence(context.Background(), experiments.BMCAReconvergenceConfig{Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(float64(last.ReelectionGap.Milliseconds()), "gap-ms")
-	b.ReportMetric(float64(last.InitialElection.Milliseconds()), "election-ms")
-}
-
-// BenchmarkAblationVotingMonitor — A5: the 2f+1 fail-consistent variant of
-// §II-A (monitor consistency voting vs freshness-only detection).
-func BenchmarkAblationVotingMonitor(b *testing.B) {
-	var last *experiments.VotingResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.VotingFailover(context.Background(), experiments.VotingConfig{
-			Seed:    int64(i + 1),
-			Settle:  90 * time.Second,
-			Observe: 45 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(float64(last.VotingDetection.Milliseconds()), "detect-ms")
-	b.ReportMetric(last.WithVotingErrIntegral, "voting-err-ns-s")
-	b.ReportMetric(last.WithoutVotingErrIntegral, "freshness-err-ns-s")
-}
-
-// BenchmarkFutureWorkUnikernelRecovery — A6: the §IV future-work study
-// (GNU/Linux vs unikernel reboot time → redundancy exposure).
-func BenchmarkFutureWorkUnikernelRecovery(b *testing.B) {
-	var last *experiments.RecoveryResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RecoveryComparison(context.Background(), experiments.RecoveryConfig{
-			Seed:     int64(i + 1),
-			Duration: 30 * time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Linux.DegradedSeconds, "linux-degraded-s")
-	b.ReportMetric(last.Unikernel.DegradedSeconds, "unikernel-degraded-s")
-}
-
-// BenchmarkSweepSyncInterval — A7: the Γ = 2·r_max·S trade-off table.
-func BenchmarkSweepSyncInterval(b *testing.B) {
-	var points []experiments.SweepPoint
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.IntervalSweep(context.Background(), experiments.IntervalSweepConfig{
-			Seed:      int64(i + 1),
-			Intervals: []time.Duration{62500 * time.Microsecond, 250 * time.Millisecond},
-			Duration:  4 * time.Minute,
-			Parallel:  1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		points = res.Points
-	}
-	b.ReportMetric(points[0].BoundNS, "bound-fast-ns")
-	b.ReportMetric(points[len(points)-1].BoundNS, "bound-slow-ns")
-}
-
-// BenchmarkSweepDomainCount — A8: Byzantine masking vs the number of
-// domains (N >= 2f+1 required).
-func BenchmarkSweepDomainCount(b *testing.B) {
-	var points []experiments.SweepPoint
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.DomainSweep(context.Background(), experiments.DomainSweepConfig{
-			Seed:     int64(i + 1),
-			Counts:   []int{2, 4},
-			Duration: 6 * time.Minute,
-			Parallel: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		points = res.Points
-	}
-	b.ReportMetric(float64(points[0].Violations), "m2-violations")
-	b.ReportMetric(float64(points[1].Violations), "m4-violations")
-}
-
-// BenchmarkAblationTASProtection — A9: commodity FIFO egress vs the
-// integrated TSN switch's 802.1Qbv + preemption under best-effort bursts —
-// where the reading error E comes from.
-func BenchmarkAblationTASProtection(b *testing.B) {
-	var last *experiments.TASStudyResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TASStudy(context.Background(), experiments.TASStudyConfig{Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(float64(last.FIFO.Spread.Nanoseconds()), "fifo-spread-ns")
-	b.ReportMetric(float64(last.Protected.Spread.Nanoseconds()), "tsn-spread-ns")
-}
-
-// BenchmarkMultiSeedRobustness — the headline result re-run across seeds:
-// the reproduction must not be a single-seed accident.
-func BenchmarkMultiSeedRobustness(b *testing.B) {
-	var last *experiments.MultiSeedResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.MultiSeedValidation(context.Background(), experiments.MultiSeedConfig{
-			Seeds:    []int64{int64(3*i + 1), int64(3*i + 2), int64(3*i + 3)},
-			Duration: 10 * time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.MeanOfMeansNS, "mean-ns")
-	b.ReportMetric(last.StdOfMeansNS, "std-across-seeds-ns")
-	b.ReportMetric(float64(last.AnyViolations), "violations")
 }
 
 // benchCampaign runs the 4-seed fault-injection campaign through the
@@ -675,38 +356,6 @@ func BenchmarkForkSystem(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationDynamicMesh — A10: fully dynamic 802.1AS (BMCA +
-// path-trace + relay tree rebuild) over the redundant mesh: the measured
-// synchronization outage after a grandmaster failure.
-func BenchmarkAblationDynamicMesh(b *testing.B) {
-	var last *experiments.DynamicMeshResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.DynamicMeshStudy(context.Background(), experiments.DynamicMeshConfig{Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(float64(last.SyncOutage.Milliseconds()), "outage-ms")
-	b.ReportMetric(float64(last.PassivePorts), "passive-ports")
-}
-
-// BenchmarkOneStepVsTwoStep — protocol-mode parity: one-step operation
-// (802.1AS-2020 option) matches two-step accuracy at half the event
-// traffic.
-func BenchmarkOneStepVsTwoStep(b *testing.B) {
-	var last *experiments.OneStepStudyResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.OneStepStudy(context.Background(), experiments.OneStepStudyConfig{Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.TwoStep.OffsetErrRMS, "two-step-rms-ns")
-	b.ReportMetric(last.OneStep.OffsetErrRMS, "one-step-rms-ns")
 }
 
 // BenchmarkScaleFabric measures the kernel on a generated

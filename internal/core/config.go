@@ -4,7 +4,7 @@
 // grandmaster of the device's gPTP domain), a full-mesh switch network with
 // per-domain static spanning trees, a measurement VLAN, and the
 // fault-tolerant dependent clock. It is the public entry point the
-// examples, command-line tools and benchmark harness build on.
+// studies, command-line tools and benchmarks build on.
 package core
 
 import (

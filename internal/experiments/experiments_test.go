@@ -10,66 +10,78 @@ import (
 )
 
 // The experiment tests run scaled-down horizons; the full-length runs are
-// exercised by the benchmark harness and command-line tools.
+// `sweep -which <name>`, pinned by the golden digests.
+
+// cyberResilienceInputs are the Fig. 3 runs the shape tests check: seed 42
+// over 12 min, and seed 1 over 10 min.
+var cyberResilienceInputs = []CyberResilienceConfig{
+	{Seed: 42, Duration: 12 * time.Minute},
+	{Seed: 1, Duration: 10 * time.Minute},
+}
 
 func TestCyberResilienceIdenticalKernels(t *testing.T) {
-	res, err := CyberResilience(context.Background(), CyberResilienceConfig{Seed: 42, Duration: 12 * time.Minute})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(res.ExploitResults) != 2 {
-		t.Fatalf("exploit attempts = %d, want 2", len(res.ExploitResults))
-	}
-	for _, r := range res.ExploitResults {
-		if !r.Success {
-			t.Fatalf("exploit on identical kernels must succeed: %s", r)
+	for _, cfg := range cyberResilienceInputs {
+		res, err := CyberResilience(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("seed %d: run: %v", cfg.Seed, err)
 		}
-	}
-	// Before the second compromise the FTA masks the attack.
-	if res.ViolationsBeforeSecond > res.SamplesBeforeSecond/20 {
-		t.Fatalf("first attack not masked: %d/%d violations before second attack",
-			res.ViolationsBeforeSecond, res.SamplesBeforeSecond)
-	}
-	// After the second compromise the bound collapses (Fig. 3a).
-	if !res.BoundViolatedAfterSecondAttack() {
-		t.Fatalf("two compromised GMs did not break the bound: %d/%d violations, max %.0fns, bound %v",
-			res.ViolationsAfterSecond, res.SamplesAfterSecond, res.MaxAfterSecondNS, res.Bound)
-	}
-	if res.MaxAfterSecondNS < float64(res.Bound) {
-		t.Fatalf("max after second attack %.0f below bound %v", res.MaxAfterSecondNS, res.Bound)
-	}
-	if !strings.Contains(res.Summary(), "violated") {
-		t.Fatalf("summary: %s", res.Summary())
+		if len(res.ExploitResults) != 2 {
+			t.Fatalf("seed %d: exploit attempts = %d, want 2", cfg.Seed, len(res.ExploitResults))
+		}
+		for _, r := range res.ExploitResults {
+			if !r.Success {
+				t.Fatalf("seed %d: exploit on identical kernels must succeed: %s", cfg.Seed, r)
+			}
+		}
+		// Before the second compromise the FTA masks the attack.
+		if res.ViolationsBeforeSecond > res.SamplesBeforeSecond/20 {
+			t.Fatalf("seed %d: first attack not masked: %d/%d violations before second attack",
+				cfg.Seed, res.ViolationsBeforeSecond, res.SamplesBeforeSecond)
+		}
+		// After the second compromise the bound collapses (Fig. 3a).
+		if !res.BoundViolatedAfterSecondAttack() {
+			t.Fatalf("seed %d: two compromised GMs did not break the bound: %d/%d violations, max %.0fns, bound %v",
+				cfg.Seed, res.ViolationsAfterSecond, res.SamplesAfterSecond, res.MaxAfterSecondNS, res.Bound)
+		}
+		if res.MaxAfterSecondNS < float64(res.Bound) {
+			t.Fatalf("seed %d: max after second attack %.0f below bound %v", cfg.Seed, res.MaxAfterSecondNS, res.Bound)
+		}
+		if !strings.Contains(res.Summary(), "violated") {
+			t.Fatalf("seed %d: summary: %s", cfg.Seed, res.Summary())
+		}
 	}
 }
 
 func TestCyberResilienceDiverseKernels(t *testing.T) {
-	res, err := CyberResilience(context.Background(), CyberResilienceConfig{Seed: 42, Duration: 12 * time.Minute, DiverseKernels: true})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var successes int
-	for _, r := range res.ExploitResults {
-		if r.Success {
-			successes++
-			if r.Target != "c41" {
-				t.Fatalf("wrong target compromised: %s", r.Target)
+	for _, cfg := range cyberResilienceInputs {
+		cfg.DiverseKernels = true
+		res, err := CyberResilience(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("seed %d: run: %v", cfg.Seed, err)
+		}
+		var successes int
+		for _, r := range res.ExploitResults {
+			if r.Success {
+				successes++
+				if r.Target != "c41" {
+					t.Fatalf("seed %d: wrong target compromised: %s", cfg.Seed, r.Target)
+				}
 			}
 		}
-	}
-	if successes != 1 {
-		t.Fatalf("successes = %d, want exactly 1 (only c41 vulnerable)", successes)
-	}
-	// Fig. 3b: the bound holds throughout.
-	if res.BoundViolatedAfterSecondAttack() {
-		t.Fatalf("diverse kernels still broke the bound: %d/%d violations after second attempt",
-			res.ViolationsAfterSecond, res.SamplesAfterSecond)
-	}
-	if res.ViolationsBeforeSecond > res.SamplesBeforeSecond/20 {
-		t.Fatalf("first attack not masked: %d/%d", res.ViolationsBeforeSecond, res.SamplesBeforeSecond)
-	}
-	if !strings.Contains(res.Summary(), "diverse") {
-		t.Fatalf("summary: %s", res.Summary())
+		if successes != 1 {
+			t.Fatalf("seed %d: successes = %d, want exactly 1 (only c41 vulnerable)", cfg.Seed, successes)
+		}
+		// Fig. 3b: the bound holds throughout.
+		if res.BoundViolatedAfterSecondAttack() {
+			t.Fatalf("seed %d: diverse kernels still broke the bound: %d/%d violations after second attempt",
+				cfg.Seed, res.ViolationsAfterSecond, res.SamplesAfterSecond)
+		}
+		if res.ViolationsBeforeSecond > res.SamplesBeforeSecond/20 {
+			t.Fatalf("seed %d: first attack not masked: %d/%d", cfg.Seed, res.ViolationsBeforeSecond, res.SamplesBeforeSecond)
+		}
+		if !strings.Contains(res.Summary(), "diverse") {
+			t.Fatalf("seed %d: summary: %s", cfg.Seed, res.Summary())
+		}
 	}
 }
 

@@ -3,8 +3,8 @@
 // methodology, and the ablation studies listed in DESIGN.md. Each study of
 // the paper's system runs its points through the point executor
 // (runPoints, warm.go), drives the scenario, and returns a structured
-// result that the command-line tools render and the benchmark harness
-// regenerates.
+// result that cmd/sweep and the job server render and the golden digests
+// pin.
 package experiments
 
 import (
