@@ -88,6 +88,7 @@ verify: build fmt-check vet test
 		./internal/obs/... ./internal/chaos/... ./internal/ptp4l/... ./internal/core/... \
 		./internal/gptp/... ./internal/shmem/... ./internal/measure/...
 	$(GO) test -race -run 'TestForkEquivalenceLanes' ./internal/experiments/
+	$(GO) test -race -short ./internal/serve/...
 
 # Chaos smoke: a 10-minute-sim-time fault-injection campaign driven by the
 # committed example scenario plan (examples/chaos-smoke.json embeds

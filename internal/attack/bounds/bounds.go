@@ -11,24 +11,12 @@
 // bound contradicts the theory and is flagged as an anomaly.
 package bounds
 
-// Tolerable returns the largest number of Byzantine grandmasters an FTA
-// over m domains with trim parameter f provably masks: f itself when the
-// 2f+1 quorum holds, otherwise the largest f' with m ≥ 2f'+1. A
-// non-positive m tolerates nothing.
-func Tolerable(m, f int) int {
-	if m <= 0 || f <= 0 {
-		return 0
-	}
-	if max := (m - 1) / 2; f > max {
-		return max
-	}
-	return f
-}
+import "gptpfta/internal/fta"
 
 // Survives reports the analytic prediction: adversaries compromised domains
-// out of m are masked iff the count is within Tolerable(m, f).
+// out of m are masked iff the count is within fta.Tolerable(m, f).
 func Survives(m, f, adversaries int) bool {
-	return adversaries <= Tolerable(m, f)
+	return adversaries <= fta.Tolerable(m, f)
 }
 
 // DelayFaulty reports whether an on-path Sync delay attack of delayNS makes

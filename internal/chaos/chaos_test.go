@@ -137,6 +137,12 @@ func TestValidateRejections(t *testing.T) {
 		want string
 	}{
 		{"unknown op", Action{Op: "nuke", At: 1}, "unknown op"},
+		// A fault ends only by its own duration: no op ends another's.
+		{"link-up", Action{Op: "link-up", Links: []string{"x"}, At: 1}, "unknown op"},
+		{"bridge-restore", Action{Op: "bridge-restore", Bridges: []string{"x"}, At: 1}, "unknown op"},
+		{"heal", Action{Op: "heal", At: 1}, "unknown op"},
+		{"site-restore", Action{Op: "site-restore", Sites: []int{0}, At: 1}, "unknown op"},
+		{"wan-heal", Action{Op: "wan-heal", At: 1}, "unknown op"},
 		{"no trigger", Action{Op: OpLinkDown, Links: []string{"x"}}, "trigger"},
 		{"both triggers", Action{Op: OpLinkDown, Links: []string{"x"}, At: 1, Every: 1}, "mutually exclusive"},
 		{"no links", Action{Op: OpLinkDown, At: 1}, "no target links"},
@@ -231,8 +237,7 @@ func TestPartitionCutsOnlyCrossGroupLinks(t *testing.T) {
 	tt := newTopo(t)
 	p := &Plan{Actions: []Action{
 		{Op: OpPartition, Groups: [][]string{{"sw1", "n1"}, {"sw2", "n2"}},
-			At: Duration(time.Second)},
-		{Op: OpHeal, At: Duration(5 * time.Second)},
+			At: Duration(time.Second), Duration: Duration(4 * time.Second)},
 	}}
 	mustEngine(t, tt, p)
 	if err := tt.sched.RunUntil(sim.Time(2 * time.Second)); err != nil {
@@ -248,7 +253,7 @@ func TestPartitionCutsOnlyCrossGroupLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tt.links["sw1-sw2"].Down() {
-		t.Fatal("heal did not restore the partitioned link")
+		t.Fatal("the partition's revert did not restore the cut link")
 	}
 }
 

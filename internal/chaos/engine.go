@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"gptpfta/internal/netsim"
@@ -23,8 +22,8 @@ type Topology interface {
 }
 
 // SiteTopology extends Topology for multi-site fabrics. A plan using the
-// WAN-tier operations (site-fail, site-restore, wan-partition, wan-heal)
-// can only bind to a topology implementing it.
+// site-targeted WAN-tier operations (site-fail, wan-partition) can only
+// bind to a topology implementing it.
 type SiteTopology interface {
 	// NumSites reports the number of sites.
 	NumSites() int
@@ -38,20 +37,18 @@ type SiteTopology interface {
 // Engine executes a Plan against a Topology on the simulation scheduler.
 // It consumes no randomness itself — stochastic loss draws come from the
 // links' dedicated loss streams — so two same-seed runs of the same plan
-// are bit-identical.
+// are bit-identical. A live fault's whole state is its pending revert in
+// the scheduler, so a scheduler snapshot taken mid-fault replays it with
+// nothing of the engine to restore.
 type Engine struct {
 	sched *sim.Scheduler
 	topo  Topology
 	plan  *Plan
 
-	started     bool
-	tickers     []*sim.Ticker
-	partitioned map[string]*netsim.Link
-	// wanPartitioned tracks chain links severed by wan-partition, healed
-	// separately from device-level partitions (wan-heal vs heal).
-	wanPartitioned map[string]*netsim.Link
-	sites          SiteTopology // non-nil iff the plan uses WAN-tier ops
-	observer       func(Action)
+	started  bool
+	tickers  []*sim.Ticker
+	sites    SiteTopology // the topology's site tier, nil if it has none
+	observer func(Action)
 
 	obsActions map[string]*obs.Counter
 	obsReverts *obs.Counter
@@ -91,7 +88,7 @@ func New(sched *sim.Scheduler, topo Topology, plan *Plan) (*Engine, error) {
 				}
 			}
 		}
-		if len(a.Sites) > 0 || a.Op == OpWanHeal {
+		if len(a.Sites) > 0 {
 			if sites == nil {
 				return nil, fmt.Errorf("chaos: action %d (%s): topology has no site tier", i, a.Op)
 			}
@@ -102,14 +99,7 @@ func New(sched *sim.Scheduler, topo Topology, plan *Plan) (*Engine, error) {
 			}
 		}
 	}
-	return &Engine{
-		sched:          sched,
-		topo:           topo,
-		plan:           plan,
-		partitioned:    make(map[string]*netsim.Link),
-		wanPartitioned: make(map[string]*netsim.Link),
-		sites:          sites,
-	}, nil
+	return &Engine{sched: sched, topo: topo, plan: plan, sites: sites}, nil
 }
 
 // Plan returns the bound plan.
@@ -169,13 +159,14 @@ func (e *Engine) Stop() {
 }
 
 // apply fires one action and, for self-limiting operations, schedules its
-// revert.
+// revert. A partition's cut set is computed here, once per firing, and its
+// revert restores exactly that set: overlapping partitions each end by
+// their own duration.
 func (e *Engine) apply(a *Action) {
+	var cut []*netsim.Link
 	switch a.Op {
 	case OpLinkDown:
 		e.eachLink(a, func(l *netsim.Link) { l.SetDown(true) })
-	case OpLinkUp:
-		e.eachLink(a, func(l *netsim.Link) { l.SetDown(false) })
 	case OpBurstLoss:
 		e.eachLink(a, func(l *netsim.Link) {
 			l.SetLossModel(&netsim.GilbertElliott{
@@ -191,40 +182,30 @@ func (e *Engine) apply(a *Action) {
 		e.eachLink(a, func(l *netsim.Link) { l.SetDelayOverride(a.Extra.Std(), a.Asym.Std()) })
 	case OpBridgeFail:
 		e.eachBridge(a, func(b *netsim.Bridge) { b.Fail() })
-	case OpBridgeRestore:
-		e.eachBridge(a, func(b *netsim.Bridge) { b.Recover() })
 	case OpPartition:
-		for name, l := range e.cutSet(a) {
-			l.SetDown(true)
-			e.partitioned[name] = l
-		}
-	case OpHeal:
-		e.heal()
+		cut = e.cutSet(a)
 	case OpSiteFail:
 		e.eachSiteBridge(a, func(b *netsim.Bridge) { b.Fail() })
-	case OpSiteRestore:
-		e.eachSiteBridge(a, func(b *netsim.Bridge) { b.Recover() })
 	case OpWanAsymDrift:
 		e.rampWanDelay(a)
 	case OpWanPartition:
-		for name, l := range e.wanCutSet(a) {
-			l.SetDown(true)
-			e.wanPartitioned[name] = l
-		}
-	case OpWanHeal:
-		e.wanHeal()
+		cut = e.wanCutSet(a)
+	}
+	for _, l := range cut {
+		l.SetDown(true)
 	}
 	e.obsActions[a.Op].Inc()
 	if e.observer != nil {
 		e.observer(*a)
 	}
 	if a.reverts() {
-		e.sched.After(a.Duration.Std(), func() { e.revert(a) })
+		e.sched.After(a.Duration.Std(), func() { e.revert(a, cut) })
 	}
 }
 
-// revert undoes one self-limiting action after its Duration.
-func (e *Engine) revert(a *Action) {
+// revert undoes one self-limiting action after its Duration; cut is the
+// set a partition severed when it fired.
+func (e *Engine) revert(a *Action, cut []*netsim.Link) {
 	switch a.Op {
 	case OpLinkDown:
 		e.eachLink(a, func(l *netsim.Link) { l.SetDown(false) })
@@ -234,28 +215,14 @@ func (e *Engine) revert(a *Action) {
 		e.eachLink(a, func(l *netsim.Link) { l.SetDelayOverride(0, 0) })
 	case OpBridgeFail:
 		e.eachBridge(a, func(b *netsim.Bridge) { b.Recover() })
-	case OpPartition:
-		e.heal()
 	case OpSiteFail:
 		e.eachSiteBridge(a, func(b *netsim.Bridge) { b.Recover() })
-	case OpWanPartition:
-		e.wanHeal()
+	case OpPartition, OpWanPartition:
+		for _, l := range cut {
+			l.SetDown(false)
+		}
 	}
 	e.obsReverts.Inc()
-}
-
-func (e *Engine) heal() {
-	for _, l := range e.partitioned {
-		l.SetDown(false)
-	}
-	e.partitioned = make(map[string]*netsim.Link)
-}
-
-func (e *Engine) wanHeal() {
-	for _, l := range e.wanPartitioned {
-		l.SetDown(false)
-	}
-	e.wanPartitioned = make(map[string]*netsim.Link)
 }
 
 func (e *Engine) eachSiteBridge(a *Action, fn func(*netsim.Bridge)) {
@@ -268,16 +235,15 @@ func (e *Engine) eachSiteBridge(a *Action, fn func(*netsim.Bridge)) {
 
 // wanCutSet computes the gateway-chain links severed by a wan-partition:
 // every chain link joining a listed site to an unlisted one.
-func (e *Engine) wanCutSet(a *Action) map[string]*netsim.Link {
+func (e *Engine) wanCutSet(a *Action) []*netsim.Link {
 	in := map[int]bool{}
 	for _, s := range a.Sites {
 		in[s] = true
 	}
-	cut := map[string]*netsim.Link{}
+	var cut []*netsim.Link
 	for i := 0; i < e.sites.NumSites()-1; i++ {
 		if in[i] != in[i+1] {
-			name := e.sites.WanLinkName(i)
-			cut[name] = e.topo.Link(name)
+			cut = append(cut, e.topo.Link(e.sites.WanLinkName(i)))
 		}
 	}
 	return cut
@@ -320,60 +286,23 @@ func (e *Engine) eachBridge(a *Action, fn func(*netsim.Bridge)) {
 	}
 }
 
-// engineSnapshot captures the engine's fault bookkeeping for mid-fault
-// forks: the live partition cut-sets, by link name.
-type engineSnapshot struct {
-	partitioned    []string
-	wanPartitioned []string
-}
-
-// Snapshot implements sim.Snapshotter for mid-fault warm-start forks. A
-// revert closure already queued in the scheduler captures the engine
-// pointer; restoring the partition maps in place keeps that closure's heal
-// semantics identical on every replay. Triggers and pending reverts
-// themselves live in the scheduler's snapshot.
-func (e *Engine) Snapshot() any {
-	sn := &engineSnapshot{}
-	for name := range e.partitioned {
-		sn.partitioned = append(sn.partitioned, name)
-	}
-	for name := range e.wanPartitioned {
-		sn.wanPartitioned = append(sn.wanPartitioned, name)
-	}
-	sort.Strings(sn.partitioned)
-	sort.Strings(sn.wanPartitioned)
-	return sn
-}
-
-// Restore implements sim.Snapshotter.
-func (e *Engine) Restore(snap any) {
-	sn := snap.(*engineSnapshot)
-	e.partitioned = make(map[string]*netsim.Link, len(sn.partitioned))
-	for _, name := range sn.partitioned {
-		e.partitioned[name] = e.topo.Link(name)
-	}
-	e.wanPartitioned = make(map[string]*netsim.Link, len(sn.wanPartitioned))
-	for _, name := range sn.wanPartitioned {
-		e.wanPartitioned[name] = e.topo.Link(name)
-	}
-}
-
 // cutSet computes the links severed by a partition: every link whose two
 // endpoint devices are assigned to different groups. Devices absent from
-// all groups keep their links.
-func (e *Engine) cutSet(a *Action) map[string]*netsim.Link {
+// all groups keep their links. The set is in map order, which is harmless:
+// raising or severing one link touches no other link and draws nothing.
+func (e *Engine) cutSet(a *Action) []*netsim.Link {
 	group := map[string]int{}
 	for gi, g := range a.Groups {
 		for _, dev := range g {
 			group[dev] = gi
 		}
 	}
-	cut := map[string]*netsim.Link{}
-	for name, l := range e.topo.Links() {
+	var cut []*netsim.Link
+	for _, l := range e.topo.Links() {
 		g0, ok0 := group[l.End(0).Owner.DeviceName()]
 		g1, ok1 := group[l.End(1).Owner.DeviceName()]
 		if ok0 && ok1 && g0 != g1 {
-			cut[name] = l
+			cut = append(cut, l)
 		}
 	}
 	return cut

@@ -1,11 +1,12 @@
 // Package chaos is the deterministic network fault-injection subsystem: a
 // declarative scenario plan (a timeline of link, bridge, and partition
-// actions with absolute or periodic triggers) is executed against the
-// simulated topology by an Engine. All stochastic behavior the plan enables
-// (burst loss) draws from the links' dedicated seed-derived loss streams,
-// so a chaos campaign is bit-reproducible from the master seed; the engine
-// itself consumes no randomness. With no plan active nothing in this
-// package touches the simulation, preserving the golden digests.
+// faults with absolute or periodic triggers, each ended by its own
+// duration) is executed against the simulated topology by an Engine. All
+// stochastic behavior the plan enables (burst loss) draws from the links'
+// dedicated seed-derived loss streams, so a chaos campaign is
+// bit-reproducible from the master seed; the engine itself consumes no
+// randomness. With no plan active nothing in this package touches the
+// simulation, preserving the golden digests.
 package chaos
 
 import (
@@ -56,47 +57,41 @@ func (d Duration) Std() time.Duration { return time.Duration(d) }
 
 // Action operations.
 const (
-	OpLinkDown      = "link-down"
-	OpLinkUp        = "link-up"
-	OpBurstLoss     = "burst-loss"
-	OpDelaySpike    = "delay-spike"
-	OpAsymShift     = "asym-shift"
-	OpBridgeFail    = "bridge-fail"
-	OpBridgeRestore = "bridge-restore"
-	OpPartition     = "partition"
-	OpHeal          = "heal"
+	OpLinkDown   = "link-down"
+	OpBurstLoss  = "burst-loss"
+	OpDelaySpike = "delay-spike"
+	OpAsymShift  = "asym-shift"
+	OpBridgeFail = "bridge-fail"
+	OpPartition  = "partition"
 
 	// WAN-tier operations (multi-site fabrics; the bound topology must
 	// implement SiteTopology).
 	//
 	// site-fail kills every switch of the listed sites (the whole LAN goes
-	// dark, the site's aggregate clock stops answering); site-restore
-	// brings them back. wan-partition severs the gateway-chain links
-	// between the listed sites and the rest; wan-heal reconnects them.
-	// wan-asym-drift ramps the listed links' WAN delay axis
+	// dark, the site's aggregate clock stops answering). wan-partition
+	// severs the gateway-chain links between the listed sites and the
+	// rest. wan-asym-drift ramps the listed links' WAN delay axis
 	// (Link.SetWanDelay) linearly from its current value to (Extra, Asym)
 	// over Duration — a slow path migration, not a step — and then holds;
 	// it never auto-reverts (ramp back with a second action targeting
 	// zero).
 	OpSiteFail     = "site-fail"
-	OpSiteRestore  = "site-restore"
 	OpWanAsymDrift = "wan-asym-drift"
 	OpWanPartition = "wan-partition"
-	OpWanHeal      = "wan-heal"
 )
 
 // Ops lists every valid action operation.
 var Ops = []string{
-	OpLinkDown, OpLinkUp, OpBurstLoss, OpDelaySpike, OpAsymShift,
-	OpBridgeFail, OpBridgeRestore, OpPartition, OpHeal,
-	OpSiteFail, OpSiteRestore, OpWanAsymDrift, OpWanPartition, OpWanHeal,
+	OpLinkDown, OpBurstLoss, OpDelaySpike, OpAsymShift, OpBridgeFail, OpPartition,
+	OpSiteFail, OpWanAsymDrift, OpWanPartition,
 }
 
 // Action is one timeline entry: an operation over named topology elements,
 // fired at an absolute instant (At) or periodically (Every, first firing at
-// Start or one period in). Self-limiting operations (everything except
-// link-up, bridge-restore, and heal) revert automatically after Duration;
-// with Duration zero they persist until an explicit counter-action.
+// Start or one period in). Every fault ends by its own Duration: the engine
+// reverts it that long after each firing, and with Duration zero it stays
+// for the rest of the run. wan-asym-drift is the exception: its Duration is
+// the ramp time, and the drifted delay holds.
 type Action struct {
 	// Op is the operation, one of the Op* constants.
 	Op string `json:"op"`
@@ -105,14 +100,14 @@ type Action struct {
 	// Link names are core topology names: "sw1-sw2" for the bridge mesh,
 	// the VM name ("c11") for a VM uplink.
 	Links []string `json:"links,omitempty"`
-	// Bridges names the target bridges for bridge-fail/bridge-restore.
+	// Bridges names the target bridges for bridge-fail.
 	Bridges []string `json:"bridges,omitempty"`
 	// Groups assigns device names to partition sides: every link whose two
 	// endpoint devices land in different groups is severed. Devices not
 	// named in any group keep all their links.
 	Groups [][]string `json:"groups,omitempty"`
 	// Sites names target sites (0-based) for the WAN-tier operations
-	// site-fail, site-restore, and wan-partition.
+	// site-fail and wan-partition.
 	Sites []int `json:"sites,omitempty"`
 
 	// At triggers once at the given simulation time.
@@ -190,11 +185,11 @@ func (p *Plan) Validate() error {
 
 func (a *Action) validate() error {
 	switch a.Op {
-	case OpLinkDown, OpLinkUp, OpBurstLoss, OpDelaySpike, OpAsymShift:
+	case OpLinkDown, OpBurstLoss, OpDelaySpike, OpAsymShift:
 		if len(a.Links) == 0 {
 			return fmt.Errorf("%s: no target links", a.Op)
 		}
-	case OpBridgeFail, OpBridgeRestore:
+	case OpBridgeFail:
 		if len(a.Bridges) == 0 {
 			return fmt.Errorf("%s: no target bridges", a.Op)
 		}
@@ -214,9 +209,7 @@ func (a *Action) validate() error {
 				seen[dev] = true
 			}
 		}
-	case OpHeal:
-		// heal reverts every live partition; no targets.
-	case OpSiteFail, OpSiteRestore, OpWanPartition:
+	case OpSiteFail, OpWanPartition:
 		if len(a.Sites) == 0 {
 			return fmt.Errorf("%s: no target sites", a.Op)
 		}
@@ -237,8 +230,6 @@ func (a *Action) validate() error {
 		if a.Duration == 0 {
 			return fmt.Errorf("%s: needs a ramp duration", a.Op)
 		}
-	case OpWanHeal:
-		// wan-heal reverts every live WAN partition; no targets.
 	default:
 		return fmt.Errorf("unknown op %q (want one of %s)", a.Op, strings.Join(Ops, ", "))
 	}
@@ -292,12 +283,5 @@ func (a *Action) validate() error {
 // wan-asym-drift, Duration is the ramp time, not a revert timer: the
 // drifted delay holds until a counter-ramp.
 func (a *Action) reverts() bool {
-	if a.Duration == 0 {
-		return false
-	}
-	switch a.Op {
-	case OpLinkUp, OpBridgeRestore, OpHeal, OpSiteRestore, OpWanHeal, OpWanAsymDrift:
-		return false
-	}
-	return true
+	return a.Duration > 0 && a.Op != OpWanAsymDrift
 }

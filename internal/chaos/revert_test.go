@@ -107,11 +107,56 @@ func TestOverlappingActionsSameLink(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshotRestoresMidFault: snapshotting scheduler + link + engine
-// in the middle of a partition and restoring after the fault has healed
-// replays the remainder bit-identically — the restored cut-set map makes the
-// re-armed revert closure heal exactly the original links, twice over.
-func TestEngineSnapshotRestoresMidFault(t *testing.T) {
+// TestOverlappingPartitionsRevertOwnCut: two partitions whose fault windows
+// overlap cut disjoint links. Each revert restores only the cut set its own
+// firing computed, so the second partition's link stays down past the first
+// one's duration until its own revert.
+func TestOverlappingPartitionsRevertOwnCut(t *testing.T) {
+	tt := newTopo(t)
+	p := &Plan{Actions: []Action{
+		{Op: OpPartition, Groups: [][]string{{"n1"}, {"sw1"}},
+			At: Duration(time.Second), Duration: Duration(4 * time.Second)},
+		{Op: OpPartition, Groups: [][]string{{"sw1"}, {"sw2"}},
+			At: Duration(2 * time.Second), Duration: Duration(6 * time.Second)},
+	}}
+	e := mustEngine(t, tt, p)
+	reg := obs.NewRegistry()
+	e.Instrument(reg)
+
+	first, second := tt.links["n1"], tt.links["sw1-sw2"]
+	checks := []struct {
+		at                    time.Duration
+		firstDown, secondDown bool
+		why                   string
+	}{
+		{1500 * time.Millisecond, true, false, "first partition only"},
+		{3 * time.Second, true, true, "both partitions live"},
+		{6 * time.Second, false, true, "first reverted at 5s, second live until 8s"},
+		{9 * time.Second, false, false, "both reverted"},
+	}
+	for _, c := range checks {
+		if err := tt.sched.RunUntil(sim.Time(c.at)); err != nil {
+			t.Fatal(err)
+		}
+		if first.Down() != c.firstDown || second.Down() != c.secondDown {
+			t.Fatalf("t=%v (%s): n1 down=%v, sw1-sw2 down=%v, want %v, %v",
+				c.at, c.why, first.Down(), second.Down(), c.firstDown, c.secondDown)
+		}
+	}
+	if tt.links["n2"].Down() {
+		t.Fatal("a link outside both cut sets went down")
+	}
+	if got := revertCount(reg); got != 2 {
+		t.Fatalf("chaos_reverts = %v, want 2", got)
+	}
+}
+
+// TestSchedulerSnapshotReplaysPartitionRevert: a partition's pending revert
+// lives in the scheduler, so snapshotting only the scheduler and the link
+// in the middle of the fault and restoring after the fault has healed
+// replays the remainder bit-identically: the re-armed revert heals the
+// link again.
+func TestSchedulerSnapshotReplaysPartitionRevert(t *testing.T) {
 	tt := newTopo(t)
 	p := &Plan{Actions: []Action{{
 		Op:       OpPartition,
@@ -132,34 +177,26 @@ func TestEngineSnapshotRestoresMidFault(t *testing.T) {
 	}
 	schedSnap := tt.sched.Snapshot()
 	linkSnap := l.Snapshot()
-	engSnap := e.Snapshot()
-	if got := engSnap.(*engineSnapshot).partitioned; len(got) != 1 || got[0] != "sw1-sw2" {
-		t.Fatalf("mid-fault snapshot cut-set = %v, want [sw1-sw2]", got)
-	}
 
-	// Play past the heal: the revert at t=5s empties the cut-set.
+	// Play past the revert at t=5s.
 	if err := tt.sched.RunUntil(sim.Time(6 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if l.Down() || len(e.partitioned) != 0 {
-		t.Fatalf("fault not healed at t=6s (down=%v, cut-set %d)", l.Down(), len(e.partitioned))
+	if l.Down() {
+		t.Fatal("fault not healed at t=6s")
 	}
 
 	// Rewind to the mid-fault instant and replay.
 	tt.sched.Restore(schedSnap)
 	l.Restore(linkSnap)
-	e.Restore(engSnap)
 	if tt.sched.Now() != sim.Time(2*time.Second) || !l.Down() {
 		t.Fatalf("restore: now=%v down=%v, want t=2s with the fault live", tt.sched.Now(), l.Down())
-	}
-	if len(e.partitioned) != 1 || e.partitioned["sw1-sw2"] != l {
-		t.Fatalf("restore: cut-set %v does not name the live link", e.partitioned)
 	}
 	if err := tt.sched.RunUntil(sim.Time(6 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if l.Down() || len(e.partitioned) != 0 {
-		t.Fatal("replayed revert did not heal the restored cut-set")
+	if l.Down() {
+		t.Fatal("replayed revert did not heal the link")
 	}
 	if got := revertCount(reg); got != 2 {
 		t.Fatalf("chaos_reverts = %v, want 2 (one per replay)", got)

@@ -9,6 +9,7 @@ import (
 	"gptpfta/internal/attack"
 	"gptpfta/internal/attack/bounds"
 	"gptpfta/internal/core"
+	"gptpfta/internal/fta"
 	"gptpfta/internal/obs"
 	"gptpfta/internal/sim"
 )
@@ -392,7 +393,7 @@ func attackRun(cfg AttacksConfig, sc attackScenario, behavior attack.Behavior,
 		}
 	}
 	m := sysCfg.NumDomains()
-	tolerable := bounds.Tolerable(m, sysCfg.F)
+	tolerable := fta.Tolerable(m, sysCfg.F)
 	predicted := bounds.Survives(m, sysCfg.F, adversaries)
 
 	// Measured survival: the Fig. 3 criterion — at most a quarter of the

@@ -11,11 +11,10 @@ import (
 )
 
 // TestForkEquivalenceMidFaultChaos pins the mid-fault fork contract: a
-// snapshot taken while a partition is live — engine cut-set populated, the
-// heal closure already queued in the scheduler — forks into a continuation
+// snapshot taken while a partition is live — its revert, holding the cut
+// set, already queued in the scheduler — forks into a continuation
 // bit-identical to the uninterrupted run. The warm campaigns only ever fork
-// before the first fault; this is the stronger case the engine's
-// Snapshot/Restore bookkeeping exists for.
+// before the first fault; this is the stronger case.
 func TestForkEquivalenceMidFaultChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("triple full-system chaos run")
@@ -45,9 +44,9 @@ func TestForkEquivalenceMidFaultChaos(t *testing.T) {
 		t.Fatalf("no %q point in the cold sweep", plan.Name)
 	}
 
-	// Run a second system into the middle of the partition and snapshot
-	// everything: the system (scheduler, links, metrics, ...) plus the
-	// engine's fault bookkeeping.
+	// Run a second system into the middle of the partition and snapshot it
+	// (scheduler, links, metrics, ...): the partition's pending revert is a
+	// scheduler event, so the engine holds nothing to snapshot.
 	sys, err := core.NewSystem(chaosSystemConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +69,6 @@ func TestForkEquivalenceMidFaultChaos(t *testing.T) {
 		t.Fatal("partition not live at the snapshot instant")
 	}
 	snap := sys.Snapshot()
-	engSnap := eng.Snapshot()
 
 	finish := func(s *core.System) ChaosPoint {
 		t.Helper()
@@ -92,7 +90,6 @@ func TestForkEquivalenceMidFaultChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Restore(engSnap)
 	if l := forked.Link("sw1-sw3"); !l.Down() {
 		t.Fatal("fork did not rewind into the live fault")
 	}

@@ -62,7 +62,9 @@ func TestLookupUnknownError(t *testing.T) {
 }
 
 // TestDecodeConfigRejectsBadChaosPlan: an embedded chaos plan gets the same
-// static checks chaos.Load applies, at decode time.
+// static checks chaos.Load applies, at decode time — including the unknown
+// op error for an op that would end another action's fault (link-up, heal,
+// ...): a fault ends only by its own duration.
 func TestDecodeConfigRejectsBadChaosPlan(t *testing.T) {
 	for _, name := range []string{"faultinjection", "resilience"} {
 		exp, err := Lookup(name)
@@ -72,6 +74,11 @@ func TestDecodeConfigRejectsBadChaosPlan(t *testing.T) {
 		for _, raw := range []string{
 			`{"chaos_plan":{"actions":[]}}`,
 			`{"chaos_plan":{"actions":[{"op":"no-such-op"}]}}`,
+			`{"chaos_plan":{"actions":[{"op":"link-up","links":["sw1-sw2"],"at":"1m"}]}}`,
+			`{"chaos_plan":{"actions":[{"op":"bridge-restore","bridges":["sw1"],"at":"1m"}]}}`,
+			`{"chaos_plan":{"actions":[{"op":"heal","at":"1m"}]}}`,
+			`{"chaos_plan":{"actions":[{"op":"site-restore","sites":[0],"at":"1m"}]}}`,
+			`{"chaos_plan":{"actions":[{"op":"wan-heal","at":"1m"}]}}`,
 		} {
 			if _, err := exp.DecodeConfig([]byte(raw)); err == nil || !strings.Contains(err.Error(), "chaos") {
 				t.Errorf("%s: %s: err = %v, want a chaos plan error", name, raw, err)

@@ -33,6 +33,15 @@ func sortFloats(v []float64) {
 	}
 }
 
+// Tolerable is the FTA's masking capacity min(f, ⌊(n−1)/2⌋), the resilience
+// bound of arXiv 2006.15832: the largest number of arbitrary (Byzantine)
+// readings an FTA with trim parameter f provably masks among n readings —
+// f itself while the 2f+1 quorum holds, otherwise the largest f' with
+// n ≥ 2f'+1. It is never negative: a non-positive n or f masks nothing.
+func Tolerable(n, f int) int {
+	return max(0, min(f, (n-1)/2))
+}
+
 // ErrInsufficientClocks is returned when fewer than 2f+1 readings are
 // available: the FTA cannot mask f Byzantine faults below that count.
 var ErrInsufficientClocks = errors.New("fta: fewer than 2f+1 clock readings")
@@ -243,13 +252,7 @@ func AggregateInto(flags []bool, readings []Reading, f int, threshold float64, p
 	// Degrade f when too few domains remain (e.g. a fail-silent GM during
 	// reboot): with n fresh readings the largest maskable fault count is
 	// floor((n-1)/2).
-	eff := f
-	if maxF := (len(usable) - 1) / 2; eff > maxF {
-		eff = maxF
-	}
-	if eff < 0 {
-		eff = 0
-	}
+	eff := Tolerable(len(usable), f)
 	info := AggregateInfo{Used: len(usable) - 2*eff, Discarded: 2 * eff, Starved: starved,
 		MaliciousDiscarded: maliciousDiscarded(usable, invalid, eff)}
 	avg, err := Average(usable, eff)

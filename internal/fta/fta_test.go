@@ -10,6 +10,39 @@ import (
 	"time"
 )
 
+// TestTolerable covers the masking capacity min(f, ⌊(n−1)/2⌋) at the
+// domain level (the attack campaign's bound) and the site level (the WAN
+// tier's failure budget), degenerate inputs included.
+func TestTolerable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n, f int
+		want int
+	}{
+		{"paper point: 4 domains f=1", 4, 1, 1},
+		{"majority cap binds before f", 4, 2, 1},
+		{"three domains mask one", 3, 1, 1},
+		{"two domains mask none", 2, 1, 0},
+		{"one domain masks none", 1, 3, 0},
+		{"zero domains", 0, 1, 0},
+		{"negative domains", -4, 1, 0},
+		{"f zero", 4, 0, 0},
+		{"f negative", 4, -1, 0},
+		{"large fabric capped by f", 99, 2, 2},
+		{"large f capped by domains", 9, 9, 4},
+		{"five sites f=1", 5, 1, 1},
+		{"five sites f=2 at quorum", 5, 2, 2},
+		{"seven sites f=3 at quorum", 7, 3, 3},
+		{"six sites cap f=3 at two", 6, 3, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := Tolerable(tc.n, tc.f); got != tc.want {
+				t.Fatalf("Tolerable(%d, %d) = %d, want %d", tc.n, tc.f, got, tc.want)
+			}
+		})
+	}
+}
+
 func TestAverageBasic(t *testing.T) {
 	tests := []struct {
 		name     string

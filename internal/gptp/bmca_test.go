@@ -446,9 +446,10 @@ func TestSyncSurvivesFrameLoss(t *testing.T) {
 	h := newHarness(64)
 	gm := h.nic("gm", 1000, 0)
 	cl := h.nic("cl", -1000, 7777)
-	// 10% loss on the link.
+	// 10% loss on the link, drawn from its own loss stream.
 	if _, err := netsim.Connect(h.sched, h.streams.Stream("lossy"),
-		netsim.LinkConfig{Propagation: 500 * time.Nanosecond, JitterNS: 20, LossProb: 0.1},
+		netsim.LinkConfig{Propagation: 500 * time.Nanosecond, JitterNS: 20, LossProb: 0.1,
+			LossRNG: h.streams.Stream("loss/lossy")},
 		gm.Port(), cl.Port()); err != nil {
 		t.Fatal(err)
 	}

@@ -230,16 +230,21 @@ func TestBridgeFailDropsResidenceFrames(t *testing.T) {
 	}
 }
 
-// TestLegacySharedStreamOrderPreserved guards the golden digests: without a
-// dedicated loss stream and with LossProb == 0, the link must not consume
-// any loss draw from the shared stream (the historical behavior the
-// committed digests pin).
-func TestLegacySharedStreamOrderPreserved(t *testing.T) {
-	run := func(lossProb float64) []sim.Time {
+// TestLinkWithoutLossStreamNeverDrops: loss needs a dedicated loss stream.
+// Connect rejects a loss probability without one, and a link without one
+// never drops and never draws for loss — even under a heavy loss model, its
+// jitter sequence is the one it has with no model at all.
+func TestLinkWithoutLossStreamNeverDrops(t *testing.T) {
+	fx := newFixture()
+	a, b := fx.nic("a"), fx.nic("b")
+	if _, err := Connect(fx.sched, fx.streams.Stream("l"), LinkConfig{LossProb: 0.1}, a.Port(), b.Port()); err == nil {
+		t.Fatal("loss probability without a loss stream accepted")
+	}
+	run := func(model LossModel) []sim.Time {
 		fx := newFixture()
 		a, b := fx.nic("a"), fx.nic("b")
-		cfg := LinkConfig{Propagation: 500 * time.Nanosecond, JitterNS: 50, LossProb: lossProb}
-		mustConnect(t, fx, cfg, a.Port(), b.Port())
+		l := mustConnect(t, fx, LinkConfig{Propagation: 500 * time.Nanosecond, JitterNS: 50}, a.Port(), b.Port())
+		l.SetLossModel(model)
 		var times []sim.Time
 		b.SetHandler(func(*Frame, float64) { times = append(times, fx.sched.Now()) })
 		sendSchedule(t, fx, a, 100)
@@ -248,15 +253,14 @@ func TestLegacySharedStreamOrderPreserved(t *testing.T) {
 		}
 		return times
 	}
-	// Sanity: the shared-stream path with zero loss still delivers all
-	// frames with the same jitter sequence across two identical runs.
-	t1, t2 := run(0), run(0)
-	if len(t1) != 100 || len(t2) != 100 {
-		t.Fatalf("deliveries %d / %d, want 100", len(t1), len(t2))
+	base := run(nil)
+	lossy := run(&GilbertElliott{GoodLoss: 0.5, BadLoss: 1, GoodToBad: 0.5, BadToGood: 0.1})
+	if len(base) != 100 || len(lossy) != 100 {
+		t.Fatalf("deliveries %d / %d, want 100 each", len(base), len(lossy))
 	}
-	for i := range t1 {
-		if t1[i] != t2[i] {
-			t.Fatalf("identical runs diverged at %d", i)
+	for i := range base {
+		if base[i] != lossy[i] {
+			t.Fatalf("delivery %d diverged: %v vs %v (the loss model drew from the main stream)", i, base[i], lossy[i])
 		}
 	}
 }

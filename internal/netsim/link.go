@@ -17,18 +17,18 @@ type LinkConfig struct {
 	// LossProb is the per-frame probability of silent loss (CRC errors,
 	// receive-queue overruns). Protocol layers must tolerate it: a lost
 	// Sync or FollowUp skips one measurement interval, a lost pdelay
-	// exchange skips one link-delay sample.
+	// exchange skips one link-delay sample. It needs LossRNG.
 	LossProb float64
-	// LossRNG, when set, is a dedicated random stream for loss decisions.
+	// LossRNG is the dedicated random stream for loss decisions. A link
+	// without one never drops a frame and never draws for loss, whatever
+	// loss model is installed.
 	//
 	// Determinism contract: with LossRNG set, Send draws exactly one
 	// uniform from it per frame — independent of LossProb, of any
 	// installed loss model, and of the draw's outcome — so enabling a
 	// zero-rate loss model (or flipping LossProb between zero and
 	// non-zero) never perturbs the link's main stream or any downstream
-	// seed stream. Without LossRNG the legacy draw order applies: the loss
-	// uniform comes from the link's main stream and only when
-	// LossProb > 0, which is what the committed golden digests pin.
+	// seed stream. core gives every link its own "loss/<name>" stream.
 	LossRNG sim.RNG
 }
 
@@ -124,10 +124,13 @@ func (l *Link) FaultDropped() uint64 { return l.faultedDrop }
 func (l *Link) Sent() uint64 { return l.sent }
 
 // Connect attaches two ports with a link. It returns an error if either
-// port is already attached.
+// port is already attached, or if cfg asks for loss without a loss stream.
 func Connect(sched *sim.Scheduler, rng sim.RNG, cfg LinkConfig, a, b *Port) (*Link, error) {
 	if a.link != nil || b.link != nil {
 		return nil, fmt.Errorf("netsim: port already connected (%s, %s)", a.Name, b.Name)
+	}
+	if cfg.LossProb > 0 && cfg.LossRNG == nil {
+		return nil, fmt.Errorf("netsim: link %s-%s: loss probability %g needs a LossRNG", a.Name, b.Name, cfg.LossProb)
 	}
 	l := &Link{sched: sched, frames: PoolOf(sched), rng: rng, cfg: cfg, ends: [2]*Port{a, b}}
 	l.deliver[0] = func(x any) { l.finishDelivery(0, x.(*Frame)) } // a -> b
@@ -162,8 +165,8 @@ func (l *Link) Down() bool { return l.down }
 
 // SetLossModel installs (or, with nil, removes) a dynamic loss model that
 // replaces the static LossProb. Models draw from the link's dedicated loss
-// stream when one is configured, keeping the main jitter stream untouched;
-// see the LinkConfig.LossRNG determinism contract.
+// stream, keeping the main jitter stream untouched; on a link without one
+// the model drops nothing. See the LinkConfig.LossRNG determinism contract.
 func (l *Link) SetLossModel(m LossModel) { l.lossModel = m }
 
 // Combined delay contract — three additive axes on top of the configured
@@ -250,25 +253,21 @@ func (l *Link) Send(from *Port, f *Frame) {
 	l.sched.AtArg(at, l.deliver[dir], f)
 }
 
-// dropFrame decides stochastic loss. Draw-order contract: with a dedicated
-// loss stream, exactly one uniform is consumed from it per frame whatever
-// the configured rates, so zero-rate configurations are stream-invisible;
-// an installed loss model may consume additional draws from the loss
-// stream only (its burst state machine), never from the main stream. The
-// legacy path (no LossRNG) preserves the historical order on the shared
-// stream: no draw at all when LossProb == 0, which the golden digests pin.
+// dropFrame decides stochastic loss. Draw-order contract: exactly one
+// uniform is consumed from the loss stream per frame whatever the
+// configured rates, so zero-rate configurations are stream-invisible; an
+// installed loss model may consume additional draws from the loss stream
+// only (its burst state machine), never from the main stream. A link
+// without a loss stream never drops and never draws.
 func (l *Link) dropFrame() bool {
-	if l.cfg.LossRNG != nil {
-		u := l.cfg.LossRNG.Float64()
-		if l.lossModel != nil {
-			return l.lossModel.Drop(u, l.cfg.LossRNG)
-		}
-		return u < l.cfg.LossProb
+	if l.cfg.LossRNG == nil {
+		return false
 	}
-	if l.lossModel != nil && l.rng != nil {
-		return l.lossModel.Drop(l.rng.Float64(), l.rng)
+	u := l.cfg.LossRNG.Float64()
+	if l.lossModel != nil {
+		return l.lossModel.Drop(u, l.cfg.LossRNG)
 	}
-	return l.cfg.LossProb > 0 && l.rng != nil && l.rng.Float64() < l.cfg.LossProb
+	return u < l.cfg.LossProb
 }
 
 // finishDelivery hands the frame to the receiving device unless an injected

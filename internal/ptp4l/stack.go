@@ -173,9 +173,9 @@ type Stack struct {
 	nic   *netsim.NIC
 
 	ld *gptp.LinkDelay
-	// slaves, obsOffset and the per-domain statistics are indexed by
-	// domain slot, the domain's position in cfg.Domains (see slot). The
-	// slave at the slot of the domain this VM masters is nil.
+	// slaves and obsOffset are indexed by domain slot, the domain's
+	// position in cfg.Domains (see slot). The slave at the slot of the
+	// domain this VM masters is nil.
 	slaves []*gptp.Slave
 	master *gptp.Master
 	shm    *shmem.FTSHMEM
@@ -185,7 +185,6 @@ type Stack struct {
 	// role and the per-domain slaves.
 	parts []sim.Snapshotter
 
-	stats        *Statistics
 	lastFlags    []bool
 	aux          netsim.RxHandler
 	tap          netsim.RxHandler
@@ -213,10 +212,9 @@ type Stack struct {
 
 // stackState is the stack's scalar state, copied whole by Snapshot.
 type stackState struct {
-	mode         Mode
-	stable       int
-	running      bool
-	aggregations uint64
+	mode    Mode
+	stable  int
+	running bool
 
 	// Holdover state machine (active only when cfg.HoldoverWindow > 0).
 	holdover     bool
@@ -275,7 +273,6 @@ func New(nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG, cfg Config, onEvent
 		nic:        nic,
 		slaves:     make([]*gptp.Slave, len(cfg.Domains)),
 		shm:        shmem.NewFTSHMEM(cfg.Domains, staleNS, pi),
-		stats:      newStatistics(cfg.Domains),
 		obsOffset:  make([]*obs.Histogram, len(cfg.Domains)),
 		onEvent:    onEvent,
 		stackState: stackState{mode: ModeStartup},
@@ -352,9 +349,6 @@ func (s *Stack) Master() *gptp.Master { return s.master }
 
 // LinkDelay exposes the NIC port's pdelay endpoint.
 func (s *Stack) LinkDelay() *gptp.LinkDelay { return s.ld }
-
-// Aggregations reports how many FTA aggregations this stack performed.
-func (s *Stack) Aggregations() uint64 { return s.aggregations }
 
 // IsGM reports whether this VM masters a domain.
 func (s *Stack) IsGM() bool { return s.cfg.GMDomain >= 0 }
@@ -498,7 +492,6 @@ func (s *Stack) onOffset(sample gptp.OffsetSample) {
 	nowPHC := s.nic.PHC().Now()
 	s.shm.StoreOffset(sample, nowPHC)
 	i := s.slot(sample.Domain)
-	s.stats.perDomain[i].Add(sample.OffsetNS)
 	s.obsOffset[i].Observe(sample.OffsetNS)
 	switch s.mode {
 	case ModeStartup:
@@ -648,11 +641,9 @@ func (s *Stack) aggregate(nowPHC float64) {
 	if err != nil {
 		return // too few fresh domains: free-run (or hold over) this interval
 	}
-	s.aggregations++
 	s.obsAggs.Inc()
 	s.obsDiscarded.Add(uint64(info.Discarded))
 	s.obsDiscardMal.Add(uint64(info.MaliciousDiscarded))
-	s.stats.aggregate.Add(cs)
 	// The aggregation succeeded, but only a full 2f+1 quorum counts toward
 	// the holdover watchdog: the FTA degrades f when domains go stale (a
 	// partition leaves this side with too few fresh readings to mask even
@@ -693,17 +684,12 @@ func (s *Stack) applyServo(offset, adjPPB float64, state servo.State) {
 	case servo.StateJump:
 		s.nic.PHC().Step(-offset)
 		s.nic.PHC().AdjFreq(adjPPB)
-		s.stats.freqPPB.Add(adjPPB)
 		s.obsServoSteps.Inc()
 		s.emit(EventServoStep, fmt.Sprintf("%.0fns", -offset))
 	case servo.StateLocked:
 		s.nic.PHC().AdjFreq(adjPPB)
-		s.stats.freqPPB.Add(adjPPB)
 	}
 }
-
-// Statistics exposes the stack's running summary statistics.
-func (s *Stack) Statistics() *Statistics { return s.stats }
 
 func (s *Stack) updateFlags(readings []fta.Reading, flags []bool) {
 	s.shm.SetFlags(flags)

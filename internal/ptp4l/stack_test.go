@@ -2,20 +2,24 @@ package ptp4l
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
 	"gptpfta/internal/clock"
 	"gptpfta/internal/gptp"
 	"gptpfta/internal/netsim"
+	"gptpfta/internal/obs"
 	"gptpfta/internal/sim"
 )
 
 // rig is a single-bridge testbed: M clock-synchronization VMs, VM i acting
-// as grandmaster of domain i, all attached to one time-aware bridge.
+// as grandmaster of domain i, all attached to one time-aware bridge. Every
+// stack is instrumented into reg.
 type rig struct {
 	sched   *sim.Scheduler
 	streams *sim.Streams
+	reg     *obs.Registry
 	bridge  *netsim.Bridge
 	relay   *gptp.Relay
 	stacks  []*Stack
@@ -25,7 +29,7 @@ type rig struct {
 
 func newRig(t *testing.T, seed int64, m int, cfgMod func(i int, c *Config)) *rig {
 	t.Helper()
-	r := &rig{sched: sim.NewScheduler(), streams: sim.NewStreams(seed)}
+	r := &rig{sched: sim.NewScheduler(), streams: sim.NewStreams(seed), reg: obs.NewRegistry()}
 
 	mkPHC := func(name string, ppb, off float64) *clock.PHC {
 		osc := clock.NewOscillator(clock.OscillatorConfig{StaticPPB: ppb, WanderPPBPerSqrtSec: 1},
@@ -86,6 +90,7 @@ func newRig(t *testing.T, seed int64, m int, cfgMod func(i int, c *Config)) *rig
 		if err != nil {
 			t.Fatalf("stack: %v", err)
 		}
+		st.Instrument(r.reg)
 		r.stacks = append(r.stacks, st)
 	}
 
@@ -117,6 +122,32 @@ func (r *rig) run(t *testing.T, d time.Duration) {
 	}
 }
 
+// metric returns the series of the named metric whose labels include
+// labels; it fails the test if there is none.
+func (r *rig) metric(t *testing.T, name string, labels ...obs.Label) obs.Metric {
+	t.Helper()
+	for _, m := range r.reg.Snapshot() {
+		if m.Name != name {
+			continue
+		}
+		match := true
+		for _, l := range labels {
+			match = match && m.Labels[l.Key] == l.Value
+		}
+		if match {
+			return m
+		}
+	}
+	t.Fatalf("no %s series with labels %v", name, labels)
+	return obs.Metric{}
+}
+
+// aggregations reads stack i's ptp4l_fta_aggregations counter.
+func (r *rig) aggregations(t *testing.T, i int) float64 {
+	t.Helper()
+	return r.metric(t, "ptp4l_fta_aggregations", obs.L("vm", r.stacks[i].Name())).Value
+}
+
 // phcSpread is the max pairwise PHC disagreement among running stacks.
 func (r *rig) phcSpread() float64 {
 	var vals []float64
@@ -140,16 +171,43 @@ func TestStartupConvergesToFTOperation(t *testing.T) {
 	r := newRig(t, 1, 4, nil)
 	r.start(t)
 	r.run(t, 60*time.Second)
-	for _, s := range r.stacks {
+	for i, s := range r.stacks {
 		if s.Mode() != ModeFTOperation {
 			t.Fatalf("%s still in %v after 60 s", s.Name(), s.Mode())
 		}
-		if s.Aggregations() == 0 {
+		if r.aggregations(t, i) == 0 {
 			t.Fatalf("%s performed no aggregations", s.Name())
 		}
 	}
 	if spread := r.phcSpread(); spread > 1000 {
 		t.Fatalf("PHC spread %v ns after convergence, want < 1 µs", spread)
+	}
+}
+
+// TestStackMetricsPopulated: a converged stack's obs metrics count an offset
+// sample for every domain it slaves to and none for the domain it masters,
+// count its FTA aggregations, and hold a plausible servo drift estimate.
+func TestStackMetricsPopulated(t *testing.T) {
+	r := newRig(t, 31, 4, nil)
+	r.start(t)
+	r.run(t, 60*time.Second)
+	vm := obs.L("vm", r.stacks[1].Name())
+	// Stack b slaves to domains 0, 2, 3 (it masters domain 1).
+	for _, d := range []int{0, 2, 3} {
+		if m := r.metric(t, "ptp4l_offset_ns", vm, obs.L("domain", strconv.Itoa(d))); m.Histogram.Count == 0 {
+			t.Fatalf("domain %d has no offset samples", d)
+		}
+	}
+	if m := r.metric(t, "ptp4l_offset_ns", vm, obs.L("domain", "1")); m.Histogram.Count != 0 {
+		t.Fatalf("own domain has %d slave offset samples, want 0", m.Histogram.Count)
+	}
+	if r.aggregations(t, 1) == 0 {
+		t.Fatal("no FTA aggregations")
+	}
+	// Locked onto a 5 ppm oscillator: the integral term is non-zero and
+	// within the drift range.
+	if d := r.metric(t, "ptp4l_servo_drift_ppb", vm).Value; d == 0 || math.Abs(d) > 200000 {
+		t.Fatalf("servo drift %v ppb, implausible", d)
 	}
 }
 
@@ -285,17 +343,17 @@ func TestGateLimitsAggregationRate(t *testing.T) {
 	r := newRig(t, 7, 4, nil)
 	r.start(t)
 	r.run(t, 30*time.Second)
-	aggBefore := r.stacks[1].Aggregations()
+	aggBefore := r.aggregations(t, 1)
 	r.run(t, 10*time.Second)
-	aggAfter := r.stacks[1].Aggregations()
+	aggAfter := r.aggregations(t, 1)
 	got := aggAfter - aggBefore
 	// At S = 125 ms the gate admits at most one aggregation per interval:
 	// ≤ 80 in 10 s (plus scheduling slack).
 	if got > 85 {
-		t.Fatalf("%d aggregations in 10 s, gate must cap at ~80", got)
+		t.Fatalf("%v aggregations in 10 s, gate must cap at ~80", got)
 	}
 	if got < 40 {
-		t.Fatalf("only %d aggregations in 10 s, expected ~80", got)
+		t.Fatalf("only %v aggregations in 10 s, expected ~80", got)
 	}
 }
 

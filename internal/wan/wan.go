@@ -125,20 +125,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Tolerable is the site-failure budget min(f, ⌊(N−1)/2⌋): the largest
-// number of simultaneously failed sites the tier rides through without
-// quorum loss (mirrors bounds.Tolerable at the site level).
-func Tolerable(numSites, f int) int {
-	t := f
-	if m := (numSites - 1) / 2; t > m {
-		t = m
-	}
-	if t < 0 {
-		t = 0
-	}
-	return t
-}
-
 // SiteSample is one coordinator tick's observable state, recorded for the
 // wansites experiment's verdict computation.
 type SiteSample struct {
@@ -208,7 +194,7 @@ func NewCoordinator(cfg Config, fab Fabric, streams *sim.Streams, reg *obs.Regis
 		cfg:        cfg,
 		fab:        fab,
 		nSites:     n,
-		tolerable:  Tolerable(n, cfg.F),
+		tolerable:  fta.Tolerable(n, cfg.F),
 		corrNS:     make([]float64, n),
 		freqPPB:    make([]float64, n),
 		last:       make([][]lastReading, n),
@@ -232,7 +218,9 @@ func NewCoordinator(cfg Config, fab Fabric, streams *sim.Streams, reg *obs.Regis
 	return c
 }
 
-// Tolerable reports the coordinator's site-failure budget.
+// Tolerable reports the coordinator's site-failure budget
+// fta.Tolerable(N, f) = min(f, ⌊(N−1)/2⌋): the largest number of
+// simultaneously failed sites the tier rides through without quorum loss.
 func (c *Coordinator) Tolerable() int { return c.tolerable }
 
 // Samples returns the recorded per-tick site states (aliased, not copied).
