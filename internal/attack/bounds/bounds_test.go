@@ -2,6 +2,40 @@ package bounds
 
 import "testing"
 
+// TestTolerable pins where Survives puts the survival boundary: exactly
+// min(f, ⌊(m−1)/2⌋) adversaries are masked and one more is not, degenerate
+// inputs included.
+func TestTolerable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m, f int
+		want int
+	}{
+		{"paper point: 4 domains f=1", 4, 1, 1},
+		{"majority cap binds before f", 4, 2, 1},
+		{"three domains mask one", 3, 1, 1},
+		{"two domains mask none", 2, 1, 0},
+		{"one domain masks none", 1, 3, 0},
+		{"zero domains", 0, 1, 0},
+		{"negative domains", -4, 1, 0},
+		{"f zero", 4, 0, 0},
+		{"f negative", 4, -1, 0},
+		{"large fabric capped by f", 99, 2, 2},
+		{"large f capped by domains", 9, 9, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !Survives(tc.m, tc.f, tc.want) {
+				t.Fatalf("Survives(%d, %d, %d) = false, want %d adversaries masked",
+					tc.m, tc.f, tc.want, tc.want)
+			}
+			if Survives(tc.m, tc.f, tc.want+1) {
+				t.Fatalf("Survives(%d, %d, %d) = true, want at most %d adversaries masked",
+					tc.m, tc.f, tc.want+1, tc.want)
+			}
+		})
+	}
+}
+
 func TestSurvives(t *testing.T) {
 	for _, tc := range []struct {
 		name        string

@@ -92,7 +92,23 @@ func lastSpread(t *testing.T, c *Coordinator) float64 {
 	return hi - lo
 }
 
-// TestTolerable pins the site-failure budget formula min(f, ⌊(N−1)/2⌋).
+// TestTolerable pins the coordinator's site-failure budget to
+// min(f, ⌊(N−1)/2⌋) across site counts and trim parameters.
+func TestTolerable(t *testing.T) {
+	cases := []struct{ n, f, want int }{
+		{4, 1, 1}, {5, 1, 1}, {5, 2, 2}, {4, 2, 1}, {3, 1, 1},
+		{2, 1, 0}, {7, 3, 3}, {6, 3, 2}, {4, 0, 0}, {4, -1, 0},
+	}
+	for _, c := range cases {
+		cfg := testConfig()
+		cfg.F = c.f
+		co := NewCoordinator(cfg, newFakeFabric(sim.NewScheduler(), c.n), sim.NewStreams(1), nil)
+		if got := co.Tolerable(); got != c.want {
+			t.Errorf("Coordinator over %d sites, f=%d: Tolerable() = %d, want %d", c.n, c.f, got, c.want)
+		}
+	}
+}
+
 // TestCoordinatorConverges checks that sites starting with offsets far
 // apart pull together onto a common timescale within a few ticks (the
 // initial disagreement exceeds the servo's first-step threshold, so the
