@@ -38,10 +38,13 @@ race: vet
 # TestForkEquivalenceLanes), and the core pinned run fingerprints (whole
 # runs as SHA-256 digests on the paper mesh, multi-site fabrics and the WAN
 # tier; TestFingerprintInjected adds fault injection, attacks, a partition
-# and a WAN site failure).
+# and a WAN site failure). Stream seeding re-implements math/rand's, so
+# TestStreamSeedMatchesStock and FuzzStreamSeek's corpus check it against
+# the math/rand of the Go that runs them.
 determinism:
 	$(GO) test ./internal/experiments/ -run 'TestGoldenDigest|TestForkEquivalence|TestWarmFallback' -count=1 -v
 	$(GO) test ./internal/core/ -run 'TestFingerprint|TestSnapshotRestoreIsolation' -count=1 -v
+	$(GO) test ./internal/sim/ -run 'TestStreamSeedMatchesStock|FuzzStreamSeek' -count=1 -v
 
 # Committed performance evidence: the event-kernel microbenchmarks and the
 # full-system simulation rate, as diffable JSON (ns/op, allocs/op, custom
@@ -50,7 +53,7 @@ determinism:
 bench:
 	$(GO) test -run ^$$ -bench 'BenchmarkSchedulerThroughput|BenchmarkSchedulerCancelHeavy|BenchmarkNetsimFrameBurst' \
 		-benchmem . | $(GO) run ./cmd/benchjson -o BENCH_scheduler.json
-	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate|BenchmarkSystemStartup' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_system.json
+	$(GO) test -run ^$$ -bench 'BenchmarkSystemSimulationRate|BenchmarkSystemStartup|BenchmarkSystemBuild' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_system.json
 	$(GO) test -run ^$$ -bench 'BenchmarkSweepCold|BenchmarkSweepWarmStart|BenchmarkSweepWarmLanes|BenchmarkForkSystem' -benchtime 3x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
 	$(GO) test -run ^$$ -bench 'BenchmarkScaleFabric' -benchtime 3x -benchmem . \

@@ -190,6 +190,28 @@ func BenchmarkSystemStartup(b *testing.B) {
 	b.ReportMetric(float64(events), "events/op")
 }
 
+// BenchmarkSystemBuild times core.NewSystem alone, on the paper testbed
+// (mesh, 108 random streams) and on the bench's 8-site fabric (fabric-8,
+// 878 streams): wiring every component and seeding its random stream.
+func BenchmarkSystemBuild(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"mesh", core.NewConfig(1)},
+		{"fabric-8", core.ScaleConfig(1, 8, 4, 2)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.NewSystem(c.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchCampaign runs the 4-seed fault-injection campaign through the
 // runner at the given worker count. On a multi-core host the parallel
 // variant finishes in roughly 1/min(4, cores) of the sequential

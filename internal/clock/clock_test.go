@@ -67,6 +67,25 @@ func TestOscillatorWanderBounded(t *testing.T) {
 	}
 }
 
+// TestOscillatorWanderStepScale pins the per-segment wander step at
+// W·√(segment seconds), correctly rounded: √0.013 is 0.11401754250991379,
+// one ulp below the 0.1140175425099138 of a fixed 32-step Newton iteration.
+func TestOscillatorWanderStepScale(t *testing.T) {
+	for _, c := range []struct {
+		seg  time.Duration
+		want float64
+	}{
+		{time.Second, 1},
+		{4 * time.Second, 2},
+		{13 * time.Millisecond, 0.11401754250991379},
+	} {
+		o := NewOscillator(OscillatorConfig{WanderPPBPerSqrtSec: 1, Segment: c.seg}, nil, 0)
+		if o.stepPPB != c.want {
+			t.Errorf("segment %v: wander step %v, want %v", c.seg, o.stepPPB, c.want)
+		}
+	}
+}
+
 // TestOscillatorRateWithinBound property: for drift rates within ±r, elapsed
 // local time over any horizon stays within (1±(r+slack))·horizon.
 func TestOscillatorRateWithinBound(t *testing.T) {

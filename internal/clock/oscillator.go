@@ -13,6 +13,7 @@ package clock
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -68,22 +69,9 @@ func NewOscillator(cfg OscillatorConfig, rng sim.RNG, start sim.Time) *Oscillato
 	return &Oscillator{
 		cfg:             cfg,
 		rng:             rng,
-		stepPPB:         cfg.WanderPPBPerSqrtSec * sqrtSeconds(seg),
+		stepPPB:         cfg.WanderPPBPerSqrtSec * math.Sqrt(seg.Seconds()),
 		oscillatorState: oscillatorState{lastTrue: start, segEnd: start.Add(seg)},
 	}
-}
-
-func sqrtSeconds(d time.Duration) float64 {
-	s := d.Seconds()
-	// Newton's method is overkill; use the obvious.
-	if s <= 0 {
-		return 0
-	}
-	x := s
-	for i := 0; i < 32; i++ {
-		x = 0.5 * (x + s/x)
-	}
-	return x
 }
 
 // FreqPPB reports the oscillator's current total frequency offset.

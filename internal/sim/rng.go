@@ -54,37 +54,89 @@ func (s *source) Uint64() uint64 {
 func (s *source) Int63() int64 { return int64(s.Uint64() & rngMask) }
 
 // Seed sets s to position 0 of seed's stock math/rand sequence.
-func (s *source) Seed(seed int64) {
-	seeder := seeders.Get().(rand.Source64)
-	s.load(seeder, seed)
-	seeders.Put(seeder)
+func (s *source) Seed(seed int64) { s.seedWith(seed, rngCooked()) }
+
+// seedWith is math/rand's rngSource.Seed with the seeding table passed in:
+// it reduces seed mod 2³¹−1 (0 becomes 89482311), discards 20 outputs of
+// the seeding LCG x ↦ 48271·x mod (2³¹−1), and sets each table word to the
+// next three, x₁<<40 ^ x₂<<20 ^ x₃, XOR its cooked word. Output n is
+// seed·48271ⁿ, so each is one multiply by a precomputed power.
+func (s *source) seedWith(seed int64, cooked *[rngLen]int64) {
+	seed %= lcgMod
+	if seed < 0 {
+		seed += lcgMod
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	x := uint64(seed)
+	for i := range s.vec {
+		x1 := lcgMul(x, lcgPowers[3*i])
+		x2 := lcgMul(x, lcgPowers[3*i+1])
+		x3 := lcgMul(x, lcgPowers[3*i+2])
+		s.vec[i] = int64(x1<<40^x2<<20^x3) ^ cooked[i]
+	}
+	s.tap, s.feed, s.pos = 0, rngLen-rngTap, 0
 }
 
-// seeders holds stock math/rand sources for load to re-seed, so seeding a
-// stream allocates nothing and no Streams keeps a seeder. Seeding
-// overwrites a source's whole state, so reuse cannot leak one stream's
-// state into another.
-var seeders = sync.Pool{New: func() any { return rand.NewSource(0) }} //nolint:gosec // simulation, not crypto
+// lcgMod is the modulus of math/rand's seeding LCG, the Mersenne prime
+// 2³¹−1.
+const lcgMod = 1<<31 - 1
 
-// load sets s to position 0 of seed's stock sequence. seeder is any stock
-// math/rand source; load re-seeds it. Over its first rngLen steps the stock
-// generator writes every table word exactly once (feed visits each index),
-// so its outputs 1..rngLen are the whole table at position rngLen, output k
-// at index (rngLen−rngTap−k) mod rngLen with tap and feed back at their
-// seeded values; stepping back rngLen times then recovers the seeded table.
-// The stock seeding table (rngCooked) is thereby used, never copied.
-func (s *source) load(seeder rand.Source64, seed int64) {
-	seeder.Seed(seed)
+// lcgPowers holds 48271^(21+j) mod (2³¹−1) for j < 3·rngLen: the factors
+// that take a reduced seed to the LCG outputs seedWith keeps.
+var lcgPowers = func() (pw [3 * rngLen]uint64) {
+	x := uint64(1)
+	for i := 0; i < 20; i++ {
+		x = lcgMul(x, 48271)
+	}
+	for j := range pw {
+		x = lcgMul(x, 48271)
+		pw[j] = x
+	}
+	return pw
+}()
+
+// lcgMul is x·y mod (2³¹−1) for x, y < 2³¹−1, without math/rand's
+// division: 2³¹ ≡ 1, so the product (below 2⁶²) folds to
+// p mod 2³¹ + p>>31, which is below 2·(2³¹−1) and needs at most one
+// subtraction.
+func lcgMul(x, y uint64) uint64 {
+	p := x * y
+	p = p&lcgMod + p>>31
+	if p >= lcgMod {
+		p -= lcgMod
+	}
+	return p
+}
+
+// rngCooked recovers math/rand's seeding table (its rngCooked) from one
+// stock source, once. Over its first rngLen steps the stock generator
+// writes every table word exactly once (feed visits each index), so its
+// outputs 1..rngLen are the whole table at position rngLen, output k at
+// index (rngLen−rngTap−k) mod rngLen with tap and feed back at their seeded
+// values; stepping back rngLen times recovers the seeded table, and XOR
+// with the same seed's LCG words leaves the cooked one. The stock table is
+// thereby used, never copied, and always that of the running Go.
+var rngCooked = sync.OnceValue(func() *[rngLen]int64 {
+	const seed = 1
+	stock := rand.NewSource(seed).(rand.Source64) //nolint:gosec // simulation, not crypto
+	var seeded, lcg source
 	for k := 1; k <= rngLen; k++ {
 		i := rngLen - rngTap - k
 		if i < 0 {
 			i += rngLen
 		}
-		s.vec[i] = int64(seeder.Uint64())
+		seeded.vec[i] = int64(stock.Uint64())
 	}
-	s.tap, s.feed, s.pos = 0, rngLen-rngTap, rngLen
-	s.seek(0)
-}
+	seeded.tap, seeded.feed, seeded.pos = 0, rngLen-rngTap, rngLen
+	seeded.seek(0)
+	lcg.seedWith(seed, new([rngLen]int64))
+	for i := range seeded.vec {
+		seeded.vec[i] ^= lcg.vec[i]
+	}
+	return &seeded.vec
+})
 
 // back undoes the last step.
 func (s *source) back() {

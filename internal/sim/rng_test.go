@@ -174,3 +174,26 @@ func FuzzStreamSeek(f *testing.F) {
 		}
 	})
 }
+
+// TestStreamSeedMatchesStock checks the direct seeding against math/rand's
+// own: for the edge seeds of its mod-(2³¹−1) reduction and 1,000 drawn
+// ones, a stream's first 2·607 draws (every table word used twice) must be
+// the stock source's.
+func TestStreamSeedMatchesStock(t *testing.T) {
+	seeds := []int64{0, 1, -1, math.MaxInt32, -math.MaxInt32, 2 * math.MaxInt32,
+		math.MinInt64, math.MaxInt64, 89482311}
+	pick := rand.New(rand.NewSource(20231012)) //nolint:gosec // test seeds
+	for i := 0; i < 1000; i++ {
+		seeds = append(seeds, int64(pick.Uint64()))
+	}
+	var src source
+	for _, seed := range seeds {
+		src.Seed(seed)
+		stock := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < 2*rngLen; i++ {
+			if got, want := src.Uint64(), stock.Uint64(); got != want {
+				t.Fatalf("seed %d draw %d: got %#x, want %#x", seed, i, got, want)
+			}
+		}
+	}
+}
