@@ -38,13 +38,14 @@ race: vet
 # TestForkEquivalenceLanes), and the core pinned run fingerprints (whole
 # runs as SHA-256 digests on the paper mesh, multi-site fabrics and the WAN
 # tier; TestFingerprintInjected adds fault injection, attacks, a partition
-# and a WAN site failure). Stream seeding re-implements math/rand's, so
-# TestStreamSeedMatchesStock and FuzzStreamSeek's corpus check it against
+# and a WAN site failure). Stream seeding and draws re-implement
+# math/rand's (the ziggurat tables are copies), so TestStreamSeedMatchesStock,
+# TestStreamDrawsMatchStock and FuzzStreamSeek's corpus check them against
 # the math/rand of the Go that runs them.
 determinism:
 	$(GO) test ./internal/experiments/ -run 'TestGoldenDigest|TestForkEquivalence|TestWarmFallback' -count=1 -v
 	$(GO) test ./internal/core/ -run 'TestFingerprint|TestSnapshotRestoreIsolation' -count=1 -v
-	$(GO) test ./internal/sim/ -run 'TestStreamSeedMatchesStock|FuzzStreamSeek' -count=1 -v
+	$(GO) test ./internal/sim/ -run 'TestStreamSeedMatchesStock|TestStreamDrawsMatchStock|FuzzStreamSeek' -count=1 -v
 
 # Committed performance evidence: the event-kernel microbenchmarks and the
 # full-system simulation rate, as diffable JSON (ns/op, allocs/op, custom

@@ -68,12 +68,12 @@ func (b Behavior) Static() bool {
 // from scheduler events that the attack campaign arms.
 type Adversary struct {
 	b    Behavior
-	rng  sim.RNG
+	rng  *sim.Stream
 	walk float64
 }
 
 // NewAdversary creates an adversary; rng may be nil for static behaviors.
-func NewAdversary(b Behavior, rng sim.RNG) *Adversary {
+func NewAdversary(b Behavior, rng *sim.Stream) *Adversary {
 	return &Adversary{b: b, rng: rng}
 }
 

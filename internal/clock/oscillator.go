@@ -14,7 +14,6 @@ package clock
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"gptpfta/internal/sim"
@@ -45,7 +44,7 @@ type OscillatorConfig struct {
 // time is (1 + (static + wander)·1e-9), where wander follows a random walk.
 type Oscillator struct {
 	cfg     OscillatorConfig
-	rng     sim.RNG
+	rng     *sim.Stream
 	stepPPB float64 // per-segment random-walk standard deviation
 	oscillatorState
 }
@@ -60,7 +59,7 @@ type oscillatorState struct {
 
 // NewOscillator creates an oscillator whose wander stream is drawn from rng.
 // The oscillator starts at local time 0 at true instant start.
-func NewOscillator(cfg OscillatorConfig, rng sim.RNG, start sim.Time) *Oscillator {
+func NewOscillator(cfg OscillatorConfig, rng *sim.Stream, start sim.Time) *Oscillator {
 	seg := cfg.Segment
 	if seg <= 0 {
 		seg = defaultWanderSegment
@@ -114,6 +113,6 @@ func (o *Oscillator) String() string {
 }
 
 // UniformPPB draws a static frequency error uniformly from [-maxPPB, maxPPB].
-func UniformPPB(rng *rand.Rand, maxPPB float64) float64 {
+func UniformPPB(rng *sim.Stream, maxPPB float64) float64 {
 	return (2*rng.Float64() - 1) * maxPPB
 }

@@ -16,7 +16,7 @@ import (
 type PHC struct {
 	sched     *sim.Scheduler
 	osc       *Oscillator
-	rng       sim.RNG
+	rng       *sim.Stream
 	jitterS   float64 // hardware timestamp jitter sigma, ns
 	maxAdjPPB float64
 	phcState
@@ -44,7 +44,7 @@ type PHCConfig struct {
 }
 
 // NewPHC creates a PHC driven by osc. rng supplies timestamp jitter.
-func NewPHC(sched *sim.Scheduler, osc *Oscillator, rng sim.RNG, cfg PHCConfig) *PHC {
+func NewPHC(sched *sim.Scheduler, osc *Oscillator, rng *sim.Stream, cfg PHCConfig) *PHC {
 	maxAdj := cfg.MaxAdjPPB
 	if maxAdj == 0 {
 		maxAdj = 62499999
@@ -129,14 +129,14 @@ func (p *PHC) RatePPBVsTrue() float64 {
 type TSC struct {
 	sched *sim.Scheduler
 	osc   *Oscillator
-	rng   sim.RNG
+	rng   *sim.Stream
 	// readNoiseNS models the software read-out noise (vDSO path, cache
 	// effects) a guest observes when sampling the counter.
 	readNoiseNS float64
 }
 
 // NewTSC creates a platform counter on the given oscillator.
-func NewTSC(sched *sim.Scheduler, osc *Oscillator, rng sim.RNG, readNoiseNS float64) *TSC {
+func NewTSC(sched *sim.Scheduler, osc *Oscillator, rng *sim.Stream, readNoiseNS float64) *TSC {
 	return &TSC{sched: sched, osc: osc, rng: rng, readNoiseNS: readNoiseNS}
 }
 

@@ -143,7 +143,7 @@ func (s Stats) String() string {
 type Injector struct {
 	cfg   Config
 	sched *sim.Scheduler
-	rng   sim.RNG
+	rng   *sim.Stream
 	nodes []NodeControl
 
 	gmTicker *sim.Ticker
@@ -156,7 +156,7 @@ type Injector struct {
 // New creates an injector over the given nodes. It rejects invalid
 // configurations (negative or NaN rates, an inverted rate window, a
 // GMIndex no node has) instead of clamping them.
-func New(sched *sim.Scheduler, rng sim.RNG, nodes []NodeControl, cfg Config) (*Injector, error) {
+func New(sched *sim.Scheduler, rng *sim.Stream, nodes []NodeControl, cfg Config) (*Injector, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("faultinject: no nodes")
 	}

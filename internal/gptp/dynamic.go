@@ -93,7 +93,7 @@ type DynamicStation struct {
 
 // NewDynamicStation builds a station on nic. onOffset receives grandmaster
 // offsets while the station is a slave.
-func NewDynamicStation(name string, nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG,
+func NewDynamicStation(name string, nic *netsim.NIC, sched *sim.Scheduler, rng *sim.Stream,
 	self SystemIdentity, domain int, announceInterval time.Duration,
 	onOffset func(OffsetSample)) (*DynamicStation, error) {
 	st := &DynamicStation{name: name, nic: nic}

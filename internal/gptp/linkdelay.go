@@ -43,7 +43,7 @@ type LinkDelay struct {
 	msgs   *payloads
 	cfg    LinkDelayConfig
 	tx     TxFunc
-	rng    sim.RNG
+	rng    *sim.Stream
 	linkDelayState
 }
 
@@ -70,7 +70,7 @@ type linkDelayState struct {
 
 // NewLinkDelay creates a peer-delay endpoint. name identifies the endpoint
 // in Requester fields so responses can be matched on multi-endpoint tests.
-func NewLinkDelay(name string, sched *sim.Scheduler, rng sim.RNG, tx TxFunc, cfg LinkDelayConfig) *LinkDelay {
+func NewLinkDelay(name string, sched *sim.Scheduler, rng *sim.Stream, tx TxFunc, cfg LinkDelayConfig) *LinkDelay {
 	return &LinkDelay{
 		name:           name,
 		addr:           netsim.Address("nic/" + name),

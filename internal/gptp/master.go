@@ -76,7 +76,7 @@ type Master struct {
 	sched   *sim.Scheduler
 	frames  *netsim.FramePool
 	msgs    *payloads
-	rng     sim.RNG
+	rng     *sim.Stream
 	onFault func(kind string)
 	// txFn is the prebound ETF completion callback (snapshot-safe: it
 	// reaches all per-Sync state through the payload argument).
@@ -100,7 +100,7 @@ type masterState struct {
 
 // NewMaster creates a grandmaster port on nic. onFault, if non-nil,
 // receives transient-fault notifications.
-func NewMaster(nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG, cfg MasterConfig, onFault func(kind string)) *Master {
+func NewMaster(nic *netsim.NIC, sched *sim.Scheduler, rng *sim.Stream, cfg MasterConfig, onFault func(kind string)) *Master {
 	m := &Master{nic: nic, sched: sched, frames: netsim.PoolOf(sched), msgs: payloadsOf(sched),
 		rng: rng, onFault: onFault, masterState: masterState{cfg: cfg.withDefaults(), lastSlot: -1}}
 	m.txFn = m.onSyncTx

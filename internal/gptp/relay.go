@@ -97,7 +97,7 @@ func (st *relaySync) reset(rxTS float64, nports int) {
 
 // NewRelay installs 802.1AS relaying on a bridge and returns the relay. rng
 // seeds the per-port pdelay phase.
-func NewRelay(bridge *netsim.Bridge, sched *sim.Scheduler, rng sim.RNG, cfg RelayConfig) (*Relay, error) {
+func NewRelay(bridge *netsim.Bridge, sched *sim.Scheduler, rng *sim.Stream, cfg RelayConfig) (*Relay, error) {
 	r := &Relay{
 		bridge: bridge,
 		frames: netsim.PoolOf(sched),

@@ -23,7 +23,7 @@ type ResidenceModel struct {
 }
 
 // Draw samples a residence time.
-func (m ResidenceModel) Draw(rng sim.RNG) time.Duration {
+func (m ResidenceModel) Draw(rng *sim.Stream) time.Duration {
 	d := float64(m.Base)
 	if rng != nil {
 		if m.JitterNS > 0 {
@@ -65,7 +65,7 @@ type Bridge struct {
 	name   string
 	sched  *sim.Scheduler
 	frames *FramePool
-	rng    sim.RNG
+	rng    *sim.Stream
 	clk    *clock.PHC
 	ports  []Port
 	// residence is the residence model per priority class, fallbacks
@@ -109,7 +109,7 @@ type EgressScheduler interface {
 
 // NewBridge creates a bridge with cfg.Ports ports. clk is the bridge's own
 // free-running PHC used for ingress/egress timestamping.
-func NewBridge(name string, sched *sim.Scheduler, rng sim.RNG, clk *clock.PHC, cfg BridgeConfig) *Bridge {
+func NewBridge(name string, sched *sim.Scheduler, rng *sim.Stream, clk *clock.PHC, cfg BridgeConfig) *Bridge {
 	b := &Bridge{
 		name:    name,
 		sched:   sched,

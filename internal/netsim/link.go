@@ -29,7 +29,7 @@ type LinkConfig struct {
 	// zero-rate loss model (or flipping LossProb between zero and
 	// non-zero) never perturbs the link's main stream or any downstream
 	// seed stream. core gives every link its own "loss/<name>" stream.
-	LossRNG sim.RNG
+	LossRNG *sim.Stream
 }
 
 // LossModel decides per-frame loss for a link direction-agnostically. The
@@ -40,7 +40,7 @@ type LossModel interface {
 	// Drop reports whether the frame is lost. u is the per-frame uniform
 	// the link already drew from its loss stream; rng is that same stream
 	// for any additional draws (state transitions).
-	Drop(u float64, rng sim.RNG) bool
+	Drop(u float64, rng *sim.Stream) bool
 }
 
 // DelayAttack is an attacker-controlled per-frame delay hook: an on-path
@@ -66,7 +66,7 @@ type Link struct {
 	// frames is the scheduler's frame pool: frames dropped on the wire go
 	// back to it.
 	frames *FramePool
-	rng    sim.RNG
+	rng    *sim.Stream
 	cfg    LinkConfig
 	ends   [2]*Port
 	// deliver holds one prebound delivery callback per direction so Send
@@ -125,7 +125,7 @@ func (l *Link) Sent() uint64 { return l.sent }
 
 // Connect attaches two ports with a link. It returns an error if either
 // port is already attached, or if cfg asks for loss without a loss stream.
-func Connect(sched *sim.Scheduler, rng sim.RNG, cfg LinkConfig, a, b *Port) (*Link, error) {
+func Connect(sched *sim.Scheduler, rng *sim.Stream, cfg LinkConfig, a, b *Port) (*Link, error) {
 	if a.link != nil || b.link != nil {
 		return nil, fmt.Errorf("netsim: port already connected (%s, %s)", a.Name, b.Name)
 	}

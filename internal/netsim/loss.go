@@ -24,7 +24,7 @@ type GilbertElliott struct {
 
 // Drop implements LossModel: decide loss with the frame uniform u at the
 // current state's rate, then advance the state machine with one draw.
-func (g *GilbertElliott) Drop(u float64, rng sim.RNG) bool {
+func (g *GilbertElliott) Drop(u float64, rng *sim.Stream) bool {
 	p := g.GoodLoss
 	if g.bad {
 		p = g.BadLoss

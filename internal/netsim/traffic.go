@@ -38,14 +38,14 @@ type TrafficSource struct {
 	cfg   TrafficConfig
 	nic   *NIC
 	sched *sim.Scheduler
-	rng   sim.RNG
+	rng   *sim.Stream
 
 	running bool
 	sent    uint64
 }
 
 // NewTrafficSource creates a generator on nic.
-func NewTrafficSource(nic *NIC, sched *sim.Scheduler, rng sim.RNG, cfg TrafficConfig) (*TrafficSource, error) {
+func NewTrafficSource(nic *NIC, sched *sim.Scheduler, rng *sim.Stream, cfg TrafficConfig) (*TrafficSource, error) {
 	if nic == nil {
 		return nil, errors.New("netsim: nil NIC")
 	}

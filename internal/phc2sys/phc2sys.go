@@ -63,7 +63,7 @@ type Service struct {
 	tsc   *clock.TSC
 	st    *shmem.STSHMEM
 	pi    *servo.PI
-	rng   sim.RNG
+	rng   *sim.Stream
 	serviceState
 }
 
@@ -78,7 +78,7 @@ type serviceState struct {
 
 // New creates a phc2sys service for the VM owning phc and slot cfg.Slot.
 // rng feeds the preemption model; nil disables it.
-func New(sched *sim.Scheduler, phc *clock.PHC, tsc *clock.TSC, st *shmem.STSHMEM, rng sim.RNG, cfg Config) *Service {
+func New(sched *sim.Scheduler, phc *clock.PHC, tsc *clock.TSC, st *shmem.STSHMEM, rng *sim.Stream, cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	return &Service{
 		cfg:   cfg,

@@ -169,7 +169,7 @@ func (c Config) withDefaults() Config {
 type Stack struct {
 	cfg   Config
 	sched *sim.Scheduler
-	rng   sim.RNG
+	rng   *sim.Stream
 	nic   *netsim.NIC
 
 	ld *gptp.LinkDelay
@@ -259,7 +259,7 @@ func (s *Stack) Instrument(reg *obs.Registry) {
 }
 
 // New creates a stack on nic. onEvent, if non-nil, receives stack events.
-func New(nic *netsim.NIC, sched *sim.Scheduler, rng sim.RNG, cfg Config, onEvent func(Event)) (*Stack, error) {
+func New(nic *netsim.NIC, sched *sim.Scheduler, rng *sim.Stream, cfg Config, onEvent func(Event)) (*Stack, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Domains) == 0 {
 		return nil, errors.New("ptp4l: no domains configured")

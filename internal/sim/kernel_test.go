@@ -385,16 +385,61 @@ func (r *refScheduler) clone(evs []*refEvent) (refScheduler, []*refEvent) {
 // reachable, and far enough below MaxInt64 that ticker re-arms cannot wrap.
 const diffHorizon = Time(3) << 61
 
+// The queue's run cases the differential script must reach, as bits of
+// runDifferential's runCases result.
+const (
+	runInsertBeforeTail = 1 << iota // a push lands before the run's last entry
+	runTieAfterEqual                // a push ties a run entry that has later entries behind it
+	runLowerInside                  // a push below base, inside the run's block
+	runLowerAcross                  // a push below base, outside a non-empty run's block
+	runSpill                        // a push grows the run past runCap
+	runRestore                      // a Restore of a snapshot taken with a non-empty run
+)
+
+var runCaseNames = []string{"insert before the tail", "tie after equal instants",
+	"lower inside the run", "lower across the run", "spill", "restore with a run"}
+
+// pushCase classifies a push at instant at against the queue's current run.
+func pushCase(q *radixQueue, at Time) (c int) {
+	run := q.buckets[0][q.head:]
+	if q.lvl == 0 || len(run) == 0 {
+		return 0
+	}
+	if at < q.base {
+		if bits.Len64(uint64(at^q.base)) < q.lvl {
+			return runLowerInside
+		}
+		return runLowerAcross
+	}
+	if bits.Len64(uint64(at^q.base)) >= q.lvl {
+		return 0
+	}
+	if tail := run[len(run)-1].at; at < tail {
+		c |= runInsertBeforeTail
+		for _, e := range run {
+			if e.at == at {
+				c |= runTieAfterEqual
+				break
+			}
+		}
+	}
+	if len(run) == runCap {
+		c |= runSpill
+	}
+	return c
+}
+
 // runDifferential drives the kernel and the reference through the same
 // randomized script and compares complete firing traces. The script mixes
 // one-shot events (some scheduling a child from their callback), tickers
-// that stop themselves, bursts of events at one instant, cancels, partial
+// that stop themselves, bursts of events at one instant, swarms of events
+// inside the queue's run (enough, at times, to spill it), cancels, partial
 // drains, drains that stop short of the next event followed by a schedule
 // below it (which lowers the queue's base), and Snapshot/Restore. Offsets
 // span nanoseconds to hours and, rarely, centuries, so that every bucket of
 // the radix queue is used. It returns the set of buckets that held events,
-// as a bitmask.
-func runDifferential(t *testing.T, seed int64, ops int) (cover uint64) {
+// as a bitmask, and the run cases (runInsertBeforeTail...) it reached.
+func runDifferential(t *testing.T, seed int64, ops int) (cover uint64, runCases int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -435,6 +480,8 @@ func runDifferential(t *testing.T, seed int64, ops int) (cover uint64) {
 		return diffHorizon
 	}
 	oneShot := func(at Time) {
+		c := pushCase(&s.q, at)
+		runCases |= c
 		id := len(ids)
 		var child Time = -1
 		if rng.Intn(4) == 0 {
@@ -446,6 +493,9 @@ func runDifferential(t *testing.T, seed int64, ops int) (cover uint64) {
 				s.At(s.Now()+child, func() { gotNew = append(gotNew, rec{-id - 1, s.Now()}) })
 			}
 		}))
+		if c&runSpill != 0 && s.q.lvl != 0 {
+			t.Fatalf("seed %d: a run of %d entries did not spill", seed, runCap+1)
+		}
 		evs = append(evs, r.at(at, func() {
 			gotRef = append(gotRef, rec{id, r.now})
 			if child >= 0 {
@@ -462,6 +512,7 @@ func runDifferential(t *testing.T, seed int64, ops int) (cover uint64) {
 		evs                   []*refEvent
 		ids, nGotNew, nGotRef int
 		ticksNew, ticksRef    []int
+		withRun               bool // the kernel's run was non-empty
 	}
 	var m *mark
 
@@ -510,6 +561,9 @@ func runDifferential(t *testing.T, seed int64, ops int) (cover uint64) {
 			oneShot(to + Time(rng.Int63n(int64(at-to))))
 		case op == 9: // snapshot, or rewind to the last one
 			if m != nil && rng.Intn(2) == 0 {
+				if m.withRun {
+					runCases |= runRestore
+				}
 				s.Restore(m.snap)
 				*r, evs = m.ref.clone(m.evs)
 				ids, gotNew, gotRef = ids[:m.ids], gotNew[:m.nGotNew], gotRef[:m.nGotRef]
@@ -520,6 +574,13 @@ func runDifferential(t *testing.T, seed int64, ops int) (cover uint64) {
 			m = &mark{snap: s.Snapshot(), ids: len(ids), nGotNew: len(gotNew), nGotRef: len(gotRef),
 				ticksNew: append([]int(nil), ticksNew...), ticksRef: append([]int(nil), ticksRef...)}
 			m.ref, m.evs = r.clone(evs)
+			m.withRun = s.q.lvl > 0 && s.q.head < len(s.q.buckets[0])
+		case op == 10 && s.q.lvl > 1: // a swarm inside the run's block
+			lo, hi := s.q.base, s.q.base|(Time(1)<<(s.q.lvl-1)-1)
+			lo, hi = max(lo, s.Now()), min(hi, diffHorizon)
+			for n := rng.Intn(runCap + 8); n > 0 && lo <= hi; n-- {
+				oneShot(lo + Time(rng.Int63n(int64(hi-lo)+1)))
+			}
 		default:
 			oneShot(instant())
 		}
@@ -553,16 +614,23 @@ func runDifferential(t *testing.T, seed int64, ops int) (cover uint64) {
 				seed, i, gotNew[i], gotRef[i])
 		}
 	}
-	return cover
+	return cover, runCases
 }
 
 func TestSchedulerMatchesReferenceModel(t *testing.T) {
 	var cover uint64
+	cases := 0
 	for seed := int64(1); seed <= 50; seed++ {
-		cover |= runDifferential(t, seed, 400)
+		c, rc := runDifferential(t, seed, 400)
+		cover, cases = cover|c, cases|rc
 	}
 	if cover != ^uint64(0) {
 		t.Fatalf("the script left %d of 64 queue buckets unused (used %064b)", 64-bits.OnesCount64(cover), cover)
+	}
+	for i, name := range runCaseNames {
+		if cases&(1<<i) == 0 {
+			t.Errorf("the script never reached the run case %q", name)
+		}
 	}
 }
 

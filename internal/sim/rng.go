@@ -6,15 +6,6 @@ import (
 	"sync"
 )
 
-// RNG is the interface consumed by simulated components that need
-// randomness. *rand.Rand satisfies it.
-type RNG interface {
-	Float64() float64
-	NormFloat64() float64
-	Int63n(n int64) int64
-	Intn(n int) int
-}
-
 // Parameters of math/rand's additive lagged Fibonacci generator.
 const (
 	rngLen  = 607
@@ -36,6 +27,7 @@ type source struct {
 	pos       uint64 // steps taken since the seed
 }
 
+// Uint64 takes one step and returns the table word it wrote.
 func (s *source) Uint64() uint64 {
 	s.tap--
 	if s.tap < 0 {
@@ -51,10 +43,11 @@ func (s *source) Uint64() uint64 {
 	return uint64(x)
 }
 
+// Int63 is math/rand's Int63: one step's low 63 bits.
 func (s *source) Int63() int64 { return int64(s.Uint64() & rngMask) }
 
-// Seed sets s to position 0 of seed's stock math/rand sequence.
-func (s *source) Seed(seed int64) { s.seedWith(seed, rngCooked()) }
+// reset sets s to position 0 of seed's stock math/rand sequence.
+func (s *source) reset(seed int64) { s.seedWith(seed, rngCooked()) }
 
 // seedWith is math/rand's rngSource.Seed with the seeding table passed in:
 // it reduces seed mod 2³¹−1 (0 becomes 89482311), discards 20 outputs of
@@ -162,6 +155,70 @@ func (s *source) seek(pos uint64) {
 	}
 }
 
+// Stream is one named random stream: the stock math/rand sequence of its
+// derived seed, drawn through math/rand's own algorithms (Float64,
+// NormFloat64, Int63n, Intn) on the in-repo source, with no interface
+// dispatch on the draw path. Each method returns exactly what the same
+// method of rand.New(rand.NewSource(seed)) returns at the same position,
+// and takes the same number of source steps.
+type Stream struct {
+	source
+}
+
+// Float64 returns a float64 in [0, 1), as math/rand's Rand.Float64 does:
+// Int63 scaled by 2⁻⁶³, redrawn in the 1-in-2⁵³ case that rounds to 1.
+func (r *Stream) Float64() float64 {
+	for {
+		if f := float64(r.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// Int63n returns an int64 in [0, n), as math/rand's Rand.Int63n does: a
+// mask when n is a power of two, else rejection of the top partial range
+// and a modulus. It panics if n <= 0.
+func (r *Stream) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("invalid argument to Int63n")
+	}
+	if n&(n-1) == 0 {
+		return r.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := r.Int63()
+	for v > max {
+		v = r.Int63()
+	}
+	return v % n
+}
+
+// int31n is math/rand's Rand.Int31n, which Intn uses below 2³¹; it draws
+// Rand.Int31, the top 31 of Int63's bits.
+func (r *Stream) int31n(n int32) int32 {
+	if n&(n-1) == 0 {
+		return int32(r.Int63()>>32) & (n - 1)
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	v := int32(r.Int63() >> 32)
+	for v > max {
+		v = int32(r.Int63() >> 32)
+	}
+	return v % n
+}
+
+// Intn returns an int in [0, n), as math/rand's Rand.Intn does: through
+// Int31n for n below 2³¹, else through Int63n. It panics if n <= 0.
+func (r *Stream) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		return int(r.int31n(int32(n)))
+	}
+	return int(r.Int63n(int64(n)))
+}
+
 // Streams derives independent, named random streams from one master seed so
 // that adding a consumer of randomness in one component does not perturb any
 // other component's stream. Every experiment in this repository is
@@ -173,7 +230,7 @@ func (s *source) seek(pos uint64) {
 // snapshots").
 type Streams struct {
 	seed    int64
-	sources []*source
+	streams []*Stream
 }
 
 // NewStreams returns a stream factory for the given master seed.
@@ -184,15 +241,15 @@ func NewStreams(seed int64) *Streams {
 // Seed reports the master seed.
 func (s *Streams) Seed() int64 { return s.seed }
 
-// Stream returns a deterministic RNG for the named component. Calling
-// Stream twice with the same name returns two independent generators with
-// identical sequences; components must create their stream once and keep it.
-// The sequence is the stock math/rand one for the derived seed.
-func (s *Streams) Stream(name string) *rand.Rand {
-	src := new(source)
-	src.Seed(DeriveSeed(s.seed, name))
-	s.sources = append(s.sources, src)
-	return rand.New(src) //nolint:gosec // simulation, not crypto
+// Stream returns the deterministic random stream of the named component.
+// Calling Stream twice with the same name returns two independent streams
+// with identical sequences; components must create their stream once and
+// keep it. The sequence is the stock math/rand one for the derived seed.
+func (s *Streams) Stream(name string) *Stream {
+	st := new(Stream)
+	st.reset(DeriveSeed(s.seed, name))
+	s.streams = append(s.streams, st)
+	return st
 }
 
 // StreamsSnapshot captures the position of every stream handed out so far:
@@ -205,15 +262,15 @@ type StreamsSnapshot struct {
 // Streams created after the snapshot belong to components attached after
 // the fork boundary and are deliberately not captured.
 func (s *Streams) Snapshot() any {
-	sn := &StreamsSnapshot{positions: make([]uint64, len(s.sources))}
-	for i, src := range s.sources {
-		sn.positions[i] = src.pos
+	sn := &StreamsSnapshot{positions: make([]uint64, len(s.streams))}
+	for i, st := range s.streams {
+		sn.positions[i] = st.pos
 	}
 	return sn
 }
 
 // Restore seeks every stream captured by the snapshot back (or forward) to
-// its recorded position, leaving the *rand.Rand instances components hold
+// its recorded position, leaving the *Stream instances components hold
 // valid and positioned exactly where they were; the cost is the number of
 // draws between the two positions. Streams created after the snapshot are
 // dropped from the registry: their owners (post-boundary machinery of a
@@ -221,13 +278,13 @@ func (s *Streams) Snapshot() any {
 // re-derives the same stream from its name alone.
 func (s *Streams) Restore(snap any) {
 	sn := snap.(*StreamsSnapshot)
-	if len(sn.positions) > len(s.sources) {
+	if len(sn.positions) > len(s.streams) {
 		panic("sim: Streams.Restore: snapshot from a different Streams")
 	}
 	for i, pos := range sn.positions {
-		s.sources[i].seek(pos)
+		s.streams[i].seek(pos)
 	}
-	s.sources = s.sources[:len(sn.positions)]
+	s.streams = s.streams[:len(sn.positions)]
 }
 
 // DeriveSeed maps a master seed and a name to a stable derived seed; it is

@@ -130,17 +130,16 @@ func FuzzStreamSeek(f *testing.F) {
 			ops = ops[:256]
 		}
 		s := NewStreams(0)
-		src := new(source)
-		src.Seed(seed)
-		s.sources = append(s.sources, src)
-		r := rand.New(src)
+		r := new(Stream)
+		r.reset(seed)
+		s.streams = append(s.streams, r)
 		var snaps []any
 		var at []uint64 // position at each snapshot
 		for i, op := range ops {
 			switch op % 8 {
 			case 5:
 				snaps = append(snaps, s.Snapshot())
-				at = append(at, src.pos)
+				at = append(at, r.pos)
 				continue
 			case 6, 7:
 				if len(snaps) == 0 {
@@ -148,12 +147,12 @@ func FuzzStreamSeek(f *testing.F) {
 				}
 				k := int(op/8) % len(snaps)
 				s.Restore(snaps[k])
-				if src.pos != at[k] {
-					t.Fatalf("op %d: Restore left position %d, snapshot was at %d", i, src.pos, at[k])
+				if r.pos != at[k] {
+					t.Fatalf("op %d: Restore left position %d, snapshot was at %d", i, r.pos, at[k])
 				}
 				continue
 			}
-			ref := refAt(seed, src.pos)
+			ref := refAt(seed, r.pos)
 			var got, want uint64
 			switch op % 8 {
 			case 0:
@@ -188,7 +187,7 @@ func TestStreamSeedMatchesStock(t *testing.T) {
 	}
 	var src source
 	for _, seed := range seeds {
-		src.Seed(seed)
+		src.reset(seed)
 		stock := rand.NewSource(seed).(rand.Source64)
 		for i := 0; i < 2*rngLen; i++ {
 			if got, want := src.Uint64(), stock.Uint64(); got != want {
@@ -196,4 +195,56 @@ func TestStreamSeedMatchesStock(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStreamDrawsMatchStock checks Stream's copies of math/rand's draw
+// algorithms against math/rand's own: for the edge seeds and 100 drawn
+// ones, interleaved draws of every kind (over 10⁶ in all) must equal those
+// of rand.New(rand.NewSource(seed)) bit for bit. The Int63n and Intn bounds
+// include powers of two (the mask path), bounds that reject about half of
+// all draws (the rejection loops), and an Intn bound above 2³¹−1 (its
+// Int63n path); NormFloat64 must reach its base strip's tail.
+func TestStreamDrawsMatchStock(t *testing.T) {
+	seeds := []int64{0, 1, -1, math.MaxInt32, math.MinInt64, math.MaxInt64}
+	pick := rand.New(rand.NewSource(20261020)) //nolint:gosec // test seeds
+	for i := 0; i < 100; i++ {
+		seeds = append(seeds, int64(pick.Uint64()))
+	}
+	n63 := []int64{1, 1 << 40, 1000003, 1<<62 + 1, math.MaxInt64}
+	nInt := []int{1, 1 << 20, 999983, 1<<30 + 1, math.MaxInt32, 1<<40 + 7}
+	const drawsPerSeed = 10000
+	tail := 0
+	for _, seed := range seeds {
+		got := new(Stream)
+		got.reset(seed)
+		want := rand.New(rand.NewSource(seed)) //nolint:gosec // reference
+		for i := 0; i < drawsPerSeed; i++ {
+			var g, w uint64
+			switch op := pick.Intn(5); op {
+			case 0:
+				g, w = math.Float64bits(got.Float64()), math.Float64bits(want.Float64())
+			case 1:
+				x := got.NormFloat64()
+				if math.Abs(x) > rn {
+					tail++
+				}
+				g, w = math.Float64bits(x), math.Float64bits(want.NormFloat64())
+			case 2:
+				g, w = uint64(got.Int63()), uint64(want.Int63())
+			case 3:
+				n := n63[pick.Intn(len(n63))]
+				g, w = uint64(got.Int63n(n)), uint64(want.Int63n(n))
+			case 4:
+				n := nInt[pick.Intn(len(nInt))]
+				g, w = uint64(got.Intn(n)), uint64(want.Intn(n))
+			}
+			if g != w {
+				t.Fatalf("seed %d draw %d: got %#x, want %#x", seed, i, g, w)
+			}
+		}
+	}
+	if tail == 0 {
+		t.Fatal("no NormFloat64 draw reached the base strip's tail")
+	}
+	t.Logf("%d draws over %d seeds; %d NormFloat64 tail draws", len(seeds)*drawsPerSeed, len(seeds), tail)
 }

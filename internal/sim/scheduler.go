@@ -5,14 +5,17 @@
 // increasing nanosecond counter representing ideal "true" time; simulated
 // clocks in package clock map true time onto drifting local timescales.
 // Events that are scheduled for the same instant fire in FIFO order, which —
-// together with the seeded RNG streams in rng.go — makes every run
-// bit-for-bit reproducible.
+// together with the seeded random streams in rng.go — makes every run
+// bit-for-bit reproducible. Each component draws from its own *Stream,
+// which yields the stock math/rand sequence of its derived seed through
+// math/rand's own draw algorithms, with no interface dispatch.
 //
 // The kernel is allocation-free in steady state: events live inline in a
-// growable slab ordered by a monotone radix queue (see heap.go), At and
-// After hand out compact EventID handles instead of per-event pointers,
-// Cancel is an O(1) generation bump with lazy deletion at pop, and fired
-// slots recycle through a free list. See DESIGN.md, "Event kernel".
+// growable slab ordered by a monotone radix queue whose near-term events
+// sit in one sorted run (see heap.go), At and After hand out compact
+// EventID handles instead of per-event pointers, Cancel is an O(1)
+// generation bump with lazy deletion at pop, and fired slots recycle
+// through a free list. See DESIGN.md, "Event kernel".
 package sim
 
 import (

@@ -50,7 +50,8 @@ type Cloner interface {
 
 // schedulerSnapshot is the scheduler's full queue state: the scalars, the
 // event slab (including re-arm descriptors for tickers: at/seq/period per
-// slot, not closures re-captured per fork) and the radix queue's buckets.
+// slot, not closures re-captured per fork) and the radix queue (buckets,
+// run and base).
 // Slots referencing Cloner args hold pristine deep copies.
 type schedulerSnapshot struct {
 	schedulerState

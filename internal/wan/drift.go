@@ -58,7 +58,7 @@ type NamedLink struct {
 type Drift struct {
 	cfg   DriftConfig
 	links []NamedLink
-	rngs  []sim.RNG
+	rngs  []*sim.Stream
 
 	extraNS []float64
 	asymNS  []float64

@@ -158,7 +158,7 @@ type Coordinator struct {
 	// tolerable is min(F, ⌊(N−1)/2⌋); quorum needs nSites−tolerable fresh.
 	tolerable int
 
-	rngs   []sim.RNG
+	rngs   []*sim.Stream
 	servos []*servo.PI
 
 	corrNS  []float64 // per-site virtual correction applied on top of SiteTime
