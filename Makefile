@@ -138,21 +138,18 @@ wan-smoke:
 	@grep '"name":"runner_forks_served"' .wan-smoke/metrics.jsonl | grep -q '"value":[1-9]' || { echo "wan-smoke: no point forked"; exit 1; }
 	@echo "wan-smoke: ok ($$(grep -c '"run":"wansites"' .wan-smoke/metrics.jsonl) wansites metric lines)"
 
-# Fuzz smoke: a short informational pass over every committed fuzz target
-# (Go runs one -fuzz pattern per invocation), plus the derived-seed fault
-# hypothesis property test. CI runs this as a non-blocking job.
+# Fuzz smoke: a short informational pass over every committed fuzz target,
+# found with `go test -list '^Fuzz'` in each package (Go runs one -fuzz
+# pattern per invocation), plus the derived-seed fault hypothesis property
+# test. CI runs this as a non-blocking job.
 fuzz-smoke:
-	$(GO) test ./internal/netsim/ -run ^$$ -fuzz FuzzLinkDelay -fuzztime 10s
-	$(GO) test ./internal/sim/ -run ^$$ -fuzz FuzzSchedulerSnapshotRoundTrip -fuzztime 10s
-	$(GO) test ./internal/sim/ -run ^$$ -fuzz FuzzSchedulerVsReferenceModel -fuzztime 10s
-	$(GO) test ./internal/sim/ -run ^$$ -fuzz FuzzStreamSeek -fuzztime 10s
-	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzWireDecode -fuzztime 10s
-	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzWireSyncRoundTrip -fuzztime 10s
-	$(GO) test ./internal/gptp/ -run ^$$ -fuzz FuzzSeqWindow -fuzztime 10s
-	$(GO) test ./internal/experiments/ -run ^$$ -fuzz FuzzDecodeConfig -fuzztime 10s
-	$(GO) test ./internal/chaos/ -run ^$$ -fuzz FuzzParsePlan -fuzztime 10s
-	$(GO) test ./internal/core/ -run ^$$ -fuzz FuzzConfigJSON -fuzztime 10s
-	$(GO) test ./internal/serve/ -run ^$$ -fuzz FuzzLoadState -fuzztime 10s
+	@set -e; pkgs=$$($(GO) list ./...); for pkg in $$pkgs; do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for fz in $$(echo "$$list" | sed -n '/^Fuzz/p'); do \
+			echo "$(GO) test $$pkg -run '^$$' -fuzz '^$$fz\$$' -fuzztime 10s"; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$fz\$$" -fuzztime 10s; \
+		done; \
+	done
 	$(GO) test ./internal/faultinject/ -run TestFaultHypothesisAcrossDerivedSeeds -count=1
 
 # Quick start: the README's first three commands, each one registry study

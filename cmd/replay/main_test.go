@@ -44,4 +44,12 @@ func TestRunReplayErrors(t *testing.T) {
 	if err := run([]string{"-samples", empty}); err == nil {
 		t.Fatal("empty file accepted")
 	}
+	// A NaN Π* counts as no violation, so replay must refuse it, not pass it.
+	nan := filepath.Join(t.TempDir(), "nan.csv")
+	if err := os.WriteFile(nan, []byte("seq,at_sec,pi_star_ns,replies\n1,1.0,NaN,4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-samples", nan}); err == nil {
+		t.Fatal("NaN pi_star_ns accepted")
+	}
 }

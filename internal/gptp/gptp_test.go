@@ -418,15 +418,6 @@ func TestSlaveIgnoresOtherDomains(t *testing.T) {
 	}
 }
 
-func TestIsGPTP(t *testing.T) {
-	if !IsGPTP(&netsim.Frame{Payload: &Sync{}}) {
-		t.Fatal("Sync not recognised")
-	}
-	if IsGPTP(&netsim.Frame{Payload: "probe"}) {
-		t.Fatal("non-gPTP payload recognised")
-	}
-}
-
 func TestRelayRejectsBadSlavePort(t *testing.T) {
 	h := newHarness(9)
 	br := netsim.NewBridge("sw", h.sched, nil, h.phc("sw", 0, 0), netsim.BridgeConfig{Ports: 2,

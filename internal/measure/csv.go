@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -77,7 +78,10 @@ func WriteHistogramCSV(w io.Writer, h Histogram) error {
 }
 
 // ParseSamplesCSV reads back a series written by WriteSamplesCSV — round-
-// tripping experiment data between tools.
+// tripping experiment data between tools. It fails closed: a non-finite
+// at_sec or pi_star_ns, or a negative pi_star_ns or replies, is an error,
+// since the collector never writes one and a NaN Π* would compare as no
+// violation.
 func ParseSamplesCSV(r io.Reader) ([]Sample, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()
@@ -100,13 +104,22 @@ func ParseSamplesCSV(r io.Reader) ([]Sample, error) {
 		if err != nil {
 			return nil, fmt.Errorf("measure: csv row %d at_sec: %w", i+2, err)
 		}
+		if math.IsNaN(at) || math.IsInf(at, 0) {
+			return nil, fmt.Errorf("measure: csv row %d at_sec %q is not finite", i+2, rec[1])
+		}
 		pi, err := strconv.ParseFloat(rec[2], 64)
 		if err != nil {
 			return nil, fmt.Errorf("measure: csv row %d pi_star_ns: %w", i+2, err)
 		}
+		if math.IsNaN(pi) || math.IsInf(pi, 0) || pi < 0 {
+			return nil, fmt.Errorf("measure: csv row %d pi_star_ns %q is not finite and non-negative", i+2, rec[2])
+		}
 		replies, err := strconv.Atoi(rec[3])
 		if err != nil {
 			return nil, fmt.Errorf("measure: csv row %d replies: %w", i+2, err)
+		}
+		if replies < 0 {
+			return nil, fmt.Errorf("measure: csv row %d replies %d is negative", i+2, replies)
 		}
 		out = append(out, Sample{Seq: seq, AtSec: at, PiStarNS: pi, Replies: replies})
 	}

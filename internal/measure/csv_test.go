@@ -38,6 +38,16 @@ func TestParseSamplesCSVErrors(t *testing.T) {
 	if _, err := ParseSamplesCSV(strings.NewReader("seq,at_sec,pi_star_ns,replies\n1,x,2,3\n")); err == nil {
 		t.Fatal("bad at_sec accepted")
 	}
+	// Values the collector never writes: a NaN Π* would read as no violation.
+	for _, row := range []string{
+		"1,NaN,2,3", "1,+Inf,2,3", "1,-Inf,2,3",
+		"1,1.0,NaN,4", "1,1.0,+Inf,4", "1,1.0,-Inf,4", "1,1.0,-0.5,4",
+		"1,1.0,2,-1",
+	} {
+		if _, err := ParseSamplesCSV(strings.NewReader("seq,at_sec,pi_star_ns,replies\n" + row + "\n")); err == nil {
+			t.Errorf("row %q accepted", row)
+		}
+	}
 	out, err := ParseSamplesCSV(strings.NewReader(""))
 	if err != nil || out != nil {
 		t.Fatalf("empty input: %v/%v", out, err)

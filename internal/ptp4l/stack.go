@@ -187,7 +187,6 @@ type Stack struct {
 
 	lastFlags    []bool
 	aux          netsim.RxHandler
-	tap          netsim.RxHandler
 	onEvent      func(Event)
 	syncObserver func(domain int, latency time.Duration)
 
@@ -452,16 +451,9 @@ func (s *Stack) Reboot() error {
 	return s.Start()
 }
 
-// SetTap installs a passive observer of every received frame (the trace
-// recorder); it runs before demultiplexing and cannot consume frames.
-func (s *Stack) SetTap(h netsim.RxHandler) { s.tap = h }
-
 // receive demultiplexes NIC frames to the pdelay endpoint, the per-domain
 // instances, or the auxiliary handler.
 func (s *Stack) receive(f *netsim.Frame, rxTS float64) {
-	if s.tap != nil {
-		s.tap(f, rxTS)
-	}
 	switch m := f.Payload.(type) {
 	case *gptp.PdelayReq, *gptp.PdelayResp, *gptp.PdelayRespFollowUp:
 		s.ld.HandleFrame(f.Payload, rxTS)
