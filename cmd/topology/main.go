@@ -1,22 +1,20 @@
 // Command topology prints the wired testbed — the textual form of the
-// paper's Fig. 2 — and optionally writes or reads a JSON configuration so
-// that experiment setups can be version-controlled and shared. -save writes
-// the full core.Config, the site-level WAN tier and the holdover knobs
-// included, so -config on the saved file rebuilds the same system.
+// paper's Fig. 2.
 //
 // Usage:
 //
-//	topology [-seed N] [-config file.json] [-save file.json] [-diverse]
-//	         [-sites N] [-nodes N] [-vms N] [-wan]
+//	topology [-seed N] [-diverse] [-sites N] [-nodes N] [-vms N] [-wan]
 //
 // -sites 2+ renders the wide-area fabric instead of the single-site paper
 // testbed: each site as a cluster of switches with its gateway uplinks, the
 // WAN gateway chain annotated with every span's extra-delay/asymmetry
 // setting, and (with -wan) the site-level FTA parameters — quorum budget,
-// resync interval, holdover window and the delay-drift process.
+// resync interval, holdover window and the delay-drift process. -diverse
+// applies to the paper testbed only.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,9 +32,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("topology", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "master random seed")
-	configPath := fs.String("config", "", "load the configuration from this JSON file")
-	savePath := fs.String("save", "", "write the effective configuration to this JSON file")
-	diverse := fs.Bool("diverse", false, "diversify grandmaster kernels")
+	diverse := fs.Bool("diverse", false, "diversify grandmaster kernels (paper testbed only)")
 	sites := fs.Int("sites", 1, "number of sites (2+ builds the wide-area gateway chain)")
 	nodes := fs.Int("nodes", 4, "switches per site")
 	vms := fs.Int("vms", 2, "clock-sync VMs per switch")
@@ -46,14 +42,11 @@ func run(args []string) error {
 	}
 
 	var cfg core.Config
-	if *configPath != "" {
-		loaded, err := core.LoadConfigFile(*configPath)
-		if err != nil {
-			return err
+	if *sites > 1 || *nodes != 4 || *vms != 2 {
+		if *diverse {
+			return errors.New("-diverse applies to the paper testbed only (drop -sites, -nodes and -vms)")
 		}
-		cfg = loaded
-	} else if *sites > 1 || *nodes != 4 || *vms != 2 {
-		cfg = core.ScaleConfig(*seed, *sites, *nodes, *vms, 1)
+		cfg = core.ScaleConfig(*seed, *sites, *nodes, *vms)
 	} else {
 		cfg = core.NewConfig(*seed)
 		if *diverse {
@@ -75,12 +68,5 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Print(sys.DescribeTopology())
-
-	if *savePath != "" {
-		if err := cfg.SaveConfigFile(*savePath); err != nil {
-			return err
-		}
-		fmt.Printf("\nconfiguration written to %s\n", *savePath)
-	}
 	return nil
 }

@@ -1,25 +1,20 @@
 package main
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestRunTopology(t *testing.T) {
-	if err := run([]string{"-seed", "3", "-diverse"}); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-}
-
-func TestRunTopologySaveAndLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cfg.json")
-	if err := run([]string{"-save", path}); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if err := run([]string{"-config", path}); err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if err := run([]string{"-config", "/no/such/config.json"}); err == nil {
-		t.Fatal("missing config accepted")
+	for _, c := range []struct {
+		args    []string
+		wantErr bool
+	}{
+		{[]string{"-seed", "3", "-diverse"}, false},
+		{[]string{"-sites", "4", "-wan"}, false},
+		{[]string{"-wan"}, true},
+		{[]string{"-sites", "2", "-diverse"}, true},
+		{[]string{"-nodes", "3", "-diverse"}, true},
+	} {
+		if err := run(c.args); (err != nil) != c.wantErr {
+			t.Errorf("run(%q) = %v, want error: %v", c.args, err, c.wantErr)
+		}
 	}
 }

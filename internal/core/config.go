@@ -12,99 +12,73 @@ import (
 
 	"gptpfta/internal/attack"
 	"gptpfta/internal/fta"
-	"gptpfta/internal/netsim"
 	"gptpfta/internal/wan"
 )
 
 // Config describes a testbed instance. The zero value plus NewConfig
-// defaults reproduces the paper's setup. The JSON tags are the
-// configuration file format (WriteJSON, ReadConfigJSON): durations are
-// integer nanoseconds, hence the Ns suffixes.
+// defaults reproduces the paper's setup. The testbed's physics (oscillator
+// error, timestamp noise, link and residence delays, transient software
+// faults) are not settable: they are the calibrated constants in system.go.
 type Config struct {
 	// Seed drives every random stream; identical seeds reproduce runs
 	// bit-for-bit.
-	Seed int64 `json:"seed"`
+	Seed int64
 	// Nodes is the number of edge computing devices (and gPTP domains).
-	Nodes int `json:"nodes"`
+	Nodes int
 	// VMsPerNode is the number of clock-synchronization VMs per node
 	// (f+1 = 2 in the paper's fail-silent configuration).
-	VMsPerNode int `json:"vmsPerNode"`
+	VMsPerNode int
 	// F is the tolerated number of Byzantine grandmaster faults.
-	F int `json:"f"`
+	F int
 	// SyncInterval is the gPTP synchronization interval S.
-	SyncInterval time.Duration `json:"syncIntervalNs"`
-	// Phc2sysInterval is the CLOCK_SYNCTIME parameter update period.
-	Phc2sysInterval time.Duration `json:"phc2sysIntervalNs"`
-	// MonitorPeriod is the hypervisor monitor task period.
-	MonitorPeriod time.Duration `json:"monitorPeriodNs"`
+	SyncInterval time.Duration
 	// VoteThresholdNS enables the monitor's 2f+1 consistency vote.
-	VoteThresholdNS float64 `json:"voteThresholdNs"`
+	VoteThresholdNS float64
 
-	// Clock imperfections.
-	MaxStaticPPB        float64 `json:"maxStaticPpb"` // static oscillator error drawn in ±this
-	WanderPPBPerSqrtSec float64 `json:"wanderPpbPerSqrtSec"`
-	TimestampJitterNS   float64 `json:"timestampJitterNs"`
-	TSCReadNoiseNS      float64 `json:"tscReadNoiseNs"`
-	BootOffsetMaxNS     float64 `json:"bootOffsetMaxNs"` // initial PHC disagreement across nodes
-
-	// Network parameters.
-	LinkPropagation time.Duration `json:"linkPropagationNs"`
-	LinkJitterNS    float64       `json:"linkJitterNs"`
 	// LinkLossProb is the per-frame silent-loss probability on every link
 	// (CRC errors, queue overruns). The protocol stack tolerates loss by
 	// skipping measurement intervals.
-	LinkLossProb  float64               `json:"linkLossProb"`
-	ResidencePTP  netsim.ResidenceModel `json:"residencePtp"`
-	ResidenceMeas netsim.ResidenceModel `json:"residenceMeasure"`
-	ResidenceBE   netsim.ResidenceModel `json:"residenceBestEffort"`
+	LinkLossProb float64
 
 	// Protocol parameters.
-	StartupThresholdNS  float64        `json:"startupThresholdNs"`
-	ValidityThresholdNS float64        `json:"validityThresholdNs"`
-	FlagPolicy          fta.FlagPolicy `json:"flagPolicy"`
+	StartupThresholdNS  float64
+	ValidityThresholdNS float64
+	FlagPolicy          fta.FlagPolicy
 
 	// Holdover (graceful degradation under quorum starvation). Zero
 	// HoldoverWindow keeps the legacy free-run behavior; see
 	// ptp4l.Config.HoldoverWindow. The paper's default config leaves this
 	// off — chaos experiments opt in.
-	HoldoverWindow       time.Duration `json:"holdoverWindowNs"`
-	ReacquireThresholdNS float64       `json:"reacquireThresholdNs"`
-	ReacquireStableCount int           `json:"reacquireStableCount"`
-	HoldoverMaxSlewPPB   float64       `json:"holdoverMaxSlewPpb"`
-
-	// Transient software fault probabilities (per Sync).
-	TxTimestampTimeoutProb float64 `json:"txTimestampTimeoutProb"`
-	DeadlineMissProb       float64 `json:"deadlineMissProb"`
+	HoldoverWindow       time.Duration
+	ReacquireThresholdNS float64
+	ReacquireStableCount int
+	HoldoverMaxSlewPPB   float64
 
 	// Measurement configuration (the paper uses VM 2 of dev2 as the
 	// measurement VM and excludes the co-located GM c_m1).
-	MeasurementNode int `json:"measurementNode"`
-	MeasurementVM   int `json:"measurementVm"`
+	MeasurementNode int
+	MeasurementVM   int
 
 	// Kernels assigns a kernel version per VM name; missing entries get
 	// the paper's vulnerable v4.19.1 (the identical-kernel scenario).
-	Kernels map[string]string `json:"kernels,omitempty"`
+	Kernels map[string]string
 
 	// DomainCount overrides the number of gPTP domains (default: one per
 	// node). The single-domain ablation uses DomainCount = 1.
-	DomainCount int `json:"domainCount,omitempty"`
+	DomainCount int
 
 	// Sites scales the topology: each site is one full copy of the paper's
 	// mesh (Nodes switches × VMsPerNode ECD VMs, its own gPTP domains and
 	// grandmasters), and site gateways (node 0 of each site) are joined in
-	// a chain by InterSitePropagation links. The measurement VLAN rooted at
+	// a chain by interSitePropagation links. The measurement VLAN rooted at
 	// site 0 spans the whole fabric, so probe/reply traffic crosses every
 	// site boundary. 0 or 1 reproduces the paper topology exactly.
-	Sites int `json:"sites,omitempty"`
-	// InterSitePropagation is the one-way latency of the gateway chain
-	// links (a metro/long-haul span, so orders of magnitude above the
-	// in-site LinkPropagation).
-	InterSitePropagation time.Duration `json:"interSitePropagationNs,omitempty"`
+	Sites int
 	// BaselineClientsOnly reproduces the Kyriakakis-style baseline the
 	// paper criticises: no start-up protocol, and grandmaster nodes do not
 	// aggregate (their clocks free-run) — multi-domain aggregation is for
 	// PTP clients only.
-	BaselineClientsOnly bool `json:"baselineClientsOnly,omitempty"`
+	BaselineClientsOnly bool
 
 	// WanSync configures the wide-area site-level FTA tier (internal/wan):
 	// with Enabled set on a multi-site fabric, a coordinator on the
@@ -112,7 +86,7 @@ type Config struct {
 	// disciplines one virtual correction per site, with cross-site holdover
 	// under quorum loss. Off by default; single-site fabrics ignore it.
 	// All fields are value types, keeping PrefixHash stable.
-	WanSync wan.Config `json:"wanSync"`
+	WanSync wan.Config
 }
 
 // NumDomains resolves the effective domain count per site.
@@ -137,52 +111,20 @@ func (c Config) TotalNodes() int { return c.NumSites() * c.Nodes }
 // NewConfig returns the paper's testbed configuration for the given seed.
 func NewConfig(seed int64) Config {
 	return Config{
-		Seed:            seed,
-		Nodes:           4,
-		VMsPerNode:      2,
-		F:               1,
-		SyncInterval:    125 * time.Millisecond,
-		Phc2sysInterval: 31250 * time.Microsecond,
-		MonitorPeriod:   125 * time.Millisecond,
-
-		MaxStaticPPB:        5000, // r_max = 5 ppm (802.1AS, paper §III-A3)
-		WanderPPBPerSqrtSec: 1,
-		TimestampJitterNS:   8,
-		TSCReadNoiseNS:      30,
-		BootOffsetMaxNS:     1e6, // up to 1 ms boot-time disagreement
-
-		LinkPropagation: 500 * time.Nanosecond,
-		LinkJitterNS:    20,
-		// Best-effort traffic (and the Sync path data used for E) sees a
-		// heavier residence tail than the prioritised classes — this is
-		// what separates E ≈ 5 µs from γ ≈ 1 µs, as in the paper.
-		ResidencePTP: netsim.ResidenceModel{
-			Base: 1200 * time.Nanosecond, JitterNS: 120,
-			TailProb: 5e-4, TailMin: 500 * time.Nanosecond, TailMax: 2 * time.Microsecond,
-		},
-		ResidenceMeas: netsim.ResidenceModel{
-			Base: 1000 * time.Nanosecond, JitterNS: 100,
-			TailProb: 2e-4, TailMin: 300 * time.Nanosecond, TailMax: time.Microsecond,
-		},
-		ResidenceBE: netsim.ResidenceModel{
-			Base: 1500 * time.Nanosecond, JitterNS: 200,
-			TailProb: 1.5e-3, TailMin: time.Microsecond, TailMax: 4 * time.Microsecond,
-		},
+		Seed:         seed,
+		Nodes:        4,
+		VMsPerNode:   2,
+		F:            1,
+		SyncInterval: 125 * time.Millisecond,
 
 		StartupThresholdNS:  1000,
 		ValidityThresholdNS: 10000,
 		FlagPolicy:          fta.FlagMonitor,
 
-		// Calibrated to the paper's 24 h totals: 2992 tx-timestamp
-		// timeouts and 347 deadline misses over 4 domains at 8 Hz.
-		TxTimestampTimeoutProb: 1.1e-3,
-		DeadlineMissProb:       1.25e-4,
-
 		MeasurementNode: 1, // dev2
 		MeasurementVM:   1, // c22
 
-		Sites:                1,
-		InterSitePropagation: 50 * time.Microsecond,
+		Sites: 1,
 
 		Kernels: map[string]string{},
 	}

@@ -229,36 +229,63 @@ func (s *System) numPorts(g int) int {
 	return n
 }
 
+// The testbed's clock physics, calibrated to the ACRN testbed
+// (arXiv 2105.03374).
+const (
+	// maxStaticPPB bounds the static oscillator error, drawn in ±this:
+	// r_max = 5 ppm (802.1AS, paper §III-A3).
+	maxStaticPPB        float64 = 5000
+	wanderPPBPerSqrtSec float64 = 1
+	timestampJitterNS   float64 = 8
+	tscReadNoiseNS      float64 = 30
+	bootOffsetMaxNS     float64 = 1e6 // initial PHC disagreement: up to 1 ms
+)
+
 func (s *System) newPHC(name string, staticPPB, bootOffset float64) *clock.PHC {
 	osc := clock.NewOscillator(clock.OscillatorConfig{
 		StaticPPB:           staticPPB,
-		WanderPPBPerSqrtSec: s.cfg.WanderPPBPerSqrtSec,
+		WanderPPBPerSqrtSec: wanderPPBPerSqrtSec,
 	}, s.streams.Stream("osc/"+name), s.sched.Now())
 	return clock.NewPHC(s.sched, osc, s.streams.Stream("ts/"+name), clock.PHCConfig{
-		TimestampJitterNS: s.cfg.TimestampJitterNS,
+		TimestampJitterNS: timestampJitterNS,
 		InitialOffsetNS:   bootOffset,
 	})
 }
 
-// interSitePropagation resolves the gateway-chain latency with the default
-// for configs assembled without NewConfig.
-func (s *System) interSitePropagation() time.Duration {
-	if s.cfg.InterSitePropagation > 0 {
-		return s.cfg.InterSitePropagation
+// interSitePropagation is the one-way latency of the gateway chain links
+// (a metro/long-haul span, so orders of magnitude above the in-site
+// linkPropagation).
+const interSitePropagation = 50 * time.Microsecond
+
+// Bridge residence time per traffic class. Best-effort traffic (and the
+// Sync path data used for E) sees a heavier residence tail than the
+// prioritised classes — this is what separates E ≈ 5 µs from γ ≈ 1 µs, as
+// in the paper.
+var (
+	residencePTP = netsim.ResidenceModel{
+		Base: 1200 * time.Nanosecond, JitterNS: 120,
+		TailProb: 5e-4, TailMin: 500 * time.Nanosecond, TailMax: 2 * time.Microsecond,
 	}
-	return 50 * time.Microsecond
-}
+	residenceMeas = netsim.ResidenceModel{
+		Base: 1000 * time.Nanosecond, JitterNS: 100,
+		TailProb: 2e-4, TailMin: 300 * time.Nanosecond, TailMax: time.Microsecond,
+	}
+	residenceBE = netsim.ResidenceModel{
+		Base: 1500 * time.Nanosecond, JitterNS: 200,
+		TailProb: 1.5e-3, TailMin: time.Microsecond, TailMax: 4 * time.Microsecond,
+	}
+)
 
 func (s *System) buildBridges() error {
 	residence := map[int]netsim.ResidenceModel{
-		netsim.PriorityBestEffort: s.cfg.ResidenceBE,
-		netsim.PriorityPTP:        s.cfg.ResidencePTP,
-		netsim.PriorityMeasure:    s.cfg.ResidenceMeas,
+		netsim.PriorityBestEffort: residenceBE,
+		netsim.PriorityPTP:        residencePTP,
+		netsim.PriorityMeasure:    residenceMeas,
 	}
 	total := s.cfg.TotalNodes()
 	for g := 0; g < total; g++ {
 		name := "sw" + itoa(g+1)
-		static := clock.UniformPPB(s.streams.Stream("static/"+name), s.cfg.MaxStaticPPB)
+		static := clock.UniformPPB(s.streams.Stream("static/"+name), maxStaticPPB)
 		br := netsim.NewBridge(name, s.sched, s.streams.Stream("br/"+name),
 			s.newPHC(name, static, 0), netsim.BridgeConfig{Ports: s.numPorts(g), Residence: residence})
 		s.bridges = append(s.bridges, br)
@@ -289,7 +316,7 @@ func (s *System) buildBridges() error {
 		ga, gb := (site-1)*s.cfg.Nodes, site*s.cfg.Nodes
 		linkName := fmt.Sprintf("sw%d-sw%d", ga+1, gb+1)
 		cfg := s.linkConfig(linkName)
-		cfg.Propagation = s.interSitePropagation()
+		cfg.Propagation = interSitePropagation
 		link, err := netsim.Connect(s.sched, s.streams.Stream("link/"+linkName), cfg,
 			s.bridges[ga].Port(s.uplinkToNext(site-1)), s.bridges[gb].Port(s.uplinkToPrev(site)))
 		if err != nil {
@@ -302,32 +329,51 @@ func (s *System) buildBridges() error {
 	return nil
 }
 
+// In-site link delay: propagation plus per-frame jitter.
+const (
+	linkPropagation         = 500 * time.Nanosecond
+	linkJitterNS    float64 = 20
+)
+
 // linkConfig builds the shared link parameters plus a dedicated per-link
 // loss stream. The loss stream is private to the drop decision (see the
 // LinkConfig.LossRNG determinism contract), so installing zero-rate chaos
 // loss models leaves the jitter stream — and the golden digests — intact.
 func (s *System) linkConfig(name string) netsim.LinkConfig {
 	return netsim.LinkConfig{
-		Propagation: s.cfg.LinkPropagation,
-		JitterNS:    s.cfg.LinkJitterNS,
+		Propagation: linkPropagation,
+		JitterNS:    linkJitterNS,
 		LossProb:    s.cfg.LinkLossProb,
 		LossRNG:     s.streams.Stream("loss/" + name),
 	}
 }
+
+const (
+	// phc2sysInterval is the CLOCK_SYNCTIME parameter update period.
+	phc2sysInterval = 31250 * time.Microsecond
+	// monitorPeriod is the hypervisor monitor task period.
+	monitorPeriod = 125 * time.Millisecond
+
+	// Transient software fault probabilities (per Sync), calibrated to the
+	// paper's 24 h totals: 2992 tx-timestamp timeouts and 347 deadline
+	// misses over 4 domains at 8 Hz.
+	txTimestampTimeoutProb float64 = 1.1e-3
+	deadlineMissProb       float64 = 1.25e-4
+)
 
 func (s *System) buildNodes() error {
 	total := s.cfg.TotalNodes()
 	for g := 0; g < total; g++ {
 		nodeName := NodeName(g)
 		tscOsc := clock.NewOscillator(clock.OscillatorConfig{
-			StaticPPB:           clock.UniformPPB(s.streams.Stream("tsc/"+nodeName), s.cfg.MaxStaticPPB),
-			WanderPPBPerSqrtSec: s.cfg.WanderPPBPerSqrtSec,
+			StaticPPB:           clock.UniformPPB(s.streams.Stream("tsc/"+nodeName), maxStaticPPB),
+			WanderPPBPerSqrtSec: wanderPPBPerSqrtSec,
 		}, s.streams.Stream("tscosc/"+nodeName), s.sched.Now())
-		tsc := clock.NewTSC(s.sched, tscOsc, s.streams.Stream("tscrd/"+nodeName), s.cfg.TSCReadNoiseNS)
+		tsc := clock.NewTSC(s.sched, tscOsc, s.streams.Stream("tscrd/"+nodeName), tscReadNoiseNS)
 		node := hypervisor.NewNode(nodeName, s.sched, tsc, s.cfg.VMsPerNode,
 			hypervisor.MonitorConfig{
-				Period:          s.cfg.MonitorPeriod,
-				StaleAfter:      4 * s.cfg.Phc2sysInterval,
+				Period:          monitorPeriod,
+				StaleAfter:      4 * phc2sysInterval,
 				VoteThresholdNS: s.cfg.VoteThresholdNS,
 			},
 			func(e hypervisor.Event) {
@@ -346,8 +392,8 @@ func (s *System) buildNodes() error {
 		}
 		for v := 0; v < s.cfg.VMsPerNode; v++ {
 			vmName := VMName(g, v)
-			static := clock.UniformPPB(s.streams.Stream("static/"+vmName), s.cfg.MaxStaticPPB)
-			boot := s.streams.Stream("boot/"+vmName).Float64() * s.cfg.BootOffsetMaxNS
+			static := clock.UniformPPB(s.streams.Stream("static/"+vmName), maxStaticPPB)
+			boot := s.streams.Stream("boot/"+vmName).Float64() * bootOffsetMaxNS
 			nic := netsim.NewNIC(vmName, s.sched, s.newPHC(vmName, static, boot))
 			link, err := netsim.Connect(s.sched, s.streams.Stream("link/"+vmName),
 				s.linkConfig(vmName),
@@ -377,8 +423,8 @@ func (s *System) buildNodes() error {
 				ReacquireThresholdNS:   s.cfg.ReacquireThresholdNS,
 				ReacquireStableCount:   s.cfg.ReacquireStableCount,
 				HoldoverMaxSlewPPB:     s.cfg.HoldoverMaxSlewPPB,
-				TxTimestampTimeoutProb: s.cfg.TxTimestampTimeoutProb,
-				DeadlineMissProb:       s.cfg.DeadlineMissProb,
+				TxTimestampTimeoutProb: txTimestampTimeoutProb,
+				DeadlineMissProb:       deadlineMissProb,
 				SkipStartup:            s.cfg.BaselineClientsOnly,
 				DisableDiscipline:      s.cfg.BaselineClientsOnly && gmDomain >= 0,
 			}, func(e ptp4l.Event) {
@@ -404,7 +450,7 @@ func (s *System) buildNodes() error {
 			p2s := phc2sys.New(s.sched, nic.PHC(), tsc, node.STSHMEM(),
 				s.streams.Stream("phc2sys/"+vmName),
 				phc2sys.Config{
-					Interval: s.cfg.Phc2sysInterval,
+					Interval: phc2sysInterval,
 					Slot:     v,
 					// vCPU preemption between the non-atomic TSC/PHC reads:
 					// frequent short slices plus rare long deschedules. This
@@ -482,7 +528,7 @@ func (s *System) buildRelays() error {
 			domainPorts[d] = gptp.DomainPorts{SlavePort: s.meshPort(local, d), MasterPorts: masters}
 		}
 		relay, err := gptp.NewRelay(s.bridges[g], s.sched, s.streams.Stream("relay/"+itoa(g+1)),
-			gptp.RelayConfig{Domains: domainPorts, DefaultLinkDelayNS: float64(s.cfg.LinkPropagation)})
+			gptp.RelayConfig{Domains: domainPorts, DefaultLinkDelayNS: float64(linkPropagation)})
 		if err != nil {
 			return err
 		}
@@ -704,9 +750,9 @@ func (s *System) LogEvent(e Event) { s.log.add(e) }
 // SyncLatencies returns the tracker of observed Sync path latencies.
 func (s *System) SyncLatencies() *measure.LatencyTracker { return s.syncLat }
 
-// DriftOffset computes Γ = 2·r_max·S for the configured drift bound.
+// DriftOffset computes Γ = 2·r_max·S for the testbed's drift bound.
 func (s *System) DriftOffset() time.Duration {
-	return clock.DriftOffset(s.cfg.MaxStaticPPB*1e-9, s.cfg.SyncInterval)
+	return clock.DriftOffset(maxStaticPPB*1e-9, s.cfg.SyncInterval)
 }
 
 // ReadingError reports E = d_max − d_min from the Sync latencies observed

@@ -23,7 +23,7 @@ func (s *System) DescribeTopology() string {
 			s.cfg.Nodes, s.cfg.NumDomains(), s.cfg.VMsPerNode, s.cfg.F)
 	}
 	fmt.Fprintf(&b, "sync interval S = %v, drift bound r_max = %.0f ppb, Gamma = %v\n\n",
-		s.cfg.SyncInterval, s.cfg.MaxStaticPPB, s.DriftOffset())
+		s.cfg.SyncInterval, maxStaticPPB, s.DriftOffset())
 
 	indent := ""
 	if nSites > 1 {
@@ -66,7 +66,7 @@ func (s *System) DescribeTopology() string {
 	}
 
 	if nSites > 1 {
-		fmt.Fprintf(&b, "\nWAN gateway chain (propagation %v per span):\n", s.cfg.InterSitePropagation)
+		fmt.Fprintf(&b, "\nWAN gateway chain (propagation %v per span):\n", interSitePropagation)
 		for i := 0; i < nSites-1; i++ {
 			name := s.WanLinkName(i)
 			extra, asym := s.linkByName[name].WanDelay()

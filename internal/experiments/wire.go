@@ -50,19 +50,17 @@ func Wire(experiment string, r Result) WireResult {
 }
 
 // EnableWarmStart attaches the campaign metrics registry and the shared
-// snapshot cache a warm-capable config's runner pool forks through. A
-// config is warm-capable when it declares a Snapshots field (every such
-// config also declares Metrics); other configs pass through unchanged, and
-// the boolean reports which case applied. Whether a study forks is decided
-// by its points, not by a setting (see runPoints). Because `json:"-"`
-// fields do not survive the wire, callers that decode a config from JSON
-// re-attach the runtime handles here, after decoding.
+// snapshot cache to each of the Metrics and Snapshots fields a config
+// declares; other configs pass through unchanged. The boolean reports
+// whether the config is warm-capable, that is, declares a Snapshots field
+// a runner pool forks through. Whether a study forks is decided by its
+// points, not by a setting (see runPoints). Because `json:"-"` fields do
+// not survive the wire, callers that decode a config from JSON re-attach
+// the runtime handles here, after decoding.
 func EnableWarmStart(cfg any, reg *obs.Registry, snaps runner.SnapshotCache) (any, bool) {
 	v := reflect.ValueOf(cfg)
-	if v.Kind() != reflect.Struct || !v.FieldByName("Snapshots").IsValid() {
-		return cfg, false
-	}
-	return SetFields(cfg, map[string]any{"Metrics": reg, "Snapshots": snaps}), true
+	warm := v.Kind() == reflect.Struct && v.FieldByName("Snapshots").IsValid()
+	return SetFields(cfg, map[string]any{"Metrics": reg, "Snapshots": snaps}), warm
 }
 
 // SetFields returns a copy of the config struct cfg with each named field it

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -9,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"gptpfta/internal/core"
 	"gptpfta/internal/obs"
 	"gptpfta/internal/runner"
 )
@@ -170,26 +168,9 @@ func TestWireResultEnvelope(t *testing.T) {
 }
 
 // TestShardsKnobWire pins what is left of the deleted shard knob on the
-// wire: a core config file that still carries {"shards": N}, as every file
-// saved before the sharded kernel went does, loads with the key dropped and
-// saves without it, and no study config accepts it, so a payload still
-// carrying it fails closed instead of being silently ignored.
+// wire: no study config accepts it, so a payload still carrying it fails
+// closed instead of being silently ignored.
 func TestShardsKnobWire(t *testing.T) {
-	cfg, err := core.ReadConfigJSON(strings.NewReader(`{"shards": 4}`))
-	if err != nil {
-		t.Fatalf("core decode shards=4: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := cfg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "shards") {
-		t.Errorf("core config saved with a shards key:\n%s", buf.String())
-	}
-	if _, err := core.ReadConfigJSON(strings.NewReader(`{"shards": "4"}`)); err == nil {
-		t.Error("core decode accepted a non-integer shard count")
-	}
-
 	formerlyShardAware := []string{
 		"bounds", "resilience", "faultinjection", "baseline", "single-domain",
 		"flag-policy", "voting", "recovery", "interval", "domains",
@@ -220,30 +201,50 @@ func (*fakeCache) Acquire(context.Context, string, func(context.Context) (any, e
 
 // TestEnableWarmStartEveryWarmConfig checks EnableWarmStart against the
 // registry itself rather than a hand-kept list: every registered config that
-// declares a Snapshots field is warm-capable and gets Metrics and Snapshots
-// attached; every other config passes through unchanged.
+// declares a Snapshots field is warm-capable, every declared Metrics and
+// Snapshots field gets its handle attached, and a config declaring neither
+// passes through unchanged.
 func TestEnableWarmStartEveryWarmConfig(t *testing.T) {
 	reg, snaps := obs.NewRegistry(), &fakeCache{}
 	for _, e := range All() {
 		def := e.DefaultConfig(1)
+		metrics := reflect.ValueOf(def).FieldByName("Metrics")
 		hasCache := reflect.ValueOf(def).FieldByName("Snapshots").IsValid()
 		cfg, warm := EnableWarmStart(def, reg, snaps)
 		if warm != hasCache {
 			t.Errorf("%s: EnableWarmStart = %v, config declares Snapshots: %v", e.Name(), warm, hasCache)
 			continue
 		}
-		if !warm {
+		if !metrics.IsValid() && !hasCache {
 			if !reflect.DeepEqual(cfg, def) {
-				t.Errorf("%s: config without a snapshot cache was modified", e.Name())
+				t.Errorf("%s: config without runtime handles was modified", e.Name())
 			}
 			continue
 		}
 		v := reflect.ValueOf(cfg)
-		if m, ok := v.FieldByName("Metrics").Interface().(*obs.Registry); !ok || m != reg {
-			t.Errorf("%s: Metrics not attached", e.Name())
+		if metrics.IsValid() {
+			if m, ok := v.FieldByName("Metrics").Interface().(*obs.Registry); !ok || m != reg {
+				t.Errorf("%s: Metrics not attached", e.Name())
+			}
 		}
-		if c, ok := v.FieldByName("Snapshots").Interface().(runner.SnapshotCache); !ok || c != runner.SnapshotCache(snaps) {
-			t.Errorf("%s: Snapshots not attached", e.Name())
+		if hasCache {
+			if c, ok := v.FieldByName("Snapshots").Interface().(runner.SnapshotCache); !ok || c != runner.SnapshotCache(snaps) {
+				t.Errorf("%s: Snapshots not attached", e.Name())
+			}
 		}
+	}
+}
+
+// TestEnableWarmStartAttachesMetricsWithoutSnapshots pins that a config
+// declaring Metrics but no snapshot cache, as the attacks campaign does,
+// still gets the registry its runner pool reports into.
+func TestEnableWarmStartAttachesMetricsWithoutSnapshots(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg, warm := EnableWarmStart(AttacksConfig{}, reg, nil)
+	if warm {
+		t.Error("AttacksConfig reported warm-capable without a Snapshots field")
+	}
+	if got := cfg.(AttacksConfig).Metrics; got != reg {
+		t.Errorf("Metrics = %p, want the campaign registry %p", got, reg)
 	}
 }

@@ -15,11 +15,11 @@ import (
 // spread between minimum and maximum path latencies (the paper's reading
 // error E ≈ 5 µs) while typical latencies remain tightly grouped.
 type ResidenceModel struct {
-	Base     time.Duration `json:"baseNs"`
-	JitterNS float64       `json:"jitterNs"` // half-normal sigma
-	TailProb float64       `json:"tailProb"`
-	TailMin  time.Duration `json:"tailMinNs"`
-	TailMax  time.Duration `json:"tailMaxNs"`
+	Base     time.Duration
+	JitterNS float64 // half-normal sigma
+	TailProb float64
+	TailMin  time.Duration
+	TailMax  time.Duration
 }
 
 // Draw samples a residence time.

@@ -1,8 +1,7 @@
-// Package prof wires Go's runtime profilers into the experiment CLIs.
-// Every command accepts -cpuprofile, -memprofile and -trace flags; the
-// resulting files feed `go tool pprof` / `go tool trace` so scheduler and
-// network-simulation hot spots can be located without instrumenting the
-// experiment code itself.
+// Package prof wires Go's runtime profilers into cmd/sweep's -cpuprofile,
+// -memprofile and -trace flags. The resulting files feed `go tool pprof` /
+// `go tool trace` so scheduler and network-simulation hot spots can be
+// located without instrumenting the experiment code itself.
 package prof
 
 import (
@@ -77,10 +76,13 @@ func Start(cfg Config) (stop func() error, err error) {
 		if err != nil {
 			return fmt.Errorf("prof: %w", err)
 		}
-		defer f.Close()
 		runtime.GC() // materialize up-to-date allocation stats
 		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
 			return fmt.Errorf("prof: write heap profile: %w", err)
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("prof: %w", err)
 		}
 		return nil
 	}, nil

@@ -12,18 +12,18 @@ import (
 // All fields are value types (prefix-hash safe).
 type DriftConfig struct {
 	// Enabled switches the process on.
-	Enabled bool `json:"enabled"`
+	Enabled bool
 	// Interval is the walk's step period.
-	Interval time.Duration `json:"intervalNs"`
+	Interval time.Duration
 	// StepNS is the 1-sigma per-step increment for both axes.
-	StepNS float64 `json:"stepNs"`
+	StepNS float64
 	// MaxExtraNS bounds the symmetric extra delay in [0, MaxExtraNS] by
 	// reflection; the lower bound matches SetWanDelay's non-negative
 	// contract.
-	MaxExtraNS float64 `json:"maxExtraNs"`
+	MaxExtraNS float64
 	// MaxAsymNS bounds the directional asymmetry in [−MaxAsymNS,
 	// +MaxAsymNS] by reflection.
-	MaxAsymNS float64 `json:"maxAsymNs"`
+	MaxAsymNS float64
 }
 
 func (c DriftConfig) withDefaults() DriftConfig {

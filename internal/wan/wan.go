@@ -68,31 +68,31 @@ type Fabric interface {
 type Config struct {
 	// Enabled switches the tier on. Disabled, nothing is scheduled and no
 	// randomness is consumed.
-	Enabled bool `json:"enabled"`
+	Enabled bool
 	// F is the site-level Byzantine fault budget (sites that may lie).
-	F int `json:"f"`
+	F int
 	// Interval is the site-level resynchronisation period.
-	Interval time.Duration `json:"intervalNs"`
+	Interval time.Duration
 	// ValidityThresholdNS is the site-level validity-flag threshold passed
 	// to the FTA (readings further than this from the peer median are
 	// flagged; FlagMonitor policy, as in the LAN tier).
-	ValidityThresholdNS float64 `json:"validityThresholdNs"`
+	ValidityThresholdNS float64
 	// NoiseNS is the 1-sigma measurement noise per pairwise reading.
-	NoiseNS float64 `json:"noiseNs"`
+	NoiseNS float64
 	// StaleAfter keeps a peer's last reading usable after contact is lost.
-	StaleAfter time.Duration `json:"staleAfterNs"`
+	StaleAfter time.Duration
 	// HoldoverWindow is how long quorum loss must persist before the servo
 	// freezes.
-	HoldoverWindow time.Duration `json:"holdoverWindowNs"`
+	HoldoverWindow time.Duration
 	// ReacquireThresholdNS and ReacquireStableCount are the thaw
 	// hysteresis: the aggregate must stay below the threshold for that
 	// many consecutive ticks before holdover ends.
-	ReacquireThresholdNS float64 `json:"reacquireThresholdNs"`
-	ReacquireStableCount int     `json:"reacquireStableCount"`
+	ReacquireThresholdNS float64
+	ReacquireStableCount int
 	// MaxSlewPPB bounds the post-thaw frequency slew.
-	MaxSlewPPB float64 `json:"maxSlewPpb"`
+	MaxSlewPPB float64
 	// Drift parameterises the WAN delay drift process (see DriftConfig).
-	Drift DriftConfig `json:"drift"`
+	Drift DriftConfig
 }
 
 // WithDefaults fills zero fields with the paper-scale defaults.
